@@ -1,10 +1,10 @@
 //! Regenerates every table and figure of the paper in one run
 //! (`cargo bench -p pogo-bench --bench experiments`).
 //!
-//! A custom-harness bench target rather than a Criterion one: these are
-//! simulation experiments, not timing microbenchmarks (those live in the
-//! `micro` bench). Pass `--quick` (or set `POGO_QUICK=1`) to shorten the
-//! Table 4 deployment from 24 to 6 simulated days.
+//! A custom-harness bench target: these are simulation experiments, not
+//! timing benchmarks (host time is measured by `benchmark/` alone). Pass
+//! `--quick` (or set `POGO_QUICK=1`) to shorten the Table 4 deployment
+//! from 24 to 6 simulated days.
 
 use pogo_bench::{ablation, fig3, fig4, table2, table3, table4};
 

@@ -16,15 +16,12 @@
 //! | [`fig4`] | Figure 4 — tail-synchronized transmission timeline |
 //! | [`ablation`] | batching-policy and freeze/thaw ablations |
 //!
-//! [`perf`] is not an experiment: it holds the deterministic hot-path
-//! microbenchmarks behind the `perf_smoke` binary and the committed
-//! `BENCH_*.json` baselines.
+//! Nothing here times the host: performance is measured by the
+//! standalone `benchmark/` package (`BENCHMARK.json`) alone.
 
 pub mod ablation;
 pub mod fig3;
 pub mod fig4;
-pub mod fleet;
-pub mod perf;
 pub mod report;
 pub mod session;
 pub mod table2;

@@ -636,14 +636,8 @@ impl CollectorNode {
     /// warnings: the watchdog still protects the fleet, so they only
     /// go to the `pogo-lint` log. Scripts that fail to compile are
     /// skipped here — [`Self::precompile_spec`] logs those, and the
-    /// device reports the same error at load time. No-op when the
-    /// tree-walk engine is forced (it has no chunks to verify; its
-    /// watchdog charges per AST node, which the bytecode cost model
-    /// does not describe).
+    /// device reports the same error at load time.
     fn gate_spec(&self, spec: &ExperimentSpec, enforce: bool) -> Result<(), DeployError> {
-        if pogo_script::Engine::default_engine() != pogo_script::Engine::Bytecode {
-            return Ok(());
-        }
         let budgets = pogo_script::CostBudgets {
             callback: crate::host::WATCHDOG_BUDGET,
             load: crate::host::WATCHDOG_BUDGET * 10,
@@ -712,11 +706,7 @@ impl CollectorNode {
     /// script that fails to compile is logged to `pogo-lint` but does
     /// not block the push: the device reports the same error at load
     /// time, which is the long-standing `LintPolicy::Skip` contract.
-    /// No-op when the tree-walk engine is forced.
     fn precompile_spec(&self, spec: &ExperimentSpec) {
-        if pogo_script::Engine::default_engine() != pogo_script::Engine::Bytecode {
-            return;
-        }
         let mut ops: u64 = 0;
         let mut fns: u64 = 0;
         let mut compiled: u64 = 0;

@@ -226,34 +226,24 @@ impl ScriptHost {
         let result = {
             let mut interp = self.interp.borrow_mut();
             interp.set_budget(Some(LOAD_BUDGET));
-            let r = match interp.engine() {
-                // Default engine: compile once per distinct source (the
-                // cache is shared by every simulated phone on this
-                // thread, so a fleet-wide deployment compiles each
-                // script exactly once) and run the shared chunks.
-                pogo_script::Engine::Bytecode => {
-                    let t0 = std::time::Instant::now();
-                    let compiled = pogo_script::compile_cached(source);
-                    let compile_us = t0.elapsed().as_micros() as f64;
-                    match compiled {
-                        Ok(prog) => {
-                            {
-                                let state = self.state.borrow();
-                                let m = state.obs.metrics();
-                                m.inc("script.compiles", 1);
-                                m.inc("script.compile.ops", prog.op_count);
-                                m.inc("script.compile.fns", u64::from(prog.fn_count));
-                                m.observe("script.compile_us", compile_us);
-                            }
-                            interp.run_compiled(&prog).map(|_| ())
-                        }
-                        Err(e) => Err(e),
-                    }
+            // Compile once per distinct source (the cache is shared by
+            // every simulated phone on this thread, so a fleet-wide
+            // deployment compiles each script exactly once) and run the
+            // shared chunks.
+            let t0 = std::time::Instant::now();
+            let compiled = pogo_script::compile_cached(source);
+            let compile_us = t0.elapsed().as_micros() as f64;
+            let r = compiled.and_then(|prog| {
+                {
+                    let state = self.state.borrow();
+                    let m = state.obs.metrics();
+                    m.inc("script.compiles", 1);
+                    m.inc("script.compile.ops", prog.op_count);
+                    m.inc("script.compile.fns", u64::from(prog.fn_count));
+                    m.observe("script.compile_us", compile_us);
                 }
-                // Debug fallback (`POGO_SCRIPT_ENGINE=treewalk`): the
-                // original tree-walk path, no compilation step.
-                pogo_script::Engine::TreeWalk => interp.eval(source).map(|_| ()),
-            };
+                interp.run_compiled(&prog).map(|_| ())
+            });
             let consumed = LOAD_BUDGET.saturating_sub(interp.steps_remaining());
             self.state.borrow_mut().steps_used += consumed;
             r

@@ -85,30 +85,13 @@ impl Testbed {
         Self::with_obs(sim, ObsConfig::off())
     }
 
-    /// Like [`Testbed::new`], but the switchboard is split into
-    /// `shards` broker shards (JID-hash routed). Shard layout is pure
-    /// partitioning: any shard count produces byte-identical traces.
-    pub fn sharded(sim: &Sim, shards: usize) -> Self {
-        Self::with_obs_sharded(sim, ObsConfig::off(), shards)
-    }
-
     /// Like [`Testbed::new`], with observability per `config`: one
     /// shared recorder and metrics registry covers the collector and
     /// every device (scoped by JID), so [`Testbed::obs`] yields a
     /// single, time-ordered trace of the whole deployment.
     pub fn with_obs(sim: &Sim, config: ObsConfig) -> Self {
-        Self::with_obs_sharded(sim, config, 1)
-    }
-
-    /// The general constructor: observability per `config` and a
-    /// switchboard of `shards` broker shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn with_obs_sharded(sim: &Sim, config: ObsConfig, shards: usize) -> Self {
         let obs = config.build(sim);
-        let server = Switchboard::with_shards(sim, shards);
+        let server = Switchboard::new(sim);
         let jid = Jid::new("collector@pogo").expect("static JID is valid");
         server.register(&jid);
         let collector = CollectorNode::with_obs(sim, &server, &jid, &obs);
@@ -220,16 +203,13 @@ impl Testbed {
         Fleet { members }
     }
 
-    /// Runs the simulation for `duration` in fixed lock-step windows,
-    /// the stepping discipline of the sharded 100k-device testbed:
-    /// every shard advances exactly one window, then all shards
-    /// synchronize at a barrier where per-shard bookkeeping
-    /// (`net.shard.<i>.sessions/routed/dropped/relayed` gauges) is
-    /// published. Bookkeeping only *reads* switchboard state and writes
-    /// metrics — never the event queue or the recorder — so the event
-    /// trace is byte-identical to a straight [`Sim::run_for`] of the
-    /// same duration, for any shard count. Returns the number of
-    /// windows stepped.
+    /// Runs the simulation for `duration` in fixed lock-step windows:
+    /// the whole fleet advances exactly one window at a time, so a
+    /// caller that wants a barrier (to sample host time or memory per
+    /// window, say) gets one every `window`. Windowing touches neither
+    /// the event queue nor the recorder, so the event trace is
+    /// byte-identical to a straight [`Sim::run_for`] of the same
+    /// duration. Returns the number of windows stepped.
     ///
     /// # Panics
     ///
@@ -242,24 +222,8 @@ impl Testbed {
             let remaining = deadline.duration_since(self.sim.now());
             self.sim.run_for(remaining.min(window));
             windows += 1;
-            self.publish_shard_metrics();
         }
         windows
-    }
-
-    /// Snapshots per-shard switchboard counters into the metrics
-    /// registry (the pogo-top per-shard view reads these).
-    pub fn publish_shard_metrics(&self) {
-        let metrics = self.obs.metrics();
-        if !metrics.is_enabled() {
-            return;
-        }
-        for (i, stats) in self.server.shard_stats().into_iter().enumerate() {
-            metrics.gauge(format!("net.shard.{i}.sessions"), stats.sessions as f64);
-            metrics.gauge(format!("net.shard.{i}.routed"), stats.routed as f64);
-            metrics.gauge(format!("net.shard.{i}.dropped"), stats.dropped as f64);
-            metrics.gauge(format!("net.shard.{i}.relayed"), stats.relayed as f64);
-        }
     }
 }
 
@@ -338,23 +302,16 @@ mod tests {
     }
 
     #[test]
-    fn lockstep_publishes_shard_metrics() {
+    fn lockstep_steps_whole_windows_then_the_remainder() {
         let sim = Sim::new();
-        let mut tb = Testbed::with_obs_sharded(&sim, pogo_obs::ObsConfig::on(), 4);
+        let mut tb = Testbed::new(&sim);
         tb.add_fleet(
             FleetSpec::new(6).configure(|_, c| c.with_flush_policy(FlushPolicy::Immediate)),
         );
-        let windows = tb.run_lockstep(SimDuration::from_mins(10), SimDuration::from_mins(1));
-        assert_eq!(windows, 10);
-        let metrics = tb.obs().metrics();
-        let sessions: f64 = (0..4)
-            .map(|i| {
-                metrics
-                    .gauge_for(None, &format!("net.shard.{i}.sessions"))
-                    .unwrap_or(0.0)
-            })
-            .sum();
-        assert_eq!(sessions, 7.0, "6 devices + collector across shards");
+        let start = sim.now();
+        let windows = tb.run_lockstep(SimDuration::from_secs(630), SimDuration::from_mins(1));
+        assert_eq!(windows, 11, "10 full windows + a 30 s remainder");
+        assert_eq!(sim.now().duration_since(start), SimDuration::from_secs(630));
     }
 
     #[test]

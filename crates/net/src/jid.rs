@@ -57,8 +57,8 @@ impl fmt::Display for ParseJidError {
 
 impl std::error::Error for ParseJidError {}
 
-/// FNV-1a over the JID text: deterministic across runs, processes, and
-/// shard counts — the basis for shard routing and per-link RNG seeds.
+/// FNV-1a over the JID text: deterministic across runs and processes —
+/// the basis for per-link RNG seeds.
 fn fnv1a(text: &str) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for byte in text.bytes() {
@@ -113,8 +113,7 @@ impl Jid {
     }
 
     /// The precomputed FNV-1a hash of the text. Deterministic across
-    /// runs and shard counts; used for shard routing and per-link RNG
-    /// seeding.
+    /// runs; used for per-link RNG seeding.
     pub fn salt(&self) -> u64 {
         self.0.salt
     }
@@ -235,8 +234,8 @@ mod tests {
 
     #[test]
     fn salt_is_stable_fnv1a() {
-        // Pinned: shard routing depends on this exact function. If the
-        // hash ever changes, recorded shard layouts change with it.
+        // Pinned: per-link RNG seeds depend on this exact function. If
+        // the hash ever changes, every lossy-link trace changes with it.
         let j = Jid::new("device-0@pogo").unwrap();
         assert_eq!(j.salt(), fnv1a("device-0@pogo"));
         assert_eq!(fnv1a(""), 0xcbf2_9ce4_8422_2325);

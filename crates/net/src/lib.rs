@@ -33,8 +33,6 @@ pub mod wire;
 pub use batch::FlushPolicy;
 pub use jid::{Jid, ParseJidError};
 pub use reliable::{AckTracker, DedupFilter};
-pub use server::{
-    ChaosHook, LinkFate, LinkShape, NetError, Session, SessionOptions, ShardStats, Switchboard,
-};
+pub use server::{ChaosHook, LinkFate, LinkShape, NetError, Session, SessionOptions, Switchboard};
 pub use store::{MessageStore, StoredMessage};
 pub use wire::{Envelope, Payload};

@@ -143,69 +143,21 @@ pub struct LinkShape {
     pub extra_latency: SimDuration,
 }
 
-/// Per-shard switchboard statistics ([`Switchboard::shard_stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardStats {
-    /// Live sessions homed on this shard.
-    pub sessions: usize,
-    /// Envelopes this shard delivered to its sessions.
-    pub routed: u64,
-    /// Envelopes this shard dropped (recipient offline or in-flight
-    /// casualty).
-    pub dropped: u64,
-    /// Envelopes that arrived from a sender homed on a *different*
-    /// shard — the cross-shard relay traffic.
-    pub relayed: u64,
-}
-
-/// One broker shard: the session registry and per-JID link state for
-/// the JIDs that hash here. Accounts and rosters stay global (they live
-/// "on disk" at the server); sharding is a pure partition of the hot
-/// session/link maps, so a run's observable behaviour is byte-identical
-/// for any shard count.
-#[derive(Default)]
-struct Shard {
+struct ServerInner {
+    sim: Sim,
+    accounts: HashSet<Jid>,
+    roster: HashMap<Jid, BTreeSet<Jid>>,
     sessions: HashMap<Jid, Session>,
     // Per-JID impairment state, composed with session-level options on
     // every leg. BTreeMap: iteration feeds the deterministic sim.
     shapes: BTreeMap<Jid, LinkShape>,
     link_chaos: BTreeMap<Jid, ChaosHook>,
-    stats: ShardStats,
-}
-
-struct ServerInner {
-    sim: Sim,
-    accounts: HashSet<Jid>,
-    roster: HashMap<Jid, BTreeSet<Jid>>,
-    shards: Vec<Shard>,
+    routed: u64,
+    dropped: u64,
     down: bool,
     restarts: u64,
-    // One RNG stream for all server-side link shaping, whatever the
-    // shard count — per-shard streams would make the shard layout
-    // observable and break the N-shard ≡ 1-shard trace equivalence.
+    // One RNG stream for all server-side link shaping.
     shaper_rng: SimRng,
-}
-
-impl ServerInner {
-    /// Deterministic JID-hash shard routing: the cached FNV-1a salt of
-    /// the JID text, mod the shard count. Stable across runs, processes,
-    /// and fleet construction order.
-    fn shard_of(&self, jid: &Jid) -> usize {
-        (jid.salt() % self.shards.len() as u64) as usize
-    }
-
-    fn shard(&self, jid: &Jid) -> &Shard {
-        &self.shards[self.shard_of(jid)]
-    }
-
-    fn shard_mut(&mut self, jid: &Jid) -> &mut Shard {
-        let idx = self.shard_of(jid);
-        &mut self.shards[idx]
-    }
-
-    fn session(&self, jid: &Jid) -> Option<Session> {
-        self.shard(jid).sessions.get(jid).cloned()
-    }
 }
 
 /// The central server: accounts, rosters, and routing.
@@ -219,71 +171,33 @@ pub struct Switchboard {
 impl fmt::Debug for Switchboard {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let inner = self.inner.borrow();
-        let online: usize = inner.shards.iter().map(|s| s.sessions.len()).sum();
-        let routed: u64 = inner.shards.iter().map(|s| s.stats.routed).sum();
-        let dropped: u64 = inner.shards.iter().map(|s| s.stats.dropped).sum();
         f.debug_struct("Switchboard")
             .field("accounts", &inner.accounts.len())
-            .field("shards", &inner.shards.len())
-            .field("online", &online)
-            .field("routed", &routed)
-            .field("dropped", &dropped)
+            .field("online", &inner.sessions.len())
+            .field("routed", &inner.routed)
+            .field("dropped", &inner.dropped)
             .finish()
     }
 }
 
 impl Switchboard {
-    /// Creates an empty single-shard server.
+    /// Creates an empty server.
     pub fn new(sim: &Sim) -> Self {
-        Self::with_shards(sim, 1)
-    }
-
-    /// Creates an empty server partitioned into `shards` broker shards.
-    /// Sessions and per-JID link state are homed on the shard of their
-    /// JID's hash; accounts and rosters stay global. Observable
-    /// behaviour is byte-identical for any shard count — sharding only
-    /// changes which registry a lookup touches (and, on real deployments
-    /// this models, which broker process).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn with_shards(sim: &Sim, shards: usize) -> Self {
-        assert!(shards > 0, "a switchboard needs at least one shard");
         Switchboard {
             inner: Rc::new(RefCell::new(ServerInner {
                 sim: sim.clone(),
                 accounts: HashSet::new(),
                 roster: HashMap::new(),
-                shards: (0..shards).map(|_| Shard::default()).collect(),
+                sessions: HashMap::new(),
+                shapes: BTreeMap::new(),
+                link_chaos: BTreeMap::new(),
+                routed: 0,
+                dropped: 0,
                 down: false,
                 restarts: 0,
                 shaper_rng: SimRng::seed_from_u64(0x506f_676f_4c69_6e6b),
             })),
         }
-    }
-
-    /// Number of broker shards.
-    pub fn shard_count(&self) -> usize {
-        self.inner.borrow().shards.len()
-    }
-
-    /// The shard `jid`'s sessions are homed on.
-    pub fn shard_of(&self, jid: &Jid) -> usize {
-        self.inner.borrow().shard_of(jid)
-    }
-
-    /// Per-shard session and traffic statistics, indexed by shard.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.inner
-            .borrow()
-            .shards
-            .iter()
-            .map(|s| ShardStats {
-                sessions: s.sessions.len(),
-                ..s.stats
-            })
-            .collect()
     }
 
     /// Reseeds the RNG behind server-side link shaping
@@ -367,7 +281,7 @@ impl Switchboard {
                 return Err(NetError::UnknownAccount(jid.clone()));
             }
         }
-        let old = self.inner.borrow_mut().shard_mut(jid).sessions.remove(jid);
+        let old = self.inner.borrow_mut().sessions.remove(jid);
         if let Some(old) = old {
             old.mark_disconnected();
         }
@@ -392,7 +306,6 @@ impl Switchboard {
         };
         self.inner
             .borrow_mut()
-            .shard_mut(jid)
             .sessions
             .insert(jid.clone(), session.clone());
         self.broadcast_presence(jid, true);
@@ -404,16 +317,12 @@ impl Switchboard {
     /// session's own [`SessionOptions`]; cleared by
     /// [`Switchboard::clear_link_shape`].
     pub fn shape_link(&self, jid: &Jid, shape: LinkShape) {
-        self.inner
-            .borrow_mut()
-            .shard_mut(jid)
-            .shapes
-            .insert(jid.clone(), shape);
+        self.inner.borrow_mut().shapes.insert(jid.clone(), shape);
     }
 
     /// Removes server-side impairment for `jid`.
     pub fn clear_link_shape(&self, jid: &Jid) {
-        self.inner.borrow_mut().shard_mut(jid).shapes.remove(jid);
+        self.inner.borrow_mut().shapes.remove(jid);
     }
 
     /// Installs a server-side per-envelope fault hook for every leg that
@@ -421,18 +330,13 @@ impl Switchboard {
     pub fn set_link_chaos(&self, jid: &Jid, hook: impl Fn(&Envelope) -> LinkFate + 'static) {
         self.inner
             .borrow_mut()
-            .shard_mut(jid)
             .link_chaos
             .insert(jid.clone(), Rc::new(hook));
     }
 
     /// Removes the server-side fault hook for `jid`.
     pub fn clear_link_chaos(&self, jid: &Jid) {
-        self.inner
-            .borrow_mut()
-            .shard_mut(jid)
-            .link_chaos
-            .remove(jid);
+        self.inner.borrow_mut().link_chaos.remove(jid);
     }
 
     /// Restarts the switchboard: every session dies at once (envelopes in
@@ -468,17 +372,9 @@ impl Switchboard {
     }
 
     fn drop_all_sessions(&self) {
-        let mut sessions: Vec<(Jid, Session)> = {
-            let mut inner = self.inner.borrow_mut();
-            inner
-                .shards
-                .iter_mut()
-                .flat_map(|shard| shard.sessions.drain())
-                .collect()
-        };
-        // The registries are HashMaps; sort across all shards so
-        // disconnect callbacks fire in a deterministic order that does
-        // not depend on the shard layout.
+        let mut sessions: Vec<(Jid, Session)> = self.inner.borrow_mut().sessions.drain().collect();
+        // The registry is a HashMap; sort so disconnect callbacks fire
+        // in a deterministic order.
         sessions.sort_by(|a, b| a.0.cmp(&b.0));
         for (_, session) in sessions {
             session.mark_disconnected();
@@ -488,7 +384,7 @@ impl Switchboard {
     /// One leg's worth of server-side impairment for `jid`: `None` to
     /// drop, `Some(extra)` to deliver with that much added delay.
     fn shape_leg(&self, jid: &Jid, envelope: &Envelope) -> Option<SimDuration> {
-        let hook = self.inner.borrow().shard(jid).link_chaos.get(jid).cloned();
+        let hook = self.inner.borrow().link_chaos.get(jid).cloned();
         let mut extra = SimDuration::ZERO;
         if let Some(hook) = hook {
             match hook(envelope) {
@@ -498,7 +394,7 @@ impl Switchboard {
             }
         }
         let mut inner = self.inner.borrow_mut();
-        let Some(shape) = inner.shard(jid).shapes.get(jid).copied() else {
+        let Some(shape) = inner.shapes.get(jid).copied() else {
             return Some(extra);
         };
         if shape.loss > 0.0 && inner.shaper_rng.chance(shape.loss) {
@@ -521,7 +417,12 @@ impl Switchboard {
             inner
                 .roster
                 .get(jid)
-                .map(|buddies| buddies.iter().filter_map(|b| inner.session(b)).collect())
+                .map(|buddies| {
+                    buddies
+                        .iter()
+                        .filter_map(|b| inner.sessions.get(b).cloned())
+                        .collect()
+                })
                 .unwrap_or_default()
         };
         for watcher in watchers {
@@ -534,57 +435,37 @@ impl Switchboard {
 
     /// True if `jid` has a live session.
     pub fn is_online(&self, jid: &Jid) -> bool {
-        self.inner.borrow().shard(jid).sessions.contains_key(jid)
+        self.inner.borrow().sessions.contains_key(jid)
     }
 
-    /// Envelopes delivered end-to-end, summed over shards.
+    /// Envelopes delivered end-to-end.
     pub fn routed(&self) -> u64 {
-        self.inner
-            .borrow()
-            .shards
-            .iter()
-            .map(|s| s.stats.routed)
-            .sum()
+        self.inner.borrow().routed
     }
 
-    /// Envelopes dropped (recipient offline or session died in flight),
-    /// summed over shards.
+    /// Envelopes dropped (recipient offline or session died in flight).
     pub fn dropped(&self) -> u64 {
-        self.inner
-            .borrow()
-            .shards
-            .iter()
-            .map(|s| s.stats.dropped)
-            .sum()
+        self.inner.borrow().dropped
     }
 
-    /// Records a drop against the shard that owns `jid`.
-    fn count_dropped(&self, jid: &Jid) {
-        self.inner.borrow_mut().shard_mut(jid).stats.dropped += 1;
+    fn count_dropped(&self) {
+        self.inner.borrow_mut().dropped += 1;
     }
 
-    /// Second routing hop: the envelope reached the sender's home shard;
-    /// hand it to the recipient's shard (counting the cross-shard relay
-    /// if they differ) and forward it to the recipient's current session
-    /// if any, subject to the downlink leg's impairments. Each envelope
-    /// lands on exactly one shard — the relay moves it, never copies it —
-    /// so collector fan-out stays exactly-once whatever the layout.
+    /// Second routing hop: forward to the recipient's current session if
+    /// any, subject to the downlink leg's impairments.
     fn route(&self, envelope: Envelope) {
         let (recipient, sim) = {
-            let mut inner = self.inner.borrow_mut();
-            if inner.shard_of(&envelope.from) != inner.shard_of(&envelope.to) {
-                inner.shard_mut(&envelope.to).stats.relayed += 1;
-            }
-            let sim = inner.sim.clone();
-            (inner.session(&envelope.to), sim)
+            let inner = self.inner.borrow();
+            (inner.sessions.get(&envelope.to).cloned(), inner.sim.clone())
         };
         let Some(recipient) = recipient else {
-            self.count_dropped(&envelope.to);
+            self.count_dropped();
             return;
         };
         let Some(extra) = recipient.leg_delay(&envelope) else {
             // Downlink loss: counted like any other in-flight casualty.
-            self.count_dropped(&envelope.to);
+            self.count_dropped();
             return;
         };
         let expected_gen = recipient.generation();
@@ -592,15 +473,10 @@ impl Switchboard {
         let server = self.clone();
         sim.schedule_in(latency, move || {
             if recipient.is_connected() && recipient.generation() == expected_gen {
-                server
-                    .inner
-                    .borrow_mut()
-                    .shard_mut(&envelope.to)
-                    .stats
-                    .routed += 1;
+                server.inner.borrow_mut().routed += 1;
                 recipient.deliver(envelope);
             } else {
-                server.count_dropped(&envelope.to);
+                server.count_dropped();
             }
         });
     }
@@ -733,9 +609,8 @@ impl Session {
         };
         let Some(extra) = self.leg_delay(&envelope) else {
             // Uplink loss: the radio ate it. Senders see Ok — exactly the
-            // silent failure the reliable layer exists for. Counted on
-            // the sender's home shard: the envelope never left it.
-            server.count_dropped(&envelope.from);
+            // silent failure the reliable layer exists for.
+            server.count_dropped();
             return Ok(());
         };
         let sim = server.inner.borrow().sim.clone();
@@ -746,7 +621,7 @@ impl Session {
             if me.is_connected() && me.generation() == my_gen {
                 server.route(envelope);
             } else {
-                server.count_dropped(&envelope.from);
+                server.count_dropped();
             }
         });
         Ok(())
@@ -764,11 +639,10 @@ impl Session {
         }
         let removed = {
             let mut server_inner = server.inner.borrow_mut();
-            let shard = server_inner.shard_mut(&jid);
             // Only remove the registry entry if it is still this session.
-            match shard.sessions.get(&jid) {
+            match server_inner.sessions.get(&jid) {
                 Some(current) if Rc::ptr_eq(&current.inner, &self.inner) => {
-                    shard.sessions.remove(&jid);
+                    server_inner.sessions.remove(&jid);
                     true
                 }
                 _ => false,
@@ -1158,69 +1032,23 @@ mod tests {
     }
 
     #[test]
-    fn sharded_routing_delivers_and_counts_relays() {
+    fn restart_kicks_sessions_in_sorted_jid_order() {
         let sim = Sim::new();
-        let server = Switchboard::with_shards(&sim, 4);
-        assert_eq!(server.shard_count(), 4);
-        let col = Jid::new("collector@pogo").unwrap();
-        server.register(&col);
-        let cs = server.connect(&col, SimDuration::ZERO).unwrap();
-        let log = received_log(&cs);
-        // Enough devices that every shard is exercised.
-        let mut cross_shard = 0u64;
-        for i in 0..16 {
+        let server = Switchboard::new(&sim);
+        let order: Rc<RefCell<Vec<Jid>>> = Rc::new(RefCell::new(Vec::new()));
+        for i in 0..12 {
             let jid = Jid::new(&format!("dev-{i}@pogo")).unwrap();
             server.register(&jid);
-            server.befriend(&jid, &col).unwrap();
-            if server.shard_of(&jid) != server.shard_of(&col) {
-                cross_shard += 1;
-            }
-            let ds = server.connect(&jid, SimDuration::from_millis(5)).unwrap();
-            ds.send(&col, i, Payload::Data("x".into())).unwrap();
+            let s = server.connect(&jid, SimDuration::ZERO).unwrap();
+            let o = order.clone();
+            s.on_disconnect(move || o.borrow_mut().push(jid.clone()));
         }
-        sim.run_until_idle();
-        assert_eq!(log.borrow().len(), 16, "every envelope exactly once");
-        assert_eq!(server.routed(), 16);
-        let stats = server.shard_stats();
-        assert_eq!(stats.len(), 4);
-        let relayed: u64 = stats.iter().map(|s| s.relayed).sum();
-        assert_eq!(relayed, cross_shard);
-        // All deliveries counted on the collector's home shard.
-        assert_eq!(stats[server.shard_of(&col)].routed, 16);
-        let sessions: usize = stats.iter().map(|s| s.sessions).sum();
-        assert_eq!(sessions, 17);
-    }
-
-    #[test]
-    fn shard_of_is_salt_mod_count() {
-        let sim = Sim::new();
-        let server = Switchboard::with_shards(&sim, 8);
-        for name in ["a@pogo", "dev-42@pogo", "collector@pogo"] {
-            let jid = Jid::new(name).unwrap();
-            assert_eq!(server.shard_of(&jid), (jid.salt() % 8) as usize);
-        }
-    }
-
-    #[test]
-    fn restart_order_is_shard_layout_independent() {
-        let kicked_with = |shards: usize| {
-            let sim = Sim::new();
-            let server = Switchboard::with_shards(&sim, shards);
-            let order: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
-            for i in 0..12 {
-                let jid = Jid::new(&format!("dev-{i}@pogo")).unwrap();
-                server.register(&jid);
-                let s = server.connect(&jid, SimDuration::ZERO).unwrap();
-                let o = order.clone();
-                let name = jid.to_string();
-                s.on_disconnect(move || o.borrow_mut().push(name.clone()));
-            }
-            server.restart();
-            Rc::try_unwrap(order).unwrap().into_inner()
-        };
-        let one = kicked_with(1);
-        assert_eq!(one, kicked_with(2));
-        assert_eq!(one, kicked_with(8));
+        server.restart();
+        let kicked = order.borrow().clone();
+        let mut sorted = kicked.clone();
+        sorted.sort();
+        assert_eq!(kicked.len(), 12);
+        assert_eq!(kicked, sorted);
     }
 
     #[test]

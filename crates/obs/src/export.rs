@@ -247,46 +247,6 @@ pub fn summary(events: &[Event], metrics: &Metrics) -> String {
 
     let rows = metrics.snapshot();
 
-    // Shard table: `net.shard.<i>.<stat>` gauges (published at every
-    // lock-step barrier) render as one row per broker shard.
-    let mut shards: BTreeMap<u64, BTreeMap<String, f64>> = BTreeMap::new();
-    for row in &rows {
-        if row.device.is_some() {
-            continue;
-        }
-        let Some(rest) = row.name.strip_prefix("net.shard.") else {
-            continue;
-        };
-        let Some((index, stat)) = rest.split_once('.') else {
-            continue;
-        };
-        let (Ok(index), Metric::Gauge(v)) = (index.parse::<u64>(), &row.metric) else {
-            continue;
-        };
-        shards.entry(index).or_default().insert(stat.to_owned(), *v);
-    }
-    if !shards.is_empty() {
-        let _ = writeln!(
-            out,
-            "\n{:<8} {:>10} {:>12} {:>10} {:>10}",
-            "shard", "sessions", "routed", "dropped", "relayed"
-        );
-        for (index, stats) in &shards {
-            let col = |name: &str| match stats.get(name) {
-                Some(v) => format!("{v:.0}"),
-                None => "-".to_owned(),
-            };
-            let _ = writeln!(
-                out,
-                "{index:<8} {:>10} {:>12} {:>10} {:>10}",
-                col("sessions"),
-                col("routed"),
-                col("dropped"),
-                col("relayed")
-            );
-        }
-    }
-
     if !rows.is_empty() {
         let _ = writeln!(
             out,
@@ -374,36 +334,6 @@ mod tests {
         assert!(trace.contains("\"batch\":5"));
         // Track metadata names the device lanes.
         assert!(trace.contains("phone-1@pogo cpu"));
-    }
-
-    #[test]
-    fn summary_renders_a_shard_table() {
-        let metrics = Metrics::on();
-        metrics.gauge("net.shard.0.sessions", 3.0);
-        metrics.gauge("net.shard.0.routed", 120.0);
-        metrics.gauge("net.shard.1.sessions", 4.0);
-        metrics.gauge("net.shard.1.relayed", 7.0);
-        // Device-scoped lookalikes stay out of the table.
-        metrics
-            .scoped("phone-1@pogo")
-            .gauge("net.shard.9.routed", 1.0);
-        let text = summary(&[], &metrics);
-        let table: Vec<&str> = text
-            .lines()
-            .skip_while(|l| !l.starts_with("shard"))
-            .take(3)
-            .collect();
-        assert_eq!(table.len(), 3, "{text}");
-        assert!(
-            table[1].starts_with('0') && table[1].contains("120"),
-            "{text}"
-        );
-        // Stats never published for a shard render as "-".
-        assert!(
-            table[2].starts_with('1') && table[2].contains('-'),
-            "{text}"
-        );
-        assert!(!text.lines().any(|l| l.starts_with('9')), "{text}");
     }
 
     #[test]

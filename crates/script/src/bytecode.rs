@@ -203,7 +203,7 @@ pub enum UpvalSrc {
 }
 
 /// The instruction stream and side tables of one compiled function.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Chunk {
     pub ops: Vec<Op>,
     /// Source line per instruction (for error attribution).
@@ -217,29 +217,6 @@ pub struct Chunk {
     pub chains: Vec<ChainInfo>,
     /// Frame slots this function needs (locals, cells, iterators).
     pub n_slots: u16,
-    /// Set only by [`crate::verify::verify`] after every structural
-    /// check passed. The VM uses it to skip redundant bounds checks on
-    /// instruction fetch, so nothing outside the verifier may set it.
-    verified: Cell<bool>,
-}
-
-impl Clone for Chunk {
-    /// Clones are **unverified**: a clone is how test harnesses build
-    /// mutated chunks, so the fast-path privilege never carries over.
-    fn clone(&self) -> Self {
-        Chunk {
-            ops: self.ops.clone(),
-            lines: self.lines.clone(),
-            consts: self.consts.clone(),
-            protos: self.protos.clone(),
-            shapes: self.shapes.clone(),
-            globals: self.globals.clone(),
-            members: self.members.clone(),
-            chains: self.chains.clone(),
-            n_slots: self.n_slots,
-            verified: Cell::new(false),
-        }
-    }
 }
 
 /// A compiled function: parameter placement, upvalue recipe, body.
@@ -267,20 +244,6 @@ pub struct CompiledProgram {
 }
 
 impl Chunk {
-    /// Whether this exact chunk object has passed the bytecode
-    /// verifier. Structural guarantees (jump targets in bounds, no
-    /// fall-through past the final terminator, stack never
-    /// underflows) let the VM use an unchecked instruction fetch.
-    pub fn is_verified(&self) -> bool {
-        self.verified.get()
-    }
-
-    /// Grant the verified-chunk fast path. Only `verify.rs` calls
-    /// this, and only after every check on this chunk has passed.
-    pub(crate) fn mark_verified(&self) {
-        self.verified.set(true);
-    }
-
     /// Instructions in this chunk and, recursively, its prototypes.
     pub fn total_ops(&self) -> u64 {
         self.ops.len() as u64 + self.protos.iter().map(|p| p.chunk.total_ops()).sum::<u64>()

@@ -61,14 +61,9 @@ pub struct CompileOptions {
 }
 
 impl Default for CompileOptions {
-    /// Optimization defaults on; `POGO_SCRIPT_OPT=0` in the
-    /// environment turns it off process-wide (an escape hatch for
-    /// benchmarking and for bisecting a suspected optimizer bug).
+    /// Optimization is on.
     fn default() -> Self {
-        static OPT: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        let optimize =
-            *OPT.get_or_init(|| std::env::var("POGO_SCRIPT_OPT").map_or(true, |v| v != "0"));
-        CompileOptions { optimize }
+        CompileOptions { optimize: true }
     }
 }
 
@@ -118,11 +113,10 @@ pub fn compile_program(program: &[Stmt]) -> Result<CompiledProgram, ScriptError>
 /// Compiles an already-parsed program with explicit options.
 ///
 /// Every emitted program is structurally verified ([`crate::verify`])
-/// before it is returned; chunks that pass are marked so the VM can
-/// take its unchecked-dispatch fast path. If the optimizer ever
-/// produces a chunk the verifier rejects, the program is recompiled
-/// without optimization — an optimizer bug costs speed, not
-/// correctness (and aborts loudly in debug builds).
+/// before it is returned. If the optimizer ever produces a chunk the
+/// verifier rejects, the program is recompiled without optimization —
+/// an optimizer bug costs speed, not correctness (and aborts loudly in
+/// debug builds).
 ///
 /// # Errors
 ///
@@ -132,12 +126,12 @@ pub fn compile_program_with(
     opts: &CompileOptions,
 ) -> Result<CompiledProgram, ScriptError> {
     let prog = lower_program(program, opts.optimize)?;
-    match crate::verify::verify(&prog) {
+    match crate::verify::check(&prog) {
         Ok(()) => Ok(prog),
         Err(e) if opts.optimize => {
             debug_assert!(false, "optimizer emitted an invalid chunk: {e}");
             let prog = lower_program(program, false)?;
-            let fallback = crate::verify::verify(&prog);
+            let fallback = crate::verify::check(&prog);
             debug_assert!(
                 fallback.is_ok(),
                 "compiler emitted an invalid chunk: {fallback:?}"
@@ -145,8 +139,8 @@ pub fn compile_program_with(
             Ok(prog)
         }
         Err(e) => {
-            // A compiler bug: the chunk stays unverified and the VM
-            // keeps every bounds check on. Loud in debug builds.
+            // A compiler bug, loud in debug builds. The deploy gate
+            // re-verifies and rejects it; the VM bounds-checks anyway.
             debug_assert!(false, "compiler emitted an invalid chunk: {e}");
             Ok(prog)
         }

@@ -3,7 +3,6 @@
 //! the bytecode VM in [`crate::vm`]).
 
 use std::rc::Rc;
-use std::sync::OnceLock;
 
 use crate::ast::{BinOp, Expr, LogicalOp, Stmt, UnaryOp};
 use crate::builtins;
@@ -28,27 +27,15 @@ pub(crate) const MAX_DEPTH: usize = 100;
 ///
 /// Both engines implement the same observable semantics (results,
 /// emitted messages, error kinds and messages); the tree-walk is kept
-/// as the equivalence oracle and debugging fallback, the bytecode VM
-/// is the default. The `POGO_SCRIPT_ENGINE=treewalk` environment
-/// variable forces the tree-walk process-wide.
+/// as the equivalence oracle, chosen per interpreter through
+/// [`Interpreter::with_engine`]; the bytecode VM is what
+/// [`Interpreter::new`] and every host run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// Compile to bytecode and run on the stack VM (default).
     Bytecode,
     /// Walk the AST directly (oracle / debugging).
     TreeWalk,
-}
-
-impl Engine {
-    /// The process-wide default: [`Engine::Bytecode`] unless the
-    /// `POGO_SCRIPT_ENGINE` environment variable says `treewalk`.
-    pub fn default_engine() -> Engine {
-        static DEFAULT: OnceLock<Engine> = OnceLock::new();
-        *DEFAULT.get_or_init(|| match std::env::var("POGO_SCRIPT_ENGINE").as_deref() {
-            Ok("treewalk") | Ok("tree-walk") | Ok("ast") => Engine::TreeWalk,
-            _ => Engine::Bytecode,
-        })
-    }
 }
 
 /// Statement execution outcome.
@@ -89,15 +76,14 @@ impl Default for Interpreter {
 }
 
 impl Interpreter {
-    /// Creates an interpreter with the standard builtins installed and no
-    /// instruction budget.
+    /// Creates a bytecode-VM interpreter with the standard builtins
+    /// installed and no instruction budget.
     pub fn new() -> Self {
-        Self::with_engine(Engine::default_engine())
+        Self::with_engine(Engine::Bytecode)
     }
 
     /// Creates an interpreter pinned to a specific execution engine
-    /// (the differential tests and the legacy `interpreter` bench use
-    /// this; hosts normally take the default).
+    /// (the differential tests use this; hosts take [`Interpreter::new`]).
     pub fn with_engine(engine: Engine) -> Self {
         let globals = Env::new();
         builtins::install(&globals);

@@ -75,4 +75,4 @@ pub use interp::{Engine, Interpreter};
 pub use parser::parse;
 pub use sloc::{count_sloc, SourceStats};
 pub use value::{NativeFn, ObjMap, Value};
-pub use verify::{verify, VerifyError, VERIFY_CODES};
+pub use verify::{VerifyError, VERIFY_CODES};

@@ -21,14 +21,11 @@
 //!    underflows, every control-flow join is entered at one consistent
 //!    depth, and execution cannot fall off the end of the stream.
 //!
-//! A chunk that passes all three is *marked verified*
-//! ([`Chunk::is_verified`]), which licenses the VM's unchecked
-//! instruction fetch: layer 2 plus the fall-through check guarantee
-//! the instruction pointer stays in bounds, and layer 3 guarantees
-//! `pop()` always has an operand. The mark lives on the exact chunk
-//! object and is deliberately dropped by `Chunk::clone`, so
-//! hand-mutated copies (the mutation-test harness, hostile inputs)
-//! never inherit the privilege.
+//! For a chunk that passes all three, layer 2 plus the fall-through
+//! check guarantee the instruction pointer stays in bounds, and layer 3
+//! guarantees `pop()` always has an operand. The VM does not lean on
+//! that: its instruction fetch is bounds-checked for every chunk, so a
+//! chunk that was never verified can panic the VM but not corrupt it.
 
 use std::fmt;
 
@@ -84,26 +81,10 @@ impl fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-/// Verify a whole compiled program. On success every chunk in it
-/// (main and all nested prototypes) is marked verified for the VM
-/// fast path; on failure nothing is marked.
-pub fn verify(program: &CompiledProgram) -> Result<(), VerifyError> {
-    check(program)?;
-    mark_all(&program.main);
-    Ok(())
-}
-
-/// Run all checks without granting the fast-path mark. Useful for
-/// diagnosing chunks you do not intend to run (mutation harnesses).
+/// Verifies a whole compiled program: the main chunk and every nested
+/// prototype.
 pub fn check(program: &CompiledProgram) -> Result<(), VerifyError> {
     verify_proto(&program.main, None, &mut String::from("<main>"))
-}
-
-fn mark_all(proto: &FnProto) {
-    proto.chunk.mark_verified();
-    for p in &proto.chunk.protos {
-        mark_all(p);
-    }
 }
 
 fn err(code: &'static str, func: &str, at: usize, message: String) -> VerifyError {
@@ -557,27 +538,14 @@ mod tests {
     }
 
     #[test]
-    fn compiler_output_verifies_and_is_marked() {
+    fn compiler_output_verifies() {
         let prog = compiled(
             "var total = 0;\n\
              function add(x) { total = total + x; return total; }\n\
              for (var i = 0; i < 10; i++) { add(i); }\n\
              total;",
         );
-        // compile() already verifies; re-check explicitly.
         check(&prog).expect("compiler output is structurally valid");
-        assert!(prog.main.chunk.is_verified());
-        for p in &prog.main.chunk.protos {
-            assert!(p.chunk.is_verified());
-        }
-    }
-
-    #[test]
-    fn clone_drops_the_verified_mark() {
-        let prog = compiled("var x = 1; x + 1;");
-        assert!(prog.main.chunk.is_verified());
-        let copy = prog.main.chunk.clone();
-        assert!(!copy.is_verified());
     }
 
     #[test]

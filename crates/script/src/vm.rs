@@ -233,28 +233,13 @@ impl<'a> Machine<'a> {
         'frame: loop {
             let proto = cur.proto.clone();
             let chunk = &proto.chunk;
-            // Fast path: a chunk the verifier has accepted is known to
-            // keep every ip inside `ops` (all jump targets are
-            // in-bounds and no instruction falls off the end), so the
-            // fetch can skip the bounds check. Unverified chunks —
-            // clones, hand-built chunks in tests, or a compile whose
-            // verification failed — keep the checked fetch.
-            let fast = chunk.is_verified();
             macro_rules! set_line {
                 () => {
                     self.interp.current_line = chunk.lines[cur.ip - 1]
                 };
             }
             loop {
-                let op = if fast {
-                    debug_assert!(cur.ip < chunk.ops.len());
-                    // SAFETY: `fast` means `verify::verify` proved all
-                    // control flow stays within `0..ops.len()`, and
-                    // `ops` is immutable after compilation.
-                    unsafe { *chunk.ops.get_unchecked(cur.ip) }
-                } else {
-                    chunk.ops[cur.ip]
-                };
+                let op = chunk.ops[cur.ip];
                 cur.ip += 1;
                 // The watchdog: one budget step per instruction (the
                 // tree-walk charges one per AST node — same counter, same

@@ -1,11 +1,9 @@
-//! Fleet-scale invariants: sharding is pure partitioning.
+//! Fleet-scale invariants: a fleet run is a function of its spec and
+//! seed alone.
 //!
-//! The 100k-device testbed's headline promise is that the broker shard
-//! count is an *operational* knob, not a semantic one — any N produces
-//! the run a single switchboard would have produced. These tests pin
-//! that: the same fleet spec and seed through 1, 2, and 8 shards must
-//! yield byte-identical observability traces and an identical sample
-//! store, with or without lock-step stepping.
+//! The same fleet spec and seed must yield byte-identical observability
+//! traces and an identical sample store, run after run, with or without
+//! lock-step stepping.
 
 use pogo::core::{FleetSpec, ObsConfig, Testbed};
 use pogo::ingest::{ChannelSchema, Row, ScanQuery};
@@ -40,12 +38,12 @@ fn fleet_spec() -> FleetSpec {
         })
 }
 
-/// Runs the fleet on `shards` broker shards; `lockstep` switches
-/// between `Sim::run_for` and `Testbed::run_lockstep`. Returns the
-/// JSONL event trace and the collector's full sample store contents.
-fn run_sharded(shards: usize, lockstep: bool) -> (String, Vec<Row>) {
+/// Runs the fleet; `lockstep` switches between `Sim::run_for` and
+/// `Testbed::run_lockstep`. Returns the JSONL event trace and the
+/// collector's full sample store contents.
+fn run_fleet(lockstep: bool) -> (String, Vec<Row>) {
     let sim = Sim::new();
-    let mut testbed = Testbed::with_obs_sharded(&sim, ObsConfig::on(), shards);
+    let mut testbed = Testbed::with_obs(&sim, ObsConfig::on());
     let fleet = testbed.add_fleet(fleet_spec());
     assert_eq!(fleet.len(), FLEET);
 
@@ -82,19 +80,22 @@ fn run_sharded(shards: usize, lockstep: bool) -> (String, Vec<Row>) {
 }
 
 #[test]
-fn shard_count_is_invisible_in_traces_and_store() {
-    let (trace_1, rows_1) = run_sharded(1, false);
-    for shards in [2, 8] {
-        let (trace_n, rows_n) = run_sharded(shards, false);
-        assert_eq!(trace_1, trace_n, "{shards}-shard trace diverged");
-        assert_eq!(rows_1, rows_n, "{shards}-shard store diverged");
-    }
+fn same_seed_twice_gives_byte_identical_trace_and_store() {
+    let (trace_a, rows_a) = run_fleet(false);
+    let (trace_b, rows_b) = run_fleet(false);
+    assert!(
+        rows_a.len() >= FLEET,
+        "every device should land a report: {} rows",
+        rows_a.len()
+    );
+    assert_eq!(trace_a, trace_b, "second run's trace diverged");
+    assert_eq!(rows_a, rows_b, "second run's store diverged");
 }
 
 #[test]
 fn lockstep_stepping_changes_nothing_but_metrics() {
-    let (trace_straight, rows_straight) = run_sharded(4, false);
-    let (trace_lockstep, rows_lockstep) = run_sharded(4, true);
+    let (trace_straight, rows_straight) = run_fleet(false);
+    let (trace_lockstep, rows_lockstep) = run_fleet(true);
     assert_eq!(trace_straight, trace_lockstep);
     assert_eq!(rows_straight, rows_lockstep);
 }
@@ -102,7 +103,7 @@ fn lockstep_stepping_changes_nothing_but_metrics() {
 #[test]
 fn fleet_ids_round_trip_through_interned_jids() {
     let sim = Sim::new();
-    let mut testbed = Testbed::sharded(&sim, 4);
+    let mut testbed = Testbed::new(&sim);
     let fleet = testbed.add_fleet(FleetSpec::new(32).prefix("node"));
     for (i, member) in fleet.iter().enumerate() {
         assert_eq!(member.id, DeviceId::new(i));
