@@ -318,6 +318,34 @@ impl Broker {
         }
     }
 
+    /// Targeted delivery to a whole channel: `msg` goes, borrowed, to each
+    /// active subscription whose parameter object passes `wants`, in
+    /// subscribe order — what a sensor honouring per-subscription
+    /// parameters needs, without a copy of the parameters or the message
+    /// per subscription. Like [`Broker::publish_to`] it is not a channel
+    /// publish: taps do not see it and it is not counted. Returns how many
+    /// sinks received the message.
+    pub fn publish_where(&self, channel: &str, msg: &Msg, wants: impl Fn(&Msg) -> bool) -> usize {
+        // The sinks are collected before any runs, so one that changes the
+        // subscription table mid-delivery does not disturb this round.
+        let sinks: Vec<Sink> = {
+            let inner = self.inner.borrow();
+            let Some(ch) = inner.channels.get(channel) else {
+                return 0;
+            };
+            ch.members
+                .iter()
+                .filter_map(|id| inner.subs.get(id))
+                .filter(|s| s.active && wants(&s.params))
+                .map(|s| s.sink.clone())
+                .collect()
+        };
+        for sink in &sinks {
+            sink(channel, msg, None);
+        }
+        sinks.len()
+    }
+
     /// Snapshot of the subscriptions on `channel` (active and released),
     /// in subscribe order.
     pub fn subscriptions_on(&self, channel: &str) -> Vec<SubscriptionInfo> {
@@ -449,6 +477,36 @@ mod tests {
         assert!(broker.publish_to(a, &Msg::str("fix")));
         assert_eq!(log_a.borrow().len(), 1);
         assert!(log_b.borrow().is_empty());
+    }
+
+    #[test]
+    fn publish_where_filters_on_params_and_skips_released_and_taps() {
+        let broker = Broker::new();
+        let (log_gps, sink_gps) = collect();
+        let (log_net, sink_net) = collect();
+        let (log_off, sink_off) = collect();
+        let (log_tap, tap) = collect();
+        broker.subscribe("loc", Msg::obj([("provider", Msg::str("GPS"))]), sink_gps);
+        broker.subscribe("loc", Msg::obj([("provider", Msg::str("NET"))]), sink_net);
+        let off = broker.subscribe("loc", Msg::Null, sink_off);
+        broker.set_active(off, false);
+        broker.on_publish(tap);
+        let gps_or_any = |params: &Msg| {
+            params
+                .get("provider")
+                .and_then(Msg::as_str)
+                .is_none_or(|p| p == "GPS")
+        };
+        assert_eq!(broker.publish_where("loc", &Msg::str("fix"), gps_or_any), 1);
+        assert_eq!(broker.publish_where("nobody", &Msg::Null, |_| true), 0);
+        assert_eq!(log_gps.borrow().len(), 1);
+        assert!(log_net.borrow().is_empty(), "filtered out by its params");
+        assert!(log_off.borrow().is_empty(), "released");
+        assert!(
+            log_tap.borrow().is_empty(),
+            "targeted, not a channel publish"
+        );
+        assert_eq!(broker.published_count(), 0);
     }
 
     #[test]

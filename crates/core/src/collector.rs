@@ -385,27 +385,33 @@ impl CollectorNode {
         params: Msg,
         schema: ChannelSchema,
     ) -> Result<(), IngestError> {
-        let newly = self.pipeline().register(exp, channel, schema)?;
+        let newly = self.pipeline().register(exp, channel, schema.clone())?;
         if !newly {
             return Ok(());
         }
         let ctx = self.create_experiment(exp);
         let me = self.clone();
         let exp_owned = exp.to_owned();
+        // A registered schema never changes (re-registering another is a
+        // conflict), so the sink keeps it rather than look it up per sample.
         ctx.broker()
             .subscribe(channel, params, move |channel, msg, from| {
-                me.ingest_data(&exp_owned, channel, from.unwrap_or(""), msg);
+                me.ingest_data(&exp_owned, channel, &schema, from.unwrap_or(""), msg);
             });
         Ok(())
     }
 
     /// One sample arrived on a registered channel's subscription.
-    fn ingest_data(&self, exp: &str, channel: &str, device: &str, msg: &Msg) {
+    fn ingest_data(
+        &self,
+        exp: &str,
+        channel: &str,
+        schema: &ChannelSchema,
+        device: &str,
+        msg: &Msg,
+    ) {
         let pipeline = self.pipeline();
-        let Some(schema) = pipeline.schema(exp, channel) else {
-            return;
-        };
-        match registry::extract_sample(&schema, msg) {
+        match registry::extract_sample(schema, msg) {
             Ok(value) => match pipeline.append(exp, channel, device, value) {
                 Ok(()) => self.dispatch_listeners(exp, channel, device, msg),
                 Err(e) => self.log_ingest_error(&e),
@@ -418,27 +424,23 @@ impl CollectorNode {
     }
 
     fn dispatch_listeners(&self, exp: &str, channel: &str, device: &str, msg: &Msg) {
-        let (at, matching) = {
-            let inner = self.inner.borrow();
-            if inner.listeners.is_empty() {
-                return;
-            }
-            let matching: Vec<registry::Listener> = inner
-                .listeners
-                .iter()
-                .filter(|(filter, _)| filter.matches(exp, channel, device))
-                .map(|(_, listener)| listener.clone())
-                .collect();
-            (inner.sim.now(), matching)
-        };
         let event = SampleEvent {
             exp,
             channel,
             device,
-            at,
+            at: self.inner.borrow().sim.now(),
             msg,
         };
-        for listener in matching {
+        // By index, not under one borrow: a listener may use the collector.
+        // Listeners are only ever appended.
+        for i in 0.. {
+            let listener = match self.inner.borrow().listeners.get(i) {
+                Some((filter, listener)) if filter.matches(exp, channel, device) => {
+                    listener.clone()
+                }
+                Some(_) => continue,
+                None => break,
+            };
             listener(&event);
         }
     }

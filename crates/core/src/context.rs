@@ -27,14 +27,18 @@ use pogo_script::ScriptError;
 
 use crate::broker::{Broker, SubscriptionId};
 use crate::host::{FrozenSlot, LogStore, ScriptHost};
-use crate::proto::{ControlMsg, ScriptSpec};
+use crate::proto::{ControlMsg, DataRef, ScriptSpec};
 use crate::scheduler::Scheduler;
 use crate::value::Msg;
 
-/// Callback used by contexts to hand protocol messages to the node's
-/// transport (device: into the store-and-forward buffer; collector: into
-/// the per-device reliable queue).
+/// Callback taking owned protocol messages; [`DeviceContext::new`] accepts
+/// one and adapts it to a [`DataSink`].
 pub type Outbound = Rc<dyn Fn(ControlMsg)>;
+
+/// How a device context hands the data its mirrored subscriptions match
+/// to the node's transport: a view borrowed from the publisher, which the
+/// device node encodes straight into its store-and-forward buffer.
+pub type DataSink = Rc<dyn Fn(DataRef<'_>)>;
 
 // =============================== device side ===============================
 
@@ -44,7 +48,7 @@ struct DeviceCtxInner {
     broker: Broker,
     scheduler: Scheduler,
     logs: LogStore,
-    outbound: Outbound,
+    outbound: DataSink,
     scripts: Vec<ScriptHost>,
     /// collector sub_ref → mirrored local subscription.
     mirrors: BTreeMap<u64, SubscriptionId>,
@@ -70,7 +74,8 @@ impl std::fmt::Debug for DeviceContext {
 }
 
 impl DeviceContext {
-    /// Creates an empty context for experiment `exp`.
+    /// Creates an empty context for experiment `exp` whose outbound data
+    /// arrives at `outbound` as owned [`ControlMsg::Data`] messages.
     pub fn new(
         exp: &str,
         version: u64,
@@ -78,17 +83,19 @@ impl DeviceContext {
         logs: &LogStore,
         outbound: Outbound,
     ) -> Self {
-        Self::with_obs(exp, version, scheduler, logs, outbound, &Obs::off())
+        let sink: DataSink = Rc::new(move |data| outbound(data.to_control()));
+        Self::with_obs(exp, version, scheduler, logs, sink, &Obs::off())
     }
 
-    /// Like [`DeviceContext::new`], additionally recording broker and
-    /// script activity into `obs`.
+    /// Creates an empty context for experiment `exp`, handing outbound
+    /// data to `outbound` borrowed and recording broker and script
+    /// activity into `obs`.
     pub fn with_obs(
         exp: &str,
         version: u64,
         scheduler: &Scheduler,
         logs: &LogStore,
-        outbound: Outbound,
+        outbound: DataSink,
         obs: &Obs,
     ) -> Self {
         DeviceContext {
@@ -218,11 +225,11 @@ impl DeviceContext {
         if let Some(&old) = self.inner.borrow().mirrors.get(&sub_ref) {
             broker.unsubscribe(old);
         }
-        let id = broker.subscribe(channel, params, move |ch, msg, _from| {
-            outbound(ControlMsg::Data {
-                exp: exp.clone(),
-                channel: ch.to_owned(),
-                msg: msg.clone(),
+        let id = broker.subscribe(channel, params, move |channel, msg, _from| {
+            outbound(DataRef {
+                exp: &exp,
+                channel,
+                msg,
                 sub_ref: Some(sub_ref),
             });
         });

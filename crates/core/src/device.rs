@@ -18,7 +18,7 @@ use pogo_obs::{field, Obs};
 use pogo_platform::{Bearer, Phone, RadioState};
 use pogo_sim::{SimDuration, SimTime};
 
-use crate::context::DeviceContext;
+use crate::context::{DataSink, DeviceContext};
 use crate::host::{FrozenSlot, LogStore};
 use crate::privacy::PrivacyPolicy;
 use crate::proto::{ControlMsg, ScriptSpec};
@@ -517,11 +517,9 @@ impl DeviceNode {
         let me = self.clone();
         let collector = collector.clone();
         let exp_owned = exp.to_owned();
-        let outbound = {
+        let outbound: DataSink = {
             let collector = collector.clone();
-            Rc::new(move |ctl: ControlMsg| {
-                me.enqueue(&collector, &ctl);
-            })
+            Rc::new(move |data| me.enqueue_json(&collector, data.to_json()))
         };
         let ctx = DeviceContext::with_obs(exp, version, &scheduler, &logs, outbound, &obs);
         // Re-apply persisted collector-side subscriptions before any
@@ -948,10 +946,15 @@ impl DeviceNode {
     /// Queues a protocol message for `to` in the persistent buffer and
     /// applies the flush policy.
     pub fn enqueue(&self, to: &Jid, ctl: &ControlMsg) {
+        self.enqueue_json(to, ctl.to_json());
+    }
+
+    /// Queues an encoded protocol message: the buffer holds wire bytes.
+    fn enqueue_json(&self, to: &Jid, json: String) {
         let now = self.now();
         {
             let mut inner = self.inner.borrow_mut();
-            inner.store.enqueue(to, ctl.to_json(), now);
+            inner.store.enqueue(to, json, now);
             inner.dirty = true;
             inner.obs.metrics().inc("net.enqueued", 1);
             inner
@@ -1144,8 +1147,8 @@ impl DeviceNode {
             .sum();
         let me = self.clone();
         let result = phone.transmit(bytes, 64, move || {
-            for msg in &pending {
-                let _ = session.send(&msg.to, msg.seq, Payload::Data(msg.data.clone()));
+            for msg in pending {
+                let _ = session.send(&msg.to, msg.seq, Payload::Data(msg.data));
             }
             let tail = {
                 let mut inner = me.inner.borrow_mut();

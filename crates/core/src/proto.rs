@@ -8,7 +8,9 @@
 
 use std::fmt;
 
-use crate::value::Msg;
+use pogo_ingest::jsonw;
+
+use crate::value::{parse_members, Msg, WriteJson};
 
 /// One script of an experiment, as pushed to devices.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,121 +81,200 @@ impl fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
-fn need_str(msg: &Msg, key: &str) -> Result<String, ProtoError> {
-    msg.get(key)
-        .and_then(Msg::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| ProtoError(format!("missing string field `{key}`")))
+/// A [`ControlMsg::Data`] borrowed from whoever holds its parts: what a
+/// device context hands its node per published sample, so the message
+/// tree is read once, by the encoder, and never cloned on the way.
+#[derive(Debug, Clone, Copy)]
+pub struct DataRef<'a> {
+    /// Experiment id.
+    pub exp: &'a str,
+    /// Channel published on.
+    pub channel: &'a str,
+    /// The message.
+    pub msg: &'a Msg,
+    /// The mirrored subscription targeted, if any.
+    pub sub_ref: Option<u64>,
 }
 
-fn need_num(msg: &Msg, key: &str) -> Result<f64, ProtoError> {
-    msg.get(key)
+impl DataRef<'_> {
+    /// Encodes to the JSON [`ControlMsg::to_json`] gives the owned form.
+    pub fn to_json(&self) -> String {
+        self.to_sized_json()
+    }
+
+    /// The owned protocol message.
+    pub fn to_control(&self) -> ControlMsg {
+        ControlMsg::Data {
+            exp: self.exp.to_owned(),
+            channel: self.channel.to_owned(),
+            msg: self.msg.clone(),
+            sub_ref: self.sub_ref,
+        }
+    }
+}
+
+impl WriteJson for DataRef<'_> {
+    fn write_json<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        head("data", self.exp, out)?;
+        str_member("ch", self.channel, out)?;
+        member("msg", out)?;
+        self.msg.write_json(out)?;
+        if let Some(r) = self.sub_ref {
+            num_member("ref", r, out)?;
+        }
+        out.write_char('}')
+    }
+}
+
+/// `{"t":<tag>,"exp":<exp>` — how every envelope starts.
+fn head<W: fmt::Write>(tag: &str, exp: &str, out: &mut W) -> fmt::Result {
+    out.write_str("{\"t\":")?;
+    jsonw::write_str(tag, out)?;
+    str_member("exp", exp, out)
+}
+
+/// `,"<key>":` — a member after the first; keys need no escaping.
+fn member<W: fmt::Write>(key: &str, out: &mut W) -> fmt::Result {
+    out.write_str(",\"")?;
+    out.write_str(key)?;
+    out.write_str("\":")
+}
+
+fn str_member<W: fmt::Write>(key: &str, value: &str, out: &mut W) -> fmt::Result {
+    member(key, out)?;
+    jsonw::write_str(value, out)
+}
+
+/// Integers travel as JSON numbers, that is as the `f64` nearest to them.
+fn num_member<W: fmt::Write>(key: &str, value: u64, out: &mut W) -> fmt::Result {
+    member(key, out)?;
+    jsonw::write_num(value as f64, out)
+}
+
+/// The envelope members any variant reads.
+const MEMBERS: [&str; 9] = [
+    "t", "exp", "ch", "msg", "params", "ref", "version", "scripts", "active",
+];
+
+fn take_str(slot: Option<Msg>, key: &str) -> Result<String, ProtoError> {
+    match slot {
+        Some(Msg::Str(s)) => Ok(s),
+        _ => Err(ProtoError(format!("missing string field `{key}`"))),
+    }
+}
+
+fn take_num(slot: &Option<Msg>, key: &str) -> Result<f64, ProtoError> {
+    slot.as_ref()
         .and_then(Msg::as_num)
         .ok_or_else(|| ProtoError(format!("missing numeric field `{key}`")))
 }
 
-impl ControlMsg {
-    /// Encodes to the wire message tree.
-    pub fn to_msg(&self) -> Msg {
+impl WriteJson for ControlMsg {
+    fn write_json<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         match self {
             ControlMsg::Deploy {
                 exp,
                 version,
                 scripts,
-            } => Msg::obj([
-                ("t", Msg::str("deploy")),
-                ("exp", Msg::str(exp)),
-                ("version", Msg::Num(*version as f64)),
-                (
-                    "scripts",
-                    Msg::Arr(
-                        scripts
-                            .iter()
-                            .map(|s| {
-                                Msg::obj([
-                                    ("name", Msg::str(&s.name)),
-                                    ("src", Msg::str(&s.source)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-            ControlMsg::Undeploy { exp } => {
-                Msg::obj([("t", Msg::str("undeploy")), ("exp", Msg::str(exp))])
+            } => {
+                head("deploy", exp, out)?;
+                num_member("version", *version, out)?;
+                member("scripts", out)?;
+                out.write_char('[')?;
+                for (i, s) in scripts.iter().enumerate() {
+                    out.write_str(if i == 0 { "{\"name\":" } else { ",{\"name\":" })?;
+                    jsonw::write_str(&s.name, out)?;
+                    str_member("src", &s.source, out)?;
+                    out.write_char('}')?;
+                }
+                out.write_char(']')?;
             }
+            ControlMsg::Undeploy { exp } => head("undeploy", exp, out)?,
             ControlMsg::Subscribe {
                 exp,
                 channel,
                 params,
                 sub_ref,
-            } => Msg::obj([
-                ("t", Msg::str("sub")),
-                ("exp", Msg::str(exp)),
-                ("ch", Msg::str(channel)),
-                ("params", params.clone()),
-                ("ref", Msg::Num(*sub_ref as f64)),
-            ]),
-            ControlMsg::Unsubscribe { exp, sub_ref } => Msg::obj([
-                ("t", Msg::str("unsub")),
-                ("exp", Msg::str(exp)),
-                ("ref", Msg::Num(*sub_ref as f64)),
-            ]),
+            } => {
+                head("sub", exp, out)?;
+                str_member("ch", channel, out)?;
+                member("params", out)?;
+                params.write_json(out)?;
+                num_member("ref", *sub_ref, out)?;
+            }
+            ControlMsg::Unsubscribe { exp, sub_ref } => {
+                head("unsub", exp, out)?;
+                num_member("ref", *sub_ref, out)?;
+            }
             ControlMsg::SetActive {
                 exp,
                 sub_ref,
                 active,
-            } => Msg::obj([
-                ("t", Msg::str("setactive")),
-                ("exp", Msg::str(exp)),
-                ("ref", Msg::Num(*sub_ref as f64)),
-                ("active", Msg::Bool(*active)),
-            ]),
+            } => {
+                head("setactive", exp, out)?;
+                num_member("ref", *sub_ref, out)?;
+                member("active", out)?;
+                out.write_str(if *active { "true" } else { "false" })?;
+            }
             ControlMsg::Data {
                 exp,
                 channel,
                 msg,
                 sub_ref,
             } => {
-                let mut pairs = vec![
-                    ("t".to_owned(), Msg::str("data")),
-                    ("exp".to_owned(), Msg::str(exp)),
-                    ("ch".to_owned(), Msg::str(channel)),
-                    ("msg".to_owned(), msg.clone()),
-                ];
-                if let Some(r) = sub_ref {
-                    pairs.push(("ref".to_owned(), Msg::Num(*r as f64)));
+                return DataRef {
+                    exp,
+                    channel,
+                    msg,
+                    sub_ref: *sub_ref,
                 }
-                Msg::Obj(pairs)
+                .write_json(out)
             }
         }
+        out.write_char('}')
     }
+}
 
-    /// Encodes straight to JSON.
+impl ControlMsg {
+    /// Encodes to JSON, into a buffer allocated once at the wire size.
     pub fn to_json(&self) -> String {
-        self.to_msg().to_json()
+        self.to_sized_json()
     }
 
-    /// Decodes from a wire message tree.
+    /// Decodes from JSON text, streaming the envelope's top-level members:
+    /// the first occurrence of a key counts, members no variant reads are
+    /// validated and dropped, and `exp`, `ch`, `msg` and `params` move into
+    /// the result.
     ///
     /// # Errors
     ///
-    /// Returns [`ProtoError`] on unknown tags or missing fields.
-    pub fn from_msg(msg: &Msg) -> Result<ControlMsg, ProtoError> {
-        let tag = need_str(msg, "t")?;
-        let exp = need_str(msg, "exp")?;
+    /// Returns [`ProtoError`] on malformed JSON, unknown tags or missing
+    /// fields.
+    pub fn from_json(text: &str) -> Result<ControlMsg, ProtoError> {
+        // Each slot keeps the first occurrence of its key: what `Msg::get`
+        // finds in a tree.
+        let mut slots: [Option<Msg>; MEMBERS.len()] = Default::default();
+        parse_members(text, |key, value| {
+            if let Some(i) = MEMBERS.iter().position(|m| *m == key) {
+                slots[i].get_or_insert(value);
+            }
+        })
+        .map_err(|e| ProtoError(e.to_string()))?;
+        let [t, exp, ch, msg, params, sub_ref, version, scripts, active] = slots;
+        let tag = take_str(t, "t")?;
+        let exp = take_str(exp, "exp")?;
         match tag.as_str() {
             "deploy" => {
-                let version = need_num(msg, "version")? as u64;
-                let scripts = msg
-                    .get("scripts")
+                let version = take_num(&version, "version")? as u64;
+                let scripts = scripts
+                    .as_ref()
                     .and_then(Msg::as_arr)
                     .ok_or_else(|| ProtoError("missing scripts".into()))?
                     .iter()
                     .map(|s| {
                         Ok(ScriptSpec {
-                            name: need_str(s, "name")?,
-                            source: need_str(s, "src")?,
+                            name: take_str(s.get("name").cloned(), "name")?,
+                            source: take_str(s.get("src").cloned(), "src")?,
                         })
                     })
                     .collect::<Result<Vec<_>, ProtoError>>()?;
@@ -206,43 +287,30 @@ impl ControlMsg {
             "undeploy" => Ok(ControlMsg::Undeploy { exp }),
             "sub" => Ok(ControlMsg::Subscribe {
                 exp,
-                channel: need_str(msg, "ch")?,
-                params: msg.get("params").cloned().unwrap_or(Msg::Null),
-                sub_ref: need_num(msg, "ref")? as u64,
+                channel: take_str(ch, "ch")?,
+                params: params.unwrap_or(Msg::Null),
+                sub_ref: take_num(&sub_ref, "ref")? as u64,
             }),
             "unsub" => Ok(ControlMsg::Unsubscribe {
                 exp,
-                sub_ref: need_num(msg, "ref")? as u64,
+                sub_ref: take_num(&sub_ref, "ref")? as u64,
             }),
             "setactive" => Ok(ControlMsg::SetActive {
                 exp,
-                sub_ref: need_num(msg, "ref")? as u64,
-                active: msg
-                    .get("active")
-                    .and_then(|m| match m {
-                        Msg::Bool(b) => Some(*b),
-                        _ => None,
-                    })
-                    .ok_or_else(|| ProtoError("missing active flag".into()))?,
+                sub_ref: take_num(&sub_ref, "ref")? as u64,
+                active: match active {
+                    Some(Msg::Bool(b)) => b,
+                    _ => return Err(ProtoError("missing active flag".into())),
+                },
             }),
             "data" => Ok(ControlMsg::Data {
                 exp,
-                channel: need_str(msg, "ch")?,
-                msg: msg.get("msg").cloned().unwrap_or(Msg::Null),
-                sub_ref: msg.get("ref").and_then(Msg::as_num).map(|n| n as u64),
+                channel: take_str(ch, "ch")?,
+                msg: msg.unwrap_or(Msg::Null),
+                sub_ref: sub_ref.as_ref().and_then(Msg::as_num).map(|n| n as u64),
             }),
             other => Err(ProtoError(format!("unknown tag {other:?}"))),
         }
-    }
-
-    /// Decodes from JSON text.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtoError`] on malformed JSON or protocol shape.
-    pub fn from_json(text: &str) -> Result<ControlMsg, ProtoError> {
-        let msg = Msg::from_json(text).map_err(|e| ProtoError(e.to_string()))?;
-        Self::from_msg(&msg)
     }
 }
 

@@ -460,26 +460,16 @@ impl SensorManager {
         self.schedule_tick(kind);
     }
 
-    fn deliver(&self, kind: Kind, build: impl Fn(&Msg) -> Option<Msg>, msg: &Msg) {
-        // Deliver per subscription so parameter filters apply.
-        let brokers: Vec<Broker> = self
-            .inner
-            .borrow()
-            .brokers
-            .iter()
-            .map(|(_, b)| b.clone())
-            .collect();
-        for broker in brokers {
-            for sub in broker.subscriptions_on(kind.channel()) {
-                if !sub.active {
-                    continue;
-                }
-                if let Some(filtered) = build(&sub.params) {
-                    broker.publish_to(sub.id, &filtered);
-                } else {
-                    let _ = msg; // filtered out for this subscription
-                }
-            }
+    /// Hands `msg`, borrowed, to every attached context's subscriptions on
+    /// the sensor's channel whose parameters pass `wants`.
+    fn deliver(&self, kind: Kind, msg: &Msg, wants: impl Fn(&Msg) -> bool) {
+        // By index, not under one borrow: a sink may reach back into the
+        // manager (a subscription change reconfigures the sensor).
+        for i in 0.. {
+            let Some(broker) = self.inner.borrow().brokers.get(i).map(|(_, b)| b.clone()) else {
+                break;
+            };
+            broker.publish_where(kind.channel(), msg, &wants);
         }
     }
 
@@ -501,7 +491,7 @@ impl SensorManager {
             ("charging", Msg::Bool(battery.is_charging())),
             ("timestamp", Msg::Num(now_ms as f64)),
         ]);
-        self.deliver(Kind::Battery, |_params| Some(msg.clone()), &msg);
+        self.deliver(Kind::Battery, &msg, |_params| true);
     }
 
     fn sample_location(&self) {
@@ -521,18 +511,13 @@ impl SensorManager {
             ("lon", Msg::Num(fix.lon)),
             ("provider", Msg::str(&fix.provider)),
         ]);
-        let provider = fix.provider.clone();
-        self.deliver(
-            Kind::Location,
-            move |params| {
-                // §4.3: a subscription may restrict the provider.
-                match params.get("provider").and_then(Msg::as_str) {
-                    Some(wanted) if wanted != provider => None,
-                    _ => Some(msg.clone()),
-                }
-            },
-            &Msg::Null,
-        );
+        // §4.3: a subscription may restrict the provider.
+        self.deliver(Kind::Location, &msg, |params| {
+            params
+                .get("provider")
+                .and_then(Msg::as_str)
+                .is_none_or(|wanted| wanted == fix.provider)
+        });
     }
 
     fn sample_accelerometer(&self) {
@@ -556,7 +541,7 @@ impl SensorManager {
             ("z", Msg::Num(sample.z)),
             ("magnitude", Msg::Num(sample.magnitude())),
         ]);
-        self.deliver(Kind::Accelerometer, |_params| Some(msg.clone()), &msg);
+        self.deliver(Kind::Accelerometer, &msg, |_params| true);
     }
 
     fn sample_cell_id(&self) {
@@ -572,7 +557,7 @@ impl SensorManager {
         };
         let Some(cell) = cell else { return };
         let msg = Msg::obj([("cell", Msg::Num(cell as f64))]);
-        self.deliver(Kind::CellId, |_params| Some(msg.clone()), &msg);
+        self.deliver(Kind::CellId, &msg, |_params| true);
     }
 
     fn sample_wifi(&self, epoch: u64) {
@@ -622,7 +607,7 @@ impl SensorManager {
                 ("timestamp", Msg::Num(now_ms as f64)),
                 ("aps", Msg::Arr(aps)),
             ]);
-            self.deliver(Kind::WifiScan, |_params| Some(msg.clone()), &msg);
+            self.deliver(Kind::WifiScan, &msg, |_params| true);
         }
         self.schedule_tick(Kind::WifiScan);
     }

@@ -10,6 +10,7 @@
 //! radio energy model and the Table 4 data-reduction figure), so it is
 //! implemented here.
 
+use std::cell::Cell;
 use std::fmt;
 
 use pogo_script::{ObjMap, Value};
@@ -77,18 +78,17 @@ impl Msg {
         }
     }
 
-    /// Serializes to compact JSON.
+    /// Serializes to compact JSON, into a buffer allocated once at the
+    /// serialized size.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write_json(self, &mut out);
-        out
+        self.to_sized_json()
     }
 
     /// Size in bytes of the JSON serialization (what travels the wire;
     /// computed without allocating for hot paths).
     pub fn json_size(&self) -> u64 {
-        let mut counter = pogo_ingest::jsonw::ByteCounter(0);
-        let _ = write_json(self, &mut counter);
+        let mut counter = jsonw::ByteCounter(0);
+        let _ = self.write_json(&mut counter);
         counter.0
     }
 
@@ -98,16 +98,9 @@ impl Msg {
     ///
     /// Returns a [`JsonError`] describing the first malformed construct.
     pub fn from_json(text: &str) -> Result<Msg, JsonError> {
-        let mut parser = JsonParser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        parser.skip_ws();
+        let mut parser = JsonParser::new(text);
         let value = parser.value()?;
-        parser.skip_ws();
-        if parser.pos != parser.bytes.len() {
-            return Err(parser.err("trailing characters after JSON value"));
-        }
+        parser.end()?;
         Ok(value)
     }
 
@@ -210,37 +203,60 @@ impl From<&str> for Msg {
 // exporters share them; only the `Msg` tree walk is defined here.
 use pogo_ingest::jsonw;
 
-fn write_json<W: fmt::Write>(msg: &Msg, out: &mut W) -> fmt::Result {
-    match msg {
-        Msg::Null => out.write_str("null")?,
-        Msg::Bool(true) => out.write_str("true")?,
-        Msg::Bool(false) => out.write_str("false")?,
-        Msg::Num(n) => jsonw::write_num(*n, out)?,
-        Msg::Str(s) => jsonw::write_str(s, out)?,
-        Msg::Arr(items) => {
-            out.write_char('[')?;
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.write_char(',')?;
-                }
-                write_json(item, out)?;
-            }
-            out.write_char(']')?;
+/// A wire value that writes its JSON into any sink.
+pub(crate) trait WriteJson {
+    fn write_json<W: fmt::Write>(&self, out: &mut W) -> fmt::Result;
+
+    /// The JSON text in a buffer allocated once at its final size, so it
+    /// carries no spare capacity into the message stores. It is written a
+    /// single time (formatting a float costs more than copying the result)
+    /// into a scratch buffer the thread reuses.
+    fn to_sized_json(&self) -> String {
+        thread_local! {
+            static SCRATCH: Cell<String> = const { Cell::new(String::new()) };
         }
-        Msg::Obj(pairs) => {
-            out.write_char('{')?;
-            for (i, (k, v)) in pairs.iter().enumerate() {
-                if i > 0 {
-                    out.write_char(',')?;
-                }
-                jsonw::write_str(k, out)?;
-                out.write_char(':')?;
-                write_json(v, out)?;
-            }
-            out.write_char('}')?;
-        }
+        let mut scratch = SCRATCH.take();
+        scratch.clear();
+        let _ = self.write_json(&mut scratch);
+        let out = scratch.as_str().to_owned();
+        SCRATCH.set(scratch);
+        out
     }
-    Ok(())
+}
+
+impl WriteJson for Msg {
+    fn write_json<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        match self {
+            Msg::Null => out.write_str("null")?,
+            Msg::Bool(true) => out.write_str("true")?,
+            Msg::Bool(false) => out.write_str("false")?,
+            Msg::Num(n) => jsonw::write_num(*n, out)?,
+            Msg::Str(s) => jsonw::write_str(s, out)?,
+            Msg::Arr(items) => {
+                out.write_char('[')?;
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.write_char(',')?;
+                    }
+                    item.write_json(out)?;
+                }
+                out.write_char(']')?;
+            }
+            Msg::Obj(pairs) => {
+                out.write_char('{')?;
+                for (i, (k, v)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        out.write_char(',')?;
+                    }
+                    jsonw::write_str(k, out)?;
+                    out.write_char(':')?;
+                    v.write_json(out)?;
+                }
+                out.write_char('}')?;
+            }
+        }
+        Ok(())
+    }
 }
 
 // ---- parsing ---------------------------------------------------------------
@@ -261,12 +277,63 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest nesting [`Msg::from_json`] accepts: the parser recurses once per
+/// level and its input comes off the network. The paper's deepest message,
+/// a `locations` envelope, nests five levels.
+pub const MAX_JSON_DEPTH: usize = 128;
+
+/// Parses `text` as one JSON value, handing the members of a top-level
+/// object to `member` in text order (duplicates included) instead of
+/// building the object; any other value is validated and dropped. Errors
+/// are those of [`Msg::from_json`] on the same text.
+pub(crate) fn parse_members(
+    text: &str,
+    mut member: impl FnMut(&str, Msg),
+) -> Result<(), JsonError> {
+    let mut parser = JsonParser::new(text);
+    if parser.peek() == Some(b'{') {
+        let mut key = String::new();
+        parser.sequence(b'{', b'}', |p| {
+            key.clear();
+            p.string_into(&mut key)?;
+            p.colon()?;
+            member(&key, p.value()?);
+            Ok(())
+        })?;
+    } else {
+        parser.value()?;
+    }
+    parser.end()
+}
+
 struct JsonParser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> JsonParser<'a> {
+    /// A parser positioned at the first non-blank byte of `text`.
+    fn new(text: &'a str) -> Self {
+        let mut parser = JsonParser {
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        };
+        parser.skip_ws();
+        parser
+    }
+
+    /// Nothing but blanks may follow the value.
+    fn end(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after JSON value"));
+        }
+        Ok(())
+    }
+
     fn err(&self, msg: impl Into<String>) -> JsonError {
         JsonError {
             message: msg.into(),
@@ -324,50 +391,85 @@ impl<'a> JsonParser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Msg, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    /// `open` item (`,` item)* `close`, blanks allowed around every
+    /// token; `item` parses one element or one `"key": value` member.
+    /// Refuses to nest deeper than [`MAX_JSON_DEPTH`].
+    fn sequence(
+        &mut self,
+        open: u8,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_JSON_DEPTH} levels")));
+        }
+        self.expect(open)?;
+        self.depth += 1;
         self.skip_ws();
-        if self.eat(b']') {
-            return Ok(Msg::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            if self.eat(b']') {
-                return Ok(Msg::Arr(items));
+        if !self.eat(close) {
+            loop {
+                self.skip_ws();
+                item(self)?;
+                self.skip_ws();
+                if self.eat(close) {
+                    break;
+                }
+                self.expect(b',')?;
             }
-            self.expect(b',')?;
         }
+        self.depth -= 1;
+        Ok(())
+    }
+
+    fn array(&mut self) -> Result<Msg, JsonError> {
+        let mut items = Vec::new();
+        self.sequence(b'[', b']', |p| {
+            items.push(p.value()?);
+            Ok(())
+        })?;
+        Ok(Msg::Arr(items))
+    }
+
+    /// The `:` between a member's key and its value.
+    fn colon(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok(())
     }
 
     fn object(&mut self) -> Result<Msg, JsonError> {
-        self.expect(b'{')?;
         let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.eat(b'}') {
-            return Ok(Msg::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            if self.eat(b'}') {
-                return Ok(Msg::Obj(pairs));
-            }
-            self.expect(b',')?;
-        }
+        self.sequence(b'{', b'}', |p| {
+            let key = p.string()?;
+            p.colon()?;
+            pairs.push((key, p.value()?));
+            Ok(())
+        })?;
+        Ok(Msg::Obj(pairs))
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
         let mut out = String::new();
+        self.string_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// Four hex digits of a `\u` escape.
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        if self.pos + 4 > self.bytes.len() {
+            return Err(self.err("truncated \\u escape"));
+        }
+        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
+            .map_err(|_| self.err("invalid \\u escape"))?;
+        let code = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
+        self.pos += 4;
+        Ok(code)
+    }
+
+    /// Appends one string literal's contents to `out`.
+    fn string_into(&mut self, out: &mut String) -> Result<(), JsonError> {
+        self.expect(b'"')?;
         loop {
             let start = self.pos;
             // Fast path: run of plain bytes.
@@ -384,7 +486,7 @@ impl<'a> JsonParser<'a> {
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(());
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -400,14 +502,22 @@ impl<'a> JsonParser<'a> {
                         b'b' => out.push('\u{8}'),
                         b'f' => out.push('\u{c}'),
                         b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err(self.err("truncated \\u escape"));
+                            let mut code = self.hex4()?;
+                            // A high surrogate and the escaped low one
+                            // after it are one character beyond the BMP;
+                            // either alone is not a code point.
+                            if (0xD800..0xDC00).contains(&code)
+                                && self.bytes[self.pos..].starts_with(b"\\u")
+                            {
+                                let high_end = self.pos;
+                                self.pos += 2;
+                                match self.hex4() {
+                                    Ok(low @ 0xDC00..=0xDFFF) => {
+                                        code = 0x1_0000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                                    }
+                                    _ => self.pos = high_end,
+                                }
                             }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            self.pos += 4;
                             out.push(
                                 char::from_u32(code)
                                     .ok_or_else(|| self.err("invalid code point"))?,
@@ -524,6 +634,46 @@ mod tests {
     fn unicode_escapes_parse() {
         assert_eq!(Msg::from_json(r#""éA""#).unwrap(), Msg::str("éA"));
         assert!(Msg::from_json(r#""\ud800""#).is_err(), "lone surrogate");
+    }
+
+    #[test]
+    fn surrogate_pairs_combine_and_lone_halves_are_rejected() {
+        assert_eq!(
+            Msg::from_json(r#""\ud83d\ude00!""#).unwrap(),
+            Msg::str("\u{1F600}!")
+        );
+        for lone in [
+            r#""\ud83d""#,
+            r#""\ude00""#,
+            r#""\ud83d\u0041""#,
+            r#""\ud83d\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83d\uzz""#,
+        ] {
+            let err = Msg::from_json(lone).unwrap_err();
+            assert!(
+                err.to_string().ends_with("invalid code point"),
+                "{lone}: {err}"
+            );
+        }
+        // The emoji round-trips (the writer emits it as UTF-8, not escapes).
+        let m = Msg::str("\u{1F600}");
+        assert_eq!(Msg::from_json(&m.to_json()).unwrap(), m);
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let deep = |n: usize| format!("{}1{}", "[".repeat(n), "]".repeat(n));
+        assert!(Msg::from_json(&deep(MAX_JSON_DEPTH)).is_ok());
+        let err = Msg::from_json(&deep(MAX_JSON_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_JSON_DEPTH);
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        // 200 kB of `[` used to abort the process.
+        assert!(Msg::from_json(&"[".repeat(200_000)).is_err());
+        assert!(Msg::from_json(&"{\"a\":".repeat(200_000)).is_err());
+        // Depth counts open containers, not containers seen.
+        let wide = format!("[{}[]]", "[[]],".repeat(1_000));
+        assert!(Msg::from_json(&wide).is_ok());
     }
 
     #[test]

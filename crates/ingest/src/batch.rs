@@ -7,6 +7,8 @@
 //! reports when a size watermark is crossed; the age watermark is a
 //! sim-timer the pipeline arms when a builder goes non-empty.
 
+use std::collections::HashMap;
+
 use pogo_sim::{SimDuration, SimTime};
 
 use crate::error::IngestError;
@@ -163,6 +165,12 @@ pub struct BatchBuilder {
     device_idx: Vec<u32>,
     at: Vec<SimTime>,
     values: Column,
+    /// Every device this builder has seen → `(batch, index)`: its place
+    /// in the dictionary of the batch numbered `batch`. An entry from an
+    /// earlier batch is stale and overwritten, so a flush clears nothing.
+    device_index: HashMap<String, (u64, u32)>,
+    /// Number of the batch being built.
+    batch: u64,
 }
 
 impl BatchBuilder {
@@ -177,6 +185,8 @@ impl BatchBuilder {
             device_idx: Vec::new(),
             at: Vec::new(),
             values: Column::empty(template),
+            device_index: HashMap::new(),
+            batch: 0,
         }
     }
 
@@ -217,11 +227,18 @@ impl BatchBuilder {
                 got: value.type_name().to_owned(),
             });
         }
-        let idx = match self.devices.iter().position(|d| d == device) {
-            Some(i) => i as u32,
-            None => {
+        let next = (self.batch, self.devices.len() as u32);
+        let idx = match self.device_index.get_mut(device) {
+            Some(&mut (batch, idx)) if batch == self.batch => idx,
+            seen => {
+                match seen {
+                    Some(stale) => *stale = next,
+                    None => {
+                        self.device_index.insert(device.to_owned(), next);
+                    }
+                }
                 self.devices.push(device.to_owned());
-                (self.devices.len() - 1) as u32
+                next.1
             }
         };
         self.device_idx.push(idx);
@@ -235,6 +252,7 @@ impl BatchBuilder {
         if self.at.is_empty() {
             return None;
         }
+        self.batch += 1;
         let batch = Batch {
             exp: self.exp.clone(),
             channel: self.channel.clone(),
@@ -277,6 +295,24 @@ mod tests {
         assert_eq!(batch.values, Column::I64(vec![1, 2, 3]));
         assert_eq!(b.pending_rows(), 0);
         assert!(b.flush().is_none(), "flush drained the builder");
+    }
+
+    #[test]
+    fn device_dictionary_restarts_with_every_batch() {
+        let mut b = BatchBuilder::new("e", "c", Template::I64, Watermarks::default());
+        for (device, v) in [("d1", 1), ("d2", 2), ("d1", 3)] {
+            b.append(device, t(1), SampleValue::I64(v)).unwrap();
+        }
+        let first = b.flush().unwrap();
+        assert_eq!(first.devices, vec!["d1", "d2"]);
+        assert_eq!(first.device_idx, vec![0, 1, 0]);
+        // Known devices take their place in order of appearance again.
+        for (device, v) in [("d2", 4), ("d3", 5), ("d2", 6), ("d1", 7)] {
+            b.append(device, t(2), SampleValue::I64(v)).unwrap();
+        }
+        let second = b.flush().unwrap();
+        assert_eq!(second.devices, vec!["d2", "d3", "d1"]);
+        assert_eq!(second.device_idx, vec![0, 1, 0, 2]);
     }
 
     #[test]

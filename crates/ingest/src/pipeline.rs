@@ -37,7 +37,9 @@ struct PipelineInner {
     sim: Sim,
     obs: Obs,
     watermarks: Watermarks,
-    channels: BTreeMap<(String, String), ChannelState>,
+    /// Experiment → channel → state. Nested rather than keyed by a pair,
+    /// so that the per-sample lookups borrow the two names they are given.
+    channels: BTreeMap<String, BTreeMap<String, ChannelState>>,
     store: SampleStore,
     ingested_rows: u64,
     schema_mismatches: u64,
@@ -59,6 +61,16 @@ pub struct IngestStats {
     pub store_rows: u64,
     /// Approximate bytes resident in the store.
     pub store_bytes: u64,
+}
+
+impl PipelineInner {
+    fn channel(&self, exp: &str, channel: &str) -> Option<&ChannelState> {
+        self.channels.get(exp)?.get(channel)
+    }
+
+    fn channel_mut(&mut self, exp: &str, channel: &str) -> Option<&mut ChannelState> {
+        self.channels.get_mut(exp)?.get_mut(channel)
+    }
 }
 
 /// The collector's ingestion pipeline. Cheap to clone; clones share
@@ -104,8 +116,7 @@ impl IngestPipeline {
         schema: ChannelSchema,
     ) -> Result<bool, IngestError> {
         let mut inner = self.inner.borrow_mut();
-        let key = (exp.to_owned(), channel.to_owned());
-        if let Some(existing) = inner.channels.get(&key) {
+        if let Some(existing) = inner.channel(exp, channel) {
             if existing.schema == schema {
                 return Ok(false);
             }
@@ -118,8 +129,8 @@ impl IngestPipeline {
             .store
             .declare(exp, channel, schema.template, schema.retention);
         let builder = BatchBuilder::new(exp, channel, schema.template, inner.watermarks);
-        inner.channels.insert(
-            key,
+        inner.channels.entry(exp.to_owned()).or_default().insert(
+            channel.to_owned(),
             ChannelState {
                 schema,
                 builder,
@@ -133,8 +144,7 @@ impl IngestPipeline {
     pub fn schema(&self, exp: &str, channel: &str) -> Option<ChannelSchema> {
         self.inner
             .borrow()
-            .channels
-            .get(&(exp.to_owned(), channel.to_owned()))
+            .channel(exp, channel)
             .map(|c| c.schema.clone())
     }
 
@@ -157,8 +167,7 @@ impl IngestPipeline {
         let arm = {
             let mut inner = self.inner.borrow_mut();
             let now = inner.sim.now();
-            let key = (exp.to_owned(), channel.to_owned());
-            let Some(state) = inner.channels.get_mut(&key) else {
+            let Some(state) = inner.channel_mut(exp, channel) else {
                 return Err(IngestError::UnknownChannel {
                     exp: exp.to_owned(),
                     channel: channel.to_owned(),
@@ -174,14 +183,14 @@ impl IngestPipeline {
                     return Err(e);
                 }
             };
+            // Below the size watermark the age watermark needs a timer,
+            // unless one is pending.
+            let arm = !full && !state.flush_armed;
             inner.ingested_rows += 1;
             if full {
                 Self::flush_locked(&mut inner, exp, channel);
-                false
-            } else {
-                let state = inner.channels.get_mut(&key).expect("still registered");
-                !state.flush_armed && state.builder.pending_rows() > 0
             }
+            arm
         };
         if arm {
             self.arm_age_flush(exp, channel);
@@ -202,8 +211,7 @@ impl IngestPipeline {
         got: &str,
     ) -> IngestError {
         let mut inner = self.inner.borrow_mut();
-        let key = (exp.to_owned(), channel.to_owned());
-        let Some(state) = inner.channels.get(&key) else {
+        let Some(state) = inner.channel(exp, channel) else {
             return IngestError::UnknownChannel {
                 exp: exp.to_owned(),
                 channel: channel.to_owned(),
@@ -228,8 +236,7 @@ impl IngestPipeline {
     fn arm_age_flush(&self, exp: &str, channel: &str) {
         let (sim, delay) = {
             let mut inner = self.inner.borrow_mut();
-            let key = (exp.to_owned(), channel.to_owned());
-            let Some(state) = inner.channels.get_mut(&key) else {
+            let Some(state) = inner.channel_mut(exp, channel) else {
                 return;
             };
             if state.flush_armed {
@@ -254,8 +261,7 @@ impl IngestPipeline {
     fn age_flush_due(&self, exp: &str, channel: &str) {
         let rearm = {
             let mut inner = self.inner.borrow_mut();
-            let key = (exp.to_owned(), channel.to_owned());
-            let Some(state) = inner.channels.get_mut(&key) else {
+            let Some(state) = inner.channel_mut(exp, channel) else {
                 return;
             };
             state.flush_armed = false;
@@ -286,19 +292,22 @@ impl IngestPipeline {
     /// Flushes every channel's pending rows — the read barrier before
     /// scanning or exporting.
     pub fn flush_all(&self) {
-        let keys: Vec<(String, String)> = self.inner.borrow().channels.keys().cloned().collect();
         let mut inner = self.inner.borrow_mut();
+        let keys: Vec<(String, String)> = inner
+            .channels
+            .iter()
+            .flat_map(|(exp, channels)| channels.keys().map(move |c| (exp.clone(), c.clone())))
+            .collect();
         for (exp, channel) in keys {
             Self::flush_locked(&mut inner, &exp, &channel);
         }
     }
 
     fn flush_locked(inner: &mut PipelineInner, exp: &str, channel: &str) {
-        let key = (exp.to_owned(), channel.to_owned());
-        let Some(state) = inner.channels.get_mut(&key) else {
-            return;
-        };
-        let Some(batch) = state.builder.flush() else {
+        let Some(batch) = inner
+            .channel_mut(exp, channel)
+            .and_then(|state| state.builder.flush())
+        else {
             return;
         };
         let rows = batch.rows() as u64;
@@ -330,6 +339,7 @@ impl IngestPipeline {
             pending_rows: inner
                 .channels
                 .values()
+                .flat_map(BTreeMap::values)
                 .map(|c| c.builder.pending_rows() as u64)
                 .sum(),
             store_rows: inner.store.rows(),

@@ -97,9 +97,18 @@ impl MessageStore {
     /// Removes messages acknowledged end-to-end.
     pub fn ack(&self, seqs: &[u64]) {
         let mut inner = self.inner.borrow_mut();
-        let before = inner.queue.len();
-        inner.queue.retain(|m| !seqs.contains(&m.seq));
-        inner.acked += (before - inner.queue.len()) as u64;
+        for seq in seqs {
+            // Acks mostly name the head. The rest of the queue is in
+            // sequence order too: `enqueue` numbers upwards and nothing
+            // reorders.
+            let popped = if inner.queue.front().is_some_and(|m| m.seq == *seq) {
+                inner.queue.pop_front()
+            } else {
+                let found = inner.queue.binary_search_by_key(seq, |m| m.seq);
+                found.ok().and_then(|i| inner.queue.remove(i))
+            };
+            inner.acked += u64::from(popped.is_some());
+        }
     }
 
     /// Drops messages older than `max_age` — the 24-hour expiry of §5.3.
@@ -164,6 +173,17 @@ mod tests {
         assert_eq!(pending.len(), 1);
         assert_eq!(pending[0].seq, b);
         assert_eq!(store.acked_total(), 2);
+    }
+
+    #[test]
+    fn ack_ignores_unknown_and_repeated_seqs() {
+        let store = MessageStore::new();
+        let a = store.enqueue(&jid(), "a".into(), at(0));
+        let b = store.enqueue(&jid(), "b".into(), at(0));
+        store.ack(&[b, 99, b, b]);
+        store.ack(&[b]);
+        assert_eq!(store.acked_total(), 1);
+        assert_eq!(store.pending()[0].seq, a);
     }
 
     #[test]

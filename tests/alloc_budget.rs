@@ -1,0 +1,224 @@
+//! Deterministic work counter for the sample path: heap allocations per
+//! stored sample, from sensor tick to ingest row.
+//!
+//! Wall-clock numbers belong to `pogo-benchmark`; this is the count that
+//! repeats exactly on any machine, so it can be gated tightly. Two small
+//! fleets mirror the benchmark's two uplink-heavy workloads — a scriptless
+//! uplink fleet (accelerometer at 5 s, battery at 60 s, 30 s interval
+//! flush, 1 % link loss so retransmit and dedup run) and a tail-sync
+//! cohort (battery at 60 s, e-mail app, Pogo's default flush policy) — and
+//! the test fails when a run allocates more per stored sample than the
+//! budget below. A `clone()` creeping back onto the path shows up here
+//! before it shows up in any timing.
+//!
+//! The counting `#[global_allocator]` is why this is its own test binary;
+//! it is the repository's only `unsafe`.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::rc::Rc;
+
+use pogo::core::{ChannelFilter, FleetSpec, Msg, Testbed};
+use pogo::ingest::ChannelSchema;
+use pogo::net::{FlushPolicy, LinkShape};
+use pogo::platform::{NetAppConfig, PeriodicNetApp};
+use pogo::sim::{Sim, SimDuration};
+use pogo_core::proto::ExperimentSpec;
+use pogo_core::sensor::{AccelSample, SensorSources};
+
+thread_local! {
+    /// Allocator calls made by this thread. Const-initialised and without
+    /// a destructor, so reading it never allocates and it outlives every
+    /// other thread-local.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting `alloc`, `alloc_zeroed` and `realloc`
+/// calls per thread (the harness's other threads do not disturb a test's
+/// count).
+struct Counting;
+
+fn count() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the only addition is a thread-local
+// counter bump that neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: `ptr` came from this allocator, that is from `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, that is from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+const EXP: &str = "budget";
+const DEVICES: usize = 20;
+const MINUTE: SimDuration = SimDuration::from_mins(1);
+const WARMUP_MIN: u64 = 5;
+const MEASURED_MIN: u64 = 10;
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Fleet {
+    Uplink,
+    Tailsync,
+}
+
+impl Fleet {
+    fn channels(self) -> &'static [(&'static str, f64)] {
+        match self {
+            Fleet::Uplink => &[("accelerometer", 5_000.0), ("battery", 60_000.0)],
+            Fleet::Tailsync => &[("battery", 60_000.0)],
+        }
+    }
+
+    fn spec(self) -> FleetSpec {
+        let spec = FleetSpec::new(DEVICES).prefix("phone").seed(13);
+        match self {
+            Fleet::Uplink => spec
+                .configure(|_, c| {
+                    c.with_flush_policy(FlushPolicy::Interval(SimDuration::from_secs(30)))
+                })
+                .sensors(|_, rng| {
+                    let mut rng = rng.clone();
+                    SensorSources {
+                        accelerometer: Some(Box::new(move |t_ms| {
+                            Some(AccelSample {
+                                x: t_ms as f64,
+                                y: (rng.range_f64(-0.5, 0.5) * 1000.0).round() / 1000.0,
+                                z: 9.81,
+                            })
+                        })),
+                        ..SensorSources::default()
+                    }
+                }),
+            Fleet::Tailsync => spec,
+        }
+    }
+}
+
+/// `(allocator calls, samples stored)` over the measured window.
+fn measure(fleet: Fleet) -> (u64, u64) {
+    let sim = Sim::new();
+    let mut testbed = Testbed::new(&sim);
+    testbed.server().reseed_link_rng(0x5eed);
+    let members = testbed.add_fleet(fleet.spec());
+    let collector = testbed.collector();
+    for (channel, interval_ms) in fleet.channels() {
+        collector
+            .registry()
+            .register_with_params(
+                EXP,
+                channel,
+                Msg::obj([("interval", Msg::Num(*interval_ms))]),
+                ChannelSchema::json(),
+            )
+            .expect("fresh channel registers");
+    }
+    // The benchmark's fleets carry one push consumer; so does this one.
+    let delivered = Rc::new(Cell::new(0u64));
+    let seen = delivered.clone();
+    collector.attach_listener(ChannelFilter::exp(EXP), move |_| seen.set(seen.get() + 1));
+    collector
+        .deployment(&ExperimentSpec {
+            id: EXP.into(),
+            scripts: vec![],
+        })
+        .to(&members.jids())
+        .send()
+        .expect("an empty deployment passes the gate");
+    let mut apps = Vec::new();
+    for (i, m) in members.iter().enumerate() {
+        match fleet {
+            Fleet::Uplink => testbed.server().shape_link(
+                &m.device.jid(),
+                LinkShape {
+                    loss: 0.01,
+                    ..LinkShape::default()
+                },
+            ),
+            Fleet::Tailsync => apps.push(PeriodicNetApp::install(
+                &m.phone,
+                NetAppConfig {
+                    start_offset: SimDuration::from_secs(60 + 12 * i as u64),
+                    ..NetAppConfig::email()
+                },
+            )),
+        }
+    }
+    testbed.run_lockstep(MINUTE.mul(WARMUP_MIN), MINUTE);
+
+    let rows_before = collector.stats().ingest.ingested_rows;
+    let delivered_before = delivered.get();
+    let allocs_before = allocs();
+    testbed.run_lockstep(MINUTE.mul(MEASURED_MIN), MINUTE);
+    let spent = allocs() - allocs_before;
+    let rows = collector.stats().ingest.ingested_rows - rows_before;
+    assert_eq!(
+        delivered.get() - delivered_before,
+        rows,
+        "every stored sample reached the listener"
+    );
+    assert_eq!(
+        collector.stats().errors_logged,
+        0,
+        "{fleet:?} logged errors"
+    );
+    (spent, rows)
+}
+
+/// Allocator calls per stored sample this same test read at the parent
+/// commit (820f93d, before the sample path stopped copying per hop).
+const PARENT_UPLINK: f64 = 92.3;
+const PARENT_TAILSYNC: f64 = 106.2;
+
+/// The budget: 55 % of the parent's count.
+const BUDGET_SHARE: f64 = 0.55;
+
+#[test]
+fn sample_path_allocations_stay_within_budget_and_repeat_exactly() {
+    for (fleet, parent, least_rows) in [
+        (Fleet::Uplink, PARENT_UPLINK, 2_000),
+        (Fleet::Tailsync, PARENT_TAILSYNC, 150),
+    ] {
+        let first = measure(fleet);
+        let second = measure(fleet);
+        assert_eq!(first, second, "{fleet:?}: two runs must count the same");
+        let (spent, rows) = first;
+        assert!(rows >= least_rows, "{fleet:?} stored only {rows} samples");
+        let per_sample = spent as f64 / rows as f64;
+        println!("{fleet:?}: {spent} allocations / {rows} samples = {per_sample:.1} per sample (parent {parent:.1})");
+        assert!(
+            per_sample <= BUDGET_SHARE * parent,
+            "{fleet:?}: {per_sample:.1} allocations per stored sample exceeds {:.1} \
+             ({:.0} % of the parent's {parent:.1})",
+            BUDGET_SHARE * parent,
+            BUDGET_SHARE * 100.0,
+        );
+    }
+}
