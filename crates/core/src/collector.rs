@@ -657,8 +657,8 @@ impl CollectorNode {
             verify_us += t0.elapsed().as_micros() as f64;
             if let Err(e) = verdict {
                 // Only reachable through a compiler bug: compile()
-                // already verifies (and falls back to unoptimized
-                // code). Surface it like a compile failure.
+                // verifies too, but only debug-asserts on a failure and
+                // returns the chunk. Surface it like a compile failure.
                 let diag = pogo_script::Diagnostic::new(
                     pogo_script::Rule::ParseError,
                     0,

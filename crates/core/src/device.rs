@@ -27,6 +27,17 @@ use crate::sensor::{SensorManager, SensorSources};
 use crate::tail::TailDetector;
 use crate::value::Msg;
 
+/// One-way latency on the cellular bearer.
+const CELLULAR_LATENCY: SimDuration = SimDuration::from_millis(120);
+/// One-way latency on Wi-Fi.
+const WIFI_LATENCY: SimDuration = SimDuration::from_millis(30);
+/// Tail-detector poll period (§4.7 uses 1 second).
+const TAIL_POLL: SimDuration = SimDuration::from_secs(1);
+/// Delay before reconnecting after an interface change.
+const RECONNECT_DELAY: SimDuration = SimDuration::from_secs(5);
+/// Time from reboot to the middleware running again.
+const BOOT_DELAY: SimDuration = SimDuration::from_secs(45);
+
 /// Device-node configuration.
 #[derive(Debug, Clone)]
 pub struct DeviceConfig {
@@ -36,18 +47,8 @@ pub struct DeviceConfig {
     pub flush_policy: FlushPolicy,
     /// Buffered messages older than this are purged — §5.3's 24 hours.
     pub max_msg_age: SimDuration,
-    /// One-way latency on the cellular bearer.
-    pub cellular_latency: SimDuration,
-    /// One-way latency on Wi-Fi.
-    pub wifi_latency: SimDuration,
-    /// Tail-detector poll period (§4.7 uses 1 second).
-    pub tail_poll: SimDuration,
-    /// Delay before reconnecting after an interface change.
-    pub reconnect_delay: SimDuration,
     /// Minimum delay before retransmitting already-sent, unacked data.
     pub retransmit_timeout: SimDuration,
-    /// Time from reboot to the middleware running again.
-    pub boot_delay: SimDuration,
     /// The owner's sharing preferences (§3.3). Shared handle: toggling a
     /// channel in the "settings UI" applies immediately.
     pub privacy: PrivacyPolicy,
@@ -63,12 +64,7 @@ impl DeviceConfig {
             jid,
             flush_policy: FlushPolicy::pogo_default(),
             max_msg_age: SimDuration::from_hours(24),
-            cellular_latency: SimDuration::from_millis(120),
-            wifi_latency: SimDuration::from_millis(30),
-            tail_poll: SimDuration::from_secs(1),
-            reconnect_delay: SimDuration::from_secs(5),
             retransmit_timeout: SimDuration::from_secs(60),
-            boot_delay: SimDuration::from_secs(45),
             privacy: PrivacyPolicy::allow_all(),
             obs: Obs::off(),
         }
@@ -86,45 +82,9 @@ impl DeviceConfig {
         self
     }
 
-    /// Sets the one-way cellular latency.
-    pub fn with_cellular_latency(mut self, latency: SimDuration) -> Self {
-        self.cellular_latency = latency;
-        self
-    }
-
-    /// Sets the one-way Wi-Fi latency.
-    pub fn with_wifi_latency(mut self, latency: SimDuration) -> Self {
-        self.wifi_latency = latency;
-        self
-    }
-
-    /// Sets the tail-detector poll period (§4.7; default 1 s).
-    pub fn with_tail_poll(mut self, poll: SimDuration) -> Self {
-        self.tail_poll = poll;
-        self
-    }
-
-    /// Sets the post-interface-change reconnect delay.
-    pub fn with_reconnect_delay(mut self, delay: SimDuration) -> Self {
-        self.reconnect_delay = delay;
-        self
-    }
-
     /// Sets the unacked-data retransmit timeout.
     pub fn with_retransmit_timeout(mut self, timeout: SimDuration) -> Self {
         self.retransmit_timeout = timeout;
-        self
-    }
-
-    /// Sets the reboot-to-running delay.
-    pub fn with_boot_delay(mut self, delay: SimDuration) -> Self {
-        self.boot_delay = delay;
-        self
-    }
-
-    /// Sets the owner's privacy policy (§3.3).
-    pub fn with_privacy(mut self, privacy: PrivacyPolicy) -> Self {
-        self.privacy = privacy;
         self
     }
 
@@ -410,8 +370,7 @@ impl DeviceNode {
 
     /// Reboots the phone's middleware: everything volatile is lost —
     /// running scripts (unfrozen state included), mirrored subscriptions,
-    /// the session — then the node boots again after
-    /// [`DeviceConfig::boot_delay`].
+    /// the session — then the node boots again after `BOOT_DELAY` (45 s).
     pub fn reboot(&self) {
         {
             let inner = self.inner.borrow();
@@ -421,10 +380,9 @@ impl DeviceNode {
         self.inner.borrow_mut().stats.reboots += 1;
         self.shutdown_volatile();
         let me = self.clone();
-        let delay = self.inner.borrow().cfg.boot_delay;
         let sim = self.inner.borrow().phone.sim().clone();
         // A reboot is not CPU sleep/wake bookkeeping; schedule directly.
-        sim.schedule_in(delay, move || me.boot());
+        sim.schedule_in(BOOT_DELAY, move || me.boot());
     }
 
     /// Hard power loss (battery death): everything volatile dies exactly
@@ -658,10 +616,9 @@ impl DeviceNode {
                 session.disconnect();
             }
             if bearer.is_some() && me.inner.borrow().booted {
-                let delay = me.inner.borrow().cfg.reconnect_delay;
                 let sim = me.inner.borrow().phone.sim().clone();
                 let me2 = me.clone();
-                sim.schedule_in(delay, move || {
+                sim.schedule_in(RECONNECT_DELAY, move || {
                     me2.connect();
                     me2.maybe_flush();
                 });
@@ -673,8 +630,8 @@ impl DeviceNode {
         let (server, jid, latency, online, already) = {
             let inner = self.inner.borrow();
             let latency = match inner.phone.connectivity().active() {
-                Some(Bearer::Cellular) => inner.cfg.cellular_latency,
-                Some(Bearer::Wifi) => inner.cfg.wifi_latency,
+                Some(Bearer::Cellular) => CELLULAR_LATENCY,
+                Some(Bearer::Wifi) => WIFI_LATENCY,
                 None => return,
             };
             (
@@ -714,10 +671,9 @@ impl DeviceNode {
             }
             inner.reconnect_pending = true;
         }
-        let delay = self.inner.borrow().cfg.reconnect_delay;
         let sim = self.inner.borrow().phone.sim().clone();
         let me = self.clone();
-        sim.schedule_in(delay, move || {
+        sim.schedule_in(RECONNECT_DELAY, move || {
             me.inner.borrow_mut().reconnect_pending = false;
             let (booted, online, already) = {
                 let inner = me.inner.borrow();
@@ -999,10 +955,9 @@ impl DeviceNode {
     /// §4.7 entry point: the tail detector saw foreign traffic.
     fn start_tail_detector(&self) {
         let phone = self.inner.borrow().phone.clone();
-        let poll = self.inner.borrow().cfg.tail_poll;
         let me = self.clone();
         let obs = self.inner.borrow().obs.clone();
-        let detector = TailDetector::new(&phone, poll, move |_delta| {
+        let detector = TailDetector::new(&phone, TAIL_POLL, move |_delta| {
             obs.metrics().inc("tail.detections", 1);
             me.maybe_flush_on_tail();
         });

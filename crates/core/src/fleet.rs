@@ -158,8 +158,8 @@ impl std::fmt::Debug for FleetSpec {
 /// its dense testbed-wide id, the middleware node, and the handset.
 #[derive(Debug, Clone)]
 pub struct FleetMember {
-    /// Dense creation-order id, valid testbed-wide (fault plans, obs
-    /// scopes, and arenas all index by it).
+    /// Dense creation-order id, valid testbed-wide (fault plans and
+    /// [`Testbed::device`](crate::Testbed::device) index by it).
     pub id: DeviceId,
     /// The booted middleware node.
     pub device: DeviceNode,

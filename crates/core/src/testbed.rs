@@ -8,7 +8,7 @@
 
 use pogo_net::{Jid, Switchboard};
 use pogo_obs::{Obs, ObsConfig};
-use pogo_platform::{FleetArena, Phone, PhoneConfig};
+use pogo_platform::{Phone, PhoneConfig};
 use pogo_sim::{DeviceId, Sim, SimDuration};
 
 use crate::collector::CollectorNode;
@@ -74,7 +74,6 @@ pub struct Testbed {
     server: Switchboard,
     collector: CollectorNode,
     devices: Vec<DeviceNode>,
-    arena: FleetArena,
     obs: Obs,
 }
 
@@ -100,7 +99,6 @@ impl Testbed {
             server,
             collector,
             devices: Vec::new(),
-            arena: FleetArena::new(sim),
             obs,
         }
     }
@@ -139,12 +137,6 @@ impl Testbed {
             .map(DeviceId::new)
     }
 
-    /// The columnar arena holding every device's hot state (clocks,
-    /// bearers, power rails), indexed by [`DeviceId`].
-    pub fn arena(&self) -> &FleetArena {
-        &self.arena
-    }
-
     /// The testbed-wide observability handle (unscoped). Off unless the
     /// testbed was built with [`Testbed::with_obs`].
     pub fn obs(&self) -> &Obs {
@@ -164,7 +156,7 @@ impl Testbed {
         self.server
             .befriend(&jid, &self.collector.jid())
             .expect("both registered");
-        let phone = Phone::new_in(&self.sim, setup.phone_config, &self.arena);
+        let phone = Phone::new(&self.sim, setup.phone_config);
         let cfg = (setup.config)(DeviceConfig::new(jid).with_obs(&self.obs));
         let device = DeviceNode::new(&phone, &self.server, cfg, setup.sources);
         device.boot();
@@ -292,7 +284,6 @@ mod tests {
         let ids: Vec<usize> = fleet.ids().iter().map(|id| id.index()).collect();
         assert_eq!(ids, vec![1, 2, 3], "fleet ids continue after add()");
         assert_eq!(tb.devices().len(), 4);
-        assert_eq!(tb.arena().len(), 4, "every phone fills an arena slot");
         let jid = fleet.members()[1].device.jid();
         assert_eq!(tb.device_id(&jid), Some(pogo_sim::DeviceId::new(2)));
         assert_eq!(

@@ -16,9 +16,9 @@
 //!   a persistent outgoing buffer that survives reboots and purges
 //!   messages older than a configurable age (the fateful 24-hour expiry
 //!   of §5.3);
-//! * [`reliable`] — sender-side ack tracking and receiver-side
-//!   de-duplication, Pogo's "own end-to-end acknowledgements on top of
-//!   XMPP";
+//! * [`reliable::DedupFilter`] — receiver-side de-duplication, the other
+//!   half of Pogo's "own end-to-end acknowledgements on top of XMPP"
+//!   (the sender side is [`store::MessageStore::ack`]);
 //! * [`batch::FlushPolicy`] — when to push buffered data: on a detected
 //!   3G tail (Pogo's mechanism), at fixed intervals, when charging, or
 //!   immediately (the ablation baselines).
@@ -32,7 +32,7 @@ pub mod wire;
 
 pub use batch::FlushPolicy;
 pub use jid::{Jid, ParseJidError};
-pub use reliable::{AckTracker, DedupFilter};
+pub use reliable::DedupFilter;
 pub use server::{ChaosHook, LinkFate, LinkShape, NetError, Session, SessionOptions, Switchboard};
 pub use store::{MessageStore, StoredMessage};
 pub use wire::{Envelope, Payload};

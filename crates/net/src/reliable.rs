@@ -2,9 +2,10 @@
 //! of XMPP to recover from message loss" (§4.6).
 //!
 //! The sender keeps messages in the [`crate::store::MessageStore`] until
-//! the *recipient* acknowledges them; retransmissions after a reconnect
-//! can therefore duplicate messages, which the receiving side filters
-//! with a [`DedupFilter`].
+//! the *recipient* acknowledges them (`MessageStore::ack` is the whole
+//! sender side); retransmissions after a reconnect can therefore
+//! duplicate messages, which the receiving side filters with a
+//! [`DedupFilter`].
 
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
@@ -60,53 +61,6 @@ impl DedupFilter {
     }
 }
 
-/// Sender-side bookkeeping for acknowledgements received so far, plus
-/// exposure of what remains outstanding. Thin by design: the actual
-/// retransmission *policy* (flush on tail, on reconnect, on timer) lives
-/// with the device node that owns the radio.
-#[derive(Debug, Clone, Default)]
-pub struct AckTracker {
-    inner: Rc<RefCell<AckInner>>,
-}
-
-#[derive(Debug, Default)]
-struct AckInner {
-    acked: BTreeSet<u64>,
-    duplicates: u64,
-}
-
-impl AckTracker {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        AckTracker::default()
-    }
-
-    /// Records acks from the peer; returns the seqs that were newly
-    /// acknowledged (to remove from the store).
-    pub fn on_ack(&self, seqs: &[u64]) -> Vec<u64> {
-        let mut inner = self.inner.borrow_mut();
-        let mut fresh = Vec::new();
-        for &s in seqs {
-            if inner.acked.insert(s) {
-                fresh.push(s);
-            } else {
-                inner.duplicates += 1;
-            }
-        }
-        fresh
-    }
-
-    /// True if `seq` has been acknowledged.
-    pub fn is_acked(&self, seq: u64) -> bool {
-        self.inner.borrow().acked.contains(&seq)
-    }
-
-    /// Count of redundant acks received (diagnostics).
-    pub fn duplicate_acks(&self) -> u64 {
-        self.inner.borrow().duplicates
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,15 +96,5 @@ mod tests {
         assert!(!f.first_sighting(&d, 0));
         assert!(!f.first_sighting(&d, 2));
         assert!(f.first_sighting(&d, 3));
-    }
-
-    #[test]
-    fn ack_tracker_reports_fresh_only_once() {
-        let t = AckTracker::new();
-        assert_eq!(t.on_ack(&[1, 2]), vec![1, 2]);
-        assert_eq!(t.on_ack(&[2, 3]), vec![3]);
-        assert!(t.is_acked(1));
-        assert!(!t.is_acked(9));
-        assert_eq!(t.duplicate_acks(), 1);
     }
 }

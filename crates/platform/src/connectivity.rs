@@ -11,12 +11,6 @@
 //! and notifies listeners (the middleware's connection manager) when it
 //! changes. The message loss itself happens in `pogo-net`, whose sessions
 //! drop in-flight envelopes on disconnect.
-//!
-//! At fleet scale the bearer state lives in a [`ConnArena`] — two flat
-//! columns (`active`, `changes`) indexed by the device's dense slot — so
-//! a 100k-device mobility sweep touches contiguous memory instead of
-//! 100k scattered `Rc<RefCell<…>>` cells. Listener lists stay per-device
-//! (they are cold: registered once at boot, walked only on handover).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -39,69 +33,17 @@ impl std::fmt::Display for Bearer {
     }
 }
 
-/// Structure-of-arrays bearer state: column `i` belongs to arena slot `i`.
-#[derive(Default)]
-struct ConnCols {
-    active: Vec<Option<Bearer>>,
-    changes: Vec<u64>,
+/// Everything one handset's connectivity handle shares between clones.
+struct ConnState {
+    active: Option<Bearer>,
+    changes: u64,
+    listeners: Vec<Rc<dyn Fn(Option<Bearer>)>>,
 }
-
-/// A fleet of per-device connectivity states stored as flat columns.
-/// Allocate one slot per device with [`ConnArena::alloc`].
-#[derive(Clone, Default)]
-pub struct ConnArena {
-    cols: Rc<RefCell<ConnCols>>,
-}
-
-impl std::fmt::Debug for ConnArena {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ConnArena")
-            .field("devices", &self.len())
-            .finish()
-    }
-}
-
-impl ConnArena {
-    /// An empty arena.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Allocates the next slot with the given initial bearer
-    /// (`None` = no connectivity, e.g. airplane mode or roaming data-off).
-    pub fn alloc(&self, initial: Option<Bearer>) -> Connectivity {
-        let mut cols = self.cols.borrow_mut();
-        let index = cols.active.len() as u32;
-        cols.active.push(initial);
-        cols.changes.push(0);
-        Connectivity {
-            cols: self.cols.clone(),
-            index,
-            listeners: Rc::new(RefCell::new(Vec::new())),
-        }
-    }
-
-    /// Number of allocated connectivity slots.
-    pub fn len(&self) -> usize {
-        self.cols.borrow().active.len()
-    }
-
-    /// True if no slot has been allocated yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Bearer-change callbacks, per device (cold path: kept out of the
-/// arena columns).
-type Listeners = Rc<RefCell<Vec<Rc<dyn Fn(Option<Bearer>)>>>>;
 
 /// Connectivity state of a phone. Cheap to clone; clones share state.
 #[derive(Clone)]
 pub struct Connectivity {
-    cols: Rc<RefCell<ConnCols>>,
-    index: u32,
-    listeners: Listeners,
+    state: Rc<RefCell<ConnState>>,
 }
 
 impl std::fmt::Debug for Connectivity {
@@ -120,15 +62,21 @@ impl Default for Connectivity {
 }
 
 impl Connectivity {
-    /// Creates standalone connectivity state with the given initial
-    /// bearer (its own single-slot arena).
+    /// Creates connectivity state with the given initial bearer
+    /// (`None` = no connectivity, e.g. airplane mode or roaming data-off).
     pub fn new(initial: Option<Bearer>) -> Self {
-        ConnArena::new().alloc(initial)
+        Connectivity {
+            state: Rc::new(RefCell::new(ConnState {
+                active: initial,
+                changes: 0,
+                listeners: Vec::new(),
+            })),
+        }
     }
 
     /// The currently active bearer, if any.
     pub fn active(&self) -> Option<Bearer> {
-        self.cols.borrow().active[self.index as usize]
+        self.state.borrow().active
     }
 
     /// True if any bearer is up.
@@ -138,21 +86,22 @@ impl Connectivity {
 
     /// Number of interface changes so far.
     pub fn change_count(&self) -> u64 {
-        self.cols.borrow().changes[self.index as usize]
+        self.state.borrow().changes
     }
 
     /// Switches the active bearer, notifying listeners if it changed.
     pub fn set_active(&self, bearer: Option<Bearer>) {
-        {
-            let mut cols = self.cols.borrow_mut();
-            let i = self.index as usize;
-            if cols.active[i] == bearer {
+        // Listeners run with the state unborrowed: they read `active()`
+        // and may register further listeners.
+        let listeners = {
+            let mut state = self.state.borrow_mut();
+            if state.active == bearer {
                 return;
             }
-            cols.active[i] = bearer;
-            cols.changes[i] += 1;
-        }
-        let listeners = self.listeners.borrow().clone();
+            state.active = bearer;
+            state.changes += 1;
+            state.listeners.clone()
+        };
         for l in listeners {
             l(bearer);
         }
@@ -160,7 +109,7 @@ impl Connectivity {
 
     /// Registers a handover listener, called with the new bearer.
     pub fn on_change(&self, f: impl Fn(Option<Bearer>) + 'static) {
-        self.listeners.borrow_mut().push(Rc::new(f));
+        self.state.borrow_mut().listeners.push(Rc::new(f));
     }
 }
 
@@ -204,16 +153,16 @@ mod tests {
         assert_eq!(conn.active(), Some(Bearer::Wifi));
     }
 
+    // The name predates the removal of the arenas (PR 14) and is pinned by
+    // the test floor; it checks that two handles share nothing.
     #[test]
     fn arena_slots_are_independent() {
-        let arena = ConnArena::new();
-        let a = arena.alloc(Some(Bearer::Cellular));
-        let b = arena.alloc(None);
-        assert_eq!(arena.len(), 2);
-        a.set_active(Some(Bearer::Wifi));
+        let a = Connectivity::new(Some(Bearer::Cellular));
+        let b = Connectivity::new(None);
+        a.clone().set_active(Some(Bearer::Wifi));
         assert_eq!(a.active(), Some(Bearer::Wifi));
         assert_eq!(a.change_count(), 1);
-        assert_eq!(b.active(), None, "sibling slot unaffected");
+        assert_eq!(b.active(), None, "sibling handle unaffected");
         assert_eq!(b.change_count(), 0);
     }
 }

@@ -6,108 +6,47 @@
 //! simulated time exactly (power is piecewise constant between state
 //! changes) and can optionally record the total-power step function as a
 //! [`PowerTrace`], which is how Figure 3 is regenerated.
-//!
-//! At fleet scale the rail state lives in an [`EnergyArena`]: one set of
-//! flat columns (`watts`, `joules`, `last_update`) shared by every meter
-//! allocated from it, so 100k phones' worth of rails are four contiguous
-//! `Vec`s instead of 100k scattered three-rail allocations. An
-//! [`EnergyMeter`] is a lightweight view — the list of *its* rail
-//! indices plus an optional trace — and [`EnergyMeter::new`] wraps a
-//! private arena for standalone use.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use pogo_sim::{Sim, SimDuration, SimTime};
 
 /// Identifies one power rail (CPU, 3G modem, Wi-Fi, …) on a meter.
 ///
-/// Indexes the owning meter's rails in registration order; two meters
-/// from the same arena each start at rail 0.
+/// Indexes the owning meter's rails in registration order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RailId(usize);
 
-/// Structure-of-arrays rail state, shared by every meter of an arena:
-/// column `g` belongs to the `g`-th rail registered fleet-wide.
+/// One rail: its current draw and the energy integrated so far.
+struct Rail {
+    name: String,
+    watts: f64,
+    joules: f64,
+    last_update: SimTime,
+}
+
+impl Rail {
+    /// Integrates the current draw up to `now`.
+    fn settle(&mut self, now: SimTime) {
+        let dt = now.saturating_duration_since(self.last_update);
+        self.joules += self.watts * dt.as_secs_f64();
+        self.last_update = now;
+    }
+}
+
+/// What the clones of one meter share: its rails, in registration
+/// order, and the optional Figure-3 trace.
 #[derive(Default)]
-struct EnergyCols {
-    names: Vec<String>,
-    watts: Vec<f64>,
-    joules: Vec<f64>,
-    last_update: Vec<SimTime>,
-}
-
-impl EnergyCols {
-    /// Integrates rail `g`'s current draw up to `now`.
-    fn settle(&mut self, now: SimTime, g: usize) {
-        let dt = now.saturating_duration_since(self.last_update[g]);
-        self.joules[g] += self.watts[g] * dt.as_secs_f64();
-        self.last_update[g] = now;
-    }
-}
-
-/// A fleet of power meters backed by shared flat rail columns. Allocate
-/// one meter per device with [`EnergyArena::alloc`].
-#[derive(Clone)]
-pub struct EnergyArena {
-    sim: Sim,
-    cols: Rc<RefCell<EnergyCols>>,
-    meters: Rc<Cell<usize>>,
-}
-
-impl std::fmt::Debug for EnergyArena {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EnergyArena")
-            .field("meters", &self.len())
-            .field("rails", &self.rail_count())
-            .finish()
-    }
-}
-
-impl EnergyArena {
-    /// An empty arena on `sim`.
-    pub fn new(sim: &Sim) -> Self {
-        EnergyArena {
-            sim: sim.clone(),
-            cols: Rc::new(RefCell::new(EnergyCols::default())),
-            meters: Rc::new(Cell::new(0)),
-        }
-    }
-
-    /// Allocates a meter with no rails yet; components add theirs via
-    /// [`EnergyMeter::register`].
-    pub fn alloc(&self) -> EnergyMeter {
-        self.meters.set(self.meters.get() + 1);
-        EnergyMeter {
-            sim: self.sim.clone(),
-            cols: self.cols.clone(),
-            local: Rc::new(RefCell::new(MeterLocal::default())),
-        }
-    }
-
-    /// Number of meters allocated from this arena.
-    pub fn len(&self) -> usize {
-        self.meters.get()
-    }
-
-    /// True if no meter has been allocated yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total rails registered across all meters of this arena.
-    pub fn rail_count(&self) -> usize {
-        self.cols.borrow().names.len()
-    }
-}
-
-/// The per-meter (cold) state: which shared columns belong to this
-/// meter, and the optional Figure-3 trace.
-#[derive(Default)]
-struct MeterLocal {
-    /// Global column indices of this meter's rails, in registration order.
-    rails: Vec<usize>,
+struct MeterState {
+    rails: Vec<Rail>,
     trace: Option<Vec<(SimTime, f64)>>,
+}
+
+impl MeterState {
+    fn total_watts(&self) -> f64 {
+        self.rails.iter().map(|r| r.watts).sum()
+    }
 }
 
 /// Integrates per-rail power draw over simulated time.
@@ -128,44 +67,38 @@ struct MeterLocal {
 #[derive(Clone)]
 pub struct EnergyMeter {
     sim: Sim,
-    cols: Rc<RefCell<EnergyCols>>,
-    local: Rc<RefCell<MeterLocal>>,
+    state: Rc<RefCell<MeterState>>,
 }
 
 impl std::fmt::Debug for EnergyMeter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EnergyMeter")
-            .field("rails", &self.local.borrow().rails.len())
+            .field("rails", &self.state.borrow().rails.len())
             .field("total_watts", &self.total_power())
             .finish()
     }
 }
 
 impl EnergyMeter {
-    /// Creates a standalone meter bound to the simulation clock (its own
-    /// private arena).
+    /// Creates a meter bound to the simulation clock, with no rails yet;
+    /// components add theirs via [`EnergyMeter::register`].
     pub fn new(sim: &Sim) -> Self {
-        EnergyArena::new(sim).alloc()
-    }
-
-    /// The shared-column index behind `rail`.
-    fn global(&self, rail: RailId) -> usize {
-        self.local.borrow().rails[rail.0]
+        EnergyMeter {
+            sim: sim.clone(),
+            state: Rc::new(RefCell::new(MeterState::default())),
+        }
     }
 
     /// Registers a new rail drawing 0 W.
     pub fn register(&self, name: &str) -> RailId {
-        let now = self.sim.now();
-        let mut cols = self.cols.borrow_mut();
-        let g = cols.names.len();
-        cols.names.push(name.to_owned());
-        cols.watts.push(0.0);
-        cols.joules.push(0.0);
-        cols.last_update.push(now);
-        let mut local = self.local.borrow_mut();
-        let id = RailId(local.rails.len());
-        local.rails.push(g);
-        id
+        let mut state = self.state.borrow_mut();
+        state.rails.push(Rail {
+            name: name.to_owned(),
+            watts: 0.0,
+            joules: 0.0,
+            last_update: self.sim.now(),
+        });
+        RailId(state.rails.len() - 1)
     }
 
     /// Sets the instantaneous draw of a rail, integrating the previous
@@ -179,13 +112,19 @@ impl EnergyMeter {
             watts.is_finite() && watts >= 0.0,
             "power must be a non-negative finite wattage, got {watts}"
         );
-        let g = self.global(rail);
-        {
-            let mut cols = self.cols.borrow_mut();
-            cols.settle(self.sim.now(), g);
-            cols.watts[g] = watts;
+        let now = self.sim.now();
+        let mut state = self.state.borrow_mut();
+        let r = &mut state.rails[rail.0];
+        r.settle(now);
+        r.watts = watts;
+        let total = state.total_watts();
+        if let Some(trace) = &mut state.trace {
+            // Collapse multiple changes at the same instant into one point.
+            match trace.last_mut() {
+                Some(last) if last.0 == now => last.1 = total,
+                _ => trace.push((now, total)),
+            }
         }
-        self.record_trace_point();
     }
 
     /// Adds a fixed energy cost to a rail (for events modelled as
@@ -199,59 +138,55 @@ impl EnergyMeter {
             joules.is_finite() && joules >= 0.0,
             "energy must be a non-negative finite joule amount, got {joules}"
         );
-        let g = self.global(rail);
-        let mut cols = self.cols.borrow_mut();
-        cols.settle(self.sim.now(), g);
-        cols.joules[g] += joules;
+        let mut state = self.state.borrow_mut();
+        let r = &mut state.rails[rail.0];
+        r.settle(self.sim.now());
+        r.joules += joules;
     }
 
     /// Current draw of one rail in watts.
     pub fn power(&self, rail: RailId) -> f64 {
-        self.cols.borrow().watts[self.global(rail)]
+        self.state.borrow().rails[rail.0].watts
     }
 
     /// Current total draw across all of this meter's rails in watts.
     pub fn total_power(&self) -> f64 {
-        let local = self.local.borrow();
-        let cols = self.cols.borrow();
-        local.rails.iter().map(|&g| cols.watts[g]).sum()
+        self.state.borrow().total_watts()
     }
 
     /// Energy consumed by one rail up to the current instant, in joules.
     pub fn energy_joules(&self, rail: RailId) -> f64 {
-        let g = self.global(rail);
-        let mut cols = self.cols.borrow_mut();
-        cols.settle(self.sim.now(), g);
-        cols.joules[g]
+        let mut state = self.state.borrow_mut();
+        let r = &mut state.rails[rail.0];
+        r.settle(self.sim.now());
+        r.joules
     }
 
     /// Total energy across this meter's rails up to the current instant,
     /// in joules.
     pub fn total_joules(&self) -> f64 {
-        let local = self.local.borrow();
-        let mut cols = self.cols.borrow_mut();
         let now = self.sim.now();
-        local
+        let mut state = self.state.borrow_mut();
+        state
             .rails
-            .iter()
-            .map(|&g| {
-                cols.settle(now, g);
-                cols.joules[g]
+            .iter_mut()
+            .map(|r| {
+                r.settle(now);
+                r.joules
             })
             .sum()
     }
 
     /// Per-rail `(name, joules)` breakdown up to the current instant.
     pub fn breakdown(&self) -> Vec<(String, f64)> {
-        let local = self.local.borrow();
-        let mut cols = self.cols.borrow_mut();
         let now = self.sim.now();
-        local
+        let mut state = self.state.borrow_mut();
+        state
             .rails
-            .iter()
-            .map(|&g| {
-                cols.settle(now, g);
-                (cols.names[g].clone(), cols.joules[g])
+            .iter_mut()
+            .map(|r| {
+                r.settle(now);
+                (r.name.clone(), r.joules)
             })
             .collect()
     }
@@ -259,9 +194,9 @@ impl EnergyMeter {
     /// Starts recording the total-power step function (used for Figure 3).
     /// Recording begins at the current instant with the current total.
     pub fn start_trace(&self) {
-        let watts = self.total_power();
-        let now = self.sim.now();
-        self.local.borrow_mut().trace = Some(vec![(now, watts)]);
+        let mut state = self.state.borrow_mut();
+        let point = (self.sim.now(), state.total_watts());
+        state.trace = Some(vec![point]);
     }
 
     /// Stops recording and returns the trace.
@@ -270,26 +205,8 @@ impl EnergyMeter {
     /// called.
     pub fn take_trace(&self) -> PowerTrace {
         PowerTrace {
-            points: self.local.borrow_mut().trace.take().unwrap_or_default(),
+            points: self.state.borrow_mut().trace.take().unwrap_or_default(),
             end: self.sim.now(),
-        }
-    }
-
-    fn record_trace_point(&self) {
-        let mut local = self.local.borrow_mut();
-        let MeterLocal { rails, trace } = &mut *local;
-        if let Some(trace) = trace {
-            let cols = self.cols.borrow();
-            let now = self.sim.now();
-            let watts: f64 = rails.iter().map(|&g| cols.watts[g]).sum();
-            // Collapse multiple changes at the same instant into one point.
-            if let Some(last) = trace.last_mut() {
-                if last.0 == now {
-                    last.1 = watts;
-                    return;
-                }
-            }
-            trace.push((now, watts));
         }
     }
 }
@@ -539,12 +456,13 @@ mod tests {
         assert_eq!(bd[1].1, 0.0);
     }
 
+    // The name predates the removal of the arenas (PR 14) and is pinned by
+    // the test floor; it checks that two handles on one `Sim` share nothing.
     #[test]
     fn arena_meters_share_columns_but_not_rails() {
         let sim = Sim::new();
-        let arena = EnergyArena::new(&sim);
-        let m1 = arena.alloc();
-        let m2 = arena.alloc();
+        let m1 = EnergyMeter::new(&sim);
+        let m2 = EnergyMeter::new(&sim);
         let r1 = m1.register("cpu");
         let r2 = m2.register("cpu");
         m1.set_power(r1, 1.0);
@@ -552,8 +470,6 @@ mod tests {
         sim.run_for(SimDuration::from_secs(4));
         assert!((m1.total_joules() - 4.0).abs() < 1e-9);
         assert!((m2.total_joules() - 1.0).abs() < 1e-9, "meters independent");
-        assert_eq!(arena.rail_count(), 2, "columns shared fleet-wide");
-        assert_eq!(arena.len(), 2);
         // Per-meter traces see only their own rails.
         m1.start_trace();
         m2.set_power(r2, 5.0);

@@ -22,7 +22,6 @@
 //! Everything is assembled by [`phone::Phone`].
 
 pub mod apps;
-pub mod arena;
 pub mod battery;
 pub mod connectivity;
 pub mod cpu;
@@ -32,11 +31,10 @@ pub mod radio;
 pub mod wifi;
 
 pub use apps::{NetAppConfig, PeriodicNetApp};
-pub use arena::FleetArena;
 pub use battery::Battery;
-pub use connectivity::{Bearer, ConnArena, Connectivity};
+pub use connectivity::{Bearer, Connectivity};
 pub use cpu::{AlarmId, Cpu, CpuConfig, FrozenSleepHandle, WakeLock};
-pub use energy::{EnergyArena, EnergyMeter, PowerTrace, RailId};
+pub use energy::{EnergyMeter, PowerTrace, RailId};
 pub use phone::{Phone, PhoneConfig};
 pub use radio::{CarrierProfile, CellularModem, RadioState};
 pub use wifi::{WifiConfig, WifiRadio};

@@ -4,7 +4,6 @@ use std::fmt;
 
 use pogo_sim::{DeviceClock, Sim};
 
-use crate::arena::FleetArena;
 use crate::battery::{Battery, DEFAULT_CAPACITY_JOULES};
 use crate::connectivity::{Bearer, Connectivity};
 use crate::cpu::{Cpu, CpuConfig};
@@ -69,23 +68,15 @@ pub struct Phone {
 }
 
 impl Phone {
-    /// Boots a phone on the given simulation (its own single-phone
-    /// [`FleetArena`]).
+    /// Boots a phone on the given simulation.
     pub fn new(sim: &Sim, config: PhoneConfig) -> Self {
-        Phone::new_in(sim, config, &FleetArena::new(sim))
-    }
-
-    /// Boots a phone whose hot state (clock, bearer, power rails) lives
-    /// in `arena`'s shared columns — the constructor fleet builders use
-    /// so 100k phones fill flat `Vec`s instead of scattered allocations.
-    pub fn new_in(sim: &Sim, config: PhoneConfig, arena: &FleetArena) -> Self {
-        let meter = arena.energy().alloc();
+        let meter = EnergyMeter::new(sim);
         let cpu = Cpu::new(sim, &meter, config.cpu);
         let modem = CellularModem::new(sim, &meter, config.carrier);
         let wifi = WifiRadio::new(sim, &meter, config.wifi);
-        let connectivity = arena.connectivity().alloc(config.initial_bearer);
+        let connectivity = Connectivity::new(config.initial_bearer);
         let battery = Battery::new(&meter, config.battery_capacity_joules);
-        let clock = arena.clocks().alloc();
+        let clock = DeviceClock::new(sim);
         Phone {
             sim: sim.clone(),
             meter,
@@ -212,6 +203,34 @@ mod tests {
         sim.run_for(SimDuration::from_secs(120));
         assert!(!called.get());
         assert_eq!(phone.mobile_byte_counters(), (0, 0));
+    }
+
+    #[test]
+    fn two_phones_on_one_sim_keep_independent_state() {
+        let sim = Sim::new();
+        let a = Phone::new(&sim, PhoneConfig::default());
+        let b = Phone::new(&sim, PhoneConfig::default());
+
+        a.clock().set_skew(1_000, 0);
+        assert_eq!(a.clock().skew_ms(), 1_000);
+        assert_eq!(b.clock().skew_ms(), 0);
+
+        a.connectivity().set_active(Some(Bearer::Wifi));
+        assert_eq!(a.connectivity().change_count(), 1);
+        assert_eq!(b.connectivity().active(), Some(Bearer::Cellular));
+        assert_eq!(b.connectivity().change_count(), 0);
+
+        // Only `b` ramps its modem up; `a` stays at the idle floor.
+        b.transmit(50_000, 0, || {}).unwrap();
+        sim.run_for(SimDuration::from_mins(10));
+        let (ja, jb) = (a.meter().total_joules(), b.meter().total_joules());
+        assert!(jb > ja + 1.0, "b transmitted ({jb} J), a idled ({ja} J)");
+        for phone in [&a, &b] {
+            let rails = phone.meter().breakdown();
+            assert_eq!(rails.len(), 3, "cpu + modem + wifi: {rails:?}");
+            let sum: f64 = rails.iter().map(|(_, j)| j).sum();
+            assert_eq!(phone.meter().total_joules(), sum);
+        }
     }
 
     #[test]

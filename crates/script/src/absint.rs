@@ -6,8 +6,8 @@
 //!
 //! * **Per-instruction abstract states** ([`Analysis`]) — what the
 //!   operand stack and frame slots can hold at each reachable
-//!   instruction. `opt.rs` uses these to drive safe constant
-//!   propagation and branch folding.
+//!   instruction. The cost model below reads them for loop trip
+//!   counts, call targets and constant operands.
 //! * **Static cost bounds per entry point** ([`analyze_costs`]) — for
 //!   the on-load run and for every callback registered through
 //!   `subscribe`/`setTimeout`, a lower and upper bound on the
@@ -490,7 +490,7 @@ impl ProgramCtx {
                 .collect();
             for proto in self.protos.clone() {
                 let chunk = &proto.chunk;
-                let analysis = analyze_chunk(chunk, &proto.params, Some(self));
+                let analysis = analyze_chunk(chunk, &proto.params, self);
                 for (ip, &op) in chunk.ops.iter().enumerate() {
                     let name = match op {
                         Op::DeclGlobal(g) | Op::StoreGlobal(g) => {
@@ -578,9 +578,7 @@ pub struct Analysis {
 const WIDEN_AFTER: u32 = 8;
 
 /// Run the abstract interpreter to fixpoint over one chunk.
-/// `ctx = None` (the optimizer's mode) treats every global and
-/// closure as opaque, which only costs precision.
-pub fn analyze_chunk(chunk: &Chunk, params: &[(u16, bool)], ctx: Option<&ProgramCtx>) -> Analysis {
+pub fn analyze_chunk(chunk: &Chunk, params: &[(u16, bool)], ctx: &ProgramCtx) -> Analysis {
     let cfg = build_cfg(chunk);
     let nb = cfg.blocks.len();
     let mut in_states = vec![None; chunk.ops.len()];
@@ -689,9 +687,10 @@ fn abs_of_value(v: &Value) -> AbsVal {
     }
 }
 
-/// Abstract binary arithmetic. Only numeric facts are tracked
-/// precisely; strings stay at the type level because concatenation has
-/// budget-charging semantics the optimizer must not erase.
+/// Abstract binary arithmetic. Numeric facts are tracked precisely;
+/// of strings, only constant + constant keeps its value (the cost
+/// model needs the byte length concatenation charges), the rest stay
+/// at the type level.
 fn binop(op: Op, a: &AbsVal, b: &AbsVal) -> AbsVal {
     use AbsVal::*;
     // Bottom-strict: an operation on a not-yet-flowed value produces
@@ -798,7 +797,7 @@ fn is_distinct_const_kind(a: &AbsVal, b: &AbsVal) -> bool {
 /// Apply one instruction to `st`. Underflows push/return `Any`
 /// defensively — this runs on verifier-approved chunks in production,
 /// but lint tooling may walk arbitrary input.
-fn step(st: &mut State, op: Op, chunk: &Chunk, ctx: Option<&ProgramCtx>) -> Flow {
+fn step(st: &mut State, op: Op, chunk: &Chunk, ctx: &ProgramCtx) -> Flow {
     let pop = |st: &mut State| st.stack.pop().unwrap_or(AbsVal::Any);
     match op {
         Op::Const(i) => st.stack.push(abs_of_value(&chunk.consts[i as usize])),
@@ -818,14 +817,9 @@ fn step(st: &mut State, op: Op, chunk: &Chunk, ctx: Option<&ProgramCtx>) -> Flow
             st.stack.push(AbsVal::Object);
         }
         Op::MakeClosure(i) => {
-            let v = match ctx {
-                Some(ctx) => {
-                    let child = &chunk.protos[i as usize];
-                    match ctx.ids.get(&(Rc::as_ptr(child) as usize)) {
-                        Some(&id) => AbsVal::Closure(id),
-                        None => AbsVal::Func,
-                    }
-                }
+            let child = &chunk.protos[i as usize];
+            let v = match ctx.ids.get(&(Rc::as_ptr(child) as usize)) {
+                Some(&id) => AbsVal::Closure(id),
                 None => AbsVal::Func,
             };
             st.stack.push(v);
@@ -854,11 +848,8 @@ fn step(st: &mut State, op: Op, chunk: &Chunk, ctx: Option<&ProgramCtx>) -> Flow
         Op::NewCell(s) => st.slots[s as usize] = SlotAbs::Cell,
         Op::ClearSlot(s) => st.slots[s as usize] = SlotAbs::Empty,
         Op::LoadGlobal(g) => {
-            let v = match ctx {
-                Some(ctx) => ctx.global_abs(&chunk.globals[g as usize].name),
-                None => AbsVal::Any,
-            };
-            st.stack.push(v);
+            st.stack
+                .push(ctx.global_abs(&chunk.globals[g as usize].name));
         }
         Op::StoreGlobal(_) => {}
         Op::DeclGlobal(_) => {
@@ -868,8 +859,8 @@ fn step(st: &mut State, op: Op, chunk: &Chunk, ctx: Option<&ProgramCtx>) -> Flow
             // Only a pure-global chain is predictable; frame/cell
             // candidates depend on runtime binding order.
             let chain = &chunk.chains[c as usize];
-            let v = match (ctx, chain.cands.as_ref()) {
-                (Some(ctx), [ChainRef::Global]) => ctx.global_abs(&chain.name),
+            let v = match chain.cands.as_ref() {
+                [ChainRef::Global] => ctx.global_abs(&chain.name),
                 _ => AbsVal::Any,
             };
             st.stack.push(v);
@@ -1599,7 +1590,7 @@ impl<'a> CostCx<'a> {
             return f.clone();
         }
         let proto = self.ctx.proto(id).clone();
-        let f = Rc::new(analyze_chunk(&proto.chunk, &proto.params, Some(self.ctx)));
+        let f = Rc::new(analyze_chunk(&proto.chunk, &proto.params, self.ctx));
         self.facts.insert(id, f.clone());
         f
     }

@@ -49,32 +49,7 @@ use crate::value::Value;
 /// Parse errors, or a compile error for programs exceeding the
 /// bytecode format's (generous) size limits.
 pub fn compile(source: &str) -> Result<CompiledProgram, ScriptError> {
-    compile_with(source, &CompileOptions::default())
-}
-
-/// Knobs for [`compile_with`] / [`compile_program_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompileOptions {
-    /// Run the [`crate::opt`] bytecode passes (constant folding, jump
-    /// threading, DCE, constant-slot propagation) on every function.
-    pub optimize: bool,
-}
-
-impl Default for CompileOptions {
-    /// Optimization is on.
-    fn default() -> Self {
-        CompileOptions { optimize: true }
-    }
-}
-
-/// [`compile`] with explicit [`CompileOptions`].
-///
-/// # Errors
-///
-/// As for [`compile`].
-pub fn compile_with(source: &str, opts: &CompileOptions) -> Result<CompiledProgram, ScriptError> {
-    let program = parse(source)?;
-    compile_program_with(&program, opts)
+    compile_program(&parse(source)?)
 }
 
 /// Parses and compiles a source string through a per-thread cache, so
@@ -103,55 +78,27 @@ pub fn compile_cached(source: &str) -> Result<Rc<CompiledProgram>, ScriptError> 
 
 /// Compiles an already-parsed program.
 ///
+/// Every emitted program is structurally verified ([`crate::verify`])
+/// before it is returned. There is one lowering, so a rejection here is
+/// only ever a compiler bug: it aborts loudly in debug builds, and in
+/// release builds the deploy gate re-verifies and rejects the program
+/// (the VM bounds-checks every fetch anyway).
+///
 /// # Errors
 ///
 /// As for [`compile`].
 pub fn compile_program(program: &[Stmt]) -> Result<CompiledProgram, ScriptError> {
-    compile_program_with(program, &CompileOptions::default())
-}
-
-/// Compiles an already-parsed program with explicit options.
-///
-/// Every emitted program is structurally verified ([`crate::verify`])
-/// before it is returned. If the optimizer ever produces a chunk the
-/// verifier rejects, the program is recompiled without optimization —
-/// an optimizer bug costs speed, not correctness (and aborts loudly in
-/// debug builds).
-///
-/// # Errors
-///
-/// As for [`compile`].
-pub fn compile_program_with(
-    program: &[Stmt],
-    opts: &CompileOptions,
-) -> Result<CompiledProgram, ScriptError> {
-    let prog = lower_program(program, opts.optimize)?;
-    match crate::verify::check(&prog) {
-        Ok(()) => Ok(prog),
-        Err(e) if opts.optimize => {
-            debug_assert!(false, "optimizer emitted an invalid chunk: {e}");
-            let prog = lower_program(program, false)?;
-            let fallback = crate::verify::check(&prog);
-            debug_assert!(
-                fallback.is_ok(),
-                "compiler emitted an invalid chunk: {fallback:?}"
-            );
-            Ok(prog)
-        }
-        Err(e) => {
-            // A compiler bug, loud in debug builds. The deploy gate
-            // re-verifies and rejects it; the VM bounds-checks anyway.
-            debug_assert!(false, "compiler emitted an invalid chunk: {e}");
-            Ok(prog)
-        }
+    let prog = lower_program(program)?;
+    if let Err(e) = crate::verify::check(&prog) {
+        debug_assert!(false, "compiler emitted an invalid chunk: {e}");
     }
+    Ok(prog)
 }
 
-fn lower_program(program: &[Stmt], optimize: bool) -> Result<CompiledProgram, ScriptError> {
+fn lower_program(program: &[Stmt]) -> Result<CompiledProgram, ScriptError> {
     let mut c = Compiler {
         funcs: Vec::new(),
         math_ok: program_math_ok(program),
-        optimize,
     };
     c.push_func(collect_captured(program));
     // The top-level scope is the shared global environment, not a
@@ -177,10 +124,7 @@ fn lower_program(program: &[Stmt], optimize: bool) -> Result<CompiledProgram, Sc
     }
     c.emit(Op::ReturnResult);
     let fun = c.funcs.pop().expect("main function context");
-    let mut chunk = fun.finish();
-    if optimize {
-        crate::opt::optimize_chunk(&mut chunk, &[]);
-    }
+    let chunk = fun.finish();
     let op_count = chunk.total_ops();
     let fn_count = 1 + chunk.total_fns();
     Ok(CompiledProgram {
@@ -273,8 +217,6 @@ struct Compiler {
     /// `Math` is provably the untouched builtin everywhere in this
     /// program, enabling direct `MathCall` dispatch.
     math_ok: bool,
-    /// Run [`crate::opt`] on every chunk as it is finished.
-    optimize: bool,
 }
 
 const LIMIT_ERR: &str = "script too large to compile";
@@ -655,10 +597,7 @@ impl Compiler {
         let fun = self.funcs.pop().expect("function context");
         let param_info = fun.param_info.clone();
         let upvals = fun.upvals.clone();
-        let mut chunk = fun.finish();
-        if self.optimize {
-            crate::opt::optimize_chunk(&mut chunk, &param_info);
-        }
+        let chunk = fun.finish();
         let proto = FnProto {
             name,
             params: param_info,

@@ -97,11 +97,6 @@ impl Interpreter {
         }
     }
 
-    /// The engine this interpreter executes programs with.
-    pub fn engine(&self) -> Engine {
-        self.engine
-    }
-
     /// The global scope (for hosts that need direct access).
     pub fn globals(&self) -> &Env {
         &self.globals

@@ -56,9 +56,7 @@ pub mod env;
 pub mod error;
 pub mod interp;
 pub mod lexer;
-pub mod opt;
 pub mod parser;
-pub mod pretty;
 pub mod sloc;
 pub mod token;
 pub mod value;
@@ -68,7 +66,7 @@ pub(crate) mod vm;
 pub use absint::{analyze_costs, cost_diagnostics, Bound, Cost, CostBudgets, CostReport, Max};
 pub use analyze::{analyze, analyze_bundle, analyze_bundle_with, analyze_with, AnalyzeOptions};
 pub use bytecode::{disassemble, CompiledProgram};
-pub use compile::{compile, compile_cached, compile_program, compile_with, CompileOptions};
+pub use compile::{compile, compile_cached, compile_program};
 pub use diag::{Diagnostic, Rule, Severity};
 pub use error::{ErrorKind, ScriptError};
 pub use interp::{Engine, Interpreter};

@@ -1,7 +1,7 @@
 //! Structural bytecode verifier.
 //!
-//! [`verify`] checks every invariant the VM's hot loop relies on, so a
-//! compiler (or optimizer) bug surfaces as a deterministic
+//! [`check`] checks every invariant the VM's hot loop relies on, so a
+//! compiler bug surfaces as a deterministic
 //! [`VerifyError`] with a stable `VERIFY_*` code instead of a VM panic
 //! that the differential fuzz happens to miss. The checks are in three
 //! layers:

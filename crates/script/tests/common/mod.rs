@@ -10,7 +10,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use pogo_script::{CompileOptions, Engine, ErrorKind, Interpreter, Value};
+use pogo_script::{Engine, ErrorKind, Interpreter, Value};
 
 // ---- structural value equality ---------------------------------------------
 
@@ -74,19 +74,6 @@ pub fn run_engine(engine: Engine, src: &str) -> Run {
     let emitted = Rc::new(RefCell::new(Vec::new()));
     let mut interp = fresh(engine, &emitted);
     let result = interp.eval(src);
-    finish(result, emitted)
-}
-
-/// Runs `src` on the bytecode VM with explicit compile options —
-/// bypassing `Interpreter::eval` (which always uses the defaults) so
-/// the optimized and unoptimized pipelines can be compared.
-pub fn run_bytecode_with(src: &str, options: &CompileOptions) -> Run {
-    let emitted = Rc::new(RefCell::new(Vec::new()));
-    let mut interp = fresh(Engine::Bytecode, &emitted);
-    let result = match pogo_script::compile_with(src, options) {
-        Ok(compiled) => interp.run_compiled(&compiled),
-        Err(e) => Err(e),
-    };
     finish(result, emitted)
 }
 

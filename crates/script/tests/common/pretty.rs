@@ -1,11 +1,12 @@
 //! AST pretty-printer.
 //!
-//! Emits PogoScript source from an AST. Exists mainly to power the
-//! parse → print → parse round-trip property test (the printed program
-//! must parse back to an identical AST), and doubles as a debugging aid.
+//! Emits PogoScript source from an AST. Exists to power the parse →
+//! print → parse round-trip property in `seeded_properties.rs` (the
+//! printed program must parse back to an identical AST), which is why it
+//! lives with the tests and not in the crate.
 
-use crate::ast::{Expr, LogicalOp, Stmt, UnaryOp};
-use crate::value::format_number;
+use pogo_script::ast::{Expr, LogicalOp, Stmt, UnaryOp};
+use pogo_script::value::format_number;
 
 /// Pretty-prints a whole program.
 pub fn print_program(program: &[Stmt]) -> String {
@@ -289,7 +290,7 @@ fn print_expr(expr: &Expr, out: &mut String) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse;
+    use pogo_script::parse;
 
     /// Strips line numbers so structurally-identical ASTs compare equal.
     fn normalize(stmts: &[Stmt]) -> String {

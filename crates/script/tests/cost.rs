@@ -26,7 +26,7 @@ use std::rc::Rc;
 use common::paper_scripts;
 use pogo_script::absint::{analyze_costs, EntryKind, Max, KNOWN_NATIVES};
 use pogo_script::value::{NativeFn, ObjMap};
-use pogo_script::{compile_with, CompileOptions, Engine, Interpreter, Value};
+use pogo_script::{compile, Engine, Interpreter, Value};
 
 /// Watchdog arming value for the measurements; large enough that no
 /// test program exhausts it, so `BUDGET - steps_remaining` is exact.
@@ -96,11 +96,10 @@ fn dynamic_load_charge(engine: Engine, name: &str, src: &str) -> u64 {
 }
 
 /// The static load-entry cost of `src`, from the same compiled form
-/// the deploy gate analyzes (optimizer on — the bounds must describe
-/// the chunk that actually ships).
+/// the deploy gate analyzes and `Interpreter::eval` runs (there is one
+/// pipeline, so the bounds describe the chunk that actually ships).
 fn static_load_bounds(name: &str, src: &str) -> (u64, Max) {
-    let program = compile_with(src, &CompileOptions { optimize: true })
-        .unwrap_or_else(|e| panic!("{name}: compile failed: {e}"));
+    let program = compile(src).unwrap_or_else(|e| panic!("{name}: compile failed: {e}"));
     let report = analyze_costs(&program);
     let load = report
         .entries
@@ -228,36 +227,5 @@ fn finite_static_bounds_are_sound_on_both_engines() {
             tree <= m.saturating_mul(TREE_WALK_SHAPE_FACTOR),
             "{name}: tree-walk charge {tree} exceeds {m} × {TREE_WALK_SHAPE_FACTOR}"
         );
-    }
-}
-
-/// The optimizer must never *raise* the static cost of a program: the
-/// bounds the gate sees for the shipped (optimized) chunk are at most
-/// the bounds of the naive compilation.
-#[test]
-fn optimizer_never_raises_static_bounds() {
-    for (name, src) in paper_scripts() {
-        let opt = compile_with(&src, &CompileOptions { optimize: true }).unwrap();
-        let raw = compile_with(&src, &CompileOptions { optimize: false }).unwrap();
-        let (opt_load, raw_load) = (
-            analyze_costs(&opt)
-                .entries
-                .iter()
-                .find(|e| e.kind == EntryKind::Load)
-                .unwrap()
-                .cost,
-            analyze_costs(&raw)
-                .entries
-                .iter()
-                .find(|e| e.kind == EntryKind::Load)
-                .unwrap()
-                .cost,
-        );
-        if let (Max::Finite(o), Max::Finite(r)) = (opt_load.budget_max(), raw_load.budget_max()) {
-            assert!(
-                o <= r,
-                "{name}: optimized static max {o} exceeds unoptimized {r}"
-            );
-        }
     }
 }

@@ -4,9 +4,8 @@
 //! contract:
 //!
 //! 1. **Completeness on compiler output** — every chunk the compiler
-//!    emits (optimized or not, random corpus or the real paper
-//!    scripts) passes `verify::check`. A verifier that rejects valid
-//!    output would silently discard the optimizer's work and, worse,
+//!    emits (random corpus or the real paper scripts) passes
+//!    `verify::check`. A verifier that rejects valid output would
 //!    fail deployments at the gate.
 //!
 //! 2. **Robustness on corrupted chunks** — a mutated chunk (flipped
@@ -24,38 +23,34 @@ use std::rc::Rc;
 
 use common::{paper_scripts, VmGen};
 use pogo_script::bytecode::{Chunk, CompiledProgram, FnProto, Op};
-use pogo_script::{compile_with, verify, CompileOptions, VERIFY_CODES};
+use pogo_script::{compile, verify, VERIFY_CODES};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 // ---- completeness ----------------------------------------------------------
 
 /// Every compiler-emitted chunk across the full 1,600-seed
-/// differential corpus verifies, under both pipelines. `compile_with`
-/// runs the verifier internally too, and in this (debug) build aborts
-/// rather than falling back to unoptimized code when it fails.
+/// differential corpus verifies. `compile` runs the verifier
+/// internally too, and in this (debug) build aborts when it fails.
 #[test]
 fn corpus_chunks_all_pass_the_verifier() {
     const CASES: u64 = 1600;
     let mut chunks = 0usize;
     for seed in 0..CASES {
         let src = VmGen::generate(seed);
-        for optimize in [true, false] {
-            let program = match compile_with(&src, &CompileOptions { optimize }) {
-                Ok(p) => p,
-                // Scope-buggy corpus programs still compile (PogoScript
-                // resolves names at runtime); a parse error here would
-                // be a generator bug.
-                Err(e) => panic!("seed {seed}: compile failed: {e}\n--- script ---\n{src}"),
-            };
-            verify::check(&program).unwrap_or_else(|e| {
-                panic!("seed {seed} (optimize={optimize}): {e}\n--- script ---\n{src}")
-            });
-            chunks += program.fn_count as usize;
-        }
+        let program = match compile(&src) {
+            Ok(p) => p,
+            // Scope-buggy corpus programs still compile (PogoScript
+            // resolves names at runtime); a parse error here would
+            // be a generator bug.
+            Err(e) => panic!("seed {seed}: compile failed: {e}\n--- script ---\n{src}"),
+        };
+        verify::check(&program)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}\n--- script ---\n{src}"));
+        chunks += program.fn_count as usize;
     }
     assert!(
-        chunks > 3200,
+        chunks > 1600,
         "corpus produced suspiciously few chunks: {chunks}"
     );
 }
@@ -63,11 +58,8 @@ fn corpus_chunks_all_pass_the_verifier() {
 #[test]
 fn paper_scripts_pass_the_verifier() {
     for (name, src) in paper_scripts() {
-        for optimize in [true, false] {
-            let program = compile_with(&src, &CompileOptions { optimize })
-                .unwrap_or_else(|e| panic!("{name}: compile failed: {e}"));
-            verify::check(&program).unwrap_or_else(|e| panic!("{name} (optimize={optimize}): {e}"));
-        }
+        let program = compile(&src).unwrap_or_else(|e| panic!("{name}: compile failed: {e}"));
+        verify::check(&program).unwrap_or_else(|e| panic!("{name}: {e}"));
     }
 }
 
@@ -190,7 +182,7 @@ fn mutated_chunks_are_rejected_with_stable_codes_and_never_panic() {
 
     for seed in 0..SEEDS {
         let src = VmGen::generate(seed);
-        let program = compile_with(&src, &CompileOptions::default()).unwrap();
+        let program = compile(&src).unwrap();
         if program.main.chunk.ops.is_empty() {
             continue;
         }

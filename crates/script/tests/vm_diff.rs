@@ -18,20 +18,11 @@
 //! ("internal: unbound slot access" is a compiler bug by definition).
 //! Programs with injected scope bugs stay in the corpus so the error
 //! paths of both engines are compared too.
-//!
-//! A fourth, since the bytecode optimizer landed: the optimized
-//! pipeline (the default) must be observationally identical to the
-//! unoptimized one — same results, same emit sequence, same error
-//! kind *and message*. Note the main differential above already runs
-//! the optimizer (it is on by default), so tree-walk vs optimized-VM
-//! equivalence is covered there; the dedicated test below pins
-//! optimized-VM vs unoptimized-VM so an optimizer bug cannot hide
-//! behind a matching tree-walk bug.
 
 mod common;
 
-use common::{eq_val, run_bytecode_with, run_engine, VmGen};
-use pogo_script::{CompileOptions, Engine, ErrorKind};
+use common::{eq_val, run_engine, VmGen};
+use pogo_script::{Engine, ErrorKind};
 
 // ---- the differential property ----------------------------------------------
 
@@ -118,40 +109,4 @@ fn analyzer_clean_programs_never_trip_vm_slot_invariants() {
         clean > 100,
         "too few analyzer-clean programs: {clean}/{CASES}"
     );
-}
-
-/// The bytecode optimizer must be semantics-preserving under the same
-/// observational criteria as the engine differential: results,
-/// emit order, and error kind + message all identical between the
-/// optimized (default) and unoptimized pipelines, across the whole
-/// random corpus.
-#[test]
-fn optimizer_preserves_observable_behavior() {
-    const CASES: u64 = 1200;
-    let on = CompileOptions { optimize: true };
-    let off = CompileOptions { optimize: false };
-    for seed in 0..CASES {
-        let src = VmGen::generate(seed);
-        let opt = run_bytecode_with(&src, &on);
-        let raw = run_bytecode_with(&src, &off);
-
-        assert_eq!(
-            raw.emitted, opt.emitted,
-            "seed {seed}: optimizer changed the emitted sequence\n--- script ---\n{src}"
-        );
-        match (&raw.result, &opt.result) {
-            (Ok(a), Ok(b)) => assert!(
-                eq_val(a, b),
-                "seed {seed}: optimizer changed the result: {a:?} vs {b:?}\n--- script ---\n{src}"
-            ),
-            (Err(a), Err(b)) => assert_eq!(
-                a, b,
-                "seed {seed}: optimizer changed the error\n--- script ---\n{src}"
-            ),
-            (a, b) => panic!(
-                "seed {seed}: optimizer changed success/failure:\n\
-                 unoptimized: {a:?}\noptimized: {b:?}\n--- script ---\n{src}"
-            ),
-        }
-    }
 }

@@ -1,21 +1,12 @@
-//! Dense device identities for fleet-scale simulations.
+//! Dense device identities.
 //!
-//! At 100k devices, `Rc<RefCell<…>>` per hot field costs a pointer chase
-//! and a cache miss per access, and hash-keyed lookups cost more. The
-//! fleet layers instead keep per-device hot state (clock skew, bearer,
-//! energy rails) in structure-of-arrays *arenas*: parallel `Vec` columns
-//! indexed by a dense [`DeviceId`] assigned in creation order. A
-//! device's handle is then `(Rc<arena>, u32)` — cloneable, cheap, and
-//! column scans over the whole fleet are sequential memory walks.
-//!
-//! `DeviceId` is also the stable way to *name* a device across
-//! subsystems: chaos fault plans target it, observability scopes carry
-//! it, and the testbed hands it out from [`Testbed::add`]-style entry
-//! points in creation order, so a seeded plan stays valid for any run
-//! that builds the same fleet.
+//! [`DeviceId`] is the stable way to *name* a device across subsystems:
+//! a testbed hands ids out in creation order, `Fleet` indexes its
+//! members by them, and chaos fault plans target them, so a seeded plan
+//! stays valid for any run that builds the same fleet.
 
-/// Dense per-device index, assigned in creation order by whatever arena
-/// or testbed owns the fleet.
+/// Dense per-device index, assigned in creation order by the testbed
+/// that owns the fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DeviceId(u32);
 
@@ -29,7 +20,7 @@ impl DeviceId {
         DeviceId(u32::try_from(index).expect("more than u32::MAX devices"))
     }
 
-    /// The creation-order index, usable to subscript fleet columns.
+    /// The creation-order index, usable to subscript per-device tables.
     pub fn index(self) -> usize {
         self.0 as usize
     }

@@ -14,78 +14,31 @@
 //!
 //! Everything is integer arithmetic on milliseconds, so two runs with
 //! the same injected skews produce bit-identical timestamps.
-//!
-//! At fleet scale the skew state lives in a [`ClockArena`] — parallel
-//! columns indexed by the device's dense slot — so 100k clocks cost
-//! three flat `Vec`s instead of 100k `Rc<RefCell<…>>` allocations. A
-//! [`DeviceClock`] is just `(arena, index)`; [`DeviceClock::new`] wraps
-//! a private single-slot arena for standalone use.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::rc::Rc;
 
 use crate::sim::Sim;
 use crate::time::SimTime;
 
-/// Structure-of-arrays skew state: column `i` belongs to arena slot `i`.
-#[derive(Default)]
-struct ClockCols {
-    /// True simulated instant the current affine segment started.
-    base_true: Vec<SimTime>,
+/// The current affine segment of one clock.
+#[derive(Clone, Copy)]
+struct Segment {
+    /// True simulated instant the segment started.
+    base_true: SimTime,
     /// Local reading at `base_true` (may be ahead of truth after steps).
-    base_local_ms: Vec<i64>,
+    base_local_ms: i64,
     /// Drift rate: local milliseconds gained per 1e6 true milliseconds.
-    drift_ppm: Vec<i64>,
+    drift_ppm: i64,
 }
 
-/// A fleet of per-device clocks stored as flat columns. Allocate one
-/// slot per device with [`ClockArena::alloc`].
-#[derive(Clone)]
-pub struct ClockArena {
-    sim: Sim,
-    cols: Rc<RefCell<ClockCols>>,
-}
-
-impl std::fmt::Debug for ClockArena {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ClockArena")
-            .field("clocks", &self.len())
-            .finish()
-    }
-}
-
-impl ClockArena {
-    /// An empty arena on `sim`.
-    pub fn new(sim: &Sim) -> Self {
-        ClockArena {
-            sim: sim.clone(),
-            cols: Rc::new(RefCell::new(ClockCols::default())),
+impl Segment {
+    fn in_sync(now: SimTime) -> Self {
+        Segment {
+            base_true: now,
+            base_local_ms: now.as_millis() as i64,
+            drift_ppm: 0,
         }
-    }
-
-    /// Allocates the next slot: a clock born in sync with the simulation.
-    pub fn alloc(&self) -> DeviceClock {
-        let now = self.sim.now();
-        let mut cols = self.cols.borrow_mut();
-        let index = cols.base_true.len() as u32;
-        cols.base_true.push(now);
-        cols.base_local_ms.push(now.as_millis() as i64);
-        cols.drift_ppm.push(0);
-        DeviceClock {
-            sim: self.sim.clone(),
-            cols: self.cols.clone(),
-            index,
-        }
-    }
-
-    /// Number of allocated clocks.
-    pub fn len(&self) -> usize {
-        self.cols.borrow().base_true.len()
-    }
-
-    /// True if no clock has been allocated yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -96,34 +49,33 @@ impl ClockArena {
 #[derive(Clone)]
 pub struct DeviceClock {
     sim: Sim,
-    cols: Rc<RefCell<ClockCols>>,
-    index: u32,
+    seg: Rc<Cell<Segment>>,
 }
 
 impl std::fmt::Debug for DeviceClock {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let drift = self.cols.borrow().drift_ppm[self.index as usize];
         f.debug_struct("DeviceClock")
             .field("skew_ms", &self.skew_ms())
-            .field("drift_ppm", &drift)
+            .field("drift_ppm", &self.seg.get().drift_ppm)
             .finish()
     }
 }
 
 impl DeviceClock {
-    /// A standalone clock born in sync with the simulation (its own
-    /// single-slot arena).
+    /// A clock born in sync with the simulation.
     pub fn new(sim: &Sim) -> Self {
-        ClockArena::new(sim).alloc()
+        DeviceClock {
+            sim: sim.clone(),
+            seg: Rc::new(Cell::new(Segment::in_sync(sim.now()))),
+        }
     }
 
     /// The local clock reading, in milliseconds since the simulation
     /// epoch as this device believes it.
     pub fn now_ms(&self) -> i64 {
-        let cols = self.cols.borrow();
-        let i = self.index as usize;
-        let elapsed = self.sim.now().duration_since(cols.base_true[i]).as_millis() as i64;
-        cols.base_local_ms[i] + elapsed + elapsed * cols.drift_ppm[i] / 1_000_000
+        let seg = self.seg.get();
+        let elapsed = self.sim.now().duration_since(seg.base_true).as_millis() as i64;
+        seg.base_local_ms + elapsed + elapsed * seg.drift_ppm / 1_000_000
     }
 
     /// How far the local clock is ahead of simulated truth (negative:
@@ -134,7 +86,7 @@ impl DeviceClock {
 
     /// True when the clock currently diverges from simulated truth.
     pub fn is_skewed(&self) -> bool {
-        self.skew_ms() != 0 || self.cols.borrow().drift_ppm[self.index as usize] != 0
+        self.skew_ms() != 0 || self.seg.get().drift_ppm != 0
     }
 
     /// Injects a skew: the local clock steps forward by `step_ms` right
@@ -142,33 +94,26 @@ impl DeviceClock {
     /// from here on. Rebases on the current reading, so repeated calls
     /// compound (a second step lands on top of the first).
     pub fn set_skew(&self, step_ms: i64, drift_ppm: i64) {
-        let local = self.now_ms() + step_ms;
-        let mut cols = self.cols.borrow_mut();
-        let i = self.index as usize;
-        cols.base_true[i] = self.sim.now();
-        cols.base_local_ms[i] = local;
-        cols.drift_ppm[i] = drift_ppm;
+        self.seg.set(Segment {
+            base_true: self.sim.now(),
+            base_local_ms: self.now_ms() + step_ms,
+            drift_ppm,
+        });
     }
 
     /// Snaps the clock back to simulated truth (the NITZ/NTP fix).
     pub fn clear(&self) {
-        let now = self.sim.now();
-        let mut cols = self.cols.borrow_mut();
-        let i = self.index as usize;
-        cols.base_true[i] = now;
-        cols.base_local_ms[i] = now.as_millis() as i64;
-        cols.drift_ppm[i] = 0;
+        self.seg.set(Segment::in_sync(self.sim.now()));
     }
 
     /// Inverts the *current* affine segment: maps a local timestamp this
     /// clock produced (since the last skew change) back to true
     /// simulated milliseconds. The collector-side normalization step.
     pub fn normalize(&self, local_ms: i64) -> i64 {
-        let cols = self.cols.borrow();
-        let i = self.index as usize;
-        let elapsed_local = local_ms - cols.base_local_ms[i];
-        let elapsed_true = elapsed_local * 1_000_000 / (1_000_000 + cols.drift_ppm[i]);
-        cols.base_true[i].as_millis() as i64 + elapsed_true
+        let seg = self.seg.get();
+        let elapsed_local = local_ms - seg.base_local_ms;
+        let elapsed_true = elapsed_local * 1_000_000 / (1_000_000 + seg.drift_ppm);
+        seg.base_true.as_millis() as i64 + elapsed_true
     }
 }
 
@@ -225,17 +170,18 @@ mod tests {
         assert!(!clock.is_skewed());
     }
 
+    // The name predates the removal of the arenas (PR 14) and is pinned by
+    // the test floor; it checks that two handles on one `Sim` share nothing.
     #[test]
     fn arena_clocks_are_independent() {
         let sim = Sim::new();
-        let arena = ClockArena::new(&sim);
-        let a = arena.alloc();
-        let b = arena.alloc();
-        assert_eq!(arena.len(), 2);
+        let a = DeviceClock::new(&sim);
+        let b = DeviceClock::new(&sim);
         sim.run_for(SimDuration::from_secs(10));
         a.set_skew(5_000, 0);
         assert_eq!(a.now_ms(), 15_000);
-        assert_eq!(b.now_ms(), 10_000, "sibling slot unaffected");
+        assert_eq!(a.clone().now_ms(), 15_000, "clones share state");
+        assert_eq!(b.now_ms(), 10_000, "sibling clock unaffected");
         assert!(!b.is_skewed());
     }
 

@@ -33,7 +33,7 @@ pub mod sim;
 pub mod time;
 
 pub use arena::DeviceId;
-pub use clock::{ClockArena, DeviceClock};
+pub use clock::DeviceClock;
 pub use queue::EventId;
 pub use rng::SimRng;
 pub use sim::Sim;

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus the lint gates and the benchmark's sanity pass.
 #
-#   scripts/ci.sh              build + tests + lint gates + benchmark smoke
+#   scripts/ci.sh              build + size line + tests + lint gates + benchmark smoke
 #   scripts/ci.sh --no-perf    skip the benchmark build, smoke pass and unit tests
 #   scripts/ci.sh --no-lint    skip fmt/clippy/pogo-lint (e.g. older toolchain)
 #   scripts/ci.sh --no-chaos   skip the chaos_soak fault-injection gate
@@ -40,6 +40,7 @@ for arg in "$@"; do
 done
 
 cargo build --release --workspace
+scripts/sloc.sh
 cargo test -q
 
 if [[ "$run_lint" == 1 ]]; then
