@@ -25,6 +25,13 @@ use crate::value::Msg;
 /// multi-hour clusters (a thousand-odd members) inside one callback,
 /// which costs a few million steps — comfortably inside the budget, as
 /// it evidently was on the real deployment.
+///
+/// A step is one VM instruction, so what a step buys follows the
+/// lowering: since the fused local-member read and the one-op counter
+/// update (DESIGN §12, "Borrow, don't clone") the paper's scripts take
+/// about a quarter fewer steps for the same source, and the budget
+/// admits that much more work. It is an order-of-magnitude calibration
+/// and stays at its round number.
 pub const WATCHDOG_BUDGET: u64 = 10_000_000;
 
 /// Budget for the script body at load time (initialization may be

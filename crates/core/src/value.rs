@@ -13,6 +13,7 @@
 use std::cell::Cell;
 use std::fmt;
 
+use pogo_script::value::intern;
 use pogo_script::{ObjMap, Value};
 
 /// A message value: the middleware-side mirror of a JavaScript object
@@ -132,9 +133,12 @@ impl Msg {
             Msg::Str(s) => Value::str(s),
             Msg::Arr(items) => Value::array(items.iter().map(Msg::to_script).collect()),
             Msg::Obj(pairs) => {
+                // Keys come from the interner the compiler's member
+                // sites use, so a script's `msg.aps` finds `aps` by
+                // pointer and a message costs no allocation per key.
                 let map: ObjMap = pairs
                     .iter()
-                    .map(|(k, v)| (k.clone(), v.to_script()))
+                    .map(|(k, v)| (intern(k), v.to_script()))
                     .collect();
                 Value::object(map)
             }
@@ -686,6 +690,42 @@ mod tests {
         let script = m.to_script();
         let back = Msg::from_script(&script);
         assert_eq!(back, m);
+    }
+
+    /// Message keys come from outside the program, so the key interner
+    /// must not grow with them: past its cap a key is handed out
+    /// unshared, and every lookup still finds it by its text.
+    #[test]
+    fn interner_stays_at_its_cap_and_keys_past_it_still_resolve() {
+        use pogo_script::value::{interned_keys, INTERN_CAP};
+        // Nor does it keep a key too long to be a property name.
+        let long = "k".repeat(65);
+        let before = interned_keys();
+        let Value::Object(map) = Msg::obj([(long.clone(), Msg::Null)]).to_script() else {
+            panic!("an object message converts to an object");
+        };
+        assert_eq!(interned_keys(), before);
+        assert_eq!(map.borrow().get(&long), Some(&Value::Null));
+
+        let n = 10_000;
+        let m = Msg::obj((0..n).map(|i| (format!("key{i}"), Msg::Num(i as f64))));
+        let script = m.to_script();
+        assert_eq!(interned_keys(), INTERN_CAP);
+        let Value::Object(map) = &script else {
+            panic!("an object message converts to an object");
+        };
+        for i in 0..n {
+            let got = map.borrow().get(&format!("key{i}")).cloned();
+            assert_eq!(got, Some(Value::Num(i as f64)), "key{i}");
+        }
+        // A member site compiled after the table filled up shares no
+        // allocation with the object's key and reads it all the same.
+        let mut interp = pogo_script::Interpreter::new();
+        let pick = interp
+            .eval("function pick(m) { return m.key9999 - m.key0; } pick;")
+            .unwrap();
+        assert_eq!(interp.call(&pick, &[script]).unwrap(), Value::Num(9999.0));
+        assert_eq!(interned_keys(), INTERN_CAP);
     }
 
     #[test]

@@ -794,6 +794,16 @@ fn is_distinct_const_kind(a: &AbsVal, b: &AbsVal) -> bool {
     matches!((kind(a), kind(b)), (Some(x), Some(y)) if x != y)
 }
 
+/// `v + d` for `++`/`--` (`Inc`/`Dec` on the stack, `AddLocal` in a
+/// slot): a number moves by `d`, anything else faults at runtime.
+fn shifted(v: &AbsVal, d: f64) -> AbsVal {
+    match (v, v.as_interval()) {
+        (AbsVal::ConstNum(b), _) => AbsVal::num(f64::from_bits(*b) + d),
+        (_, Some((lo, hi))) => AbsVal::interval(lo + d, hi + d),
+        (_, None) => AbsVal::Any,
+    }
+}
+
 /// Apply one instruction to `st`. Underflows push/return `Any`
 /// defensively — this runs on verifier-approved chunks in production,
 /// but lint tooling may walk arbitrary input.
@@ -838,6 +848,11 @@ fn step(st: &mut State, op: Op, chunk: &Chunk, ctx: &ProgramCtx) -> Flow {
         Op::DeclLocal(s) => {
             let v = pop(st);
             st.slots[s as usize] = SlotAbs::Val(v);
+        }
+        Op::AddLocal(s, d) => {
+            if let SlotAbs::Val(v) = &st.slots[s as usize] {
+                st.slots[s as usize] = SlotAbs::Val(shifted(v, f64::from(d)));
+            }
         }
         Op::LoadCell(_) | Op::LoadUpval(_) => st.stack.push(AbsVal::Any),
         Op::StoreCell(_) | Op::StoreUpval(_) => {}
@@ -914,23 +929,15 @@ fn step(st: &mut State, op: Op, chunk: &Chunk, ctx: &ProgramCtx) -> Flow {
         }
         Op::Neg | Op::UnaryPlus | Op::Inc | Op::Dec => {
             let v = pop(st);
-            let out = match v.as_interval() {
-                Some((lo, hi)) => match op {
-                    Op::Neg => match v {
-                        AbsVal::ConstNum(b) => AbsVal::num(-f64::from_bits(b)),
-                        _ => AbsVal::interval(-hi, -lo),
-                    },
-                    Op::UnaryPlus => v,
-                    Op::Inc => match v {
-                        AbsVal::ConstNum(b) => AbsVal::num(f64::from_bits(b) + 1.0),
-                        _ => AbsVal::interval(lo + 1.0, hi + 1.0),
-                    },
-                    _ => match v {
-                        AbsVal::ConstNum(b) => AbsVal::num(f64::from_bits(b) - 1.0),
-                        _ => AbsVal::interval(lo - 1.0, hi - 1.0),
-                    },
+            let out = match (op, v.as_interval()) {
+                (Op::Inc, _) => shifted(&v, 1.0),
+                (Op::Dec, _) => shifted(&v, -1.0),
+                (_, None) => AbsVal::Any,
+                (Op::UnaryPlus, Some(_)) => v,
+                (_, Some((lo, hi))) => match v {
+                    AbsVal::ConstNum(b) => AbsVal::num(-f64::from_bits(b)),
+                    _ => AbsVal::interval(-hi, -lo),
                 },
-                None => AbsVal::Any,
             };
             st.stack.push(out);
         }
@@ -942,6 +949,7 @@ fn step(st: &mut State, op: Op, chunk: &Chunk, ctx: &ProgramCtx) -> Flow {
             pop(st);
             st.stack.push(AbsVal::Any);
         }
+        Op::GetLocalMember(_, _) => st.stack.push(AbsVal::Any),
         Op::SetMember(_) => {
             // Pops the object; the stored value stays on the stack.
             pop(st);
@@ -1312,9 +1320,10 @@ fn counted_trips(cmp: Op, init: f64, limit: f64, d: f64) -> Option<u64> {
 /// * the header block starts `LoadLocal(i); Const(k); <cmp>;
 ///   JumpIfFalse(exit)` (or the reversed operand order) with `k` a
 ///   numeric constant and `exit` beyond the region;
-/// * every write to `i` inside the region is a single unconditional
-///   `±const` update (`i++`, `i += c`, `i = i + c`, ...), `i` is not
-///   re-declared/captured/iterated, and no resolution chain inside the
+/// * the only write to `i` inside the region is a single unconditional
+///   `±const` update — an `AddLocal` (`i++`, `--i`), which carries its
+///   delta, or a store of `i ± c` (`i += c`, `i = i + c`) — `i` is not
+///   captured/cleared/iterated, and no resolution chain inside the
 ///   region can store to its slot.
 ///
 /// The entry value comes from the abstract interval at the header
@@ -1370,7 +1379,7 @@ fn loop_trips(chunk: &Chunk, facts: &Analysis, region: &LoopRegion) -> (Trips, b
     let mut sites: Vec<(usize, f64)> = Vec::new();
     for ip in op_lo..op_hi {
         match chunk.ops[ip] {
-            Op::DeclLocal(s) | Op::DeclCell(s) | Op::NewCell(s) | Op::ClearSlot(s) if s == slot => {
+            Op::DeclCell(s) | Op::NewCell(s) | Op::ClearSlot(s) if s == slot => {
                 return (none, single_exit)
             }
             Op::ForInPrep(s) | Op::ForInNext(s, _) if s == slot => return (none, single_exit),
@@ -1383,9 +1392,9 @@ fn loop_trips(chunk: &Chunk, facts: &Analysis, region: &LoopRegion) -> (Trips, b
                     return (none, single_exit);
                 }
             }
-            Op::StoreLocal(s) if s == slot => {
-                let delta = update_delta(chunk, ip, slot);
-                match delta {
+            Op::AddLocal(s, d) if s == slot => sites.push((ip, f64::from(d))),
+            Op::StoreLocal(s) | Op::DeclLocal(s) if s == slot => {
+                match update_delta(chunk, ip, slot) {
                     Some(d) => sites.push((ip, d)),
                     None => return (none, single_exit),
                 }
@@ -1435,32 +1444,17 @@ fn loop_trips(chunk: &Chunk, facts: &Analysis, region: &LoopRegion) -> (Trips, b
     (Trips { min, max }, single_exit)
 }
 
-/// The `±const` delta of a `StoreLocal(slot)` at `ip`, when it is one
-/// of the compiler's counter-update shapes.
+/// The `±const` delta of the store into `slot` at `ip` — a
+/// `StoreLocal`, or the `DeclLocal` of an assignment whose value is
+/// discarded (or of a `var`: same effect on the slot) — when the ops
+/// before it compute `slot ± c`.
 fn update_delta(chunk: &Chunk, ip: usize, slot: u16) -> Option<f64> {
     let op_at = |i: usize| chunk.ops.get(i).copied();
     let const_num = |i: u16| match chunk.consts.get(i as usize) {
         Some(Value::Num(n)) => Some(*n),
         _ => None,
     };
-    // i++ / ++i / i-- / --i:  LoadLocal [Dup] Inc|Dec StoreLocal
-    if let Some(delta_op @ (Op::Inc | Op::Dec)) = ip.checked_sub(1).and_then(op_at) {
-        let d = if matches!(delta_op, Op::Inc) {
-            1.0
-        } else {
-            -1.0
-        };
-        let loaded = match (
-            ip.checked_sub(2).and_then(op_at),
-            ip.checked_sub(3).and_then(op_at),
-        ) {
-            (Some(Op::LoadLocal(s)), _) if s == slot => true,
-            (Some(Op::Dup), Some(Op::LoadLocal(s))) if s == slot => true,
-            _ => false,
-        };
-        return loaded.then_some(d);
-    }
-    // i = i + c / i = i - c:  LoadLocal Const Add|Sub StoreLocal
+    // i = i + c / i = i - c:  LoadLocal Const Add|Sub <store>
     if let (Some(Op::LoadLocal(s)), Some(Op::Const(k)), Some(arith @ (Op::Add | Op::Sub))) = (
         ip.checked_sub(3).and_then(op_at),
         ip.checked_sub(2).and_then(op_at),
@@ -1471,7 +1465,7 @@ fn update_delta(chunk: &Chunk, ip: usize, slot: u16) -> Option<f64> {
             return Some(if matches!(arith, Op::Add) { c } else { -c });
         }
     }
-    // i += c / i -= c:  Const LoadLocal Swap Add|Sub StoreLocal
+    // i += c / i -= c:  Const LoadLocal Swap Add|Sub <store>
     if let (
         Some(Op::Const(k)),
         Some(Op::LoadLocal(s)),
@@ -1528,21 +1522,20 @@ fn dominates_backedges(
     back_sources.iter().all(|&b| !seen[b] || b == site_block)
 }
 
-/// `Const(c); DeclLocal(slot)` or `Const(c); StoreLocal(slot); Pop`
-/// directly before `op_lo`: the exact loop-entry value.
+/// `Const(c); DeclLocal(slot)` directly before `op_lo` (`var i = c` or
+/// the statement `i = c;`): the exact loop-entry value.
 fn syntactic_init(chunk: &Chunk, op_lo: usize, slot: u16) -> Option<f64> {
     let op_at = |i: usize| chunk.ops.get(i).copied();
-    let const_num = |i: u16| match chunk.consts.get(i as usize) {
-        Some(Value::Num(n)) => Some(*n),
-        _ => None,
-    };
     match (
-        op_lo.checked_sub(3).and_then(op_at),
         op_lo.checked_sub(2).and_then(op_at),
         op_lo.checked_sub(1).and_then(op_at),
     ) {
-        (_, Some(Op::Const(k)), Some(Op::DeclLocal(s))) if s == slot => const_num(k),
-        (Some(Op::Const(k)), Some(Op::StoreLocal(s)), Some(Op::Pop)) if s == slot => const_num(k),
+        (Some(Op::Const(k)), Some(Op::DeclLocal(s))) if s == slot => {
+            match chunk.consts.get(k as usize) {
+                Some(Value::Num(n)) => Some(*n),
+                _ => None,
+            }
+        }
         _ => None,
     }
 }
@@ -1806,6 +1799,25 @@ impl<'a> CostCx<'a> {
                         }
                     }
                     _ if may_str(a) || may_str(b) => Bound::UNBOUNDED,
+                    _ => Bound::ZERO,
+                };
+                base.add(Cost {
+                    charge,
+                    ..Cost::ZERO
+                })
+            }
+            Op::SetIndex => {
+                // Stack: [value, object, index]. Growing an array bills
+                // the elements added, at most `index + 1`.
+                let (idx, obj) = (arg(0), arg(1));
+                let charge = match (obj, idx, idx.as_interval()) {
+                    (AbsVal::Array | AbsVal::Any, _, Some((_, hi))) if hi < 1e15 => {
+                        Bound::at_most(hi.max(0.0) as u64 + 1)
+                    }
+                    (AbsVal::Array | AbsVal::Any, AbsVal::Any, _)
+                    | (AbsVal::Array | AbsVal::Any, _, Some(_)) => Bound::UNBOUNDED,
+                    // Not an array, or an index that is no number:
+                    // nothing grows.
                     _ => Bound::ZERO,
                 };
                 base.add(Cost {
@@ -2262,6 +2274,62 @@ mod tests {
         assert!(max < 1_000, "max {max} too large");
         assert!(c.steps.min > 50, "min {} too small", c.steps.min);
         assert!(c.steps.min <= max);
+    }
+
+    /// Every spelling of a counter update keeps its exact trip count:
+    /// `++`/`--` are one `AddLocal` carrying the delta, `+=` and
+    /// `i = i ± c` are recognised by the ops before their store, be it
+    /// the pop-store of a discarded assignment or the peek-store of one
+    /// whose value is used. The steps the VM bills lie between static
+    /// bounds less than one trip apart.
+    #[test]
+    fn every_counter_update_spelling_is_a_counted_loop() {
+        for (init, cond, update) in [
+            ("0", "i < 12", "i++"),
+            ("0", "i < 12", "++i"),
+            ("12", "i > 0", "i--"),
+            ("12", "i >= 1", "--i"),
+            ("0", "i < 12", "i += 5"),
+            ("12", "i > 0", "i -= 4"),
+            ("0", "i <= 12", "i = i + 3"),
+            ("0", "i < 12", "x = (i += 2)"),
+            ("0", "i < 12", "x = i++"),
+        ] {
+            let as_clause =
+                format!("var x = 0;\nfor (var i = {init}; {cond}; {update}) {{ x = 1; }}");
+            let as_stmt = format!(
+                "function f() {{ var x = 0; var i = {init}; while ({cond}) {{ x = 1; {update}; }} }}\nf();"
+            );
+            for src in [as_clause, as_stmt] {
+                let c = load_cost(&src);
+                let Max::Finite(max) = c.steps.max else {
+                    panic!("{src}: no finite bound: {c}");
+                };
+                let mut interp = crate::Interpreter::new();
+                interp.set_budget(Some(1_000_000));
+                interp.eval(&src).expect("runs");
+                let billed = 1_000_000 - interp.steps_remaining();
+                assert!(
+                    c.steps.min <= billed && billed <= max,
+                    "{src}: {billed} {c}"
+                );
+                // Less than one trip of slack: the trip count is exact.
+                assert!(max - c.steps.min < 8, "{src}: {c}");
+            }
+        }
+    }
+
+    /// A store past the end of an array bills the elements it adds, so
+    /// the static charge covers `index + 1` for a known index and is
+    /// unbounded for an unknown one.
+    #[test]
+    fn indexed_store_growth_is_priced() {
+        let known = load_cost("var a = [];\na[4999] = 1;");
+        assert_eq!(known.charge.max, Max::Finite(5000), "{known}");
+        let unknown = load_cost("function f(i) { var a = []; a[i] = 1; }\nf(now());");
+        assert_eq!(unknown.charge.max, Max::Unbounded, "{unknown}");
+        let keyed = load_cost("var o = {};\no['k'] = 1;");
+        assert_eq!(keyed.charge.max, Max::Finite(0), "{keyed}");
     }
 
     #[test]

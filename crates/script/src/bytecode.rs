@@ -39,10 +39,15 @@ pub enum Op {
     /// Push a closure over `protos[i]`, capturing its upvalues now.
     MakeClosure(u16),
 
-    /// Push / peek-store / pop-store a plain frame slot.
+    /// Push / peek-store / pop-store a plain frame slot. The pop-store
+    /// serves `var` declarations and assignments to a bound local whose
+    /// value is discarded (`x = e;` as a statement).
     LoadLocal(u16),
     StoreLocal(u16),
     DeclLocal(u16),
+    /// `++` / `--` on a bound plain frame slot, in place: the operand is
+    /// +1 or -1 (numbers only). Pushes nothing; `x = i++` loads first.
+    AddLocal(u16, i8),
     /// Same for a heap cell held in a frame slot (captured variable).
     LoadCell(u16),
     StoreCell(u16),
@@ -94,6 +99,10 @@ pub enum Op {
 
     /// Property read through `members[i]` (name + inline cache).
     GetMember(u16),
+    /// `GetMember(i)` on the value in bound plain frame slot `s`, read
+    /// through a borrow of the slot: the receiver is neither cloned nor
+    /// pushed.
+    GetLocalMember(u16, u16),
     /// Pop object, store top-of-stack into property `members[i]`.
     SetMember(u16),
     /// Pop index and object, push `object[index]`.
@@ -154,7 +163,9 @@ impl Clone for GlobalSite {
 }
 
 /// A named property-access site with an inline cache of the property's
-/// index inside the receiver's [`crate::value::ObjMap`].
+/// index inside the receiver's [`crate::value::ObjMap`]. The name is an
+/// interned key ([`crate::value::intern`]), so the cache check against
+/// an object built from a literal or a message compares pointers.
 #[derive(Debug)]
 pub struct MemberSite {
     pub name: Rc<str>,
@@ -210,7 +221,8 @@ pub struct Chunk {
     pub lines: Vec<u32>,
     pub consts: Vec<Value>,
     pub protos: Vec<Rc<FnProto>>,
-    /// Key lists for object literals.
+    /// Key lists for object literals; the keys of one shape are
+    /// distinct (`MakeObject` builds the map without looking).
     pub shapes: Vec<Rc<[Rc<str>]>>,
     pub globals: Vec<GlobalSite>,
     pub members: Vec<MemberSite>,
@@ -326,6 +338,7 @@ fn render_op(c: &Chunk, op: Op) -> String {
         Op::LoadLocal(s) => format!("LoadLocal    {s}"),
         Op::StoreLocal(s) => format!("StoreLocal   {s}"),
         Op::DeclLocal(s) => format!("DeclLocal    {s}"),
+        Op::AddLocal(s, d) => format!("AddLocal     {s} {d:+}"),
         Op::LoadCell(s) => format!("LoadCell     {s}"),
         Op::StoreCell(s) => format!("StoreCell    {s}"),
         Op::DeclCell(s) => format!("DeclCell     {s}"),
@@ -368,6 +381,7 @@ fn render_op(c: &Chunk, op: Op) -> String {
         Op::Inc => "Inc".into(),
         Op::Dec => "Dec".into(),
         Op::GetMember(i) => format!("GetMember    {}", member(i)),
+        Op::GetLocalMember(s, i) => format!("GetLocalMem  {s} {}", member(i)),
         Op::SetMember(i) => format!("SetMember    {}", member(i)),
         Op::GetIndex => "GetIndex".into(),
         Op::SetIndex => "SetIndex".into(),

@@ -40,7 +40,7 @@ use crate::bytecode::{
 };
 use crate::error::{ErrorKind, ScriptError};
 use crate::parser::parse;
-use crate::value::Value;
+use crate::value::{intern, Value};
 
 /// Parses and compiles a source string.
 ///
@@ -313,7 +313,7 @@ impl Compiler {
         let n = self.fun().chunk.members.len();
         let idx = self.limit(n)?;
         self.fun().chunk.members.push(MemberSite {
-            name: name.clone(),
+            name: intern(name),
             cache: std::cell::Cell::new(u32::MAX),
         });
         Ok(idx)
@@ -552,6 +552,20 @@ impl Compiler {
         Ok(())
     }
 
+    /// The frame slot of `name` when it resolves to exactly one
+    /// candidate, a definitely-bound plain (uncaptured) local: the only
+    /// bindings the slot-addressed ops (`GetLocalMember`, `AddLocal`,
+    /// the pop-store of a discarded assignment) may name.
+    fn bound_local(&mut self, target: &Expr) -> Option<u16> {
+        let Expr::Ident(name) = target else {
+            return None;
+        };
+        match self.resolve(name)[..] {
+            [Cand::Local { slot, cell: false }] => Some(slot),
+            _ => None,
+        }
+    }
+
     /// Emits the declaration for a `var` in the current scope and, at
     /// an unconditional position, marks the binding bound from here on.
     fn emit_decl(&mut self, name: &Rc<str>) -> Result<(), ScriptError> {
@@ -637,11 +651,7 @@ impl Compiler {
             // (e.g. as a bare `if` arm) the tree-walk executes them as
             // a no-op, so the compiler emits nothing either.
             Stmt::Func { .. } => Ok(()),
-            Stmt::Expr { expr, .. } => {
-                self.compile_expr(expr)?;
-                self.emit(Op::Pop);
-                Ok(())
-            }
+            Stmt::Expr { expr, .. } => self.compile_discarded(expr),
             Stmt::If {
                 cond, then, els, ..
             } => {
@@ -775,8 +785,7 @@ impl Compiler {
                 self.fun().cond_depth -= 1;
                 let step_pos = self.here() as u32;
                 if let Some(step) = step {
-                    self.compile_expr(step)?;
-                    self.emit(Op::Pop);
+                    self.compile_discarded(step)?;
                 }
                 self.emit(Op::Jump(start));
                 if let Some(jf) = jf {
@@ -857,14 +866,30 @@ impl Compiler {
                 self.emit(Op::MakeArray(n));
             }
             Expr::Object(props) => {
-                for (_, value) in props {
-                    self.compile_expr(value)?;
+                let distinct = props
+                    .iter()
+                    .enumerate()
+                    .all(|(i, (k, _))| props[..i].iter().all(|(earlier, _)| earlier != k));
+                if distinct {
+                    for (_, value) in props {
+                        self.compile_expr(value)?;
+                    }
+                    let keys = props.iter().map(|(k, _)| intern(k)).collect();
+                    self.emit_make_object(keys)?;
+                } else {
+                    // `{a: 1, a: 2}`: a shape's keys are distinct, so a
+                    // literal that repeats one is built by stores, each
+                    // replacing in place like the tree-walk's inserts.
+                    self.emit_make_object(Rc::from([]))?;
+                    for (key, value) in props {
+                        self.emit(Op::Dup);
+                        self.compile_expr(value)?;
+                        self.emit(Op::Swap);
+                        let site = self.member_site(key)?;
+                        self.emit(Op::SetMember(site));
+                        self.emit(Op::Pop);
+                    }
                 }
-                let keys: Rc<[Rc<str>]> = props.iter().map(|(k, _)| k.clone()).collect();
-                let n = self.fun().chunk.shapes.len();
-                let idx = self.limit(n)?;
-                self.fun().chunk.shapes.push(keys);
-                self.emit(Op::MakeObject(idx));
             }
             Expr::Func { params, body } => {
                 let proto = self.compile_function(Rc::from("<anonymous>"), params, body)?;
@@ -904,16 +929,7 @@ impl Compiler {
                 self.patch_jump(jend);
             }
             Expr::Assign { target, op, value } => {
-                // Evaluation order matches the tree-walk exactly: rhs
-                // first, then the current value (for compound ops),
-                // then the target's object/index expressions *again*
-                // for the store — including their side effects.
-                self.compile_expr(value)?;
-                if let Some(op) = op {
-                    self.compile_read_of_target(target)?;
-                    self.emit(Op::Swap);
-                    self.emit(bin_op(*op));
-                }
+                self.compile_assign_value(target, *op, value)?;
                 self.compile_store_to_target(target)?;
             }
             Expr::Update {
@@ -921,14 +937,27 @@ impl Compiler {
                 increment,
                 prefix,
             } => {
-                self.compile_read_of_target(target)?;
-                if !*prefix {
-                    self.emit(Op::Dup);
-                }
-                self.emit(if *increment { Op::Inc } else { Op::Dec });
-                self.compile_store_to_target(target)?;
-                if !*prefix {
-                    self.emit(Op::Pop);
+                if let Some(slot) = self.bound_local(target) {
+                    // The slot is bumped in place; the expression's
+                    // value is the slot read before or after.
+                    let bump = Op::AddLocal(slot, if *increment { 1 } else { -1 });
+                    let (first, second) = if *prefix {
+                        (bump, Op::LoadLocal(slot))
+                    } else {
+                        (Op::LoadLocal(slot), bump)
+                    };
+                    self.emit(first);
+                    self.emit(second);
+                } else {
+                    self.compile_read_of_target(target)?;
+                    if !*prefix {
+                        self.emit(Op::Dup);
+                    }
+                    self.emit(if *increment { Op::Inc } else { Op::Dec });
+                    self.compile_store_to_target(target)?;
+                    if !*prefix {
+                        self.emit(Op::Pop);
+                    }
                 }
             }
             Expr::Call { callee, args, line } => {
@@ -953,17 +982,86 @@ impl Compiler {
                     self.emit(Op::Call(argc));
                 }
             }
-            Expr::Member { object, name } => {
-                self.compile_expr(object)?;
-                let site = self.member_site(name)?;
-                self.emit(Op::GetMember(site));
-            }
+            Expr::Member { object, name } => self.compile_member_read(object, name)?,
             Expr::Index { object, index } => {
                 self.compile_expr(object)?;
                 self.compile_expr(index)?;
                 self.emit(Op::GetIndex);
             }
         }
+        Ok(())
+    }
+
+    /// An expression whose value nobody reads (an expression statement,
+    /// a `for` update clause). `++`/`--` and assignment are the cases
+    /// worth a lowering of their own: on a bound plain local they leave
+    /// nothing on the stack to pop, and a discarded `x++` anywhere is
+    /// `++x` (no copy of the old value).
+    fn compile_discarded(&mut self, e: &Expr) -> Result<(), ScriptError> {
+        match e {
+            Expr::Update {
+                target, increment, ..
+            } => {
+                if let Some(slot) = self.bound_local(target) {
+                    self.emit(Op::AddLocal(slot, if *increment { 1 } else { -1 }));
+                    return Ok(());
+                }
+                self.compile_read_of_target(target)?;
+                self.emit(if *increment { Op::Inc } else { Op::Dec });
+                self.compile_store_to_target(target)?;
+            }
+            Expr::Assign { target, op, value } => {
+                self.compile_assign_value(target, *op, value)?;
+                if let Some(slot) = self.bound_local(target) {
+                    self.emit(Op::DeclLocal(slot));
+                    return Ok(());
+                }
+                self.compile_store_to_target(target)?;
+            }
+            other => self.compile_expr(other)?,
+        }
+        self.emit(Op::Pop);
+        Ok(())
+    }
+
+    /// Pushes the value an assignment stores. Evaluation order matches
+    /// the tree-walk exactly: rhs first, then the current value (for
+    /// compound ops); the store evaluates the target's object/index
+    /// expressions *again* — including their side effects.
+    fn compile_assign_value(
+        &mut self,
+        target: &Expr,
+        op: Option<BinOp>,
+        value: &Expr,
+    ) -> Result<(), ScriptError> {
+        self.compile_expr(value)?;
+        if let Some(op) = op {
+            self.compile_read_of_target(target)?;
+            self.emit(Op::Swap);
+            self.emit(bin_op(op));
+        }
+        Ok(())
+    }
+
+    /// `object.name` as a value: fused into one borrowing read when the
+    /// receiver is a bound plain local.
+    fn compile_member_read(&mut self, object: &Expr, name: &Rc<str>) -> Result<(), ScriptError> {
+        let op = match self.bound_local(object) {
+            Some(slot) => Op::GetLocalMember(slot, self.member_site(name)?),
+            None => {
+                self.compile_expr(object)?;
+                Op::GetMember(self.member_site(name)?)
+            }
+        };
+        self.emit(op);
+        Ok(())
+    }
+
+    fn emit_make_object(&mut self, keys: Rc<[Rc<str>]>) -> Result<(), ScriptError> {
+        let n = self.fun().chunk.shapes.len();
+        let idx = self.limit(n)?;
+        self.fun().chunk.shapes.push(keys);
+        self.emit(Op::MakeObject(idx));
         Ok(())
     }
 
@@ -992,12 +1090,7 @@ impl Compiler {
     fn compile_read_of_target(&mut self, target: &Expr) -> Result<(), ScriptError> {
         match target {
             Expr::Ident(name) => self.emit_load_ident(name),
-            Expr::Member { object, name } => {
-                self.compile_expr(object)?;
-                let site = self.member_site(name)?;
-                self.emit(Op::GetMember(site));
-                Ok(())
-            }
+            Expr::Member { object, name } => self.compile_member_read(object, name),
             Expr::Index { object, index } => {
                 self.compile_expr(object)?;
                 self.compile_expr(index)?;
@@ -1198,8 +1291,14 @@ fn all_idents_stmt(s: &Stmt, out: &mut BTreeSet<Rc<str>>) {
 }
 
 fn all_idents_expr(e: &Expr, out: &mut BTreeSet<Rc<str>>) {
-    if let Expr::Ident(name) = e {
-        out.insert(name.clone());
+    match e {
+        Expr::Ident(name) => {
+            out.insert(name.clone());
+        }
+        // A function expression inside the nested function captures
+        // from here through it.
+        Expr::Func { body, .. } => all_idents_stmts(body, out),
+        _ => {}
     }
     walk_subexprs(e, &mut |sub| all_idents_expr(sub, out));
 }

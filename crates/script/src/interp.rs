@@ -58,6 +58,8 @@ pub struct Interpreter {
     pub(crate) depth: usize,
     pub(crate) current_line: u32,
     engine: Engine,
+    /// Stacks of finished VM machines, kept for the next one.
+    pub(crate) vm_stacks: Vec<crate::vm::Stacks>,
 }
 
 impl std::fmt::Debug for Interpreter {
@@ -94,6 +96,7 @@ impl Interpreter {
             depth: 0,
             current_line: 0,
             engine,
+            vm_stacks: Vec::new(),
         }
     }
 
@@ -494,7 +497,7 @@ impl Interpreter {
                 let mut map = crate::value::ObjMap::new();
                 for (key, value) in props {
                     let v = self.eval_expr(value, env)?;
-                    map.insert(&**key, v);
+                    map.insert(key.clone(), v);
                 }
                 Ok(Value::object(map))
             }
@@ -559,16 +562,9 @@ impl Interpreter {
                 prefix,
             } => {
                 let current = self.eval_expr(target, env)?;
-                let n = current.as_num().ok_or_else(|| {
-                    self.rt_err(
-                        ErrorKind::Type,
-                        format!(
-                            "cannot {} a {}",
-                            if *increment { "increment" } else { "decrement" },
-                            current.type_name()
-                        ),
-                    )
-                })?;
+                let n = current
+                    .as_num()
+                    .ok_or_else(|| self.update_err(*increment, &current))?;
                 let updated = if *increment { n + 1.0 } else { n - 1.0 };
                 self.assign_to(target, Value::Num(updated), env)?;
                 Ok(Value::Num(if *prefix { updated } else { n }))
@@ -718,12 +714,12 @@ impl Interpreter {
     pub(crate) fn set_member_value(
         &self,
         obj: &Value,
-        name: &str,
+        name: &Rc<str>,
         value: Value,
     ) -> Result<(), ScriptError> {
         match obj {
             Value::Object(map) => {
-                map.borrow_mut().insert(name, value);
+                map.borrow_mut().insert(name.clone(), value);
                 Ok(())
             }
             other => Err(self.rt_err(
@@ -733,29 +729,48 @@ impl Interpreter {
         }
     }
 
+    /// The refusal of `++`/`--` on a non-number (one text for the
+    /// tree-walk and the VM's stack and slot forms).
+    pub(crate) fn update_err(&self, increment: bool, operand: &Value) -> ScriptError {
+        let verb = if increment { "increment" } else { "decrement" };
+        self.rt_err(
+            ErrorKind::Type,
+            format!("cannot {verb} a {}", operand.type_name()),
+        )
+    }
+
     /// Stores into `obj[idx]` (shared by tree-walk `assign_to` and the
     /// VM's `SetIndex`).
     pub(crate) fn set_index_value(
-        &self,
+        &mut self,
         obj: &Value,
         idx: &Value,
         value: Value,
     ) -> Result<(), ScriptError> {
         match (obj, idx) {
             (Value::Array(items), Value::Num(n)) => {
-                let i = *n as usize;
                 if n.fract() != 0.0 || *n < 0.0 {
                     return Err(self.rt_err(ErrorKind::Type, format!("invalid array index {n}")));
                 }
+                // `as` saturates: an index past `usize::MAX` has no slot.
+                let i = *n as usize;
+                let Some(new_len) = i.checked_add(1) else {
+                    return Err(self.rt_err(ErrorKind::Type, format!("invalid array index {n}")));
+                };
                 let mut items = items.borrow_mut();
-                if i >= items.len() {
-                    items.resize(i + 1, Value::Null);
+                if new_len > items.len() {
+                    // One store can grow the array by any amount for a
+                    // single step; bill the new elements before making
+                    // them, so `a[1e15] = 1` meets the watchdog and not
+                    // the allocator (same rule as `join`'s output).
+                    self.charge((new_len - items.len()) as u64)?;
+                    items.resize(new_len, Value::Null);
                 }
                 items[i] = value;
                 Ok(())
             }
             (Value::Object(map), Value::Str(key)) => {
-                map.borrow_mut().insert(key.to_string(), value);
+                map.borrow_mut().insert(key.clone(), value);
                 Ok(())
             }
             (obj, idx) => Err(self.rt_err(

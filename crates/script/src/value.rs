@@ -1,6 +1,7 @@
 //! Runtime values of PogoScript.
 
 use std::cell::RefCell;
+use std::collections::HashSet;
 use std::fmt;
 use std::rc::Rc;
 
@@ -9,12 +10,57 @@ use crate::env::Env;
 use crate::error::ScriptError;
 use crate::interp::Interpreter;
 
+/// Most distinct property keys [`intern`] keeps. Keys also arrive from
+/// outside the program (message JSON), so the table must not grow with
+/// them; once full, a new key is handed out unshared and lookups fall
+/// back to comparing text.
+pub const INTERN_CAP: usize = 4096;
+
+/// Longest key [`intern`] keeps, in bytes: with [`INTERN_CAP`] it bounds
+/// the table at 256 kB of key text whatever a peer sends.
+const INTERN_MAX_LEN: usize = 64;
+
+thread_local! {
+    static KEYS: RefCell<HashSet<Rc<str>>> = RefCell::new(HashSet::new());
+}
+
+/// The shared `Rc<str>` for a property key. The compiler's member sites
+/// and object shapes and the host's message conversion all draw keys
+/// from here, so the same name in a script and in the objects it reads
+/// is usually one allocation and key equality is usually a pointer
+/// compare. Sharing is only ever a speedup: every [`ObjMap`] lookup
+/// falls back to comparing text.
+pub fn intern(key: &str) -> Rc<str> {
+    KEYS.with(|keys| {
+        let mut keys = keys.borrow_mut();
+        if let Some(k) = keys.get(key) {
+            return k.clone();
+        }
+        let k: Rc<str> = Rc::from(key);
+        if keys.len() < INTERN_CAP && key.len() <= INTERN_MAX_LEN {
+            keys.insert(k.clone());
+        }
+        k
+    })
+}
+
+/// Keys this thread's interner holds (at most its fixed cap).
+pub fn interned_keys() -> usize {
+    KEYS.with(|keys| keys.borrow().len())
+}
+
+/// Key equality: the same allocation, or else the same text.
+fn key_eq(a: &str, b: &str) -> bool {
+    std::ptr::eq(a, b) || a == b
+}
+
 /// An insertion-ordered string-keyed map — the representation of script
 /// objects. Order is preserved so serialization is deterministic; lookups
-/// are linear, which is fine for the small messages Pogo exchanges.
+/// are linear, which is fine for the small messages Pogo exchanges. Keys
+/// are `Rc<str>`, shared with whoever supplied them (see [`intern`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ObjMap {
-    entries: Vec<(String, Value)>,
+    entries: Vec<(Rc<str>, Value)>,
 }
 
 impl ObjMap {
@@ -23,21 +69,34 @@ impl ObjMap {
         ObjMap::default()
     }
 
+    /// An object literal's map: `keys[i]` holds `values[i]`. The keys
+    /// must be distinct — the compiler only emits such shapes and the
+    /// verifier rejects any other.
+    pub(crate) fn from_shape(keys: &[Rc<str>], values: impl Iterator<Item = Value>) -> Self {
+        ObjMap {
+            entries: keys.iter().cloned().zip(values).collect(),
+        }
+    }
+
     /// Looks up a key.
     pub fn get(&self, key: &str) -> Option<&Value> {
-        self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+        self.entries
+            .iter()
+            .find(|(k, _)| key_eq(k, key))
+            .map(|(_, v)| v)
     }
 
     /// Inserts or replaces a key, preserving the original position on
-    /// replacement. Returns the previous value if any.
-    pub fn insert(&mut self, key: impl Into<String>, value: Value) -> Option<Value> {
-        let key = key.into();
+    /// replacement. Returns the previous value if any. The key is only
+    /// converted (and, for a `&str` or `String`, allocated) when it is
+    /// new to the map.
+    pub fn insert(&mut self, key: impl AsRef<str> + Into<Rc<str>>, value: Value) -> Option<Value> {
         for (k, v) in &mut self.entries {
-            if *k == key {
+            if key_eq(k, key.as_ref()) {
                 return Some(std::mem::replace(v, value));
             }
         }
-        self.entries.push((key, value));
+        self.entries.push((key.into(), value));
         None
     }
 
@@ -46,19 +105,19 @@ impl ObjMap {
     /// are stable: [`ObjMap::insert`] replaces in place.
     pub(crate) fn get_at(&self, idx: usize, key: &str) -> Option<&Value> {
         match self.entries.get(idx) {
-            Some((k, v)) if k == key => Some(v),
+            Some((k, v)) if key_eq(k, key) => Some(v),
             _ => None,
         }
     }
 
     /// The entry index of `key`, for cache population.
     pub(crate) fn index_of(&self, key: &str) -> Option<usize> {
-        self.entries.iter().position(|(k, _)| k == key)
+        self.entries.iter().position(|(k, _)| key_eq(k, key))
     }
 
     /// Removes a key, returning its value.
     pub fn remove(&mut self, key: &str) -> Option<Value> {
-        let idx = self.entries.iter().position(|(k, _)| k == key)?;
+        let idx = self.index_of(key)?;
         Some(self.entries.remove(idx).1)
     }
 
@@ -74,17 +133,17 @@ impl ObjMap {
 
     /// Iterates entries in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), v))
+        self.entries.iter().map(|(k, v)| (&**k, v))
     }
 
     /// The keys in insertion order.
     pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.entries.iter().map(|(k, _)| k.as_str())
+        self.entries.iter().map(|(k, _)| &**k)
     }
 }
 
-impl FromIterator<(String, Value)> for ObjMap {
-    fn from_iter<T: IntoIterator<Item = (String, Value)>>(iter: T) -> Self {
+impl<K: AsRef<str> + Into<Rc<str>>> FromIterator<(K, Value)> for ObjMap {
+    fn from_iter<T: IntoIterator<Item = (K, Value)>>(iter: T) -> Self {
         let mut map = ObjMap::new();
         for (k, v) in iter {
             map.insert(k, v);

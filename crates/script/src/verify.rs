@@ -7,7 +7,8 @@
 //! layers:
 //!
 //! 1. **Table shape** — side tables are internally consistent:
-//!    `lines` parallels `ops`, site/chain names are non-empty,
+//!    `lines` parallels `ops`, site/chain names are non-empty, the
+//!    keys of an object shape are distinct,
 //!    resolution chains have at least one candidate with slot/upvalue
 //!    references inside the frame, params fit the frame, and nested
 //!    prototypes' upvalue recipes index *their parent's* frame/upvalue
@@ -55,6 +56,7 @@ pub const VERIFY_CODES: &[&str] = &[
     "VERIFY_STACK_UNDERFLOW",
     "VERIFY_STACK_MERGE",
     "VERIFY_FALLTHROUGH_END",
+    "VERIFY_SHAPE_KEYS",
 ];
 
 /// A structural defect in a compiled chunk. `code` is from
@@ -197,6 +199,22 @@ fn verify_tables(proto: &FnProto, parent: Option<&FnProto>, path: &str) -> Resul
             ));
         }
     }
+    for (i, shape) in chunk.shapes.iter().enumerate() {
+        // `MakeObject` zips keys with values without looking for a
+        // repeat; a literal that repeats a key is lowered to stores.
+        if let Some((_, key)) = shape
+            .iter()
+            .enumerate()
+            .find(|(j, key)| shape[..*j].contains(key))
+        {
+            return Err(err(
+                "VERIFY_SHAPE_KEYS",
+                path,
+                0,
+                format!("shape {i} repeats key `{key}`"),
+            ));
+        }
+    }
     for (i, chain) in chunk.chains.iter().enumerate() {
         if chain.cands.is_empty() {
             return Err(err(
@@ -286,6 +304,8 @@ fn verify_operands(proto: &FnProto, path: &str) -> Result<(), VerifyError> {
             Op::LoadLocal(s)
             | Op::StoreLocal(s)
             | Op::DeclLocal(s)
+            | Op::AddLocal(s, _)
+            | Op::GetLocalMember(s, _)
             | Op::LoadCell(s)
             | Op::StoreCell(s)
             | Op::DeclCell(s)
@@ -323,7 +343,10 @@ fn verify_operands(proto: &FnProto, path: &str) -> Result<(), VerifyError> {
                     chunk.globals.len(),
                 );
             }
-            Op::GetMember(i) | Op::SetMember(i) | Op::CallMethod(i, _)
+            Op::GetMember(i)
+            | Op::GetLocalMember(_, i)
+            | Op::SetMember(i)
+            | Op::CallMethod(i, _)
                 if i as usize >= chunk.members.len() =>
             {
                 return oob(
@@ -348,6 +371,14 @@ fn verify_operands(proto: &FnProto, path: &str) -> Result<(), VerifyError> {
                 if f as usize >= n {
                     return oob("VERIFY_MATH_INDEX", at, "Math builtin", f as usize, n);
                 }
+            }
+            Op::AddLocal(_, d) if d != 1 && d != -1 => {
+                return Err(err(
+                    "VERIFY_OPERAND",
+                    path,
+                    at,
+                    format!("AddLocal delta {d} (expected +1 or -1)"),
+                ));
             }
             Op::FlowErr(kind) if kind > 1 => {
                 return Err(err(
@@ -384,6 +415,7 @@ fn stack_effect(op: Op, chunk: &Chunk) -> (usize, usize) {
         | Op::PushFalse
         | Op::MakeClosure(_)
         | Op::LoadLocal(_)
+        | Op::GetLocalMember(_, _)
         | Op::LoadCell(_)
         | Op::LoadUpval(_)
         | Op::LoadGlobal(_)
@@ -397,7 +429,7 @@ fn stack_effect(op: Op, chunk: &Chunk) -> (usize, usize) {
         | Op::StoreGlobal(_)
         | Op::StoreChain(_) => (1, 1),
         Op::DeclLocal(_) | Op::DeclCell(_) | Op::DeclGlobal(_) => (1, 0),
-        Op::NewCell(_) | Op::ClearSlot(_) => (0, 0),
+        Op::NewCell(_) | Op::ClearSlot(_) | Op::AddLocal(_, _) => (0, 0),
         Op::Pop | Op::SetResult => (1, 0),
         Op::Dup => (1, 2),
         Op::Swap => (2, 2),

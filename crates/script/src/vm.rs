@@ -7,7 +7,14 @@
 //! closure or a native, and vice versa) go through
 //! [`Interpreter::call_value`], which may nest another machine — the
 //! shared `Interpreter::depth` counter bounds the total exactly like
-//! the tree-walk's `MAX_DEPTH`.
+//! the tree-walk's `MAX_DEPTH`. A machine's stacks are borrowed from
+//! the interpreter and handed back when it finishes ([`Stacks`]), so a
+//! callback — or each comparator call of an `Array.sort` — reuses the
+//! buffers of the one before it.
+//!
+//! Reads borrow where they can: `GetLocalMember` looks a property up
+//! through a reference to the frame slot, and the only `Value` it
+//! clones is the property it pushes.
 //!
 //! The watchdog is a per-instruction budget decrement on
 //! `Interpreter::steps_remaining` — the same counter, message, and
@@ -27,7 +34,7 @@ use std::rc::Rc;
 
 use crate::ast::BinOp;
 use crate::builtins;
-use crate::bytecode::{ChainRef, CompiledProgram, FnProto, Op, UpvalSrc};
+use crate::bytecode::{ChainRef, CompiledProgram, FnProto, MemberSite, Op, UpvalSrc};
 use crate::error::{ErrorKind, ScriptError};
 use crate::interp::{Interpreter, MAX_DEPTH};
 use crate::value::{Closure, ClosureRepr, ObjMap, UpvalCell, Value};
@@ -38,8 +45,7 @@ pub(crate) fn run_main(
     interp: &mut Interpreter,
     program: &CompiledProgram,
 ) -> Result<Value, ScriptError> {
-    let mut machine = Machine::new(interp);
-    machine.run(program.main.clone(), Rc::from([]), &[])
+    Machine::new(interp).run(program.main.clone(), Rc::from([]), &[])
 }
 
 /// Calls a compiled closure (host callback delivery, or a tree-walk /
@@ -54,10 +60,7 @@ pub(crate) fn call_closure(
         return Err(interp.rt_err(ErrorKind::StackOverflow, "call stack exhausted"));
     }
     interp.depth += 1;
-    let result = {
-        let mut machine = Machine::new(interp);
-        machine.run(proto.clone(), upvals.clone(), args)
-    };
+    let result = Machine::new(interp).run(proto.clone(), upvals.clone(), args);
     interp.depth -= 1;
     result
 }
@@ -65,7 +68,7 @@ pub(crate) fn call_closure(
 /// A frame slot. Bindings start [`Slot::Empty`] ("declaration has not
 /// executed yet" — PogoScript `var` does not hoist) and become values
 /// or shared cells; `for..in` iterator state hides in a slot too.
-enum Slot {
+pub(crate) enum Slot {
     Empty,
     Val(Value),
     Cell(UpvalCell),
@@ -75,12 +78,22 @@ enum Slot {
 /// An execution frame. The running frame lives *outside* the machine
 /// (borrow-friendly for the dispatch loop); `Machine::frames` holds
 /// only suspended callers.
-struct Frame {
+pub(crate) struct Frame {
     proto: Rc<FnProto>,
     upvals: Rc<[UpvalCell]>,
     ip: usize,
     slot_base: usize,
     stack_base: usize,
+}
+
+/// One machine's operand stack, frame slots and suspended frames. The
+/// interpreter keeps the sets its finished machines handed back (one
+/// per level of machine nesting ever reached), all empty.
+#[derive(Default)]
+pub(crate) struct Stacks {
+    stack: Vec<Value>,
+    slots: Vec<Slot>,
+    frames: Vec<Frame>,
 }
 
 struct Machine<'a> {
@@ -93,21 +106,45 @@ struct Machine<'a> {
     result: Value,
 }
 
+/// The property `site` names in `map`, through the site's inline cache:
+/// the cached entry index is checked against the name on every use and
+/// refilled on a miss, so it only ever changes probe order.
+fn cached_member(map: &ObjMap, site: &MemberSite) -> Value {
+    let cached = site.cache.get();
+    if cached != u32::MAX {
+        if let Some(v) = map.get_at(cached as usize, &site.name) {
+            return v.clone();
+        }
+    }
+    match map.index_of(&site.name) {
+        Some(idx) => {
+            site.cache.set(idx as u32);
+            map.get_at(idx, &site.name).cloned().unwrap_or(Value::Null)
+        }
+        None => Value::Null,
+    }
+}
+
 const TIMEOUT_MSG: &str = "instruction budget exhausted (callback watchdog)";
 
 impl<'a> Machine<'a> {
     fn new(interp: &'a mut Interpreter) -> Self {
+        let Stacks {
+            stack,
+            slots,
+            frames,
+        } = interp.vm_stacks.pop().unwrap_or_default();
         Machine {
             interp,
-            stack: Vec::with_capacity(16),
-            slots: Vec::with_capacity(16),
-            frames: Vec::new(),
+            stack,
+            slots,
+            frames,
             result: Value::Null,
         }
     }
 
     fn run(
-        &mut self,
+        mut self,
         proto: Rc<FnProto>,
         upvals: Rc<[UpvalCell]>,
         args: &[Value],
@@ -134,7 +171,15 @@ impl<'a> Machine<'a> {
             // Each suspended frame was entered through `push_frame`,
             // which incremented the shared depth counter.
             self.interp.depth -= self.frames.len();
+            self.stack.clear();
+            self.slots.clear();
+            self.frames.clear();
         }
+        self.interp.vm_stacks.push(Stacks {
+            stack: self.stack,
+            slots: self.slots,
+            frames: self.frames,
+        });
         result
     }
 
@@ -262,12 +307,9 @@ impl<'a> Machine<'a> {
                         self.stack.push(Value::array(items));
                     }
                     Op::MakeObject(i) => {
-                        let keys = chunk.shapes[i as usize].clone();
-                        let values = self.stack.split_off(self.stack.len() - keys.len());
-                        let mut map = ObjMap::new();
-                        for (k, v) in keys.iter().zip(values) {
-                            map.insert(k.to_string(), v);
-                        }
+                        let keys = &chunk.shapes[i as usize];
+                        let values = self.stack.drain(self.stack.len() - keys.len()..);
+                        let map = ObjMap::from_shape(keys, values);
                         self.stack.push(Value::object(map));
                     }
                     Op::MakeClosure(i) => {
@@ -316,6 +358,17 @@ impl<'a> Machine<'a> {
                         let v = self.pop();
                         self.slots[cur.slot_base + s as usize] = Slot::Val(v);
                     }
+                    Op::AddLocal(s, d) => match &mut self.slots[cur.slot_base + s as usize] {
+                        Slot::Val(Value::Num(n)) => *n += f64::from(d),
+                        Slot::Val(other) => {
+                            set_line!();
+                            return Err(self.interp.update_err(d > 0, other));
+                        }
+                        _ => {
+                            set_line!();
+                            return Err(self.internal_unbound());
+                        }
+                    },
                     Op::LoadCell(s) => match &self.slots[cur.slot_base + s as usize] {
                         Slot::Cell(c) => match &*c.borrow() {
                             Some(v) => {
@@ -545,13 +598,8 @@ impl<'a> Machine<'a> {
                         match a {
                             Value::Num(n) => *n += if inc { 1.0 } else { -1.0 },
                             _ => {
-                                let msg = format!(
-                                    "cannot {} a {}",
-                                    if inc { "increment" } else { "decrement" },
-                                    a.type_name()
-                                );
                                 set_line!();
-                                return Err(self.interp.rt_err(ErrorKind::Type, msg));
+                                return Err(self.interp.update_err(inc, a));
                             }
                         }
                     }
@@ -560,27 +608,7 @@ impl<'a> Machine<'a> {
                         let obj = self.pop();
                         let site = &chunk.members[i as usize];
                         let v = match &obj {
-                            Value::Object(map) => {
-                                let map = map.borrow();
-                                let cached = site.cache.get();
-                                let hit = if cached == u32::MAX {
-                                    None
-                                } else {
-                                    map.get_at(cached as usize, &site.name)
-                                };
-                                match hit {
-                                    Some(v) => v.clone(),
-                                    None => match map.index_of(&site.name) {
-                                        Some(idx) => {
-                                            site.cache.set(idx as u32);
-                                            map.get_at(idx, &site.name)
-                                                .cloned()
-                                                .unwrap_or(Value::Null)
-                                        }
-                                        None => Value::Null,
-                                    },
-                                }
-                            }
+                            Value::Object(map) => cached_member(&map.borrow(), site),
                             other => {
                                 set_line!();
                                 self.interp.get_member(other, &site.name)?
@@ -588,12 +616,30 @@ impl<'a> Machine<'a> {
                         };
                         self.stack.push(v);
                     }
+                    Op::GetLocalMember(s, i) => {
+                        let site = &chunk.members[i as usize];
+                        let v = match &self.slots[cur.slot_base + s as usize] {
+                            Slot::Val(Value::Object(map)) => cached_member(&map.borrow(), site),
+                            Slot::Val(Value::Array(items)) if &*site.name == "length" => {
+                                Value::Num(items.borrow().len() as f64)
+                            }
+                            Slot::Val(other) => {
+                                set_line!();
+                                self.interp.get_member(other, &site.name)?
+                            }
+                            _ => {
+                                set_line!();
+                                return Err(self.internal_unbound());
+                            }
+                        };
+                        self.stack.push(v);
+                    }
                     Op::SetMember(i) => {
                         let obj = self.pop();
-                        let name = chunk.members[i as usize].name.clone();
                         let v = self.top().clone();
                         set_line!();
-                        self.interp.set_member_value(&obj, &name, v)?;
+                        self.interp
+                            .set_member_value(&obj, &chunk.members[i as usize].name, v)?;
                     }
                     Op::GetIndex => {
                         let idx = self.pop();

@@ -41,7 +41,8 @@ pub fn eq_val(a: &Value, b: &Value) -> bool {
 /// value the program passed to `emit` (rendered, so heap identity does
 /// not leak in).
 pub struct Run {
-    pub result: Result<Value, (ErrorKind, String)>,
+    /// The value, or the error's kind, message and line.
+    pub result: Result<Value, (ErrorKind, String, u32)>,
     pub emitted: Vec<String>,
 }
 
@@ -63,7 +64,7 @@ fn finish(
     emitted: Rc<RefCell<Vec<String>>>,
 ) -> Run {
     Run {
-        result: result.map_err(|e| (e.kind(), e.message().to_owned())),
+        result: result.map_err(|e| (e.kind(), e.message().to_owned(), e.line())),
         emitted: Rc::try_unwrap(emitted)
             .map(RefCell::into_inner)
             .unwrap_or_else(|rc| rc.borrow().clone()),
@@ -105,14 +106,109 @@ pub fn paper_scripts() -> Vec<(String, String)> {
     out
 }
 
+// ---- probes of the slot-addressed lowerings ----------------------------------
+//
+// The compiler lowers a statement whose value is discarded (`x++;`,
+// `--x;`, `x = e;`, `x += e;`, also as a `for` update clause) and a
+// member read whose receiver is a plain local to ops that address the
+// frame slot. These snippets put each form next to the general ones it
+// must agree with — on a plain local, a captured local, an upvalue, a
+// global or block binding and a name assigned before its declaration
+// runs — holding a number, string, null, array or object, so each form
+// also meets the operands it must refuse. `VmGen` draws from them; the
+// differential suite also runs all of them.
+
+pub const PROBE_VALUES: [&str; 7] = [
+    "7",
+    "2.5",
+    "'s'",
+    "null",
+    "[1, 2]",
+    "{ a: 1, length: 'n' }",
+    "true",
+];
+pub const PROBE_PROPS: [&str; 3] = ["length", "a", "foo"];
+pub const PROBE_OPS: usize = 8;
+pub const PROBE_BINDINGS: usize = 5;
+pub const PROBE_READS: usize = 4;
+
+/// `op` applied, value discarded, to binding `x` of kind `binding`
+/// holding `value`; `e` is the right-hand side of the assignments.
+pub fn update_probe(
+    x: &str,
+    binding: usize,
+    op: usize,
+    value: &str,
+    e: &str,
+    in_for: bool,
+) -> String {
+    let op = match op {
+        0 => format!("{x}++"),
+        1 => format!("{x}--"),
+        2 => format!("++{x}"),
+        3 => format!("--{x}"),
+        4 => format!("{x} = {e}"),
+        5 => format!("{x} += {e}"),
+        6 => format!("{x} -= {e}"),
+        _ => format!("{x} *= {e}"),
+    };
+    let stmt = if in_for {
+        format!("for (var k{x} = 0; k{x} < 2; {op}) {{ k{x}++; }}")
+    } else {
+        format!("{op};")
+    };
+    match binding {
+        // plain local, then the value-context forms of the same ops
+        0 => format!(
+            "function f{x}() {{\nvar {x} = {value};\n{stmt}\nemit({x});\n\
+             emit({x}++ + {x});\nemit(--{x});\n}}\nf{x}();\n"
+        ),
+        // local captured by a closure: a cell
+        1 => format!(
+            "function f{x}() {{\nvar {x} = {value};\n\
+             var g = function () {{ return {x}; }};\n{stmt}\nemit(g());\n}}\nf{x}();\n"
+        ),
+        // upvalue
+        2 => format!(
+            "function f{x}() {{\nvar {x} = {value};\n\
+             var g = function () {{\n{stmt}\nreturn {x};\n}};\n\
+             emit(g());\nemit({x});\n}}\nf{x}();\n"
+        ),
+        // global, or a block's binding, wherever the snippet lands
+        3 => format!("var {x} = {value};\n{stmt}\nemit({x});\n"),
+        // resolved through a chain until its declaration has run
+        _ => format!(
+            "function f{x}() {{\n{x} = {value};\n{stmt}\nemit({x});\n\
+             var {x} = 1;\n{stmt}\nemit({x});\n}}\nf{x}();\n"
+        ),
+    }
+}
+
+/// Reads (and read-modify-writes) of `x.prop` with `x` a plain local
+/// — declared, or a parameter — holding `value`.
+pub fn read_probe(x: &str, value: &str, prop: &str, read: usize, as_param: bool) -> String {
+    let use_it = match read {
+        0 => format!("emit({x}.{prop});"),
+        1 => format!("emit({x}.{prop} + {x}.a);"),
+        2 => format!("{x}.{prop} += 1;\nemit({x}.{prop});"),
+        _ => format!("{x}.{prop}++;\nemit({x}.{prop});"),
+    };
+    if as_param {
+        format!("function f{x}({x}) {{\n{use_it}\n}}\nf{x}({value});\n")
+    } else {
+        format!("function f{x}() {{\nvar {x} = {value};\n{use_it}\n}}\nf{x}();\n")
+    }
+}
+
 // ---- program generator ------------------------------------------------------
 
 /// Random-program generator aimed at the compiler's hard spots: slot vs
 /// chain resolution (use-before-decl, shadowing, conditional
 /// declarations), cells (closures capturing loop variables), evaluation
 /// order (compound assignment, update expressions, call arguments),
-/// `Math` fast-path eligibility, and the error paths (undeclared
-/// reads/writes, bad operand types).
+/// `Math` fast-path eligibility, the slot-addressed lowerings (the
+/// probes above), and the error paths (undeclared reads/writes, bad
+/// operand types).
 pub struct VmGen {
     rng: rand::rngs::SmallRng,
     /// Scope chain of declared names (name, holds-a-number), innermost
@@ -295,7 +391,7 @@ impl VmGen {
         let kind = if depth >= 3 {
             self.range(0, 8)
         } else {
-            self.range(0, 16)
+            self.range(0, 17)
         };
         match kind {
             // var declaration: number, string, array, or object init
@@ -486,6 +582,7 @@ impl VmGen {
                     self.out.push_str(&format!("emit(({n}).length);\n"));
                 }
             }
+            16 => self.probe(),
             // nested block
             _ => {
                 self.out.push_str("{\n");
@@ -493,6 +590,35 @@ impl VmGen {
                 self.out.push_str("}\n");
             }
         }
+    }
+
+    /// One of the probes below, drawn at random, with a generated
+    /// right-hand side.
+    fn probe(&mut self) {
+        let x = self.fresh_name();
+        // Mostly an operand the form accepts, so that a program with a
+        // probe in it usually still runs to its end.
+        let reads = self.chance(35);
+        let (value, prop) = if self.chance(80) {
+            (PROBE_VALUES[if reads { 5 } else { self.range(0, 2) }], "a")
+        } else {
+            (
+                PROBE_VALUES[self.range(0, PROBE_VALUES.len())],
+                PROBE_PROPS[self.range(0, PROBE_PROPS.len())],
+            )
+        };
+        let snippet = if reads {
+            read_probe(&x, value, prop, self.range(0, PROBE_READS), self.chance(50))
+        } else {
+            let e = self.expr(1, 1);
+            let op = self.range(0, PROBE_OPS);
+            let binding = self.range(0, PROBE_BINDINGS);
+            if binding == 3 {
+                self.declare_here(x.clone(), false);
+            }
+            update_probe(&x, binding, op, value, &e, self.chance(25))
+        };
+        self.out.push_str(&snippet);
     }
 
     fn block(&mut self, depth: usize) {

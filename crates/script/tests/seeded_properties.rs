@@ -226,3 +226,138 @@ fn string_conversion_roundtrips_integers() {
         assert_eq!(v, Value::from(n as f64), "{n}");
     }
 }
+
+// ---- object representation ---------------------------------------------------
+
+/// `ObjMap` against a `Vec<(String, Value)>` model: get, insert (replace
+/// keeps the position), remove and iteration order agree after every
+/// step, whichever way a key arrives — borrowed text, an owned `String`,
+/// the interner's shared `Rc<str>`, or an `Rc<str>` of the same text
+/// that shares nothing. Sharing may only change how fast a key is found.
+#[test]
+fn objmap_agrees_with_a_vec_model_for_every_kind_of_key() {
+    use pogo_script::value::intern;
+    use pogo_script::ObjMap;
+    use std::rc::Rc;
+
+    const KEYS: [&str; 7] = ["a", "b", "aps", "bssid", "", "length", "a\u{e9}"];
+    for seed in 0..SEEDS {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut map = ObjMap::new();
+        let mut model: Vec<(String, Value)> = Vec::new();
+        for step in 0..rng.gen_range(1usize..60) {
+            let key = KEYS[rng.gen_range(0..KEYS.len())];
+            let at = model.iter().position(|(k, _)| k == key);
+            match rng.gen_range(0usize..7) {
+                kind @ 0..=3 => {
+                    let v = Value::Num(step as f64);
+                    let old = match kind {
+                        0 => map.insert(key, v.clone()),
+                        1 => map.insert(key.to_owned(), v.clone()),
+                        2 => map.insert(intern(key), v.clone()),
+                        _ => map.insert(Rc::<str>::from(key), v.clone()),
+                    };
+                    let expect = match at {
+                        Some(i) => Some(std::mem::replace(&mut model[i].1, v)),
+                        None => {
+                            model.push((key.to_owned(), v));
+                            None
+                        }
+                    };
+                    assert_eq!(old, expect, "seed {seed} step {step}: insert {key:?}");
+                }
+                4 => {
+                    let expect = at.map(|i| model.remove(i).1);
+                    assert_eq!(map.remove(key), expect, "seed {seed} step {step}");
+                }
+                _ => {
+                    let expect = at.map(|i| &model[i].1);
+                    assert_eq!(map.get(key), expect, "seed {seed} step {step}");
+                    assert_eq!(map.get(&intern(key)), expect, "seed {seed} step {step}");
+                }
+            }
+            let got: Vec<(&str, &Value)> = map.iter().collect();
+            let want: Vec<(&str, &Value)> = model.iter().map(|(k, v)| (k.as_str(), v)).collect();
+            assert_eq!(got, want, "seed {seed} step {step}: iteration order");
+            assert_eq!(map.len(), model.len());
+            assert!(map.keys().eq(model.iter().map(|(k, _)| k.as_str())));
+        }
+        // Collecting pairs is a sequence of inserts: a repeated key keeps
+        // its first position and its last value.
+        let collected: ObjMap = model
+            .iter()
+            .chain(model.first())
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect();
+        assert_eq!(collected, map, "seed {seed}: FromIterator");
+    }
+}
+
+/// An object literal that repeats a key keeps the key's first position
+/// and its last value on both engines (a shape's keys are distinct, so
+/// the VM builds such a literal by stores).
+#[test]
+fn a_literal_that_repeats_a_key_keeps_first_position_and_last_value() {
+    use pogo_script::Engine;
+    let src = "var n = 0;\n\
+               function next() { n = n + 1; return n; }\n\
+               var o = { a: next(), b: next(), a: next(), c: next(), b: next() };\n\
+               var order = '';\n\
+               for (var k in o) { order += k + o[k]; }\n\
+               order;";
+    for engine in [Engine::Bytecode, Engine::TreeWalk] {
+        let got = Interpreter::with_engine(engine).eval(src).unwrap();
+        assert_eq!(got, Value::str("a3b5c4"), "{engine:?}");
+    }
+}
+
+/// One compiled program — so one set of inline caches — run turn about
+/// on two interpreters whose objects hold the same keys in different
+/// orders: a cached entry index is a hint, checked against the key on
+/// every use, so neither interpreter reads the other's layout.
+#[test]
+fn a_shared_chunk_serves_interpreters_whose_objects_order_keys_differently() {
+    use pogo_script::value::intern;
+    use pogo_script::{compile, ObjMap};
+    use std::rc::Rc;
+
+    let program = compile(
+        "function pick(o) { var p = o; return p.a * 100 + o.b * 10 + p.c; }\n\
+         pick(make());",
+    )
+    .unwrap();
+    let orders: [[(&str, f64); 3]; 3] = [
+        [("a", 1.0), ("b", 2.0), ("c", 3.0)],
+        [("c", 3.0), ("a", 1.0), ("b", 2.0)],
+        [("b", 2.0), ("c", 3.0), ("a", 1.0)],
+    ];
+    let mut interps: Vec<Interpreter> = orders
+        .iter()
+        .enumerate()
+        .map(|(i, order)| {
+            let mut interp = Interpreter::new();
+            let order = *order;
+            interp.register_native("make", move |_, _| {
+                // Interned, unshared and freshly built keys by turns.
+                Ok(Value::object(match i {
+                    0 => order
+                        .iter()
+                        .map(|(k, v)| (intern(k), Value::Num(*v)))
+                        .collect::<ObjMap>(),
+                    1 => order
+                        .iter()
+                        .map(|(k, v)| (Rc::<str>::from(*k), Value::Num(*v)))
+                        .collect(),
+                    _ => order.iter().map(|(k, v)| (*k, Value::Num(*v))).collect(),
+                }))
+            });
+            interp
+        })
+        .collect();
+    for round in 0..4 {
+        for (i, interp) in interps.iter_mut().enumerate() {
+            let got = interp.run_compiled(&program).unwrap();
+            assert_eq!(got, Value::Num(123.0), "round {round}, interpreter {i}");
+        }
+    }
+}

@@ -132,10 +132,16 @@ fn mutate(chunk: &mut Chunk, rng: &mut SmallRng) -> (&'static str, bool) {
         }
         3 => {
             let i = rng.gen_range(0..n);
-            chunk.ops[i] = match rng.gen_range(0..4usize) {
-                0 => Op::LoadLocal((chunk.n_slots as usize + rng.gen_range(1..9usize)) as u16),
+            let past_slots = (chunk.n_slots as usize + rng.gen_range(0..9usize)) as u16;
+            let past_members = (chunk.members.len() + rng.gen_range(0..9usize)) as u16;
+            chunk.ops[i] = match rng.gen_range(0..7usize) {
+                0 => Op::LoadLocal(past_slots),
                 1 => Op::StoreGlobal((chunk.globals.len() + rng.gen_range(0..9usize)) as u16),
-                2 => Op::GetMember((chunk.members.len() + rng.gen_range(0..9usize)) as u16),
+                2 => Op::GetMember(past_members),
+                3 => Op::AddLocal(past_slots, 1),
+                4 => Op::GetLocalMember(past_slots, 0),
+                // Slot 0 may or may not exist; the member site does not.
+                5 => Op::GetLocalMember(0, past_members),
                 _ => Op::MakeClosure((chunk.protos.len() + rng.gen_range(0..9usize)) as u16),
             };
             ("table-index-out-of-range", true)
@@ -167,6 +173,54 @@ fn mutate(chunk: &mut Chunk, rng: &mut SmallRng) -> (&'static str, bool) {
             ("call-arity-flip", false)
         }
     }
+}
+
+/// The slot-addressed ops name a frame slot and (for the fused read) a
+/// member site; each operand out of range is its own stable code, and
+/// so are an `AddLocal` delta the compiler never emits and an object
+/// shape that repeats a key (`MakeObject` does not look for one).
+#[test]
+fn slot_addressed_ops_and_shapes_are_bounds_checked() {
+    let program =
+        compile("{\n  var o = { a: 1, b: 2 };\n  var i = 0;\n  i++;\n  --i;\n  o.a + o.b;\n}")
+            .unwrap();
+    let chunk = &program.main.chunk;
+    let (n_slots, n_members) = (chunk.n_slots, chunk.members.len() as u16);
+    let at = |want: fn(&Op) -> bool| chunk.ops.iter().position(want).expect("op is emitted");
+    let add = at(|op| matches!(op, Op::AddLocal(..)));
+    let read = at(|op| matches!(op, Op::GetLocalMember(..)));
+    let (Op::AddLocal(slot, _), Op::GetLocalMember(recv, site)) = (chunk.ops[add], chunk.ops[read])
+    else {
+        unreachable!()
+    };
+    for (ip, op, code) in [
+        (add, Op::AddLocal(n_slots, 1), "VERIFY_SLOT_INDEX"),
+        (add, Op::AddLocal(u16::MAX, -1), "VERIFY_SLOT_INDEX"),
+        (add, Op::AddLocal(slot, 2), "VERIFY_OPERAND"),
+        (add, Op::AddLocal(slot, 0), "VERIFY_OPERAND"),
+        (read, Op::GetLocalMember(n_slots, site), "VERIFY_SLOT_INDEX"),
+        (
+            read,
+            Op::GetLocalMember(recv, n_members),
+            "VERIFY_MEMBER_INDEX",
+        ),
+        (
+            read,
+            Op::GetLocalMember(recv, u16::MAX),
+            "VERIFY_MEMBER_INDEX",
+        ),
+    ] {
+        let mut mutant = chunk.clone();
+        mutant.ops[ip] = op;
+        let e = verify::check(&with_main_chunk(&program, mutant))
+            .expect_err("an out-of-range operand must be rejected");
+        assert_eq!(e.code, code, "{op:?}: {e}");
+    }
+    let mut mutant = chunk.clone();
+    let key = mutant.shapes[0][0].clone();
+    mutant.shapes[0] = Rc::from([key.clone(), key]);
+    let e = verify::check(&with_main_chunk(&program, mutant)).unwrap_err();
+    assert_eq!(e.code, "VERIFY_SHAPE_KEYS", "{e}");
 }
 
 /// Mutated chunks never panic the verifier, always come back with a

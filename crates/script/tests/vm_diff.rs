@@ -11,7 +11,9 @@
 //!   which observes evaluation *order*, not just final state;
 //! - on error, the error **kind and message** (line numbers may
 //!   legitimately differ inside multi-line expressions, the same
-//!   slack the tree-walk itself has across statement kinds).
+//!   slack the tree-walk itself has across statement kinds; the
+//!   slot-addressed lowerings are also run as a fixed matrix of
+//!   one-line statements, where the line must agree as well).
 //!
 //! A third obligation: programs the static analyzer passes as
 //! scope-clean must never trip the VM's internal slot invariants
@@ -49,7 +51,7 @@ fn vm_matches_tree_walk_on_random_programs() {
                     "seed {seed}: results diverge: {a:?} vs {b:?}\n--- script ---\n{src}"
                 );
             }
-            (Err((ka, ma)), Err((kb, mb))) => {
+            (Err((ka, ma, _)), Err((kb, mb, _))) => {
                 err_runs += 1;
                 *err_kinds.entry(ma.clone()).or_insert(0usize) += 1;
                 assert_eq!(
@@ -79,6 +81,54 @@ fn vm_matches_tree_walk_on_random_programs() {
     );
 }
 
+/// Every probe of the slot-addressed lowerings (`common`): the fused
+/// local-member read and the void-context `++`/`--`/`=`/`+=`, on each
+/// kind of binding and each type of value. The statements are one line
+/// each and call nothing, so here the error *line* must agree too.
+#[test]
+fn slot_addressed_lowerings_match_tree_walk_in_kind_message_and_line() {
+    use common::{
+        read_probe, update_probe, PROBE_BINDINGS, PROBE_OPS, PROBE_PROPS, PROBE_READS, PROBE_VALUES,
+    };
+    let mut programs = Vec::new();
+    for value in PROBE_VALUES {
+        for in_for in [false, true] {
+            for binding in 0..PROBE_BINDINGS {
+                for op in 0..PROBE_OPS {
+                    programs.push(update_probe("x", binding, op, value, "'t'", in_for));
+                    programs.push(update_probe("x", binding, op, value, "3", in_for));
+                }
+            }
+        }
+        for prop in PROBE_PROPS {
+            for read in 0..PROBE_READS {
+                programs.push(read_probe("x", value, prop, read, false));
+                programs.push(read_probe("x", value, prop, read, true));
+            }
+        }
+    }
+    let mut errors = std::collections::BTreeSet::new();
+    for src in &programs {
+        let tree = run_engine(Engine::TreeWalk, src);
+        let vm = run_engine(Engine::Bytecode, src);
+        assert_eq!(tree.emitted, vm.emitted, "emitted sequences diverge\n{src}");
+        match (&tree.result, &vm.result) {
+            (Ok(a), Ok(b)) => assert!(eq_val(a, b), "results diverge: {a:?} vs {b:?}\n{src}"),
+            (Err(a), Err(b)) => {
+                assert_eq!(a, b, "error divergence\n{src}");
+                assert!(!b.1.starts_with("internal:"), "{}\n{src}", b.1);
+                errors.insert(b.1.clone());
+            }
+            (a, b) => panic!("tree-walk: {a:?}\nvm: {b:?}\n{src}"),
+        }
+    }
+    // Refusals of every kind are in the matrix, not only successes.
+    for needle in ["cannot increment a null", "cannot decrement a string"] {
+        assert!(errors.contains(needle), "{needle:?} not in {errors:#?}");
+    }
+    assert!(errors.len() >= 8, "{errors:#?}");
+}
+
 /// Programs the analyzer passes as scope-clean must run on the VM
 /// without tripping slot-resolution invariants — and without reference
 /// errors at all (the analyzer's own guarantee, now extended to the
@@ -97,7 +147,7 @@ fn analyzer_clean_programs_never_trip_vm_slot_invariants() {
         }
         clean += 1;
         let vm = run_engine(Engine::Bytecode, &src);
-        if let Err((kind, msg)) = &vm.result {
+        if let Err((kind, msg, _)) = &vm.result {
             assert!(
                 *kind != ErrorKind::Reference,
                 "seed {seed}: analyzer-clean program raised a reference error \

@@ -12,7 +12,9 @@
 #     bundle, so cross-script channel typos are caught) — `geolocate` is
 #     allowed because collect.js expects the collector to register it as
 #     an extension native;
-#   * pogo-lint --rust-embedded over the inline scripts in examples/.
+#   * pogo-lint --rust-embedded over the inline scripts in examples/;
+#   * pogo-lint --verify --cost over the bundle: no VERIFY_*/P301, and
+#     the P302/P303/P304 warnings are exactly the pinned set.
 #
 # The perf step builds `benchmark/` (a package of its own, outside this
 # workspace) against the crates as they are now, runs `pogo-benchmark
@@ -40,6 +42,8 @@ for arg in "$@"; do
 done
 
 cargo build --release --workspace
+# Size, parent -> change (ROADMAP item 4).
+scripts/sloc.sh HEAD~1 2>/dev/null || echo "sloc HEAD~1: no parent commit here"
 scripts/sloc.sh
 cargo test -q
 
@@ -50,8 +54,14 @@ if [[ "$run_lint" == 1 ]]; then
     ./target/release/pogo-lint --rust-embedded examples/*.rs
     # Verifier + cost gate over the deployable bundle, on exact rule
     # codes: any structural VERIFY_* defect or guaranteed-over-budget
-    # P301 fails CI; unbounded/may-exceed cost (P302/P303) and publish
-    # fan-out (P304) stay warnings here, mirroring the deploy gate.
+    # P301 fails CI. Unbounded/may-exceed cost (P302/P303) and publish
+    # fan-out (P304) are warnings at the deploy gate, and here they are
+    # pinned: the paper's scripts have exactly the findings listed
+    # below, so a lowering or analyzer change that silently loses a
+    # bound it used to prove (a counted loop turning unbounded) or
+    # claims one it should not fails CI instead of adding a warning
+    # nobody reads. A deliberate change to a script or to the analysis
+    # updates the list in the same commit.
     gate_json="$(./target/release/pogo-lint --allow-native geolocate \
         --verify --cost --json assets/scripts/*.js)"
     if echo "$gate_json" | grep -E '"code":"(VERIFY_[A-Z_]+|P301)"' ; then
@@ -60,6 +70,24 @@ if [[ "$run_lint" == 1 ]]; then
     fi
     if echo "$gate_json" | grep '"severity":"error"' ; then
         echo "ci.sh: verifier/cost gate found error-severity findings" >&2
+        exit 1
+    fi
+    cost_expected="\
+assets/scripts/clustering.js P302 127
+assets/scripts/clustering.js P304 127
+assets/scripts/roguefinder-collect.js P302 4
+assets/scripts/roguefinder.js P302 1
+assets/scripts/roguefinder.js P302 31
+assets/scripts/roguefinder.js P304 1
+assets/scripts/roguefinder.js P304 31
+assets/scripts/scan.js P302 30
+assets/scripts/scan.js P304 30"
+    cost_found="$(echo "$gate_json" \
+        | sed -nE 's/.*"file":"([^"]+)","code":"(P30[234])".*"line":([0-9]+).*/\1 \2 \3/p' \
+        | LC_ALL=C sort)"
+    if [[ "$cost_found" != "$cost_expected" ]]; then
+        echo "ci.sh: the bundle's P302/P303/P304 findings changed (< expected, > found):" >&2
+        diff <(echo "$cost_expected") <(echo "$cost_found") >&2 || true
         exit 1
     fi
 fi

@@ -11,6 +11,13 @@
 //! budget below. A `clone()` creeping back onto the path shows up here
 //! before it shows up in any timing.
 //!
+//! A third fleet is the gauge for the script path: `scan.js` and
+//! `clustering.js` on every device, one Wi-Fi scan a minute, as in the
+//! benchmark's `fleet_localization`. It reports allocator calls per
+//! delivered scan and VM steps per script callback — the two counts a
+//! change to the compiler's lowering or to the value representation
+//! moves — and gates both against the parent's.
+//!
 //! The counting `#[global_allocator]` is why this is its own test binary;
 //! it is the repository's only `unsafe`.
 
@@ -24,7 +31,7 @@ use pogo::net::{FlushPolicy, LinkShape};
 use pogo::platform::{NetAppConfig, PeriodicNetApp};
 use pogo::sim::{Sim, SimDuration};
 use pogo_core::proto::ExperimentSpec;
-use pogo_core::sensor::{AccelSample, SensorSources};
+use pogo_core::sensor::{AccelSample, SensorSources, WifiReading};
 
 thread_local! {
     /// Allocator calls made by this thread. Const-initialised and without
@@ -219,6 +226,136 @@ fn sample_path_allocations_stay_within_budget_and_repeat_exactly() {
              ({:.0} % of the parent's {parent:.1})",
             BUDGET_SHARE * parent,
             BUDGET_SHARE * 100.0,
+        );
+    }
+}
+
+/// `(allocator calls, scans delivered, VM steps, script callbacks)` of a
+/// localization fleet over an hour, after the hour that fills
+/// `clustering.js`'s 60-scan window. Every phone alternates between two
+/// neighbourhoods of five access points, 25 to 44 minutes in each, so
+/// places open, close and are published inside the window.
+fn measure_localization() -> (u64, u64, u64, u64) {
+    const HOUR_MIN: u64 = 60;
+    let sim = Sim::new();
+    let mut testbed = Testbed::new(&sim);
+    let spec = FleetSpec::new(DEVICES)
+        .prefix("phone")
+        .seed(13)
+        .configure(|_, c| c.with_flush_policy(FlushPolicy::Interval(SimDuration::from_secs(90))))
+        .sensors(|i, rng| {
+            let mut rng = rng.clone();
+            let dwell_ms = (25 + i as u64) * 60_000;
+            SensorSources {
+                wifi_scan: Some(Box::new(move |t_ms| {
+                    let side = (t_ms / dwell_ms) % 2;
+                    Some(
+                        (0..5)
+                            .map(|j| WifiReading {
+                                bssid: format!("00:00:{i:02x}:00:0{side}:{j:02x}"),
+                                rssi_dbm: -55.0 - 4.0 * j as f64
+                                    + (rng.range_f64(-1.5, 1.5) * 100.0).round() / 100.0,
+                            })
+                            .collect(),
+                    )
+                })),
+                ..SensorSources::default()
+            }
+        });
+    let members = testbed.add_fleet(spec);
+    let collector = testbed.collector();
+    collector
+        .registry()
+        .register_with_params(EXP, "locations", Msg::Null, ChannelSchema::json())
+        .expect("fresh channel registers");
+    collector
+        .deployment(&pogo::glue::localization_experiment(EXP))
+        .to(&members.jids())
+        .send()
+        .expect("the paper's scripts pass pre-deployment analysis");
+
+    let script_counts = || {
+        let (mut scans, mut steps, mut callbacks) = (0, 0, 0);
+        for m in members.iter() {
+            scans += m.device.sensors().sample_count("wifi-scan");
+            let ctx = m.device.context(EXP).expect("the experiment is deployed");
+            for host in ctx.scripts() {
+                assert!(host.errors().is_empty(), "{:?}", host.errors());
+                assert_eq!(host.watchdog_trips(), 0);
+                steps += host.steps_used();
+                callbacks += host.callbacks_run();
+            }
+        }
+        (scans, steps, callbacks)
+    };
+    testbed.run_lockstep(MINUTE.mul(HOUR_MIN), MINUTE);
+    let (scans_before, steps_before, callbacks_before) = script_counts();
+    let rows_before = collector.stats().ingest.ingested_rows;
+    let allocs_before = allocs();
+    testbed.run_lockstep(MINUTE.mul(HOUR_MIN), MINUTE);
+    let spent = allocs() - allocs_before;
+    let (scans, steps, callbacks) = script_counts();
+    assert!(
+        collector.stats().ingest.ingested_rows - rows_before >= DEVICES as u64,
+        "every phone's places reach the store"
+    );
+    (
+        spent,
+        scans - scans_before,
+        steps - steps_before,
+        callbacks - callbacks_before,
+    )
+}
+
+/// What this same test read at the parent commit (f91c9ba: every member
+/// read cloned its receiver, `i++` was six ops, every object key its
+/// own `String`).
+const PARENT_ALLOCS_PER_SCAN: f64 = 257.4;
+const PARENT_STEPS_PER_CALLBACK: f64 = 2017.0;
+
+/// The budgets, as shares of the parent's counts (this commit reads
+/// 192.6 and 1516.6, 75 % of each).
+const ALLOCS_PER_SCAN_SHARE: f64 = 0.80;
+const STEPS_PER_CALLBACK_SHARE: f64 = 0.80;
+
+#[test]
+fn script_path_allocations_and_steps_stay_within_budget_and_repeat_exactly() {
+    let first = measure_localization();
+    assert_eq!(
+        first,
+        measure_localization(),
+        "two runs must count the same"
+    );
+    let (spent, scans, steps, callbacks) = first;
+    assert!(scans >= 59 * DEVICES as u64, "only {scans} scans");
+    // scan.js hears the sensor, clustering.js hears scan.js.
+    assert_eq!(callbacks, 2 * scans);
+    let per_scan = spent as f64 / scans as f64;
+    let per_callback = steps as f64 / callbacks as f64;
+    println!(
+        "Localization: {spent} allocations / {scans} scans = {per_scan:.1} per scan \
+         (parent {PARENT_ALLOCS_PER_SCAN:.1}); {steps} steps / {callbacks} callbacks = \
+         {per_callback:.1} per callback (parent {PARENT_STEPS_PER_CALLBACK:.1})"
+    );
+    for (what, got, parent, share) in [
+        (
+            "allocations per delivered scan",
+            per_scan,
+            PARENT_ALLOCS_PER_SCAN,
+            ALLOCS_PER_SCAN_SHARE,
+        ),
+        (
+            "VM steps per callback",
+            per_callback,
+            PARENT_STEPS_PER_CALLBACK,
+            STEPS_PER_CALLBACK_SHARE,
+        ),
+    ] {
+        assert!(
+            got <= share * parent,
+            "{got:.1} {what} exceeds {:.1} ({:.0} % of the parent's {parent:.1})",
+            share * parent,
+            share * 100.0,
         );
     }
 }

@@ -74,6 +74,45 @@ fn long_native_work_is_attributed_to_the_budget_under_both_engines() {
     }
 }
 
+/// One indexed store can grow an array by any amount in a single step.
+/// The growth is billed before the elements exist, so a store far past
+/// the end meets the watchdog instead of the allocator: `a[1e15] = 1`
+/// used to abort the process in `handle_alloc_error`, and `a[3e8] = 1`
+/// used to allocate 7 GB for one step.
+#[test]
+fn array_growth_by_indexed_store_is_billed_before_it_allocates() {
+    for engine in [Engine::Bytecode, Engine::TreeWalk] {
+        for index in ["1e15", "3e8"] {
+            let source = format!("var a = [];\na[{index}] = 1;\na.length;");
+            let err = run_budgeted(engine, &source, 10_000_000)
+                .expect_err("a store far past the end must be killed");
+            assert_eq!(
+                err.kind(),
+                ErrorKind::Timeout,
+                "{engine:?} a[{index}]: expected the watchdog, got: {err}"
+            );
+            assert_eq!(err.line(), 2, "{engine:?} a[{index}]: {err}");
+        }
+        // No slot has an index past `usize::MAX`: a type error, not a
+        // wrapped length.
+        let err = run_budgeted(engine, "var a = [];\na[1e300] = 1;", 10_000_000)
+            .expect_err("an index no array can hold");
+        assert_eq!(err.kind(), ErrorKind::Type, "{engine:?}: {err}");
+        // Growth the budget covers still works, holes filled with null.
+        let mut interp = Interpreter::with_engine(engine);
+        interp.set_budget(Some(BUDGET));
+        let v = interp
+            .eval("var a = [7];\na[5000] = 1;\na.length + (a[4999] == null ? 0.5 : 0);")
+            .unwrap_or_else(|e| panic!("{engine:?}: covered growth trips: {e}"));
+        assert_eq!(v, pogo::script::Value::Num(5001.5), "{engine:?}");
+        // ...and is charged: the same store does not fit a budget
+        // smaller than the elements it adds.
+        let err = run_budgeted(engine, "var a = [7];\na[5000] = 1;", 4_000)
+            .expect_err("growth larger than the budget");
+        assert_eq!(err.kind(), ErrorKind::Timeout, "{engine:?}: {err}");
+    }
+}
+
 #[test]
 fn watchdog_code_is_the_stable_script_error_string() {
     assert_eq!(ErrorCode::ScriptError.as_str(), "SCRIPT_ERROR");
