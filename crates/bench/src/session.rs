@@ -48,18 +48,8 @@ pub fn run_session(spec: &UserSpec, days: u64, seed: u64, use_freeze: bool) -> S
     run_session_with(spec, days, seed, use_freeze, ObsConfig::off()).0
 }
 
-/// [`run_session`] with the observability layer recording; returns the
-/// testbed-wide [`Obs`] handle alongside the measurements so callers
-/// can cross-check the session against the metrics registry.
-pub fn run_session_traced(
-    spec: &UserSpec,
-    days: u64,
-    seed: u64,
-    use_freeze: bool,
-) -> (SessionResult, Obs) {
-    run_session_with(spec, days, seed, use_freeze, ObsConfig::on())
-}
-
+/// Returns the testbed-wide [`Obs`] handle alongside the measurements so
+/// the unit test can cross-check the session against the metrics registry.
 fn run_session_with(
     spec: &UserSpec,
     days: u64,
@@ -296,7 +286,7 @@ mod tests {
     #[test]
     fn traced_session_metrics_agree_with_the_harvest() {
         let spec = &paper_cohort()[0];
-        let (result, obs) = run_session_traced(spec, 1, 42, false);
+        let (result, obs) = run_session_with(spec, 1, 42, false, ObsConfig::on());
         let metrics = obs.metrics();
         let jid = format!("{}@pogo", spec.name.to_lowercase().replace(' ', "-"));
         let dev = Some(jid.as_str());

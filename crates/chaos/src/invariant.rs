@@ -240,11 +240,6 @@ impl InvariantHarness {
         total
     }
 
-    /// Number of check passes run.
-    pub fn checks_run(&self) -> u64 {
-        self.inner.borrow().checks
-    }
-
     fn run_check(&self, full: bool) -> usize {
         let (devices, audits) = {
             let inner = self.inner.borrow();

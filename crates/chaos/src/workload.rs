@@ -48,13 +48,6 @@ impl ChannelAudit {
             monotonic: true,
         }
     }
-
-    /// Disables the monotonic-sequence check for scripts whose emission
-    /// order is not a dense counter.
-    pub fn without_monotonic(mut self) -> Self {
-        self.monotonic = false;
-        self
-    }
 }
 
 /// A workload the chaos soak can run and audit; see the module docs.

@@ -10,7 +10,6 @@
 //! payload bytes to their producing script.
 
 use crate::host::ScriptHost;
-use pogo_ingest::SampleStore;
 
 /// Interpreter steps per second of phone CPU time — the same calibration
 /// constant behind [`crate::host::WATCHDOG_BUDGET`].
@@ -74,56 +73,6 @@ pub fn render(reports: &[ResourceReport]) -> String {
             r.publishes,
             r.published_bytes,
             r.est_cpu_joules(0.14),
-        ));
-    }
-    out
-}
-
-/// Collector-side usage of one registered channel, read from the
-/// sample store — the per-channel counterpart of [`ResourceReport`]
-/// (what a deployment dashboard's Table-4 "Size" column shows live).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChannelUsage {
-    /// Experiment the channel belongs to.
-    pub exp: String,
-    /// Channel name.
-    pub channel: String,
-    /// Rows currently resident in the store.
-    pub rows: u64,
-    /// Approximate resident bytes.
-    pub bytes: u64,
-    /// Rows dropped by the channel's retention policy so far.
-    pub evicted: u64,
-}
-
-/// Per-channel usage for every channel registered in `store`, sorted by
-/// `(exp, channel)`.
-pub fn channel_usage(store: &SampleStore) -> Vec<ChannelUsage> {
-    store
-        .channels()
-        .into_iter()
-        .map(|(exp, channel)| {
-            let c = store.channel_counters(&exp, &channel).unwrap_or_default();
-            ChannelUsage {
-                exp,
-                channel,
-                rows: c.rows,
-                bytes: c.bytes,
-                evicted: c.evicted,
-            }
-        })
-        .collect()
-}
-
-/// Renders channel usage as a small table.
-pub fn render_channels(usage: &[ChannelUsage]) -> String {
-    let mut out = String::from(
-        "experiment           channel                    rows      bytes    evicted\n",
-    );
-    for u in usage {
-        out.push_str(&format!(
-            "{:<20} {:<20} {:>10} {:>10} {:>10}\n",
-            u.exp, u.channel, u.rows, u.bytes, u.evicted,
         ));
     }
     out
@@ -211,36 +160,6 @@ mod tests {
         host.load("var s = 0; for (var i = 0; i < 500; i++) s += i;")
             .unwrap();
         assert!(report_for(&host).steps > 1_000);
-    }
-
-    #[test]
-    fn channel_usage_reads_the_store_counters() {
-        use pogo_ingest::{ChannelSchema, IngestPipeline, Retention, SampleValue, Template};
-        let sim = Sim::new();
-        let pipeline = IngestPipeline::new(&sim, &pogo_obs::Obs::off());
-        pipeline
-            .register(
-                "loc",
-                "locations",
-                ChannelSchema::new(Template::I64).retention(Retention::MaxRows(2)),
-            )
-            .unwrap();
-        for n in 0..5 {
-            pipeline
-                .append("loc", "locations", "d@pogo", SampleValue::I64(n))
-                .unwrap();
-            pipeline.flush_channel("loc", "locations");
-        }
-        let usage = channel_usage(&pipeline.store());
-        assert_eq!(usage.len(), 1);
-        assert_eq!(usage[0].exp, "loc");
-        assert_eq!(usage[0].channel, "locations");
-        assert_eq!(usage[0].rows + usage[0].evicted, 5, "{usage:?}");
-        assert!(usage[0].evicted >= 3, "{usage:?}");
-        assert!(usage[0].bytes > 0);
-        let table = render_channels(&usage);
-        assert!(table.contains("locations"));
-        assert!(table.contains("evicted"));
     }
 
     #[test]

@@ -137,25 +137,6 @@ impl Admin {
         inner.profiles.insert(profile.jid.clone(), profile);
     }
 
-    /// Removes a device from the pool (the owner uninstalled Pogo). Live
-    /// assignments are revoked.
-    pub fn unregister_device(&self, jid: &Jid) {
-        let researchers = {
-            let mut inner = self.inner.borrow_mut();
-            inner.profiles.remove(jid);
-            inner.assignments.remove(jid).unwrap_or_default()
-        };
-        let server = self.inner.borrow().server.clone();
-        for r in researchers {
-            server.unfriend(jid, &r);
-        }
-    }
-
-    /// Devices currently registered.
-    pub fn pool_size(&self) -> usize {
-        self.inner.borrow().profiles.len()
-    }
-
     /// Grants `request.count` matching devices to `researcher`, wiring
     /// the rosters. All-or-nothing.
     ///
@@ -391,25 +372,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(again.len(), 5);
-    }
-
-    #[test]
-    fn unregister_revokes_live_assignments() {
-        let (server, admin) = setup();
-        let r = jid("alice@tudelft");
-        let granted = admin
-            .assign(
-                &r,
-                &DeviceRequest {
-                    count: 1,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-        let device = granted[0].clone();
-        admin.unregister_device(&device);
-        assert!(server.roster(&device).is_empty());
-        assert_eq!(admin.pool_size(), 4);
     }
 
     #[test]

@@ -66,38 +66,16 @@ impl std::fmt::Display for DeployError {
 
 impl std::error::Error for DeployError {}
 
-/// What the pre-flight static analyzer is allowed to do to a deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LintPolicy {
-    /// Error-severity findings reject the deployment; warnings go to the
-    /// collector's `pogo-lint` log. The default, matching the paper's
-    /// "never burn a phone's energy on a script that cannot run".
-    #[default]
-    Enforce,
-    /// Everything — errors included — is logged to `pogo-lint` but
-    /// nothing blocks. For deliberately shipping scripts the analyzer
-    /// cannot fully see through (e.g. extension natives).
-    WarnOnly,
-    /// The analyzer does not run at all.
-    Skip,
-}
-
 /// A staged deployment, built with [`CollectorNode::deployment`].
 ///
-/// Replaces the old `deploy` / `deploy_unchecked` / `redeploy` /
-/// `redeploy_unchecked` quadruplet with one builder:
-///
-/// - `.to(devices)` adds explicit targets (deploy). With **no** targets,
-///   [`Deployment::send`] pushes to the experiment's existing members
-///   (redeploy) — a no-op if the experiment has none.
-/// - `.lint(LintPolicy::Skip)` replaces the `_unchecked` variants;
-///   [`LintPolicy::WarnOnly`] logs errors without blocking.
+/// `.to(devices)` adds explicit targets (deploy). With **no** targets,
+/// [`Deployment::send`] pushes to the experiment's existing members
+/// (redeploy) — a no-op if the experiment has none.
 #[must_use = "a Deployment does nothing until .send() is called"]
 pub struct Deployment<'a> {
     collector: CollectorNode,
     spec: &'a ExperimentSpec,
     targets: Vec<Jid>,
-    lint: LintPolicy,
 }
 
 impl Deployment<'_> {
@@ -108,31 +86,18 @@ impl Deployment<'_> {
         self
     }
 
-    /// Sets the static-analysis policy (default: [`LintPolicy::Enforce`]).
-    pub fn lint(mut self, policy: LintPolicy) -> Self {
-        self.lint = policy;
-        self
-    }
-
-    /// Runs the lint gate and pushes the scripts out.
+    /// Runs the pre-flight gate and pushes the scripts out. The gate is
+    /// always on — "never burn a phone's energy on a script that cannot
+    /// run": error-severity findings reject the deployment, warnings go
+    /// to the collector's `pogo-lint` log.
     ///
     /// # Errors
     ///
-    /// Under [`LintPolicy::Enforce`], returns every error-severity
-    /// diagnostic when the bundle fails analysis; no device receives
-    /// anything in that case.
+    /// Returns every error-severity diagnostic when the bundle fails
+    /// analysis; no device receives anything in that case.
     pub fn send(self) -> Result<(), DeployError> {
-        match self.lint {
-            LintPolicy::Enforce => {
-                self.collector.lint_spec(self.spec, true)?;
-                self.collector.gate_spec(self.spec, true)?;
-            }
-            LintPolicy::WarnOnly => {
-                let _ = self.collector.lint_spec(self.spec, false);
-                let _ = self.collector.gate_spec(self.spec, false);
-            }
-            LintPolicy::Skip => {}
-        }
+        self.collector.lint_spec(self.spec)?;
+        self.collector.gate_spec(self.spec)?;
         self.collector.precompile_spec(self.spec);
         if self.targets.is_empty() {
             self.collector.push_to_members(self.spec);
@@ -523,20 +488,17 @@ impl CollectorNode {
     /// push-based deployment: devices receive and run the scripts with
     /// no user interaction.
     ///
-    /// Chain `.to(devices)` to add targets, `.lint(policy)` to adjust
-    /// the pre-flight analyzer gate, then `.send()`:
+    /// Chain `.to(devices)` to add targets, then `.send()`:
     ///
     /// ```ignore
     /// collector.deployment(&spec).to(&[device.jid()]).send()?;   // deploy
     /// collector.deployment(&spec).send()?;                       // redeploy to members
-    /// collector.deployment(&spec).lint(LintPolicy::Skip).send(); // unchecked
     /// ```
     pub fn deployment<'a>(&self, spec: &'a ExperimentSpec) -> Deployment<'a> {
         Deployment {
             collector: self.clone(),
             spec,
             targets: Vec::new(),
-            lint: LintPolicy::default(),
         }
     }
 
@@ -598,12 +560,11 @@ impl CollectorNode {
         version
     }
 
-    /// Runs the static analyzer over the spec's script bundle. With
-    /// `enforce`, errors reject the deployment; otherwise they are
-    /// logged like warnings. All non-blocking findings go to the
-    /// collector's `pogo-lint` log — the same [`LogStore`] stream the
-    /// scripts write to, so `pogo-trace` sees one unified log.
-    fn lint_spec(&self, spec: &ExperimentSpec, enforce: bool) -> Result<(), DeployError> {
+    /// Runs the static analyzer over the spec's script bundle. Errors
+    /// reject the deployment; warnings go to the collector's
+    /// `pogo-lint` log — the same [`LogStore`] stream the scripts write
+    /// to, so `pogo-trace` sees one unified log.
+    fn lint_spec(&self, spec: &ExperimentSpec) -> Result<(), DeployError> {
         let bundle: Vec<(&str, &str)> = spec
             .scripts
             .iter()
@@ -612,7 +573,7 @@ impl CollectorNode {
         let mut errors = Vec::new();
         let logs = self.logs();
         for (script, diag) in pogo_script::analyze_bundle(&bundle) {
-            if diag.is_error() && enforce {
+            if diag.is_error() {
                 errors.push((script, diag));
             } else {
                 logs.append("pogo-lint", format!("{script}: {diag}"));
@@ -632,14 +593,14 @@ impl CollectorNode {
     /// abstract-interpretation cost bounds, run against the same
     /// watchdog budgets the devices enforce ([`crate::host`]). A
     /// script whose *guaranteed minimum* cost exceeds its budget
-    /// (P301) can never complete on any phone — under `enforce` it is
-    /// rejected before a single device sees it. Unbounded or
+    /// (P301) can never complete on any phone — it is rejected before
+    /// a single device sees it. Unbounded or
     /// may-exceed findings (P302/P303) and publish fan-out (P304) are
     /// warnings: the watchdog still protects the fleet, so they only
     /// go to the `pogo-lint` log. Scripts that fail to compile are
     /// skipped here — [`Self::precompile_spec`] logs those, and the
     /// device reports the same error at load time.
-    fn gate_spec(&self, spec: &ExperimentSpec, enforce: bool) -> Result<(), DeployError> {
+    fn gate_spec(&self, spec: &ExperimentSpec) -> Result<(), DeployError> {
         let budgets = pogo_script::CostBudgets {
             callback: crate::host::WATCHDOG_BUDGET,
             load: crate::host::WATCHDOG_BUDGET * 10,
@@ -664,11 +625,7 @@ impl CollectorNode {
                     0,
                     format!("internal: compiled chunk failed verification: {e}"),
                 );
-                if enforce {
-                    errors.push((s.name.clone(), diag));
-                } else {
-                    logs.append("pogo-lint", format!("{}: {diag}", s.name));
-                }
+                errors.push((s.name.clone(), diag));
                 continue;
             }
             let t1 = std::time::Instant::now();
@@ -676,7 +633,7 @@ impl CollectorNode {
             let diags = pogo_script::cost_diagnostics(&report, &budgets);
             absint_us += t1.elapsed().as_micros() as f64;
             for diag in diags {
-                if diag.is_error() && enforce {
+                if diag.is_error() {
                     errors.push((s.name.clone(), diag));
                 } else {
                     logs.append("pogo-lint", format!("{}: {diag}", s.name));
@@ -707,7 +664,7 @@ impl CollectorNode {
     /// per-deployment compile counters/sizes as `deploy.*` metrics. A
     /// script that fails to compile is logged to `pogo-lint` but does
     /// not block the push: the device reports the same error at load
-    /// time, which is the long-standing `LintPolicy::Skip` contract.
+    /// time.
     fn precompile_spec(&self, spec: &ExperimentSpec) {
         let mut ops: u64 = 0;
         let mut fns: u64 = 0;
@@ -1242,49 +1199,33 @@ mod tests {
     #[test]
     fn deploy_rejects_broken_script_before_any_phone_receives_it() {
         let (sim, _server, collector, device, _phone) = testbed();
-        let err = collector
-            .deployment(&ExperimentSpec {
-                id: "exp".into(),
-                scripts: vec![ScriptSpec {
-                    name: "broken.js".into(),
-                    source: "publish('ch', missing_variable);".into(),
-                }],
-            })
-            .to(&[device.jid()])
-            .send()
-            .expect_err("scope error must reject the deployment");
-        assert_eq!(err.experiment, "exp");
-        assert_eq!(err.errors.len(), 1);
-        assert_eq!(err.errors[0].0, "broken.js");
-        assert_eq!(err.errors[0].1.rule.code(), "P001");
+        // A scope error, and nesting deep enough to overflow the stack
+        // of a parser without a depth budget.
+        let deep = format!("var x = {}1;", "(".repeat(200_000));
+        for (source, code) in [
+            ("publish('ch', missing_variable);", "P001"),
+            (&deep, "P000"),
+        ] {
+            let err = collector
+                .deployment(&ExperimentSpec {
+                    id: "exp".into(),
+                    scripts: vec![ScriptSpec {
+                        name: "broken.js".into(),
+                        source: source.into(),
+                    }],
+                })
+                .to(&[device.jid()])
+                .send()
+                .expect_err("an error-level finding must reject the deployment");
+            assert_eq!(err.experiment, "exp");
+            assert_eq!(err.errors.len(), 1);
+            assert_eq!(err.errors[0].0, "broken.js");
+            assert_eq!(err.errors[0].1.rule.code(), code);
+        }
         // Nothing was sent: the device never hears about the experiment.
         sim.run_for(SimDuration::from_mins(5));
         assert!(device.context("exp").is_none());
         assert_eq!(collector.stats().data_received, 0);
-    }
-
-    #[test]
-    fn deploy_unchecked_bypasses_the_lint_gate() {
-        let (sim, _server, collector, device, _phone) = testbed();
-        // Same broken script, shipped deliberately: the device installs
-        // it and the error surfaces at runtime instead.
-        collector
-            .deployment(&ExperimentSpec {
-                id: "exp".into(),
-                scripts: vec![ScriptSpec {
-                    name: "broken.js".into(),
-                    source: "publish('ch', missing_variable);".into(),
-                }],
-            })
-            .to(&[device.jid()])
-            .lint(LintPolicy::Skip)
-            .send()
-            .expect("lint gate skipped");
-        sim.run_for(SimDuration::from_mins(1));
-        assert!(
-            device.context("exp").is_some(),
-            "script was deployed anyway"
-        );
     }
 
     #[test]
@@ -1341,35 +1282,6 @@ mod tests {
         // Rejected at the collector: the device never hears about it.
         sim.run_for(SimDuration::from_mins(5));
         assert!(device.context("exp").is_none());
-    }
-
-    #[test]
-    fn warn_only_logs_cost_gate_errors_without_blocking() {
-        let (sim, _server, collector, device, _phone) = testbed();
-        collector
-            .deployment(&ExperimentSpec {
-                id: "exp".into(),
-                scripts: vec![ScriptSpec {
-                    name: "hot.js".into(),
-                    source: "subscribe('accelerometer', function (m) {\n\
-                             \x20 var s = 0;\n\
-                             \x20 for (var i = 0; i < 20000000; i++) { s = s + i; }\n\
-                             \x20 publish(s, 'out');\n\
-                             });"
-                    .into(),
-                }],
-            })
-            .to(&[device.jid()])
-            .lint(LintPolicy::WarnOnly)
-            .send()
-            .expect("WarnOnly never blocks");
-        sim.run_for(SimDuration::from_mins(1));
-        assert!(device.context("exp").is_some(), "deployed despite P301");
-        let lint_log = collector.logs().lines("pogo-lint").join("\n");
-        assert!(
-            lint_log.contains("P301") && lint_log.contains("hot.js"),
-            "cost-gate error was logged instead: {lint_log:?}"
-        );
     }
 
     #[test]
@@ -1432,30 +1344,6 @@ mod tests {
         // The old version keeps running.
         let ctx = device.context("exp").unwrap();
         assert_eq!(ctx.version(), 1);
-    }
-
-    #[test]
-    fn warn_only_lint_policy_logs_errors_without_blocking() {
-        let (sim, _server, collector, device, _phone) = testbed();
-        collector
-            .deployment(&ExperimentSpec {
-                id: "exp".into(),
-                scripts: vec![ScriptSpec {
-                    name: "broken.js".into(),
-                    source: "publish('ch', missing_variable);".into(),
-                }],
-            })
-            .to(&[device.jid()])
-            .lint(LintPolicy::WarnOnly)
-            .send()
-            .expect("WarnOnly never blocks");
-        sim.run_for(SimDuration::from_mins(1));
-        assert!(device.context("exp").is_some(), "deployed despite errors");
-        let lint_log = collector.logs().lines("pogo-lint").join("\n");
-        assert!(
-            lint_log.contains("broken.js"),
-            "error was logged instead: {lint_log:?}"
-        );
     }
 
     #[test]

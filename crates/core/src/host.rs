@@ -114,11 +114,6 @@ impl LogStore {
             .cloned()
             .unwrap_or_default()
     }
-
-    /// Total lines across all logs.
-    pub fn total_lines(&self) -> usize {
-        self.inner.borrow().logs.values().map(Vec::len).sum()
-    }
 }
 
 struct HostState {
@@ -367,15 +362,6 @@ impl ScriptHost {
             }
             let line = format!("{}: {e}", state.name);
             state.errors.push(line);
-        }
-    }
-
-    /// Calls a global function by name if the script defines it (used by
-    /// tests and the RogueFinder-style `start()` convention).
-    pub fn invoke_global(&self, name: &str, args: &[Value]) {
-        let f = self.interp.borrow().globals().get(name);
-        if let Some(f) = f {
-            self.invoke(&f, args);
         }
     }
 
@@ -652,7 +638,6 @@ mod tests {
         assert_eq!(h.prints(), vec!["hello 42"]);
         assert_eq!(logs.lines("s.js"), vec!["line1"]);
         assert_eq!(logs.lines("raw"), vec!["a 1"]);
-        assert_eq!(logs.total_lines(), 2);
     }
 
     #[test]

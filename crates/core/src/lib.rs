@@ -50,7 +50,7 @@ pub mod value;
 
 pub use assignment::{Admin, DeviceProfile, DeviceRequest};
 pub use broker::{Broker, SubscriptionId};
-pub use collector::{CollectorNode, DeployError, Deployment, LintPolicy};
+pub use collector::{CollectorNode, DeployError, Deployment};
 pub use device::{DeviceConfig, DeviceNode};
 pub use fleet::{Fleet, FleetMember, FleetSpec};
 pub use host::{ScriptHost, WATCHDOG_BUDGET};

@@ -64,15 +64,6 @@ impl PrivacyPolicy {
         PrivacyPolicy::default()
     }
 
-    /// A policy sharing nothing; individual channels can be re-enabled.
-    pub fn deny_all() -> Self {
-        let policy = PrivacyPolicy::default();
-        for ch in SENSOR_CHANNELS {
-            policy.set_allowed(ch, false);
-        }
-        policy
-    }
-
     /// True if experiments may observe `channel` on this device.
     pub fn is_allowed(&self, channel: &str) -> bool {
         *self.inner.borrow().rules.get(channel).unwrap_or(&true)
@@ -133,17 +124,6 @@ mod tests {
             assert!(p.is_allowed(ch));
         }
         assert!(p.is_allowed("some-future-sensor"));
-    }
-
-    #[test]
-    fn deny_all_blocks_sensor_channels() {
-        let p = PrivacyPolicy::deny_all();
-        for ch in SENSOR_CHANNELS {
-            assert!(!p.is_allowed(ch));
-        }
-        p.set_allowed("battery", true);
-        assert!(p.is_allowed("battery"));
-        assert!(!p.is_allowed("wifi-scan"));
     }
 
     #[test]

@@ -260,7 +260,7 @@ mod tests {
             );
             fleet
                 .iter()
-                .map(|m| (m.device.jid().to_string(), m.phone.modem().carrier_name()))
+                .map(|m| (m.device.jid().to_string(), m.phone.modem().profile().name))
                 .collect::<Vec<_>>()
         };
         let a = build(8);

@@ -18,13 +18,6 @@ pub struct GeoPoint {
     pub lon: f64,
 }
 
-impl GeoPoint {
-    /// Euclidean distance in degree space (fine at city scale for tests).
-    pub fn distance_deg(&self, other: &GeoPoint) -> f64 {
-        ((self.lat - other.lat).powi(2) + (self.lon - other.lon).powi(2)).sqrt()
-    }
-}
-
 /// Resolves scans to coordinates using the world's AP database.
 #[derive(Debug, Clone)]
 pub struct GeolocationService {
@@ -108,12 +101,5 @@ mod tests {
     fn empty_scan_resolves_to_none() {
         let (_, service) = setup();
         assert_eq!(service.locate(&Scan::default()), None);
-    }
-
-    #[test]
-    fn distance_helper() {
-        let a = GeoPoint { lat: 0.0, lon: 0.0 };
-        let b = GeoPoint { lat: 3.0, lon: 4.0 };
-        assert!((a.distance_deg(&b) - 5.0).abs() < 1e-12);
     }
 }

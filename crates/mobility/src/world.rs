@@ -97,11 +97,6 @@ impl World {
         &self.places[id.0]
     }
 
-    /// Number of places.
-    pub fn place_count(&self) -> usize {
-        self.places.len()
-    }
-
     /// The street-AP pool (transit noise).
     pub fn street_aps(&self) -> &[ApSpec] {
         &self.street_aps

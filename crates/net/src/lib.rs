@@ -33,6 +33,6 @@ pub mod wire;
 pub use batch::FlushPolicy;
 pub use jid::{Jid, ParseJidError};
 pub use reliable::DedupFilter;
-pub use server::{ChaosHook, LinkFate, LinkShape, NetError, Session, SessionOptions, Switchboard};
+pub use server::{ChaosHook, LinkFate, LinkShape, NetError, Session, Switchboard};
 pub use store::{MessageStore, StoredMessage};
 pub use wire::{Envelope, Payload};

@@ -62,77 +62,13 @@ pub enum LinkFate {
 }
 
 /// A per-envelope fault-injection hook: inspects the envelope and decides
-/// its [`LinkFate`]. Installed per session via [`SessionOptions::chaos`]
-/// or server-side per JID via [`Switchboard::set_link_chaos`].
+/// its [`LinkFate`]. Installed server-side per JID via
+/// [`Switchboard::set_link_chaos`].
 pub type ChaosHook = Rc<dyn Fn(&Envelope) -> LinkFate>;
 
-/// Connection parameters for [`Switchboard::connect_with`]: the base
-/// one-way latency plus optional link impairments. The plain
-/// [`Switchboard::connect`] is a convenience wrapper for a clean link.
-#[derive(Clone, Default)]
-pub struct SessionOptions {
-    latency: SimDuration,
-    loss: f64,
-    jitter: SimDuration,
-    seed: u64,
-    chaos: Option<ChaosHook>,
-}
-
-impl fmt::Debug for SessionOptions {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SessionOptions")
-            .field("latency", &self.latency)
-            .field("loss", &self.loss)
-            .field("jitter", &self.jitter)
-            .field("seed", &self.seed)
-            .field("chaos", &self.chaos.is_some())
-            .finish()
-    }
-}
-
-impl SessionOptions {
-    /// A clean link: zero latency, no loss, no jitter, no chaos.
-    pub fn new() -> Self {
-        SessionOptions::default()
-    }
-
-    /// Base one-way latency of the link.
-    pub fn latency(mut self, latency: SimDuration) -> Self {
-        self.latency = latency;
-        self
-    }
-
-    /// Independent per-leg drop probability in `[0, 1]`.
-    pub fn loss(mut self, loss: f64) -> Self {
-        self.loss = loss.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Maximum uniform extra delay added per leg.
-    pub fn jitter(mut self, jitter: SimDuration) -> Self {
-        self.jitter = jitter;
-        self
-    }
-
-    /// Seed for this session's loss/jitter stream. The effective seed is
-    /// mixed with the JID so every device gets an independent — but
-    /// cross-run deterministic — stream.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Installs a per-envelope fault hook consulted on both legs.
-    pub fn chaos(mut self, hook: impl Fn(&Envelope) -> LinkFate + 'static) -> Self {
-        self.chaos = Some(Rc::new(hook));
-        self
-    }
-}
-
-/// Server-side link impairment for one JID, composed with whatever the
-/// session itself was opened with ([`Switchboard::shape_link`]). Survives
-/// reconnects, which is what fault injection needs: the device keeps
-/// calling plain `connect` and the degradation stays in force.
+/// Server-side link impairment for one JID ([`Switchboard::shape_link`]).
+/// Survives reconnects, which is what fault injection needs: the device
+/// keeps calling `connect` and the degradation stays in force.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LinkShape {
     /// Extra independent drop probability per leg, in `[0, 1]`.
@@ -148,8 +84,8 @@ struct ServerInner {
     accounts: HashSet<Jid>,
     roster: HashMap<Jid, BTreeSet<Jid>>,
     sessions: HashMap<Jid, Session>,
-    // Per-JID impairment state, composed with session-level options on
-    // every leg. BTreeMap: iteration feeds the deterministic sim.
+    // Per-JID impairment state, applied on every leg. BTreeMap: iteration
+    // feeds the deterministic sim.
     shapes: BTreeMap<Jid, LinkShape>,
     link_chaos: BTreeMap<Jid, ChaosHook>,
     routed: u64,
@@ -251,27 +187,15 @@ impl Switchboard {
             .unwrap_or_default()
     }
 
-    /// Opens a session for `jid` with the given one-way network latency
-    /// and an otherwise clean link. Convenience wrapper around
-    /// [`Switchboard::connect_with`].
+    /// Opens a session for `jid` with the given one-way network latency.
+    /// An existing session for the same JID is disconnected first (a
+    /// reconnect after handover).
     ///
     /// # Errors
     ///
     /// Returns [`NetError::UnknownAccount`] for unregistered JIDs and
     /// [`NetError::ServerDown`] during an outage.
     pub fn connect(&self, jid: &Jid, latency: SimDuration) -> Result<Session, NetError> {
-        self.connect_with(jid, SessionOptions::new().latency(latency))
-    }
-
-    /// Opens a session for `jid` with full [`SessionOptions`] (latency,
-    /// loss, jitter, chaos hook). An existing session for the same JID is
-    /// disconnected first (a reconnect after handover).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::UnknownAccount`] for unregistered JIDs and
-    /// [`NetError::ServerDown`] during an outage.
-    pub fn connect_with(&self, jid: &Jid, opts: SessionOptions) -> Result<Session, NetError> {
         {
             let inner = self.inner.borrow();
             if inner.down {
@@ -285,23 +209,16 @@ impl Switchboard {
         if let Some(old) = old {
             old.mark_disconnected();
         }
-        let rng = SimRng::seed_from_u64(opts.seed ^ jid.salt());
         let session = Session {
             inner: Rc::new(RefCell::new(SessionInner {
                 server: self.clone(),
                 jid: jid.clone(),
-                latency: opts.latency,
-                loss: opts.loss,
-                jitter: opts.jitter,
-                rng,
-                chaos: opts.chaos,
+                latency,
                 generation: 0,
                 connected: true,
                 on_receive: None,
                 on_presence: None,
                 on_disconnect: None,
-                sent: 0,
-                received: 0,
             })),
         };
         self.inner
@@ -313,8 +230,7 @@ impl Switchboard {
     }
 
     /// Installs (or replaces) server-side impairment for every leg that
-    /// touches `jid`'s sessions, present and future. Composes with the
-    /// session's own [`SessionOptions`]; cleared by
+    /// touches `jid`'s sessions, present and future; cleared by
     /// [`Switchboard::clear_link_shape`].
     pub fn shape_link(&self, jid: &Jid, shape: LinkShape) {
         self.inner.borrow_mut().shapes.insert(jid.clone(), shape);
@@ -332,11 +248,6 @@ impl Switchboard {
             .borrow_mut()
             .link_chaos
             .insert(jid.clone(), Rc::new(hook));
-    }
-
-    /// Removes the server-side fault hook for `jid`.
-    pub fn clear_link_chaos(&self, jid: &Jid) {
-        self.inner.borrow_mut().link_chaos.remove(jid);
     }
 
     /// Restarts the switchboard: every session dies at once (envelopes in
@@ -463,7 +374,7 @@ impl Switchboard {
             self.count_dropped();
             return;
         };
-        let Some(extra) = recipient.leg_delay(&envelope) else {
+        let Some(extra) = self.shape_leg(&envelope.to, &envelope) else {
             // Downlink loss: counted like any other in-flight casualty.
             self.count_dropped();
             return;
@@ -488,17 +399,11 @@ struct SessionInner {
     server: Switchboard,
     jid: Jid,
     latency: SimDuration,
-    loss: f64,
-    jitter: SimDuration,
-    rng: SimRng,
-    chaos: Option<ChaosHook>,
     generation: u64,
     connected: bool,
     on_receive: Option<Rc<dyn Fn(Envelope)>>,
     on_presence: Option<PresenceListener>,
     on_disconnect: Option<Rc<dyn Fn()>>,
-    sent: u64,
-    received: u64,
 }
 
 /// A client connection to the switchboard. Cheap to clone.
@@ -513,8 +418,6 @@ impl fmt::Debug for Session {
         f.debug_struct("Session")
             .field("jid", &inner.jid)
             .field("connected", &inner.connected)
-            .field("sent", &inner.sent)
-            .field("received", &inner.received)
             .finish()
     }
 }
@@ -533,16 +436,6 @@ impl Session {
     /// One-way latency of this session's link.
     pub fn latency(&self) -> SimDuration {
         self.inner.borrow().latency
-    }
-
-    /// Envelopes handed to [`Session::send`].
-    pub fn sent_count(&self) -> u64 {
-        self.inner.borrow().sent
-    }
-
-    /// Envelopes delivered to this session.
-    pub fn received_count(&self) -> u64 {
-        self.inner.borrow().received
     }
 
     /// Installs the receive callback (replacing any previous one).
@@ -574,11 +467,10 @@ impl Session {
     /// Returns [`NetError::NotConnected`] or [`NetError::NotAuthorized`].
     pub fn send(&self, to: &Jid, seq: u64, payload: Payload) -> Result<(), NetError> {
         let (server, from, latency, my_gen) = {
-            let mut inner = self.inner.borrow_mut();
+            let inner = self.inner.borrow();
             if !inner.connected {
                 return Err(NetError::NotConnected);
             }
-            inner.sent += 1;
             (
                 inner.server.clone(),
                 inner.jid.clone(),
@@ -607,7 +499,7 @@ impl Session {
             payload,
             sent_at_ms: server.inner.borrow().sim.now().as_millis(),
         };
-        let Some(extra) = self.leg_delay(&envelope) else {
+        let Some(extra) = server.shape_leg(&envelope.from, &envelope) else {
             // Uplink loss: the radio ate it. Senders see Ok — exactly the
             // silent failure the reliable layer exists for.
             server.count_dropped();
@@ -655,40 +547,6 @@ impl Session {
         self.mark_disconnected();
     }
 
-    /// One leg's worth of impairment for this session: the session-level
-    /// loss/jitter/chaos from [`SessionOptions`] composed with the
-    /// server-side [`LinkShape`] and chaos hook for this JID. `None` to
-    /// drop, `Some(extra)` to deliver with that much added delay.
-    fn leg_delay(&self, envelope: &Envelope) -> Option<SimDuration> {
-        let (server, jid, chaos) = {
-            let inner = self.inner.borrow();
-            (inner.server.clone(), inner.jid.clone(), inner.chaos.clone())
-        };
-        let mut extra = SimDuration::ZERO;
-        {
-            let mut inner = self.inner.borrow_mut();
-            if inner.loss > 0.0 {
-                let loss = inner.loss;
-                if inner.rng.chance(loss) {
-                    return None;
-                }
-            }
-            if inner.jitter > SimDuration::ZERO {
-                let bound = inner.jitter.as_millis() + 1;
-                extra += SimDuration::from_millis(inner.rng.range_u64(0, bound));
-            }
-        }
-        if let Some(hook) = chaos {
-            match hook(envelope) {
-                LinkFate::Drop => return None,
-                LinkFate::Delay(d) => extra += d,
-                LinkFate::Deliver => {}
-            }
-        }
-        extra += server.shape_leg(&jid, envelope)?;
-        Some(extra)
-    }
-
     fn mark_disconnected(&self) {
         let handler = {
             let mut inner = self.inner.borrow_mut();
@@ -711,11 +569,7 @@ impl Session {
     }
 
     fn deliver(&self, envelope: Envelope) {
-        let handler = {
-            let mut inner = self.inner.borrow_mut();
-            inner.received += 1;
-            inner.on_receive.clone()
-        };
+        let handler = self.inner.borrow().on_receive.clone();
         if let Some(handler) = handler {
             handler(envelope);
         }
@@ -888,9 +742,15 @@ mod tests {
     fn lossy_session_drops_that_fraction() {
         let (sim, server, dev, col) = setup();
         let _cs = server.connect(&col, SimDuration::ZERO).unwrap();
-        let ds = server
-            .connect_with(&dev, SessionOptions::new().loss(0.5).seed(42))
-            .unwrap();
+        server.reseed_link_rng(42);
+        server.shape_link(
+            &dev,
+            LinkShape {
+                loss: 0.5,
+                ..LinkShape::default()
+            },
+        );
+        let ds = server.connect(&dev, SimDuration::ZERO).unwrap();
         for seq in 0..200 {
             ds.send(&col, seq, Payload::Data("x".into())).unwrap();
         }
@@ -907,23 +767,36 @@ mod tests {
     fn session_loss_stream_is_deterministic() {
         let fates = || {
             let (sim, server, dev, col) = setup();
-            let _cs = server.connect(&col, SimDuration::ZERO).unwrap();
-            let ds = server
-                .connect_with(
-                    &dev,
-                    SessionOptions::new()
-                        .loss(0.3)
-                        .jitter(SimDuration::from_millis(40))
-                        .seed(7),
-                )
-                .unwrap();
+            let cs = server.connect(&col, SimDuration::ZERO).unwrap();
+            let log = received_log(&cs);
+            server.reseed_link_rng(7);
+            server.shape_link(
+                &dev,
+                LinkShape {
+                    loss: 0.3,
+                    jitter: SimDuration::from_millis(40),
+                    extra_latency: SimDuration::from_millis(100),
+                },
+            );
+            let ds = server.connect(&dev, SimDuration::ZERO).unwrap();
             for seq in 0..50 {
                 ds.send(&col, seq, Payload::Data("x".into())).unwrap();
             }
             sim.run_until_idle();
-            (server.routed(), server.dropped())
+            // Jitter reorders: the arrival order is part of the stream.
+            let arrivals: Vec<u64> = log.borrow().iter().map(|e| e.seq).collect();
+            (server.routed(), server.dropped(), arrivals, sim.now())
         };
-        assert_eq!(fates(), fates());
+        let (routed, dropped, arrivals, end) = fates();
+        assert_eq!(routed + dropped, 50);
+        assert!(routed > 0 && dropped > 0, "{routed} routed, {dropped} lost");
+        // Only the device's leg is shaped: 100 ms constant + up to 40 ms.
+        assert!(
+            (SimTime::from_millis(100)..=SimTime::from_millis(140)).contains(&end),
+            "last arrival at {end:?}"
+        );
+        assert_eq!(arrivals.len() as u64, routed);
+        assert_eq!((routed, dropped, arrivals, end), fates());
     }
 
     #[test]
@@ -931,18 +804,14 @@ mod tests {
         let (sim, server, dev, col) = setup();
         let cs = server.connect(&col, SimDuration::ZERO).unwrap();
         let log = received_log(&cs);
-        let ds = server
-            .connect_with(
-                &dev,
-                SessionOptions::new().chaos(|e| {
-                    if e.seq % 2 == 0 {
-                        LinkFate::Drop
-                    } else {
-                        LinkFate::Delay(SimDuration::from_millis(500))
-                    }
-                }),
-            )
-            .unwrap();
+        server.set_link_chaos(&dev, |e| {
+            if e.seq % 2 == 0 {
+                LinkFate::Drop
+            } else {
+                LinkFate::Delay(SimDuration::from_millis(500))
+            }
+        });
+        let ds = server.connect(&dev, SimDuration::ZERO).unwrap();
         for seq in 1..=4 {
             ds.send(&col, seq, Payload::Data("x".into())).unwrap();
         }

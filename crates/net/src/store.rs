@@ -33,7 +33,6 @@ pub struct StoredMessage {
 struct Inner {
     queue: VecDeque<StoredMessage>,
     next_seq: u64,
-    enqueued: u64,
     purged: u64,
     acked: u64,
 }
@@ -59,7 +58,6 @@ impl MessageStore {
         let mut inner = self.inner.borrow_mut();
         let seq = inner.next_seq;
         inner.next_seq += 1;
-        inner.enqueued += 1;
         inner.queue.push_back(StoredMessage {
             seq,
             to: to.clone(),
@@ -122,11 +120,6 @@ impl MessageStore {
         let purged = before - inner.queue.len();
         inner.purged += purged as u64;
         purged
-    }
-
-    /// Total messages ever enqueued.
-    pub fn enqueued_total(&self) -> u64 {
-        self.inner.borrow().enqueued
     }
 
     /// Total messages dropped by the age purge.

@@ -167,22 +167,6 @@ impl Metrics {
         }
     }
 
-    /// Reads a gauge for an explicit device scope.
-    pub fn gauge_for(&self, device: Option<&str>, name: &str) -> Option<f64> {
-        match self.lookup(device, name) {
-            Some(Metric::Gauge(v)) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Reads a histogram for an explicit device scope.
-    pub fn histogram_for(&self, device: Option<&str>, name: &str) -> Option<Hist> {
-        match self.lookup(device, name) {
-            Some(Metric::Histogram(h)) => Some(h),
-            _ => None,
-        }
-    }
-
     fn lookup(&self, device: Option<&str>, name: &str) -> Option<Metric> {
         if let Backend::On(map) = &self.backend {
             let key = (device.map(Rc::from), Name::Owned(name.to_owned()));
@@ -240,13 +224,15 @@ mod tests {
         dev.observe("radio.dwell_ms.dch", 300.0);
         assert_eq!(dev.counter("net.flushes"), 3);
         assert_eq!(m.counter_for(Some("phone-1@pogo"), "net.flushes"), 3);
-        assert_eq!(
-            m.gauge_for(Some("phone-1@pogo"), "net.store_depth"),
-            Some(4.0)
-        );
-        let h = m
-            .histogram_for(Some("phone-1@pogo"), "radio.dwell_ms.dch")
-            .unwrap();
+        let rows = m.snapshot();
+        assert!(rows
+            .iter()
+            .all(|r| r.device.as_deref() == Some("phone-1@pogo")));
+        let metric = |name: &str| rows.iter().find(|r| r.name == name).unwrap().metric;
+        assert_eq!(metric("net.store_depth"), Metric::Gauge(4.0));
+        let Metric::Histogram(h) = metric("radio.dwell_ms.dch") else {
+            panic!("not a histogram");
+        };
         assert_eq!(h.count, 2);
         assert_eq!(h.mean(), 200.0);
         assert_eq!(h.min, 100.0);

@@ -50,7 +50,6 @@ impl NetAppConfig {
 struct Inner {
     phone: Phone,
     cfg: NetAppConfig,
-    enabled: bool,
     checks: u64,
 }
 
@@ -67,7 +66,6 @@ impl std::fmt::Debug for PeriodicNetApp {
         f.debug_struct("PeriodicNetApp")
             .field("name", &inner.cfg.name)
             .field("checks", &inner.checks)
-            .field("enabled", &inner.enabled)
             .finish()
     }
 }
@@ -79,7 +77,6 @@ impl PeriodicNetApp {
             inner: Rc::new(RefCell::new(Inner {
                 phone: phone.clone(),
                 cfg,
-                enabled: true,
                 checks: 0,
             })),
         };
@@ -92,12 +89,6 @@ impl PeriodicNetApp {
         self.inner.borrow().checks
     }
 
-    /// Enables or disables further checks (already-scheduled alarms fire
-    /// but do nothing while disabled).
-    pub fn set_enabled(&self, enabled: bool) {
-        self.inner.borrow_mut().enabled = enabled;
-    }
-
     fn schedule_next(&self, delay: SimDuration) {
         let me = self.clone();
         let cpu = self.inner.borrow().phone.cpu().clone();
@@ -105,31 +96,29 @@ impl PeriodicNetApp {
     }
 
     fn on_alarm(&self) {
-        let (phone, cfg, enabled) = {
+        let (phone, cfg) = {
             let inner = self.inner.borrow();
-            (inner.phone.clone(), inner.cfg.clone(), inner.enabled)
+            (inner.phone.clone(), inner.cfg.clone())
         };
-        if enabled {
-            self.inner.borrow_mut().checks += 1;
-            // Hold a wake lock while the check is in flight, like a real
-            // mail client does.
-            let lock = phone.cpu().acquire_wake_lock();
-            let lock = Rc::new(RefCell::new(Some(lock)));
-            let release_after = cfg.cpu_hold;
-            let sim = phone.sim().clone();
-            let l = lock.clone();
-            let release = move || {
-                sim.schedule_in(release_after, move || {
-                    l.borrow_mut().take();
-                });
-            };
-            // Offline is fine: the app simply fails its check.
-            match phone.transmit(cfg.tx_bytes, cfg.rx_bytes, release.clone()) {
-                Ok(_) => {}
-                Err(_) => release(),
-            }
+        self.inner.borrow_mut().checks += 1;
+        // Hold a wake lock while the check is in flight, like a real
+        // mail client does.
+        let lock = phone.cpu().acquire_wake_lock();
+        let lock = Rc::new(RefCell::new(Some(lock)));
+        let release_after = cfg.cpu_hold;
+        let sim = phone.sim().clone();
+        let l = lock.clone();
+        let release = move || {
+            sim.schedule_in(release_after, move || {
+                l.borrow_mut().take();
+            });
+        };
+        // Offline is fine: the app simply fails its check.
+        match phone.transmit(cfg.tx_bytes, cfg.rx_bytes, release.clone()) {
+            Ok(_) => {}
+            Err(_) => release(),
         }
-        self.schedule_next(self.inner.borrow().cfg.period);
+        self.schedule_next(cfg.period);
     }
 }
 
@@ -163,18 +152,6 @@ mod tests {
         // Boot wake doesn't count (CPU starts awake); 12 alarm wakes do.
         assert_eq!(phone.cpu().wakeups(), 12);
         assert!(!phone.cpu().is_awake());
-    }
-
-    #[test]
-    fn disabled_app_stops_transferring() {
-        let sim = Sim::new();
-        let phone = Phone::new(&sim, PhoneConfig::default());
-        let app = PeriodicNetApp::install(&phone, NetAppConfig::email());
-        sim.run_for(SimDuration::from_mins(12));
-        assert_eq!(app.checks(), 2);
-        app.set_enabled(false);
-        sim.run_for(SimDuration::from_hours(1));
-        assert_eq!(app.checks(), 2);
     }
 
     #[test]

@@ -56,11 +56,6 @@ impl Battery {
         }
     }
 
-    /// Creates a full battery with [`DEFAULT_CAPACITY_JOULES`].
-    pub fn with_default_capacity(meter: &EnergyMeter) -> Self {
-        Self::new(meter, DEFAULT_CAPACITY_JOULES)
-    }
-
     /// State of charge in `[0, 1]`.
     pub fn level(&self) -> f64 {
         let inner = self.inner.borrow();

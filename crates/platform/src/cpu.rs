@@ -152,11 +152,6 @@ impl FrozenSleepHandle {
         t.callback = None;
         t.done = true;
     }
-
-    /// True once the timer fired or was cancelled.
-    pub fn is_done(&self) -> bool {
-        self.timer.borrow().done
-    }
 }
 
 impl Cpu {
@@ -532,7 +527,7 @@ mod tests {
         let f = fired.clone();
         let h = cpu.sleep_frozen(SimDuration::from_secs(1), move || f.set(true));
         h.cancel();
-        assert!(h.is_done());
+        assert!(h.timer.borrow().done);
         sim.run_for(SimDuration::from_secs(5));
         assert!(!fired.get());
     }

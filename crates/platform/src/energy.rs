@@ -127,23 +127,6 @@ impl EnergyMeter {
         }
     }
 
-    /// Adds a fixed energy cost to a rail (for events modelled as
-    /// instantaneous, e.g. a flash write).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `joules` is negative or not finite.
-    pub fn add_energy(&self, rail: RailId, joules: f64) {
-        assert!(
-            joules.is_finite() && joules >= 0.0,
-            "energy must be a non-negative finite joule amount, got {joules}"
-        );
-        let mut state = self.state.borrow_mut();
-        let r = &mut state.rails[rail.0];
-        r.settle(self.sim.now());
-        r.joules += joules;
-    }
-
     /// Current draw of one rail in watts.
     pub fn power(&self, rail: RailId) -> f64 {
         self.state.borrow().rails[rail.0].watts
@@ -281,28 +264,6 @@ impl PowerTrace {
         out
     }
 
-    /// Exact energy in joules between two instants (clamped to the trace).
-    pub fn energy_between(&self, from: SimTime, to: SimTime) -> f64 {
-        if self.points.is_empty() || to <= from {
-            return 0.0;
-        }
-        let to = to.min(self.end);
-        let mut joules = 0.0;
-        for (i, &(t, w)) in self.points.iter().enumerate() {
-            let seg_end = self
-                .points
-                .get(i + 1)
-                .map(|&(t2, _)| t2)
-                .unwrap_or(self.end);
-            let a = t.max(from);
-            let b = seg_end.min(to);
-            if b > a {
-                joules += w * b.duration_since(a).as_secs_f64();
-            }
-        }
-        joules
-    }
-
     /// Peak power over the trace in watts.
     pub fn peak_watts(&self) -> f64 {
         self.points.iter().map(|&(_, w)| w).fold(0.0, f64::max)
@@ -356,15 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn add_energy_is_instantaneous() {
-        let (sim, meter) = setup();
-        let r = meter.register("flash");
-        meter.add_energy(r, 0.125);
-        sim.run_for(SimDuration::from_secs(1));
-        assert!((meter.energy_joules(r) - 0.125).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_power_rejected() {
         let (_sim, meter) = setup();
@@ -384,9 +336,15 @@ mod tests {
         meter.set_power(r, 0.0);
         sim.run_for(SimDuration::from_secs(1));
         let trace = meter.take_trace();
-        // 0.8*2 + 0.3*2 + 0 = 2.2 J
-        let e = trace.energy_between(SimTime::ZERO, sim.now());
-        assert!((e - 2.2).abs() < 1e-9, "energy {e}");
+        assert_eq!(
+            trace.points(),
+            [
+                (SimTime::ZERO, 0.8),
+                (SimTime::from_millis(2_000), 0.3),
+                (SimTime::from_millis(4_000), 0.0)
+            ]
+        );
+        assert_eq!(trace.end(), sim.now());
         assert!((trace.peak_watts() - 0.8).abs() < 1e-12);
     }
 

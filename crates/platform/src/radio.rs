@@ -203,12 +203,6 @@ impl std::fmt::Debug for CellularModem {
 }
 
 impl CellularModem {
-    /// The subscribed carrier's Table 3 name (fleet builders use this to
-    /// audit carrier-mix draws).
-    pub fn carrier_name(&self) -> String {
-        self.inner.borrow().profile.name.clone()
-    }
-
     /// Creates an idle modem on the given carrier.
     pub fn new(sim: &Sim, meter: &EnergyMeter, profile: CarrierProfile) -> Self {
         let rail = meter.register("modem-3g");

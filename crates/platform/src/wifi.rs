@@ -117,11 +117,6 @@ impl WifiRadio {
         self.inner.borrow().scans
     }
 
-    /// True while a scan or transfer is in progress.
-    pub fn is_busy(&self) -> bool {
-        self.inner.borrow().busy
-    }
-
     /// Queues a data transfer; `done` fires when the burst completes.
     pub fn transmit(&self, tx: u64, rx: u64, done: impl FnOnce() + 'static) {
         self.inner.borrow_mut().queue.push_back(Job::Transfer {
@@ -236,7 +231,6 @@ mod tests {
         let o2 = order.clone();
         wifi.scan(move || o1.borrow_mut().push("scan"));
         wifi.transmit(1, 0, move || o2.borrow_mut().push("tx"));
-        assert!(wifi.is_busy());
         sim.run_until_idle();
         assert_eq!(*order.borrow(), vec!["scan", "tx"]);
     }

@@ -26,7 +26,7 @@
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
-use crate::ast::{Expr, Stmt};
+use crate::ast::{walk_subexprs, walk_substmts, Expr, Node, Stmt};
 use crate::diag::{Diagnostic, Rule};
 use crate::parser::parse;
 
@@ -138,7 +138,7 @@ fn analyze_collect(source: &str, opts: &AnalyzeOptions) -> (Vec<Diagnostic>, Cha
         }
     };
     let mut a = Analyzer::new(opts);
-    a.math_mutated = program.iter().any(stmt_touches_math);
+    a.math_ok = program_math_ok(&program);
     a.push_frame(FrameKind::Global);
     a.prescan(&program);
     a.walk_stmts(&program);
@@ -389,9 +389,9 @@ struct Analyzer {
     channels: ChannelUse,
     /// Line context for expression-level diagnostics.
     line: u32,
-    /// True when the script assigns through `Math.` — disables the
-    /// `Math` member table, which would otherwise be wrong.
-    math_mutated: bool,
+    /// [`program_math_ok`]: the `Math` member table applies only while
+    /// `Math` is not rebound, aliased or mutated.
+    math_ok: bool,
 }
 
 impl Analyzer {
@@ -402,7 +402,7 @@ impl Analyzer {
             bindings: Vec::new(),
             channels: ChannelUse::default(),
             line: 0,
-            math_mutated: false,
+            math_ok: true,
         };
         a.push_frame(FrameKind::Natives);
         for sig in NATIVE_SIGS {
@@ -1003,7 +1003,7 @@ impl Analyzer {
             }
             Expr::Member { object, name } => {
                 if let Expr::Ident(obj) = &**object {
-                    if &**obj == "Math" && self.resolves_to_native("Math") && !self.math_mutated {
+                    if &**obj == "Math" && self.resolves_to_native("Math") && self.math_ok {
                         self.check_math_call(name, args, line);
                     }
                 }
@@ -1162,18 +1162,11 @@ pub(crate) fn collect_scope_vars_stmt(s: &Stmt, out: &mut Vec<(Rc<str>, u32)>) {
                 out.push((name.clone(), *line));
             }
         }
-        Stmt::If { then, els, .. } => {
-            if !creates_scope(then) {
-                collect_scope_vars_stmt(then, out);
-            }
-            if let Some(els) = els {
-                if !creates_scope(els) {
-                    collect_scope_vars_stmt(els, out);
-                }
-            }
-        }
-        Stmt::While { body, .. } | Stmt::DoWhile { body, .. } if !creates_scope(body) => {
-            collect_scope_vars_stmt(body, out);
+        Stmt::If { .. } | Stmt::While { .. } | Stmt::DoWhile { .. } => {
+            walk_substmts(s, &mut |child| match child {
+                Node::Stmt(arm) if !creates_scope(arm) => collect_scope_vars_stmt(arm, out),
+                _ => {}
+            });
         }
         _ => {}
     }
@@ -1210,39 +1203,32 @@ fn diverges(s: &Stmt) -> bool {
 /// *this* loop (nested loops own their own `break`s; nested functions
 /// own their `return`s).
 fn can_leave_loop(body: &Stmt) -> bool {
-    fn stmt_leaves(s: &Stmt) -> bool {
-        match s {
-            Stmt::Break { .. } | Stmt::Return { .. } => true,
-            Stmt::Block { body, .. } => body.iter().any(stmt_leaves),
-            Stmt::If { then, els, .. } => {
-                stmt_leaves(then) || els.as_deref().is_some_and(stmt_leaves)
-            }
-            // A nested loop captures `break`, but a `return` inside it
-            // still exits the outer loop; keep it simple and
-            // conservative: any nested `return` counts, `break` does
-            // not cross the nested loop.
-            Stmt::While { body, .. }
-            | Stmt::DoWhile { body, .. }
-            | Stmt::For { body, .. }
-            | Stmt::ForIn { body, .. } => stmt_returns(body),
-            _ => false,
-        }
-    }
-    fn stmt_returns(s: &Stmt) -> bool {
+    // A nested loop captures `break`, but a `return` inside it still
+    // exits the outer loop.
+    fn leaves(s: &Stmt, in_nested_loop: bool) -> bool {
         match s {
             Stmt::Return { .. } => true,
-            Stmt::Block { body, .. } => body.iter().any(stmt_returns),
-            Stmt::If { then, els, .. } => {
-                stmt_returns(then) || els.as_deref().is_some_and(stmt_returns)
+            Stmt::Break { .. } => !in_nested_loop,
+            _ => {
+                let nested = in_nested_loop
+                    || matches!(
+                        s,
+                        Stmt::While { .. }
+                            | Stmt::DoWhile { .. }
+                            | Stmt::For { .. }
+                            | Stmt::ForIn { .. }
+                    );
+                let mut found = false;
+                walk_substmts(s, &mut |child| {
+                    if let Node::Stmt(child) = child {
+                        found = found || leaves(child, nested);
+                    }
+                });
+                found
             }
-            Stmt::While { body, .. }
-            | Stmt::DoWhile { body, .. }
-            | Stmt::For { body, .. }
-            | Stmt::ForIn { body, .. } => stmt_returns(body),
-            _ => false,
         }
     }
-    stmt_leaves(body)
+    leaves(body, false)
 }
 
 /// `Some(truthiness)` when the expression is a literal whose truth
@@ -1261,89 +1247,62 @@ fn literal_truthiness(e: &Expr) -> Option<bool> {
 /// True when an assignment expression appears anywhere in a condition
 /// (excluding nested function bodies, where assignment is normal).
 fn contains_assign(e: &Expr) -> bool {
-    match e {
-        Expr::Assign { .. } => true,
-        Expr::Unary { expr, .. } => contains_assign(expr),
-        Expr::Binary { lhs, rhs, .. } | Expr::Logical { lhs, rhs, .. } => {
-            contains_assign(lhs) || contains_assign(rhs)
-        }
-        Expr::Ternary { cond, then, els } => {
-            contains_assign(cond) || contains_assign(then) || contains_assign(els)
-        }
-        Expr::Call { callee, args, .. } => {
-            contains_assign(callee) || args.iter().any(contains_assign)
-        }
-        Expr::Member { object, .. } => contains_assign(object),
-        Expr::Index { object, index } => contains_assign(object) || contains_assign(index),
-        Expr::Array(items) => items.iter().any(contains_assign),
-        Expr::Object(props) => props.iter().any(|(_, v)| contains_assign(v)),
-        _ => false,
+    if matches!(e, Expr::Assign { .. }) {
+        return true;
     }
+    let mut found = false;
+    walk_subexprs(e, &mut |sub| found = found || contains_assign(sub));
+    found
 }
 
-/// True when the statement (transitively) assigns through `Math.`,
-/// which invalidates the static Math member table.
-fn stmt_touches_math(s: &Stmt) -> bool {
-    fn expr_touches(e: &Expr) -> bool {
-        match e {
-            Expr::Assign { target, value, .. } => {
-                let target_is_math_member = matches!(
-                    &**target,
-                    Expr::Member { object, .. } | Expr::Index { object, .. }
-                        if matches!(&**object, Expr::Ident(n) if &**n == "Math")
-                );
-                target_is_math_member || expr_touches(target) || expr_touches(value)
-            }
-            Expr::Unary { expr, .. } => expr_touches(expr),
-            Expr::Binary { lhs, rhs, .. } | Expr::Logical { lhs, rhs, .. } => {
-                expr_touches(lhs) || expr_touches(rhs)
-            }
-            Expr::Ternary { cond, then, els } => {
-                expr_touches(cond) || expr_touches(then) || expr_touches(els)
-            }
-            Expr::Call { callee, args, .. } => {
-                expr_touches(callee) || args.iter().any(expr_touches)
-            }
-            Expr::Member { object, .. } => expr_touches(object),
-            Expr::Index { object, index } => expr_touches(object) || expr_touches(index),
-            Expr::Array(items) => items.iter().any(expr_touches),
-            Expr::Object(props) => props.iter().any(|(_, v)| expr_touches(v)),
-            Expr::Update { target, .. } => expr_touches(target),
-            Expr::Func { body, .. } => body.iter().any(stmt_touches_math),
-            _ => false,
-        }
+/// True when `Math` is provably the untouched builtin for the whole
+/// program: never declared, assigned, mutated through, or mentioned
+/// outside `Math.<prop>` / `Math[<expr>]` *read* position (a bare
+/// mention could alias it, letting mutations escape the static view).
+/// The compiler's `Math.<fn>` fast path and the analyzer's `Math.*`
+/// call checks both rest on it.
+pub(crate) fn program_math_ok(stmts: &[Stmt]) -> bool {
+    let mut ok = true;
+    for s in stmts {
+        math_scan(Node::Stmt(s), &mut ok);
     }
-    match s {
-        Stmt::Var { decls, .. } => decls
-            .iter()
-            .any(|(_, init)| init.as_ref().is_some_and(expr_touches)),
-        Stmt::Func { body, .. } => body.iter().any(stmt_touches_math),
-        Stmt::Expr { expr, .. } => expr_touches(expr),
-        Stmt::If {
-            cond, then, els, ..
-        } => {
-            expr_touches(cond)
-                || stmt_touches_math(then)
-                || els.as_deref().is_some_and(stmt_touches_math)
+    ok
+}
+
+fn math_scan(n: Node<'_>, ok: &mut bool) {
+    let is_math = |name: &Rc<str>| &**name == "Math";
+    let is_math_ident = |e: &Expr| matches!(e, Expr::Ident(name) if is_math(name));
+    // Writing through `Math.x` / `Math[e]` mutates the builtin.
+    let through_math = |target: &Expr| {
+        matches!(target, Expr::Member { object, .. } | Expr::Index { object, .. }
+            if is_math_ident(object))
+    };
+    match n {
+        _ if !*ok => {}
+        Node::Stmt(Stmt::Var { decls, .. }) if decls.iter().any(|(name, _)| is_math(name)) => {
+            *ok = false;
         }
-        Stmt::While { cond, body, .. } | Stmt::DoWhile { body, cond, .. } => {
-            expr_touches(cond) || stmt_touches_math(body)
+        Node::Stmt(Stmt::ForIn { name, .. }) if is_math(name) => *ok = false,
+        Node::Stmt(Stmt::Func { name, .. }) if is_math(name) => *ok = false,
+        Node::Stmt(Stmt::Func { params, body, .. }) | Node::Expr(Expr::Func { params, body }) => {
+            if params.iter().any(is_math) {
+                *ok = false;
+            }
+            body.iter().for_each(|s| math_scan(Node::Stmt(s), ok));
         }
-        Stmt::ForIn { object, body, .. } => expr_touches(object) || stmt_touches_math(body),
-        Stmt::For {
-            init,
-            cond,
-            step,
-            body,
-            ..
-        } => {
-            init.as_deref().is_some_and(stmt_touches_math)
-                || cond.as_ref().is_some_and(expr_touches)
-                || step.as_ref().is_some_and(expr_touches)
-                || stmt_touches_math(body)
+        // A bare `Math` anywhere outside member/index read position
+        // could alias the object.
+        Node::Expr(Expr::Ident(name)) if is_math(name) => *ok = false,
+        // `Math.x` / `Math[e]` reads are fine; anything deeper scans.
+        Node::Expr(Expr::Member { object, .. }) if is_math_ident(object) => {}
+        Node::Expr(Expr::Index { object, index }) if is_math_ident(object) => {
+            math_scan(Node::Expr(index), ok);
         }
-        Stmt::Return { value, .. } => value.as_ref().is_some_and(expr_touches),
-        Stmt::Block { body, .. } => body.iter().any(stmt_touches_math),
-        Stmt::Break { .. } | Stmt::Continue { .. } | Stmt::Empty { .. } => false,
+        Node::Expr(Expr::Assign { target, .. } | Expr::Update { target, .. })
+            if through_math(target) =>
+        {
+            *ok = false;
+        }
+        _ => n.for_each_child(&mut |child| math_scan(child, ok)),
     }
 }

@@ -219,3 +219,105 @@ impl Expr {
         )
     }
 }
+
+/// A statement or an expression: what a generic walk over the tree visits.
+#[derive(Clone, Copy)]
+pub(crate) enum Node<'a> {
+    Stmt(&'a Stmt),
+    Expr(&'a Expr),
+}
+
+impl<'a> Node<'a> {
+    /// Calls `f` on every direct child of this node. Function bodies
+    /// are *not* descended — callers decide what nesting means.
+    pub(crate) fn for_each_child(self, f: &mut impl FnMut(Node<'a>)) {
+        match self {
+            Node::Stmt(s) => walk_substmts(s, f),
+            Node::Expr(e) => walk_subexprs(e, &mut |sub| f(Node::Expr(sub))),
+        }
+    }
+}
+
+/// Calls `f` on every direct child of `s`: its expressions and nested
+/// statements (the body of a `function` declaration is *not* descended).
+pub(crate) fn walk_substmts<'a>(s: &'a Stmt, f: &mut impl FnMut(Node<'a>)) {
+    match s {
+        Stmt::Func { .. } | Stmt::Break { .. } | Stmt::Continue { .. } | Stmt::Empty { .. } => {}
+        Stmt::Var { decls, .. } => decls
+            .iter()
+            .filter_map(|(_, init)| init.as_ref())
+            .for_each(|e| f(Node::Expr(e))),
+        Stmt::Expr { expr, .. } => f(Node::Expr(expr)),
+        Stmt::If {
+            cond, then, els, ..
+        } => {
+            f(Node::Expr(cond));
+            f(Node::Stmt(then));
+            if let Some(els) = els {
+                f(Node::Stmt(els));
+            }
+        }
+        Stmt::While { cond, body, .. } | Stmt::DoWhile { body, cond, .. } => {
+            f(Node::Expr(cond));
+            f(Node::Stmt(body));
+        }
+        Stmt::ForIn { object, body, .. } => {
+            f(Node::Expr(object));
+            f(Node::Stmt(body));
+        }
+        Stmt::For {
+            init,
+            cond,
+            step,
+            body,
+            ..
+        } => {
+            if let Some(init) = init {
+                f(Node::Stmt(init));
+            }
+            cond.iter().chain(step).for_each(|e| f(Node::Expr(e)));
+            f(Node::Stmt(body));
+        }
+        Stmt::Return { value, .. } => value.iter().for_each(|e| f(Node::Expr(e))),
+        Stmt::Block { body, .. } => body.iter().for_each(|s| f(Node::Stmt(s))),
+    }
+}
+
+/// Calls `f` on every direct sub-expression of `e` (function bodies
+/// are *not* descended — callers decide what nesting means).
+pub(crate) fn walk_subexprs<'a>(e: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
+    match e {
+        Expr::Number(_)
+        | Expr::Str(_)
+        | Expr::Bool(_)
+        | Expr::Null
+        | Expr::Ident(_)
+        | Expr::Func { .. } => {}
+        Expr::Array(items) => items.iter().for_each(f),
+        Expr::Object(props) => props.iter().for_each(|(_, v)| f(v)),
+        Expr::Unary { expr, .. } => f(expr),
+        Expr::Binary { lhs, rhs, .. } | Expr::Logical { lhs, rhs, .. } => {
+            f(lhs);
+            f(rhs);
+        }
+        Expr::Ternary { cond, then, els } => {
+            f(cond);
+            f(then);
+            f(els);
+        }
+        Expr::Assign { target, value, .. } => {
+            f(target);
+            f(value);
+        }
+        Expr::Update { target, .. } => f(target),
+        Expr::Call { callee, args, .. } => {
+            f(callee);
+            args.iter().for_each(f);
+        }
+        Expr::Member { object, .. } => f(object),
+        Expr::Index { object, index } => {
+            f(object);
+            f(index);
+        }
+    }
+}

@@ -33,7 +33,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
 
 use crate::analyze;
-use crate::ast::{BinOp, Expr, LogicalOp, Stmt, UnaryOp};
+use crate::ast::{BinOp, Expr, LogicalOp, Node, Stmt, UnaryOp};
 use crate::builtins;
 use crate::bytecode::{
     ChainInfo, ChainRef, Chunk, CompiledProgram, FnProto, GlobalSite, MemberSite, Op, UpvalSrc,
@@ -98,7 +98,7 @@ pub fn compile_program(program: &[Stmt]) -> Result<CompiledProgram, ScriptError>
 fn lower_program(program: &[Stmt]) -> Result<CompiledProgram, ScriptError> {
     let mut c = Compiler {
         funcs: Vec::new(),
-        math_ok: program_math_ok(program),
+        math_ok: analyze::program_math_ok(program),
     };
     c.push_func(collect_captured(program));
     // The top-level scope is the shared global environment, not a
@@ -1155,327 +1155,31 @@ fn bin_op(op: BinOp) -> Op {
 fn collect_captured(stmts: &[Stmt]) -> BTreeSet<Rc<str>> {
     let mut out = BTreeSet::new();
     for s in stmts {
-        captured_stmt(s, &mut out);
+        captured(Node::Stmt(s), &mut out);
     }
     out
 }
 
-fn captured_stmt(s: &Stmt, out: &mut BTreeSet<Rc<str>>) {
-    match s {
-        Stmt::Var { decls, .. } => {
-            for (_, init) in decls {
-                if let Some(e) = init {
-                    captured_expr(e, out);
-                }
-            }
+fn captured(n: Node<'_>, out: &mut BTreeSet<Rc<str>>) {
+    match n {
+        Node::Stmt(Stmt::Func { body, .. }) | Node::Expr(Expr::Func { body, .. }) => {
+            body.iter().for_each(|s| all_idents(Node::Stmt(s), out));
         }
-        Stmt::Func { body, .. } => all_idents_stmts(body, out),
-        Stmt::Expr { expr, .. } => captured_expr(expr, out),
-        Stmt::If {
-            cond, then, els, ..
-        } => {
-            captured_expr(cond, out);
-            captured_stmt(then, out);
-            if let Some(els) = els {
-                captured_stmt(els, out);
-            }
-        }
-        Stmt::While { cond, body, .. } | Stmt::DoWhile { body, cond, .. } => {
-            captured_expr(cond, out);
-            captured_stmt(body, out);
-        }
-        Stmt::ForIn { object, body, .. } => {
-            captured_expr(object, out);
-            captured_stmt(body, out);
-        }
-        Stmt::For {
-            init,
-            cond,
-            step,
-            body,
-            ..
-        } => {
-            if let Some(init) = init {
-                captured_stmt(init, out);
-            }
-            if let Some(cond) = cond {
-                captured_expr(cond, out);
-            }
-            if let Some(step) = step {
-                captured_expr(step, out);
-            }
-            captured_stmt(body, out);
-        }
-        Stmt::Return { value, .. } => {
-            if let Some(e) = value {
-                captured_expr(e, out);
-            }
-        }
-        Stmt::Block { body, .. } => {
-            for s in body {
-                captured_stmt(s, out);
-            }
-        }
-        Stmt::Break { .. } | Stmt::Continue { .. } | Stmt::Empty { .. } => {}
-    }
-}
-
-fn captured_expr(e: &Expr, out: &mut BTreeSet<Rc<str>>) {
-    match e {
-        Expr::Func { body, .. } => all_idents_stmts(body, out),
-        other => walk_subexprs(other, &mut |sub| captured_expr(sub, out)),
+        _ => n.for_each_child(&mut |child| captured(child, out)),
     }
 }
 
 /// Every identifier mentioned in a nested-function body, at any depth.
-fn all_idents_stmts(stmts: &[Stmt], out: &mut BTreeSet<Rc<str>>) {
-    for s in stmts {
-        all_idents_stmt(s, out);
-    }
-}
-
-fn all_idents_stmt(s: &Stmt, out: &mut BTreeSet<Rc<str>>) {
-    match s {
-        Stmt::Var { decls, .. } => {
-            for (_, init) in decls {
-                if let Some(e) = init {
-                    all_idents_expr(e, out);
-                }
-            }
-        }
-        Stmt::Func { body, .. } => all_idents_stmts(body, out),
-        Stmt::Expr { expr, .. } => all_idents_expr(expr, out),
-        Stmt::If {
-            cond, then, els, ..
-        } => {
-            all_idents_expr(cond, out);
-            all_idents_stmt(then, out);
-            if let Some(els) = els {
-                all_idents_stmt(els, out);
-            }
-        }
-        Stmt::While { cond, body, .. } | Stmt::DoWhile { body, cond, .. } => {
-            all_idents_expr(cond, out);
-            all_idents_stmt(body, out);
-        }
-        Stmt::ForIn { object, body, .. } => {
-            all_idents_expr(object, out);
-            all_idents_stmt(body, out);
-        }
-        Stmt::For {
-            init,
-            cond,
-            step,
-            body,
-            ..
-        } => {
-            if let Some(init) = init {
-                all_idents_stmt(init, out);
-            }
-            if let Some(cond) = cond {
-                all_idents_expr(cond, out);
-            }
-            if let Some(step) = step {
-                all_idents_expr(step, out);
-            }
-            all_idents_stmt(body, out);
-        }
-        Stmt::Return { value, .. } => {
-            if let Some(e) = value {
-                all_idents_expr(e, out);
-            }
-        }
-        Stmt::Block { body, .. } => all_idents_stmts(body, out),
-        Stmt::Break { .. } | Stmt::Continue { .. } | Stmt::Empty { .. } => {}
-    }
-}
-
-fn all_idents_expr(e: &Expr, out: &mut BTreeSet<Rc<str>>) {
-    match e {
-        Expr::Ident(name) => {
+fn all_idents(n: Node<'_>, out: &mut BTreeSet<Rc<str>>) {
+    match n {
+        Node::Expr(Expr::Ident(name)) => {
             out.insert(name.clone());
         }
-        // A function expression inside the nested function captures
-        // from here through it.
-        Expr::Func { body, .. } => all_idents_stmts(body, out),
-        _ => {}
-    }
-    walk_subexprs(e, &mut |sub| all_idents_expr(sub, out));
-}
-
-/// Calls `f` on every direct sub-expression of `e` (function bodies
-/// are *not* descended — callers decide what nesting means).
-fn walk_subexprs(e: &Expr, f: &mut impl FnMut(&Expr)) {
-    match e {
-        Expr::Number(_)
-        | Expr::Str(_)
-        | Expr::Bool(_)
-        | Expr::Null
-        | Expr::Ident(_)
-        | Expr::Func { .. } => {}
-        Expr::Array(items) => items.iter().for_each(f),
-        Expr::Object(props) => props.iter().for_each(|(_, v)| f(v)),
-        Expr::Unary { expr, .. } => f(expr),
-        Expr::Binary { lhs, rhs, .. } | Expr::Logical { lhs, rhs, .. } => {
-            f(lhs);
-            f(rhs);
+        // A function inside the nested function captures from here
+        // through it.
+        Node::Stmt(Stmt::Func { body, .. }) | Node::Expr(Expr::Func { body, .. }) => {
+            body.iter().for_each(|s| all_idents(Node::Stmt(s), out));
         }
-        Expr::Ternary { cond, then, els } => {
-            f(cond);
-            f(then);
-            f(els);
-        }
-        Expr::Assign { target, value, .. } => {
-            f(target);
-            f(value);
-        }
-        Expr::Update { target, .. } => f(target),
-        Expr::Call { callee, args, .. } => {
-            f(callee);
-            args.iter().for_each(f);
-        }
-        Expr::Member { object, .. } => f(object),
-        Expr::Index { object, index } => {
-            f(object);
-            f(index);
-        }
-    }
-}
-
-/// True when `Math` is provably the untouched builtin for the whole
-/// program: never declared, assigned, mutated through, or mentioned
-/// outside `Math.<prop>` / `Math[<expr>]` *read* position (a bare
-/// mention could alias it, letting mutations escape the static view).
-fn program_math_ok(stmts: &[Stmt]) -> bool {
-    let mut ok = true;
-    for s in stmts {
-        math_scan_stmt(s, &mut ok);
-    }
-    ok
-}
-
-fn is_math_ident(e: &Expr) -> bool {
-    matches!(e, Expr::Ident(n) if &**n == "Math")
-}
-
-fn math_scan_stmt(s: &Stmt, ok: &mut bool) {
-    if !*ok {
-        return;
-    }
-    match s {
-        Stmt::Var { decls, .. } => {
-            for (name, init) in decls {
-                if &**name == "Math" {
-                    *ok = false;
-                }
-                if let Some(e) = init {
-                    math_scan_expr(e, ok);
-                }
-            }
-        }
-        Stmt::Func {
-            name, params, body, ..
-        } => {
-            if &**name == "Math" || params.iter().any(|p| &**p == "Math") {
-                *ok = false;
-            }
-            for s in body.iter() {
-                math_scan_stmt(s, ok);
-            }
-        }
-        Stmt::Expr { expr, .. } => math_scan_expr(expr, ok),
-        Stmt::If {
-            cond, then, els, ..
-        } => {
-            math_scan_expr(cond, ok);
-            math_scan_stmt(then, ok);
-            if let Some(els) = els {
-                math_scan_stmt(els, ok);
-            }
-        }
-        Stmt::While { cond, body, .. } | Stmt::DoWhile { body, cond, .. } => {
-            math_scan_expr(cond, ok);
-            math_scan_stmt(body, ok);
-        }
-        Stmt::ForIn {
-            name, object, body, ..
-        } => {
-            if &**name == "Math" {
-                *ok = false;
-            }
-            math_scan_expr(object, ok);
-            math_scan_stmt(body, ok);
-        }
-        Stmt::For {
-            init,
-            cond,
-            step,
-            body,
-            ..
-        } => {
-            if let Some(init) = init {
-                math_scan_stmt(init, ok);
-            }
-            if let Some(cond) = cond {
-                math_scan_expr(cond, ok);
-            }
-            if let Some(step) = step {
-                math_scan_expr(step, ok);
-            }
-            math_scan_stmt(body, ok);
-        }
-        Stmt::Return { value, .. } => {
-            if let Some(e) = value {
-                math_scan_expr(e, ok);
-            }
-        }
-        Stmt::Block { body, .. } => {
-            for s in body {
-                math_scan_stmt(s, ok);
-            }
-        }
-        Stmt::Break { .. } | Stmt::Continue { .. } | Stmt::Empty { .. } => {}
-    }
-}
-
-fn math_scan_expr(e: &Expr, ok: &mut bool) {
-    if !*ok {
-        return;
-    }
-    match e {
-        // A bare `Math` anywhere outside member/index read position
-        // could alias the object.
-        Expr::Ident(n) => {
-            if &**n == "Math" {
-                *ok = false;
-            }
-        }
-        // `Math.x` / `Math[e]` reads are fine; anything deeper scans.
-        Expr::Member { object, .. } if is_math_ident(object) => {}
-        Expr::Index { object, index } if is_math_ident(object) => math_scan_expr(index, ok),
-        // Writing through `Math.x` / `Math[e]` mutates the builtin.
-        Expr::Assign { target, value, .. } => {
-            match target.as_ref() {
-                Expr::Member { object, .. } | Expr::Index { object, .. }
-                    if is_math_ident(object) =>
-                {
-                    *ok = false;
-                }
-                other => math_scan_expr(other, ok),
-            }
-            math_scan_expr(value, ok);
-        }
-        Expr::Update { target, .. } => match target.as_ref() {
-            Expr::Member { object, .. } | Expr::Index { object, .. } if is_math_ident(object) => {
-                *ok = false;
-            }
-            other => math_scan_expr(other, ok),
-        },
-        Expr::Func { body, .. } => {
-            for s in body.iter() {
-                math_scan_stmt(s, ok);
-            }
-        }
-        other => walk_subexprs(other, &mut |sub| math_scan_expr(sub, ok)),
+        _ => n.for_each_child(&mut |child| all_idents(child, out)),
     }
 }

@@ -135,11 +135,6 @@ impl Env {
             current = parent;
         }
     }
-
-    /// True if `name` is declared in this scope (not the chain).
-    pub fn declared_locally(&self, name: &str) -> bool {
-        self.scope.borrow().vars.contains_key(name)
-    }
 }
 
 #[cfg(test)]

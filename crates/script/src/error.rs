@@ -52,11 +52,6 @@ impl ScriptError {
         }
     }
 
-    /// Convenience constructor for [`ErrorKind::Type`].
-    pub fn type_error(message: impl Into<String>, line: u32) -> Self {
-        Self::new(ErrorKind::Type, message, line)
-    }
-
     /// Convenience constructor for [`ErrorKind::Host`] errors raised by
     /// native functions.
     pub fn host(message: impl Into<String>) -> Self {

@@ -7,11 +7,21 @@ use crate::error::{ErrorKind, ScriptError};
 use crate::lexer::tokenize;
 use crate::token::{Token, TokenKind};
 
+/// How deep statements and expressions may nest: the bound on the height
+/// of the tree [`parse`] returns, and so on the recursion of everything
+/// that walks it (analyzer, compiler, tree-walk interpreter, `Drop`).
+/// Deployed scripts come from outside the program; without the bound a
+/// few hundred kilobytes of `(` or `1+1+…` overflow the stack. Sized
+/// like `pogo_core::value::MAX_JSON_DEPTH`: far above anything
+/// hand-written, and every walker fits a 2 MB thread stack at this height.
+pub const MAX_NESTING: usize = 128;
+
 /// Parses a complete program.
 ///
 /// # Errors
 ///
-/// Returns the first lexical or syntactic error, annotated with its line.
+/// Returns the first lexical or syntactic error, annotated with its line;
+/// nesting deeper than [`MAX_NESTING`] is such an error.
 ///
 /// # Example
 ///
@@ -24,7 +34,12 @@ use crate::token::{Token, TokenKind};
 /// ```
 pub fn parse(source: &str) -> Result<Vec<Stmt>, ScriptError> {
     let tokens = tokenize(source)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+        reach: 0,
+    };
     let mut stmts = Vec::new();
     while !parser.check(&TokenKind::Eof) {
         stmts.push(parser.statement()?);
@@ -35,6 +50,11 @@ pub fn parse(source: &str) -> Result<Vec<Stmt>, ScriptError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nodes open above the one being parsed ([`Parser::nested`]).
+    depth: usize,
+    /// The deepest level the subtree parsed so far inside the innermost
+    /// [`Parser::nested`] call reaches, so `reach - depth` is its height.
+    reach: usize,
 }
 
 /// Parameter list and body shared by function declarations and expressions.
@@ -95,9 +115,47 @@ impl Parser {
         }
     }
 
+    // ---- nesting budget ---------------------------------------------------
+
+    /// Parses a child node with `f`, one level below the current one.
+    /// Every recursive cycle of the grammar passes through here, so the
+    /// parser's own recursion is bounded too.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ScriptError>,
+    ) -> Result<T, ScriptError> {
+        self.depth += 1;
+        let outer = std::mem::replace(&mut self.reach, self.depth);
+        self.check_nesting(self.depth)?;
+        let child = f(self)?;
+        self.reach = self.reach.max(outer);
+        self.depth -= 1;
+        Ok(child)
+    }
+
+    /// Accounts for a new node that takes the expression just parsed as
+    /// its child — a left-associative or postfix fold, a ternary over
+    /// its condition, an assignment over its target. The operand is
+    /// already built, so it is the tree's reach that moves down a level.
+    fn wrap(&mut self) -> Result<(), ScriptError> {
+        self.reach += 1;
+        self.check_nesting(self.reach)
+    }
+
+    fn check_nesting(&self, level: usize) -> Result<(), ScriptError> {
+        if level > MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        Ok(())
+    }
+
     // ---- statements -------------------------------------------------------
 
     fn statement(&mut self) -> Result<Stmt, ScriptError> {
+        self.nested(Self::statement_unnested)
+    }
+
+    fn statement_unnested(&mut self) -> Result<Stmt, ScriptError> {
         let line = self.line();
         match self.peek().kind {
             TokenKind::Var => self.var_decl(),
@@ -268,9 +326,9 @@ impl Parser {
         let init = if self.eat(&TokenKind::Semicolon) {
             None
         } else if self.check(&TokenKind::Var) {
-            Some(Box::new(self.var_decl()?))
+            Some(Box::new(self.nested(Self::var_decl)?))
         } else {
-            let expr = self.expression()?;
+            let expr = self.nested(Self::expression)?;
             let init_line = line;
             self.expect(&TokenKind::Semicolon, "after for initializer")?;
             Some(Box::new(Stmt::Expr {
@@ -321,6 +379,10 @@ impl Parser {
     }
 
     fn assignment(&mut self) -> Result<Expr, ScriptError> {
+        self.nested(Self::assignment_unnested)
+    }
+
+    fn assignment_unnested(&mut self) -> Result<Expr, ScriptError> {
         let target = self.ternary()?;
         let op = match self.peek().kind {
             TokenKind::Assign => None,
@@ -335,6 +397,7 @@ impl Parser {
             return Err(self.err("invalid assignment target"));
         }
         self.advance(); // the assignment operator
+        self.wrap()?;
         let value = self.assignment()?;
         Ok(Expr::Assign {
             target: Box::new(target),
@@ -344,8 +407,9 @@ impl Parser {
     }
 
     fn ternary(&mut self) -> Result<Expr, ScriptError> {
-        let cond = self.logical_or()?;
+        let cond = self.binary(0)?;
         if self.eat(&TokenKind::Question) {
+            self.wrap()?;
             let then = self.assignment()?;
             self.expect(&TokenKind::Colon, "in ternary expression")?;
             let els = self.assignment()?;
@@ -359,119 +423,61 @@ impl Parser {
         }
     }
 
-    fn logical_or(&mut self) -> Result<Expr, ScriptError> {
-        let mut lhs = self.logical_and()?;
-        while self.eat(&TokenKind::OrOr) {
-            let rhs = self.logical_and()?;
-            lhs = Expr::Logical {
-                op: LogicalOp::Or,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn logical_and(&mut self) -> Result<Expr, ScriptError> {
-        let mut lhs = self.equality()?;
-        while self.eat(&TokenKind::AndAnd) {
-            let rhs = self.equality()?;
-            lhs = Expr::Logical {
-                op: LogicalOp::And,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn equality(&mut self) -> Result<Expr, ScriptError> {
-        let mut lhs = self.comparison()?;
-        loop {
-            // `===`/`!==` are strict in JS; PogoScript's `==`/`!=` are
-            // already strict, so both spellings map to the same ops.
-            let op = match self.peek().kind {
-                TokenKind::EqEq | TokenKind::EqEqEq => BinOp::Eq,
-                TokenKind::NotEq | TokenKind::NotEqEq => BinOp::NotEq,
-                _ => return Ok(lhs),
-            };
-            self.advance();
-            let rhs = self.comparison()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-    }
-
-    fn comparison(&mut self) -> Result<Expr, ScriptError> {
-        let mut lhs = self.additive()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Lt => BinOp::Lt,
-                TokenKind::Gt => BinOp::Gt,
-                TokenKind::Le => BinOp::Le,
-                TokenKind::Ge => BinOp::Ge,
-                _ => return Ok(lhs),
-            };
-            self.advance();
-            let rhs = self.additive()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-    }
-
-    fn additive(&mut self) -> Result<Expr, ScriptError> {
-        let mut lhs = self.multiplicative()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                _ => return Ok(lhs),
-            };
-            self.advance();
-            let rhs = self.multiplicative()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-    }
-
-    fn multiplicative(&mut self) -> Result<Expr, ScriptError> {
+    /// Left-associative binary operators by precedence climbing: folds
+    /// every operator binding at least as tightly as `min`.
+    fn binary(&mut self, min: u8) -> Result<Expr, ScriptError> {
         let mut lhs = self.unary()?;
         loop {
-            let op = match self.peek().kind {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                TokenKind::Percent => BinOp::Rem,
+            let (level, op) = match self.peek().kind {
+                TokenKind::OrOr => (0, Err(LogicalOp::Or)),
+                TokenKind::AndAnd => (1, Err(LogicalOp::And)),
+                // `===`/`!==` are strict in JS; PogoScript's `==`/`!=` are
+                // already strict, so both spellings map to the same ops.
+                TokenKind::EqEq | TokenKind::EqEqEq => (2, Ok(BinOp::Eq)),
+                TokenKind::NotEq | TokenKind::NotEqEq => (2, Ok(BinOp::NotEq)),
+                TokenKind::Lt => (3, Ok(BinOp::Lt)),
+                TokenKind::Gt => (3, Ok(BinOp::Gt)),
+                TokenKind::Le => (3, Ok(BinOp::Le)),
+                TokenKind::Ge => (3, Ok(BinOp::Ge)),
+                TokenKind::Plus => (4, Ok(BinOp::Add)),
+                TokenKind::Minus => (4, Ok(BinOp::Sub)),
+                TokenKind::Star => (5, Ok(BinOp::Mul)),
+                TokenKind::Slash => (5, Ok(BinOp::Div)),
+                TokenKind::Percent => (5, Ok(BinOp::Rem)),
                 _ => return Ok(lhs),
             };
+            if level < min {
+                return Ok(lhs);
+            }
             self.advance();
-            let rhs = self.unary()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
+            self.wrap()?;
+            let rhs = Box::new(self.nested(|p| p.binary(level + 1))?);
+            let lhs_box = Box::new(lhs);
+            lhs = match op {
+                Ok(op) => Expr::Binary {
+                    op,
+                    lhs: lhs_box,
+                    rhs,
+                },
+                Err(op) => Expr::Logical {
+                    op,
+                    lhs: lhs_box,
+                    rhs,
+                },
             };
         }
     }
 
     fn unary(&mut self) -> Result<Expr, ScriptError> {
         let op = match self.peek().kind {
-            TokenKind::Not => Some(UnaryOp::Not),
-            TokenKind::Minus => Some(UnaryOp::Neg),
-            TokenKind::Plus => Some(UnaryOp::Plus),
-            TokenKind::Typeof => Some(UnaryOp::Typeof),
+            TokenKind::Not => UnaryOp::Not,
+            TokenKind::Minus => UnaryOp::Neg,
+            TokenKind::Plus => UnaryOp::Plus,
+            TokenKind::Typeof => UnaryOp::Typeof,
             TokenKind::PlusPlus | TokenKind::MinusMinus => {
                 let increment = self.peek().kind == TokenKind::PlusPlus;
                 self.advance();
-                let target = self.unary()?;
+                let target = self.nested(Self::unary)?;
                 if !target.is_lvalue() {
                     return Err(self.err("invalid increment/decrement target"));
                 }
@@ -481,19 +487,14 @@ impl Parser {
                     prefix: true,
                 });
             }
-            _ => None,
+            _ => return self.postfix(),
         };
-        match op {
-            Some(op) => {
-                self.advance();
-                let expr = self.unary()?;
-                Ok(Expr::Unary {
-                    op,
-                    expr: Box::new(expr),
-                })
-            }
-            None => self.postfix(),
-        }
+        self.advance();
+        let expr = self.nested(Self::unary)?;
+        Ok(Expr::Unary {
+            op,
+            expr: Box::new(expr),
+        })
     }
 
     fn postfix(&mut self) -> Result<Expr, ScriptError> {
@@ -502,6 +503,7 @@ impl Parser {
             match self.peek().kind {
                 TokenKind::Dot => {
                     self.advance();
+                    self.wrap()?;
                     let name = self.expect_ident("after `.`")?;
                     expr = Expr::Member {
                         object: Box::new(expr),
@@ -510,6 +512,7 @@ impl Parser {
                 }
                 TokenKind::LBracket => {
                     self.advance();
+                    self.wrap()?;
                     let index = self.expression()?;
                     self.expect(&TokenKind::RBracket, "after index expression")?;
                     expr = Expr::Index {
@@ -520,6 +523,7 @@ impl Parser {
                 TokenKind::LParen => {
                     let line = self.line();
                     self.advance();
+                    self.wrap()?;
                     let mut args = Vec::new();
                     if !self.check(&TokenKind::RParen) {
                         loop {
@@ -542,6 +546,7 @@ impl Parser {
                         return Ok(expr); // e.g. `a + b ++` is a parse-level oddity; stop here
                     }
                     self.advance();
+                    self.wrap()?;
                     expr = Expr::Update {
                         target: Box::new(expr),
                         increment,
@@ -633,6 +638,7 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::Node;
 
     #[test]
     fn parses_var_with_multiple_decls() {
@@ -803,5 +809,87 @@ function start()
 "#;
         let p = parse(src).unwrap();
         assert_eq!(p.len(), 1);
+    }
+
+    /// Height of the tree under `n`, function bodies included.
+    fn height(n: Node<'_>) -> usize {
+        let mut below = 0;
+        n.for_each_child(&mut |child| below = below.max(height(child)));
+        if let Node::Stmt(Stmt::Func { body, .. }) | Node::Expr(Expr::Func { body, .. }) = n {
+            below = body
+                .iter()
+                .map(|s| height(Node::Stmt(s)))
+                .fold(below, usize::max);
+        }
+        below + 1
+    }
+
+    /// The nesting shapes that used to overflow the stack (each aborted
+    /// the process at the sizes in `runaway_nesting_…` below), as
+    /// `n`-level sources starting on line 3.
+    type Shape = (&'static str, fn(usize) -> String);
+    const SHAPES: [Shape; 5] = [
+        ("parens", |n| {
+            format!("\n\nvar x = {}1{};", "(".repeat(n), ")".repeat(n))
+        }),
+        ("arrays", |n| {
+            format!("\n\nvar x = {}{};", "[".repeat(n), "]".repeat(n))
+        }),
+        // Parsed by a loop, but every walker recurses down the left spine.
+        ("sum", |n| format!("\n\nvar x = 1{};", "+1".repeat(n))),
+        ("nots", |n| format!("\n\n{}1;", "!".repeat(n))),
+        ("blocks", |n| {
+            format!("\n\n{}{}", "{".repeat(n), "}".repeat(n))
+        }),
+    ];
+
+    #[test]
+    fn runaway_nesting_is_a_parse_error_with_the_line() {
+        for ((name, shape), n) in SHAPES
+            .iter()
+            .zip([200_000, 200_000, 300_000, 300_000, 100_000])
+        {
+            let err = parse(&shape(n)).expect_err(name);
+            assert_eq!(err.kind(), ErrorKind::Parse, "{name}");
+            assert_eq!(err.line(), 3, "{name}");
+            assert_eq!(
+                err.message(),
+                format!("nesting deeper than {MAX_NESTING} levels"),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_tree_at_the_nesting_cap_parses_analyzes_compiles_and_runs() {
+        use crate::{Engine, Interpreter, Value};
+        for (name, shape) in SHAPES {
+            let n = (1..)
+                .find(|&n| parse(&shape(n + 1)).is_err())
+                .expect("the budget runs out");
+            let src = shape(n);
+            let program = parse(&src).expect(name);
+            // Parentheses leave no node behind; every other shape's
+            // budget is exactly the height of its tree.
+            if name != "parens" {
+                let tallest = program.iter().map(|s| height(Node::Stmt(s))).max();
+                assert_eq!(tallest, Some(MAX_NESTING), "{name} at {n} levels");
+            }
+            let diags = crate::analyze::analyze(&src);
+            assert!(diags.iter().all(|d| !d.is_error()), "{name}: {diags:?}");
+            crate::compile::compile(&src).expect(name);
+            // What the program evaluates to, and what it left in `x`.
+            let run = |engine| {
+                let mut interp = Interpreter::with_engine(engine);
+                let value = interp.eval(&src).expect(name);
+                (value.to_display_string(), interp.globals().get("x"))
+            };
+            let (tree, vm) = (run(Engine::TreeWalk), run(Engine::Bytecode));
+            assert_eq!(tree.0, vm.0, "{name}");
+            if name == "sum" {
+                assert_eq!(tree.1, Some(Value::Num(n as f64 + 1.0)));
+                assert_eq!(vm.1, tree.1);
+            }
+        }
     }
 }

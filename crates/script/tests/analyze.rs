@@ -156,6 +156,9 @@ fn p102_not_when_math_is_patched() {
     // Assigning through `Math.` invalidates the static member table.
     let src = "Math.tan = function (x) { return x; };\nvar y = Math.tan(1);\nlog(y);";
     assert!(!has(src, "P102"));
+    // So does patching it through an alias.
+    let src = "var m = Math;\nm.tan = function (x) { return x; };\nlog(Math.tan(1));";
+    assert!(!has(src, "P102"));
 }
 
 #[test]
@@ -490,6 +493,23 @@ fn pogo_lint_binary_exit_codes() {
     assert_eq!(bad.status.code(), Some(1));
     let stdout = String::from_utf8_lossy(&bad.stdout);
     assert!(stdout.contains("P001"), "stdout: {stdout}");
+
+    // Runaway nesting is a P000 parse error on every path through the
+    // binary, not a stack overflow (which would abort with 134).
+    std::fs::write(&tmp, format!("var x = {}1;\n", "(".repeat(200_000))).expect("write fixture");
+    for flags in [&[][..], &["--verify", "--cost", "--json"]] {
+        let deep = std::process::Command::new(bin)
+            .args(flags)
+            .arg(&tmp)
+            .output()
+            .expect("pogo-lint runs");
+        assert_eq!(deep.status.code(), Some(1), "{flags:?}");
+        let stdout = String::from_utf8_lossy(&deep.stdout);
+        assert!(
+            stdout.contains("P000") && stdout.contains("nesting deeper than 128 levels"),
+            "{flags:?} stdout: {stdout}"
+        );
+    }
     std::fs::remove_file(&tmp).ok();
 }
 

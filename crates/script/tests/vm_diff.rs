@@ -24,7 +24,7 @@
 mod common;
 
 use common::{eq_val, run_engine, VmGen};
-use pogo_script::{Engine, ErrorKind};
+use pogo_script::{Engine, ErrorKind, Value};
 
 // ---- the differential property ----------------------------------------------
 
@@ -127,6 +127,26 @@ fn slot_addressed_lowerings_match_tree_walk_in_kind_message_and_line() {
         assert!(errors.contains(needle), "{needle:?} not in {errors:#?}");
     }
     assert!(errors.len() >= 8, "{errors:#?}");
+}
+
+/// The `Math.<fn>` fast path must yield to every way a program can make
+/// `Math` something other than the builtin: each of these calls its own
+/// `floor`, which answers 42.
+#[test]
+fn math_fast_path_yields_to_every_rebinding_of_math() {
+    let fake = "{ floor: function (x) { return 42; } }";
+    for src in [
+        format!("var f = function (Math) {{ return Math.floor(1.5); }}; f({fake});"),
+        format!("function f(Math) {{ return Math.floor(1.5); }} f({fake});"),
+        format!("function f() {{ var Math = {fake}; return Math.floor(1.5); }} f();"),
+        "Math.floor = function (x) { return 42; }; Math.floor(1.5);".to_owned(),
+        "var m = Math; m.floor = function (x) { return 42; }; Math.floor(1.5);".to_owned(),
+    ] {
+        for engine in [Engine::TreeWalk, Engine::Bytecode] {
+            let run = run_engine(engine, &src);
+            assert_eq!(run.result, Ok(Value::Num(42.0)), "{engine:?}\n{src}");
+        }
+    }
 }
 
 /// Programs the analyzer passes as scope-clean must run on the VM

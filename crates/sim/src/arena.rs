@@ -24,11 +24,6 @@ impl DeviceId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// The raw dense id.
-    pub fn as_u32(self) -> u32 {
-        self.0
-    }
 }
 
 impl From<usize> for DeviceId {
@@ -58,7 +53,7 @@ mod tests {
         let a = DeviceId::new(3);
         let b = DeviceId::from(7usize);
         assert_eq!(a.index(), 3);
-        assert_eq!(b.as_u32(), 7);
+        assert_eq!(b.index(), 7);
         assert!(a < b);
         assert_eq!(format!("{a}"), "#3");
         assert_eq!(DeviceId::from(3u32), a);

@@ -42,9 +42,12 @@ for arg in "$@"; do
 done
 
 cargo build --release --workspace
-# Size, parent -> change (ROADMAP item 4).
+# Size and public functions without a non-test caller, parent -> change
+# (ROADMAP item 5; report-only).
 scripts/sloc.sh HEAD~1 2>/dev/null || echo "sloc HEAD~1: no parent commit here"
 scripts/sloc.sh
+scripts/sloc.sh --uncalled HEAD~1 2>/dev/null || true
+scripts/sloc.sh --uncalled
 cargo test -q
 
 if [[ "$run_lint" == 1 ]]; then

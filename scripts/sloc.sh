@@ -9,9 +9,23 @@
 #
 #   scripts/sloc.sh            count the working tree
 #   scripts/sloc.sh <commit>   count a commit (e.g. HEAD~1 for parent -> change)
+#
+#   scripts/sloc.sh --uncalled [<commit>]
+#       the `pub fn` names declared in those counted lines that nothing
+#       outside tests calls: the name occurs in no code line of the counted
+#       files, of benchmark/src/ (up to its `#[cfg(test)]`) or of examples/,
+#       other than as `fn <name>`. Split by whether the rest of the tracked
+#       *.rs (test modules, tests/ directories, comment and doc lines) names
+#       it: "tests only", or "no reference at all". A grep over names, not a
+#       call graph: report-only.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+uncalled=0
+if [[ "${1:-}" == --uncalled ]]; then
+    uncalled=1
+    shift
+fi
 rev="${1:-}"
 if [[ -n "$rev" ]]; then
     list() { git ls-tree -r --name-only "$rev"; }
@@ -19,6 +33,57 @@ if [[ -n "$rev" ]]; then
 else
     list() { git ls-files; }
     show() { cat "$1"; }
+fi
+
+if [[ "$uncalled" == 1 ]]; then
+    # One stream, each line tagged: D = counted line (declares and calls),
+    # C = other non-test code (calls), T = test, comment or doc line.
+    list | grep -E '\.rs$' | while read -r f; do
+        [[ -n "$rev" || -f "$f" ]] || continue
+        case "$f" in
+            benchmark/src/* | examples/*) kind=C ;;
+            benchmark/* | tests/* | */tests/*) kind=T ;;
+            *) kind=D ;;
+        esac
+        show "$f" | awk -v kind="$kind" '
+            /#\[cfg\(test\)\]/ { kind = "T" }
+            /^[[:space:]]*\/\// { print "T", $0; next }
+            { print kind, $0 }'
+    done | awk -v rev="${rev:-worktree}" '
+        {
+            tag = $1
+            line = substr($0, 3)
+            if (tag == "D" && match(line, /^[[:space:]]*pub (const )?fn [A-Za-z0-9_]+/)) {
+                name = substr(line, RSTART, RLENGTH)
+                sub(/.*fn /, "", name)
+                declared[name] = 1
+            }
+            n = split(line, tok, /[^A-Za-z0-9_]+/)
+            for (i = 1; i <= n; i++) {
+                if (tok[i] == "") continue
+                if (tag == "T") tests[tok[i]]++
+                else if (i > 1 && tok[i - 1] == "fn") continue
+                else calls[tok[i]]++
+            }
+        }
+        END {
+            for (name in declared) {
+                if (name in calls) continue
+                if (name in tests) { t++; tests_only = tests_only " " name }
+                else { z++; none = none " " name }
+            }
+            printf "uncalled %s: %d pub fn names without a non-test caller: %d no reference at all, %d tests only\n", rev, z + t, z, t
+            printf "  no reference at all:%s\n", sorted(none)
+            printf "  tests only:%s\n", sorted(tests_only)
+        }
+        function sorted(list,    a, n, i, j, tmp, out) {
+            n = split(list, a, " ")
+            for (i = 2; i <= n; i++)
+                for (j = i; j > 1 && a[j - 1] > a[j]; j--) { tmp = a[j]; a[j] = a[j - 1]; a[j - 1] = tmp }
+            for (i = 1; i <= n; i++) out = out " " a[i]
+            return out
+        }'
+    exit 0
 fi
 
 list | grep -E '\.rs$' | grep -Ev '^benchmark/|(^|/)tests/' | while read -r f; do

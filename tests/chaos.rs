@@ -188,7 +188,8 @@ fn dedup_absorbs_duplicated_retransmits_when_acks_vanish() {
     }
 
     // Heal the link: acks flow again and the store drains.
-    tb.server().clear_link_chaos(&device.jid());
+    tb.server()
+        .set_link_chaos(&device.jid(), |_| LinkFate::Deliver);
     sim.run_for(SimDuration::from_mins(3));
     assert_eq!(device.buffered(), 0, "store drains once acks return");
 }

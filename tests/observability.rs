@@ -5,7 +5,7 @@
 
 use pogo::core::proto::ScriptSpec;
 use pogo::core::sensor::{AccelSample, SensorSources};
-use pogo::core::{DeviceSetup, ExperimentSpec, LintPolicy, ObsConfig, Testbed};
+use pogo::core::{DeviceSetup, ExperimentSpec, ObsConfig, Testbed};
 use pogo::net::FlushPolicy;
 use pogo::obs::export;
 use pogo::sim::{Sim, SimDuration, SimRng};
@@ -116,48 +116,28 @@ fn lint_warnings_share_the_log_stream() {
         .deployment(&ExperimentSpec {
             id: "exp".into(),
             scripts: vec![ScriptSpec {
-                name: "broken.js".into(),
-                source: "publish('ch', missing_variable);".into(),
+                name: "warny.js".into(),
+                // Subscribes a channel nothing publishes: a P103 warning.
+                source: "subscribe('nonexistent-feed', function (m) { print(m); });".into(),
             }],
         })
         .to(&[device.jid()])
-        .lint(LintPolicy::WarnOnly)
         .send()
-        .expect("WarnOnly never blocks");
+        .expect("warnings do not block deployment");
     sim.run_for(SimDuration::from_mins(1));
 
     // The analyzer finding is in the collector's LogStore...
     let lint_log = testbed.collector().logs().lines("pogo-lint").join("\n");
-    assert!(lint_log.contains("broken.js"), "{lint_log:?}");
+    assert!(
+        lint_log.contains("warny.js") && lint_log.contains("P103"),
+        "{lint_log:?}"
+    );
     // ...and, because the store is wired to obs, in the trace too.
     assert!(testbed.obs().events().iter().any(|e| {
         e.category.as_ref() == "log"
             && e.name.as_ref() == "pogo-lint"
             && e.device.as_deref() == Some("collector@pogo")
     }));
-}
-
-#[test]
-fn lint_skip_runs_no_analysis() {
-    let sim = Sim::new();
-    let mut testbed = Testbed::with_obs(&sim, ObsConfig::on());
-    let (device, _phone) = testbed.add(DeviceSetup::named("phone-1"));
-    testbed
-        .collector()
-        .deployment(&ExperimentSpec {
-            id: "exp".into(),
-            scripts: vec![ScriptSpec {
-                name: "broken.js".into(),
-                source: "publish('ch', missing_variable);".into(),
-            }],
-        })
-        .to(&[device.jid()])
-        .lint(LintPolicy::Skip)
-        .send()
-        .expect("Skip never blocks");
-    sim.run_for(SimDuration::from_mins(1));
-    assert!(device.context("exp").is_some(), "deployed unchecked");
-    assert!(testbed.collector().logs().lines("pogo-lint").is_empty());
 }
 
 #[test]
