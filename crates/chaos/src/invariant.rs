@@ -175,14 +175,12 @@ impl InvariantHarness {
     /// channels (duplicates included) — a sample-store row count.
     pub fn delivered_total(&self) -> u64 {
         let (collector, audits) = self.collector_and_audits();
+        // `store()` flushes first, so the counters cover every sample.
         let store = collector.store();
         audits
             .iter()
-            .map(|a| {
-                store
-                    .scan(&ScanQuery::exp(&a.exp).channel(&a.channel))
-                    .len() as u64
-            })
+            .filter_map(|a| store.channel_counters(&a.exp, &a.channel))
+            .map(|c| c.rows)
             .sum()
     }
 
@@ -210,7 +208,10 @@ impl InvariantHarness {
     }
 
     /// The delivered key sequence for one audit channel and device, in
-    /// arrival order, scanned from the collector's sample store.
+    /// arrival order, scanned from the collector's sample store. Every
+    /// check runs it once per phone per channel, which makes it the
+    /// in-repo consumer of device-filtered scans (the store resolves
+    /// `jid` to its id once and compares ids, not names, row by row).
     fn delivered_seq(&self, audit: &ChannelAudit, jid: &str) -> Vec<i64> {
         let collector = self.inner.borrow().collector.clone();
         collector

@@ -165,15 +165,22 @@ impl IngestPipeline {
         value: SampleValue,
     ) -> Result<(), IngestError> {
         let arm = {
-            let mut inner = self.inner.borrow_mut();
+            let mut guard = self.inner.borrow_mut();
+            // Reborrowed so the builder and the store (whose dictionary
+            // names the device) can be held together.
+            let inner = &mut *guard;
             let now = inner.sim.now();
-            let Some(state) = inner.channel_mut(exp, channel) else {
+            let Some(state) = inner
+                .channels
+                .get_mut(exp)
+                .and_then(|channels| channels.get_mut(channel))
+            else {
                 return Err(IngestError::UnknownChannel {
                     exp: exp.to_owned(),
                     channel: channel.to_owned(),
                 });
             };
-            let full = match state.builder.append(device, now, value) {
+            let full = match state.builder.append(&inner.store, device, now, value) {
                 Ok(full) => full,
                 Err(e) => {
                     inner.schema_mismatches += 1;
@@ -188,7 +195,7 @@ impl IngestPipeline {
             let arm = !full && !state.flush_armed;
             inner.ingested_rows += 1;
             if full {
-                Self::flush_locked(&mut inner, exp, channel);
+                Self::flush_locked(inner, exp, channel);
             }
             arm
         };

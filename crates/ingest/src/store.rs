@@ -6,9 +6,21 @@
 //! re-walking raw message logs. Batches arrive whole from the batch
 //! builder and stay columnar; scans materialize [`Row`] views lazily
 //! per query.
+//!
+//! Two things keep a filtered scan from walking what it will not
+//! return. The store owns **one device dictionary** (name → `u32`, in
+//! order of first appearance; it never shrinks and is bounded by the
+//! distinct devices ever seen), so a device predicate is resolved once
+//! per scan and checked as an integer compare, and a name the store
+//! never saw answers empty without opening a batch. And `at` is
+//! **non-decreasing within a batch and across a channel's batches**
+//! (the pipeline stamps `sim.now()`; `SampleStore::push_batch` refuses
+//! anything else), so `since`/`until` are binary-searched to a batch
+//! range and, inside it, to a row range `[lo, hi)`.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::ops::Range;
 use std::rc::Rc;
 
 use pogo_sim::SimTime;
@@ -86,11 +98,38 @@ pub struct Row {
     pub value: SampleValue,
 }
 
+/// The store-wide device dictionary: every device name the store has
+/// been handed a row for, numbered in order of first appearance.
+#[derive(Debug, Default)]
+struct DeviceDict {
+    ids: HashMap<String, u32>,
+    names: Vec<String>,
+    /// Approximate resident size: both copies of every name (map key
+    /// and id → name table) and the id.
+    bytes: u64,
+}
+
+impl DeviceDict {
+    fn intern(&mut self, device: &str) -> u32 {
+        if let Some(&id) = self.ids.get(device) {
+            return id;
+        }
+        let id = u32::try_from(self.names.len()).expect("fewer than 2^32 distinct devices");
+        self.ids.insert(device.to_owned(), id);
+        self.names.push(device.to_owned());
+        self.bytes += 2 * (device.len() as u64 + 24) + 4;
+        id
+    }
+}
+
 #[derive(Debug)]
 struct ChannelStore {
     template: Template,
     retention: Retention,
-    batches: Vec<Batch>,
+    /// Oldest first; `at` never decreases from one batch to the next.
+    batches: VecDeque<Batch>,
+    /// Timestamp of the newest row ever pushed (resident or evicted).
+    newest: SimTime,
     rows: u64,
     bytes: u64,
     /// Rows dropped by retention since registration.
@@ -98,6 +137,19 @@ struct ChannelStore {
 }
 
 impl ChannelStore {
+    fn push(&mut self, batch: Batch) {
+        let ordered = batch.at.is_sorted() && batch.at.first().is_some_and(|t| *t >= self.newest);
+        assert!(
+            ordered,
+            "{}/{}: batch is empty or its timestamps go backwards",
+            batch.exp, batch.channel
+        );
+        self.newest = *batch.at.last().expect("checked non-empty");
+        self.rows += batch.rows() as u64;
+        self.bytes += batch.approx_bytes();
+        self.batches.push_back(batch);
+    }
+
     fn apply_retention(&mut self, now: SimTime) {
         loop {
             let over = match self.retention {
@@ -108,7 +160,7 @@ impl ChannelStore {
                     // until the next one lands).
                     self.rows as usize > max && self.batches.len() > 1
                 }
-                Retention::MaxAge(age) => self.batches.first().is_some_and(|b| {
+                Retention::MaxAge(age) => self.batches.front().is_some_and(|b| {
                     b.at.last()
                         .is_some_and(|newest| now.saturating_duration_since(*newest) > age)
                 }),
@@ -116,7 +168,7 @@ impl ChannelStore {
             if !over {
                 return;
             }
-            let old = self.batches.remove(0);
+            let old = self.batches.pop_front().expect("over implies a batch");
             self.rows -= old.rows() as u64;
             self.bytes -= old.approx_bytes();
             self.evicted += old.rows() as u64;
@@ -124,9 +176,47 @@ impl ChannelStore {
     }
 }
 
+/// The batches that can hold a row with `since <= at < until`: a
+/// binary search over each batch's first and last timestamp, so a batch
+/// wholly outside the window is never opened.
+fn batch_range(
+    batches: &VecDeque<Batch>,
+    since: Option<SimTime>,
+    until: Option<SimTime>,
+) -> Range<usize> {
+    let lo = since.map_or(0, |s| {
+        batches.partition_point(|b| b.at.last().is_some_and(|newest| *newest < s))
+    });
+    let hi = until.map_or(batches.len(), |u| {
+        batches.partition_point(|b| b.at.first().is_some_and(|oldest| *oldest < u))
+    });
+    lo..hi.max(lo)
+}
+
+/// The rows `[lo, hi)` of a non-decreasing timestamp column with
+/// `since <= at < until`.
+fn row_range(at: &[SimTime], since: Option<SimTime>, until: Option<SimTime>) -> Range<usize> {
+    let lo = since.map_or(0, |s| at.partition_point(|t| *t < s));
+    let hi = until.map_or(at.len(), |u| at.partition_point(|t| *t < u));
+    lo..hi.max(lo)
+}
+
 #[derive(Debug, Default)]
 struct StoreInner {
-    channels: BTreeMap<(String, String), ChannelStore>,
+    /// Experiment → channel → batches. Nested rather than keyed by a
+    /// pair, so that lookups borrow the two names they are given.
+    channels: BTreeMap<String, BTreeMap<String, ChannelStore>>,
+    devices: DeviceDict,
+}
+
+impl StoreInner {
+    fn channel(&self, exp: &str, channel: &str) -> Option<&ChannelStore> {
+        self.channels.get(exp)?.get(channel)
+    }
+
+    fn all_channels(&self) -> impl Iterator<Item = &ChannelStore> {
+        self.channels.values().flat_map(BTreeMap::values)
+    }
 }
 
 /// The collector's queryable sample store. Cheap to clone; clones
@@ -141,7 +231,8 @@ pub struct SampleStore {
 pub struct ChannelCounters {
     /// Rows currently resident.
     pub rows: u64,
-    /// Approximate resident bytes.
+    /// Approximate resident bytes of the channel's batches (the device
+    /// dictionary is store-wide: see [`SampleStore::bytes`]).
     pub bytes: u64,
     /// Rows dropped by retention so far.
     pub evicted: u64,
@@ -165,15 +256,30 @@ impl SampleStore {
         self.inner
             .borrow_mut()
             .channels
-            .entry((exp.to_owned(), channel.to_owned()))
+            .entry(exp.to_owned())
+            .or_default()
+            .entry(channel.to_owned())
             .or_insert(ChannelStore {
                 template,
                 retention,
-                batches: Vec::new(),
+                batches: VecDeque::new(),
+                newest: SimTime::ZERO,
                 rows: 0,
                 bytes: 0,
                 evicted: 0,
             });
+    }
+
+    /// The id of `device` in the store-wide dictionary, assigned on
+    /// first sight. Called by the batch builder, once per accepted row.
+    pub(crate) fn intern_device(&self, device: &str) -> u32 {
+        self.inner.borrow_mut().devices.intern(device)
+    }
+
+    /// The dictionary's names in id order.
+    #[cfg(test)]
+    pub(crate) fn device_names(&self) -> Vec<String> {
+        self.inner.borrow().devices.names.clone()
     }
 
     /// Ingests one flushed batch, then applies the channel's retention
@@ -182,51 +288,60 @@ impl SampleStore {
     ///
     /// # Panics
     ///
-    /// Panics if the batch's channel was never declared — the pipeline
-    /// only flushes builders it registered.
-    pub fn push_batch(&self, batch: Batch, now: SimTime) -> u64 {
+    /// Panics if the batch's channel was never declared (the pipeline
+    /// only flushes builders it registered), or if the batch is empty
+    /// or its `at` column decreases anywhere, within the batch or
+    /// against the newest row the channel already took: scans
+    /// binary-search that column.
+    pub(crate) fn push_batch(&self, batch: Batch, now: SimTime) -> u64 {
         let mut inner = self.inner.borrow_mut();
         let ch = inner
             .channels
-            .get_mut(&(batch.exp.clone(), batch.channel.clone()))
+            .get_mut(batch.exp.as_str())
+            .and_then(|channels| channels.get_mut(batch.channel.as_str()))
             .expect("batch for an undeclared channel");
         let bytes = batch.approx_bytes();
-        ch.rows += batch.rows() as u64;
-        ch.bytes += bytes;
-        ch.batches.push(batch);
+        ch.push(batch);
         ch.apply_retention(now);
         bytes
     }
 
     /// Scans resident samples matching `query`, in ingestion order
-    /// (per channel; channels in lexicographic order).
+    /// (per channel; channels in lexicographic order). The time window
+    /// is narrowed by binary search and the device by id, so the rows
+    /// examined are those inside the window, not those resident.
     pub fn scan(&self, query: &ScanQuery) -> Vec<Row> {
         let inner = self.inner.borrow();
         let mut out = Vec::new();
-        for ((exp, channel), ch) in &inner.channels {
-            if *exp != query.exp {
+        let device = match &query.device {
+            None => None,
+            Some(name) => match inner.devices.ids.get(name) {
+                Some(&id) => Some(id),
+                // Never seen: no batch can hold a row of it.
+                None => return out,
+            },
+        };
+        let Some(channels) = inner.channels.get(&query.exp) else {
+            return out;
+        };
+        for (channel, ch) in channels {
+            if query.channel.as_ref().is_some_and(|want| want != channel) {
                 continue;
             }
-            if let Some(want) = &query.channel {
-                if channel != want {
-                    continue;
-                }
-            }
-            for batch in &ch.batches {
-                for row in 0..batch.rows() {
-                    let at = batch.at[row];
-                    if query.since.is_some_and(|s| at < s) || query.until.is_some_and(|u| at >= u) {
-                        continue;
-                    }
-                    let device = batch.device(row);
-                    if query.device.as_deref().is_some_and(|d| d != device) {
+            for batch in ch
+                .batches
+                .range(batch_range(&ch.batches, query.since, query.until))
+            {
+                for row in row_range(&batch.at, query.since, query.until) {
+                    let id = batch.device_idx[row];
+                    if device.is_some_and(|want| want != id) {
                         continue;
                     }
                     out.push(Row {
-                        exp: exp.clone(),
+                        exp: query.exp.clone(),
                         channel: channel.clone(),
-                        device: device.to_owned(),
-                        at,
+                        device: inner.devices.names[id as usize].clone(),
+                        at: batch.at[row],
                         value: batch.values.value(row),
                     });
                 }
@@ -239,8 +354,7 @@ impl SampleStore {
     pub fn template(&self, exp: &str, channel: &str) -> Option<Template> {
         self.inner
             .borrow()
-            .channels
-            .get(&(exp.to_owned(), channel.to_owned()))
+            .channel(exp, channel)
             .map(|ch| ch.template)
     }
 
@@ -248,8 +362,7 @@ impl SampleStore {
     pub fn channel_counters(&self, exp: &str, channel: &str) -> Option<ChannelCounters> {
         self.inner
             .borrow()
-            .channels
-            .get(&(exp.to_owned(), channel.to_owned()))
+            .channel(exp, channel)
             .map(|ch| ChannelCounters {
                 rows: ch.rows,
                 bytes: ch.bytes,
@@ -259,36 +372,61 @@ impl SampleStore {
 
     /// Registered channels as `(exp, channel)` pairs, sorted.
     pub fn channels(&self) -> Vec<(String, String)> {
-        self.inner.borrow().channels.keys().cloned().collect()
+        self.inner
+            .borrow()
+            .channels
+            .iter()
+            .flat_map(|(exp, channels)| channels.keys().map(move |c| (exp.clone(), c.clone())))
+            .collect()
     }
 
     /// Total resident rows across all channels.
     pub fn rows(&self) -> u64 {
-        self.inner.borrow().channels.values().map(|c| c.rows).sum()
+        let inner = self.inner.borrow();
+        inner.all_channels().map(|c| c.rows).sum()
     }
 
-    /// Approximate total resident bytes across all channels.
+    /// Approximate total resident bytes: every channel's batches plus
+    /// the device dictionary, once.
     pub fn bytes(&self) -> u64 {
-        self.inner.borrow().channels.values().map(|c| c.bytes).sum()
+        let inner = self.inner.borrow();
+        inner.all_channels().map(|c| c.bytes).sum::<u64>() + inner.devices.bytes
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{BatchBuilder, Watermarks};
+    use crate::batch::{BatchBuilder, Column, Watermarks};
     use pogo_sim::SimDuration;
 
     fn t(secs: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs(secs)
     }
 
-    fn batch_of(exp: &str, channel: &str, samples: &[(&str, u64, i64)]) -> Batch {
+    fn batch_of(
+        store: &SampleStore,
+        exp: &str,
+        channel: &str,
+        samples: &[(&str, u64, i64)],
+    ) -> Batch {
         let mut b = BatchBuilder::new(exp, channel, Template::I64, Watermarks::default());
         for (dev, secs, n) in samples {
-            b.append(dev, t(*secs), SampleValue::I64(*n)).unwrap();
+            b.append(store, dev, t(*secs), SampleValue::I64(*n))
+                .unwrap();
         }
         b.flush().unwrap()
+    }
+
+    /// A hand-built single-device batch with exactly these timestamps.
+    fn batch_at(store: &SampleStore, secs: &[u64]) -> Batch {
+        Batch {
+            exp: "e".into(),
+            channel: "c".into(),
+            device_idx: vec![store.intern_device("d"); secs.len()],
+            at: secs.iter().map(|s| t(*s)).collect(),
+            values: Column::I64(secs.iter().map(|s| *s as i64).collect()),
+        }
     }
 
     #[test]
@@ -297,10 +435,15 @@ mod tests {
         store.declare("e", "a", Template::I64, Retention::KeepAll);
         store.declare("e", "b", Template::I64, Retention::KeepAll);
         store.push_batch(
-            batch_of("e", "a", &[("d1", 1, 10), ("d2", 2, 20), ("d1", 3, 30)]),
+            batch_of(
+                &store,
+                "e",
+                "a",
+                &[("d1", 1, 10), ("d2", 2, 20), ("d1", 3, 30)],
+            ),
             t(3),
         );
-        store.push_batch(batch_of("e", "b", &[("d1", 2, 99)]), t(3));
+        store.push_batch(batch_of(&store, "e", "b", &[("d1", 2, 99)]), t(3));
 
         assert_eq!(store.scan(&ScanQuery::exp("e")).len(), 4);
         let a_d1 = store.scan(&ScanQuery::exp("e").channel("a").device("d1"));
@@ -310,14 +453,24 @@ mod tests {
         let windowed = store.scan(&ScanQuery::exp("e").since(t(2)).until(t(3)));
         assert_eq!(windowed.len(), 2, "t=2 rows on both channels");
         assert!(store.scan(&ScanQuery::exp("other")).is_empty());
+        assert!(
+            store.scan(&ScanQuery::exp("e").device("d9")).is_empty(),
+            "a device the store never saw"
+        );
     }
 
     #[test]
     fn max_rows_retention_evicts_oldest_batches() {
         let store = SampleStore::new();
         store.declare("e", "c", Template::I64, Retention::MaxRows(3));
-        store.push_batch(batch_of("e", "c", &[("d", 1, 1), ("d", 2, 2)]), t(2));
-        store.push_batch(batch_of("e", "c", &[("d", 3, 3), ("d", 4, 4)]), t(4));
+        store.push_batch(
+            batch_of(&store, "e", "c", &[("d", 1, 1), ("d", 2, 2)]),
+            t(2),
+        );
+        store.push_batch(
+            batch_of(&store, "e", "c", &[("d", 3, 3), ("d", 4, 4)]),
+            t(4),
+        );
         // 4 rows > 3: the oldest batch goes.
         let rows = store.scan(&ScanQuery::exp("e"));
         assert_eq!(rows.len(), 2);
@@ -336,10 +489,90 @@ mod tests {
             Template::I64,
             Retention::MaxAge(SimDuration::from_secs(10)),
         );
-        store.push_batch(batch_of("e", "c", &[("d", 1, 1)]), t(1));
-        store.push_batch(batch_of("e", "c", &[("d", 20, 2)]), t(20));
+        store.push_batch(batch_of(&store, "e", "c", &[("d", 1, 1)]), t(1));
+        store.push_batch(batch_of(&store, "e", "c", &[("d", 20, 2)]), t(20));
         let rows = store.scan(&ScanQuery::exp("e"));
         assert_eq!(rows.len(), 1, "the t=1 batch aged out at t=20");
         assert_eq!(rows[0].value, SampleValue::I64(2));
+    }
+
+    #[test]
+    fn row_range_is_exact_with_duplicate_timestamps() {
+        let at: Vec<SimTime> = [1, 2, 2, 2, 5, 5, 9].map(t).to_vec();
+        assert_eq!(row_range(&at, None, None), 0..7);
+        assert_eq!(row_range(&at, Some(t(2)), None), 1..7, "since is inclusive");
+        assert_eq!(row_range(&at, None, Some(t(2))), 0..1, "until is exclusive");
+        assert_eq!(row_range(&at, Some(t(2)), Some(t(5))), 1..4);
+        assert_eq!(row_range(&at, Some(t(3)), Some(t(5))), 4..4, "a gap");
+        assert_eq!(row_range(&at, Some(t(5)), Some(t(6))), 4..6);
+        assert_eq!(row_range(&at, Some(t(10)), None), 7..7);
+        assert_eq!(row_range(&at, None, Some(t(1))), 0..0);
+        assert!(
+            row_range(&at, Some(t(5)), Some(t(2))).is_empty(),
+            "an inverted window is empty, not a panic"
+        );
+    }
+
+    #[test]
+    fn batch_range_never_opens_a_batch_outside_the_window() {
+        let store = SampleStore::new();
+        store.declare("e", "c", Template::I64, Retention::KeepAll);
+        // A run of t=4 straddles the boundary between batches 1 and 2.
+        for secs in [&[1, 2][..], &[3, 4], &[4, 4], &[4, 6], &[8, 9]] {
+            store.push_batch(batch_at(&store, secs), t(9));
+        }
+        let inner = store.inner.borrow();
+        let batches = &inner.channel("e", "c").unwrap().batches;
+        assert_eq!(batch_range(batches, None, None), 0..5);
+        assert_eq!(batch_range(batches, Some(t(3)), None), 1..5);
+        assert_eq!(batch_range(batches, Some(t(4)), None), 1..5);
+        assert_eq!(batch_range(batches, Some(t(5)), None), 3..5);
+        assert_eq!(batch_range(batches, Some(t(7)), None), 4..5);
+        assert_eq!(batch_range(batches, Some(t(10)), None), 5..5);
+        assert_eq!(batch_range(batches, None, Some(t(4))), 0..2);
+        assert_eq!(batch_range(batches, None, Some(t(5))), 0..4);
+        assert_eq!(batch_range(batches, None, Some(t(1))), 0..0);
+        assert_eq!(batch_range(batches, Some(t(4)), Some(t(5))), 1..4);
+        assert!(batch_range(batches, Some(t(7)), Some(t(8))).is_empty());
+        assert!(batch_range(batches, Some(t(9)), Some(t(2))).is_empty());
+        drop(inner);
+
+        // The scan built on the two helpers returns the whole run of
+        // equal timestamps, from all three batches that share it.
+        let run = store.scan(&ScanQuery::exp("e").since(t(4)).until(t(5)));
+        assert_eq!(run.len(), 4);
+        assert!(run.iter().all(|r| r.at == t(4)));
+    }
+
+    #[test]
+    #[should_panic(expected = "timestamps go backwards")]
+    fn a_batch_with_a_decreasing_at_is_refused() {
+        let store = SampleStore::new();
+        store.declare("e", "c", Template::I64, Retention::KeepAll);
+        store.push_batch(batch_at(&store, &[1, 3, 2]), t(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "timestamps go backwards")]
+    fn a_batch_older_than_the_channel_is_refused() {
+        let store = SampleStore::new();
+        let age = Retention::MaxAge(SimDuration::from_secs(1));
+        store.declare("e", "c", Template::I64, age);
+        store.push_batch(batch_at(&store, &[5, 7]), t(20));
+        assert_eq!(store.rows(), 0, "aged out on arrival");
+        // Nothing is resident; the order the evicted rows set still binds.
+        store.push_batch(batch_at(&store, &[6, 8]), t(20));
+    }
+
+    #[test]
+    fn the_dictionary_is_accounted_once_store_wide() {
+        let store = SampleStore::new();
+        store.declare("e", "a", Template::I64, Retention::KeepAll);
+        store.declare("e", "b", Template::I64, Retention::KeepAll);
+        let a = store.push_batch(batch_of(&store, "e", "a", &[("dev", 1, 1)]), t(1));
+        let b = store.push_batch(batch_of(&store, "e", "b", &[("dev", 1, 1)]), t(1));
+        assert_eq!(a, 4 + 8 + 8, "id, timestamp, value: no name in a batch");
+        assert_eq!(store.channel_counters("e", "a").unwrap().bytes, a);
+        assert_eq!(store.bytes(), a + b + 2 * ("dev".len() as u64 + 24) + 4);
     }
 }

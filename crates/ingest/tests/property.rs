@@ -5,10 +5,14 @@
 //! and SenML.
 //!
 //! The oracle is deliberately dumb: a `Vec` of `(channel, device, at,
-//! value)` in append order. Scans replay the log with the query's
-//! filters; `KeepAll` channels must match exactly, `MaxRows` channels
-//! must be a suffix of the log with `rows + evicted` accounting for
-//! every append.
+//! value)` in append order. Retention only ever drops a channel's
+//! oldest rows, so what is resident is the log minus each channel's
+//! first `evicted` entries; scans replay that with the query's filters,
+//! on `KeepAll`, `MaxRows` and `MaxAge` channels alike. The stream is
+//! shaped for the store's index: more devices than a batch has rows,
+//! runs of equal timestamps that straddle batch boundaries, windows cut
+//! one millisecond either side of a real row, a device that is never
+//! appended and one whose rows are the first to be evicted.
 
 use pogo_ingest::{
     export, ChannelSchema, IngestPipeline, Retention, SampleValue, ScanQuery, Template, Watermarks,
@@ -19,7 +23,14 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 const EXP: &str = "prop";
-const DEVICES: [&str; 3] = ["d0@pogo", "d1@pogo", "d2@pogo"];
+/// The steady senders: more of them than the largest batch has rows (7).
+const DEVICES: usize = 12;
+/// Sends only the stream's first few samples, so that retention evicts
+/// every row it has while the dictionary still knows the name.
+const EARLY: &str = "early@pogo";
+const EARLY_APPENDS: usize = 3;
+/// Never sends: the store's dictionary has no id for it.
+const NEVER: &str = "never@pogo";
 const TEMPLATES: [Template; 5] = [
     Template::I64,
     Template::F64,
@@ -27,6 +38,10 @@ const TEMPLATES: [Template; 5] = [
     Template::Str,
     Template::Json,
 ];
+
+fn device_name(i: usize) -> String {
+    format!("d{i}@pogo")
+}
 
 /// One oracle entry: a sample the pipeline accepted.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,7 +55,7 @@ struct LogEntry {
 struct Channel {
     name: String,
     template: Template,
-    max_rows_cap: Option<usize>,
+    retention: Retention,
 }
 
 fn value_for(template: Template, rng: &mut SmallRng) -> SampleValue {
@@ -64,6 +79,7 @@ fn mismatched_for(template: Template) -> SampleValue {
 struct RunResult {
     log: Vec<LogEntry>,
     channels: Vec<Channel>,
+    watermarks: Watermarks,
     mismatches: u64,
     end: SimTime,
     pipeline: IngestPipeline,
@@ -73,28 +89,21 @@ struct RunResult {
 fn run_stream(seed: u64) -> RunResult {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xA5A5_5A5A_1234_5678);
     let sim = Sim::new();
-    let pipeline = IngestPipeline::with_watermarks(
-        &sim,
-        &Obs::off(),
-        Watermarks {
-            max_rows: rng.gen_range(1usize..8),
-            max_age: SimDuration::from_secs(rng.gen_range(5u64..120)),
-        },
-    );
+    let watermarks = Watermarks {
+        max_rows: rng.gen_range(1usize..8),
+        max_age: SimDuration::from_secs(rng.gen_range(5u64..120)),
+    };
+    let pipeline = IngestPipeline::with_watermarks(&sim, &Obs::off(), watermarks);
 
     let n_channels = rng.gen_range(1usize..4);
     let mut channels = Vec::new();
     for i in 0..n_channels {
         let template = TEMPLATES[rng.gen_range(0..TEMPLATES.len())];
-        // Roughly one channel in four runs a MaxRows retention cap.
-        let max_rows_cap = if rng.gen_range(0u64..4) == 0 {
-            Some(rng.gen_range(2usize..10))
-        } else {
-            None
-        };
-        let retention = match max_rows_cap {
-            Some(cap) => Retention::MaxRows(cap),
-            None => Retention::KeepAll,
+        // Roughly one channel in four caps its rows, one in four its age.
+        let retention = match rng.gen_range(0u64..4) {
+            0 => Retention::MaxRows(rng.gen_range(2usize..10)),
+            1 => Retention::MaxAge(SimDuration::from_secs(rng.gen_range(20u64..300))),
+            _ => Retention::KeepAll,
         };
         let name = format!("ch{i}");
         pipeline
@@ -107,33 +116,41 @@ fn run_stream(seed: u64) -> RunResult {
         channels.push(Channel {
             name,
             template,
-            max_rows_cap,
+            retention,
         });
     }
 
     let mut log = Vec::new();
     let mut mismatches = 0u64;
     for _ in 0..rng.gen_range(30usize..90) {
-        sim.run_for(SimDuration::from_secs(rng.gen_range(0u64..30)));
+        // One step in three stays in the same millisecond, so runs of
+        // equal timestamps form and batch boundaries fall inside them.
+        if rng.gen_range(0u64..3) != 0 {
+            sim.run_for(SimDuration::from_secs(rng.gen_range(1u64..30)));
+        }
         let ch = &channels[rng.gen_range(0..channels.len())];
         match rng.gen_range(0u64..10) {
             0 => pipeline.flush_channel(EXP, &ch.name),
             1 => pipeline.flush_all(),
             2 => {
                 pipeline
-                    .append(EXP, &ch.name, DEVICES[0], mismatched_for(ch.template))
+                    .append(EXP, &ch.name, &device_name(0), mismatched_for(ch.template))
                     .expect_err("mismatched value is rejected");
                 mismatches += 1;
             }
             _ => {
-                let device = DEVICES[rng.gen_range(0..DEVICES.len())];
+                let device = if log.len() < EARLY_APPENDS {
+                    EARLY.to_owned()
+                } else {
+                    device_name(rng.gen_range(0..DEVICES))
+                };
                 let value = value_for(ch.template, &mut rng);
                 pipeline
-                    .append(EXP, &ch.name, device, value.clone())
+                    .append(EXP, &ch.name, &device, value.clone())
                     .expect("valid value ingests");
                 log.push(LogEntry {
                     channel: ch.name.clone(),
-                    device: device.to_owned(),
+                    device,
                     at: sim.now(),
                     value,
                 });
@@ -144,6 +161,7 @@ fn run_stream(seed: u64) -> RunResult {
     RunResult {
         log,
         channels,
+        watermarks,
         mismatches,
         end: sim.now(),
         pipeline,
@@ -172,21 +190,43 @@ fn replay(log: &[LogEntry], channels: &[Channel], q: &ScanQuery) -> Vec<LogEntry
     out
 }
 
-fn queries(end: SimTime, channels: &[Channel], rng: &mut SmallRng) -> Vec<ScanQuery> {
-    let mut out = vec![ScanQuery::exp(EXP)];
-    for _ in 0..4 {
+/// A window bound: any millisecond of the run, or (as often) a real
+/// row's timestamp moved by -1, 0 or +1 ms, which is where an off-by-one
+/// in a binary search over runs of equal timestamps would show.
+fn bound(run: &RunResult, rng: &mut SmallRng) -> SimTime {
+    if run.log.is_empty() || rng.gen_range(0u64..2) == 0 {
+        return SimTime::from_millis(rng.gen_range(0..=run.end.as_millis()));
+    }
+    let at = run.log[rng.gen_range(0..run.log.len())].at.as_millis();
+    SimTime::from_millis((at + rng.gen_range(0u64..3)).saturating_sub(1))
+}
+
+fn queries(run: &RunResult, rng: &mut SmallRng) -> Vec<ScanQuery> {
+    let mut out = vec![
+        ScanQuery::exp(EXP),
+        ScanQuery::exp(EXP).device(NEVER),
+        ScanQuery::exp(EXP).device(EARLY),
+    ];
+    for _ in 0..6 {
         let mut q = ScanQuery::exp(EXP);
         if rng.gen_range(0u64..2) == 0 {
-            q = q.channel(&channels[rng.gen_range(0..channels.len())].name);
+            q = q.channel(&run.channels[rng.gen_range(0..run.channels.len())].name);
         }
         if rng.gen_range(0u64..2) == 0 {
-            q = q.device(DEVICES[rng.gen_range(0..DEVICES.len())]);
+            q = match rng.gen_range(0..DEVICES + 2) {
+                i if i < DEVICES => q.device(&device_name(i)),
+                i if i == DEVICES => q.device(EARLY),
+                _ => q.device(NEVER),
+            };
         }
-        if rng.gen_range(0u64..2) == 0 {
-            let end_ms = end.as_millis();
-            let a = SimTime::from_millis(rng.gen_range(0..=end_ms));
-            let b = SimTime::from_millis(rng.gen_range(0..=end_ms));
-            q = q.since(a.min(b)).until(a.max(b));
+        match rng.gen_range(0u64..4) {
+            0 => q = q.since(bound(run, rng)),
+            1 => q = q.until(bound(run, rng)),
+            2 => {
+                let (a, b) = (bound(run, rng), bound(run, rng));
+                q = q.since(a.min(b)).until(a.max(b));
+            }
+            _ => {}
         }
         out.push(q);
     }
@@ -197,6 +237,9 @@ fn queries(end: SimTime, channels: &[Channel], rng: &mut SmallRng) -> Vec<ScanQu
 fn store_scans_equal_the_log_replay_oracle() {
     const SEEDS: u64 = 1600;
     let mut compared = 0usize;
+    let mut compared_with_evictions = 0usize;
+    let mut early_fully_evicted = 0usize;
+    let mut max_age_evictions = 0usize;
     for seed in 0..SEEDS {
         let run = run_stream(seed);
         let store = run.pipeline.store();
@@ -207,12 +250,11 @@ fn store_scans_equal_the_log_replay_oracle() {
         );
         assert_eq!(stats.pending_rows, 0, "seed {seed}: flush_all drained");
 
-        // Channels with a retention cap: the resident rows must be a
-        // suffix of the oracle log, and eviction accounts for the rest.
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x0DDC_0FFE_E0DD_F00D);
+        // What must be resident: each channel's log minus the prefix its
+        // counters say retention dropped, which each policy bounds.
+        let mut resident = Vec::new();
         for ch in &run.channels {
-            let rows = store.scan(&ScanQuery::exp(EXP).channel(&ch.name));
-            let oracle = replay(
+            let all = replay(
                 &run.log,
                 &run.channels,
                 &ScanQuery::exp(EXP).channel(&ch.name),
@@ -222,51 +264,82 @@ fn store_scans_equal_the_log_replay_oracle() {
                 .expect("registered channel has counters");
             assert_eq!(
                 counters.rows + counters.evicted,
-                oracle.len() as u64,
+                all.len() as u64,
                 "seed {seed} {}: every accepted sample is resident or evicted",
                 ch.name
             );
-            let tail = &oracle[oracle.len() - rows.len()..];
-            for (row, entry) in rows.iter().zip(tail) {
-                assert_eq!(row.exp, EXP);
-                assert_eq!(row.channel, entry.channel, "seed {seed}");
-                assert_eq!(row.device, entry.device, "seed {seed}");
-                assert_eq!(row.at, entry.at, "seed {seed}");
-                assert_eq!(row.value, entry.value, "seed {seed}");
-            }
-            if ch.max_rows_cap.is_none() {
-                assert_eq!(
-                    rows.len(),
-                    oracle.len(),
+            let (gone, kept) = all.split_at(counters.evicted as usize);
+            match ch.retention {
+                Retention::KeepAll => assert!(
+                    gone.is_empty(),
                     "seed {seed} {}: KeepAll retains everything",
                     ch.name
-                );
+                ),
+                // Whole batches go while the channel is over its cap
+                // and has more than one.
+                Retention::MaxRows(cap) => assert!(
+                    kept.len() <= cap.max(run.watermarks.max_rows),
+                    "seed {seed} {}: {} rows resident under MaxRows({cap})",
+                    ch.name,
+                    kept.len()
+                ),
+                Retention::MaxAge(age) => {
+                    for e in gone {
+                        assert!(
+                            run.end.saturating_duration_since(e.at) > age,
+                            "seed {seed} {}: evicted a row younger than {age:?}",
+                            ch.name
+                        );
+                    }
+                    max_age_evictions += gone.len();
+                }
             }
+            resident.extend_from_slice(kept);
+        }
+        let evicted_any = resident.len() < run.log.len();
+        let early_sent = run.log.iter().any(|e| e.device == EARLY);
+        if early_sent && !resident.iter().any(|e| e.device == EARLY) {
+            early_fully_evicted += 1;
         }
 
-        // KeepAll-only runs: arbitrary predicates match the replay
-        // exactly (retention-capped channels are covered above).
-        if run.channels.iter().all(|c| c.max_rows_cap.is_none()) {
-            for q in queries(run.end, &run.channels, &mut rng) {
-                let rows = store.scan(&q);
-                let oracle = replay(&run.log, &run.channels, &q);
-                assert_eq!(rows.len(), oracle.len(), "seed {seed} query {q:?}");
-                for (row, entry) in rows.iter().zip(&oracle) {
-                    assert!(
-                        row.channel == entry.channel
-                            && row.device == entry.device
-                            && row.at == entry.at
-                            && row.value == entry.value,
-                        "seed {seed} query {q:?}: {row:?} != {entry:?}"
-                    );
-                }
-                compared += 1;
+        // Every predicate, on every retention policy, against the replay
+        // of what is resident.
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x0DDC_0FFE_E0DD_F00D);
+        for q in queries(&run, &mut rng) {
+            let rows = store.scan(&q);
+            let oracle = replay(&resident, &run.channels, &q);
+            assert_eq!(rows.len(), oracle.len(), "seed {seed} query {q:?}");
+            for (row, entry) in rows.iter().zip(&oracle) {
+                assert!(
+                    row.exp == EXP
+                        && row.channel == entry.channel
+                        && row.device == entry.device
+                        && row.at == entry.at
+                        && row.value == entry.value,
+                    "seed {seed} query {q:?}: {row:?} != {entry:?}"
+                );
             }
+            if q.device.as_deref() == Some(NEVER) {
+                assert!(rows.is_empty(), "seed {seed}: {NEVER} never sent");
+            }
+            compared += 1;
+            compared_with_evictions += usize::from(evicted_any);
         }
     }
+    // The generator reaches the cases it was shaped for (10,125, 550
+    // and 11,757 when written).
+    assert_eq!(compared, SEEDS as usize * 9);
     assert!(
-        compared > 2000,
-        "suspiciously few predicate comparisons: {compared}"
+        compared_with_evictions > 4000,
+        "few predicate comparisons on evicting channels: {compared_with_evictions}"
+    );
+    assert!(
+        early_fully_evicted > 100,
+        "few runs evict every row of a known device: {early_fully_evicted}"
+    );
+    assert!(
+        max_age_evictions > 5000,
+        "few rows evicted by MaxAge: {max_age_evictions}"
     );
 }
 
