@@ -17,7 +17,7 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use pogo_platform::{AlarmId, Cpu};
+use pogo_platform::{AlarmId, Cpu, RepeatingAlarm};
 use pogo_sim::SimDuration;
 
 /// The middleware task scheduler. Cheap to clone; clones share state.
@@ -66,6 +66,20 @@ impl Scheduler {
         let counter = self.tasks_run.clone();
         let obs = self.obs.clone();
         self.cpu.set_alarm_in(delay, move || {
+            counter.set(counter.get() + 1);
+            obs.inc("scheduler.tasks", 1);
+            task();
+        })
+    }
+
+    /// Wraps `task` for a periodic caller: each
+    /// [`RepeatingAlarm::set_in`] on the result runs it once more, counted
+    /// and woken for like a [`Scheduler::run_later`] task, and
+    /// [`Scheduler::cancel`] takes the id it returns.
+    pub fn repeating(&self, task: impl Fn() + 'static) -> RepeatingAlarm {
+        let counter = self.tasks_run.clone();
+        let obs = self.obs.clone();
+        self.cpu.repeating_alarm(move || {
             counter.set(counter.get() + 1);
             obs.inc("scheduler.tasks", 1);
             task();

@@ -16,7 +16,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use pogo_platform::{AlarmId, Phone};
+use pogo_platform::{AlarmId, Phone, RepeatingAlarm};
 use pogo_sim::SimDuration;
 
 use crate::broker::Broker;
@@ -158,6 +158,9 @@ struct SensorState {
     running: bool,
     interval: SimDuration,
     alarm: Option<AlarmId>,
+    /// The sensor's tick as the scheduler runs it, and the epoch it was
+    /// built in: set again every interval, rebuilt after a shutdown.
+    ticker: Option<(u64, RepeatingAlarm)>,
     samples: u64,
     /// When the sensor powered up (for the duty-cycle dwell metric).
     on_since: Option<pogo_sim::SimTime>,
@@ -275,6 +278,7 @@ fn new_state() -> SensorState {
         running: false,
         interval: SimDuration::from_mins(1),
         alarm: None,
+        ticker: None,
         samples: 0,
         on_since: None,
     }
@@ -430,14 +434,20 @@ impl SensorManager {
     }
 
     fn schedule_tick(&self, kind: Kind) {
-        let (scheduler, interval, epoch) = {
-            let inner = self.inner.borrow();
-            let st = inner.state(kind);
-            (inner.scheduler.clone(), st.interval, inner.epoch)
-        };
-        let me = self.clone();
-        let alarm = scheduler.run_later(interval, move || me.tick(kind, epoch));
-        self.inner.borrow_mut().state_mut(kind).alarm = Some(alarm);
+        let mut inner = self.inner.borrow_mut();
+        let epoch = inner.epoch;
+        if !matches!(inner.state(kind).ticker, Some((built_in, _)) if built_in == epoch) {
+            let weak = Rc::downgrade(&self.inner);
+            let ticker = inner.scheduler.repeating(move || {
+                if let Some(inner) = weak.upgrade() {
+                    SensorManager { inner }.tick(kind, epoch);
+                }
+            });
+            inner.state_mut(kind).ticker = Some((epoch, ticker));
+        }
+        let st = inner.state_mut(kind);
+        let (_, ticker) = st.ticker.as_ref().expect("built above");
+        st.alarm = Some(ticker.set_in(st.interval));
     }
 
     fn tick(&self, kind: Kind, epoch: u64) {

@@ -14,13 +14,16 @@
 //! reacts within about a second of awake time when foreign traffic moves.
 
 use std::cell::RefCell;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
-use pogo_platform::Phone;
+use pogo_platform::{FrozenTimer, Phone};
 use pogo_sim::SimDuration;
 
 struct Inner {
     phone: Phone,
+    /// The frozen sleep behind every poll: one timer, armed again each
+    /// time it elapses.
+    sleep: FrozenTimer,
     period: SimDuration,
     last_counters: (u64, u64),
     on_traffic: Rc<dyn Fn(u64)>,
@@ -51,14 +54,24 @@ impl TailDetector {
     pub fn new(phone: &Phone, period: SimDuration, on_traffic: impl Fn(u64) + 'static) -> Self {
         let (tx, rx) = phone.mobile_byte_counters();
         TailDetector {
-            inner: Rc::new(RefCell::new(Inner {
-                phone: phone.clone(),
-                period,
-                last_counters: (tx, rx),
-                on_traffic: Rc::new(on_traffic),
-                detections: 0,
-                running: false,
-            })),
+            inner: Rc::new_cyclic(|weak: &Weak<RefCell<Inner>>| {
+                let weak = weak.clone();
+                RefCell::new(Inner {
+                    phone: phone.clone(),
+                    // The timer outlives a dropped detector on the CPU's
+                    // list; its last sleep then elapses into nothing.
+                    sleep: phone.cpu().frozen_timer(move || {
+                        if let Some(inner) = weak.upgrade() {
+                            TailDetector { inner }.tick();
+                        }
+                    }),
+                    period,
+                    last_counters: (tx, rx),
+                    on_traffic: Rc::new(on_traffic),
+                    detections: 0,
+                    running: false,
+                })
+            }),
         }
     }
 
@@ -93,14 +106,10 @@ impl TailDetector {
     }
 
     fn arm(&self) {
-        let (cpu, period) = {
-            let inner = self.inner.borrow();
-            (inner.phone.cpu().clone(), inner.period)
-        };
-        let me = self.clone();
+        let inner = self.inner.borrow();
         // The frozen sleep is the crux: it only elapses while the CPU is
         // awake, i.e. when somebody *else* woke it.
-        cpu.sleep_frozen(period, move || me.tick());
+        inner.sleep.arm(inner.period);
     }
 
     fn tick(&self) {

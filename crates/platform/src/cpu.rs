@@ -13,7 +13,7 @@
 //!   of its own.
 
 use std::cell::RefCell;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use pogo_sim::{EventId, Sim, SimDuration, SimTime};
 
@@ -46,28 +46,27 @@ impl Default for CpuConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AlarmId(EventId);
 
-struct FrozenTimer {
+/// One `Thread.sleep`-style countdown, armed again and again by its owner.
+struct FrozenState {
     remaining: SimDuration,
     /// `Some(instant)` while actively counting down (CPU awake).
     resumed_at: Option<SimTime>,
     event: Option<EventId>,
-    callback: Option<Box<dyn FnOnce()>>,
-    done: bool,
+    /// True from [`FrozenTimer::arm`] until the countdown completes or is
+    /// cancelled; only armed timers freeze and resume with the CPU.
+    armed: bool,
+    /// The sim event behind every countdown of this timer: disarms it,
+    /// then runs the owner's callback. Built once, scheduled shared.
+    elapse: Rc<dyn Fn()>,
 }
 
-impl FrozenTimer {
-    fn is_live(&self) -> bool {
-        !self.done
-    }
-}
-
-// Manual Debug because of the boxed callback.
-impl std::fmt::Debug for FrozenTimer {
+// Manual Debug because of the closure.
+impl std::fmt::Debug for FrozenState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FrozenTimer")
+        f.debug_struct("FrozenState")
             .field("remaining", &self.remaining)
             .field("resumed_at", &self.resumed_at)
-            .field("done", &self.done)
+            .field("armed", &self.armed)
             .finish()
     }
 }
@@ -83,11 +82,21 @@ struct Inner {
     locks: usize,
     last_activity: SimTime,
     sleep_event: Option<EventId>,
-    frozen: Vec<Rc<RefCell<FrozenTimer>>>,
+    /// The linger check, scheduled shared: one closure for the CPU's life.
+    sleep_check: Rc<dyn Fn()>,
+    /// Armed frozen timers, in the order they were armed.
+    frozen: Vec<Rc<RefCell<FrozenState>>>,
     listeners: Vec<StateListener>,
     wakeups: u64,
     awake_since: Option<SimTime>,
     awake_total: SimDuration,
+}
+
+impl Inner {
+    fn schedule_sleep_check(&mut self, at: SimTime) {
+        let check = self.sleep_check.clone();
+        self.sleep_event = Some(self.sim.schedule_shared_at(at, check));
+    }
 }
 
 /// The simulated application processor.
@@ -135,22 +144,64 @@ impl Drop for WakeLock {
     }
 }
 
-/// Handle to a timer created with [`Cpu::sleep_frozen`].
-#[derive(Debug, Clone)]
-pub struct FrozenSleepHandle {
-    timer: Rc<RefCell<FrozenTimer>>,
+/// An alarm created with [`Cpu::repeating_alarm`]: one callback, kept,
+/// set again and again without boxing it each time.
+#[derive(Clone)]
+pub struct RepeatingAlarm {
     sim: Sim,
+    /// Wakes the CPU, then runs the owner's callback.
+    ring: Rc<dyn Fn()>,
 }
 
-impl FrozenSleepHandle {
-    /// Cancels the timer if it has not fired.
-    pub fn cancel(&self) {
-        let mut t = self.timer.borrow_mut();
-        if let Some(ev) = t.event.take() {
-            self.sim.cancel(ev);
+impl RepeatingAlarm {
+    /// Sets the alarm to go off `delay` from now, waking the CPU from deep
+    /// sleep first (see [`Cpu::set_alarm`]). Each call is one more alarm;
+    /// cancel one with [`Cpu::cancel_alarm`].
+    pub fn set_in(&self, delay: SimDuration) -> AlarmId {
+        let at = self.sim.now() + delay;
+        AlarmId(self.sim.schedule_shared_at(at, self.ring.clone()))
+    }
+}
+
+/// A re-armable timer created with [`Cpu::frozen_timer`].
+#[derive(Debug, Clone)]
+pub struct FrozenTimer {
+    state: Rc<RefCell<FrozenState>>,
+    cpu: Cpu,
+}
+
+impl FrozenTimer {
+    /// Starts a countdown of `duration` of *awake* time, after which the
+    /// timer's callback runs once; arm it again for the next one. The
+    /// countdown freezes whenever the CPU deep-sleeps and resumes when
+    /// something else wakes it, so the callback runs only while the CPU is
+    /// awake, possibly much later than `now + duration` in wall time.
+    /// Arming a timer that is still counting restarts it.
+    pub fn arm(&self, duration: SimDuration) {
+        self.cancel();
+        let mut inner = self.cpu.inner.borrow_mut();
+        // Spent timers leave the list here, this one's last countdown
+        // among them: armed, it goes to the back like a new one.
+        inner.frozen.retain(|t| t.borrow().armed);
+        {
+            let mut t = self.state.borrow_mut();
+            t.remaining = duration;
+            t.armed = true;
         }
-        t.callback = None;
-        t.done = true;
+        inner.frozen.push(self.state.clone());
+        if inner.awake {
+            Cpu::resume_frozen(&inner.sim, &self.state);
+        }
+    }
+
+    /// Stops the countdown if it has not completed.
+    pub fn cancel(&self) {
+        let mut t = self.state.borrow_mut();
+        if let Some(ev) = t.event.take() {
+            self.cpu.inner.borrow().sim.cancel(ev);
+        }
+        t.resumed_at = None;
+        t.armed = false;
     }
 }
 
@@ -160,21 +211,29 @@ impl Cpu {
         let rail = meter.register("cpu");
         meter.set_power(rail, cfg.awake_power);
         let cpu = Cpu {
-            inner: Rc::new(RefCell::new(Inner {
-                sim: sim.clone(),
-                meter: meter.clone(),
-                rail,
-                cfg,
-                awake: true,
-                locks: 0,
-                last_activity: sim.now(),
-                sleep_event: None,
-                frozen: Vec::new(),
-                listeners: Vec::new(),
-                wakeups: 0,
-                awake_since: Some(sim.now()),
-                awake_total: SimDuration::ZERO,
-            })),
+            inner: Rc::new_cyclic(|weak: &Weak<RefCell<Inner>>| {
+                let weak = weak.clone();
+                RefCell::new(Inner {
+                    sim: sim.clone(),
+                    meter: meter.clone(),
+                    rail,
+                    cfg,
+                    awake: true,
+                    locks: 0,
+                    last_activity: sim.now(),
+                    sleep_event: None,
+                    sleep_check: Rc::new(move || {
+                        if let Some(inner) = weak.upgrade() {
+                            Cpu { inner }.on_sleep_check();
+                        }
+                    }),
+                    frozen: Vec::new(),
+                    listeners: Vec::new(),
+                    wakeups: 0,
+                    awake_since: Some(sim.now()),
+                    awake_total: SimDuration::ZERO,
+                })
+            }),
         };
         cpu.maybe_schedule_sleep();
         cpu
@@ -255,39 +314,56 @@ impl Cpu {
         self.set_alarm(at, callback)
     }
 
+    /// Wraps `callback` as an alarm to set many times over: what a
+    /// periodic task uses instead of a fresh [`Cpu::set_alarm`] closure
+    /// per period.
+    pub fn repeating_alarm(&self, callback: impl Fn() + 'static) -> RepeatingAlarm {
+        let cpu = self.clone();
+        RepeatingAlarm {
+            sim: self.inner.borrow().sim.clone(),
+            ring: Rc::new(move || {
+                cpu.poke();
+                callback();
+            }),
+        }
+    }
+
     /// Cancels a pending alarm; returns `true` if it had not fired.
     pub fn cancel_alarm(&self, id: AlarmId) -> bool {
         self.inner.borrow().sim.cancel(id.0)
     }
 
-    /// Starts a `Thread.sleep`-style timer for `duration` of *awake* time:
-    /// the countdown freezes whenever the CPU deep-sleeps and resumes when
-    /// something else wakes it. The callback therefore runs only while the
-    /// CPU is awake, possibly much later than `now + duration` in wall
-    /// time. This is the primitive behind Pogo's tail detection (§4.7).
-    pub fn sleep_frozen(
-        &self,
-        duration: SimDuration,
-        callback: impl FnOnce() + 'static,
-    ) -> FrozenSleepHandle {
-        let timer = Rc::new(RefCell::new(FrozenTimer {
-            remaining: duration,
-            resumed_at: None,
-            event: None,
-            callback: Some(Box::new(callback)),
-            done: false,
-        }));
-        let sim;
-        {
-            let mut inner = self.inner.borrow_mut();
-            sim = inner.sim.clone();
-            inner.frozen.retain(|t| t.borrow().is_live());
-            inner.frozen.push(timer.clone());
-            if inner.awake {
-                Self::arm_frozen(&inner.sim, &timer);
-            }
+    /// Creates a `Thread.sleep`-style timer, idle until
+    /// [`FrozenTimer::arm`] starts a countdown; `callback` runs each time
+    /// one completes. Countdowns only run down while the CPU is awake: the
+    /// primitive behind Pogo's tail detection (§4.7). One timer serves a
+    /// whole polling loop, re-armed from its own callback.
+    pub fn frozen_timer(&self, callback: impl Fn() + 'static) -> FrozenTimer {
+        let state = Rc::new_cyclic(|weak: &Weak<RefCell<FrozenState>>| {
+            let weak = weak.clone();
+            RefCell::new(FrozenState {
+                remaining: SimDuration::ZERO,
+                resumed_at: None,
+                event: None,
+                armed: false,
+                elapse: Rc::new(move || {
+                    // An armed timer is on its CPU's list, so it is alive.
+                    let Some(state) = weak.upgrade() else { return };
+                    {
+                        let mut t = state.borrow_mut();
+                        t.event = None;
+                        t.resumed_at = None;
+                        t.remaining = SimDuration::ZERO;
+                        t.armed = false;
+                    }
+                    callback();
+                }),
+            })
+        });
+        FrozenTimer {
+            state,
+            cpu: self.clone(),
         }
-        FrozenSleepHandle { timer, sim }
     }
 
     // ---- internals -------------------------------------------------------
@@ -302,28 +378,16 @@ impl Cpu {
         self.maybe_schedule_sleep();
     }
 
-    /// Arms the sim event backing a frozen timer. CPU must be awake.
-    fn arm_frozen(sim: &Sim, timer: &Rc<RefCell<FrozenTimer>>) {
+    /// Schedules the sim event that ends an armed timer's countdown. CPU
+    /// must be awake.
+    fn resume_frozen(sim: &Sim, timer: &Rc<RefCell<FrozenState>>) {
         let mut t = timer.borrow_mut();
-        if !t.is_live() || t.event.is_some() {
+        if !t.armed || t.event.is_some() {
             return;
         }
         t.resumed_at = Some(sim.now());
         let fire_at = sim.now() + t.remaining;
-        let tref = timer.clone();
-        t.event = Some(sim.schedule_at(fire_at, move || {
-            let cb = {
-                let mut t = tref.borrow_mut();
-                t.event = None;
-                t.resumed_at = None;
-                t.remaining = SimDuration::ZERO;
-                t.done = true;
-                t.callback.take()
-            };
-            if let Some(cb) = cb {
-                cb();
-            }
-        }));
+        t.event = Some(sim.schedule_shared_at(fire_at, t.elapse.clone()));
     }
 
     /// Flips the awake flag, updates power and statistics, freezes or
@@ -336,16 +400,16 @@ impl Cpu {
             inner.wakeups += 1;
             inner.awake_since = Some(now);
             inner.meter.set_power(inner.rail, inner.cfg.awake_power);
-            inner.frozen.retain(|t| t.borrow().is_live());
+            inner.frozen.retain(|t| t.borrow().armed);
             for t in &inner.frozen {
-                Self::arm_frozen(&inner.sim, t);
+                Self::resume_frozen(&inner.sim, t);
             }
         } else {
             if let Some(since) = inner.awake_since.take() {
                 inner.awake_total += now.duration_since(since);
             }
             inner.meter.set_power(inner.rail, inner.cfg.asleep_power);
-            inner.frozen.retain(|t| t.borrow().is_live());
+            inner.frozen.retain(|t| t.borrow().armed);
             for t in &inner.frozen {
                 let mut t = t.borrow_mut();
                 if let Some(ev) = t.event.take() {
@@ -373,9 +437,7 @@ impl Cpu {
             return;
         }
         let at = inner.last_activity + inner.cfg.linger;
-        let cpu = self.clone();
-        let sim = inner.sim.clone();
-        inner.sleep_event = Some(sim.schedule_at(at, move || cpu.on_sleep_check()));
+        inner.schedule_sleep_check(at);
     }
 
     fn on_sleep_check(&self) {
@@ -390,9 +452,7 @@ impl Cpu {
             if now < earliest {
                 // Activity happened since this check was scheduled; try
                 // again at the new earliest sleep instant.
-                let cpu = self.clone();
-                let sim = inner.sim.clone();
-                inner.sleep_event = Some(sim.schedule_at(earliest, move || cpu.on_sleep_check()));
+                inner.schedule_sleep_check(earliest);
                 return;
             }
             Self::transition(&mut inner, false)
@@ -464,6 +524,25 @@ mod tests {
     }
 
     #[test]
+    fn repeating_alarm_wakes_cpu_each_time_it_is_set() {
+        let (sim, _meter, cpu) = setup();
+        let rings = Rc::new(Cell::new(0u32));
+        let (r, c2) = (rings.clone(), cpu.clone());
+        let alarm = cpu.repeating_alarm(move || {
+            assert!(c2.is_awake(), "alarm callback must see an awake CPU");
+            r.set(r.get() + 1);
+        });
+        alarm.set_in(SimDuration::from_secs(10));
+        let late = alarm.set_in(SimDuration::from_secs(20));
+        alarm.set_in(SimDuration::from_secs(30));
+        assert!(cpu.cancel_alarm(late));
+        sim.run_for(SimDuration::from_secs(60));
+        assert_eq!(rings.get(), 2);
+        assert_eq!(cpu.wakeups(), 2);
+        assert!(!cpu.is_awake());
+    }
+
+    #[test]
     fn cancelled_alarm_does_not_fire_or_wake() {
         let (sim, _meter, cpu) = setup();
         let fired = Rc::new(Cell::new(false));
@@ -482,7 +561,8 @@ mod tests {
         let fired_at = Rc::new(Cell::new(None));
         let f = fired_at.clone();
         let s = sim.clone();
-        cpu.sleep_frozen(SimDuration::from_secs(1), move || f.set(Some(s.now())));
+        cpu.frozen_timer(move || f.set(Some(s.now())))
+            .arm(SimDuration::from_secs(1));
         sim.run_for(SimDuration::from_secs(2));
         assert_eq!(fired_at.get(), Some(SimTime::from_millis(1_000)));
     }
@@ -495,13 +575,15 @@ mod tests {
         let fired_at: Rc<Cell<Option<SimTime>>> = Rc::new(Cell::new(None));
         let f = fired_at.clone();
         let s = sim.clone();
-        cpu.sleep_frozen(SimDuration::from_secs(1), move || f.set(Some(s.now())));
+        cpu.frozen_timer(move || f.set(Some(s.now())))
+            .arm(SimDuration::from_secs(1));
         // CPU sleeps at t = linger = 1.2 s, with 1.0 s... wait, timer would
         // fire at t = 1.0 s < 1.2 s. Use a longer timer instead.
         let fired2: Rc<Cell<Option<SimTime>>> = Rc::new(Cell::new(None));
         let f2 = fired2.clone();
         let s2 = sim.clone();
-        cpu.sleep_frozen(SimDuration::from_secs(10), move || f2.set(Some(s2.now())));
+        cpu.frozen_timer(move || f2.set(Some(s2.now())))
+            .arm(SimDuration::from_secs(10));
 
         // Nothing wakes the CPU for a long time: the 10 s timer must not
         // have fired 100 s in.
@@ -525,11 +607,41 @@ mod tests {
         let _lock = cpu.acquire_wake_lock();
         let fired = Rc::new(Cell::new(false));
         let f = fired.clone();
-        let h = cpu.sleep_frozen(SimDuration::from_secs(1), move || f.set(true));
+        let h = cpu.frozen_timer(move || f.set(true));
+        h.arm(SimDuration::from_secs(1));
         h.cancel();
-        assert!(h.timer.borrow().done);
+        assert!(!h.state.borrow().armed);
         sim.run_for(SimDuration::from_secs(5));
         assert!(!fired.get());
+    }
+
+    #[test]
+    fn frozen_timer_re_arms_from_its_own_callback() {
+        // The tail detector's loop: one timer, armed again each time it
+        // elapses, frozen across the sleeps in between.
+        let (sim, _meter, cpu) = setup();
+        let fired_at: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
+        let timer: Rc<RefCell<Option<FrozenTimer>>> = Rc::new(RefCell::new(None));
+        let (f, t, s) = (fired_at.clone(), Rc::downgrade(&timer), sim.clone());
+        *timer.borrow_mut() = Some(cpu.frozen_timer(move || {
+            f.borrow_mut().push(s.now().as_millis());
+            let timer = t.upgrade().expect("the test holds the timer");
+            let timer = timer.borrow().clone().expect("set before it is armed");
+            timer.arm(SimDuration::from_secs(1));
+        }));
+        let armed = timer.borrow().clone().expect("just set");
+        armed.arm(SimDuration::from_secs(1));
+        // Awake for the 1.2 s boot linger: one countdown completes, the
+        // next has run 0.2 s when the CPU sleeps.
+        sim.run_for(SimDuration::from_secs(60));
+        assert_eq!(*fired_at.borrow(), vec![1_000]);
+        // Woken at 60 s for another 1.2 s: the 0.8 s left elapse, then
+        // 0.4 s of the third countdown.
+        cpu.set_alarm_in(SimDuration::ZERO, || {});
+        sim.run_for(SimDuration::from_secs(60));
+        assert_eq!(*fired_at.borrow(), vec![1_000, 60_800]);
+        assert_eq!(cpu.inner.borrow().frozen.len(), 1, "one timer, re-armed");
+        assert_eq!(cpu.wakeups(), 1, "the timer itself never woke the CPU");
     }
 
     #[test]

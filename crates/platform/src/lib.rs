@@ -33,7 +33,7 @@ pub mod wifi;
 pub use apps::{NetAppConfig, PeriodicNetApp};
 pub use battery::Battery;
 pub use connectivity::{Bearer, Connectivity};
-pub use cpu::{AlarmId, Cpu, CpuConfig, FrozenSleepHandle, WakeLock};
+pub use cpu::{AlarmId, Cpu, CpuConfig, FrozenTimer, RepeatingAlarm, WakeLock};
 pub use energy::{EnergyMeter, PowerTrace, RailId};
 pub use phone::{Phone, PhoneConfig};
 pub use radio::{CarrierProfile, CellularModem, RadioState};

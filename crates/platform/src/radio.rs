@@ -10,7 +10,7 @@
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use pogo_sim::{EventId, Sim, SimDuration, SimTime};
 
@@ -150,6 +150,12 @@ struct Inner {
     state: RadioState,
     /// Pending demotion or ramp-up completion event.
     timer: Option<EventId>,
+    /// What `timer` runs, one closure each for the modem's life,
+    /// scheduled shared: ramp-up or promotion done, DCH tail over, FACH
+    /// tail over.
+    on_ramped: Rc<dyn Fn()>,
+    on_dch_tail_end: Rc<dyn Fn()>,
+    on_fach_tail_end: Rc<dyn Fn()>,
     /// True while a transfer occupies DCH.
     transferring: bool,
     queue: VecDeque<Transfer>,
@@ -176,6 +182,12 @@ impl Inner {
         if let Some(t) = self.timer.take() {
             self.sim.cancel(t);
         }
+    }
+
+    /// Arms `timer` to run `callback`, one of the three above, in `delay`.
+    fn set_timer(&mut self, delay: SimDuration, callback: Rc<dyn Fn()>) {
+        let at = self.sim.now() + delay;
+        self.timer = Some(self.sim.schedule_shared_at(at, callback));
     }
 }
 
@@ -208,22 +220,35 @@ impl CellularModem {
         let rail = meter.register("modem-3g");
         meter.set_power(rail, profile.idle_power);
         CellularModem {
-            inner: Rc::new(RefCell::new(Inner {
-                sim: sim.clone(),
-                meter: meter.clone(),
-                rail,
-                profile,
-                state: RadioState::Idle,
-                timer: None,
-                transferring: false,
-                queue: VecDeque::new(),
-                tx_total: 0,
-                rx_total: 0,
-                ramp_ups: 0,
-                listeners: Vec::new(),
-                idle_spikes: false,
-                spike_high: false,
-            })),
+            inner: Rc::new_cyclic(|weak: &Weak<RefCell<Inner>>| {
+                let timer_callback = |step: fn(&CellularModem)| -> Rc<dyn Fn()> {
+                    let weak = weak.clone();
+                    Rc::new(move || {
+                        if let Some(inner) = weak.upgrade() {
+                            step(&CellularModem { inner });
+                        }
+                    })
+                };
+                RefCell::new(Inner {
+                    sim: sim.clone(),
+                    meter: meter.clone(),
+                    rail,
+                    profile,
+                    state: RadioState::Idle,
+                    timer: None,
+                    on_ramped: timer_callback(CellularModem::begin_transfer),
+                    on_dch_tail_end: timer_callback(CellularModem::demote_to_fach),
+                    on_fach_tail_end: timer_callback(CellularModem::demote_to_idle),
+                    transferring: false,
+                    queue: VecDeque::new(),
+                    tx_total: 0,
+                    rx_total: 0,
+                    ramp_ups: 0,
+                    listeners: Vec::new(),
+                    idle_spikes: false,
+                    spike_high: false,
+                })
+            }),
         }
     }
 
@@ -334,20 +359,16 @@ impl CellularModem {
                     RadioState::Idle => {
                         inner.ramp_ups += 1;
                         inner.clear_timer();
-                        let delay = inner.profile.ramp_up;
-                        let me = self.clone();
-                        let sim = inner.sim.clone();
                         let notify = inner.enter(RadioState::RampUp);
-                        inner.timer = Some(sim.schedule_in(delay, move || me.begin_transfer()));
+                        let (delay, ramped) = (inner.profile.ramp_up, inner.on_ramped.clone());
+                        inner.set_timer(delay, ramped);
                         Some(notify)
                     }
                     RadioState::Fach => {
                         inner.clear_timer();
-                        let delay = inner.profile.fach_promote;
-                        let me = self.clone();
-                        let sim = inner.sim.clone();
                         let notify = inner.enter(RadioState::RampUp);
-                        inner.timer = Some(sim.schedule_in(delay, move || me.begin_transfer()));
+                        let (delay, ramped) = (inner.profile.fach_promote, inner.on_ramped.clone());
+                        inner.set_timer(delay, ramped);
                         Some(notify)
                     }
                     RadioState::Dch => {
@@ -414,15 +435,13 @@ impl CellularModem {
         let notify = {
             let mut inner = self.inner.borrow_mut();
             inner.clear_timer();
-            let delay = inner.profile.dch_tail;
-            let me = self.clone();
-            let sim = inner.sim.clone();
             let notify = if inner.state != RadioState::Dch {
                 Some(inner.enter(RadioState::Dch))
             } else {
                 None
             };
-            inner.timer = Some(sim.schedule_in(delay, move || me.demote_to_fach()));
+            let (delay, tail_end) = (inner.profile.dch_tail, inner.on_dch_tail_end.clone());
+            inner.set_timer(delay, tail_end);
             notify
         };
         self.notify(notify);
@@ -435,11 +454,9 @@ impl CellularModem {
             if inner.state != RadioState::Dch || inner.transferring {
                 return;
             }
-            let delay = inner.profile.fach_tail;
-            let me = self.clone();
-            let sim = inner.sim.clone();
             let notify = inner.enter(RadioState::Fach);
-            inner.timer = Some(sim.schedule_in(delay, move || me.demote_to_idle()));
+            let (delay, tail_end) = (inner.profile.fach_tail, inner.on_fach_tail_end.clone());
+            inner.set_timer(delay, tail_end);
             Some(notify)
         };
         self.notify(notify);

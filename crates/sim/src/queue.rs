@@ -1,5 +1,6 @@
 //! The pending-event queue: a hierarchical calendar wheel keyed by
-//! (time, sequence) with O(1) cancellation through a side table.
+//! (time, sequence), with callbacks in a slab so that scheduling,
+//! cancelling and firing an event hash nothing and scan no empty slot.
 //!
 //! The binary heap that shipped with the seed pays `O(log n)` per
 //! operation with `n` the *total* pending population — at fleet scale
@@ -13,32 +14,86 @@
 //! Entries are placed at the *smallest* level whose current frame
 //! (the span of one parent slot) contains their deadline, which keeps
 //! every slot free of wrap-around ambiguity: scanning the slots of one
-//! frame sees every entry of that level, full stop. Events behind the
-//! cursor (possible because [`EventQueue::peek_time`] advances the
-//! wheel ahead of the simulation clock) and events past the top-level
-//! horizon fall back to a small binary heap, preserving the exact
-//! (time, sequence) total order in all cases.
+//! frame sees every entry of that level, full stop. One `u64` per level
+//! has a bit set for every slot that physically holds an entry, so the
+//! walk visits occupied slots (`trailing_zeros`) and no others. Events
+//! behind the cursor (possible because [`EventQueue::pop_until`]
+//! advances the wheel to an event it then leaves pending) and events
+//! past the top-level horizon fall back to a small binary heap,
+//! preserving the exact (time, sequence) total order in all cases.
+//!
+//! Callbacks live in a slab: a `Vec` of slots plus a free list. A wheel
+//! entry names its slot and the id it was scheduled under; it is live
+//! while the slot still carries that id. Ids are never reused, so the id
+//! is the slot's generation: an entry (or an [`EventId`]) left over from
+//! an earlier tenant matches nothing.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::BinaryHeap;
+use std::rc::Rc;
 
 use crate::time::SimTime;
 
 /// Handle to a scheduled event, used to cancel it before it fires.
+///
+/// Holds the event's id and the slab slot it was given. Once the event
+/// has fired or been cancelled the handle is stale for good: the slot's
+/// next tenant has another id, so cancelling through a stale handle
+/// returns `false` and touches nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(u64);
+pub struct EventId {
+    id: u64,
+    slot: u32,
+}
+
+/// What fires: a boxed one-shot closure, or a shared closure that its
+/// owner schedules again and again without allocating (a periodic poll,
+/// a demotion timer). Both kinds sit in the same queue, in one order.
+pub enum Callback {
+    /// Runs once and is gone.
+    Once(Box<dyn FnOnce()>),
+    /// One clone of a closure its owner keeps.
+    Shared(Rc<dyn Fn()>),
+}
+
+impl Callback {
+    /// Runs the callback.
+    pub fn call(self) {
+        match self {
+            Callback::Once(f) => f(),
+            Callback::Shared(f) => f(),
+        }
+    }
+}
 
 const SLOT_BITS: u32 = 6;
-const SLOTS: usize = 1 << SLOT_BITS; // 64
-const LEVELS: u32 = 7; // 64^7 ms ≈ 139 years of horizon
+const SLOTS: usize = 1 << SLOT_BITS; // 64, one bitmap word per level
+const LEVELS: usize = 7; // 64^7 ms ≈ 139 years of horizon
+
+/// Capacity, in entries, that a wheel slot keeps once it has been emptied:
+/// enough that the slots a busy queue fills every few milliseconds never
+/// go back to the allocator, little enough that all of them together stay
+/// under a megabyte. A larger buffer is freed when its slot empties, so
+/// one crowded instant does not leave its high-water mark behind.
+const KEEP_CAPACITY: usize = 64;
+
+/// The id of a slab slot with no tenant; no event is ever given it.
+const VACANT: u64 = u64::MAX;
 
 /// One scheduled entry. The id doubles as the scheduling sequence
 /// number (ids are assigned monotonically), so ordering by `(time, id)`
 /// is exactly time-then-schedule order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Entry {
     time: u64,
     id: u64,
+    slot: u32,
+}
+
+struct Slot {
+    /// The tenant's event id, [`VACANT`] while the slot is on the free list.
+    id: u64,
+    callback: Option<Callback>,
 }
 
 /// A time-ordered queue of callbacks.
@@ -47,26 +102,33 @@ struct Entry {
 /// [`crate::Sim`] — but it is public so alternative drivers can be built on
 /// the same ordering guarantees.
 pub struct EventQueue {
-    callbacks: HashMap<u64, Box<dyn FnOnce()>>,
-    /// `levels[l][slot]` holds entries whose deadline falls in that slot
-    /// of the cursor's current level-`l` frame.
-    levels: Vec<Vec<Vec<Entry>>>,
-    /// Physical entries (live or cancelled) sitting in `levels`.
-    wheel_count: usize,
+    /// The slab: one slot per pending event, reused through `free`.
+    slots: Vec<Slot>,
+    free: Vec<u32>,
+    /// Slots with a tenant, i.e. pending events.
+    live: usize,
+    /// `wheel[l * SLOTS + s]` holds entries whose deadline falls in slot
+    /// `s` of the cursor's current level-`l` frame.
+    wheel: Vec<Vec<Entry>>,
+    /// Bit `s` of `occupied[l]` is set iff `wheel[l * SLOTS + s]` holds at
+    /// least one entry, live or cancelled.
+    occupied: [u64; LEVELS],
     /// Wheel time in ms. Only advances; never passes a live wheel entry.
     cursor: u64,
-    /// Entries due exactly at `cursor`, sorted by id (sequence order).
-    due: VecDeque<Entry>,
-    /// Fallback heap: entries scheduled behind the cursor (the queue was
-    /// peeked ahead of the sim clock) or beyond the top-level horizon.
-    slow: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Entries due exactly at `cursor`, sorted by id (sequence order);
+    /// those before `due_head` have been consumed.
+    due: Vec<Entry>,
+    due_head: usize,
+    /// Fallback heap: entries scheduled behind the cursor (the wheel was
+    /// advanced ahead of the sim clock) or beyond the top-level horizon.
+    slow: BinaryHeap<Reverse<Entry>>,
     next_id: u64,
 }
 
 impl std::fmt::Debug for EventQueue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("pending", &self.callbacks.len())
+            .field("pending", &self.live)
             .field("cursor_ms", &self.cursor)
             .field("next_seq", &self.next_id)
             .finish()
@@ -83,11 +145,14 @@ impl EventQueue {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            callbacks: HashMap::new(),
-            levels: (0..LEVELS).map(|_| vec![Vec::new(); SLOTS]).collect(),
-            wheel_count: 0,
+            slots: Vec::new(),
+            free: Vec::new(),
+            live: 0,
+            wheel: vec![Vec::new(); LEVELS * SLOTS],
+            occupied: [0; LEVELS],
             cursor: 0,
-            due: VecDeque::new(),
+            due: Vec::new(),
+            due_head: 0,
             slow: BinaryHeap::new(),
             next_id: 0,
         }
@@ -96,108 +161,150 @@ impl EventQueue {
     /// Schedules `callback` to fire at `time`. Returns a handle that can be
     /// passed to [`EventQueue::cancel`].
     pub fn push(&mut self, time: SimTime, callback: Box<dyn FnOnce()>) -> EventId {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.callbacks.insert(id, callback);
-        self.place(Entry {
-            time: time.as_millis(),
-            id,
-        });
-        EventId(id)
+        self.insert(time, Callback::Once(callback))
+    }
+
+    /// Schedules one more firing of a closure the caller keeps: no box, and
+    /// once the slab and the wheel slot have grown, no allocation at all.
+    /// Ordered with every other event by `(time, id)`.
+    pub fn push_shared(&mut self, time: SimTime, callback: Rc<dyn Fn()>) -> EventId {
+        self.insert(time, Callback::Shared(callback))
     }
 
     /// Cancels a pending event. Returns `true` if the event existed and had
     /// not fired yet. The wheel entry is dropped lazily.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        self.callbacks.remove(&id.0).is_some()
-    }
-
-    /// Time of the earliest live event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.next_entry().map(|e| SimTime::from_millis(e.time))
+        match self.slots.get(id.slot as usize) {
+            Some(slot) if slot.id == id.id => {
+                self.vacate(id.slot);
+                true
+            }
+            _ => false,
+        }
     }
 
     /// Removes and returns the earliest live event.
-    pub fn pop(&mut self) -> Option<(SimTime, Box<dyn FnOnce()>)> {
-        let entry = self.next_entry()?;
-        // Consume it from whichever structure holds it.
-        match self.due.front() {
-            Some(front) if *front == entry => {
-                self.due.pop_front();
-            }
-            _ => {
-                let popped = self.slow.pop();
-                debug_assert_eq!(popped, Some(Reverse((entry.time, entry.id))));
-            }
+    pub fn pop(&mut self) -> Option<(SimTime, Callback)> {
+        self.pop_until(SimTime::from_millis(u64::MAX))
+    }
+
+    /// Removes and returns the earliest live event if it is due at or
+    /// before `deadline`: one walk finds it and takes it. A later event is
+    /// left pending, with the wheel already advanced to it.
+    pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, Callback)> {
+        let wheel = self.locate_wheel_next();
+        let slow = self.peek_slow();
+        let (entry, from_slow) = match (wheel, slow) {
+            (Some(w), Some(s)) if s < w => (s, true),
+            (Some(w), _) => (w, false),
+            (None, Some(s)) => (s, true),
+            (None, None) => return None,
+        };
+        if entry.time > deadline.as_millis() {
+            return None;
         }
-        let cb = self
-            .callbacks
-            .remove(&entry.id)
-            .expect("next_entry returns live events");
-        Some((SimTime::from_millis(entry.time), cb))
+        if from_slow {
+            self.slow.pop();
+        } else {
+            self.due_head += 1;
+        }
+        let callback = self.vacate(entry.slot);
+        Some((SimTime::from_millis(entry.time), callback))
     }
 
     /// Number of live (non-cancelled) events.
     pub fn len(&self) -> usize {
-        self.callbacks.len()
+        self.live
     }
 
     /// True if no live events remain.
     pub fn is_empty(&self) -> bool {
-        self.callbacks.is_empty()
+        self.live == 0
+    }
+
+    /// True if every level's bitmap has exactly the bits of its non-empty
+    /// slots. The structure's own invariant, for the fuzz test to check
+    /// after every operation.
+    pub fn bitmaps_match_slots(&self) -> bool {
+        (0..LEVELS).all(|level| {
+            (0..SLOTS).all(|s| {
+                let bit = self.occupied[level] >> s & 1 == 1;
+                bit != self.wheel[level * SLOTS + s].is_empty()
+            })
+        })
+    }
+
+    // ---- slab ------------------------------------------------------------
+
+    fn insert(&mut self, time: SimTime, callback: Callback) -> EventId {
+        let id = self.next_id;
+        self.next_id += 1;
+        let tenant = Slot {
+            id,
+            callback: Some(callback),
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = tenant;
+                slot
+            }
+            None => {
+                self.slots.push(tenant);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.live += 1;
+        self.place(Entry {
+            time: time.as_millis(),
+            id,
+            slot,
+        });
+        EventId { id, slot }
+    }
+
+    /// Takes the tenant's callback and puts the slot on the free list.
+    fn vacate(&mut self, slot: u32) -> Callback {
+        let s = &mut self.slots[slot as usize];
+        s.id = VACANT;
+        self.free.push(slot);
+        self.live -= 1;
+        s.callback.take().expect("a tenanted slot holds a callback")
+    }
+
+    fn is_live(slots: &[Slot], e: &Entry) -> bool {
+        slots[e.slot as usize].id == e.id
     }
 
     // ---- wheel internals -------------------------------------------------
 
-    fn is_live(callbacks: &HashMap<u64, Box<dyn FnOnce()>>, e: &Entry) -> bool {
-        callbacks.contains_key(&e.id)
-    }
-
     /// Inserts an entry into the wheel, the due list, or the slow heap.
     fn place(&mut self, e: Entry) {
         if e.time < self.cursor {
-            // Behind the wheel: the queue was peeked ahead of the sim
+            // Behind the wheel: the wheel was advanced ahead of the sim
             // clock and something was then scheduled in the gap.
-            self.slow.push(Reverse((e.time, e.id)));
+            self.slow.push(Reverse(e));
             return;
         }
         if e.time == self.cursor {
             // Due now; ids are monotonic so appending keeps `due` sorted.
-            debug_assert!(self.due.back().is_none_or(|b| b.id < e.id));
-            self.due.push_back(e);
+            debug_assert!(self.due[self.due_head..].last().is_none_or(|b| b.id < e.id));
+            self.due.push(e);
             return;
         }
         let Some(level) = level_for(self.cursor, e.time) else {
-            self.slow.push(Reverse((e.time, e.id)));
+            self.slow.push(Reverse(e));
             return;
         };
         let slot = slot_index(e.time, level);
-        self.levels[level as usize][slot].push(e);
-        self.wheel_count += 1;
-    }
-
-    /// The earliest live event across due list, wheel, and slow heap,
-    /// without consuming it. Advances the cursor as a side effect.
-    fn next_entry(&mut self) -> Option<Entry> {
-        let wheel = self.locate_wheel_next();
-        let slow = self.peek_slow();
-        match (wheel, slow) {
-            (Some(w), Some(s)) => {
-                if (w.time, w.id) <= (s.time, s.id) {
-                    Some(w)
-                } else {
-                    Some(s)
-                }
-            }
-            (w, s) => w.or(s),
-        }
+        self.wheel[level * SLOTS + slot].push(e);
+        self.occupied[level] |= 1 << slot;
     }
 
     /// Drops cancelled heads off the slow heap and peeks the top.
     fn peek_slow(&mut self) -> Option<Entry> {
-        while let Some(&Reverse((time, id))) = self.slow.peek() {
-            if self.callbacks.contains_key(&id) {
-                return Some(Entry { time, id });
+        while let Some(&Reverse(e)) = self.slow.peek() {
+            if Self::is_live(&self.slots, &e) {
+                return Some(e);
             }
             self.slow.pop();
         }
@@ -205,29 +312,26 @@ impl EventQueue {
     }
 
     /// Advances the cursor to the earliest live wheel event, filling the
-    /// due list, and returns that event. Cancelled entries encountered
-    /// along the way are dropped.
+    /// due list, and returns that event (the head of `due`). Cancelled
+    /// entries encountered along the way are dropped.
     fn locate_wheel_next(&mut self) -> Option<Entry> {
         loop {
             // Due entries first: they sit exactly at the cursor.
-            while let Some(front) = self.due.front() {
-                if Self::is_live(&self.callbacks, front) {
+            while let Some(front) = self.due.get(self.due_head) {
+                if Self::is_live(&self.slots, front) {
                     return Some(*front);
                 }
-                self.due.pop_front();
+                self.due_head += 1;
             }
-            if self.wheel_count == 0 {
-                return None;
-            }
+            self.due.clear();
+            self.due_head = 0;
 
-            // Pull anything due at the cursor out of its level-0 slot.
-            if self.extract_due_at_cursor() {
-                continue;
-            }
-
-            // Scan the rest of the current level-0 frame for the nearest
-            // deadline and jump the cursor straight to it.
-            if self.advance_within_level0_frame() {
+            // The nearest occupied level-0 slot from the cursor's own to
+            // the end of the current frame: jump to it and take it whole.
+            let ahead = self.occupied[0] >> (self.cursor & 63) << (self.cursor & 63);
+            if ahead != 0 {
+                self.cursor = (self.cursor & !63) | u64::from(ahead.trailing_zeros());
+                self.take_due_at_cursor();
                 continue;
             }
 
@@ -243,61 +347,22 @@ impl EventQueue {
         }
     }
 
-    /// Moves entries with `time == cursor` from the wheel into `due`.
-    /// Returns true if any live entry became due.
-    fn extract_due_at_cursor(&mut self) -> bool {
-        let slot = &mut self.levels[0][(self.cursor as usize) & (SLOTS - 1)];
-        let cursor = self.cursor;
-        let callbacks = &self.callbacks;
-        let before = slot.len();
-        let mut extracted: Vec<Entry> = Vec::new();
-        slot.retain(|e| {
-            if !Self::is_live(callbacks, e) {
-                return false;
-            }
-            if e.time == cursor {
-                extracted.push(*e);
-                return false;
-            }
-            true
-        });
-        self.wheel_count -= before - slot.len();
-        if extracted.is_empty() {
-            return false;
-        }
-        extracted.sort_unstable_by_key(|e| e.id);
-        // `due` is either empty or holds later-scheduled ids already at
-        // this cursor time; extraction happens before any such append, so
-        // plain extension keeps sequence order.
+    /// Moves what is live in the cursor's level-0 slot to the due list
+    /// (spent by now, so it is the one buffer every extraction reuses). A
+    /// level-0 slot spans one millisecond: whatever in it is live is due
+    /// exactly at the cursor.
+    fn take_due_at_cursor(&mut self) {
         debug_assert!(self.due.is_empty());
-        self.due.extend(extracted);
-        true
-    }
-
-    /// Scans the remaining level-0 slots of the current frame; on finding
-    /// live entries, jumps the cursor to the earliest deadline among them.
-    fn advance_within_level0_frame(&mut self) -> bool {
-        let frame_end = (self.cursor | (SLOTS as u64 - 1)) + 1;
-        let start = ((self.cursor as usize) & (SLOTS - 1)) + 1;
-        let mut best: Option<u64> = None;
-        for slot_idx in start..SLOTS {
-            let slot = &mut self.levels[0][slot_idx];
-            let callbacks = &self.callbacks;
-            let before = slot.len();
-            slot.retain(|e| Self::is_live(callbacks, e));
-            self.wheel_count -= before - slot.len();
-            if let Some(min) = slot.iter().map(|e| e.time).min() {
-                debug_assert!(min > self.cursor && min < frame_end);
-                best = Some(best.map_or(min, |b| b.min(min)));
-            }
+        let s = (self.cursor & 63) as usize;
+        self.occupied[0] &= !(1 << s);
+        let (slot, slots) = (&mut self.wheel[s], &self.slots);
+        self.due
+            .extend(slot.drain(..).filter(|e| Self::is_live(slots, e)));
+        if slot.capacity() > KEEP_CAPACITY {
+            *slot = Vec::new();
         }
-        match best {
-            Some(t) => {
-                self.cursor = t;
-                true
-            }
-            None => false,
-        }
+        debug_assert!(self.due.iter().all(|e| e.time == self.cursor));
+        self.due.sort_unstable_by_key(|e| e.id);
     }
 
     /// Finds the nearest populated slot at or above level 1, jumps the
@@ -319,9 +384,13 @@ impl EventQueue {
             }
             // Covering slots are clear: the nearest remaining candidates
             // at this level sit in the forward slots of its current frame.
-            let shift = SLOT_BITS * level;
-            for slot_idx in slot_index(cursor, level) + 1..SLOTS {
-                let frame_base = cursor & !((1u64 << (shift + SLOT_BITS)) - 1);
+            let shift = SLOT_BITS * level as u32;
+            let frame_base = cursor & !((1u64 << (shift + SLOT_BITS)) - 1);
+            let here = slot_index(cursor, level);
+            let mut ahead = self.occupied[level] >> here >> 1 << here << 1;
+            while ahead != 0 {
+                let slot_idx = ahead.trailing_zeros() as usize;
+                ahead &= ahead - 1;
                 let slot_start = frame_base | ((slot_idx as u64) << shift);
                 if self.dump_slot(level, slot_idx, slot_start) {
                     return true;
@@ -334,57 +403,63 @@ impl EventQueue {
         false
     }
 
-    /// Drops dead entries from `levels[level][slot_idx]`; if live ones
+    /// Drops dead entries from slot `slot_idx` of `level`; if live ones
     /// remain, advances the cursor to `target` (never backward) and
     /// re-places them relative to it. Returns true if anything moved.
-    fn dump_slot(&mut self, level: u32, slot_idx: usize, target: u64) -> bool {
-        let slot = &mut self.levels[level as usize][slot_idx];
-        let callbacks = &self.callbacks;
-        let before = slot.len();
-        slot.retain(|e| Self::is_live(callbacks, e));
-        self.wheel_count -= before - slot.len();
-        if slot.is_empty() {
+    fn dump_slot(&mut self, level: usize, slot_idx: usize, target: u64) -> bool {
+        if self.occupied[level] >> slot_idx & 1 == 0 {
             return false;
         }
-        self.cursor = self.cursor.max(target);
-        let entries = std::mem::take(slot);
-        self.wheel_count -= entries.len();
-        for e in entries {
-            debug_assert!(e.time >= self.cursor);
-            self.place(e);
+        self.occupied[level] &= !(1 << slot_idx);
+        let mut entries = std::mem::take(&mut self.wheel[level * SLOTS + slot_idx]);
+        let slots = &self.slots;
+        entries.retain(|e| Self::is_live(slots, e));
+        let moved = !entries.is_empty();
+        if moved {
+            self.cursor = self.cursor.max(target);
+            for e in entries.drain(..) {
+                debug_assert!(e.time >= self.cursor);
+                self.place(e);
+            }
         }
-        true
+        // Everything went to lower levels, so the slot is still empty: it
+        // gets its buffer back for the next fill, unless that is large.
+        debug_assert!(self.wheel[level * SLOTS + slot_idx].is_empty());
+        if entries.capacity() <= KEEP_CAPACITY {
+            self.wheel[level * SLOTS + slot_idx] = entries;
+        }
+        moved
     }
+
     /// Clears cancelled entries out of every slot. Live entries are always
     /// ahead of the cursor and reachable by the forward scans, so this is
     /// only called once those scans prove the wheel holds nothing live.
     fn purge_dead(&mut self) {
-        let callbacks = &self.callbacks;
-        let mut removed = 0;
-        for level in &mut self.levels {
-            for slot in level {
-                debug_assert!(slot.iter().all(|e| !callbacks.contains_key(&e.id)));
-                removed += slot.len();
+        debug_assert!(self.bitmaps_match_slots());
+        for level in 0..LEVELS {
+            while self.occupied[level] != 0 {
+                let s = self.occupied[level].trailing_zeros() as usize;
+                self.occupied[level] &= self.occupied[level] - 1;
+                let slot = &mut self.wheel[level * SLOTS + s];
+                debug_assert!(slot.iter().all(|e| !Self::is_live(&self.slots, e)));
                 slot.clear();
             }
         }
-        self.wheel_count -= removed;
-        debug_assert_eq!(self.wheel_count, 0);
     }
 }
 
 /// The wheel level whose current frame (relative to `cursor`) contains
 /// `time`, or `None` when `time` lies beyond the top-level horizon.
 /// `time` must be strictly ahead of the cursor.
-fn level_for(cursor: u64, time: u64) -> Option<u32> {
+fn level_for(cursor: u64, time: u64) -> Option<usize> {
     debug_assert!(time > cursor);
     let highest_bit = 63 - (time ^ cursor).leading_zeros();
-    let level = highest_bit / SLOT_BITS;
+    let level = (highest_bit / SLOT_BITS) as usize;
     (level < LEVELS).then_some(level)
 }
 
-fn slot_index(time: u64, level: u32) -> usize {
-    ((time >> (SLOT_BITS * level)) as usize) & (SLOTS - 1)
+fn slot_index(time: u64, level: usize) -> usize {
+    ((time >> (SLOT_BITS * level as u32)) as usize) & (SLOTS - 1)
 }
 
 #[cfg(test)]
@@ -412,7 +487,7 @@ mod tests {
         q.push(SimTime::from_millis(10), cb(1));
         q.push(SimTime::from_millis(20), cb(2));
         while let Some((_, f)) = q.pop() {
-            f();
+            f.call();
         }
         assert_eq!(*log.borrow(), vec![1, 2, 3]);
     }
@@ -425,7 +500,7 @@ mod tests {
             q.push(SimTime::from_millis(7), cb(v));
         }
         while let Some((_, f)) = q.pop() {
-            f();
+            f.call();
         }
         assert_eq!(*log.borrow(), vec![0, 1, 2, 3, 4]);
     }
@@ -440,27 +515,31 @@ mod tests {
         assert!(!q.cancel(gone), "double cancel reports false");
         assert_eq!(q.len(), 1);
         while let Some((_, f)) = q.pop() {
-            f();
+            f.call();
         }
         assert_eq!(*log.borrow(), vec![1]);
         let _ = keep;
     }
 
     #[test]
-    fn peek_time_skips_cancelled_head() {
-        let (_, cb) = recorder();
+    fn pop_until_skips_cancelled_head() {
+        let (log, cb) = recorder();
         let mut q = EventQueue::new();
         let head = q.push(SimTime::from_millis(1), cb(1));
         q.push(SimTime::from_millis(5), cb(2));
         q.cancel(head);
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(5)));
+        assert!(q.pop_until(SimTime::from_millis(4)).is_none());
+        let (t, f) = q.pop_until(SimTime::from_millis(5)).expect("due at 5");
+        f.call();
+        assert_eq!(t, SimTime::from_millis(5));
+        assert_eq!(*log.borrow(), vec![2]);
     }
 
     #[test]
     fn empty_queue_behaviour() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert!(q.pop_until(SimTime::from_millis(1_000)).is_none());
         assert!(q.pop().is_none());
     }
 
@@ -484,7 +563,7 @@ mod tests {
         let mut fired_at = Vec::new();
         while let Some((t, f)) = q.pop() {
             fired_at.push(t.as_millis());
-            f();
+            f.call();
         }
         assert_eq!(*log.borrow(), vec![0, 1, 2, 3, 4, 5, 6]);
         assert_eq!(fired_at, times);
@@ -499,7 +578,7 @@ mod tests {
         q.push(SimTime::from_millis(7), cb(0));
         q.push(SimTime::from_millis(horizon), cb(1));
         while let Some((_, f)) = q.pop() {
-            f();
+            f.call();
         }
         assert_eq!(*log.borrow(), vec![0, 1, 2]);
     }
@@ -509,15 +588,16 @@ mod tests {
         let (log, cb) = recorder();
         let mut q = EventQueue::new();
         q.push(SimTime::from_millis(1_000), cb(9));
-        // Peeking advances the wheel cursor to 1000…
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(1_000)));
+        // Looking for an event due by 10 ms finds none and leaves the
+        // wheel cursor at the one it did find, at 1000…
+        assert!(q.pop_until(SimTime::from_millis(10)).is_none());
         // …but a later schedule in the gap must still fire first.
         q.push(SimTime::from_millis(20), cb(1));
         q.push(SimTime::from_millis(500), cb(2));
         let mut order = Vec::new();
         while let Some((t, f)) = q.pop() {
             order.push(t.as_millis());
-            f();
+            f.call();
         }
         assert_eq!(*log.borrow(), vec![1, 2, 9]);
         assert_eq!(order, vec![20, 500, 1_000]);
@@ -560,7 +640,7 @@ mod tests {
                     if let Some((t, f)) = q.pop() {
                         assert!(t.as_millis() >= now, "time went backwards");
                         now = t.as_millis();
-                        f();
+                        f.call();
                     }
                 }
                 _ => {
@@ -576,11 +656,116 @@ mod tests {
         while let Some((t, f)) = q.pop() {
             assert!(t.as_millis() >= now);
             now = t.as_millis();
-            f();
+            f.call();
         }
         model.sort_unstable();
         let expected: Vec<u64> = model.into_iter().map(|(_, s)| s).collect();
         assert_eq!(*fired.borrow(), expected);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn stale_handle_cannot_cancel_the_slots_next_tenant() {
+        let (log, cb) = recorder();
+        let mut q = EventQueue::new();
+        // Fired: the handle outlives its event, the slot gets a new tenant.
+        let fired = q.push(SimTime::from_millis(1), cb(1));
+        q.pop().expect("one event").1.call();
+        let tenant = q.push(SimTime::from_millis(2), cb(2));
+        assert_eq!(tenant.slot, fired.slot, "the freed slot is reused");
+        assert!(!q.cancel(fired), "a fired event cannot be cancelled");
+        // Cancelled: same slot again, same story.
+        assert!(q.cancel(tenant));
+        let next = q.push(SimTime::from_millis(3), cb(3));
+        assert_eq!(next.slot, tenant.slot);
+        assert!(!q.cancel(tenant), "double cancel through a reused slot");
+        assert!(!q.cancel(fired));
+        assert_eq!(q.len(), 1);
+        while let Some((_, f)) = q.pop() {
+            f.call();
+        }
+        assert_eq!(*log.borrow(), vec![1, 3]);
+    }
+
+    #[test]
+    fn cancelling_ones_own_id_from_the_running_callback_is_false() {
+        let q = Rc::new(RefCell::new(EventQueue::new()));
+        let outcome: Rc<RefCell<Option<bool>>> = Rc::new(RefCell::new(None));
+        let own: Rc<RefCell<Option<EventId>>> = Rc::new(RefCell::new(None));
+        let (q2, own2, outcome2) = (q.clone(), own.clone(), outcome.clone());
+        let id = q.borrow_mut().push(
+            SimTime::from_millis(5),
+            Box::new(move || {
+                let id = own2.borrow().expect("id stored before the pop");
+                // Schedule first, so the freed slot already has a tenant.
+                let tenant = q2
+                    .borrow_mut()
+                    .push(SimTime::from_millis(6), Box::new(|| {}));
+                assert_eq!(tenant.slot, id.slot);
+                *outcome2.borrow_mut() = Some(q2.borrow_mut().cancel(id));
+            }),
+        );
+        *own.borrow_mut() = Some(id);
+        let (_, f) = q.borrow_mut().pop().expect("one event");
+        f.call();
+        assert_eq!(*outcome.borrow(), Some(false));
+        assert_eq!(q.borrow().len(), 1, "the new tenant survived");
+    }
+
+    #[test]
+    fn len_counts_live_events_only_also_after_a_purge() {
+        let (_, cb) = recorder();
+        let mut q = EventQueue::new();
+        assert_eq!((q.len(), q.is_empty()), (0, true));
+        let ids: Vec<EventId> = [3u64, 70, 5_000, 400_000]
+            .iter()
+            .map(|&t| q.push(SimTime::from_millis(t), cb(0)))
+            .collect();
+        assert_eq!(q.len(), 4);
+        assert!(q.cancel(ids[1]));
+        assert!(q.cancel(ids[3]));
+        assert_eq!((q.len(), q.is_empty()), (2, false));
+        assert!(q.pop().is_some());
+        assert!(q.pop().is_some());
+        assert_eq!((q.len(), q.is_empty()), (0, true));
+        // Cancel everything that is left, then walk: the walk finds nothing
+        // live and purges the debris. The counts never saw the debris.
+        let late = q.push(SimTime::from_millis(9_000_000), cb(0));
+        let later = q.push(SimTime::from_millis(9_000_001), cb(0));
+        assert_eq!(q.len(), 2);
+        assert!(q.cancel(late));
+        assert!(q.cancel(later));
+        assert!(q.is_empty());
+        assert!(q.pop().is_none());
+        assert!(q.bitmaps_match_slots());
+        assert!(q.occupied.iter().all(|&word| word == 0), "debris purged");
+        assert_eq!((q.len(), q.is_empty()), (0, true));
+        q.push(SimTime::from_millis(9_000_002), cb(0));
+        assert_eq!(q.len(), 1);
+    }
+
+    #[test]
+    fn shared_callbacks_fire_in_the_same_order_as_boxed_ones() {
+        let log: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(Vec::new()));
+        let shared: Rc<dyn Fn()> = {
+            let l = log.clone();
+            Rc::new(move || l.borrow_mut().push(7))
+        };
+        let boxed = |v: u32| -> Box<dyn FnOnce()> {
+            let l = log.clone();
+            Box::new(move || l.borrow_mut().push(v))
+        };
+        let mut q = EventQueue::new();
+        q.push_shared(SimTime::from_millis(10), shared.clone());
+        q.push(SimTime::from_millis(10), boxed(1));
+        q.push_shared(SimTime::from_millis(10), shared.clone());
+        q.push(SimTime::from_millis(4), boxed(0));
+        let gone = q.push_shared(SimTime::from_millis(6), shared.clone());
+        assert!(q.cancel(gone));
+        while let Some((_, f)) = q.pop() {
+            f.call();
+        }
+        assert_eq!(*log.borrow(), vec![0, 7, 1, 7]);
+        assert_eq!(Rc::strong_count(&shared), 1, "the queue kept no clone");
     }
 }

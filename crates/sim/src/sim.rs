@@ -3,7 +3,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use crate::queue::{EventId, EventQueue};
+use crate::queue::{Callback, EventId, EventQueue};
 use crate::time::{SimDuration, SimTime};
 
 struct Inner {
@@ -90,6 +90,16 @@ impl Sim {
         inner.queue.push(at, Box::new(callback))
     }
 
+    /// Schedules one more firing of `callback`, a closure its owner keeps
+    /// and schedules again and again (a periodic poll, a state-machine
+    /// timer): unlike [`Sim::schedule_at`] it boxes nothing. Same clamping,
+    /// same `(time, id)` order as every other event.
+    pub fn schedule_shared_at(&self, at: SimTime, callback: Rc<dyn Fn()>) -> EventId {
+        let mut inner = self.inner.borrow_mut();
+        let at = at.max(inner.now);
+        inner.queue.push_shared(at, callback)
+    }
+
     /// Schedules `callback` to fire `delay` from now.
     pub fn schedule_in(&self, delay: SimDuration, callback: impl FnOnce() + 'static) -> EventId {
         let at = self.now() + delay;
@@ -104,25 +114,8 @@ impl Sim {
     /// Executes the next pending event, advancing the clock to its instant.
     /// Returns `false` if the queue is empty.
     pub fn step(&self) -> bool {
-        let popped = {
-            let mut inner = self.inner.borrow_mut();
-            match inner.queue.pop() {
-                Some((time, cb)) => {
-                    debug_assert!(time >= inner.now, "event queue yielded a past event");
-                    inner.now = time;
-                    inner.executed += 1;
-                    Some(cb)
-                }
-                None => None,
-            }
-        };
-        match popped {
-            Some(cb) => {
-                cb();
-                true
-            }
-            None => false,
-        }
+        let popped = self.inner.borrow_mut().queue.pop();
+        self.fire(popped)
     }
 
     /// Runs every event scheduled at or before `deadline`, then advances the
@@ -130,12 +123,9 @@ impl Sim {
     pub fn run_until(&self, deadline: SimTime) -> u64 {
         let start = self.inner.borrow().executed;
         loop {
-            let next = self.inner.borrow_mut().queue.peek_time();
-            match next {
-                Some(t) if t <= deadline => {
-                    self.step();
-                }
-                _ => break,
+            let popped = self.inner.borrow_mut().queue.pop_until(deadline);
+            if !self.fire(popped) {
+                break;
             }
         }
         let mut inner = self.inner.borrow_mut();
@@ -143,6 +133,22 @@ impl Sim {
             inner.now = deadline;
         }
         inner.executed - start
+    }
+
+    /// Advances the clock to a popped event's instant and runs it, with no
+    /// borrow outstanding. Returns `false` if there was none.
+    fn fire(&self, popped: Option<(SimTime, Callback)>) -> bool {
+        let Some((time, callback)) = popped else {
+            return false;
+        };
+        {
+            let mut inner = self.inner.borrow_mut();
+            debug_assert!(time >= inner.now, "event queue yielded a past event");
+            inner.now = time;
+            inner.executed += 1;
+        }
+        callback.call();
+        true
     }
 
     /// Runs the simulation for `span` from the current instant.
@@ -240,6 +246,57 @@ mod tests {
         assert!(sim.cancel(id));
         sim.run_until_idle();
         assert_eq!(hits.get(), 0);
+    }
+
+    #[test]
+    fn pending_counts_live_events_only() {
+        let sim = Sim::new();
+        let ids: Vec<EventId> = (1..=4)
+            .map(|s| sim.schedule_in(SimDuration::from_secs(s), || {}))
+            .collect();
+        assert_eq!(sim.pending(), 4);
+        assert!(sim.cancel(ids[2]));
+        assert_eq!(sim.pending(), 3);
+        sim.run_until(SimTime::from_millis(1_500));
+        assert_eq!(sim.pending(), 2);
+        assert!(!sim.cancel(ids[0]), "fired");
+        assert!(!sim.cancel(ids[2]), "cancelled");
+        assert_eq!(sim.pending(), 2);
+        sim.run_until_idle();
+        assert_eq!(sim.pending(), 0);
+    }
+
+    #[test]
+    fn shared_callbacks_re_arm_themselves() {
+        // The re-armable form of `callbacks_can_reschedule`: one closure,
+        // scheduled again from inside itself.
+        struct Poll {
+            sim: Sim,
+            count: Cell<u32>,
+            again: RefCell<Option<Rc<dyn Fn()>>>,
+        }
+        let sim = Sim::new();
+        let poll = Rc::new(Poll {
+            sim: sim.clone(),
+            count: Cell::new(0),
+            again: RefCell::new(None),
+        });
+        let weak = Rc::downgrade(&poll);
+        let tick: Rc<dyn Fn()> = Rc::new(move || {
+            let Some(poll) = weak.upgrade() else { return };
+            poll.count.set(poll.count.get() + 1);
+            if poll.count.get() < 5 {
+                let again = poll.again.borrow().clone().expect("set before the run");
+                let at = poll.sim.now() + SimDuration::from_secs(1);
+                poll.sim.schedule_shared_at(at, again);
+            }
+        });
+        *poll.again.borrow_mut() = Some(tick.clone());
+        sim.schedule_shared_at(SimTime::ZERO, tick);
+        sim.run_until_idle();
+        assert_eq!(poll.count.get(), 5);
+        assert_eq!(sim.now(), SimTime::from_millis(4_000));
+        assert_eq!(sim.executed(), 5);
     }
 
     #[test]

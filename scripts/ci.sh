@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus the lint gates and the benchmark's sanity pass.
 #
-#   scripts/ci.sh              build + size line + tests + lint gates + benchmark smoke
+#   scripts/ci.sh              build + size and work-counter lines + tests + lint gates + benchmark smoke
 #   scripts/ci.sh --no-perf    skip the benchmark build, smoke pass and unit tests
 #   scripts/ci.sh --no-lint    skip fmt/clippy/pogo-lint (e.g. older toolchain)
 #   scripts/ci.sh --no-chaos   skip the chaos_soak fault-injection gate
@@ -48,6 +48,11 @@ scripts/sloc.sh HEAD~1 2>/dev/null || echo "sloc HEAD~1: no parent commit here"
 scripts/sloc.sh
 scripts/sloc.sh --uncalled HEAD~1 2>/dev/null || true
 scripts/sloc.sh --uncalled
+# The deterministic work counters, beside the size lines (ROADMAP aim 1:
+# counts that repeat exactly on any machine): allocator calls per stored
+# sample on the two scriptless fleets, per delivered scan and VM steps per
+# callback on the script fleet. The test gates them; this prints them.
+cargo test --release --test alloc_budget -- --nocapture | grep -E ' per (sample|scan) '
 cargo test -q
 
 if [[ "$run_lint" == 1 ]]; then

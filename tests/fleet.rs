@@ -5,10 +5,11 @@
 //! traces and an identical sample store, run after run, with or without
 //! lock-step stepping.
 
-use pogo::core::{FleetSpec, ObsConfig, Testbed};
+use pogo::core::{FleetSpec, Msg, ObsConfig, Testbed};
 use pogo::ingest::{ChannelSchema, Row, ScanQuery};
 use pogo::net::{FlushPolicy, Jid};
 use pogo::obs::export;
+use pogo::platform::{NetAppConfig, PeriodicNetApp};
 use pogo::sim::{DeviceId, Sim, SimDuration};
 use pogo_core::sensor::{SensorSources, WifiReading};
 
@@ -90,6 +91,75 @@ fn same_seed_twice_gives_byte_identical_trace_and_store() {
     );
     assert_eq!(trace_a, trace_b, "second run's trace diverged");
     assert_eq!(rows_a, rows_b, "second run's store diverged");
+}
+
+/// FNV-1a over the `Obs` trace (JSONL) and the store (CSV) of a
+/// 20-device tail-sync cohort: battery at 60 s, an e-mail app per phone,
+/// Pogo's default flush policy, an hour of lock-step. Tail detection,
+/// alarms, radio timers and sensor ticks all interleave here, so the hash
+/// moves when an event id is handed out at another call site or two
+/// same-instant events fire the other way round.
+fn tailsync_fleet_hash() -> u64 {
+    let sim = Sim::new();
+    let mut testbed = Testbed::with_obs(&sim, ObsConfig::on());
+    let fleet = testbed.add_fleet(FleetSpec::new(20).prefix("phone").seed(7));
+    let collector = testbed.collector();
+    collector
+        .registry()
+        .register_with_params(
+            "pin",
+            "battery",
+            Msg::obj([("interval", Msg::Num(60_000.0))]),
+            ChannelSchema::json(),
+        )
+        .expect("fresh channel registers");
+    collector
+        .deployment(&pogo::core::proto::ExperimentSpec {
+            id: "pin".into(),
+            scripts: vec![],
+        })
+        .to(&fleet.jids())
+        .send()
+        .expect("an empty deployment passes the gate");
+    let _apps: Vec<PeriodicNetApp> = fleet
+        .iter()
+        .enumerate()
+        .map(|(i, m)| {
+            PeriodicNetApp::install(
+                &m.phone,
+                NetAppConfig {
+                    start_offset: SimDuration::from_secs(60 + 12 * i as u64),
+                    ..NetAppConfig::email()
+                },
+            )
+        })
+        .collect();
+    testbed.run_lockstep(SimDuration::from_hours(1), SimDuration::from_mins(1));
+
+    let rows = collector.store().scan(&ScanQuery::exp("pin"));
+    assert!(rows.len() >= 20 * 50, "only {} rows stored", rows.len());
+    let trace = export::to_jsonl(&testbed.obs().events());
+    let csv = pogo::ingest::export::to_csv(&rows);
+    trace
+        .bytes()
+        .chain(csv.bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// What [`tailsync_fleet_hash`] read at the parent of the commit that
+/// rebuilt the event queue (f2da3ec). A change that means to move event
+/// order re-reads it there and says so; any other change leaves it alone.
+const TAILSYNC_FLEET_HASH: u64 = 0x3df2_a281_c961_81f8;
+
+#[test]
+fn tailsync_fleet_trace_and_store_hash_is_pinned_across_commits() {
+    assert_eq!(
+        tailsync_fleet_hash(),
+        TAILSYNC_FLEET_HASH,
+        "event ids or firing order moved: the trace or the store differs from the pinned commit's"
+    );
 }
 
 #[test]
