@@ -8,10 +8,7 @@ use pogo::cluster::{ClusterSummary, StreamConfig};
 use pogo::core::sensor::SensorSources;
 use pogo::core::{ChannelSchema, Msg, Obs, ObsConfig, SampleValue, ScanQuery, Testbed};
 use pogo::glue;
-use pogo::mobility::{
-    GeolocationService, ScanSynthesizer, UserScenario, UserSpec, Whereabouts, World,
-};
-use pogo::platform::Bearer;
+use pogo::mobility::{GeolocationService, ScanSynthesizer, UserScenario, UserSpec, World};
 use pogo::sim::{Sim, SimDuration, SimRng, SimTime};
 use pogo_platform::{NetAppConfig, PeriodicNetApp};
 
@@ -106,7 +103,7 @@ fn run_session_with(
     // measurement phones.
     let _email = PeriodicNetApp::install(&phone, NetAppConfig::email());
 
-    drive_connectivity(&sim, &phone, &scenario);
+    glue::drive_connectivity(&sim, &phone, &scenario);
     schedule_disruptions(&sim, &device, &testbed, &scenario, use_freeze);
 
     // Deploy the localization experiment. The registry ingests every
@@ -198,50 +195,6 @@ fn summary_bytes(s: &ClusterSummary) -> usize {
     .len()
 }
 
-/// Applies the movement/connectivity schedule: cellular normally, no data
-/// during roaming/outage gaps, Wi-Fi only at home/office for the
-/// wifi-only user, nothing while the phone is off.
-fn drive_connectivity(sim: &Sim, phone: &pogo::platform::Phone, scenario: &UserScenario) {
-    let mut breakpoints: Vec<u64> = scenario.trace.segments().iter().map(|&(t, _)| t).collect();
-    for &(a, b) in &scenario.disruptions.data_gaps {
-        breakpoints.push(a);
-        breakpoints.push(b);
-    }
-    breakpoints.push(0);
-    breakpoints.sort_unstable();
-    breakpoints.dedup();
-
-    let desired = {
-        let trace = scenario.trace.clone();
-        let disruptions = scenario.disruptions.clone();
-        let wifi_places = scenario.wifi_places.clone();
-        move |t: u64| -> Option<Bearer> {
-            match trace.whereabouts(t) {
-                Whereabouts::PhoneOff => None,
-                w => {
-                    if disruptions.wifi_only {
-                        match w {
-                            Whereabouts::At(p) if wifi_places.contains(&p) => Some(Bearer::Wifi),
-                            _ => None,
-                        }
-                    } else if disruptions.in_data_gap(t) {
-                        None
-                    } else {
-                        Some(Bearer::Cellular)
-                    }
-                }
-            }
-        }
-    };
-    for t in breakpoints {
-        let conn = phone.connectivity().clone();
-        let desired = desired.clone();
-        sim.schedule_at(SimTime::from_millis(t), move || {
-            conn.set_active(desired(t));
-        });
-    }
-}
-
 /// Schedules reboots (incl. phone-off mornings) and the researchers'
 /// script redeployments.
 fn schedule_disruptions(
@@ -251,18 +204,7 @@ fn schedule_disruptions(
     scenario: &UserScenario,
     use_freeze: bool,
 ) {
-    let mut reboots = scenario.disruptions.reboots.clone();
-    // Turning the phone back on in the morning is a middleware restart.
-    let segments = scenario.trace.segments();
-    for pair in segments.windows(2) {
-        if pair[0].1 == Whereabouts::PhoneOff && pair[1].1 != Whereabouts::PhoneOff {
-            reboots.push(pair[1].0);
-        }
-    }
-    for t in reboots {
-        let device = device.clone();
-        sim.schedule_at(SimTime::from_millis(t), move || device.reboot());
-    }
+    glue::schedule_reboots(sim, device, scenario);
     for &t in &scenario.disruptions.script_updates {
         let collector = testbed.collector().clone();
         let mut experiment = glue::localization_experiment("loc");

@@ -193,15 +193,6 @@ impl FaultPlan {
         self.faults.iter().map(|f| f.kind.class()).collect()
     }
 
-    /// The instant by which every fault has been injected *and healed*.
-    pub fn healed_by(&self) -> SimTime {
-        self.faults
-            .iter()
-            .map(|f| f.at + f.kind.window())
-            .max()
-            .unwrap_or(SimTime::ZERO)
-    }
-
     /// The plan plus `extra` hand-picked faults, re-sorted by injection
     /// time. Keeps the seed, so link-loss randomness is unchanged —
     /// used to guarantee specific fault classes appear in a seeded run.
@@ -326,6 +317,19 @@ impl FaultPlanBuilder {
                 duration: SimDuration::from_mins(rng.range_u64(2, 20)).min(remaining),
             }
         }
+    }
+}
+
+/// Test hooks: nothing outside this crate's unit tests calls these.
+#[cfg(test)]
+impl FaultPlan {
+    /// The instant by which every fault has been injected *and healed*.
+    pub(crate) fn healed_by(&self) -> SimTime {
+        self.faults
+            .iter()
+            .map(|f| f.at + f.kind.window())
+            .max()
+            .unwrap_or(SimTime::ZERO)
     }
 }
 

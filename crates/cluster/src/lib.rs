@@ -12,7 +12,6 @@
 //!   algorithm … a sliding window of 60 samples from which we extract
 //!   core objects", with clusters *closed* when the user moves away and
 //!   characterized by the member nearest the cluster mean ([`stream`]);
-//! * classic batch DBSCAN is included as the baseline ([`mod@dbscan`]);
 //! * [`matching`] computes Table 4's exact/partial match percentages
 //!   between a ground-truth clustering and what a collector received.
 //!
@@ -22,13 +21,11 @@
 //! same algorithm over raw SD-card traces) and for differential testing
 //! of the script version.
 
-pub mod dbscan;
 pub mod matching;
 pub mod scan;
 pub mod similarity;
 pub mod stream;
 
-pub use dbscan::{dbscan, DbscanParams};
 pub use matching::{match_clusters, MatchParams, MatchReport};
 pub use scan::{normalize_rssi, ApReading, Bssid, RawScan, Scan};
 pub use similarity::cosine;

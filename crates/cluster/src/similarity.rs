@@ -24,31 +24,6 @@ pub fn cosine(a: &Scan, b: &Scan) -> f64 {
         return 0.0;
     }
     let (aps_a, aps_b) = (a.aps(), b.aps());
-    // Disjoint BSSID ranges (both sides are sorted) mean no shared AP, so
-    // the dot product is exactly 0 — the common case when comparing a
-    // transit scan against a dwelling window. Non-zero norms imply both
-    // slices are non-empty.
-    if aps_a[aps_a.len() - 1].0 < aps_b[0].0 || aps_b[aps_b.len() - 1].0 < aps_a[0].0 {
-        return 0.0;
-    }
-    // Identical AP layouts — consecutive scans at the same place, the
-    // bulk of a dwell — take a branch-light aligned product. The dot
-    // accumulates over shared BSSIDs in ascending order either way, so
-    // this is bit-identical to the merge join below.
-    if aps_a.len() == aps_b.len() {
-        let mut dot = 0.0;
-        let mut aligned = true;
-        for (&(ba, sa), &(bb, sb)) in aps_a.iter().zip(aps_b) {
-            if ba != bb {
-                aligned = false;
-                break;
-            }
-            dot += sa * sb;
-        }
-        if aligned {
-            return dot / (norm_a * norm_b);
-        }
-    }
     let mut dot = 0.0;
     let (mut i, mut j) = (0, 0);
     while i < aps_a.len() && j < aps_b.len() {

@@ -32,15 +32,6 @@ use std::collections::VecDeque;
 use crate::scan::{Bssid, Scan};
 use crate::similarity::{cosine, cosine_distance};
 
-/// `(lowest, highest)` BSSID of a scan, or a reversed sentinel for an
-/// empty scan so that it overlaps nothing.
-fn bssid_range(scan: &Scan) -> (Bssid, Bssid) {
-    match (scan.aps().first(), scan.aps().last()) {
-        (Some(&(lo, _)), Some(&(hi, _))) => (lo, hi),
-        _ => (Bssid::new((1 << 48) - 1), Bssid::new(0)),
-    }
-}
-
 /// Parameters of the streaming clusterer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamConfig {
@@ -110,21 +101,6 @@ pub struct StreamClusterer {
     window: VecDeque<Scan>,
     members: Vec<Scan>,
     emitted: u64,
-    /// Run-length-encoded `(lowest, highest, run length)` BSSID ranges of
-    /// the window scans, in window order. The seeding pass sweeps this
-    /// compact array first and computes a cosine only for scans whose
-    /// BSSID range overlaps the new sample's: range-disjoint scans share
-    /// no AP, so their cosine is exactly 0 and they cannot be neighbours
-    /// for `eps < 1` (the same observation the cosine fast path
-    /// exploits). Consecutive scans at one place see the same BSSID range
-    /// — the premise of the whole clusterer — so a dwell collapses to a
-    /// single run and a transit sample skips it with one comparison. The
-    /// filter is conservative: a false positive just falls through to the
-    /// exact cosine, so clustering output is bit-identical either way.
-    ranges: VecDeque<(Bssid, Bssid, u32)>,
-    /// Reusable neighbour-index buffer for the seeding pass, so scans
-    /// that don't join a cluster (every transit sample) allocate nothing.
-    scratch: Vec<usize>,
 }
 
 impl StreamClusterer {
@@ -141,8 +117,6 @@ impl StreamClusterer {
             window: VecDeque::with_capacity(cfg.window),
             members: Vec::new(),
             emitted: 0,
-            ranges: VecDeque::with_capacity(cfg.window),
-            scratch: Vec::with_capacity(cfg.window),
         }
     }
 
@@ -156,11 +130,6 @@ impl StreamClusterer {
         self.emitted
     }
 
-    /// True while a cluster is being built.
-    pub fn has_open_cluster(&self) -> bool {
-        !self.members.is_empty()
-    }
-
     /// Feeds the next scan; returns a summary if this sample closed a
     /// cluster.
     pub fn push(&mut self, scan: Scan) -> Option<ClusterSummary> {
@@ -169,21 +138,11 @@ impl StreamClusterer {
         if let Some(last) = self.window.back() {
             if scan.timestamp_ms.saturating_sub(last.timestamp_ms) > self.cfg.max_gap_ms {
                 gap_closed = self.close();
-                self.clear_window();
+                self.window.clear();
             }
         }
         if self.window.len() == self.cfg.window {
             self.window.pop_front();
-            let front = self.ranges.front_mut().expect("ranges track the window");
-            front.2 -= 1;
-            if front.2 == 0 {
-                self.ranges.pop_front();
-            }
-        }
-        let (lo, hi) = bssid_range(&scan);
-        match self.ranges.back_mut() {
-            Some(run) if run.0 == lo && run.1 == hi => run.2 += 1,
-            _ => self.ranges.push_back((lo, hi, 1)),
         }
         self.window.push_back(scan.clone());
 
@@ -195,56 +154,25 @@ impl StreamClusterer {
             }
             closed = self.close();
         }
-        // No cluster open (or just closed): try to seed a new one. One
-        // pass over the window computes the distance row once; it serves
-        // both the core-object test and member seeding (these used to be
-        // two separate O(window) cosine sweeps). The range prefilter
-        // sweeps the compact `ranges` array, so a transit sample amid
-        // unfamiliar APs never dereferences the window scans at all.
-        // `eps >= 1.0` disables the prefilter: at that degenerate radius
-        // even disjoint scans (cosine 0, distance 1) are neighbours.
-        let all = self.cfg.eps >= 1.0;
-        let (probe_lo, probe_hi) = bssid_range(&scan);
-        let mut neighbours = std::mem::take(&mut self.scratch);
-        neighbours.clear();
-        let mut base = 0usize;
-        for &(lo, hi, n) in &self.ranges {
-            let n = n as usize;
-            if all || (probe_lo <= hi && lo <= probe_hi) {
-                for i in base..base + n {
-                    if cosine_distance(&scan, &self.window[i]) <= self.cfg.eps {
-                        neighbours.push(i);
-                    }
-                }
-            }
-            base += n;
-        }
+        // No cluster open (or just closed): a core object seeds one from
+        // its window neighbours.
+        let neighbours: Vec<Scan> = self
+            .window
+            .iter()
+            .filter(|other| cosine_distance(&scan, other) <= self.cfg.eps)
+            .cloned()
+            .collect();
         if neighbours.len() >= self.cfg.min_pts {
-            self.members = neighbours.iter().map(|&i| self.window[i].clone()).collect();
+            self.members = neighbours;
         }
-        self.scratch = neighbours;
         // At most one of the two can be Some: a gap reset empties the
         // window, so the ordinary close path has nothing open.
         gap_closed.or(closed)
     }
 
-    /// Empties the sliding window and its range array.
-    fn clear_window(&mut self) {
-        self.window.clear();
-        self.ranges.clear();
-    }
-
     /// Closes any open cluster (end of trace / script shutdown).
     pub fn finish(&mut self) -> Option<ClusterSummary> {
         self.close()
-    }
-
-    /// Drops all clustering state, as a reboot without freeze/thaw would
-    /// (§5.3 observed exactly this data loss; the window and any
-    /// half-built cluster vanish).
-    pub fn reset(&mut self) {
-        self.clear_window();
-        self.members.clear();
     }
 
     fn is_reachable(&self, scan: &Scan) -> bool {
@@ -276,8 +204,7 @@ impl StreamClusterer {
 /// of all members (footnote 6 of the paper).
 fn nearest_to_mean(members: &[Scan]) -> Scan {
     let mean = mean_scan(members);
-    // One cosine per member (the old max_by recomputed both sides on
-    // every comparison); strict `>` keeps the earliest member on ties.
+    // Strict `>` keeps the earliest member on ties.
     let mut best = 0;
     let mut best_sim = f64::NEG_INFINITY;
     for (i, s) in members.iter().enumerate() {
@@ -292,24 +219,6 @@ fn nearest_to_mean(members: &[Scan]) -> Scan {
 
 /// Component-wise mean of scans as sparse vectors (absent APs count as 0).
 fn mean_scan(members: &[Scan]) -> Scan {
-    let first = &members[0];
-    // Consecutive scans at one place usually see the identical AP set, so
-    // the mean is a per-slot average with no binary searches. Per-AP
-    // strengths accumulate in member order either way, so the result is
-    // bit-identical to the sparse merge below.
-    if members[1..].iter().all(|s| same_layout(first, s)) {
-        let mut sums = first.aps().to_vec();
-        for scan in &members[1..] {
-            for (slot, &(_, s)) in sums.iter_mut().zip(scan.aps()) {
-                slot.1 += s;
-            }
-        }
-        let n = members.len() as f64;
-        for (_, s) in &mut sums {
-            *s /= n;
-        }
-        return Scan::from_parts(first.timestamp_ms, sums);
-    }
     let mut sums: Vec<(Bssid, f64)> = Vec::new();
     for scan in members {
         for &(bssid, s) in scan.aps() {
@@ -323,12 +232,24 @@ fn mean_scan(members: &[Scan]) -> Scan {
     for (_, s) in &mut sums {
         *s /= n;
     }
-    Scan::from_parts(first.timestamp_ms, sums)
+    Scan::from_parts(members[0].timestamp_ms, sums)
 }
 
-/// True if both scans report exactly the same BSSIDs in the same order.
-fn same_layout(a: &Scan, b: &Scan) -> bool {
-    a.len() == b.len() && a.aps().iter().zip(b.aps()).all(|(x, y)| x.0 == y.0)
+/// Test hooks: nothing outside this crate's unit tests calls these.
+#[cfg(test)]
+impl StreamClusterer {
+    /// True while a cluster is being built.
+    pub(crate) fn has_open_cluster(&self) -> bool {
+        !self.members.is_empty()
+    }
+
+    /// Drops all clustering state, as a reboot without freeze/thaw would
+    /// (§5.3 observed exactly this data loss; the window and any
+    /// half-built cluster vanish).
+    pub(crate) fn reset(&mut self) {
+        self.window.clear();
+        self.members.clear();
+    }
 }
 
 #[cfg(test)]

@@ -1,18 +1,17 @@
-//! Randomized agreement between the optimized cosine (cached norms,
-//! range-disjoint and aligned-layout fast paths) and a from-scratch
-//! reference that recomputes everything with the textbook formula.
+//! Randomized agreement between `cosine` (cached norms, one merge join)
+//! and a from-scratch reference that recomputes everything with the
+//! textbook formula.
 //!
-//! The fast paths are meant to be *bit-identical* rewrites, but this
-//! oracle deliberately computes in a different association order (norms
-//! via a separate pass, no caching), so agreement is asserted to 1e-12
-//! rather than exactly.
+//! This oracle deliberately computes in a different association order
+//! (norms via a separate pass, no caching), so agreement is asserted to
+//! 1e-12 rather than exactly.
 
 use pogo_cluster::similarity::cosine_distance;
 use pogo_cluster::{cosine, Bssid, Scan};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Textbook cosine over sparse vectors: no caching, no fast paths.
+/// Textbook cosine over sparse vectors: no caching, no merge join.
 /// Inputs are canonicalized the way `Scan::from_parts` does (stable sort
 /// by BSSID, first reading wins on duplicates).
 fn reference_cosine(a: &[(u64, f64)], b: &[(u64, f64)]) -> f64 {
@@ -57,13 +56,13 @@ fn assert_agrees(a: &[(u64, f64)], b: &[(u64, f64)], what: &str) {
         (cosine_distance(&sa, &sb) - (1.0 - got)).abs() < 1e-12,
         "{what}: distance must complement similarity"
     );
-    // Symmetry comes free from the formula; the fast paths must keep it.
+    // Symmetry comes free from the formula; the merge join must keep it.
     assert_eq!(got, cosine(&sb, &sa), "{what}: symmetry");
 }
 
-/// Random scans of every shape the fast paths discriminate on: empty,
-/// fully disjoint ranges, interleaved, identical layouts, and partial
-/// overlaps with equal lengths (the aligned-path bail-out).
+/// Random scans of every shape a merge join can meet: empty, fully
+/// disjoint ranges, interleaved, identical layouts, and partial overlaps
+/// with equal lengths.
 #[test]
 fn random_scans_agree_with_reference() {
     let mut rng = SmallRng::seed_from_u64(0x636f_7369);
@@ -79,12 +78,12 @@ fn random_scans_agree_with_reference() {
             })
             .collect();
         let b: Vec<(u64, f64)> = match shape {
-            // Same BSSIDs, different strengths: the aligned fast path.
+            // Same BSSIDs, different strengths.
             0 => a
                 .iter()
                 .map(|&(bssid, _)| (bssid, rng.gen_range(0..1_000u64) as f64 / 1_000.0))
                 .collect(),
-            // Strictly above a's range: the range-disjoint fast path.
+            // Strictly above a's range: no shared AP.
             1 => (0..rng.gen_range(0..8usize))
                 .map(|_| {
                     (
@@ -95,8 +94,7 @@ fn random_scans_agree_with_reference() {
                 .collect(),
             // Empty versus whatever a is.
             2 => Vec::new(),
-            // Same length but different BSSIDs: aligned-path bail-out
-            // into the merge join.
+            // Same length but different BSSIDs.
             3 => (0..len_a)
                 .map(|_| {
                     (
@@ -137,8 +135,7 @@ fn edge_shapes_agree_with_reference() {
     assert_agrees(high, low, "range-disjoint flipped");
     assert_agrees(low, low, "identical");
     assert_agrees(zeros, low, "zero-norm strengths");
-    // Same length, one shared endpoint: touches the aligned bail-out and
-    // the merge join's tail handling.
+    // Same length, one shared endpoint: the merge join's tail handling.
     assert_agrees(
         &[(1, 0.5), (7, 0.5)],
         &[(7, 0.5), (9, 0.5)],

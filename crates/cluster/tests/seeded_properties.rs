@@ -1,11 +1,8 @@
 //! Seeded property tests for the clustering substrate: the similarity
-//! metric, scan sanitization, batch DBSCAN labels and the streaming
-//! clusterer's summaries. Inputs come from a seeded `SmallRng`, so the
+//! metric, scan sanitization and the streaming clusterer's summaries. Inputs come from a seeded `SmallRng`, so the
 //! suite runs by default and every failure names its seed.
 
-use pogo_cluster::{
-    cosine, dbscan, ApReading, Bssid, DbscanParams, RawScan, Scan, StreamClusterer, StreamConfig,
-};
+use pogo_cluster::{cosine, ApReading, Bssid, RawScan, Scan, StreamClusterer, StreamConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -99,44 +96,6 @@ fn sanitize_is_clean() {
             assert!((0.0..=1.0).contains(&l), "seed {seed}: strength {l}");
         }
     }
-}
-
-/// Cluster ids are contiguous from zero and every cluster contains at
-/// least one core point.
-#[test]
-fn dbscan_labels_are_wellformed() {
-    let params = DbscanParams {
-        eps: 0.3,
-        min_pts: 3,
-    };
-    let mut clustered = 0;
-    for seed in 0..SEEDS {
-        let scans = stream(&mut SmallRng::seed_from_u64(seed), 40);
-        let labels = dbscan(&scans, params);
-        assert_eq!(labels.len(), scans.len(), "seed {seed}");
-        let Some(max) = labels.iter().flatten().copied().max() else {
-            continue;
-        };
-        clustered += 1;
-        for id in 0..=max {
-            let mut members = (0..scans.len())
-                .filter(|&i| labels[i] == Some(id))
-                .peekable();
-            assert!(
-                members.peek().is_some(),
-                "seed {seed}: cluster id {id} missing"
-            );
-            let has_core = members.any(|i| {
-                let near = |s: &&Scan| 1.0 - cosine(&scans[i], s) <= params.eps;
-                scans.iter().filter(near).count() >= params.min_pts
-            });
-            assert!(has_core, "seed {seed}: cluster {id} has no core point");
-        }
-    }
-    assert!(
-        clustered > 0,
-        "no seed produced a cluster: nothing was checked"
-    );
 }
 
 #[test]

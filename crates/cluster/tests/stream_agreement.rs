@@ -1,13 +1,12 @@
 //! The streaming clusterer against the seed's naive one.
 //!
-//! `StreamClusterer` carries cached norms, refcount-shared AP tables, a
-//! fused core-object/seeding sweep and a BSSID-range prefilter. The
-//! oracle here is the pre-optimization implementation, kept verbatim:
-//! plain `Vec` scans cloned at every step, norms re-derived inside every
-//! cosine, separate core-object and seeding sweeps, `max_by`
-//! representative selection. Every rewrite was meant to be bit-identical,
-//! so the closed-cluster summaries must agree *exactly* — on a trace the
-//! size of one Table 4 user (33,224 scans for User 3) and on short ones.
+//! `StreamClusterer` is the seed algorithm over cached norms and
+//! refcount-shared AP tables. The oracle here is the seed
+//! implementation, kept verbatim: plain `Vec` scans cloned at every
+//! step, norms re-derived inside every cosine, separate core-object and
+//! seeding sweeps, `max_by` representative selection. The closed-cluster
+//! summaries must agree *exactly*, on a trace the size of one Table 4
+//! user (33,224 scans for User 3) and on short ones.
 
 use std::collections::VecDeque;
 

@@ -12,7 +12,7 @@
 use crate::host::ScriptHost;
 
 /// Interpreter steps per second of phone CPU time — the same calibration
-/// constant behind [`crate::host::WATCHDOG_BUDGET`].
+/// constant behind [`crate::WATCHDOG_BUDGET`].
 pub const STEPS_PER_SECOND: f64 = 100_000_000.0;
 
 /// Resource usage of one script, as measured by its host.

@@ -283,7 +283,7 @@ impl Broker {
     }
 
     /// Registers a *tap*: called for every channel publish (not for
-    /// targeted [`Broker::publish_to`] deliveries). The collector context
+    /// targeted [`Broker::publish_to_from`] deliveries). The collector context
     /// uses this as its multi-broker fan-out hook (§4.2).
     pub fn on_publish(&self, tap: impl Fn(&str, &Msg, Option<&str>) + 'static) {
         let mut inner = self.inner.borrow_mut();
@@ -292,14 +292,10 @@ impl Broker {
         inner.taps = taps.into();
     }
 
-    /// Delivers to one specific subscription (sensors honouring
-    /// per-subscription parameters, e.g. the location provider filter).
-    /// Returns `true` if the subscription existed and was active.
-    pub fn publish_to(&self, id: SubscriptionId, msg: &Msg) -> bool {
-        self.publish_to_from(id, msg, None)
-    }
-
-    /// Targeted delivery with a remote origin attribution.
+    /// Delivers to one specific subscription, attributed to the remote
+    /// origin `from` if any (data a device's mirror matched, flowing back
+    /// to the collector subscription it mirrors). Returns `true` if the
+    /// subscription existed and was active.
     pub fn publish_to_from(&self, id: SubscriptionId, msg: &Msg, from: Option<&str>) -> bool {
         let hit = {
             let inner = self.inner.borrow();
@@ -322,7 +318,7 @@ impl Broker {
     /// active subscription whose parameter object passes `wants`, in
     /// subscribe order — what a sensor honouring per-subscription
     /// parameters needs, without a copy of the parameters or the message
-    /// per subscription. Like [`Broker::publish_to`] it is not a channel
+    /// per subscription. Like [`Broker::publish_to_from`] it is not a channel
     /// publish: taps do not see it and it is not counted. Returns how many
     /// sinks received the message.
     pub fn publish_where(&self, channel: &str, msg: &Msg, wants: impl Fn(&Msg) -> bool) -> usize {
@@ -474,7 +470,7 @@ mod tests {
         let (log_b, sink_b) = collect();
         let a = broker.subscribe("loc", Msg::obj([("provider", Msg::str("GPS"))]), sink_a);
         let _b = broker.subscribe("loc", Msg::obj([("provider", Msg::str("NET"))]), sink_b);
-        assert!(broker.publish_to(a, &Msg::str("fix")));
+        assert!(broker.publish_to_from(a, &Msg::str("fix"), None));
         assert_eq!(log_a.borrow().len(), 1);
         assert!(log_b.borrow().is_empty());
     }
@@ -515,7 +511,7 @@ mod tests {
         let (_, sink) = collect();
         let id = broker.subscribe("ch", Msg::Null, sink);
         broker.set_active(id, false);
-        assert!(!broker.publish_to(id, &Msg::Null));
+        assert!(!broker.publish_to_from(id, &Msg::Null, None));
     }
 
     #[test]

@@ -8,17 +8,20 @@
 //! reliable control channel to each device (retransmitting on presence),
 //! and script deployment.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
 use pogo_ingest::{ChannelSchema, IngestError, IngestPipeline, SampleStore};
-use pogo_net::{DedupFilter, Envelope, Jid, MessageStore, Payload, Session, Switchboard};
+use pogo_net::{
+    DedupFilter, Envelope, Jid, MessageStore, Payload, Session, StoredMessage, Switchboard,
+};
 use pogo_obs::{field, Obs};
 use pogo_platform::{Cpu, CpuConfig, EnergyMeter};
 use pogo_script::ScriptError;
 use pogo_sim::{Sim, SimDuration};
 
+use crate::bump;
 use crate::context::CollectorContext;
 use crate::host::{LogStore, ScriptHost};
 use crate::proto::{ControlMsg, ExperimentSpec};
@@ -96,59 +99,62 @@ impl Deployment<'_> {
     /// Returns every error-severity diagnostic when the bundle fails
     /// analysis; no device receives anything in that case.
     pub fn send(self) -> Result<(), DeployError> {
-        self.collector.lint_spec(self.spec)?;
-        self.collector.gate_spec(self.spec)?;
-        self.collector.precompile_spec(self.spec);
-        if self.targets.is_empty() {
-            self.collector.push_to_members(self.spec);
-        } else {
-            self.collector.push_to(self.spec, &self.targets);
-        }
+        self.collector.gate(self.spec)?;
+        self.collector.push(self.spec, &self.targets);
         Ok(())
     }
 }
 
+/// Wiring is set once in [`CollectorNode::with_obs`] and never
+/// reassigned (every handle is itself shared). Of what changes, a
+/// collector restart would keep the durable part — with `dedup`, `logs`
+/// and the `pipeline`'s store — and rebuild the rest.
 struct Inner {
+    // -- wiring --
     jid: Jid,
     server: Switchboard,
     sim: Sim,
     scheduler: Scheduler,
-    session: Session,
-    contexts: HashMap<String, CollectorContext>,
-    /// Per-device reliable outgoing queues (control messages). BTreeMap:
-    /// the retry backstop and reconnect catch-up iterate this while
-    /// scheduling sends, and the deterministic sim needs a stable order.
-    outstores: BTreeMap<Jid, MessageStore>,
     dedup: DedupFilter,
     logs: LogStore,
-    versions: HashMap<String, u64>,
     /// The ingestion pipeline behind the registry API: registered
     /// channels, batch builders, and the queryable sample store.
     pipeline: IngestPipeline,
-    /// Push consumers attached with `attach_listener`, fired after a
-    /// sample is accepted into the pipeline.
-    listeners: Vec<(ChannelFilter, registry::Listener)>,
-    data_received: u64,
-    retry_armed: bool,
-    /// A reconnect retry is already scheduled (server kicked us).
-    reconnect_pending: bool,
     /// JID-scoped observability handle (off unless configured).
     obs: Obs,
+    // -- durable state --
+    /// Per-device reliable outgoing queues (control messages). BTreeMap:
+    /// the retry backstop and reconnect catch-up iterate this while
+    /// scheduling sends, and the deterministic sim needs a stable order.
+    outstores: RefCell<BTreeMap<Jid, MessageStore>>,
+    /// Messages waiting in `outstores`, all devices together (the
+    /// `net.store_depth` gauge).
+    store_depth: Cell<usize>,
+    versions: RefCell<HashMap<String, u64>>,
+    data_received: Cell<u64>,
+    // -- volatile state --
+    session: RefCell<Session>,
+    contexts: RefCell<HashMap<String, CollectorContext>>,
+    /// Push consumers attached with `attach_listener`, fired after a
+    /// sample is accepted into the pipeline.
+    listeners: RefCell<Vec<(ChannelFilter, registry::Listener)>>,
+    retry_armed: Cell<bool>,
+    /// A reconnect retry is already scheduled (server kicked us).
+    reconnect_pending: Cell<bool>,
 }
 
 /// A Pogo collector node. Cheap to clone; clones share state.
 #[derive(Clone)]
 pub struct CollectorNode {
-    inner: Rc<RefCell<Inner>>,
+    inner: Rc<Inner>,
 }
 
 impl std::fmt::Debug for CollectorNode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.borrow();
         f.debug_struct("CollectorNode")
-            .field("jid", &inner.jid.as_str())
-            .field("experiments", &inner.contexts.len())
-            .field("data_received", &inner.data_received)
+            .field("jid", &self.inner.jid.as_str())
+            .field("experiments", &self.inner.contexts.borrow().len())
+            .field("data_received", &self.inner.data_received.get())
             .finish()
     }
 }
@@ -187,31 +193,29 @@ impl CollectorNode {
         );
         // Never let the PC sleep.
         std::mem::forget(cpu.acquire_wake_lock());
-        let scheduler = Scheduler::with_obs(&cpu, &obs);
         let session = server
             .connect(jid, LINK_LATENCY)
             .expect("collector JID must be registered");
-        let logs = LogStore::new();
-        logs.wire_obs(&obs);
         let node = CollectorNode {
-            inner: Rc::new(RefCell::new(Inner {
+            inner: Rc::new(Inner {
                 jid: jid.clone(),
                 server: server.clone(),
                 sim: sim.clone(),
-                scheduler,
-                session: session.clone(),
-                contexts: HashMap::new(),
-                outstores: BTreeMap::new(),
+                scheduler: Scheduler::with_obs(&cpu, &obs),
                 dedup: DedupFilter::new(),
-                logs,
-                versions: HashMap::new(),
+                logs: LogStore::with_obs(&obs),
                 pipeline: IngestPipeline::new(sim, &obs),
-                listeners: Vec::new(),
-                data_received: 0,
-                retry_armed: false,
-                reconnect_pending: false,
                 obs,
-            })),
+                outstores: RefCell::default(),
+                store_depth: Cell::new(0),
+                versions: RefCell::default(),
+                data_received: Cell::new(0),
+                session: RefCell::new(session.clone()),
+                contexts: RefCell::default(),
+                listeners: RefCell::default(),
+                retry_armed: Cell::new(false),
+                reconnect_pending: Cell::new(false),
+            }),
         };
         node.wire_session(&session);
         node
@@ -226,7 +230,7 @@ impl CollectorNode {
         let me = self.clone();
         session.on_presence(move |device, online| {
             if online {
-                me.retransmit_to(&device.clone());
+                me.transmit_pending(device, true);
             }
         });
         let me = self.clone();
@@ -238,66 +242,61 @@ impl CollectorNode {
     /// successful reconnect, retransmits to every device with pending
     /// control traffic — their presence may have fired while we were dark.
     fn schedule_reconnect(&self) {
-        {
-            let mut inner = self.inner.borrow_mut();
-            if inner.reconnect_pending {
-                return;
-            }
-            inner.reconnect_pending = true;
+        if self.inner.reconnect_pending.replace(true) {
+            return;
         }
         let me = self.clone();
-        let sim = self.inner.borrow().sim.clone();
-        sim.schedule_in(RECONNECT_DELAY, move || {
-            me.inner.borrow_mut().reconnect_pending = false;
-            if me.inner.borrow().session.is_connected() {
+        self.inner.sim.schedule_in(RECONNECT_DELAY, move || {
+            let inner = &me.inner;
+            inner.reconnect_pending.set(false);
+            if inner.session.borrow().is_connected() {
                 return;
             }
-            let (server, jid) = {
-                let inner = me.inner.borrow();
-                (inner.server.clone(), inner.jid.clone())
-            };
-            match server.connect(&jid, LINK_LATENCY) {
+            match inner.server.connect(&inner.jid, LINK_LATENCY) {
                 Ok(session) => {
                     me.wire_session(&session);
-                    me.inner.borrow_mut().session = session;
-                    me.inner.borrow().obs.event("pogo", "reconnect", vec![]);
-                    let devices: Vec<Jid> = {
-                        let inner = me.inner.borrow();
-                        inner
-                            .outstores
-                            .iter()
-                            .filter(|(_, s)| !s.is_empty())
-                            .map(|(d, _)| d.clone())
-                            .collect()
-                    };
-                    for device in &devices {
-                        me.retransmit_to(device);
-                    }
+                    *inner.session.borrow_mut() = session;
+                    inner.obs.event("pogo", "reconnect", vec![]);
+                    me.retransmit_all();
                 }
                 Err(_) => me.schedule_reconnect(),
             }
         });
     }
 
+    /// (Re)sends everything pending, device by device; returns whether
+    /// anything was.
+    fn retransmit_all(&self) -> bool {
+        let devices: Vec<Jid> = {
+            let outstores = self.inner.outstores.borrow();
+            let waiting = outstores.iter().filter(|(_, s)| !s.is_empty());
+            waiting.map(|(d, _)| d.clone()).collect()
+        };
+        for device in &devices {
+            self.transmit_pending(device, true);
+        }
+        !devices.is_empty()
+    }
+
     /// This collector's JID.
     pub fn jid(&self) -> Jid {
-        self.inner.borrow().jid.clone()
+        self.inner.jid.clone()
     }
 
     /// The collector's log storage (collector scripts' `log`/`logTo`).
     pub fn logs(&self) -> LogStore {
-        self.inner.borrow().logs.clone()
+        self.inner.logs.clone()
     }
 
     /// A snapshot of the collector's counters: transport receipts, the
     /// ingestion pipeline's write-side stats, and diagnostic log sizes.
     pub fn stats(&self) -> CollectorStats {
-        let inner = self.inner.borrow();
+        let inner = &self.inner;
         CollectorStats {
-            data_received: inner.data_received,
+            data_received: inner.data_received.get(),
             ingest: inner.pipeline.stats(),
-            lint_findings: inner.logs.lines("pogo-lint").len(),
-            errors_logged: inner.logs.lines("pogo-errors").len(),
+            lint_findings: inner.logs.line_count("pogo-lint"),
+            errors_logged: inner.logs.line_count("pogo-errors"),
         }
     }
 
@@ -311,13 +310,12 @@ impl CollectorNode {
     /// pending batch first, so a scan right after a run sees all
     /// ingested samples regardless of the flush watermarks.
     pub fn store(&self) -> SampleStore {
-        let pipeline = self.pipeline();
-        pipeline.flush_all();
-        pipeline.store()
+        self.inner.pipeline.flush_all();
+        self.inner.pipeline.store()
     }
 
-    pub(crate) fn pipeline(&self) -> IngestPipeline {
-        self.inner.borrow().pipeline.clone()
+    pub(crate) fn pipeline(&self) -> &IngestPipeline {
+        &self.inner.pipeline
     }
 
     /// Attaches a push consumer: `f` runs for every sample matching
@@ -336,7 +334,7 @@ impl CollectorNode {
             // the declared schema instead of the catch-all.
             let _ = self.register_channel(&exp, &channel, Msg::Null, ChannelSchema::json());
         }
-        self.inner.borrow_mut().listeners.push((filter, Rc::new(f)));
+        self.inner.listeners.borrow_mut().push((filter, Rc::new(f)));
     }
 
     /// Registers a channel in the pipeline and, when newly registered,
@@ -350,7 +348,7 @@ impl CollectorNode {
         params: Msg,
         schema: ChannelSchema,
     ) -> Result<(), IngestError> {
-        let newly = self.pipeline().register(exp, channel, schema.clone())?;
+        let newly = self.inner.pipeline.register(exp, channel, schema.clone())?;
         if !newly {
             return Ok(());
         }
@@ -375,7 +373,7 @@ impl CollectorNode {
         device: &str,
         msg: &Msg,
     ) {
-        let pipeline = self.pipeline();
+        let pipeline = &self.inner.pipeline;
         match registry::extract_sample(schema, msg) {
             Ok(value) => match pipeline.append(exp, channel, device, value) {
                 Ok(()) => self.dispatch_listeners(exp, channel, device, msg),
@@ -393,13 +391,13 @@ impl CollectorNode {
             exp,
             channel,
             device,
-            at: self.inner.borrow().sim.now(),
+            at: self.inner.sim.now(),
             msg,
         };
         // By index, not under one borrow: a listener may use the collector.
         // Listeners are only ever appended.
         for i in 0.. {
-            let listener = match self.inner.borrow().listeners.get(i) {
+            let listener = match self.inner.listeners.borrow().get(i) {
                 Some((filter, listener)) if filter.matches(exp, channel, device) => {
                     listener.clone()
                 }
@@ -411,19 +409,19 @@ impl CollectorNode {
     }
 
     fn log_ingest_error(&self, e: &IngestError) {
-        let logs = self.logs();
-        logs.append("pogo-errors", format!("[{}] {e}", e.code()));
+        let line = format!("[{}] {e}", e.code());
+        self.inner.logs.append("pogo-errors", line);
     }
 
     /// This node's observability handle (scoped to its JID; off unless
     /// constructed via [`CollectorNode::with_obs`]).
     pub fn obs(&self) -> Obs {
-        self.inner.borrow().obs.clone()
+        self.inner.obs.clone()
     }
 
     /// The context for an experiment, if created.
     pub fn context(&self, exp: &str) -> Option<CollectorContext> {
-        self.inner.borrow().contexts.get(exp).cloned()
+        self.inner.contexts.borrow().get(exp).cloned()
     }
 
     // ---- experiment management ----------------------------------------------
@@ -434,19 +432,16 @@ impl CollectorNode {
             return ctx;
         }
         let me = self.clone();
-        let obs = self.inner.borrow().obs.clone();
         let ctx = CollectorContext::with_obs(
             exp,
             move |device, ctl| {
                 let Ok(jid) = Jid::new(device) else { return };
                 me.send_reliable(&jid, &ctl);
             },
-            &obs,
+            &self.inner.obs,
         );
-        self.inner
-            .borrow_mut()
-            .contexts
-            .insert(exp.to_owned(), ctx.clone());
+        let mut contexts = self.inner.contexts.borrow_mut();
+        contexts.insert(exp.to_owned(), ctx.clone());
         ctx
     }
 
@@ -463,11 +458,8 @@ impl CollectorNode {
         customize: impl FnOnce(&ScriptHost),
     ) -> Result<ScriptHost, ScriptError> {
         let ctx = self.create_experiment(exp);
-        let (scheduler, logs) = {
-            let inner = self.inner.borrow();
-            (inner.scheduler.clone(), inner.logs.clone())
-        };
-        ctx.install_script(name, source, &scheduler, &logs, customize)
+        let inner = &self.inner;
+        ctx.install_script(name, source, &inner.scheduler, &inner.logs, customize)
     }
 
     /// Convenience for scripts without extension natives.
@@ -502,14 +494,26 @@ impl CollectorNode {
         }
     }
 
-    /// Sends `spec` (with a bumped version) to explicit `devices`,
-    /// adding them as context members.
-    fn push_to(&self, spec: &ExperimentSpec, devices: &[Jid]) {
-        let ctx = self.create_experiment(&spec.id);
+    /// Sends `spec` (with a bumped version) to `targets`, adding them as
+    /// context members — or, with no targets, to the experiment's
+    /// existing members: quick redeployment, the §3.2 motivation (a
+    /// no-op when the experiment has no context yet).
+    fn push(&self, spec: &ExperimentSpec, targets: &[Jid]) {
+        let (ctx, devices) = if targets.is_empty() {
+            let Some(ctx) = self.context(&spec.id) else {
+                return;
+            };
+            let members = ctx.devices();
+            let devices = members.iter().filter_map(|d| Jid::new(d).ok()).collect();
+            (ctx, devices)
+        } else {
+            (self.create_experiment(&spec.id), targets.to_vec())
+        };
         let version = self.bump_version(&spec.id);
-        for device in devices {
+        for device in &devices {
             // Sync existing collector subscriptions FIRST so they are in
-            // place before any deployed script's load-time publishes.
+            // place before any deployed script's load-time publishes (a
+            // no-op for a device that is already a member).
             ctx.add_device(device.as_str());
             self.send_reliable(
                 device,
@@ -522,37 +526,12 @@ impl CollectorNode {
         }
     }
 
-    /// Sends `spec` (with a bumped version) to the experiment's existing
-    /// members — quick redeployment, the §3.2 motivation. A no-op when
-    /// the experiment has no context yet.
-    fn push_to_members(&self, spec: &ExperimentSpec) {
-        let Some(ctx) = self.context(&spec.id) else {
-            return;
-        };
-        let devices: Vec<Jid> = ctx
-            .devices()
-            .iter()
-            .filter_map(|d| Jid::new(d).ok())
-            .collect();
-        let version = self.bump_version(&spec.id);
-        for device in devices {
-            self.send_reliable(
-                &device,
-                &ControlMsg::Deploy {
-                    exp: spec.id.clone(),
-                    version,
-                    scripts: spec.scripts.clone(),
-                },
-            );
-        }
-    }
-
     fn bump_version(&self, exp: &str) -> u64 {
-        let mut inner = self.inner.borrow_mut();
-        let v = inner.versions.entry(exp.to_owned()).or_insert(0);
+        let mut versions = self.inner.versions.borrow_mut();
+        let v = versions.entry(exp.to_owned()).or_insert(0);
         *v += 1;
         let version = *v;
-        inner.obs.event(
+        self.inner.obs.event(
             "pogo",
             "deploy",
             vec![field("exp", exp.to_owned()), field("version", version)],
@@ -560,23 +539,47 @@ impl CollectorNode {
         version
     }
 
-    /// Runs the static analyzer over the spec's script bundle. Errors
-    /// reject the deployment; warnings go to the collector's
-    /// `pogo-lint` log — the same [`LogStore`] stream the scripts write
-    /// to, so `pogo-trace` sees one unified log.
-    fn lint_spec(&self, spec: &ExperimentSpec) -> Result<(), DeployError> {
+    /// Runs the spec's bundle through [`pogo_script::deploy_gate`] — the
+    /// same lint → compile → verify → cost pass `pogo-lint` runs, against
+    /// the watchdog budgets the devices enforce. Errors reject the
+    /// deployment; warnings go to the collector's `pogo-lint` log — the
+    /// same [`LogStore`] stream the scripts write to, so `pogo-trace`
+    /// sees one unified log. The gate compiles through the per-thread
+    /// cache, so the bundle is compiled once per spec and every simulated
+    /// phone then loads the shared chunks.
+    fn gate(&self, spec: &ExperimentSpec) -> Result<(), DeployError> {
         let bundle: Vec<(&str, &str)> = spec
             .scripts
             .iter()
             .map(|s| (s.name.as_str(), s.source.as_str()))
             .collect();
+        let report = pogo_script::deploy_gate(&bundle, &pogo_script::AnalyzeOptions::default());
+        let inner = &self.inner;
+        // A lint-rejected bundle compiled nothing: it leaves no `deploy.*`
+        // sample. Stage timings count once lint passed, the compile
+        // counters only for a bundle that is pushed.
+        let programs = &report.programs;
+        if inner.obs.is_enabled() && !programs.is_empty() {
+            let m = inner.obs.metrics();
+            m.observe("deploy.verify_us", report.verify_us);
+            m.observe("deploy.absint_us", report.absint_us);
+            if report.deployable() {
+                m.inc("deploy.compiled_scripts", programs.len() as u64);
+                m.inc(
+                    "deploy.compile.ops",
+                    programs.iter().map(|p| p.op_count).sum(),
+                );
+                let fns = programs.iter().map(|p| u64::from(p.fn_count)).sum();
+                m.inc("deploy.compile.fns", fns);
+                m.observe("deploy.compile_us", report.compile_us);
+            }
+        }
         let mut errors = Vec::new();
-        let logs = self.logs();
-        for (script, diag) in pogo_script::analyze_bundle(&bundle) {
+        for (script, diag) in report.findings {
             if diag.is_error() {
                 errors.push((script, diag));
             } else {
-                logs.append("pogo-lint", format!("{script}: {diag}"));
+                inner.logs.append("pogo-lint", format!("{script}: {diag}"));
             }
         }
         if errors.is_empty() {
@@ -586,110 +589,6 @@ impl CollectorNode {
                 experiment: spec.id.clone(),
                 errors,
             })
-        }
-    }
-
-    /// The compiled-form gate: bytecode verification plus the
-    /// abstract-interpretation cost bounds, run against the same
-    /// watchdog budgets the devices enforce ([`crate::host`]). A
-    /// script whose *guaranteed minimum* cost exceeds its budget
-    /// (P301) can never complete on any phone — it is rejected before
-    /// a single device sees it. Unbounded or
-    /// may-exceed findings (P302/P303) and publish fan-out (P304) are
-    /// warnings: the watchdog still protects the fleet, so they only
-    /// go to the `pogo-lint` log. Scripts that fail to compile are
-    /// skipped here — [`Self::precompile_spec`] logs those, and the
-    /// device reports the same error at load time.
-    fn gate_spec(&self, spec: &ExperimentSpec) -> Result<(), DeployError> {
-        let budgets = pogo_script::CostBudgets {
-            callback: crate::host::WATCHDOG_BUDGET,
-            load: crate::host::WATCHDOG_BUDGET * 10,
-        };
-        let mut errors = Vec::new();
-        let logs = self.logs();
-        let mut verify_us = 0f64;
-        let mut absint_us = 0f64;
-        for s in &spec.scripts {
-            let Ok(prog) = pogo_script::compile_cached(&s.source) else {
-                continue;
-            };
-            let t0 = std::time::Instant::now();
-            let verdict = pogo_script::verify::check(&prog);
-            verify_us += t0.elapsed().as_micros() as f64;
-            if let Err(e) = verdict {
-                // Only reachable through a compiler bug: compile()
-                // verifies too, but only debug-asserts on a failure and
-                // returns the chunk. Surface it like a compile failure.
-                let diag = pogo_script::Diagnostic::new(
-                    pogo_script::Rule::ParseError,
-                    0,
-                    format!("internal: compiled chunk failed verification: {e}"),
-                );
-                errors.push((s.name.clone(), diag));
-                continue;
-            }
-            let t1 = std::time::Instant::now();
-            let report = pogo_script::analyze_costs(&prog);
-            let diags = pogo_script::cost_diagnostics(&report, &budgets);
-            absint_us += t1.elapsed().as_micros() as f64;
-            for diag in diags {
-                if diag.is_error() {
-                    errors.push((s.name.clone(), diag));
-                } else {
-                    logs.append("pogo-lint", format!("{}: {diag}", s.name));
-                }
-            }
-        }
-        let inner = self.inner.borrow();
-        if inner.obs.is_enabled() {
-            let m = inner.obs.metrics();
-            m.observe("deploy.verify_us", verify_us);
-            m.observe("deploy.absint_us", absint_us);
-        }
-        drop(inner);
-        if errors.is_empty() {
-            Ok(())
-        } else {
-            Err(DeployError {
-                experiment: spec.id.clone(),
-                errors,
-            })
-        }
-    }
-
-    /// Compiles the spec's scripts to bytecode once, ahead of the push —
-    /// the deployed bundle is compiled exactly once per spec and the
-    /// chunks are shared by every simulated phone (the compile cache is
-    /// per-thread, and the deterministic sim is single-threaded). Emits
-    /// per-deployment compile counters/sizes as `deploy.*` metrics. A
-    /// script that fails to compile is logged to `pogo-lint` but does
-    /// not block the push: the device reports the same error at load
-    /// time.
-    fn precompile_spec(&self, spec: &ExperimentSpec) {
-        let mut ops: u64 = 0;
-        let mut fns: u64 = 0;
-        let mut compiled: u64 = 0;
-        let t0 = std::time::Instant::now();
-        for s in &spec.scripts {
-            match pogo_script::compile_cached(&s.source) {
-                Ok(prog) => {
-                    compiled += 1;
-                    ops += prog.op_count;
-                    fns += u64::from(prog.fn_count);
-                }
-                Err(e) => {
-                    self.logs()
-                        .append("pogo-lint", format!("{}: compile error: {e}", s.name));
-                }
-            }
-        }
-        let inner = self.inner.borrow();
-        if inner.obs.is_enabled() {
-            let m = inner.obs.metrics();
-            m.inc("deploy.compiled_scripts", compiled);
-            m.inc("deploy.compile.ops", ops);
-            m.inc("deploy.compile.fns", fns);
-            m.observe("deploy.compile_us", t0.elapsed().as_micros() as f64);
         }
     }
 
@@ -710,59 +609,42 @@ impl CollectorNode {
     /// Queues a control message for a device, transmitting immediately if
     /// it is online (the collector is on mains: no batching needed).
     fn send_reliable(&self, device: &Jid, ctl: &ControlMsg) {
-        let now = self.inner.borrow().sim.now();
-        {
-            let mut inner = self.inner.borrow_mut();
-            let store = inner.outstores.entry(device.clone()).or_default().clone();
-            store.enqueue(device, ctl.to_json(), now);
-            if inner.obs.is_enabled() {
-                inner.obs.metrics().inc("net.enqueued", 1);
-                let depth: usize = inner.outstores.values().map(MessageStore::len).sum();
-                inner.obs.metrics().gauge("net.store_depth", depth as f64);
-            }
+        let inner = &self.inner;
+        let store = {
+            let mut outstores = inner.outstores.borrow_mut();
+            outstores.entry(device.clone()).or_default().clone()
+        };
+        store.enqueue(device, ctl.to_json(), inner.sim.now());
+        inner.store_depth.set(inner.store_depth.get() + 1);
+        if inner.obs.is_enabled() {
+            inner.obs.metrics().inc("net.enqueued", 1);
+            let depth = inner.store_depth.get() as f64;
+            inner.obs.metrics().gauge("net.store_depth", depth);
         }
         self.transmit_pending(device, false);
         self.arm_retry();
-    }
-
-    /// (Re)sends everything pending for one device.
-    fn retransmit_to(&self, device: &Jid) {
-        self.transmit_pending(device, true);
     }
 
     /// Sends everything pending for one device. `retry` marks the
     /// presence/backstop paths (as opposed to the first transmission on
     /// enqueue) for the `net.retransmits` metric.
     fn transmit_pending(&self, device: &Jid, retry: bool) {
-        let (session, pending, online, obs) = {
-            let inner = self.inner.borrow();
-            let pending = inner
-                .outstores
-                .get(device)
-                .map(|s| s.pending())
-                .unwrap_or_default();
-            (
-                inner.session.clone(),
-                pending,
-                inner.server.is_online(device),
-                inner.obs.clone(),
-            )
-        };
-        if !online {
+        let inner = &self.inner;
+        let store = inner.outstores.borrow().get(device).cloned();
+        let pending = store.map(|s| s.pending()).unwrap_or_default();
+        if !inner.server.is_online(device) {
             return;
         }
-        if obs.is_enabled() && !pending.is_empty() {
-            let metrics = obs.metrics();
+        if inner.obs.is_enabled() && !pending.is_empty() {
+            let metrics = inner.obs.metrics();
             metrics.inc("net.messages_sent", pending.len() as u64);
             if retry {
                 metrics.inc("net.retransmits", pending.len() as u64);
             }
-            let bytes: u64 = pending
-                .iter()
-                .map(|m| m.data.len() as u64 + pogo_net::wire::ENVELOPE_OVERHEAD_BYTES)
-                .sum();
+            let bytes = pending.iter().map(StoredMessage::wire_size).sum();
             metrics.inc("net.bytes_up", bytes);
         }
+        let session = inner.session.borrow().clone();
         for msg in pending {
             let _ = session.send(device, msg.seq, Payload::Data(msg.data));
         }
@@ -770,30 +652,13 @@ impl CollectorNode {
 
     /// Periodic retransmission backstop while anything is pending.
     fn arm_retry(&self) {
-        {
-            let mut inner = self.inner.borrow_mut();
-            if inner.retry_armed {
-                return;
-            }
-            inner.retry_armed = true;
+        if self.inner.retry_armed.replace(true) {
+            return;
         }
         let me = self.clone();
-        let scheduler = self.inner.borrow().scheduler.clone();
-        scheduler.run_later(RETRY_PERIOD, move || {
-            me.inner.borrow_mut().retry_armed = false;
-            let devices: Vec<Jid> = {
-                let inner = me.inner.borrow();
-                inner
-                    .outstores
-                    .iter()
-                    .filter(|(_, s)| !s.is_empty())
-                    .map(|(d, _)| d.clone())
-                    .collect()
-            };
-            for device in &devices {
-                me.retransmit_to(device);
-            }
-            if !devices.is_empty() {
+        self.inner.scheduler.run_later(RETRY_PERIOD, move || {
+            me.inner.retry_armed.set(false);
+            if me.retransmit_all() {
                 me.arm_retry();
             }
         });
@@ -802,70 +667,56 @@ impl CollectorNode {
     // ---- inbound ----------------------------------------------------------------
 
     fn on_envelope(&self, envelope: Envelope) {
-        match &envelope.payload {
+        let inner = &self.inner;
+        let json = match &envelope.payload {
             Payload::Ack(seqs) => {
-                let inner = self.inner.borrow();
-                if let Some(store) = inner.outstores.get(&envelope.from) {
-                    store.ack(seqs);
+                let store = inner.outstores.borrow().get(&envelope.from).cloned();
+                if let Some(store) = store {
+                    let acked = store.ack(seqs);
+                    inner.store_depth.set(inner.store_depth.get() - acked);
+                }
+                return;
+            }
+            Payload::Data(json) => json,
+        };
+        let fresh = inner.dedup.first_sighting(&envelope.from, envelope.seq);
+        // Ack immediately (mains-powered, no batching).
+        let session = inner.session.borrow().clone();
+        let _ = session.send(&envelope.from, 0, Payload::Ack(vec![envelope.seq]));
+        if inner.obs.is_enabled() {
+            let metrics = inner.obs.metrics();
+            metrics.inc("net.acks_sent", 1);
+            if fresh {
+                metrics.inc("net.messages_received", 1);
+                metrics.inc("net.bytes_down", envelope.wire_size());
+            } else {
+                metrics.inc("net.dedup_drops", 1);
+            }
+        }
+        if !fresh {
+            return;
+        }
+        match ControlMsg::from_json(json) {
+            Ok(ControlMsg::Data {
+                exp,
+                channel,
+                msg,
+                sub_ref,
+            }) => {
+                bump(&inner.data_received, 1);
+                inner.obs.metrics().inc("pogo.data_received", 1);
+                if let Some(ctx) = self.context(&exp) {
+                    ctx.handle_data(envelope.from.as_str(), &channel, &msg, sub_ref);
                 }
             }
-            Payload::Data(json) => {
-                let fresh = self
-                    .inner
-                    .borrow()
-                    .dedup
-                    .first_sighting(&envelope.from, envelope.seq);
-                // Ack immediately (mains-powered, no batching).
-                let session = self.inner.borrow().session.clone();
-                let _ = session.send(&envelope.from, 0, Payload::Ack(vec![envelope.seq]));
-                {
-                    let inner = self.inner.borrow();
-                    if inner.obs.is_enabled() {
-                        inner.obs.metrics().inc("net.acks_sent", 1);
-                        if !fresh {
-                            inner.obs.metrics().inc("net.dedup_drops", 1);
-                        } else {
-                            inner.obs.metrics().inc("net.messages_received", 1);
-                            inner
-                                .obs
-                                .metrics()
-                                .inc("net.bytes_down", envelope.wire_size());
-                        }
-                    }
-                }
-                if !fresh {
-                    return;
-                }
-                match ControlMsg::from_json(json) {
-                    Ok(ControlMsg::Data {
-                        exp,
-                        channel,
-                        msg,
-                        sub_ref,
-                    }) => {
-                        {
-                            let mut inner = self.inner.borrow_mut();
-                            inner.data_received += 1;
-                            inner.obs.metrics().inc("pogo.data_received", 1);
-                        }
-                        if let Some(ctx) = self.context(&exp) {
-                            ctx.handle_data(envelope.from.as_str(), &channel, &msg, sub_ref);
-                        }
-                    }
-                    Ok(other) => {
-                        self.inner.borrow().logs.append(
-                            "pogo-errors",
-                            format!("unexpected control from {}: {other:?}", envelope.from),
-                        );
-                    }
-                    Err(e) => {
-                        self.inner.borrow().logs.append(
-                            "pogo-errors",
-                            format!("malformed message from {}: {e}", envelope.from),
-                        );
-                    }
-                }
-            }
+            Ok(other) => inner.logs.append(
+                "pogo-errors",
+                format!("unexpected control from {}: {other:?}", envelope.from),
+            ),
+            Err(e) => inner.logs.append(
+                "pogo-errors",
+                format!("malformed message from {}: {e}", envelope.from),
+            ),
         }
     }
 }
@@ -1312,6 +1163,50 @@ mod tests {
         assert!(
             lint_log.contains("P302"),
             "unbounded-cost warning reaches the log: {lint_log:?}"
+        );
+    }
+
+    #[test]
+    fn rejected_deployments_leave_no_compile_metrics() {
+        let sim = Sim::new();
+        let server = Switchboard::new(&sim);
+        let jid = Jid::new("collector@pogo").unwrap();
+        server.register(&jid);
+        let obs = pogo_obs::ObsConfig::on().build(&sim);
+        let collector = CollectorNode::with_obs(&sim, &server, &jid, &obs);
+        let deploy = |source: &str| {
+            let spec = ExperimentSpec {
+                id: "exp".into(),
+                scripts: vec![ScriptSpec {
+                    name: "s.js".into(),
+                    source: source.into(),
+                }],
+            };
+            collector.deployment(&spec).send().is_ok()
+        };
+        let deploy_keys = || -> Vec<String> {
+            let rows = obs.metrics().snapshot();
+            let names = rows.into_iter().map(|r| r.name);
+            names.filter(|n| n.starts_with("deploy.")).collect()
+        };
+        // Lint-rejected: nothing was compiled, nothing is recorded.
+        assert!(!deploy("publish('ch', missing_variable);"));
+        assert_eq!(deploy_keys(), Vec::<String>::new());
+        // Cost-rejected (P301): the stages ran, but nothing is pushed.
+        assert!(!deploy(
+            "subscribe('accelerometer', function (m) {\n\
+             \x20 var s = 0;\n\
+             \x20 for (var i = 0; i < 20000000; i++) { s = s + i; }\n\
+             \x20 publish(s, 'out');\n\
+             });"
+        ));
+        assert_eq!(deploy_keys(), ["deploy.absint_us", "deploy.verify_us"]);
+        assert!(deploy("print('ok');"));
+        assert_eq!(
+            obs.metrics()
+                .scoped(jid.as_str())
+                .counter("deploy.compiled_scripts"),
+            1
         );
     }
 

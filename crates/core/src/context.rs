@@ -42,6 +42,7 @@ pub type DataSink = Rc<dyn Fn(DataRef<'_>)>;
 
 // =============================== device side ===============================
 
+/// Everything but `scripts` and `mirrors` is set once at construction.
 struct DeviceCtxInner {
     exp: String,
     version: u64,
@@ -49,26 +50,25 @@ struct DeviceCtxInner {
     scheduler: Scheduler,
     logs: LogStore,
     outbound: DataSink,
-    scripts: Vec<ScriptHost>,
-    /// collector sub_ref → mirrored local subscription.
-    mirrors: BTreeMap<u64, SubscriptionId>,
     obs: Obs,
+    scripts: RefCell<Vec<ScriptHost>>,
+    /// collector sub_ref → mirrored local subscription.
+    mirrors: RefCell<BTreeMap<u64, SubscriptionId>>,
 }
 
 /// The device-side half of an experiment.
 #[derive(Clone)]
 pub struct DeviceContext {
-    inner: Rc<RefCell<DeviceCtxInner>>,
+    inner: Rc<DeviceCtxInner>,
 }
 
 impl std::fmt::Debug for DeviceContext {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.borrow();
         f.debug_struct("DeviceContext")
-            .field("exp", &inner.exp)
-            .field("version", &inner.version)
-            .field("scripts", &inner.scripts.len())
-            .field("mirrors", &inner.mirrors.len())
+            .field("exp", &self.inner.exp)
+            .field("version", &self.inner.version)
+            .field("scripts", &self.inner.scripts.borrow().len())
+            .field("mirrors", &self.inner.mirrors.borrow().len())
             .finish()
     }
 }
@@ -99,38 +99,38 @@ impl DeviceContext {
         obs: &Obs,
     ) -> Self {
         DeviceContext {
-            inner: Rc::new(RefCell::new(DeviceCtxInner {
+            inner: Rc::new(DeviceCtxInner {
                 exp: exp.to_owned(),
                 version,
                 broker: Broker::with_obs(obs),
                 scheduler: scheduler.clone(),
                 logs: logs.clone(),
                 outbound,
-                scripts: Vec::new(),
-                mirrors: BTreeMap::new(),
                 obs: obs.clone(),
-            })),
+                scripts: RefCell::default(),
+                mirrors: RefCell::default(),
+            }),
         }
     }
 
     /// The experiment id.
     pub fn exp(&self) -> String {
-        self.inner.borrow().exp.clone()
+        self.inner.exp.clone()
     }
 
     /// Installed script version.
     pub fn version(&self) -> u64 {
-        self.inner.borrow().version
+        self.inner.version
     }
 
     /// The context's broker (sensors attach to this).
     pub fn broker(&self) -> Broker {
-        self.inner.borrow().broker.clone()
+        self.inner.broker.clone()
     }
 
     /// The running scripts.
     pub fn scripts(&self) -> Vec<ScriptHost> {
-        self.inner.borrow().scripts.clone()
+        self.inner.scripts.borrow().clone()
     }
 
     /// Installs and loads the experiment's scripts. `frozen_for` supplies
@@ -142,35 +142,28 @@ impl DeviceContext {
         scripts: &[ScriptSpec],
         frozen_for: impl Fn(&str) -> FrozenSlot,
     ) -> Vec<(String, ScriptError)> {
-        let (broker, scheduler, logs, obs) = {
-            let inner = self.inner.borrow();
-            (
-                inner.broker.clone(),
-                inner.scheduler.clone(),
-                inner.logs.clone(),
-                inner.obs.clone(),
-            )
-        };
+        let inner = &self.inner;
         let mut errors = Vec::new();
         for spec in scripts {
-            let host = ScriptHost::new(
+            let host = ScriptHost::with_obs(
                 &spec.name,
-                &broker,
-                &scheduler,
+                &inner.broker,
+                &inner.scheduler,
                 frozen_for(&spec.name),
-                logs.clone(),
+                inner.logs.clone(),
+                &inner.obs,
             );
-            host.set_obs(&obs);
             if let Err(e) = host.load(&spec.source) {
                 errors.push((spec.name.clone(), e));
             }
-            self.inner.borrow_mut().scripts.push(host);
+            inner.scripts.borrow_mut().push(host);
         }
         errors
     }
 
     /// Handles a control message addressed to this context.
     pub fn handle_control(&self, ctl: &ControlMsg, from: &str) {
+        let broker = &self.inner.broker;
         match ctl {
             ControlMsg::Subscribe {
                 channel,
@@ -179,28 +172,22 @@ impl DeviceContext {
                 ..
             } => self.add_mirror(channel, params.clone(), *sub_ref),
             ControlMsg::Unsubscribe { sub_ref, .. } => {
-                let inner = self.inner.borrow();
-                if let Some(&id) = inner.mirrors.get(sub_ref) {
-                    let broker = inner.broker.clone();
-                    drop(inner);
+                let id = self.inner.mirrors.borrow_mut().remove(sub_ref);
+                if let Some(id) = id {
                     broker.unsubscribe(id);
-                    self.inner.borrow_mut().mirrors.remove(sub_ref);
                 }
             }
             ControlMsg::SetActive {
                 sub_ref, active, ..
             } => {
-                let inner = self.inner.borrow();
-                if let Some(&id) = inner.mirrors.get(sub_ref) {
-                    let broker = inner.broker.clone();
-                    drop(inner);
+                let id = self.inner.mirrors.borrow().get(sub_ref).copied();
+                if let Some(id) = id {
                     broker.set_active(id, *active);
                 }
             }
             ControlMsg::Data { channel, msg, .. } => {
                 // Collector fan-out: republish locally, attributed to the
                 // collector.
-                let broker = self.inner.borrow().broker.clone();
                 broker.publish_from(channel, msg, Some(from));
             }
             ControlMsg::Deploy { .. } | ControlMsg::Undeploy { .. } => {
@@ -212,46 +199,37 @@ impl DeviceContext {
     /// Mirrors a collector-side subscription into this broker; matching
     /// data flows back targeted at `sub_ref`.
     fn add_mirror(&self, channel: &str, params: Msg, sub_ref: u64) {
-        let (broker, outbound, exp) = {
-            let inner = self.inner.borrow();
-            (
-                inner.broker.clone(),
-                inner.outbound.clone(),
-                inner.exp.clone(),
-            )
-        };
+        let inner = &self.inner;
         // Re-subscribing with an existing ref replaces the old mirror
         // (collector restarted its script).
-        if let Some(&old) = self.inner.borrow().mirrors.get(&sub_ref) {
-            broker.unsubscribe(old);
+        let old = inner.mirrors.borrow().get(&sub_ref).copied();
+        if let Some(old) = old {
+            inner.broker.unsubscribe(old);
         }
-        let id = broker.subscribe(channel, params, move |channel, msg, _from| {
-            outbound(DataRef {
-                exp: &exp,
-                channel,
-                msg,
-                sub_ref: Some(sub_ref),
+        let (outbound, exp) = (inner.outbound.clone(), inner.exp.clone());
+        let id = inner
+            .broker
+            .subscribe(channel, params, move |channel, msg, _from| {
+                outbound(DataRef {
+                    exp: &exp,
+                    channel,
+                    msg,
+                    sub_ref: Some(sub_ref),
+                });
             });
-        });
-        self.inner.borrow_mut().mirrors.insert(sub_ref, id);
+        inner.mirrors.borrow_mut().insert(sub_ref, id);
     }
 
     /// Stops all scripts and drops mirrored subscriptions (undeploy or
     /// reboot). Frozen slots and logs live on in the device.
     pub fn shutdown(&self) {
-        let (scripts, mirrors, broker) = {
-            let mut inner = self.inner.borrow_mut();
-            (
-                std::mem::take(&mut inner.scripts),
-                std::mem::take(&mut inner.mirrors),
-                inner.broker.clone(),
-            )
-        };
+        let scripts = self.inner.scripts.take();
+        let mirrors = self.inner.mirrors.take();
         for script in scripts {
             script.stop();
         }
         for (_, id) in mirrors {
-            broker.unsubscribe(id);
+            self.inner.broker.unsubscribe(id);
         }
     }
 }
@@ -261,31 +239,42 @@ impl DeviceContext {
 /// Collector-side outbound: `(device, message)` into the reliable queue.
 type DeviceOutbound = Rc<dyn Fn(&str, ControlMsg)>;
 
+/// Everything but `scripts`, `devices` and `synced` is set once at
+/// construction.
 struct CollectorCtxInner {
     exp: String,
     broker: Broker,
-    scripts: Vec<ScriptHost>,
-    devices: Vec<String>,
     outbound: DeviceOutbound,
-    /// Subscription ids already synced to devices, with last-known state.
-    synced: BTreeMap<u64, (String, bool)>,
     obs: Obs,
+    scripts: RefCell<Vec<ScriptHost>>,
+    devices: RefCell<Vec<String>>,
+    /// Subscription ids already synced to devices, with last-known state.
+    synced: RefCell<BTreeMap<u64, (String, bool)>>,
+}
+
+impl CollectorCtxInner {
+    /// Sends a fresh `ctl()` to every member device.
+    fn fan_out(&self, ctl: impl Fn() -> ControlMsg) {
+        let devices = self.devices.borrow().clone();
+        for device in &devices {
+            (self.outbound)(device, ctl());
+        }
+    }
 }
 
 /// The collector-side half of an experiment: scripts plus the
 /// multi-broker that fans communication out over member devices.
 #[derive(Clone)]
 pub struct CollectorContext {
-    inner: Rc<RefCell<CollectorCtxInner>>,
+    inner: Rc<CollectorCtxInner>,
 }
 
 impl std::fmt::Debug for CollectorContext {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.borrow();
         f.debug_struct("CollectorContext")
-            .field("exp", &inner.exp)
-            .field("devices", &inner.devices.len())
-            .field("scripts", &inner.scripts.len())
+            .field("exp", &self.inner.exp)
+            .field("devices", &self.inner.devices.borrow().len())
+            .field("scripts", &self.inner.scripts.borrow().len())
             .finish()
     }
 }
@@ -301,15 +290,15 @@ impl CollectorContext {
     /// script activity into `obs`.
     pub fn with_obs(exp: &str, outbound: impl Fn(&str, ControlMsg) + 'static, obs: &Obs) -> Self {
         let ctx = CollectorContext {
-            inner: Rc::new(RefCell::new(CollectorCtxInner {
+            inner: Rc::new(CollectorCtxInner {
                 exp: exp.to_owned(),
                 broker: Broker::with_obs(obs),
-                scripts: Vec::new(),
-                devices: Vec::new(),
                 outbound: Rc::new(outbound),
-                synced: BTreeMap::new(),
                 obs: obs.clone(),
-            })),
+                scripts: RefCell::default(),
+                devices: RefCell::default(),
+                synced: RefCell::default(),
+            }),
         };
         ctx.wire_multi_broker();
         ctx
@@ -317,63 +306,57 @@ impl CollectorContext {
 
     /// The experiment id.
     pub fn exp(&self) -> String {
-        self.inner.borrow().exp.clone()
+        self.inner.exp.clone()
     }
 
     /// The multi-broker.
     pub fn broker(&self) -> Broker {
-        self.inner.borrow().broker.clone()
+        self.inner.broker.clone()
     }
 
     /// The collector-side scripts.
     pub fn scripts(&self) -> Vec<ScriptHost> {
-        self.inner.borrow().scripts.clone()
+        self.inner.scripts.borrow().clone()
     }
 
     /// Member devices.
     pub fn devices(&self) -> Vec<String> {
-        self.inner.borrow().devices.clone()
+        self.inner.devices.borrow().clone()
     }
 
     /// Adds a member device, syncing every existing subscription to it.
     pub fn add_device(&self, device: &str) {
+        let inner = &self.inner;
         {
-            let mut inner = self.inner.borrow_mut();
-            if inner.devices.iter().any(|d| d == device) {
+            let mut devices = inner.devices.borrow_mut();
+            if devices.iter().any(|d| d == device) {
                 return;
             }
-            inner.devices.push(device.to_owned());
+            devices.push(device.to_owned());
         }
-        let (outbound, exp, synced, broker) = {
-            let inner = self.inner.borrow();
-            (
-                inner.outbound.clone(),
-                inner.exp.clone(),
-                inner.synced.clone(),
-                inner.broker.clone(),
-            )
-        };
+        let synced = inner.synced.borrow().clone();
         for (sub_ref, (channel, active)) in synced {
-            let params = broker
+            let params = inner
+                .broker
                 .subscriptions_on(&channel)
                 .into_iter()
                 .find(|s| s.id.0 == sub_ref)
                 .map(|s| s.params)
                 .unwrap_or(Msg::Null);
-            outbound(
+            (inner.outbound)(
                 device,
                 ControlMsg::Subscribe {
-                    exp: exp.clone(),
+                    exp: inner.exp.clone(),
                     channel,
                     params,
                     sub_ref,
                 },
             );
             if !active {
-                outbound(
+                (inner.outbound)(
                     device,
                     ControlMsg::SetActive {
-                        exp: exp.clone(),
+                        exp: inner.exp.clone(),
                         sub_ref,
                         active: false,
                     },
@@ -397,18 +380,24 @@ impl CollectorContext {
         logs: &LogStore,
         customize: impl FnOnce(&ScriptHost),
     ) -> Result<ScriptHost, ScriptError> {
-        let broker = self.broker();
-        let host = ScriptHost::new(name, &broker, scheduler, FrozenSlot::new(), logs.clone());
-        host.set_obs(&self.inner.borrow().obs);
+        let inner = &self.inner;
+        let host = ScriptHost::with_obs(
+            name,
+            &inner.broker,
+            scheduler,
+            FrozenSlot::new(),
+            logs.clone(),
+            &inner.obs,
+        );
         customize(&host);
         host.load(source)?;
-        self.inner.borrow_mut().scripts.push(host.clone());
+        inner.scripts.borrow_mut().push(host.clone());
         Ok(host)
     }
 
     /// Handles a data message arriving from a member device.
     pub fn handle_data(&self, from: &str, channel: &str, msg: &Msg, sub_ref: Option<u64>) {
-        let broker = self.broker();
+        let broker = &self.inner.broker;
         match sub_ref {
             Some(r) => {
                 broker.publish_to_from(SubscriptionId(r), msg, Some(from));
@@ -422,78 +411,45 @@ impl CollectorContext {
     /// Wires the multi-broker behaviour: local subscriptions sync to
     /// devices; local publishes fan out to devices.
     fn wire_multi_broker(&self) {
-        let weak = Rc::downgrade(&self.inner);
-        let broker = self.broker();
+        let broker = &self.inner.broker;
         // Subscription sync.
+        let weak = Rc::downgrade(&self.inner);
         broker.on_subscriptions_changed("", move |channel, subs| {
-            let Some(inner_rc) = weak.upgrade() else {
+            let Some(inner) = weak.upgrade() else {
                 return;
             };
-            let (outbound, exp, devices, known) = {
-                let inner = inner_rc.borrow();
-                (
-                    inner.outbound.clone(),
-                    inner.exp.clone(),
-                    inner.devices.clone(),
-                    inner.synced.clone(),
-                )
-            };
+            let known = inner.synced.borrow().clone();
             for sub in subs {
-                match known.get(&sub.id.0) {
-                    None => {
-                        for device in &devices {
-                            outbound(
-                                device,
-                                ControlMsg::Subscribe {
-                                    exp: exp.clone(),
-                                    channel: channel.to_owned(),
-                                    params: sub.params.clone(),
-                                    sub_ref: sub.id.0,
-                                },
-                            );
-                        }
-                        inner_rc
-                            .borrow_mut()
-                            .synced
-                            .insert(sub.id.0, (channel.to_owned(), sub.active));
-                    }
+                let id = sub.id.0;
+                match known.get(&id) {
+                    None => inner.fan_out(|| ControlMsg::Subscribe {
+                        exp: inner.exp.clone(),
+                        channel: channel.to_owned(),
+                        params: sub.params.clone(),
+                        sub_ref: id,
+                    }),
                     Some(&(_, was_active)) if was_active != sub.active => {
-                        for device in &devices {
-                            outbound(
-                                device,
-                                ControlMsg::SetActive {
-                                    exp: exp.clone(),
-                                    sub_ref: sub.id.0,
-                                    active: sub.active,
-                                },
-                            );
-                        }
-                        inner_rc
-                            .borrow_mut()
-                            .synced
-                            .insert(sub.id.0, (channel.to_owned(), sub.active));
+                        inner.fan_out(|| ControlMsg::SetActive {
+                            exp: inner.exp.clone(),
+                            sub_ref: id,
+                            active: sub.active,
+                        })
                     }
-                    _ => {}
+                    _ => continue,
                 }
+                let state = (channel.to_owned(), sub.active);
+                inner.synced.borrow_mut().insert(id, state);
             }
             // Removed subscriptions.
-            let present: Vec<u64> = subs.iter().map(|s| s.id.0).collect();
-            let removed: Vec<u64> = known
+            let removed = known
                 .iter()
-                .filter(|(id, (ch, _))| ch == channel && !present.contains(id))
-                .map(|(&id, _)| id)
-                .collect();
-            for id in removed {
-                for device in &devices {
-                    outbound(
-                        device,
-                        ControlMsg::Unsubscribe {
-                            exp: exp.clone(),
-                            sub_ref: id,
-                        },
-                    );
-                }
-                inner_rc.borrow_mut().synced.remove(&id);
+                .filter(|(id, (ch, _))| ch == channel && !subs.iter().any(|s| s.id.0 == **id));
+            for (&id, _) in removed {
+                inner.fan_out(|| ControlMsg::Unsubscribe {
+                    exp: inner.exp.clone(),
+                    sub_ref: id,
+                });
+                inner.synced.borrow_mut().remove(&id);
             }
         });
         // Publish fan-out: local publishes go to every device; device-
@@ -503,28 +459,15 @@ impl CollectorContext {
             if from.is_some() {
                 return;
             }
-            let Some(inner_rc) = weak.upgrade() else {
+            let Some(inner) = weak.upgrade() else {
                 return;
             };
-            let (outbound, exp, devices) = {
-                let inner = inner_rc.borrow();
-                (
-                    inner.outbound.clone(),
-                    inner.exp.clone(),
-                    inner.devices.clone(),
-                )
-            };
-            for device in &devices {
-                outbound(
-                    device,
-                    ControlMsg::Data {
-                        exp: exp.clone(),
-                        channel: channel.to_owned(),
-                        msg: msg.clone(),
-                        sub_ref: None,
-                    },
-                );
-            }
+            inner.fan_out(|| ControlMsg::Data {
+                exp: inner.exp.clone(),
+                channel: channel.to_owned(),
+                msg: msg.clone(),
+                sub_ref: None,
+            });
         });
     }
 }

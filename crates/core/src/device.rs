@@ -7,17 +7,19 @@
 //! flash — installed experiments, the message store, logs, and frozen
 //! script state — exactly the §5.3 failure model.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
 use pogo_net::{
-    DedupFilter, Envelope, FlushPolicy, Jid, MessageStore, Payload, Session, Switchboard,
+    DedupFilter, Envelope, FlushPolicy, Jid, MessageStore, Payload, Session, StoredMessage,
+    Switchboard,
 };
 use pogo_obs::{field, Obs};
 use pogo_platform::{Bearer, Phone, RadioState};
 use pogo_sim::{SimDuration, SimTime};
 
+use crate::bump;
 use crate::context::{DataSink, DeviceContext};
 use crate::host::{FrozenSlot, LogStore};
 use crate::privacy::PrivacyPolicy;
@@ -82,12 +84,6 @@ impl DeviceConfig {
         self
     }
 
-    /// Sets the unacked-data retransmit timeout.
-    pub fn with_retransmit_timeout(mut self, timeout: SimDuration) -> Self {
-        self.retransmit_timeout = timeout;
-        self
-    }
-
     /// Attaches an observability handle; the node scopes it to its JID.
     pub fn with_obs(mut self, obs: &Obs) -> Self {
         self.obs = obs.clone();
@@ -103,69 +99,72 @@ struct Installed {
     collector: Jid,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Stats {
-    flushes: u64,
-    reboots: u64,
-    messages_sent: u64,
-    messages_received: u64,
-    acks_sent: u64,
-}
+/// A mirrored collector subscription as persisted: `(channel, params,
+/// active)`.
+type MirrorSpec = (String, Msg, bool);
 
+/// A flush listener: `(instant, batch size)`.
+type FlushListener = Rc<dyn Fn(SimTime, usize)>;
+
+/// Wiring is set once in [`DeviceNode::new`] and never reassigned (every
+/// handle is itself shared); only what changes afterwards sits in a cell.
+/// No cell borrow is held across a call that can re-enter the node.
 struct Inner {
+    // -- wiring --
     cfg: DeviceConfig,
     phone: Phone,
     server: Switchboard,
     scheduler: Scheduler,
-    session: Option<Session>,
+    sensors: SensorManager,
+    /// JID-scoped observability handle (off unless configured).
+    obs: Obs,
     // -- flash-persistent state (survives reboot) --
     store: MessageStore,
     dedup: DedupFilter,
     logs: LogStore,
-    frozen: HashMap<(String, String), FrozenSlot>,
+    frozen: RefCell<HashMap<(String, String), FrozenSlot>>,
     // BTreeMaps where HashMaps would do: boot/reboot/privacy iterate
     // these while scheduling events, and the deterministic sim (and the
     // chaos determinism property) needs a stable order.
-    installed: BTreeMap<String, Installed>,
+    installed: RefCell<BTreeMap<String, Installed>>,
     /// Mirrored collector subscriptions, persisted so they are re-applied
     /// when a context is re-instantiated (reboot, script update, or a
     /// Subscribe that arrived before its Deploy).
-    mirror_specs: BTreeMap<String, BTreeMap<u64, (String, Msg, bool)>>,
+    mirror_specs: RefCell<BTreeMap<String, BTreeMap<u64, MirrorSpec>>>,
     // -- volatile state --
-    contexts: BTreeMap<String, DeviceContext>,
-    sensors: SensorManager,
-    tail: Option<TailDetector>,
-    booted: bool,
+    session: RefCell<Option<Session>>,
+    contexts: RefCell<BTreeMap<String, DeviceContext>>,
+    tail: RefCell<Option<TailDetector>>,
+    booted: Cell<bool>,
     /// True from power-off until [`DeviceNode::power_on`] — the battery
     /// died; unlike a reboot, nothing is scheduled to bring it back.
-    powered_off: bool,
+    powered_off: Cell<bool>,
     /// A reconnect retry is already scheduled (server kicked us).
-    reconnect_pending: bool,
-    flushing: bool,
-    deadline_armed: bool,
+    reconnect_pending: Cell<bool>,
+    flushing: Cell<bool>,
+    deadline_armed: Cell<bool>,
     /// New data was enqueued since the last flush.
-    dirty: bool,
-    last_flush: Option<SimTime>,
-    flush_listeners: Vec<Rc<dyn Fn(SimTime, usize)>>,
-    stats: Stats,
-    /// JID-scoped observability handle (off unless configured).
-    obs: Obs,
+    dirty: Cell<bool>,
+    last_flush: Cell<Option<SimTime>>,
+    flush_listeners: RefCell<Vec<FlushListener>>,
+    flushes: Cell<u64>,
+    reboots: Cell<u64>,
+    messages_sent: Cell<u64>,
 }
 
 /// A Pogo device node. Cheap to clone; clones share state.
 #[derive(Clone)]
 pub struct DeviceNode {
-    inner: Rc<RefCell<Inner>>,
+    inner: Rc<Inner>,
 }
 
 impl std::fmt::Debug for DeviceNode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.borrow();
         f.debug_struct("DeviceNode")
-            .field("jid", &inner.cfg.jid.as_str())
-            .field("booted", &inner.booted)
-            .field("contexts", &inner.contexts.len())
-            .field("buffered", &inner.store.len())
+            .field("jid", &self.inner.cfg.jid.as_str())
+            .field("booted", &self.inner.booted.get())
+            .field("contexts", &self.inner.contexts.borrow().len())
+            .field("buffered", &self.inner.store.len())
             .finish()
     }
 }
@@ -182,35 +181,36 @@ impl DeviceNode {
         let obs = cfg.obs.scoped(cfg.jid.as_str());
         let scheduler = Scheduler::with_obs(phone.cpu(), &obs);
         let sensors = SensorManager::with_obs(phone, &scheduler, sources, &obs);
-        let logs = LogStore::new();
-        logs.wire_obs(&obs);
+        let logs = LogStore::with_obs(&obs);
         let node = DeviceNode {
-            inner: Rc::new(RefCell::new(Inner {
+            inner: Rc::new(Inner {
                 cfg,
                 phone: phone.clone(),
                 server: server.clone(),
                 scheduler,
-                session: None,
+                sensors,
+                obs,
                 store: MessageStore::new(),
                 dedup: DedupFilter::new(),
                 logs,
-                frozen: HashMap::new(),
-                installed: BTreeMap::new(),
-                mirror_specs: BTreeMap::new(),
-                contexts: BTreeMap::new(),
-                sensors,
-                tail: None,
-                booted: false,
-                powered_off: false,
-                reconnect_pending: false,
-                flushing: false,
-                deadline_armed: false,
-                dirty: false,
-                last_flush: None,
-                flush_listeners: Vec::new(),
-                stats: Stats::default(),
-                obs,
-            })),
+                frozen: RefCell::default(),
+                installed: RefCell::default(),
+                mirror_specs: RefCell::default(),
+                session: RefCell::new(None),
+                contexts: RefCell::default(),
+                tail: RefCell::new(None),
+                booted: Cell::new(false),
+                powered_off: Cell::new(false),
+                reconnect_pending: Cell::new(false),
+                flushing: Cell::new(false),
+                deadline_armed: Cell::new(false),
+                dirty: Cell::new(false),
+                last_flush: Cell::new(None),
+                flush_listeners: RefCell::default(),
+                flushes: Cell::new(0),
+                reboots: Cell::new(0),
+                messages_sent: Cell::new(0),
+            }),
         };
         node.wire_connectivity();
         node.wire_privacy();
@@ -221,7 +221,7 @@ impl DeviceNode {
     /// This node's observability handle (scoped to its JID; off unless
     /// configured via [`DeviceConfig::with_obs`]).
     pub fn obs(&self) -> Obs {
-        self.inner.borrow().obs.clone()
+        self.inner.obs.clone()
     }
 
     /// Subscribes the CPU and radio state machines into the trace: `cpu`
@@ -229,17 +229,14 @@ impl DeviceNode {
     /// `radio` RRC transitions with per-state dwell histograms and a
     /// ramp-up counter.
     fn wire_obs(&self) {
-        let (obs, phone) = {
-            let inner = self.inner.borrow();
-            (inner.obs.clone(), inner.phone.clone())
-        };
+        let obs = &self.inner.obs;
         if !obs.is_enabled() {
             return;
         }
         {
             let obs = obs.clone();
-            let awake_since: std::cell::Cell<Option<SimTime>> = std::cell::Cell::new(None);
-            phone.cpu().on_state_change(move |awake| {
+            let awake_since: Cell<Option<SimTime>> = Cell::new(None);
+            self.inner.phone.cpu().on_state_change(move |awake| {
                 let now = obs.now();
                 if awake {
                     obs.event("cpu", "wake", vec![]);
@@ -258,8 +255,8 @@ impl DeviceNode {
         }
         {
             let obs = obs.clone();
-            let last: std::cell::Cell<Option<(RadioState, SimTime)>> = std::cell::Cell::new(None);
-            phone.modem().on_state_change(move |state, at| {
+            let last: Cell<Option<(RadioState, SimTime)>> = Cell::new(None);
+            self.inner.phone.modem().on_state_change(move |state, at| {
                 if let Some((prev, since)) = last.replace(Some((state, at))) {
                     obs.metrics().observe(
                         radio_dwell_metric(prev),
@@ -276,65 +273,60 @@ impl DeviceNode {
 
     /// This device's JID.
     pub fn jid(&self) -> Jid {
-        self.inner.borrow().cfg.jid.clone()
+        self.inner.cfg.jid.clone()
     }
 
     /// The phone this node runs on.
     pub fn phone(&self) -> Phone {
-        self.inner.borrow().phone.clone()
+        self.inner.phone.clone()
     }
 
     /// The device's persistent log storage (`log`/`logTo` output; the
     /// experiment's "raw traces … collected after the experiment as
     /// ground truth" live here).
     pub fn logs(&self) -> LogStore {
-        self.inner.borrow().logs.clone()
+        self.inner.logs.clone()
     }
 
     /// The context for an experiment, if deployed.
     pub fn context(&self, exp: &str) -> Option<DeviceContext> {
-        self.inner.borrow().contexts.get(exp).cloned()
+        self.inner.contexts.borrow().get(exp).cloned()
     }
 
     /// The sensor manager.
     pub fn sensors(&self) -> SensorManager {
-        self.inner.borrow().sensors.clone()
+        self.inner.sensors.clone()
     }
 
     /// Unacknowledged buffered messages.
     pub fn buffered(&self) -> usize {
-        self.inner.borrow().store.len()
+        self.inner.store.len()
     }
 
     /// Messages purged by the age limit so far.
     pub fn purged(&self) -> u64 {
-        self.inner.borrow().store.purged_total()
+        self.inner.store.purged_total()
     }
 
     /// Data messages handed to the network so far.
     pub fn messages_sent(&self) -> u64 {
-        self.inner.borrow().stats.messages_sent
+        self.inner.messages_sent.get()
     }
 
     /// Number of buffer flushes performed.
     pub fn flushes(&self) -> u64 {
-        self.inner.borrow().stats.flushes
+        self.inner.flushes.get()
     }
 
     /// Number of reboots so far.
     pub fn reboots(&self) -> u64 {
-        self.inner.borrow().stats.reboots
-    }
-
-    /// True while the middleware is running (between boot and reboot).
-    pub fn is_booted(&self) -> bool {
-        self.inner.borrow().booted
+        self.inner.reboots.get()
     }
 
     /// Registers a listener invoked with `(instant, batch_size)` whenever
     /// the device pushes its buffer out (used by the Figure 4 timeline).
     pub fn on_flush(&self, f: impl Fn(SimTime, usize) + 'static) {
-        self.inner.borrow_mut().flush_listeners.push(Rc::new(f));
+        self.inner.flush_listeners.borrow_mut().push(Rc::new(f));
     }
 
     // ---- lifecycle ---------------------------------------------------------
@@ -343,25 +335,15 @@ impl DeviceNode {
     /// tail detector, and re-installs experiments persisted from before a
     /// reboot.
     pub fn boot(&self) {
-        {
-            let mut inner = self.inner.borrow_mut();
-            if inner.booted || inner.powered_off {
-                return;
-            }
-            inner.booted = true;
+        if self.inner.booted.get() || self.inner.powered_off.get() {
+            return;
         }
-        self.inner.borrow().obs.event("pogo", "boot", vec![]);
+        self.inner.booted.set(true);
+        self.inner.obs.event("pogo", "boot", vec![]);
         self.connect();
         self.start_tail_detector();
         // Reinstall persisted experiments (empty on first boot).
-        let installed: Vec<(String, Installed)> = {
-            let inner = self.inner.borrow();
-            inner
-                .installed
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect()
-        };
+        let installed = self.inner.installed.borrow().clone();
         for (exp, spec) in installed {
             self.instantiate_context(&exp, spec.version, &spec.scripts, &spec.collector);
         }
@@ -372,52 +354,49 @@ impl DeviceNode {
     /// running scripts (unfrozen state included), mirrored subscriptions,
     /// the session — then the node boots again after `BOOT_DELAY` (45 s).
     pub fn reboot(&self) {
-        {
-            let inner = self.inner.borrow();
-            inner.obs.event("pogo", "reboot", vec![]);
-            inner.obs.metrics().inc("pogo.reboots", 1);
-        }
-        self.inner.borrow_mut().stats.reboots += 1;
+        self.inner.obs.event("pogo", "reboot", vec![]);
+        self.inner.obs.metrics().inc("pogo.reboots", 1);
+        bump(&self.inner.reboots, 1);
         self.shutdown_volatile();
         let me = self.clone();
-        let sim = self.inner.borrow().phone.sim().clone();
         // A reboot is not CPU sleep/wake bookkeeping; schedule directly.
-        sim.schedule_in(BOOT_DELAY, move || me.boot());
+        self.inner
+            .phone
+            .sim()
+            .schedule_in(BOOT_DELAY, move || me.boot());
     }
 
     /// Hard power loss (battery death): everything volatile dies exactly
     /// as in a reboot, but nothing is scheduled to bring the device back —
     /// it stays dark until [`DeviceNode::power_on`].
     pub fn power_off(&self) {
-        if self.inner.borrow().powered_off {
+        if self.inner.powered_off.get() {
             return;
         }
-        {
-            let inner = self.inner.borrow();
-            inner.obs.event("pogo", "power-off", vec![]);
-            inner.obs.metrics().inc("pogo.power_offs", 1);
-        }
-        self.inner.borrow_mut().powered_off = true;
+        self.inner.obs.event("pogo", "power-off", vec![]);
+        self.inner.obs.metrics().inc("pogo.power_offs", 1);
+        self.inner.powered_off.set(true);
         self.shutdown_volatile();
     }
 
     /// Powers the device back on (battery replaced / charged): boots the
     /// middleware immediately; flash state is intact.
     pub fn power_on(&self) {
-        {
-            let mut inner = self.inner.borrow_mut();
-            if !inner.powered_off {
-                return;
-            }
-            inner.powered_off = false;
+        if !self.inner.powered_off.replace(false) {
+            return;
         }
-        self.inner.borrow().obs.event("pogo", "power-on", vec![]);
+        self.inner.obs.event("pogo", "power-on", vec![]);
         self.boot();
     }
 
     /// True while the device is hard powered off.
     pub fn is_powered_off(&self) -> bool {
-        self.inner.borrow().powered_off
+        self.inner.powered_off.get()
+    }
+
+    /// True while the middleware is running (between boot and reboot).
+    pub fn is_booted(&self) -> bool {
+        self.inner.booted.get()
     }
 
     /// Tears down everything that does not live on flash: contexts (with
@@ -425,17 +404,12 @@ impl DeviceNode {
     /// the sensors. Shared by [`DeviceNode::reboot`] and
     /// [`DeviceNode::power_off`].
     fn shutdown_volatile(&self) {
-        let (contexts, session, tail) = {
-            let mut inner = self.inner.borrow_mut();
-            inner.booted = false;
-            inner.flushing = false;
-            inner.deadline_armed = false;
-            (
-                std::mem::take(&mut inner.contexts),
-                inner.session.take(),
-                inner.tail.take(),
-            )
-        };
+        self.inner.booted.set(false);
+        self.inner.flushing.set(false);
+        self.inner.deadline_armed.set(false);
+        let contexts = self.inner.contexts.take();
+        let session = self.inner.session.take();
+        let tail = self.inner.tail.take();
         for (_, ctx) in contexts {
             ctx.shutdown();
         }
@@ -445,7 +419,7 @@ impl DeviceNode {
         if let Some(session) = session {
             session.disconnect();
         }
-        self.inner.borrow().sensors.shutdown();
+        self.inner.sensors.shutdown();
     }
 
     /// Restarts one experiment's scripts in place (a researcher pushed a
@@ -458,137 +432,64 @@ impl DeviceNode {
         collector: &Jid,
     ) {
         // Tear down any previous incarnation.
-        let old = self.inner.borrow_mut().contexts.remove(exp);
+        let old = self.inner.contexts.borrow_mut().remove(exp);
         if let Some(old) = old {
             old.shutdown();
-            let sensors = self.inner.borrow().sensors.clone();
-            sensors.detach_context(exp);
+            self.inner.sensors.detach_context(exp);
         }
-        let (scheduler, logs, obs) = {
-            let inner = self.inner.borrow();
-            (
-                inner.scheduler.clone(),
-                inner.logs.clone(),
-                inner.obs.clone(),
-            )
-        };
-        let me = self.clone();
-        let collector = collector.clone();
-        let exp_owned = exp.to_owned();
         let outbound: DataSink = {
+            let me = self.clone();
             let collector = collector.clone();
             Rc::new(move |data| me.enqueue_json(&collector, data.to_json()))
         };
-        let ctx = DeviceContext::with_obs(exp, version, &scheduler, &logs, outbound, &obs);
+        let inner = &self.inner;
+        let ctx = DeviceContext::with_obs(
+            exp,
+            version,
+            &inner.scheduler,
+            &inner.logs,
+            outbound,
+            &inner.obs,
+        );
         // Re-apply persisted collector-side subscriptions before any
         // script body runs, so load-time publishes are not lost.
-        let mirrors: Vec<(u64, (String, Msg, bool))> = self
-            .inner
-            .borrow()
-            .mirror_specs
-            .get(exp)
-            .map(|m| m.iter().map(|(k, v)| (*k, v.clone())).collect())
-            .unwrap_or_default();
-        for (sub_ref, (channel, params, active)) in mirrors {
-            if !self.inner.borrow().cfg.privacy.is_allowed(&channel) {
-                continue; // the owner vetoed this sensor channel (§3.3)
-            }
-            ctx.handle_control(
-                &ControlMsg::Subscribe {
-                    exp: exp.to_owned(),
-                    channel,
-                    params,
-                    sub_ref,
-                },
-                collector.as_str(),
-            );
-            if !active {
-                ctx.handle_control(
-                    &ControlMsg::SetActive {
-                        exp: exp.to_owned(),
-                        sub_ref,
-                        active: false,
-                    },
-                    collector.as_str(),
-                );
+        let mirrors = inner.mirror_specs.borrow().get(exp).cloned();
+        for (sub_ref, spec) in mirrors.unwrap_or_default() {
+            // Unless the owner vetoed this sensor channel (§3.3).
+            if inner.cfg.privacy.is_allowed(&spec.0) {
+                replay_mirror(&ctx, exp, sub_ref, spec, collector.as_str());
             }
         }
-        let me = self.clone();
         let errors = ctx.install_scripts(scripts, |script_name| {
-            me.frozen_slot(&exp_owned, script_name)
+            let key = (exp.to_owned(), script_name.to_owned());
+            inner.frozen.borrow_mut().entry(key).or_default().clone()
         });
         for (script, error) in errors {
-            self.inner
-                .borrow()
+            inner
                 .logs
                 .append("pogo-errors", format!("{exp}/{script}: {error}"));
         }
-        self.inner
-            .borrow_mut()
+        inner
             .contexts
-            .insert(exp.to_owned(), ctx.clone());
-        self.inner
-            .borrow()
-            .sensors
-            .attach_context(exp, &ctx.broker());
-    }
-
-    fn frozen_slot(&self, exp: &str, script: &str) -> FrozenSlot {
-        self.inner
             .borrow_mut()
-            .frozen
-            .entry((exp.to_owned(), script.to_owned()))
-            .or_default()
-            .clone()
+            .insert(exp.to_owned(), ctx.clone());
+        inner.sensors.attach_context(exp, &ctx.broker());
     }
 
     /// Applies live privacy toggles (§3.3: "changed at any time") to
     /// every context's mirrored subscriptions.
     fn wire_privacy(&self) {
         let me = self.clone();
-        let policy = self.inner.borrow().cfg.privacy.clone();
-        policy.on_change(move |channel, allowed| {
-            let contexts: Vec<(String, DeviceContext)> = me
-                .inner
-                .borrow()
-                .contexts
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect();
+        self.inner.cfg.privacy.on_change(move |channel, allowed| {
+            let contexts = me.inner.contexts.borrow().clone();
             for (exp, ctx) in contexts {
-                let specs: Vec<(u64, (String, Msg, bool))> = me
-                    .inner
-                    .borrow()
-                    .mirror_specs
-                    .get(&exp)
-                    .map(|m| {
-                        m.iter()
-                            .filter(|(_, (ch, _, _))| ch == channel)
-                            .map(|(k, v)| (*k, v.clone()))
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                for (sub_ref, (ch, params, active)) in specs {
+                let specs = me.inner.mirror_specs.borrow().get(&exp).cloned();
+                for (sub_ref, spec) in specs.unwrap_or_default() {
+                    if spec.0 != channel {
+                        continue;
+                    }
                     if allowed {
-                        ctx.handle_control(
-                            &ControlMsg::Subscribe {
-                                exp: exp.clone(),
-                                channel: ch,
-                                params,
-                                sub_ref,
-                            },
-                            "privacy-restore",
-                        );
-                        if !active {
-                            ctx.handle_control(
-                                &ControlMsg::SetActive {
-                                    exp: exp.clone(),
-                                    sub_ref,
-                                    active: false,
-                                },
-                                "privacy-restore",
-                            );
-                        }
+                        replay_mirror(&ctx, &exp, sub_ref, spec, "privacy-restore");
                     } else {
                         ctx.handle_control(
                             &ControlMsg::Unsubscribe {
@@ -607,18 +508,16 @@ impl DeviceNode {
 
     fn wire_connectivity(&self) {
         let me = self.clone();
-        let connectivity = self.inner.borrow().phone.connectivity().clone();
-        connectivity.on_change(move |bearer| {
+        self.inner.phone.connectivity().on_change(move |bearer| {
             // §4.6: detect the interface change, drop the stale session,
             // reconnect on the new interface.
-            let session = me.inner.borrow_mut().session.take();
+            let session = me.inner.session.take();
             if let Some(session) = session {
                 session.disconnect();
             }
-            if bearer.is_some() && me.inner.borrow().booted {
-                let sim = me.inner.borrow().phone.sim().clone();
+            if bearer.is_some() && me.inner.booted.get() {
                 let me2 = me.clone();
-                sim.schedule_in(RECONNECT_DELAY, move || {
+                me.inner.phone.sim().schedule_in(RECONNECT_DELAY, move || {
                     me2.connect();
                     me2.maybe_flush();
                 });
@@ -626,26 +525,23 @@ impl DeviceNode {
         });
     }
 
+    /// True while a live session to the switchboard exists.
+    fn is_connected(&self) -> bool {
+        let session = self.inner.session.borrow();
+        session.as_ref().is_some_and(Session::is_connected)
+    }
+
     fn connect(&self) {
-        let (server, jid, latency, online, already) = {
-            let inner = self.inner.borrow();
-            let latency = match inner.phone.connectivity().active() {
-                Some(Bearer::Cellular) => CELLULAR_LATENCY,
-                Some(Bearer::Wifi) => WIFI_LATENCY,
-                None => return,
-            };
-            (
-                inner.server.clone(),
-                inner.cfg.jid.clone(),
-                latency,
-                inner.phone.connectivity().is_online(),
-                inner.session.as_ref().is_some_and(Session::is_connected),
-            )
+        let connectivity = self.inner.phone.connectivity();
+        let latency = match connectivity.active() {
+            Some(Bearer::Cellular) => CELLULAR_LATENCY,
+            Some(Bearer::Wifi) => WIFI_LATENCY,
+            None => return,
         };
-        if !online || already {
+        if !connectivity.is_online() || self.is_connected() {
             return;
         }
-        let Ok(session) = server.connect(&jid, latency) else {
+        let Ok(session) = self.inner.server.connect(&self.inner.cfg.jid, latency) else {
             // Server down (or account gone): retry until it comes back.
             self.schedule_reconnect();
             return;
@@ -656,7 +552,7 @@ impl DeviceNode {
         // phone notices the dead TCP session and dials back in.
         let me = self.clone();
         session.on_disconnect(move || me.schedule_reconnect());
-        self.inner.borrow_mut().session = Some(session);
+        *self.inner.session.borrow_mut() = Some(session);
     }
 
     /// Schedules one reconnect attempt after the configured delay, unless
@@ -664,39 +560,25 @@ impl DeviceNode {
     /// time (reboot and bearer changes have their own reconnect paths) and
     /// keeps retrying while the switchboard refuses us.
     fn schedule_reconnect(&self) {
-        {
-            let mut inner = self.inner.borrow_mut();
-            if inner.reconnect_pending || !inner.booted {
-                return;
-            }
-            inner.reconnect_pending = true;
+        if self.inner.reconnect_pending.get() || !self.inner.booted.get() {
+            return;
         }
-        let sim = self.inner.borrow().phone.sim().clone();
+        self.inner.reconnect_pending.set(true);
         let me = self.clone();
-        sim.schedule_in(RECONNECT_DELAY, move || {
-            me.inner.borrow_mut().reconnect_pending = false;
-            let (booted, online, already) = {
-                let inner = me.inner.borrow();
-                (
-                    inner.booted,
-                    inner.phone.connectivity().is_online(),
-                    inner.session.as_ref().is_some_and(Session::is_connected),
-                )
-            };
-            if !booted || !online || already {
-                return;
-            }
-            me.connect();
-            if me
-                .inner
-                .borrow()
-                .session
-                .as_ref()
-                .is_some_and(Session::is_connected)
-            {
-                me.maybe_flush();
-            }
-        });
+        self.inner
+            .phone
+            .sim()
+            .schedule_in(RECONNECT_DELAY, move || {
+                me.inner.reconnect_pending.set(false);
+                let online = me.inner.phone.connectivity().is_online();
+                if !me.inner.booted.get() || !online || me.is_connected() {
+                    return;
+                }
+                me.connect();
+                if me.is_connected() {
+                    me.maybe_flush();
+                }
+            });
     }
 
     // ---- inbound -----------------------------------------------------------
@@ -704,32 +586,25 @@ impl DeviceNode {
     fn on_envelope(&self, envelope: Envelope) {
         match &envelope.payload {
             Payload::Ack(seqs) => {
-                self.inner.borrow().store.ack(seqs);
+                self.inner.store.ack(seqs);
             }
             Payload::Data(json) => {
                 let fresh = self
                     .inner
-                    .borrow()
                     .dedup
                     .first_sighting(&envelope.from, envelope.seq);
                 // Always ack — the previous ack may have been lost.
                 self.send_ack(&envelope.from, envelope.seq);
+                let metrics = self.inner.obs.metrics();
                 if !fresh {
-                    self.inner.borrow().obs.metrics().inc("net.dedup_drops", 1);
+                    metrics.inc("net.dedup_drops", 1);
                     return;
                 }
-                {
-                    let mut inner = self.inner.borrow_mut();
-                    inner.stats.messages_received += 1;
-                    inner.obs.metrics().inc("net.messages_received", 1);
-                    inner
-                        .obs
-                        .metrics()
-                        .inc("net.bytes_down", envelope.wire_size());
-                }
+                metrics.inc("net.messages_received", 1);
+                metrics.inc("net.bytes_down", envelope.wire_size());
                 match ControlMsg::from_json(json) {
                     Ok(ctl) => self.handle_control(ctl, &envelope.from),
-                    Err(e) => self.inner.borrow().logs.append(
+                    Err(e) => self.inner.logs.append(
                         "pogo-errors",
                         format!("malformed message from {}: {e}", envelope.from),
                     ),
@@ -741,19 +616,13 @@ impl DeviceNode {
     /// Acks ride immediately: the modem is already in DCH from receiving
     /// the data, so this costs almost nothing extra.
     fn send_ack(&self, to: &Jid, seq: u64) {
-        let (session, phone) = {
-            let inner = self.inner.borrow();
-            (inner.session.clone(), inner.phone.clone())
+        let Some(session) = self.inner.session.borrow().clone() else {
+            return;
         };
-        let Some(session) = session else { return };
         if !session.is_connected() {
             return;
         }
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.stats.acks_sent += 1;
-            inner.obs.metrics().inc("net.acks_sent", 1);
-        }
+        self.inner.obs.metrics().inc("net.acks_sent", 1);
         let to = to.clone();
         let ack = Envelope {
             from: session.jid(),
@@ -764,13 +633,19 @@ impl DeviceNode {
         };
         let bytes = ack.wire_size();
         let me = self.clone();
-        let _ = phone.transmit(bytes, 0, move || {
+        let _ = self.inner.phone.transmit(bytes, 0, move || {
             let _ = session.send(&to, 0, Payload::Ack(vec![seq]));
-            let tail = me.inner.borrow().tail.clone();
-            if let Some(tail) = tail {
-                tail.resync();
-            }
+            me.resync_tail();
         });
+    }
+
+    /// Our own bytes just moved the interface counters; tell the detector
+    /// so it does not fire on them next wake-up.
+    fn resync_tail(&self) {
+        let tail = self.inner.tail.borrow().clone();
+        if let Some(tail) = tail {
+            tail.resync();
+        }
     }
 
     fn handle_control(&self, ctl: ControlMsg, from: &Jid) {
@@ -780,34 +655,29 @@ impl DeviceNode {
                 version,
                 scripts,
             } => {
-                let current = self
-                    .inner
-                    .borrow()
-                    .installed
-                    .get(exp)
-                    .map(|i| i.version)
-                    .unwrap_or(0);
-                if *version < current {
-                    return; // stale redelivery
+                {
+                    let mut installed = self.inner.installed.borrow_mut();
+                    if installed.get(exp).is_some_and(|i| *version < i.version) {
+                        return; // stale redelivery
+                    }
+                    installed.insert(
+                        exp.clone(),
+                        Installed {
+                            version: *version,
+                            scripts: scripts.clone(),
+                            collector: from.clone(),
+                        },
+                    );
                 }
-                self.inner.borrow_mut().installed.insert(
-                    exp.clone(),
-                    Installed {
-                        version: *version,
-                        scripts: scripts.clone(),
-                        collector: from.clone(),
-                    },
-                );
                 self.instantiate_context(exp, *version, scripts, from);
             }
             ControlMsg::Undeploy { exp } => {
-                self.inner.borrow_mut().installed.remove(exp);
-                let ctx = self.inner.borrow_mut().contexts.remove(exp);
+                self.inner.installed.borrow_mut().remove(exp);
+                let ctx = self.inner.contexts.borrow_mut().remove(exp);
                 if let Some(ctx) = ctx {
                     ctx.shutdown();
                 }
-                let sensors = self.inner.borrow().sensors.clone();
-                sensors.detach_context(exp);
+                self.inner.sensors.detach_context(exp);
                 // Frozen state and logs for the experiment are kept: the
                 // user may re-join later; a real device would garbage-
                 // collect eventually.
@@ -819,18 +689,18 @@ impl DeviceNode {
                 sub_ref,
             } => {
                 self.inner
-                    .borrow_mut()
                     .mirror_specs
+                    .borrow_mut()
                     .entry(exp.clone())
                     .or_default()
                     .insert(*sub_ref, (channel.clone(), params.clone(), true));
-                self.route_to_context(&ctl, from);
+                self.route_to_context(&ctl, exp, from);
             }
             ControlMsg::Unsubscribe { exp, sub_ref } => {
-                if let Some(specs) = self.inner.borrow_mut().mirror_specs.get_mut(exp) {
+                if let Some(specs) = self.inner.mirror_specs.borrow_mut().get_mut(exp) {
                     specs.remove(sub_ref);
                 }
-                self.route_to_context(&ctl, from);
+                self.route_to_context(&ctl, exp, from);
             }
             ControlMsg::SetActive {
                 exp,
@@ -839,61 +709,43 @@ impl DeviceNode {
             } => {
                 if let Some(spec) = self
                     .inner
-                    .borrow_mut()
                     .mirror_specs
+                    .borrow_mut()
                     .get_mut(exp)
                     .and_then(|m| m.get_mut(sub_ref))
                 {
                     spec.2 = *active;
                 }
-                self.route_to_context(&ctl, from);
+                self.route_to_context(&ctl, exp, from);
             }
-            ControlMsg::Data { exp, .. } => {
-                let _ = exp;
-                self.route_to_context(&ctl, from);
-            }
+            ControlMsg::Data { exp, .. } => self.route_to_context(&ctl, exp, from),
         }
     }
 
-    fn route_to_context(&self, ctl: &ControlMsg, from: &Jid) {
-        let exp = match ctl {
-            ControlMsg::Subscribe { exp, .. }
-            | ControlMsg::Unsubscribe { exp, .. }
-            | ControlMsg::SetActive { exp, .. }
-            | ControlMsg::Data { exp, .. } => exp.clone(),
-            _ => return,
-        };
+    /// Hands a per-experiment control message to `exp`'s context.
+    fn route_to_context(&self, ctl: &ControlMsg, exp: &str, from: &Jid) {
         // The owner's privacy policy gates sensor-channel mirrors: the
         // spec is remembered (the setting may be re-enabled later), but
         // no mirror is created, so the sensor never turns on.
-        if let ControlMsg::Subscribe { channel, .. } = ctl {
-            if !self.inner.borrow().cfg.privacy.is_allowed(channel) {
-                self.inner.borrow().cfg.privacy.record_denied();
-                // Still ensure the context shell exists for the Deploy.
-                if !self.inner.borrow().contexts.contains_key(&exp) {
-                    self.instantiate_context(&exp, 0, &[], from);
-                }
-                return;
-            }
+        let denied = match ctl {
+            ControlMsg::Subscribe { channel, .. } => !self.inner.cfg.privacy.is_allowed(channel),
+            _ => false,
+        };
+        if denied {
+            self.inner.cfg.privacy.record_denied();
         }
         // Subscriptions may arrive before the Deploy (reordering across
         // the reliable layer): create the context shell so nothing is
-        // lost.
-        if !self.inner.borrow().contexts.contains_key(&exp) {
-            self.instantiate_context(&exp, 0, &[], from);
-            // instantiate_context already applied persisted mirrors,
-            // including this one if it was a Subscribe.
-            if matches!(ctl, ControlMsg::Subscribe { .. }) {
-                return;
-            }
+        // lost. That already applies the persisted mirrors, including
+        // this one if it was a Subscribe.
+        let existed = self.inner.contexts.borrow().contains_key(exp);
+        if !existed {
+            self.instantiate_context(exp, 0, &[], from);
         }
-        let ctx = self
-            .inner
-            .borrow()
-            .contexts
-            .get(&exp)
-            .cloned()
-            .expect("just created");
+        if denied || (!existed && matches!(ctl, ControlMsg::Subscribe { .. })) {
+            return;
+        }
+        let ctx = self.context(exp).expect("exists or just created");
         ctx.handle_control(ctl, from.as_str());
     }
 
@@ -907,46 +759,38 @@ impl DeviceNode {
 
     /// Queues an encoded protocol message: the buffer holds wire bytes.
     fn enqueue_json(&self, to: &Jid, json: String) {
-        let now = self.now();
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.store.enqueue(to, json, now);
-            inner.dirty = true;
-            inner.obs.metrics().inc("net.enqueued", 1);
-            inner
-                .obs
-                .metrics()
-                .gauge("net.store_depth", inner.store.len() as f64);
-        }
+        let inner = &self.inner;
+        inner.store.enqueue(to, json, self.now());
+        inner.dirty.set(true);
+        inner.obs.metrics().inc("net.enqueued", 1);
+        inner
+            .obs
+            .metrics()
+            .gauge("net.store_depth", inner.store.len() as f64);
         self.arm_deadline();
         self.maybe_flush();
     }
 
     fn now(&self) -> SimTime {
-        self.inner.borrow().phone.sim().now()
+        self.inner.phone.sim().now()
     }
 
     /// Arms the max-delay deadline alarm for the TailSync policy.
     fn arm_deadline(&self) {
-        let (need, delay) = {
-            let inner = self.inner.borrow();
-            match inner.cfg.flush_policy {
-                FlushPolicy::TailSync { max_delay } if !inner.deadline_armed => (true, max_delay),
-                FlushPolicy::Interval(period) if !inner.deadline_armed => (true, period),
-                _ => (false, SimDuration::ZERO),
-            }
+        let delay = match self.inner.cfg.flush_policy {
+            FlushPolicy::TailSync { max_delay } => max_delay,
+            FlushPolicy::Interval(period) => period,
+            _ => return,
         };
-        if !need {
+        if self.inner.deadline_armed.replace(true) {
             return;
         }
-        self.inner.borrow_mut().deadline_armed = true;
         let me = self.clone();
-        let scheduler = self.inner.borrow().scheduler.clone();
-        scheduler.run_later(delay, move || {
-            me.inner.borrow_mut().deadline_armed = false;
+        self.inner.scheduler.run_later(delay, move || {
+            me.inner.deadline_armed.set(false);
             me.maybe_flush();
             // Re-arm if data is still waiting (e.g. offline).
-            if !me.inner.borrow().store.is_empty() {
+            if !me.inner.store.is_empty() {
                 me.arm_deadline();
             }
         });
@@ -954,15 +798,14 @@ impl DeviceNode {
 
     /// §4.7 entry point: the tail detector saw foreign traffic.
     fn start_tail_detector(&self) {
-        let phone = self.inner.borrow().phone.clone();
         let me = self.clone();
-        let obs = self.inner.borrow().obs.clone();
-        let detector = TailDetector::new(&phone, TAIL_POLL, move |_delta| {
+        let obs = self.inner.obs.clone();
+        let detector = TailDetector::new(&self.inner.phone, TAIL_POLL, move |_delta| {
             obs.metrics().inc("tail.detections", 1);
             me.maybe_flush_on_tail();
         });
         detector.start();
-        self.inner.borrow_mut().tail = Some(detector);
+        *self.inner.tail.borrow_mut() = Some(detector);
     }
 
     /// Evaluates the flush policy and pushes the buffer out if it says
@@ -983,52 +826,47 @@ impl DeviceNode {
     }
 
     fn maybe_flush_inner(&self, traffic_detected: bool) {
+        let inner = &self.inner;
         let now = self.now();
-        let reason: Option<&'static str> = {
-            let inner = self.inner.borrow();
-            if !inner.booted || inner.flushing {
-                None
-            } else if !inner.dirty
-                && inner.last_flush.is_some_and(|t| {
-                    now.saturating_duration_since(t) < inner.cfg.retransmit_timeout
-                })
-            {
-                // Everything pending was already sent recently; wait for
-                // acks (or the retransmit timeout) instead of re-sending
-                // on every tail we detect — including our own.
-                None
+        if !inner.booted.get() || inner.flushing.get() {
+            return;
+        }
+        // Everything pending was already sent recently; wait for acks (or
+        // the retransmit timeout) instead of re-sending on every tail we
+        // detect — including our own.
+        if !inner.dirty.get()
+            && inner
+                .last_flush
+                .get()
+                .is_some_and(|t| now.saturating_duration_since(t) < inner.cfg.retransmit_timeout)
+        {
+            return;
+        }
+        // The fateful expiry purge (§5.3).
+        inner.store.purge_older_than(now, inner.cfg.max_msg_age);
+        let connectivity = inner.phone.connectivity();
+        let tail_open = traffic_detected
+            && inner.phone.modem().is_tail_open()
+            && connectivity.active() == Some(Bearer::Cellular);
+        let on_wifi = connectivity.active() == Some(Bearer::Wifi);
+        let charging = inner.phone.battery().is_charging();
+        let should = connectivity.is_online()
+            && inner.cfg.flush_policy.should_flush(
+                tail_open,
+                inner.store.oldest_age(now),
+                charging,
+                on_wifi,
+            );
+        if should {
+            self.flush(if tail_open {
+                "tail"
+            } else if charging {
+                "charger"
+            } else if on_wifi {
+                "wifi"
             } else {
-                // The fateful expiry purge (§5.3).
-                inner.store.purge_older_than(now, inner.cfg.max_msg_age);
-                let tail_open = traffic_detected
-                    && inner.phone.modem().is_tail_open()
-                    && inner.phone.connectivity().active() == Some(Bearer::Cellular);
-                let on_wifi = inner.phone.connectivity().active() == Some(Bearer::Wifi);
-                let charging = inner.phone.battery().is_charging();
-                let should = inner.phone.connectivity().is_online()
-                    && inner.cfg.flush_policy.should_flush(
-                        tail_open,
-                        inner.store.oldest_age(now),
-                        charging,
-                        on_wifi,
-                    );
-                if should {
-                    Some(if tail_open {
-                        "tail"
-                    } else if charging {
-                        "charger"
-                    } else if on_wifi {
-                        "wifi"
-                    } else {
-                        "deadline"
-                    })
-                } else {
-                    None
-                }
-            }
-        };
-        if let Some(reason) = reason {
-            self.flush(reason);
+                "deadline"
+            });
         }
     }
 
@@ -1037,92 +875,98 @@ impl DeviceNode {
     /// for the trace.
     fn flush(&self, reason: &'static str) {
         self.connect(); // ensure a session exists
-        let (phone, session, pending) = {
-            let mut inner = self.inner.borrow_mut();
-            let Some(session) = inner.session.clone() else {
-                return;
-            };
-            if !session.is_connected() {
-                return;
-            }
-            let pending = inner.store.pending();
-            if pending.is_empty() {
-                return;
-            }
-            inner.flushing = true;
-            inner.dirty = false;
-            inner.last_flush = Some(inner.phone.sim().now());
-            inner.stats.flushes += 1;
-            inner.stats.messages_sent += pending.len() as u64;
-            (inner.phone.clone(), session, pending)
+        let inner = &self.inner;
+        let Some(session) = inner.session.borrow().clone() else {
+            return;
         };
-        {
-            let inner = self.inner.borrow();
-            if inner.obs.is_enabled() {
-                let bytes: u64 = pending
-                    .iter()
-                    .map(|m| m.data.len() as u64 + pogo_net::wire::ENVELOPE_OVERHEAD_BYTES)
-                    .sum();
-                inner.obs.event(
-                    "pogo",
-                    "flush",
-                    vec![
-                        field("batch", pending.len() as u64),
-                        field("bytes", bytes),
-                        field("reason", reason),
-                    ],
-                );
-                let metrics = inner.obs.metrics();
-                metrics.inc("net.flushes", 1);
-                metrics.inc("net.messages_sent", pending.len() as u64);
-                metrics.inc("net.bytes_up", bytes);
-                if matches!(inner.cfg.flush_policy, FlushPolicy::TailSync { .. }) {
-                    if reason == "tail" {
-                        metrics.inc("tail.sync.hits", 1);
-                    } else {
-                        metrics.inc("tail.sync.misses", 1);
-                    }
+        if !session.is_connected() {
+            return;
+        }
+        let pending = inner.store.pending();
+        if pending.is_empty() {
+            return;
+        }
+        let now = self.now();
+        inner.flushing.set(true);
+        inner.dirty.set(false);
+        inner.last_flush.set(Some(now));
+        bump(&inner.flushes, 1);
+        bump(&inner.messages_sent, pending.len() as u64);
+        // One radio burst carries the whole batch.
+        let bytes: u64 = pending.iter().map(StoredMessage::wire_size).sum();
+        if inner.obs.is_enabled() {
+            inner.obs.event(
+                "pogo",
+                "flush",
+                vec![
+                    field("batch", pending.len() as u64),
+                    field("bytes", bytes),
+                    field("reason", reason),
+                ],
+            );
+            let metrics = inner.obs.metrics();
+            metrics.inc("net.flushes", 1);
+            metrics.inc("net.messages_sent", pending.len() as u64);
+            metrics.inc("net.bytes_up", bytes);
+            if matches!(inner.cfg.flush_policy, FlushPolicy::TailSync { .. }) {
+                if reason == "tail" {
+                    metrics.inc("tail.sync.hits", 1);
+                } else {
+                    metrics.inc("tail.sync.misses", 1);
                 }
             }
         }
-        {
-            let (listeners, now) = {
-                let inner = self.inner.borrow();
-                (inner.flush_listeners.clone(), inner.phone.sim().now())
-            };
-            for l in listeners {
-                l(now, pending.len());
-            }
+        let listeners = inner.flush_listeners.borrow().clone();
+        for l in listeners {
+            l(now, pending.len());
         }
-        // One radio burst carries the whole batch; envelopes enter the
-        // network when the last byte leaves the air interface.
-        let bytes: u64 = pending
-            .iter()
-            .map(|m| m.data.len() as u64 + pogo_net::wire::ENVELOPE_OVERHEAD_BYTES)
-            .sum();
+        // Envelopes enter the network when the last byte leaves the air
+        // interface.
         let me = self.clone();
-        let result = phone.transmit(bytes, 64, move || {
+        let result = inner.phone.transmit(bytes, 64, move || {
             for msg in pending {
                 let _ = session.send(&msg.to, msg.seq, Payload::Data(msg.data));
             }
-            let tail = {
-                let mut inner = me.inner.borrow_mut();
-                inner.flushing = false;
-                inner.tail.clone()
-            };
-            // Our own bytes just moved the interface counters; tell the
-            // detector so it does not fire on them next wake-up.
-            if let Some(tail) = tail {
-                tail.resync();
-            }
+            me.inner.flushing.set(false);
+            me.resync_tail();
             // Messages stay in the store until acked end-to-end. Anything
             // enqueued while this flush was in flight gets its own policy
             // evaluation now.
             me.maybe_flush();
         });
         if result.is_err() {
-            self.inner.borrow_mut().flushing = false;
+            inner.flushing.set(false);
         }
+    }
+}
+
+/// Replays one persisted mirror into `ctx`: the `Subscribe`, then a
+/// `SetActive false` if the collector had paused it.
+fn replay_mirror(
+    ctx: &DeviceContext,
+    exp: &str,
+    sub_ref: u64,
+    (channel, params, active): MirrorSpec,
+    from: &str,
+) {
+    ctx.handle_control(
+        &ControlMsg::Subscribe {
+            exp: exp.to_owned(),
+            channel,
+            params,
+            sub_ref,
+        },
+        from,
+    );
+    if !active {
+        ctx.handle_control(
+            &ControlMsg::SetActive {
+                exp: exp.to_owned(),
+                sub_ref,
+                active: false,
+            },
+            from,
+        );
     }
 }
 
@@ -1429,10 +1273,7 @@ mod tests {
         use crate::broker::SubscriptionId;
         let (sim, server, _phone, node, col) = setup(FlushPolicy::Immediate);
         // The owner vetoes battery sharing before anything is deployed.
-        let policy = {
-            let inner = node.inner.borrow();
-            inner.cfg.privacy.clone()
-        };
+        let policy = node.inner.cfg.privacy.clone();
         policy.set_allowed("battery", false);
         node.boot();
         let cs = server.connect(&col, SimDuration::from_millis(10)).unwrap();
@@ -1477,7 +1318,7 @@ mod tests {
     fn privacy_veto_survives_reboot() {
         use crate::broker::SubscriptionId;
         let (sim, server, _phone, node, col) = setup(FlushPolicy::Immediate);
-        let policy = node.inner.borrow().cfg.privacy.clone();
+        let policy = node.inner.cfg.privacy.clone();
         policy.set_allowed("wifi-scan", false);
         node.boot();
         let cs = server.connect(&col, SimDuration::from_millis(10)).unwrap();

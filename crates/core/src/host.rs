@@ -7,36 +7,20 @@
 //! into a persistent slot that survives script restarts and reboots
 //! (§5.3's fix for interrupted clusters).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use pogo_script::{ErrorKind, Interpreter, ObjMap, ScriptError, Value};
+use pogo_obs::Obs;
+use pogo_script::{
+    ErrorKind, Interpreter, ObjMap, ScriptError, Value, LOAD_BUDGET, WATCHDOG_BUDGET,
+};
 use pogo_sim::SimDuration;
 
 use crate::broker::{Broker, SubscriptionId};
+use crate::bump;
 use crate::scheduler::Scheduler;
 use crate::value::Msg;
-
-/// Instruction budget per framework→script call: the deterministic
-/// equivalent of §4.5's 100 ms watchdog. Calibrated at ~100 M interpreter
-/// steps/second (Rhino with its class-file compiler, as Pogo used), so
-/// 100 ms ≈ 10,000,000 steps. The paper's own clustering.js closes
-/// multi-hour clusters (a thousand-odd members) inside one callback,
-/// which costs a few million steps — comfortably inside the budget, as
-/// it evidently was on the real deployment.
-///
-/// A step is one VM instruction, so what a step buys follows the
-/// lowering: since the fused local-member read and the one-op counter
-/// update (DESIGN §12, "Borrow, don't clone") the paper's scripts take
-/// about a quarter fewer steps for the same source, and the budget
-/// admits that much more work. It is an order-of-magnitude calibration
-/// and stays at its round number.
-pub const WATCHDOG_BUDGET: u64 = 10_000_000;
-
-/// Budget for the script body at load time (initialization may be
-/// heavier; still bounded).
-const LOAD_BUDGET: u64 = WATCHDOG_BUDGET * 10;
 
 /// Persistent per-script `freeze`/`thaw` slot. Lives *outside* the script
 /// host so it survives restarts and reboots, like the flash storage it
@@ -68,13 +52,13 @@ impl FrozenSlot {
 /// permanent storage"). Shared per device; survives restarts.
 #[derive(Debug, Clone, Default)]
 pub struct LogStore {
-    inner: Rc<RefCell<LogsInner>>,
+    inner: Rc<LogsInner>,
 }
 
 #[derive(Debug, Default)]
 struct LogsInner {
-    logs: HashMap<String, Vec<String>>,
-    obs: pogo_obs::Obs,
+    logs: RefCell<HashMap<String, Vec<String>>>,
+    obs: Obs,
 }
 
 impl LogStore {
@@ -83,57 +67,67 @@ impl LogStore {
         LogStore::default()
     }
 
-    /// Mirrors every appended line into `obs` as a `log`-category event
-    /// (event name = log name, `line` field = the text). Script logs and
-    /// middleware streams like the collector's `pogo-lint` warnings then
-    /// show up in one trace. Shared by every clone of this store.
-    pub fn wire_obs(&self, obs: &pogo_obs::Obs) {
-        self.inner.borrow_mut().obs = obs.clone();
+    /// An empty store that mirrors every appended line into `obs` as a
+    /// `log`-category event (event name = log name, `line` field = the
+    /// text). Script logs and middleware streams like the collector's
+    /// `pogo-lint` warnings then show up in one trace.
+    pub fn with_obs(obs: &Obs) -> Self {
+        LogStore {
+            inner: Rc::new(LogsInner {
+                logs: RefCell::default(),
+                obs: obs.clone(),
+            }),
+        }
     }
 
     /// Appends a line to the named log.
     pub fn append(&self, log: &str, line: String) {
-        let mut inner = self.inner.borrow_mut();
-        if inner.obs.is_enabled() {
-            inner.obs.event(
+        let obs = &self.inner.obs;
+        if obs.is_enabled() {
+            obs.event(
                 "log",
                 log.to_owned(),
                 vec![pogo_obs::field("line", line.clone())],
             );
-            inner.obs.metrics().inc("log.lines", 1);
+            obs.metrics().inc("log.lines", 1);
         }
-        inner.logs.entry(log.to_owned()).or_default().push(line);
+        let mut logs = self.inner.logs.borrow_mut();
+        logs.entry(log.to_owned()).or_default().push(line);
     }
 
     /// Lines of one log.
     pub fn lines(&self, log: &str) -> Vec<String> {
-        self.inner
-            .borrow()
-            .logs
-            .get(log)
-            .cloned()
-            .unwrap_or_default()
+        let logs = self.inner.logs.borrow();
+        logs.get(log).cloned().unwrap_or_default()
+    }
+
+    /// Number of lines in one log.
+    pub fn line_count(&self, log: &str) -> usize {
+        self.inner.logs.borrow().get(log).map_or(0, Vec::len)
     }
 }
 
-struct HostState {
+/// Wiring (name through `obs`) is set once in [`ScriptHost::with_obs`];
+/// the cells hold what the running script changes.
+struct HostInner {
     name: String,
     broker: Broker,
     scheduler: Scheduler,
     frozen: FrozenSlot,
     logs: LogStore,
-    description: Option<String>,
-    autostart: bool,
-    prints: Vec<String>,
-    subscriptions: Vec<SubscriptionId>,
-    errors: Vec<String>,
-    watchdog_trips: u64,
-    callbacks_run: u64,
-    steps_used: u64,
-    publishes: u64,
-    published_bytes: u64,
-    stopped: bool,
-    obs: pogo_obs::Obs,
+    obs: Obs,
+    interp: RefCell<Interpreter>,
+    description: RefCell<Option<String>>,
+    autostart: Cell<bool>,
+    prints: RefCell<Vec<String>>,
+    subscriptions: RefCell<Vec<SubscriptionId>>,
+    errors: RefCell<Vec<String>>,
+    watchdog_trips: Cell<u64>,
+    callbacks_run: Cell<u64>,
+    steps_used: Cell<u64>,
+    publishes: Cell<u64>,
+    published_bytes: Cell<u64>,
+    stopped: Cell<bool>,
 }
 
 /// One running script: interpreter + API bindings.
@@ -141,19 +135,18 @@ struct HostState {
 /// Cheap to clone; clones share the same script instance.
 #[derive(Clone)]
 pub struct ScriptHost {
-    state: Rc<RefCell<HostState>>,
-    interp: Rc<RefCell<Interpreter>>,
+    inner: Rc<HostInner>,
 }
 
 impl std::fmt::Debug for ScriptHost {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = self.state.borrow();
+        let inner = &self.inner;
         f.debug_struct("ScriptHost")
-            .field("name", &state.name)
-            .field("subscriptions", &state.subscriptions.len())
-            .field("callbacks_run", &state.callbacks_run)
-            .field("watchdog_trips", &state.watchdog_trips)
-            .field("stopped", &state.stopped)
+            .field("name", &inner.name)
+            .field("subscriptions", &inner.subscriptions.borrow().len())
+            .field("callbacks_run", &inner.callbacks_run.get())
+            .field("watchdog_trips", &inner.watchdog_trips.get())
+            .field("stopped", &inner.stopped.get())
             .finish()
     }
 }
@@ -170,41 +163,50 @@ impl ScriptHost {
         frozen: FrozenSlot,
         logs: LogStore,
     ) -> Self {
-        let state = Rc::new(RefCell::new(HostState {
-            name: name.to_owned(),
-            broker: broker.clone(),
-            scheduler: scheduler.clone(),
-            frozen,
-            logs,
-            description: None,
-            autostart: true,
-            prints: Vec::new(),
-            subscriptions: Vec::new(),
-            errors: Vec::new(),
-            watchdog_trips: 0,
-            callbacks_run: 0,
-            steps_used: 0,
-            publishes: 0,
-            published_bytes: 0,
-            stopped: false,
-            obs: pogo_obs::Obs::off(),
-        }));
-        let interp = Rc::new(RefCell::new(Interpreter::new()));
-        let host = ScriptHost { state, interp };
+        Self::with_obs(name, broker, scheduler, frozen, logs, &Obs::off())
+    }
+
+    /// Like [`ScriptHost::new`], additionally feeding this host's
+    /// watchdog trips, callback counts, and step consumption into `obs`
+    /// (`script.*` metrics plus a `script`/`watchdog-trip` event per
+    /// kill).
+    pub fn with_obs(
+        name: &str,
+        broker: &Broker,
+        scheduler: &Scheduler,
+        frozen: FrozenSlot,
+        logs: LogStore,
+        obs: &Obs,
+    ) -> Self {
+        let host = ScriptHost {
+            inner: Rc::new(HostInner {
+                name: name.to_owned(),
+                broker: broker.clone(),
+                scheduler: scheduler.clone(),
+                frozen,
+                logs,
+                obs: obs.clone(),
+                interp: RefCell::new(Interpreter::new()),
+                description: RefCell::new(None),
+                autostart: Cell::new(true),
+                prints: RefCell::default(),
+                subscriptions: RefCell::default(),
+                errors: RefCell::default(),
+                watchdog_trips: Cell::new(0),
+                callbacks_run: Cell::new(0),
+                steps_used: Cell::new(0),
+                publishes: Cell::new(0),
+                published_bytes: Cell::new(0),
+                stopped: Cell::new(false),
+            }),
+        };
         host.install_api();
         host
     }
 
     /// Script name (e.g. `clustering.js`).
     pub fn name(&self) -> String {
-        self.state.borrow().name.clone()
-    }
-
-    /// Feeds this host's watchdog trips, callback counts, and step
-    /// consumption into `obs` (`script.*` metrics plus a
-    /// `script`/`watchdog-trip` event per kill).
-    pub fn set_obs(&self, obs: &pogo_obs::Obs) {
-        self.state.borrow_mut().obs = obs.clone();
+        self.inner.name.clone()
     }
 
     /// Registers an extra native function (e.g. the collector's
@@ -215,7 +217,7 @@ impl ScriptHost {
         name: &str,
         f: impl Fn(&mut Interpreter, &[Value]) -> Result<Value, ScriptError> + 'static,
     ) {
-        self.interp.borrow_mut().register_native(name, f);
+        self.inner.interp.borrow_mut().register_native(name, f);
     }
 
     /// Parses and runs the script body.
@@ -225,8 +227,9 @@ impl ScriptHost {
     /// Returns the script's parse or runtime error; the host is then in
     /// the stopped state.
     pub fn load(&self, source: &str) -> Result<(), ScriptError> {
+        let inner = &self.inner;
         let result = {
-            let mut interp = self.interp.borrow_mut();
+            let mut interp = inner.interp.borrow_mut();
             interp.set_budget(Some(LOAD_BUDGET));
             // Compile once per distinct source (the cache is shared by
             // every simulated phone on this thread, so a fleet-wide
@@ -236,24 +239,20 @@ impl ScriptHost {
             let compiled = pogo_script::compile_cached(source);
             let compile_us = t0.elapsed().as_micros() as f64;
             let r = compiled.and_then(|prog| {
-                {
-                    let state = self.state.borrow();
-                    let m = state.obs.metrics();
-                    m.inc("script.compiles", 1);
-                    m.inc("script.compile.ops", prog.op_count);
-                    m.inc("script.compile.fns", u64::from(prog.fn_count));
-                    m.observe("script.compile_us", compile_us);
-                }
+                let m = inner.obs.metrics();
+                m.inc("script.compiles", 1);
+                m.inc("script.compile.ops", prog.op_count);
+                m.inc("script.compile.fns", u64::from(prog.fn_count));
+                m.observe("script.compile_us", compile_us);
                 interp.run_compiled(&prog).map(|_| ())
             });
             let consumed = LOAD_BUDGET.saturating_sub(interp.steps_remaining());
-            self.state.borrow_mut().steps_used += consumed;
+            bump(&inner.steps_used, consumed);
             r
         };
         if let Err(e) = &result {
-            let mut state = self.state.borrow_mut();
-            state.errors.push(e.to_string());
-            state.stopped = true;
+            inner.errors.borrow_mut().push(e.to_string());
+            inner.stopped.set(true);
         }
         result
     }
@@ -261,27 +260,16 @@ impl ScriptHost {
     /// Stops the script: releases every subscription and suppresses any
     /// still-scheduled callbacks. Frozen state and logs persist.
     pub fn stop(&self) {
-        let (broker, subs) = {
-            let mut state = self.state.borrow_mut();
-            state.stopped = true;
-            (
-                state.broker.clone(),
-                std::mem::take(&mut state.subscriptions),
-            )
-        };
+        self.inner.stopped.set(true);
+        let subs = self.inner.subscriptions.take();
         for id in subs {
-            broker.unsubscribe(id);
+            self.inner.broker.unsubscribe(id);
         }
-    }
-
-    /// True after [`ScriptHost::stop`] or a fatal load error.
-    pub fn is_stopped(&self) -> bool {
-        self.state.borrow().stopped
     }
 
     /// `setDescription` value, if the script set one.
     pub fn description(&self) -> Option<String> {
-        self.state.borrow().description.clone()
+        self.inner.description.borrow().clone()
     }
 
     /// `setAutoStart` value (default `true`). The paper's UI lets users
@@ -289,146 +277,144 @@ impl ScriptHost {
     /// reproduction has no UI layer, so the flag is exposed for an
     /// embedder to honour.
     pub fn autostart(&self) -> bool {
-        self.state.borrow().autostart
+        self.inner.autostart.get()
     }
 
     /// Debug output produced by `print`.
     pub fn prints(&self) -> Vec<String> {
-        self.state.borrow().prints.clone()
+        self.inner.prints.borrow().clone()
     }
 
     /// Errors raised by callbacks (including watchdog trips).
     pub fn errors(&self) -> Vec<String> {
-        self.state.borrow().errors.clone()
+        self.inner.errors.borrow().clone()
     }
 
     /// Number of watchdog (budget) kills.
     pub fn watchdog_trips(&self) -> u64 {
-        self.state.borrow().watchdog_trips
+        self.inner.watchdog_trips.get()
     }
 
     /// Number of callbacks delivered into the script.
     pub fn callbacks_run(&self) -> u64 {
-        self.state.borrow().callbacks_run
+        self.inner.callbacks_run.get()
     }
 
     /// Interpreter steps this script has consumed (load + callbacks) —
     /// the basis of per-script power modelling (§6 future work, see
     /// [`crate::accounting`]).
     pub fn steps_used(&self) -> u64 {
-        self.state.borrow().steps_used
+        self.inner.steps_used.get()
     }
 
     /// Messages this script has published.
     pub fn publishes(&self) -> u64 {
-        self.state.borrow().publishes
+        self.inner.publishes.get()
     }
 
     /// JSON bytes of the messages this script has published.
     pub fn published_bytes(&self) -> u64 {
-        self.state.borrow().published_bytes
+        self.inner.published_bytes.get()
     }
 
     /// Calls a script function value under the watchdog. Used by the
     /// framework for subscription events and timers; suppressed once the
     /// host is stopped.
     pub fn invoke(&self, f: &Value, args: &[Value]) {
-        if self.state.borrow().stopped {
+        let inner = &self.inner;
+        if inner.stopped.get() {
             return;
         }
         let (result, consumed) = {
-            let mut interp = self.interp.borrow_mut();
+            let mut interp = inner.interp.borrow_mut();
             interp.set_budget(Some(WATCHDOG_BUDGET));
             let r = interp.call(f, args);
             (r, WATCHDOG_BUDGET.saturating_sub(interp.steps_remaining()))
         };
-        let mut state = self.state.borrow_mut();
-        state.callbacks_run += 1;
-        state.steps_used += consumed;
-        state.obs.metrics().inc("script.callbacks", 1);
-        state.obs.metrics().inc("script.steps", consumed);
+        bump(&inner.callbacks_run, 1);
+        bump(&inner.steps_used, consumed);
+        inner.obs.metrics().inc("script.callbacks", 1);
+        inner.obs.metrics().inc("script.steps", consumed);
         if let Err(e) = result {
             if e.kind() == ErrorKind::Timeout {
-                state.watchdog_trips += 1;
-                state.obs.metrics().inc("script.watchdog_trips", 1);
-                state.obs.event(
+                bump(&inner.watchdog_trips, 1);
+                inner.obs.metrics().inc("script.watchdog_trips", 1);
+                inner.obs.event(
                     "script",
                     "watchdog-trip",
                     vec![
-                        pogo_obs::field("script", state.name.clone()),
+                        pogo_obs::field("script", inner.name.clone()),
                         pogo_obs::field("steps", consumed),
                     ],
                 );
             }
-            let line = format!("{}: {e}", state.name);
-            state.errors.push(line);
+            let line = format!("{}: {e}", inner.name);
+            inner.errors.borrow_mut().push(line);
         }
     }
 
     // ---- API installation --------------------------------------------------
 
+    /// The natives hold the host weakly (the host owns the interpreter
+    /// that owns them); the callbacks `subscribe` and `setTimeout` hand to
+    /// the broker and the scheduler hold it strongly.
     fn install_api(&self) {
-        let state = Rc::downgrade(&self.state);
-        let host = self.clone();
-        let mut interp = self.interp.borrow_mut();
+        let weak = Rc::downgrade(&self.inner);
+        let mut interp = self.inner.interp.borrow_mut();
 
         // setDescription(description)
         {
-            let state = state.clone();
+            let weak = weak.clone();
             interp.register_native("setDescription", move |_, args| {
-                if let (Some(state), Some(desc)) = (state.upgrade(), args.first()) {
-                    state.borrow_mut().description = Some(desc.to_display_string());
+                if let (Some(inner), Some(desc)) = (weak.upgrade(), args.first()) {
+                    *inner.description.borrow_mut() = Some(desc.to_display_string());
                 }
                 Ok(Value::Null)
             });
         }
         // setAutoStart(start)
         {
-            let state = state.clone();
+            let weak = weak.clone();
             interp.register_native("setAutoStart", move |_, args| {
-                if let Some(state) = state.upgrade() {
-                    state.borrow_mut().autostart =
-                        args.first().map(Value::is_truthy).unwrap_or(true);
+                if let Some(inner) = weak.upgrade() {
+                    inner
+                        .autostart
+                        .set(args.first().map(Value::is_truthy).unwrap_or(true));
                 }
                 Ok(Value::Null)
             });
         }
         // print(message1[, ...])
         {
-            let state = state.clone();
+            let weak = weak.clone();
             interp.register_native("print", move |_, args| {
-                if let Some(state) = state.upgrade() {
-                    state.borrow_mut().prints.push(join_args(args));
+                if let Some(inner) = weak.upgrade() {
+                    inner.prints.borrow_mut().push(join_args(args));
                 }
                 Ok(Value::Null)
             });
         }
         // log(message1[, ...]) — writes to the script's default log.
         {
-            let state = state.clone();
+            let weak = weak.clone();
             interp.register_native("log", move |_, args| {
-                if let Some(state) = state.upgrade() {
-                    let (logs, name) = {
-                        let s = state.borrow();
-                        (s.logs.clone(), s.name.clone())
-                    };
-                    logs.append(&name, join_args(args));
+                if let Some(inner) = weak.upgrade() {
+                    inner.logs.append(&inner.name, join_args(args));
                 }
                 Ok(Value::Null)
             });
         }
         // logTo(logName, message1[, ...])
         {
-            let state = state.clone();
+            let weak = weak.clone();
             interp.register_native("logTo", move |_, args| {
                 let log_name = args
                     .first()
                     .and_then(Value::as_str)
                     .ok_or_else(|| ScriptError::host("logTo: first argument must be a string"))?
                     .to_owned();
-                if let Some(state) = state.upgrade() {
-                    let logs = state.borrow().logs.clone();
-                    logs.append(&log_name, join_args(&args[1..]));
+                if let Some(inner) = weak.upgrade() {
+                    inner.logs.append(&log_name, join_args(&args[1..]));
                 }
                 Ok(Value::Null)
             });
@@ -436,7 +422,7 @@ impl ScriptHost {
         // publish(channel, message) — Listing 2 also uses
         // publish(message, channel); accept both argument orders.
         {
-            let state = state.clone();
+            let weak = weak.clone();
             interp.register_native("publish", move |_, args| {
                 // Script strings are already `Rc<str>`; clone the handle
                 // instead of allocating a `String` per publish.
@@ -447,23 +433,18 @@ impl ScriptHost {
                     (Some(msg), Some(Value::Str(ch))) => (ch.clone(), msg.clone()),
                     _ => return Err(ScriptError::host("publish: expected (channel, message)")),
                 };
-                if let Some(state) = state.upgrade() {
+                if let Some(inner) = weak.upgrade() {
                     let msg = Msg::from_script(&message);
-                    let broker = {
-                        let mut s = state.borrow_mut();
-                        s.publishes += 1;
-                        s.published_bytes += msg.json_size();
-                        s.broker.clone()
-                    };
-                    broker.publish(&channel, &msg);
+                    bump(&inner.publishes, 1);
+                    bump(&inner.published_bytes, msg.json_size());
+                    inner.broker.publish(&channel, &msg);
                 }
                 Ok(Value::Null)
             });
         }
         // subscribe(channel, function[, parameters]) -> Subscription
         {
-            let state = state.clone();
-            let host = host.clone();
+            let weak = weak.clone();
             interp.register_native("subscribe", move |_, args| {
                 let channel = args
                     .first()
@@ -479,15 +460,13 @@ impl ScriptHost {
                     }
                 };
                 let params = args.get(2).map(Msg::from_script).unwrap_or(Msg::Null);
-                let Some(state_rc) = state.upgrade() else {
+                let Some(inner) = weak.upgrade() else {
                     return Ok(Value::Null);
                 };
-                let (broker, scheduler) = {
-                    let s = state_rc.borrow();
-                    (s.broker.clone(), s.scheduler.clone())
+                let broker = inner.broker.clone();
+                let sink_host = ScriptHost {
+                    inner: inner.clone(),
                 };
-                let sink_host = host.clone();
-                let sink_sched = scheduler.clone();
                 let id = broker.subscribe(&channel, params, move |_ch, msg, from| {
                     // Defer into the scheduler: pub/sub delivery is
                     // asynchronous and per-script serialized.
@@ -498,9 +477,12 @@ impl ScriptHost {
                         Some(jid) => Value::str(jid),
                         None => Value::Null,
                     };
-                    sink_sched.run_soon(move || host.invoke(&handler, &[msg, from_arg]));
+                    sink_host
+                        .inner
+                        .scheduler
+                        .run_soon(move || host.invoke(&handler, &[msg, from_arg]));
                 });
-                state_rc.borrow_mut().subscriptions.push(id);
+                inner.subscriptions.borrow_mut().push(id);
                 // Build the Subscription object: { release(), renew() }.
                 let mut obj = ObjMap::new();
                 let b = broker.clone();
@@ -511,11 +493,10 @@ impl ScriptHost {
                         Ok(Value::Null)
                     }),
                 );
-                let b = broker.clone();
                 obj.insert(
                     "renew",
                     native_value("renew", move |_, _| {
-                        b.set_active(id, true);
+                        broker.set_active(id, true);
                         Ok(Value::Null)
                     }),
                 );
@@ -524,11 +505,10 @@ impl ScriptHost {
         }
         // freeze(object)
         {
-            let state = state.clone();
+            let weak = weak.clone();
             interp.register_native("freeze", move |_, args| {
-                if let Some(state) = state.upgrade() {
-                    let frozen = state.borrow().frozen.clone();
-                    frozen.set(Some(
+                if let Some(inner) = weak.upgrade() {
+                    inner.frozen.set(Some(
                         args.first().map(Msg::from_script).unwrap_or(Msg::Null),
                     ));
                 }
@@ -537,13 +517,16 @@ impl ScriptHost {
         }
         // thaw() -> object
         {
-            let state = state.clone();
+            let weak = weak.clone();
             interp.register_native("thaw", move |_, _| {
-                let Some(state) = state.upgrade() else {
+                let Some(inner) = weak.upgrade() else {
                     return Ok(Value::Null);
                 };
-                let frozen = state.borrow().frozen.clone();
-                Ok(frozen.get().map(|m| m.to_script()).unwrap_or(Value::Null))
+                Ok(inner
+                    .frozen
+                    .get()
+                    .map(|m| m.to_script())
+                    .unwrap_or(Value::Null))
             });
         }
         // json(object) -> String
@@ -552,26 +535,29 @@ impl ScriptHost {
             Ok(Value::from(msg.to_json()))
         });
         // setTimeout(function, delay)
-        {
-            let host = host.clone();
-            interp.register_native("setTimeout", move |_, args| {
-                let f = match args.first() {
-                    Some(f @ (Value::Func(_) | Value::Native(_))) => f.clone(),
-                    _ => {
-                        return Err(ScriptError::host(
-                            "setTimeout: first argument must be a function",
-                        ))
-                    }
-                };
-                let delay = args.get(1).and_then(Value::as_num).unwrap_or(0.0).max(0.0);
-                let scheduler = host.state.borrow().scheduler.clone();
-                let host = host.clone();
-                scheduler.run_later(SimDuration::from_millis(delay as u64), move || {
+        interp.register_native("setTimeout", move |_, args| {
+            let f = match args.first() {
+                Some(f @ (Value::Func(_) | Value::Native(_))) => f.clone(),
+                _ => {
+                    return Err(ScriptError::host(
+                        "setTimeout: first argument must be a function",
+                    ))
+                }
+            };
+            let delay = args.get(1).and_then(Value::as_num).unwrap_or(0.0).max(0.0);
+            let Some(inner) = weak.upgrade() else {
+                return Ok(Value::Null);
+            };
+            let host = ScriptHost {
+                inner: inner.clone(),
+            };
+            inner
+                .scheduler
+                .run_later(SimDuration::from_millis(delay as u64), move || {
                     host.invoke(&f, &[]);
                 });
-                Ok(Value::Null)
-            });
-        }
+            Ok(Value::Null)
+        });
     }
 }
 
@@ -590,6 +576,15 @@ fn native_value(
         name: name.to_owned(),
         func: Box::new(f),
     }))
+}
+
+/// Test hooks: nothing outside this crate's unit tests calls these.
+#[cfg(test)]
+impl ScriptHost {
+    /// True after [`ScriptHost::stop`] or a fatal load error.
+    pub(crate) fn is_stopped(&self) -> bool {
+        self.inner.stopped.get()
+    }
 }
 
 #[cfg(test)]

@@ -53,12 +53,13 @@ pub use broker::{Broker, SubscriptionId};
 pub use collector::{CollectorNode, DeployError, Deployment};
 pub use device::{DeviceConfig, DeviceNode};
 pub use fleet::{Fleet, FleetMember, FleetSpec};
-pub use host::{ScriptHost, WATCHDOG_BUDGET};
+pub use host::ScriptHost;
 pub use pogo_ingest::{
     ChannelSchema, IngestError, IngestStats, Retention, SampleStore, SampleValue, ScanQuery,
     Template,
 };
 pub use pogo_obs::{Obs, ObsConfig};
+pub use pogo_script::WATCHDOG_BUDGET;
 pub use privacy::PrivacyPolicy;
 pub use proto::ExperimentSpec;
 pub use registry::{ChannelFilter, ChannelRegistry, CollectorStats, SampleEvent};
@@ -66,3 +67,8 @@ pub use scheduler::Scheduler;
 pub use tail::TailDetector;
 pub use testbed::{DeviceSetup, Testbed};
 pub use value::Msg;
+
+/// Adds `by` to a counter cell.
+pub(crate) fn bump(counter: &std::cell::Cell<u64>, by: u64) {
+    counter.set(counter.get() + by);
+}

@@ -16,6 +16,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use pogo_obs::Obs;
 use pogo_platform::{AlarmId, Phone, RepeatingAlarm};
 use pogo_sim::SimDuration;
 
@@ -166,9 +167,16 @@ struct SensorState {
     on_since: Option<pogo_sim::SimTime>,
 }
 
+/// `phone`, `scheduler` and `obs` are set once at construction; what the
+/// sensors change lives in `state`.
 struct Inner {
     phone: Phone,
     scheduler: Scheduler,
+    obs: Obs,
+    state: RefCell<State>,
+}
+
+struct State {
     sources: SensorSources,
     brokers: Vec<(String, Broker)>,
     wifi: SensorState,
@@ -177,40 +185,41 @@ struct Inner {
     accelerometer: SensorState,
     cell_id: SensorState,
     epoch: u64,
-    obs: pogo_obs::Obs,
 }
 
 impl Inner {
-    /// Marks a sensor powered down, emitting the event + dwell metric if
-    /// it was running.
-    fn power_down(&mut self, kind: Kind) {
-        let now = self.phone.sim().now();
-        let st = self.state_mut(kind);
-        if !st.running {
-            return;
-        }
-        st.running = false;
-        let dwell = st
-            .on_since
-            .take()
-            .map(|since| now.saturating_duration_since(since));
-        if self.obs.is_enabled() {
-            self.obs.event(
-                "sensor",
-                "power-down",
-                vec![pogo_obs::field("channel", kind.channel())],
-            );
-            if let Some(dwell) = dwell {
-                self.obs
-                    .metrics()
-                    .observe(kind.on_ms_metric(), dwell.as_millis() as f64);
+    /// Marks a sensor powered down and cancels its pending tick, emitting
+    /// the event + dwell metric if it was running.
+    fn power_down(&self, state: &mut State, kind: Kind) {
+        let st = state.slot_mut(kind);
+        let alarm = st.alarm.take();
+        if std::mem::take(&mut st.running) {
+            let now = self.phone.sim().now();
+            let dwell = st
+                .on_since
+                .take()
+                .map(|since| now.saturating_duration_since(since));
+            if self.obs.is_enabled() {
+                self.obs.event(
+                    "sensor",
+                    "power-down",
+                    vec![pogo_obs::field("channel", kind.channel())],
+                );
+                if let Some(dwell) = dwell {
+                    self.obs
+                        .metrics()
+                        .observe(kind.on_ms_metric(), dwell.as_millis() as f64);
+                }
             }
+        }
+        if let Some(alarm) = alarm {
+            self.scheduler.cancel(alarm);
         }
     }
 }
 
-impl Inner {
-    fn state_mut(&mut self, kind: Kind) -> &mut SensorState {
+impl State {
+    fn slot_mut(&mut self, kind: Kind) -> &mut SensorState {
         match kind {
             Kind::WifiScan => &mut self.wifi,
             Kind::Battery => &mut self.battery,
@@ -220,7 +229,7 @@ impl Inner {
         }
     }
 
-    fn state(&self, kind: Kind) -> &SensorState {
+    fn slot(&self, kind: Kind) -> &SensorState {
         match kind {
             Kind::WifiScan => &self.wifi,
             Kind::Battery => &self.battery,
@@ -258,17 +267,17 @@ impl Inner {
 /// The sensor manager. Cheap to clone; clones share state.
 #[derive(Clone)]
 pub struct SensorManager {
-    inner: Rc<RefCell<Inner>>,
+    inner: Rc<Inner>,
 }
 
 impl std::fmt::Debug for SensorManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.borrow();
+        let state = self.inner.state.borrow();
         f.debug_struct("SensorManager")
-            .field("contexts", &inner.brokers.len())
-            .field("wifi_running", &inner.wifi.running)
-            .field("battery_running", &inner.battery.running)
-            .field("location_running", &inner.location.running)
+            .field("contexts", &state.brokers.len())
+            .field("wifi_running", &state.wifi.running)
+            .field("battery_running", &state.battery.running)
+            .field("location_running", &state.location.running)
             .finish()
     }
 }
@@ -287,7 +296,7 @@ fn new_state() -> SensorState {
 impl SensorManager {
     /// Creates a manager for `phone`, sampling from `sources`.
     pub fn new(phone: &Phone, scheduler: &Scheduler, sources: SensorSources) -> Self {
-        SensorManager::with_obs(phone, scheduler, sources, &pogo_obs::Obs::off())
+        SensorManager::with_obs(phone, scheduler, sources, &Obs::off())
     }
 
     /// Like [`SensorManager::new`], also reporting power-up/power-down
@@ -297,32 +306,32 @@ impl SensorManager {
         phone: &Phone,
         scheduler: &Scheduler,
         sources: SensorSources,
-        obs: &pogo_obs::Obs,
+        obs: &Obs,
     ) -> Self {
         SensorManager {
-            inner: Rc::new(RefCell::new(Inner {
+            inner: Rc::new(Inner {
                 phone: phone.clone(),
                 scheduler: scheduler.clone(),
-                sources,
-                brokers: Vec::new(),
-                wifi: new_state(),
-                battery: new_state(),
-                location: new_state(),
-                accelerometer: new_state(),
-                cell_id: new_state(),
-                epoch: 0,
                 obs: obs.clone(),
-            })),
+                state: RefCell::new(State {
+                    sources,
+                    brokers: Vec::new(),
+                    wifi: new_state(),
+                    battery: new_state(),
+                    location: new_state(),
+                    accelerometer: new_state(),
+                    cell_id: new_state(),
+                    epoch: 0,
+                }),
+            }),
         }
     }
 
     /// Attaches a context's broker; sensors start watching its
     /// subscriptions.
     pub fn attach_context(&self, exp: &str, broker: &Broker) {
-        self.inner
-            .borrow_mut()
-            .brokers
-            .push((exp.to_owned(), broker.clone()));
+        let entry = (exp.to_owned(), broker.clone());
+        self.inner.state.borrow_mut().brokers.push(entry);
         // Re-evaluate on any subscription change in this context.
         for kind in Kind::ALL {
             let me = self.clone();
@@ -337,7 +346,9 @@ impl SensorManager {
 
     /// Detaches a context (experiment undeployed / device rebooting).
     pub fn detach_context(&self, exp: &str) {
-        self.inner.borrow_mut().brokers.retain(|(e, _)| e != exp);
+        let mut state = self.inner.state.borrow_mut();
+        state.brokers.retain(|(e, _)| e != exp);
+        drop(state); // reconfigure borrows it again
         for kind in Kind::ALL {
             self.reconfigure(kind);
         }
@@ -345,117 +356,89 @@ impl SensorManager {
 
     /// Stops everything (reboot). Bumps the epoch so in-flight ticks die.
     pub fn shutdown(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.brokers.clear();
-        inner.epoch += 1;
+        let mut state = self.inner.state.borrow_mut();
+        state.brokers.clear();
+        state.epoch += 1;
         for kind in Kind::ALL {
-            inner.power_down(kind);
-            let scheduler = inner.scheduler.clone();
-            let st = inner.state_mut(kind);
-            if let Some(alarm) = st.alarm.take() {
-                scheduler.cancel(alarm);
-            }
+            self.inner.power_down(&mut state, kind);
         }
-    }
-
-    /// True while the given sensor channel is actively sampling — test
-    /// hook for the "sensors off when nobody subscribes" invariant.
-    pub fn is_sampling(&self, channel: &str) -> bool {
-        let inner = self.inner.borrow();
-        Kind::ALL
-            .iter()
-            .find(|k| k.channel() == channel)
-            .is_some_and(|&k| inner.state(k).running)
     }
 
     /// Samples taken on a channel so far.
     pub fn sample_count(&self, channel: &str) -> u64 {
-        let inner = self.inner.borrow();
+        let state = self.inner.state.borrow();
         Kind::ALL
             .iter()
             .find(|k| k.channel() == channel)
-            .map(|&k| inner.state(k).samples)
+            .map(|&k| state.slot(k).samples)
             .unwrap_or(0)
     }
 
     fn reconfigure(&self, kind: Kind) {
-        let start = {
-            let mut inner = self.inner.borrow_mut();
-            let demanded = inner.demanded_interval(kind);
-            // The sensor only exists if its source does (battery always).
-            let available = match kind {
-                Kind::WifiScan => inner.sources.wifi_scan.is_some(),
-                Kind::Location => inner.sources.location.is_some(),
-                Kind::Accelerometer => inner.sources.accelerometer.is_some(),
-                Kind::CellId => inner.sources.cell_id.is_some(),
-                Kind::Battery => true,
-            };
-            match demanded {
-                Some(interval) if available => {
-                    let now = inner.phone.sim().now();
-                    let st_running = inner.state(kind).running;
-                    let st = inner.state_mut(kind);
-                    st.interval = interval;
-                    if st_running {
-                        false // running loop picks the new interval up next tick
-                    } else {
-                        st.running = true;
-                        st.on_since = Some(now);
-                        if inner.obs.is_enabled() {
-                            inner.obs.event(
-                                "sensor",
-                                "power-up",
-                                vec![
-                                    pogo_obs::field("channel", kind.channel()),
-                                    pogo_obs::field("interval_ms", interval.as_millis()),
-                                ],
-                            );
-                            inner.obs.metrics().inc("sensor.power_ups", 1);
-                        }
-                        true
-                    }
-                }
-                _ => {
-                    inner.power_down(kind);
-                    let scheduler = inner.scheduler.clone();
-                    let st = inner.state_mut(kind);
-                    if let Some(alarm) = st.alarm.take() {
-                        scheduler.cancel(alarm);
-                    }
-                    false
-                }
-            }
+        let inner = &self.inner;
+        let mut state = inner.state.borrow_mut();
+        // The sensor only exists if its source does (battery always).
+        let available = match kind {
+            Kind::WifiScan => state.sources.wifi_scan.is_some(),
+            Kind::Location => state.sources.location.is_some(),
+            Kind::Accelerometer => state.sources.accelerometer.is_some(),
+            Kind::CellId => state.sources.cell_id.is_some(),
+            Kind::Battery => true,
         };
-        if start {
-            // First sample after one interval (subscribing at t gets data
-            // at t+interval, like a real periodic sensor).
-            self.schedule_tick(kind);
+        let Some(interval) = state.demanded_interval(kind).filter(|_| available) else {
+            inner.power_down(&mut state, kind);
+            return;
+        };
+        let st = state.slot_mut(kind);
+        st.interval = interval;
+        if st.running {
+            return; // the running loop picks the new interval up next tick
         }
+        st.running = true;
+        st.on_since = Some(inner.phone.sim().now());
+        if inner.obs.is_enabled() {
+            inner.obs.event(
+                "sensor",
+                "power-up",
+                vec![
+                    pogo_obs::field("channel", kind.channel()),
+                    pogo_obs::field("interval_ms", interval.as_millis()),
+                ],
+            );
+            inner.obs.metrics().inc("sensor.power_ups", 1);
+        }
+        drop(state);
+        // First sample after one interval (subscribing at t gets data
+        // at t+interval, like a real periodic sensor).
+        self.schedule_tick(kind);
     }
 
     fn schedule_tick(&self, kind: Kind) {
-        let mut inner = self.inner.borrow_mut();
-        let epoch = inner.epoch;
-        if !matches!(inner.state(kind).ticker, Some((built_in, _)) if built_in == epoch) {
+        let mut state = self.inner.state.borrow_mut();
+        let epoch = state.epoch;
+        if !matches!(state.slot(kind).ticker, Some((built_in, _)) if built_in == epoch) {
             let weak = Rc::downgrade(&self.inner);
-            let ticker = inner.scheduler.repeating(move || {
+            let ticker = self.inner.scheduler.repeating(move || {
                 if let Some(inner) = weak.upgrade() {
                     SensorManager { inner }.tick(kind, epoch);
                 }
             });
-            inner.state_mut(kind).ticker = Some((epoch, ticker));
+            state.slot_mut(kind).ticker = Some((epoch, ticker));
         }
-        let st = inner.state_mut(kind);
+        let st = state.slot_mut(kind);
         let (_, ticker) = st.ticker.as_ref().expect("built above");
         st.alarm = Some(ticker.set_in(st.interval));
     }
 
+    /// True while `epoch` is current and the sensor is powered.
+    fn is_live(&self, kind: Kind, epoch: u64) -> bool {
+        let state = self.inner.state.borrow();
+        state.epoch == epoch && state.slot(kind).running
+    }
+
     fn tick(&self, kind: Kind, epoch: u64) {
-        {
-            let inner = self.inner.borrow();
-            if inner.epoch != epoch || !inner.state(kind).running {
-                return;
-            }
+        if !self.is_live(kind, epoch) {
+            return;
         }
         match kind {
             Kind::Battery => self.sample_battery(),
@@ -476,46 +459,51 @@ impl SensorManager {
         // By index, not under one borrow: a sink may reach back into the
         // manager (a subscription change reconfigures the sensor).
         for i in 0.. {
-            let Some(broker) = self.inner.borrow().brokers.get(i).map(|(_, b)| b.clone()) else {
+            let state = self.inner.state.borrow();
+            let Some(broker) = state.brokers.get(i).map(|(_, b)| b.clone()) else {
                 break;
             };
+            drop(state);
             broker.publish_where(kind.channel(), msg, &wants);
         }
     }
 
+    /// Counts one sample of `kind` and reads its source (`pick`) at true
+    /// sim time; the timestamps *in* messages come from the device's own,
+    /// skewable clock.
+    fn read<T>(
+        &self,
+        kind: Kind,
+        pick: impl FnOnce(&mut SensorSources) -> &mut Option<Source<T>>,
+    ) -> Option<T> {
+        let now_ms = self.inner.phone.sim().now().as_millis();
+        self.inner.obs.metrics().inc(kind.samples_metric(), 1);
+        let mut state = self.inner.state.borrow_mut();
+        state.slot_mut(kind).samples += 1;
+        pick(&mut state.sources).as_mut().and_then(|s| s(now_ms))
+    }
+
     fn sample_battery(&self) {
-        let (battery, now_ms) = {
-            let mut inner = self.inner.borrow_mut();
-            inner.battery.samples += 1;
-            inner.obs.metrics().inc(Kind::Battery.samples_metric(), 1);
-            (
-                inner.phone.battery().clone(),
-                // The message timestamp comes from the device's own
-                // (skewable) clock; sources see true sim time below.
-                inner.phone.clock().now_ms(),
-            )
-        };
+        let kind = Kind::Battery;
+        self.inner.state.borrow_mut().battery.samples += 1;
+        self.inner.obs.metrics().inc(kind.samples_metric(), 1);
+        let battery = self.inner.phone.battery();
         let msg = Msg::obj([
             ("voltage", Msg::Num(battery.voltage())),
             ("level", Msg::Num(battery.level())),
             ("charging", Msg::Bool(battery.is_charging())),
-            ("timestamp", Msg::Num(now_ms as f64)),
+            (
+                "timestamp",
+                Msg::Num(self.inner.phone.clock().now_ms() as f64),
+            ),
         ]);
-        self.deliver(Kind::Battery, &msg, |_params| true);
+        self.deliver(kind, &msg, |_params| true);
     }
 
     fn sample_location(&self) {
-        let fix = {
-            let mut inner = self.inner.borrow_mut();
-            let now_ms = inner.phone.sim().now().as_millis();
-            inner.location.samples += 1;
-            inner.obs.metrics().inc(Kind::Location.samples_metric(), 1);
-            match inner.sources.location.as_mut() {
-                Some(source) => source(now_ms),
-                None => None,
-            }
+        let Some(fix) = self.read(Kind::Location, |s| &mut s.location) else {
+            return;
         };
-        let Some(fix) = fix else { return };
         let msg = Msg::obj([
             ("lat", Msg::Num(fix.lat)),
             ("lon", Msg::Num(fix.lon)),
@@ -531,20 +519,9 @@ impl SensorManager {
     }
 
     fn sample_accelerometer(&self) {
-        let sample = {
-            let mut inner = self.inner.borrow_mut();
-            let now_ms = inner.phone.sim().now().as_millis();
-            inner.accelerometer.samples += 1;
-            inner
-                .obs
-                .metrics()
-                .inc(Kind::Accelerometer.samples_metric(), 1);
-            match inner.sources.accelerometer.as_mut() {
-                Some(source) => source(now_ms),
-                None => None,
-            }
+        let Some(sample) = self.read(Kind::Accelerometer, |s| &mut s.accelerometer) else {
+            return;
         };
-        let Some(sample) = sample else { return };
         let msg = Msg::obj([
             ("x", Msg::Num(sample.x)),
             ("y", Msg::Num(sample.y)),
@@ -555,17 +532,9 @@ impl SensorManager {
     }
 
     fn sample_cell_id(&self) {
-        let cell = {
-            let mut inner = self.inner.borrow_mut();
-            let now_ms = inner.phone.sim().now().as_millis();
-            inner.cell_id.samples += 1;
-            inner.obs.metrics().inc(Kind::CellId.samples_metric(), 1);
-            match inner.sources.cell_id.as_mut() {
-                Some(source) => source(now_ms),
-                None => None,
-            }
+        let Some(cell) = self.read(Kind::CellId, |s| &mut s.cell_id) else {
+            return;
         };
-        let Some(cell) = cell else { return };
         let msg = Msg::obj([("cell", Msg::Num(cell as f64))]);
         self.deliver(Kind::CellId, &msg, |_params| true);
     }
@@ -575,34 +544,20 @@ impl SensorManager {
         // process generally requires, the application will not be
         // notified upon scan completion." Hold a wake lock across the
         // hardware scan.
-        let (phone, lock) = {
-            let inner = self.inner.borrow();
-            let lock = inner.phone.cpu().acquire_wake_lock();
-            (inner.phone.clone(), lock)
-        };
+        let lock = self.inner.phone.cpu().acquire_wake_lock();
         let me = self.clone();
         let lock = RefCell::new(Some(lock));
-        phone.wifi().scan(move || {
+        self.inner.phone.wifi().scan(move || {
             drop(lock.borrow_mut().take());
             me.wifi_scan_complete(epoch);
         });
     }
 
     fn wifi_scan_complete(&self, epoch: u64) {
-        let readings = {
-            let mut inner = self.inner.borrow_mut();
-            if inner.epoch != epoch || !inner.wifi.running {
-                return;
-            }
-            inner.wifi.samples += 1;
-            inner.obs.metrics().inc(Kind::WifiScan.samples_metric(), 1);
-            let now_ms = inner.phone.sim().now().as_millis();
-            match inner.sources.wifi_scan.as_mut() {
-                Some(source) => source(now_ms),
-                None => None,
-            }
-        };
-        if let Some(readings) = readings {
+        if !self.is_live(Kind::WifiScan, epoch) {
+            return;
+        }
+        if let Some(readings) = self.read(Kind::WifiScan, |s| &mut s.wifi_scan) {
             let aps: Vec<Msg> = readings
                 .iter()
                 .map(|r| {
@@ -612,7 +567,7 @@ impl SensorManager {
                     ])
                 })
                 .collect();
-            let now_ms = self.inner.borrow().phone.clock().now_ms();
+            let now_ms = self.inner.phone.clock().now_ms();
             let msg = Msg::obj([
                 ("timestamp", Msg::Num(now_ms as f64)),
                 ("aps", Msg::Arr(aps)),
@@ -620,6 +575,20 @@ impl SensorManager {
             self.deliver(Kind::WifiScan, &msg, |_params| true);
         }
         self.schedule_tick(Kind::WifiScan);
+    }
+}
+
+/// Test hooks: nothing outside this crate's unit tests calls these.
+#[cfg(test)]
+impl SensorManager {
+    /// True while the given sensor channel is actively sampling — test
+    /// hook for the "sensors off when nobody subscribes" invariant.
+    pub(crate) fn is_sampling(&self, channel: &str) -> bool {
+        let state = self.inner.state.borrow();
+        Kind::ALL
+            .iter()
+            .find(|k| k.channel() == channel)
+            .is_some_and(|&k| state.slot(k).running)
     }
 }
 

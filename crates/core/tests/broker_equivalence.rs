@@ -81,9 +81,13 @@ fn run_sequence(seed: u64) {
             6 => {
                 if !model.is_empty() {
                     let i = rng.gen_range(0..model.len());
-                    let hit = broker.publish_to(ids[i], &Msg::Num(1.0));
+                    let hit = broker.publish_to_from(ids[i], &Msg::Num(1.0), None);
                     let m = &model[i];
-                    assert_eq!(hit, m.alive && m.active, "publish_to hit (seed {seed})");
+                    assert_eq!(
+                        hit,
+                        m.alive && m.active,
+                        "publish_to_from hit (seed {seed})"
+                    );
                     if m.alive && m.active {
                         expected.push((m.ordinal, m.channel.to_owned()));
                     }

@@ -71,41 +71,6 @@ impl MovementTrace {
     pub fn segments(&self) -> &[(u64, Whereabouts)] {
         &self.segments
     }
-
-    /// Number of dwell segments lasting at least `min_ms` — the expected
-    /// number of "locations" (dwelling sessions) the clusterer should find.
-    pub fn dwell_sessions(&self, min_ms: u64) -> usize {
-        let mut count = 0;
-        for (i, &(start, w)) in self.segments.iter().enumerate() {
-            if let Whereabouts::At(_) = w {
-                let end = self
-                    .segments
-                    .get(i + 1)
-                    .map(|&(s, _)| s)
-                    .unwrap_or(self.end_ms);
-                if end.saturating_sub(start) >= min_ms {
-                    count += 1;
-                }
-            }
-        }
-        count
-    }
-
-    /// Total milliseconds the phone is on (not [`Whereabouts::PhoneOff`]).
-    pub fn powered_on_ms(&self) -> u64 {
-        let mut total = 0;
-        for (i, &(start, w)) in self.segments.iter().enumerate() {
-            let end = self
-                .segments
-                .get(i + 1)
-                .map(|&(s, _)| s)
-                .unwrap_or(self.end_ms);
-            if w != Whereabouts::PhoneOff {
-                total += end.saturating_sub(start);
-            }
-        }
-        total
-    }
 }
 
 /// Per-session failure/maintenance events, mirroring §5.3's observations.
@@ -128,6 +93,45 @@ impl DisruptionSchedule {
     /// True if cellular data is unavailable at `t_ms`.
     pub fn in_data_gap(&self, t_ms: u64) -> bool {
         self.data_gaps.iter().any(|&(a, b)| t_ms >= a && t_ms < b)
+    }
+}
+
+/// Test hooks: nothing outside this crate's unit tests calls these.
+#[cfg(test)]
+impl MovementTrace {
+    /// Number of dwell segments lasting at least `min_ms` — the expected
+    /// number of "locations" (dwelling sessions) the clusterer should find.
+    pub(crate) fn dwell_sessions(&self, min_ms: u64) -> usize {
+        let mut count = 0;
+        for (i, &(start, w)) in self.segments.iter().enumerate() {
+            if let Whereabouts::At(_) = w {
+                let end = self
+                    .segments
+                    .get(i + 1)
+                    .map(|&(s, _)| s)
+                    .unwrap_or(self.end_ms);
+                if end.saturating_sub(start) >= min_ms {
+                    count += 1;
+                }
+            }
+        }
+        count
+    }
+
+    /// Total milliseconds the phone is on (not [`Whereabouts::PhoneOff`]).
+    pub(crate) fn powered_on_ms(&self) -> u64 {
+        let mut total = 0;
+        for (i, &(start, w)) in self.segments.iter().enumerate() {
+            let end = self
+                .segments
+                .get(i + 1)
+                .map(|&(s, _)| s)
+                .unwrap_or(self.end_ms);
+            if w != Whereabouts::PhoneOff {
+                total += end.saturating_sub(start);
+            }
+        }
+        total
     }
 }
 

@@ -15,6 +15,7 @@ use std::rc::Rc;
 use pogo_sim::{SimDuration, SimTime};
 
 use crate::jid::Jid;
+use crate::wire::ENVELOPE_OVERHEAD_BYTES;
 
 /// One buffered message awaiting delivery and acknowledgement.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,12 +30,19 @@ pub struct StoredMessage {
     pub enqueued_at: SimTime,
 }
 
+impl StoredMessage {
+    /// Bytes this message occupies on the wire once wrapped in its
+    /// envelope.
+    pub fn wire_size(&self) -> u64 {
+        self.data.len() as u64 + ENVELOPE_OVERHEAD_BYTES
+    }
+}
+
 #[derive(Debug, Default)]
 struct Inner {
     queue: VecDeque<StoredMessage>,
     next_seq: u64,
     purged: u64,
-    acked: u64,
 }
 
 /// A persistent store-and-forward queue (the embedded-database stand-in).
@@ -92,9 +100,11 @@ impl MessageStore {
             .map(|m| now.saturating_duration_since(m.enqueued_at))
     }
 
-    /// Removes messages acknowledged end-to-end.
-    pub fn ack(&self, seqs: &[u64]) {
+    /// Removes messages acknowledged end-to-end; returns how many were
+    /// still queued (unknown and repeated sequence numbers count nothing).
+    pub fn ack(&self, seqs: &[u64]) -> usize {
         let mut inner = self.inner.borrow_mut();
+        let mut acked = 0;
         for seq in seqs {
             // Acks mostly name the head. The rest of the queue is in
             // sequence order too: `enqueue` numbers upwards and nothing
@@ -105,8 +115,9 @@ impl MessageStore {
                 let found = inner.queue.binary_search_by_key(seq, |m| m.seq);
                 found.ok().and_then(|i| inner.queue.remove(i))
             };
-            inner.acked += u64::from(popped.is_some());
+            acked += usize::from(popped.is_some());
         }
+        acked
     }
 
     /// Drops messages older than `max_age` — the 24-hour expiry of §5.3.
@@ -125,11 +136,6 @@ impl MessageStore {
     /// Total messages dropped by the age purge.
     pub fn purged_total(&self) -> u64 {
         self.inner.borrow().purged
-    }
-
-    /// Total messages removed by acknowledgement.
-    pub fn acked_total(&self) -> u64 {
-        self.inner.borrow().acked
     }
 }
 
@@ -161,11 +167,10 @@ mod tests {
         let a = store.enqueue(&jid(), "a".into(), at(0));
         let b = store.enqueue(&jid(), "b".into(), at(0));
         let c = store.enqueue(&jid(), "c".into(), at(0));
-        store.ack(&[a, c]);
+        assert_eq!(store.ack(&[a, c]), 2);
         let pending = store.pending();
         assert_eq!(pending.len(), 1);
         assert_eq!(pending[0].seq, b);
-        assert_eq!(store.acked_total(), 2);
     }
 
     #[test]
@@ -173,9 +178,8 @@ mod tests {
         let store = MessageStore::new();
         let a = store.enqueue(&jid(), "a".into(), at(0));
         let b = store.enqueue(&jid(), "b".into(), at(0));
-        store.ack(&[b, 99, b, b]);
-        store.ack(&[b]);
-        assert_eq!(store.acked_total(), 1);
+        assert_eq!(store.ack(&[b, 99, b, b]), 1);
+        assert_eq!(store.ack(&[b]), 0);
         assert_eq!(store.pending()[0].seq, a);
     }
 

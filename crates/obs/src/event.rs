@@ -103,9 +103,13 @@ impl Event {
     pub fn get(&self, name: &str) -> Option<&FieldValue> {
         self.fields.iter().find(|(n, _)| n == name).map(|(_, v)| v)
     }
+}
 
+/// Test hooks: nothing outside this crate's unit tests calls these.
+#[cfg(test)]
+impl Event {
     /// A payload field as `u64`, if present and numeric.
-    pub fn get_u64(&self, name: &str) -> Option<u64> {
+    pub(crate) fn get_u64(&self, name: &str) -> Option<u64> {
         match self.get(name)? {
             FieldValue::U64(v) => Some(*v),
             FieldValue::F64(v) if *v >= 0.0 => Some(*v as u64),

@@ -96,11 +96,10 @@ pub fn to_chrome_trace(events: &[Event]) -> String {
     // Track ids: deterministic, dense, grouped per device.
     let mut tids: BTreeMap<(Option<String>, String), u64> = BTreeMap::new();
     for e in events {
-        let track = match e.category.as_ref() {
-            "cpu" | "radio" => e.category.to_string(),
-            other => other.to_string(),
-        };
-        let key = (e.device.as_deref().map(str::to_owned), track);
+        let key = (
+            e.device.as_deref().map(str::to_owned),
+            e.category.to_string(),
+        );
         let next = tids.len() as u64;
         tids.entry(key).or_insert(next);
     }
@@ -140,11 +139,10 @@ pub fn to_chrome_trace(events: &[Event]) -> String {
     let end = events.last().map(|e| e.at).unwrap_or(SimTime::ZERO);
 
     for e in events {
-        let track = match e.category.as_ref() {
-            "cpu" | "radio" => e.category.to_string(),
-            other => other.to_string(),
-        };
-        let key = (e.device.as_deref().map(str::to_owned), track);
+        let key = (
+            e.device.as_deref().map(str::to_owned),
+            e.category.to_string(),
+        );
         let tid = tids[&key];
         match e.category.as_ref() {
             "cpu" => match e.name.as_ref() {

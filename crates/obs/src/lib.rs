@@ -24,7 +24,7 @@
 //! device.event("pogo", "flush", vec![field("batch", 5u64)]);
 //! device.metrics().inc("net.flushes", 1);
 //! assert_eq!(obs.events().len(), 1);
-//! assert_eq!(obs.events()[0].at.as_secs(), 3);
+//! assert_eq!(obs.events()[0].at.as_millis(), 3_000);
 //! ```
 
 mod event;

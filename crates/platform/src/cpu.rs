@@ -274,11 +274,6 @@ impl Cpu {
         }
     }
 
-    /// Number of wake locks currently held.
-    pub fn lock_count(&self) -> usize {
-        self.inner.borrow().locks
-    }
-
     /// Marks CPU activity: wakes the CPU if asleep and restarts the linger
     /// countdown.
     pub fn poke(&self) {
@@ -458,6 +453,15 @@ impl Cpu {
             Self::transition(&mut inner, false)
         };
         self.run_listeners(actions);
+    }
+}
+
+/// Test hooks: nothing outside this crate's unit tests calls these.
+#[cfg(test)]
+impl Cpu {
+    /// Number of wake locks currently held.
+    pub(crate) fn lock_count(&self) -> usize {
+        self.inner.borrow().locks
     }
 }
 

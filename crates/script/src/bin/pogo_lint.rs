@@ -3,25 +3,25 @@
 //! ```text
 //! pogo-lint [FLAGS] FILE...
 //!
-//! FILE                 .js PogoScript sources (linted individually and
-//!                      as one deployment bundle for channel analysis)
+//! FILE                 .js PogoScript sources, taken as one deployment
+//!                      bundle and run through the deploy gate
+//!                      (`pogo_script::deploy_gate`: lint with
+//!                      cross-script channel analysis, compile,
+//!                      bytecode verifier, cost bounds against the
+//!                      watchdog budgets) — what `Deployment::send`
+//!                      runs before a spec reaches any phone
 //! --rust-embedded      treat FILEs as Rust sources; extract string
 //!                      literals that look like embedded PogoScript and
-//!                      lint each standalone (no bundle pass)
-//! --no-bundle          skip the cross-script channel analysis
+//!                      lint each standalone (fragments wired together
+//!                      by Rust code: no bundle, no compiled passes)
 //! --allow-native NAME  treat NAME as a registered extension native
 //!                      (repeatable)
-//! --deny-warnings      exit nonzero on warnings too
-//! --verify             also compile each FILE and run the bytecode
-//!                      verifier; structural defects report as errors
-//!                      with their stable VERIFY_* code
-//! --cost               also run the abstract-interpretation cost
-//!                      analyzer; prints the per-entry-point bounds and
-//!                      reports P3xx budget findings
 //! --json               machine-readable output: one JSON object per
 //!                      finding on stdout (`file`, `code`, `severity`,
 //!                      `line`, `message`); the human summary moves to
-//!                      stderr
+//!                      stderr. A compile-only or verifier failure has
+//!                      `code` `P000`; the `VERIFY_*` code is in
+//!                      `message`
 //! --dump-bytecode      compile each FILE and print the disassembled
 //!                      chunk instead of linting (stable, diff-friendly
 //!                      text; the golden-file tests pin it)
@@ -30,8 +30,8 @@
 //!                      cost report instead of linting (also golden)
 //! ```
 //!
-//! Exit status: 0 clean (or warnings only), 1 errors found (or any
-//! finding under `--deny-warnings`), 2 usage/IO failure. Under
+//! Exit status: 0 clean (or warnings only), 1 errors found (the bundle
+//! is not deployable), 2 usage/IO failure. Under
 //! `--dump-bytecode`/`--dump-cfg`: 0 on success, 1 on compile errors,
 //! 2 usage/IO.
 
@@ -39,17 +39,12 @@ use std::process::ExitCode;
 
 use pogo_script::absint::render_cfg;
 use pogo_script::{
-    analyze_bundle_with, analyze_costs, analyze_with, compile, cost_diagnostics, disassemble,
-    AnalyzeOptions, CostBudgets, Diagnostic, Severity,
+    analyze_with, compile, deploy_gate, disassemble, AnalyzeOptions, Diagnostic, Severity,
 };
 
 struct Options {
     files: Vec<String>,
     rust_embedded: bool,
-    bundle: bool,
-    deny_warnings: bool,
-    verify: bool,
-    cost: bool,
     json: bool,
     dump_bytecode: bool,
     dump_cfg: bool,
@@ -58,8 +53,8 @@ struct Options {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: pogo-lint [--rust-embedded] [--no-bundle] [--allow-native NAME]... \
-         [--deny-warnings] [--verify] [--cost] [--json] [--dump-bytecode] [--dump-cfg] FILE..."
+        "usage: pogo-lint [--rust-embedded] [--allow-native NAME]... [--json] \
+         [--dump-bytecode] [--dump-cfg] FILE..."
     );
     ExitCode::from(2)
 }
@@ -72,36 +67,23 @@ struct Reporter {
 }
 
 impl Reporter {
-    fn finding(
-        &mut self,
-        label: &str,
-        code: &str,
-        severity: Severity,
-        line: u32,
-        message: &str,
-        rendered: Option<String>,
-    ) {
+    fn diag(&mut self, label: &str, offset: u32, source: &str, d: &Diagnostic) {
+        let severity = d.severity();
         match severity {
             Severity::Error => self.errors += 1,
             Severity::Warning => self.warnings += 1,
         }
         if self.json {
             println!(
-                "{{\"file\":{},\"code\":{},\"severity\":{},\"line\":{line},\"message\":{}}}",
+                "{{\"file\":{},\"code\":{},\"severity\":{},\"line\":{},\"message\":{}}}",
                 json_str(label),
-                json_str(code),
+                json_str(d.rule.code()),
                 json_str(&severity.to_string()),
-                json_str(message),
+                d.line + offset,
+                json_str(&d.message),
             );
-        } else {
-            match rendered {
-                Some(r) => println!("{label}: {r}"),
-                None => println!("{label}: {severity}[{code}]: {message}"),
-            }
+            return;
         }
-    }
-
-    fn diag(&mut self, label: &str, offset: u32, source: &str, d: &Diagnostic) {
         let mut rendered = d.render(source);
         if offset > 0 {
             // Re-anchor to the embedding .rs file so the location is
@@ -112,14 +94,7 @@ impl Reporter {
                 1,
             );
         }
-        self.finding(
-            label,
-            d.rule.code(),
-            d.severity(),
-            d.line + offset,
-            &d.message,
-            Some(rendered),
-        );
+        println!("{label}: {rendered}");
     }
 }
 
@@ -146,10 +121,6 @@ fn main() -> ExitCode {
     let mut opts = Options {
         files: Vec::new(),
         rust_embedded: false,
-        bundle: true,
-        deny_warnings: false,
-        verify: false,
-        cost: false,
         json: false,
         dump_bytecode: false,
         dump_cfg: false,
@@ -159,10 +130,6 @@ fn main() -> ExitCode {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--rust-embedded" => opts.rust_embedded = true,
-            "--no-bundle" => opts.bundle = false,
-            "--deny-warnings" => opts.deny_warnings = true,
-            "--verify" => opts.verify = true,
-            "--cost" => opts.cost = true,
             "--json" => opts.json = true,
             "--dump-bytecode" => opts.dump_bytecode = true,
             "--dump-cfg" => opts.dump_cfg = true,
@@ -219,7 +186,7 @@ fn main() -> ExitCode {
         json: opts.json,
     };
 
-    if opts.rust_embedded || !opts.bundle {
+    if opts.rust_embedded {
         // Embedded scripts are fragments wired together by Rust code;
         // cross-script channel analysis over them would only guess.
         for (label, source, offset) in &sources {
@@ -232,64 +199,13 @@ fn main() -> ExitCode {
             .iter()
             .map(|(label, source, _)| (label.as_str(), source.as_str()))
             .collect();
-        for (label, d) in analyze_bundle_with(&bundle, &opts.analyze) {
+        for (label, d) in deploy_gate(&bundle, &opts.analyze).findings {
             let source = sources
                 .iter()
                 .find(|(l, _, _)| *l == label)
                 .map(|(_, s, _)| s.as_str())
                 .unwrap_or("");
             rep.diag(&label, 0, source, &d);
-        }
-    }
-
-    // Deep passes over the compiled form: structural verification and
-    // the abstract-interpretation cost bounds — the same checks
-    // `Deployment::send` runs before a spec reaches any phone.
-    if opts.verify || opts.cost {
-        for (label, source, offset) in &sources {
-            let program = match compile(source) {
-                Ok(p) => p,
-                Err(e) => {
-                    // The analyzer usually reported this already as
-                    // P000; compile-only failures still surface here.
-                    rep.finding(
-                        label,
-                        "P000",
-                        Severity::Error,
-                        *offset,
-                        &e.to_string(),
-                        None,
-                    );
-                    continue;
-                }
-            };
-            if opts.verify {
-                if let Err(e) = pogo_script::verify::check(&program) {
-                    rep.finding(
-                        label,
-                        e.code,
-                        Severity::Error,
-                        *offset,
-                        &e.to_string(),
-                        None,
-                    );
-                }
-            }
-            if opts.cost {
-                let report = analyze_costs(&program);
-                if !opts.json {
-                    print!(
-                        "{}",
-                        pogo_script::absint::render_cost_report(&report)
-                            .lines()
-                            .map(|l| format!("{label}: {l}\n"))
-                            .collect::<String>()
-                    );
-                }
-                for d in cost_diagnostics(&report, &CostBudgets::default()) {
-                    rep.diag(label, *offset, source, &d);
-                }
-            }
         }
     }
 
@@ -308,7 +224,7 @@ fn main() -> ExitCode {
     } else {
         println!("{summary}");
     }
-    if rep.errors > 0 || (opts.deny_warnings && rep.warnings > 0) {
+    if rep.errors > 0 {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

@@ -54,6 +54,7 @@ pub mod compile;
 pub mod diag;
 pub mod env;
 pub mod error;
+pub mod gate;
 pub mod interp;
 pub mod lexer;
 pub mod parser;
@@ -63,12 +64,16 @@ pub mod value;
 pub mod verify;
 pub(crate) mod vm;
 
-pub use absint::{analyze_costs, cost_diagnostics, Bound, Cost, CostBudgets, CostReport, Max};
+pub use absint::{
+    analyze_costs, cost_diagnostics, Bound, Cost, CostBudgets, CostReport, Max, LOAD_BUDGET,
+    WATCHDOG_BUDGET,
+};
 pub use analyze::{analyze, analyze_bundle, analyze_bundle_with, analyze_with, AnalyzeOptions};
 pub use bytecode::{disassemble, CompiledProgram};
 pub use compile::{compile, compile_cached, compile_program};
 pub use diag::{Diagnostic, Rule, Severity};
 pub use error::{ErrorKind, ScriptError};
+pub use gate::{deploy_gate, GateReport};
 pub use interp::{Engine, Interpreter};
 pub use parser::parse;
 pub use sloc::{count_sloc, SourceStats};

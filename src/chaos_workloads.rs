@@ -15,12 +15,10 @@ use pogo_chaos::{ChannelAudit, SoakConfig, WorkloadSpec};
 use pogo_core::proto::ScriptSpec;
 use pogo_core::sensor::{LocationFix, SensorSources, WifiReading};
 use pogo_core::{DeviceNode, DeviceSetup, ExperimentSpec, FleetSpec, Testbed};
-use pogo_mobility::{
-    paper_cohort, GeolocationService, ScanSynthesizer, UserScenario, UserSpec, Whereabouts, World,
-};
+use pogo_mobility::{paper_cohort, GeolocationService, ScanSynthesizer, UserSpec, World};
 use pogo_net::{FlushPolicy, Jid};
-use pogo_platform::{Bearer, NetAppConfig, PeriodicNetApp, Phone};
-use pogo_sim::{Sim, SimDuration, SimRng, SimTime};
+use pogo_platform::{NetAppConfig, PeriodicNetApp};
+use pogo_sim::{SimDuration, SimRng};
 
 use crate::glue;
 
@@ -335,8 +333,12 @@ impl WorkloadSpec for Table4ChaosWorkload {
             // the §5.2 measurement phones. The app keeps itself alive
             // through its own alarms; the handle can be dropped.
             let _ = PeriodicNetApp::install(&phone, NetAppConfig::email());
-            drive_connectivity(&sim, &phone, &scenario);
-            schedule_reboots(&sim, &device, &scenario);
+            glue::drive_connectivity(&sim, &phone, &scenario);
+            // The researchers' script redeployments are left out: a
+            // redeploy racing an injected server outage would fail the
+            // deployment, which is a test-harness artifact, not a
+            // middleware bug.
+            glue::schedule_reboots(&sim, &device, &scenario);
         }
         *self.world.borrow_mut() = Some(world);
     }
@@ -352,72 +354,6 @@ impl WorkloadSpec for Table4ChaosWorkload {
 
     fn audits(&self) -> Vec<ChannelAudit> {
         vec![localization_audit()]
-    }
-}
-
-/// The movement/connectivity schedule from the Table 4 sessions:
-/// cellular normally, no data during roaming/outage gaps, Wi-Fi only at
-/// home/office for the wifi-only user, nothing while the phone is off.
-/// The chaos controller's own bearer manipulation interleaves with
-/// these breakpoints, which is the point.
-fn drive_connectivity(sim: &Sim, phone: &Phone, scenario: &UserScenario) {
-    let mut breakpoints: Vec<u64> = scenario.trace.segments().iter().map(|&(t, _)| t).collect();
-    for &(a, b) in &scenario.disruptions.data_gaps {
-        breakpoints.push(a);
-        breakpoints.push(b);
-    }
-    breakpoints.push(0);
-    breakpoints.sort_unstable();
-    breakpoints.dedup();
-
-    let desired = {
-        let trace = scenario.trace.clone();
-        let disruptions = scenario.disruptions.clone();
-        let wifi_places = scenario.wifi_places.clone();
-        move |t: u64| -> Option<Bearer> {
-            match trace.whereabouts(t) {
-                Whereabouts::PhoneOff => None,
-                w => {
-                    if disruptions.wifi_only {
-                        match w {
-                            Whereabouts::At(p) if wifi_places.contains(&p) => Some(Bearer::Wifi),
-                            _ => None,
-                        }
-                    } else if disruptions.in_data_gap(t) {
-                        None
-                    } else {
-                        Some(Bearer::Cellular)
-                    }
-                }
-            }
-        }
-    };
-    for t in breakpoints {
-        let conn = phone.connectivity().clone();
-        let desired = desired.clone();
-        sim.schedule_at(SimTime::from_millis(t), move || {
-            conn.set_active(desired(t));
-        });
-    }
-}
-
-/// Scenario reboots plus the morning middleware restart after every
-/// phone-off night. A scenario reboot landing inside a chaos
-/// battery-death window is a harmless no-op (the device refuses to boot
-/// while powered off). The researchers' script redeployments are left
-/// out: a redeploy racing an injected server outage would fail the
-/// deployment, which is a test-harness artifact, not a middleware bug.
-fn schedule_reboots(sim: &Sim, device: &DeviceNode, scenario: &UserScenario) {
-    let mut reboots = scenario.disruptions.reboots.clone();
-    let segments = scenario.trace.segments();
-    for pair in segments.windows(2) {
-        if pair[0].1 == Whereabouts::PhoneOff && pair[1].1 != Whereabouts::PhoneOff {
-            reboots.push(pair[1].0);
-        }
-    }
-    for t in reboots {
-        let device = device.clone();
-        sim.schedule_at(SimTime::from_millis(t), move || device.reboot());
     }
 }
 

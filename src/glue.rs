@@ -4,9 +4,11 @@
 use pogo_cluster::{ClusterSummary, RawScan, Scan};
 use pogo_core::proto::{ExperimentSpec, ScriptSpec};
 use pogo_core::sensor::WifiReading;
-use pogo_core::{Msg, ScriptHost};
-use pogo_mobility::GeolocationService;
+use pogo_core::{DeviceNode, Msg, ScriptHost};
+use pogo_mobility::{GeolocationService, UserScenario, Whereabouts};
+use pogo_platform::{Bearer, Phone};
 use pogo_script::{ObjMap, ScriptError, Value};
+use pogo_sim::{Sim, SimTime};
 
 /// `scan.js` source (Figure 1 / Table 2).
 pub const SCAN_JS: &str = include_str!("../assets/scripts/scan.js");
@@ -175,6 +177,70 @@ pub fn places_from_log(lines: &[String]) -> Vec<(String, ClusterSummary, bool)> 
         out.push((user.to_owned(), summary, located));
     }
     out
+}
+
+/// Applies a Table 4 user's movement/connectivity schedule to `phone`:
+/// cellular normally, no data during roaming/outage gaps, Wi-Fi only at
+/// home/office for the wifi-only user, nothing while the phone is off.
+/// (In the chaos soak the controller's own bearer manipulation
+/// interleaves with these breakpoints, which is the point.)
+pub fn drive_connectivity(sim: &Sim, phone: &Phone, scenario: &UserScenario) {
+    let mut breakpoints: Vec<u64> = scenario.trace.segments().iter().map(|&(t, _)| t).collect();
+    for &(a, b) in &scenario.disruptions.data_gaps {
+        breakpoints.push(a);
+        breakpoints.push(b);
+    }
+    breakpoints.push(0);
+    breakpoints.sort_unstable();
+    breakpoints.dedup();
+
+    let desired = {
+        let trace = scenario.trace.clone();
+        let disruptions = scenario.disruptions.clone();
+        let wifi_places = scenario.wifi_places.clone();
+        move |t: u64| -> Option<Bearer> {
+            match trace.whereabouts(t) {
+                Whereabouts::PhoneOff => None,
+                w => {
+                    if disruptions.wifi_only {
+                        match w {
+                            Whereabouts::At(p) if wifi_places.contains(&p) => Some(Bearer::Wifi),
+                            _ => None,
+                        }
+                    } else if disruptions.in_data_gap(t) {
+                        None
+                    } else {
+                        Some(Bearer::Cellular)
+                    }
+                }
+            }
+        }
+    };
+    for t in breakpoints {
+        let conn = phone.connectivity().clone();
+        let desired = desired.clone();
+        sim.schedule_at(SimTime::from_millis(t), move || {
+            conn.set_active(desired(t));
+        });
+    }
+}
+
+/// Schedules the scenario's reboots plus the morning middleware restart
+/// after every phone-off night. (A reboot landing inside a chaos
+/// battery-death window is a harmless no-op: the device refuses to boot
+/// while powered off.)
+pub fn schedule_reboots(sim: &Sim, device: &DeviceNode, scenario: &UserScenario) {
+    let mut reboots = scenario.disruptions.reboots.clone();
+    let segments = scenario.trace.segments();
+    for pair in segments.windows(2) {
+        if pair[0].1 == Whereabouts::PhoneOff && pair[1].1 != Whereabouts::PhoneOff {
+            reboots.push(pair[1].0);
+        }
+    }
+    for t in reboots {
+        let device = device.clone();
+        sim.schedule_at(SimTime::from_millis(t), move || device.reboot());
+    }
 }
 
 #[cfg(test)]

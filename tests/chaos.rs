@@ -148,9 +148,9 @@ fn store_and_forward_rides_out_outage_and_restart() {
 fn dedup_absorbs_duplicated_retransmits_when_acks_vanish() {
     let sim = Sim::new();
     let mut tb = Testbed::with_obs(&sim, ObsConfig::on());
-    tb.add(DeviceSetup::named("phone-0").configure(|c| {
+    tb.add(DeviceSetup::named("phone-0").configure(|mut c| {
+        c.retransmit_timeout = SimDuration::from_secs(30);
         c.with_flush_policy(FlushPolicy::Immediate)
-            .with_retransmit_timeout(SimDuration::from_secs(30))
     }));
     let device = tb.devices()[0].clone();
     let delivered = collect_delivered(&tb);
