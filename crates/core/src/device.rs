@@ -9,7 +9,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use pogo_net::{
     DedupFilter, Envelope, FlushPolicy, Jid, MessageStore, Payload, Session, StoredMessage,
@@ -95,8 +95,30 @@ impl DeviceConfig {
 #[derive(Debug, Clone)]
 struct Installed {
     version: u64,
-    scripts: Vec<ScriptSpec>,
+    scripts: Rc<[ScriptSpec]>,
     collector: Jid,
+}
+
+/// `scripts` as one allocation for every simulated phone on this thread
+/// that has the same list installed. A phone keeps the sources it was
+/// sent so that it can restart them after a reboot; a fleet is sent the
+/// same ones, and the simulator need not hold a copy for each phone (the
+/// compiled chunks are shared the same way, by `compile_cached`).
+fn shared_scripts(scripts: &[ScriptSpec]) -> Rc<[ScriptSpec]> {
+    thread_local! {
+        static INSTALLED: RefCell<Vec<Weak<[ScriptSpec]>>> = const { RefCell::new(Vec::new()) };
+    }
+    INSTALLED.with(|lists| {
+        let mut lists = lists.borrow_mut();
+        lists.retain(|list| list.strong_count() > 0);
+        let mut known = lists.iter().filter_map(Weak::upgrade);
+        if let Some(shared) = known.find(|list| **list == *scripts) {
+            return shared;
+        }
+        let shared: Rc<[ScriptSpec]> = scripts.into();
+        lists.push(Rc::downgrade(&shared));
+        shared
+    })
 }
 
 /// A mirrored collector subscription as persisted: `(channel, params,
@@ -664,7 +686,7 @@ impl DeviceNode {
                         exp.clone(),
                         Installed {
                             version: *version,
-                            scripts: scripts.clone(),
+                            scripts: shared_scripts(scripts),
                             collector: from.clone(),
                         },
                     );
@@ -1020,6 +1042,22 @@ mod tests {
             msg: Msg::Num(n),
             sub_ref: None,
         }
+    }
+
+    #[test]
+    fn phones_with_the_same_scripts_installed_hold_one_copy() {
+        let spec = |source: &str| ScriptSpec {
+            name: "s.js".into(),
+            source: source.into(),
+        };
+        let fleet = [spec("print('a');"), spec("print('b');")];
+        let first = shared_scripts(&fleet);
+        assert!(Rc::ptr_eq(&first, &shared_scripts(&fleet.clone())));
+        assert_eq!(*first, fleet);
+        let other = shared_scripts(&fleet[..1]);
+        assert!(!Rc::ptr_eq(&first, &other));
+        assert_eq!(*other, fleet[..1]);
+        assert!(Rc::ptr_eq(&shared_scripts(&[]), &shared_scripts(&[])));
     }
 
     #[test]

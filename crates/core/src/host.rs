@@ -20,7 +20,7 @@ use pogo_sim::SimDuration;
 use crate::broker::{Broker, SubscriptionId};
 use crate::bump;
 use crate::scheduler::Scheduler;
-use crate::value::Msg;
+use crate::value::{Msg, SeenStrings};
 
 /// Persistent per-script `freeze`/`thaw` slot. Lives *outside* the script
 /// host so it survives restarts and reboots, like the flash storage it
@@ -57,8 +57,39 @@ pub struct LogStore {
 
 #[derive(Debug, Default)]
 struct LogsInner {
-    logs: RefCell<HashMap<String, Vec<String>>>,
+    logs: RefCell<HashMap<String, Log>>,
     obs: Obs,
+}
+
+/// One log: its lines end to end in a single buffer and where each one
+/// ends. A log only grows, and a line of its own costs a `String` header
+/// and an allocator header on top of its text.
+#[derive(Debug, Default)]
+struct Log {
+    text: String,
+    ends: Vec<usize>,
+}
+
+impl Log {
+    fn push(&mut self, line: &str) {
+        // A log is kept for good and a fleet holds one per phone, so it
+        // grows by an eighth: doubling leaves a quarter of all log memory
+        // unused on average, and every byte is still copied only nine
+        // times over.
+        if self.text.capacity() - self.text.len() < line.len() {
+            let more = line.len().max(self.text.len() / 8);
+            self.text.reserve_exact(more);
+        }
+        self.text.push_str(line);
+        self.ends.push(self.text.len());
+    }
+
+    fn lines(&self) -> impl Iterator<Item = &str> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(from, &to)| &self.text[from..to])
+    }
 }
 
 impl LogStore {
@@ -82,28 +113,33 @@ impl LogStore {
 
     /// Appends a line to the named log.
     pub fn append(&self, log: &str, line: String) {
+        let mut logs = self.inner.logs.borrow_mut();
+        match logs.get_mut(log) {
+            Some(known) => known.push(&line),
+            None => logs.entry(log.to_owned()).or_default().push(&line),
+        }
         let obs = &self.inner.obs;
         if obs.is_enabled() {
-            obs.event(
-                "log",
-                log.to_owned(),
-                vec![pogo_obs::field("line", line.clone())],
-            );
+            obs.event("log", log.to_owned(), vec![pogo_obs::field("line", line)]);
             obs.metrics().inc("log.lines", 1);
         }
-        let mut logs = self.inner.logs.borrow_mut();
-        logs.entry(log.to_owned()).or_default().push(line);
     }
 
     /// Lines of one log.
     pub fn lines(&self, log: &str) -> Vec<String> {
         let logs = self.inner.logs.borrow();
-        logs.get(log).cloned().unwrap_or_default()
+        logs.get(log)
+            .map(|l| l.lines().map(str::to_owned).collect())
+            .unwrap_or_default()
     }
 
     /// Number of lines in one log.
     pub fn line_count(&self, log: &str) -> usize {
-        self.inner.logs.borrow().get(log).map_or(0, Vec::len)
+        self.inner
+            .logs
+            .borrow()
+            .get(log)
+            .map_or(0, |l| l.ends.len())
     }
 }
 
@@ -117,6 +153,8 @@ struct HostInner {
     logs: LogStore,
     obs: Obs,
     interp: RefCell<Interpreter>,
+    /// Short strings the script has received in messages ([`SeenStrings`]).
+    strings: RefCell<SeenStrings>,
     description: RefCell<Option<String>>,
     autostart: Cell<bool>,
     prints: RefCell<Vec<String>>,
@@ -187,6 +225,7 @@ impl ScriptHost {
                 logs,
                 obs: obs.clone(),
                 interp: RefCell::new(Interpreter::new()),
+                strings: RefCell::default(),
                 description: RefCell::new(None),
                 autostart: Cell::new(true),
                 prints: RefCell::default(),
@@ -472,7 +511,7 @@ impl ScriptHost {
                     // asynchronous and per-script serialized.
                     let host = sink_host.clone();
                     let handler = handler.clone();
-                    let msg = msg.to_script();
+                    let msg = msg.to_script(&mut sink_host.inner.strings.borrow_mut());
                     let from_arg = match from {
                         Some(jid) => Value::str(jid),
                         None => Value::Null,
@@ -525,7 +564,7 @@ impl ScriptHost {
                 Ok(inner
                     .frozen
                     .get()
-                    .map(|m| m.to_script())
+                    .map(|m| m.to_script(&mut inner.strings.borrow_mut()))
                     .unwrap_or(Value::Null))
             });
         }
@@ -633,6 +672,28 @@ mod tests {
         assert_eq!(h.prints(), vec!["hello 42"]);
         assert_eq!(logs.lines("s.js"), vec!["line1"]);
         assert_eq!(logs.lines("raw"), vec!["a 1"]);
+    }
+
+    #[test]
+    fn log_lines_come_back_as_appended() {
+        let logs = LogStore::new();
+        let mut model: HashMap<&str, Vec<String>> = HashMap::new();
+        for i in 0..600usize {
+            let log = ["raw-scans", "s.js", ""][i % 3];
+            let line = match i % 5 {
+                0 => String::new(),
+                1 => "\u{e9}\u{1F600}".repeat(i % 40),
+                _ => format!("line {i} of {log}"),
+            };
+            logs.append(log, line.clone());
+            model.entry(log).or_default().push(line);
+            assert_eq!(logs.line_count(log), model[log].len());
+        }
+        for (log, lines) in &model {
+            assert_eq!(&logs.lines(log), lines, "{log:?}");
+        }
+        assert!(logs.lines("absent").is_empty());
+        assert_eq!(logs.line_count("absent"), 0);
     }
 
     #[test]

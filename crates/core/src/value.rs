@@ -11,7 +11,9 @@
 //! implemented here.
 
 use std::cell::Cell;
+use std::collections::HashSet;
 use std::fmt;
+use std::rc::Rc;
 
 use pogo_script::value::intern;
 use pogo_script::{ObjMap, Value};
@@ -124,21 +126,25 @@ impl Msg {
         }
     }
 
-    /// Converts a message into a (fresh) script value.
-    pub fn to_script(&self) -> Value {
+    /// Converts a message into a (fresh) script value for the script
+    /// context that owns `seen`: a short string the context has been
+    /// handed before is that allocation again, not a copy.
+    pub fn to_script(&self, seen: &mut SeenStrings) -> Value {
         match self {
             Msg::Null => Value::Null,
             Msg::Bool(b) => Value::Bool(*b),
             Msg::Num(n) => Value::Num(*n),
-            Msg::Str(s) => Value::str(s),
-            Msg::Arr(items) => Value::array(items.iter().map(Msg::to_script).collect()),
+            Msg::Str(s) => Value::Str(seen.share(s)),
+            Msg::Arr(items) => Value::array(items.iter().map(|m| m.to_script(seen)).collect()),
             Msg::Obj(pairs) => {
                 // Keys come from the interner the compiler's member
                 // sites use, so a script's `msg.aps` finds `aps` by
-                // pointer and a message costs no allocation per key.
+                // pointer, and the key list is the one every message of
+                // this layout shares: a message costs no allocation per
+                // key.
                 let map: ObjMap = pairs
                     .iter()
-                    .map(|(k, v)| (intern(k), v.to_script()))
+                    .map(|(k, v)| (intern(k), v.to_script(seen)))
                     .collect();
                 Value::object(map)
             }
@@ -173,6 +179,48 @@ impl Msg {
             }
             other => other.clone(),
         }
+    }
+}
+
+/// Most strings a [`SeenStrings`] holds.
+const SEEN_STRINGS_CAP: usize = 256;
+
+/// Longest string a [`SeenStrings`] holds, in bytes: with
+/// [`SEEN_STRINGS_CAP`] it bounds a table at 16 kB of text.
+const SEEN_STRING_MAX_LEN: usize = 64;
+
+/// The short strings one script context has received in messages, so that
+/// a value which keeps arriving — an access point's BSSID in every scan
+/// that hears it — is one allocation in that context however many window
+/// entries hold it, and comparing two of them compares pointers.
+///
+/// It is not the key interner: that table is shared by every script on
+/// the thread and is full for good once a peer has sent it 4,096 values,
+/// whereas one phone's scripts see that phone's few access points. A
+/// table that fills up starts over, so what a context shares follows what
+/// it currently receives and a flood costs it no more than the copies it
+/// made before there was a table.
+#[derive(Debug, Default)]
+pub struct SeenStrings {
+    seen: HashSet<Rc<str>>,
+}
+
+impl SeenStrings {
+    /// `s` as a script string: the one handed out for the same text
+    /// before, if the table still holds it.
+    fn share(&mut self, s: &str) -> Rc<str> {
+        if s.len() > SEEN_STRING_MAX_LEN {
+            return Rc::from(s);
+        }
+        if let Some(shared) = self.seen.get(s) {
+            return shared.clone();
+        }
+        if self.seen.len() == SEEN_STRINGS_CAP {
+            self.seen.clear();
+        }
+        let shared: Rc<str> = Rc::from(s);
+        self.seen.insert(shared.clone());
+        shared
     }
 }
 
@@ -687,7 +735,7 @@ mod tests {
             ("s", Msg::str("y")),
             ("l", Msg::Arr(vec![Msg::Bool(true), Msg::Null])),
         ]);
-        let script = m.to_script();
+        let script = m.to_script(&mut SeenStrings::default());
         let back = Msg::from_script(&script);
         assert_eq!(back, m);
     }
@@ -701,7 +749,9 @@ mod tests {
         // Nor does it keep a key too long to be a property name.
         let long = "k".repeat(65);
         let before = interned_keys();
-        let Value::Object(map) = Msg::obj([(long.clone(), Msg::Null)]).to_script() else {
+        let Value::Object(map) =
+            Msg::obj([(long.clone(), Msg::Null)]).to_script(&mut SeenStrings::default())
+        else {
             panic!("an object message converts to an object");
         };
         assert_eq!(interned_keys(), before);
@@ -709,7 +759,7 @@ mod tests {
 
         let n = 10_000;
         let m = Msg::obj((0..n).map(|i| (format!("key{i}"), Msg::Num(i as f64))));
-        let script = m.to_script();
+        let script = m.to_script(&mut SeenStrings::default());
         assert_eq!(interned_keys(), INTERN_CAP);
         let Value::Object(map) = &script else {
             panic!("an object message converts to an object");
@@ -726,6 +776,75 @@ mod tests {
             .unwrap();
         assert_eq!(interp.call(&pick, &[script]).unwrap(), Value::Num(9999.0));
         assert_eq!(interned_keys(), INTERN_CAP);
+    }
+
+    /// A peer chooses the strings and the keys of what it sends: 10,000
+    /// distinct ones of each leave the context's string table and the key
+    /// interner no larger than their caps, and what the phone's own
+    /// scripts and sensors use is still shared afterwards.
+    #[test]
+    fn a_flood_of_strings_and_keys_leaves_both_tables_bounded() {
+        use pogo_script::value::{interned_keys, INTERN_CAP};
+        // Compiled first, as on a phone: the script's keys are interned.
+        let mut interp = pogo_script::Interpreter::new();
+        let read = interp
+            .eval("function read(m) { return m.bssid + '/' + m.rssi; } read;")
+            .unwrap();
+        let bssid = intern("bssid");
+        let mut seen = SeenStrings::default();
+        let scan = |seen: &mut SeenStrings, ap: String| {
+            Msg::obj([("bssid", Msg::Str(ap)), ("rssi", Msg::Num(-60.0))]).to_script(seen)
+        };
+        let home = scan(&mut seen, "00:11:22:33:44:55".into());
+
+        let n = 10_000;
+        let keys_before = interned_keys();
+        for i in 0..n {
+            scan(
+                &mut seen,
+                format!("02:00:00:00:{:02x}:{:02x}", i / 256, i % 256),
+            );
+            assert!(seen.seen.len() <= SEEN_STRINGS_CAP, "after {i} strings");
+        }
+        assert_eq!(interned_keys(), keys_before, "values are not keys");
+        let flood = Msg::obj((0..n).map(|i| (format!("key{i}"), Msg::str(format!("v{i}")))));
+        flood.to_script(&mut seen);
+        assert_eq!(interned_keys(), INTERN_CAP);
+        assert!(seen.seen.len() <= SEEN_STRINGS_CAP);
+        assert!(
+            seen.seen.capacity() < 4 * SEEN_STRINGS_CAP,
+            "the table itself"
+        );
+        // Nor does it keep a string too long to be an identifier.
+        let long = "x".repeat(SEEN_STRING_MAX_LEN + 1);
+        let held = seen.seen.len();
+        assert_eq!(
+            Msg::str(long.clone()).to_script(&mut seen),
+            Value::str(&long)
+        );
+        assert_eq!(seen.seen.len(), held);
+
+        // The script's keys are still the interner's, so a message's
+        // `bssid` is the member site's by pointer; and the access point
+        // that keeps arriving is one string again, the flood over.
+        assert!(Rc::ptr_eq(&intern("bssid"), &bssid));
+        let (first, second) = (
+            scan(&mut seen, "00:11:22:33:44:55".into()),
+            scan(&mut seen, "00:11:22:33:44:55".into()),
+        );
+        let (Value::Object(a), Value::Object(b)) = (&first, &second) else {
+            panic!("an object message converts to an object");
+        };
+        assert!(std::ptr::eq(a.borrow().keys().next().unwrap(), &*bssid));
+        let (a, b) = (a.borrow(), b.borrow());
+        let (Some(Value::Str(x)), Some(Value::Str(y))) = (a.get("bssid"), b.get("bssid")) else {
+            panic!("bssid is a string");
+        };
+        assert!(Rc::ptr_eq(x, y));
+        for m in [home, first.clone()] {
+            let got = interp.call(&read, &[m]).unwrap();
+            assert_eq!(got, Value::str("00:11:22:33:44:55/-60"));
+        }
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! exactly-once fan-out. Inputs come from `SimRng`, so the suite runs by
 //! default and every failure names its seed.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
 use std::rc::Rc;
 
+use pogo_core::value::SeenStrings;
 use pogo_core::{Broker, Msg};
 use pogo_sim::SimRng;
 
@@ -82,11 +83,16 @@ fn json_size_is_serialization_length() {
 }
 
 /// `Msg` → script `Value` → `Msg` is the identity (no functions can
-/// appear on this path).
+/// appear on this path) and so is the JSON text, with one script
+/// context's string table behind all of them: strings that repeat arrive
+/// shared, and the table fills up and starts over on the way.
 #[test]
 fn script_conversion_round_trips() {
+    let seen = RefCell::new(SeenStrings::default());
     for_each_msg(|seed, m| {
-        assert_eq!(&Msg::from_script(&m.to_script()), m, "seed {seed}");
+        let back = Msg::from_script(&m.to_script(&mut seen.borrow_mut()));
+        assert_eq!(&back, m, "seed {seed}");
+        assert_eq!(back.to_json(), m.to_json(), "seed {seed}");
     });
 }
 

@@ -12,14 +12,14 @@
 //! hash-map iteration or addresses. That property is load-bearing —
 //! compiled chunks are shared across simulated phones and the chaos
 //! soak demands byte-identical traces across runs. The inline caches
-//! ([`Cell`]s) are the one mutable part, and they only ever change
+//! (the sites' cells) are the one mutable part, and they only ever change
 //! probe order, never an observable result.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::fmt::Write as _;
 use std::rc::Rc;
 
-use crate::value::Value;
+use crate::value::{Shape, Value};
 
 /// One VM instruction. Operands index the side tables of the
 /// enclosing [`Chunk`] (constants, protos, sites, chains) or name a
@@ -162,14 +162,17 @@ impl Clone for GlobalSite {
     }
 }
 
-/// A named property-access site with an inline cache of the property's
-/// index inside the receiver's [`crate::value::ObjMap`]. The name is an
-/// interned key ([`crate::value::intern`]), so the cache check against
-/// an object built from a literal or a message compares pointers.
+/// A named property-access site with an inline cache: the shape of the
+/// last object the property was found in ([`crate::value::ObjMap`] keeps
+/// one key list per layout) and the property's index there. The site
+/// holds that shape, so its address cannot pass to another key list, and
+/// a hit is one pointer compare. The name is an interned key
+/// ([`crate::value::intern`]), so the lookup that follows a miss usually
+/// compares pointers too.
 #[derive(Debug)]
 pub struct MemberSite {
     pub name: Rc<str>,
-    pub cache: Cell<u32>,
+    pub cache: RefCell<Option<(Shape, u32)>>,
 }
 
 impl Clone for MemberSite {
@@ -177,7 +180,7 @@ impl Clone for MemberSite {
     fn clone(&self) -> Self {
         MemberSite {
             name: self.name.clone(),
-            cache: Cell::new(u32::MAX),
+            cache: RefCell::new(None),
         }
     }
 }

@@ -314,7 +314,7 @@ impl Compiler {
         let idx = self.limit(n)?;
         self.fun().chunk.members.push(MemberSite {
             name: intern(name),
-            cache: std::cell::Cell::new(u32::MAX),
+            cache: std::cell::RefCell::new(None),
         });
         Ok(idx)
     }

@@ -54,13 +54,114 @@ fn key_eq(a: &str, b: &str) -> bool {
     std::ptr::eq(a, b) || a == b
 }
 
+/// An object's keys in insertion order. Every object built the same way
+/// holds the same allocation — an object literal the key list its chunk
+/// compiled, a message or an object grown by [`ObjMap::insert`] the one
+/// the thread's shape table reached by the same inserts — so a shape is
+/// identified by its address for as long as someone holds it.
+pub type Shape = Rc<[Rc<str>]>;
+
+/// Most transitions the thread's shape table keeps. Keys arrive from
+/// outside the program, so like [`intern`]'s table this one must not grow
+/// with them: once full, a new combination gets a key list of its own,
+/// which costs that object an allocation and nothing else.
+const SHAPE_CAP: usize = 256;
+
+/// Longest key list the shape table keeps: with [`SHAPE_CAP`] and
+/// [`INTERN_MAX_LEN`] it bounds the table at about 150 kB.
+const SHAPE_MAX_KEYS: usize = 32;
+
+/// `from` plus `key` is `to`. Holding `from` keeps its address its own.
+struct Transition {
+    from: Shape,
+    key: Rc<str>,
+    to: Shape,
+}
+
+/// The thread's shapes: the empty one and every transition taken from it
+/// so far, oldest first — a program's own few layouts are found in the
+/// first entries, whatever a peer filled the rest with. Which key lists
+/// end up shared depends on the order objects are built in and on
+/// nothing else, so it repeats from run to run.
+struct ShapeTable {
+    empty: Shape,
+    transitions: Vec<Transition>,
+}
+
+thread_local! {
+    static SHAPES: RefCell<ShapeTable> = RefCell::new(ShapeTable {
+        empty: Rc::from([]),
+        transitions: Vec::new(),
+    });
+}
+
+fn empty_shape() -> Shape {
+    SHAPES.with(|table| table.borrow().empty.clone())
+}
+
+/// `from` and then `keys`, none of which `from` holds, as a key list of
+/// its own.
+fn extended(from: &Shape, keys: impl IntoIterator<Item = Rc<str>>) -> Shape {
+    from.iter().cloned().chain(keys).collect()
+}
+
+/// `from` plus `key`, which `from` does not hold: the shape every earlier
+/// caller got for the same pair. A pair the table neither knows nor has
+/// room for is `Err`, with the key for a list of the caller's own.
+fn shared_step<K>(from: &Shape, key: K) -> Result<Shape, Rc<str>>
+where
+    K: AsRef<str> + Into<Rc<str>>,
+{
+    SHAPES.with(|table| {
+        let transitions = &mut table.borrow_mut().transitions;
+        let known = transitions
+            .iter()
+            .find(|t| Rc::ptr_eq(&t.from, from) && key_eq(&t.key, key.as_ref()));
+        if let Some(known) = known {
+            return Ok(known.to.clone());
+        }
+        let key: Rc<str> = key.into();
+        if transitions.len() == SHAPE_CAP
+            || from.len() == SHAPE_MAX_KEYS
+            || key.len() > INTERN_MAX_LEN
+        {
+            return Err(key);
+        }
+        let to = extended(from, [key.clone()]);
+        transitions.push(Transition {
+            from: from.clone(),
+            key,
+            to: to.clone(),
+        });
+        Ok(to)
+    })
+}
+
 /// An insertion-ordered string-keyed map — the representation of script
 /// objects. Order is preserved so serialization is deterministic; lookups
-/// are linear, which is fine for the small messages Pogo exchanges. Keys
-/// are `Rc<str>`, shared with whoever supplied them (see [`intern`]).
-#[derive(Debug, Clone, Default, PartialEq)]
+/// are linear, which is fine for the small messages Pogo exchanges. The
+/// keys are a [`Shape`] shared with every object of the same layout, so an
+/// object owns only its values, in a slice of exactly their number.
+#[derive(Clone, PartialEq)]
 pub struct ObjMap {
-    entries: Vec<(Rc<str>, Value)>,
+    shape: Shape,
+    /// `values[i]` belongs to `shape[i]`; the two are always as long.
+    values: Box<[Value]>,
+}
+
+impl Default for ObjMap {
+    fn default() -> Self {
+        ObjMap {
+            shape: empty_shape(),
+            values: Box::default(),
+        }
+    }
+}
+
+impl fmt::Debug for ObjMap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
 }
 
 impl ObjMap {
@@ -69,86 +170,127 @@ impl ObjMap {
         ObjMap::default()
     }
 
-    /// An object literal's map: `keys[i]` holds `values[i]`. The keys
+    /// An object literal's map: `shape[i]` holds `values[i]`. The keys
     /// must be distinct — the compiler only emits such shapes and the
     /// verifier rejects any other.
-    pub(crate) fn from_shape(keys: &[Rc<str>], values: impl Iterator<Item = Value>) -> Self {
+    pub(crate) fn from_shape(shape: &Shape, values: impl Iterator<Item = Value>) -> Self {
+        let values: Box<[Value]> = values.collect();
+        debug_assert_eq!(values.len(), shape.len());
         ObjMap {
-            entries: keys.iter().cloned().zip(values).collect(),
+            shape: shape.clone(),
+            values,
         }
     }
 
     /// Looks up a key.
     pub fn get(&self, key: &str) -> Option<&Value> {
-        self.entries
-            .iter()
-            .find(|(k, _)| key_eq(k, key))
-            .map(|(_, v)| v)
+        self.index_of(key).map(|idx| &self.values[idx])
     }
 
     /// Inserts or replaces a key, preserving the original position on
     /// replacement. Returns the previous value if any. The key is only
-    /// converted (and, for a `&str` or `String`, allocated) when it is
-    /// new to the map.
+    /// converted (and, for a `&str` or `String`, allocated) when no
+    /// object on this thread has grown the same way before.
     pub fn insert(&mut self, key: impl AsRef<str> + Into<Rc<str>>, value: Value) -> Option<Value> {
-        for (k, v) in &mut self.entries {
-            if key_eq(k, key.as_ref()) {
-                return Some(std::mem::replace(v, value));
-            }
+        if let Some(idx) = self.index_of(key.as_ref()) {
+            return Some(std::mem::replace(&mut self.values[idx], value));
         }
-        self.entries.push((key.into(), value));
+        self.shape =
+            shared_step(&self.shape, key).unwrap_or_else(|key| extended(&self.shape, [key]));
+        let mut values = std::mem::take(&mut self.values).into_vec();
+        values.reserve_exact(1);
+        values.push(value);
+        self.values = values.into_boxed_slice();
         None
     }
 
-    /// Reads the entry at `idx` if it still holds `key` — the verified
-    /// inline-cache probe used by the VM's member sites. Entry indices
-    /// are stable: [`ObjMap::insert`] replaces in place.
-    pub(crate) fn get_at(&self, idx: usize, key: &str) -> Option<&Value> {
-        match self.entries.get(idx) {
-            Some((k, v)) if key_eq(k, key) => Some(v),
-            _ => None,
-        }
+    /// Whether this map's keys are `shape` itself — the inline-cache
+    /// probe of the VM's member sites. While it holds, `shape[i]` is the
+    /// key of [`ObjMap::value_at`]`(i)`.
+    pub(crate) fn has_shape(&self, shape: &Shape) -> bool {
+        Rc::ptr_eq(&self.shape, shape)
     }
 
-    /// The entry index of `key`, for cache population.
+    /// The key list, for cache population.
+    pub(crate) fn shape(&self) -> &Shape {
+        &self.shape
+    }
+
+    /// The value of the `idx`th key.
+    pub(crate) fn value_at(&self, idx: usize) -> &Value {
+        &self.values[idx]
+    }
+
+    /// The index of `key` in the shape, and of its value.
     pub(crate) fn index_of(&self, key: &str) -> Option<usize> {
-        self.entries.iter().position(|(k, _)| key_eq(k, key))
+        self.shape.iter().position(|k| key_eq(k, key))
     }
 
-    /// Removes a key, returning its value.
+    /// Removes a key, returning its value. The keys left are the shape
+    /// inserting them one by one reaches.
     pub fn remove(&mut self, key: &str) -> Option<Value> {
         let idx = self.index_of(key)?;
-        Some(self.entries.remove(idx).1)
+        let values = std::mem::take(&mut self.values).into_vec();
+        let mut pairs: Vec<_> = self.shape.iter().cloned().zip(values).collect();
+        let (_, removed) = pairs.remove(idx);
+        *self = pairs.into_iter().collect();
+        Some(removed)
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.values.len()
     }
 
     /// True if there are no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.values.is_empty()
     }
 
     /// Iterates entries in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.entries.iter().map(|(k, v)| (&**k, v))
+        self.keys().zip(&*self.values)
     }
 
     /// The keys in insertion order.
     pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.entries.iter().map(|(k, _)| &**k)
+        self.shape.iter().map(|k| &**k)
     }
 }
 
 impl<K: AsRef<str> + Into<Rc<str>>> FromIterator<(K, Value)> for ObjMap {
     fn from_iter<T: IntoIterator<Item = (K, Value)>>(iter: T) -> Self {
-        let mut map = ObjMap::new();
+        // `insert` by `insert`, with one allocation for the values and —
+        // the table not taking every key list, and the keys being a
+        // peer's to choose — one for all the keys past the shared ones.
+        let iter = iter.into_iter();
+        let mut shape = empty_shape();
+        let mut own: Vec<Rc<str>> = Vec::new();
+        let mut values = Vec::with_capacity(iter.size_hint().0);
         for (k, v) in iter {
-            map.insert(k, v);
+            let mut keys = shape.iter().chain(&own);
+            match keys.position(|held| key_eq(held, k.as_ref())) {
+                Some(idx) => values[idx] = v,
+                None => {
+                    values.push(v);
+                    if !own.is_empty() {
+                        own.push(k.into());
+                    } else {
+                        match shared_step(&shape, k) {
+                            Ok(next) => shape = next,
+                            Err(key) => own.push(key),
+                        }
+                    }
+                }
+            }
         }
-        map
+        if !own.is_empty() {
+            shape = extended(&shape, own);
+        }
+        ObjMap {
+            shape,
+            values: values.into_boxed_slice(),
+        }
     }
 }
 
@@ -325,7 +467,7 @@ impl PartialEq for Value {
             (Value::Null, Value::Null) => true,
             (Value::Bool(a), Value::Bool(b)) => a == b,
             (Value::Num(a), Value::Num(b)) => a == b,
-            (Value::Str(a), Value::Str(b)) => a == b,
+            (Value::Str(a), Value::Str(b)) => Rc::ptr_eq(a, b) || a == b,
             (Value::Array(a), Value::Array(b)) => Rc::ptr_eq(a, b),
             (Value::Object(a), Value::Object(b)) => Rc::ptr_eq(a, b),
             (Value::Func(a), Value::Func(b)) => Rc::ptr_eq(a, b),
@@ -383,6 +525,69 @@ mod tests {
         let keys: Vec<&str> = m.keys().collect();
         assert_eq!(keys, vec!["a", "b"]);
         assert_eq!(m.get("a"), Some(&Value::from(9.0)));
+    }
+
+    #[test]
+    fn objects_built_the_same_way_share_one_key_list() {
+        let built = |keys: &[&str]| -> ObjMap { keys.iter().map(|k| (*k, Value::Null)).collect() };
+        let a = built(&["bssid", "rssi"]);
+        let mut b = ObjMap::new();
+        b.insert(intern("bssid"), Value::from(1.0));
+        b.insert(String::from("rssi"), Value::from(2.0));
+        assert!(b.has_shape(a.shape()), "by insert or by collect");
+        assert!(!built(&["rssi", "bssid"]).has_shape(a.shape()), "order");
+        assert!(!built(&["bssid"]).has_shape(a.shape()), "a prefix");
+        // Replacing a value keeps the shape, removing a key leaves the
+        // shape of the keys that remain.
+        b.insert("bssid", Value::Null);
+        assert!(b.has_shape(a.shape()));
+        let mut c = built(&["t", "bssid", "rssi"]);
+        c.remove("t");
+        assert!(c.has_shape(a.shape()));
+        assert!(ObjMap::new().has_shape(ObjMap::default().shape()));
+    }
+
+    /// Keys come off the network, so the transition table stops growing at
+    /// its cap (and never takes a long key or a long key list); an object
+    /// past it has a key list of its own and behaves like any other.
+    #[test]
+    fn shape_table_stays_at_its_cap_and_objects_past_it_still_work() {
+        let transitions = || SHAPES.with(|t| t.borrow().transitions.len());
+        let wide: ObjMap = (0..SHAPE_MAX_KEYS + 8)
+            .map(|i| (format!("k{i}"), Value::from(i as f64)))
+            .collect();
+        assert_eq!(transitions(), SHAPE_MAX_KEYS, "long key lists are not kept");
+        assert_eq!(wide.len(), SHAPE_MAX_KEYS + 8);
+        let long = "k".repeat(INTERN_MAX_LEN + 1);
+        let mut held = ObjMap::new();
+        held.insert(long.as_str(), Value::Null);
+        assert_eq!(transitions(), SHAPE_MAX_KEYS, "nor are long keys");
+        assert_eq!(held.get(&long), Some(&Value::Null));
+
+        let maps: Vec<ObjMap> = (0..10_000)
+            .map(|i| {
+                let mut m = ObjMap::new();
+                m.insert(format!("peer{i}"), Value::from(f64::from(i)));
+                m.insert("v", Value::Null);
+                m
+            })
+            .collect();
+        assert_eq!(transitions(), SHAPE_CAP);
+        for (i, m) in maps.iter().enumerate() {
+            assert_eq!(m.get(&format!("peer{i}")), Some(&Value::from(i as f64)));
+            assert_eq!(m.keys().nth(1), Some("v"));
+        }
+        // What was shared before the flood still is; what comes after it
+        // is equal without being shared.
+        let again: ObjMap = [("k0", Value::Null), ("k1", Value::Null)]
+            .into_iter()
+            .collect();
+        let prefix: ObjMap = wide.iter().take(2).map(|(k, _)| (k, Value::Null)).collect();
+        assert!(again.has_shape(prefix.shape()));
+        let late = |_| -> ObjMap { [("late", Value::Null)].into_iter().collect() };
+        let (x, y) = (late(0), late(1));
+        assert!(!x.has_shape(y.shape()));
+        assert_eq!(x, y);
     }
 
     #[test]

@@ -107,19 +107,18 @@ struct Machine<'a> {
 }
 
 /// The property `site` names in `map`, through the site's inline cache:
-/// the cached entry index is checked against the name on every use and
-/// refilled on a miss, so it only ever changes probe order.
+/// an object of the shape the site saw last has the property at the index
+/// it had then; any other is searched by name and becomes the cached one.
 fn cached_member(map: &ObjMap, site: &MemberSite) -> Value {
-    let cached = site.cache.get();
-    if cached != u32::MAX {
-        if let Some(v) = map.get_at(cached as usize, &site.name) {
-            return v.clone();
+    if let Some((shape, idx)) = &*site.cache.borrow() {
+        if map.has_shape(shape) {
+            return map.value_at(*idx as usize).clone();
         }
     }
     match map.index_of(&site.name) {
         Some(idx) => {
-            site.cache.set(idx as u32);
-            map.get_at(idx, &site.name).cloned().unwrap_or(Value::Null)
+            *site.cache.borrow_mut() = Some((map.shape().clone(), idx as u32));
+            map.value_at(idx).clone()
         }
         None => Value::Null,
     }
@@ -307,9 +306,9 @@ impl<'a> Machine<'a> {
                         self.stack.push(Value::array(items));
                     }
                     Op::MakeObject(i) => {
-                        let keys = &chunk.shapes[i as usize];
-                        let values = self.stack.drain(self.stack.len() - keys.len()..);
-                        let map = ObjMap::from_shape(keys, values);
+                        let shape = &chunk.shapes[i as usize];
+                        let values = self.stack.drain(self.stack.len() - shape.len()..);
+                        let map = ObjMap::from_shape(shape, values);
                         self.stack.push(Value::object(map));
                     }
                     Op::MakeClosure(i) => {
@@ -805,25 +804,44 @@ impl<'a> Machine<'a> {
         }
     }
 
+    /// Ordering with inline fast paths for two numbers and for two
+    /// strings; mixed operands delegate like [`Machine::num_bin`].
     fn cmp_bin(&mut self, op: BinOp, line: u32) -> Result<(), ScriptError> {
         let b = self.pop();
         let a = self.stack.last_mut().expect("operand");
-        if let (Value::Num(x), Value::Num(y)) = (&*a, &b) {
-            let r = match op {
+        let r = match (&*a, &b) {
+            (Value::Num(x), Value::Num(y)) => match op {
                 BinOp::Lt => x < y,
                 BinOp::Gt => x > y,
                 BinOp::Le => x <= y,
                 BinOp::Ge => x >= y,
                 _ => unreachable!(),
-            };
-            *a = Value::Bool(r);
-            Ok(())
-        } else {
-            let lhs = mem::take(a);
-            self.interp.current_line = line;
-            *a = self.interp.eval_binary(op, lhs, b)?;
-            Ok(())
-        }
+            },
+            (Value::Str(x), Value::Str(y)) => {
+                // One allocation is one string: equal pointers skip the
+                // text.
+                let ord = if Rc::ptr_eq(x, y) {
+                    std::cmp::Ordering::Equal
+                } else {
+                    x.cmp(y)
+                };
+                match op {
+                    BinOp::Lt => ord.is_lt(),
+                    BinOp::Gt => ord.is_gt(),
+                    BinOp::Le => ord.is_le(),
+                    BinOp::Ge => ord.is_ge(),
+                    _ => unreachable!(),
+                }
+            }
+            _ => {
+                let lhs = mem::take(a);
+                self.interp.current_line = line;
+                *a = self.interp.eval_binary(op, lhs, b)?;
+                return Ok(());
+            }
+        };
+        *a = Value::Bool(r);
+        Ok(())
     }
 
     /// Probes a resolution chain innermost-out; the first bound

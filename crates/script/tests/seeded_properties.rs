@@ -290,6 +290,60 @@ fn objmap_agrees_with_a_vec_model_for_every_kind_of_key() {
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect();
         assert_eq!(collected, map, "seed {seed}: FromIterator");
+        // Equality is keys in order and their values, whoever holds the
+        // key list: the same pairs inserted under keys that share nothing.
+        let mut rebuilt = ObjMap::new();
+        for (k, v) in &model {
+            rebuilt.insert(Rc::<str>::from(k.as_str()), v.clone());
+        }
+        assert_eq!(rebuilt, map, "seed {seed}: PartialEq");
+        if let Some((k, v)) = model.first() {
+            rebuilt.insert(k.as_str(), Value::str("other"));
+            assert_ne!(rebuilt, map, "seed {seed}: a value differs");
+            // Back to its value, but now as the last key.
+            rebuilt.remove(k);
+            rebuilt.insert(k.as_str(), v.clone());
+            assert_eq!(rebuilt.len(), map.len());
+            assert_eq!(rebuilt == map, model.len() == 1, "seed {seed}: order");
+        }
+    }
+}
+
+/// Script-side stores against the same model: `o.k = v` and `o[k] = v` in
+/// a random order, onto a literal or an empty object, keep a repeated
+/// key's first position and last value, `for..in` walks the keys in that
+/// order, and both engines agree.
+#[test]
+fn script_stores_keep_insertion_order_for_for_in_on_both_engines() {
+    use pogo_script::Engine;
+    const KEYS: [&str; 5] = ["a", "b", "aps", "t", "l"];
+    for seed in 0..SEEDS {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut model: Vec<(&str, usize)> = Vec::new();
+        let mut src = String::from("var o = {");
+        for (n, key) in KEYS.iter().enumerate().take(rng.gen_range(0usize..3)) {
+            model.push((key, n));
+            src += &format!("{}{key}: {n}", if n > 0 { ", " } else { " " });
+        }
+        src += " };\n";
+        for step in 10..rng.gen_range(10usize..30) {
+            let key = KEYS[rng.gen_range(0..KEYS.len())];
+            match model.iter_mut().find(|(k, _)| *k == key) {
+                Some(entry) => entry.1 = step,
+                None => model.push((key, step)),
+            }
+            src += &if rng.gen_range(0usize..2) == 0 {
+                format!("o.{key} = {step};\n")
+            } else {
+                format!("o['{key}'] = {step};\n")
+            };
+        }
+        src += "var order = '';\nfor (var k in o) { order += k + o[k] + ','; }\norder;";
+        let want: String = model.iter().map(|(k, v)| format!("{k}{v},")).collect();
+        for engine in [Engine::Bytecode, Engine::TreeWalk] {
+            let got = Interpreter::with_engine(engine).eval(&src).unwrap();
+            assert_eq!(got, Value::str(&want), "seed {seed} {engine:?}:\n{src}");
+        }
     }
 }
 
@@ -359,5 +413,96 @@ fn a_shared_chunk_serves_interpreters_whose_objects_order_keys_differently() {
             let got = interp.run_compiled(&program).unwrap();
             assert_eq!(got, Value::Num(123.0), "round {round}, interpreter {i}");
         }
+    }
+}
+
+/// One member site, objects of many layouts by turns: literals and
+/// host-built objects that hold `x` at different indices, hold another
+/// key where the last object held `x`, or do not hold `x` at all. The
+/// site caches (shape, index) and must never read through a stale pair:
+/// every read is checked against the object's own `get`.
+#[test]
+fn one_member_site_alternating_between_shapes_never_reads_the_wrong_property() {
+    use pogo_script::{compile, ObjMap};
+
+    // `pick` reads through both member ops (a local's member and a
+    // popped receiver's); `lit` builds the literal layouts.
+    let program = compile(
+        "function pick(o) { var p = o; return [p.x, next().x]; }\n\
+         function lit(n, v) {\n\
+             if (n == 0) return { x: v, y: -1 };\n\
+             if (n == 1) return { y: -1, x: v };\n\
+             if (n == 2) return { y: v };\n\
+             return { y: -1, z: -2, x: v };\n\
+         }\n\
+         0;",
+    )
+    .unwrap();
+    const HOST_LAYOUTS: [&[&str]; 5] = [
+        &["x", "y"],
+        &["y", "x"],
+        &["y"],
+        &["x"],
+        &["z", "y", "w", "x"],
+    ];
+    for seed in 0..SEEDS {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut interp = Interpreter::new();
+        interp.run_compiled(&program).unwrap();
+        let current = std::rc::Rc::new(std::cell::RefCell::new(Value::Null));
+        let handed = current.clone();
+        interp.register_native("next", move |_, _| Ok(handed.borrow().clone()));
+        let pick = interp.eval("pick;").unwrap();
+        let lit = interp.eval("lit;").unwrap();
+        for step in 0..40 {
+            let v = Value::Num(f64::from(seed as u32 * 100 + step));
+            let object = if rng.gen_range(0usize..2) == 0 {
+                let n = Value::Num(rng.gen_range(0usize..4) as f64);
+                interp.call(&lit, &[n, v.clone()]).unwrap()
+            } else {
+                let layout = HOST_LAYOUTS[rng.gen_range(0..HOST_LAYOUTS.len())];
+                let pairs = layout.iter().map(|k| match *k {
+                    "x" => ("x", v.clone()),
+                    k => (k, Value::str("not x")),
+                });
+                Value::object(pairs.collect::<ObjMap>())
+            };
+            let Value::Object(map) = &object else {
+                panic!("an object");
+            };
+            let want = map.borrow().get("x").cloned().unwrap_or(Value::Null);
+            *current.borrow_mut() = object.clone();
+            let Value::Array(got) = interp.call(&pick, std::slice::from_ref(&object)).unwrap()
+            else {
+                panic!("pick returns an array");
+            };
+            assert_eq!(
+                *got.borrow(),
+                vec![want.clone(), want],
+                "seed {seed} step {step}"
+            );
+        }
+    }
+}
+
+/// String ordering on both engines, one string against itself included:
+/// the VM answers that from the pointers, the tree-walk from the text.
+#[test]
+fn string_ordering_agrees_across_engines_for_shared_and_equal_strings() {
+    use pogo_script::Engine;
+    let src = "var s = 'ab'; var t = s; var u = 'a' + 'b';\n\
+               var out = '';\n\
+               var pairs = [[s, t], [s, u], [s, 'b'], ['b', s], ['', s], [s, 'a']];\n\
+               for (var i = 0; i < pairs.length; i++) {\n\
+                   var x = pairs[i][0], y = pairs[i][1];\n\
+                   out += (x < y) + ',' + (x <= y) + ',' + (x > y) + ',' + (x >= y) + ',' + (x == y) + ';';\n\
+               }\n\
+               out;";
+    let want = "false,true,false,true,true;false,true,false,true,true;\
+                true,true,false,false,false;false,false,true,true,false;\
+                true,true,false,false,false;false,false,true,true,false;";
+    for engine in [Engine::Bytecode, Engine::TreeWalk] {
+        let got = Interpreter::with_engine(engine).eval(src).unwrap();
+        assert_eq!(got, Value::str(want), "{engine:?}");
     }
 }

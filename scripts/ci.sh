@@ -51,8 +51,9 @@ scripts/sloc.sh --uncalled
 # The deterministic work counters, beside the size lines (ROADMAP aim 1:
 # counts that repeat exactly on any machine): allocator calls per stored
 # sample on the two scriptless fleets, per delivered scan and VM steps per
-# callback on the script fleet. The test gates them; this prints them.
-cargo test --release --test alloc_budget -- --nocapture | grep -E ' per (sample|scan) '
+# callback on the script fleet, and the heap bytes that fleet still holds
+# per device at the end. The test gates them; this prints them.
+cargo test --release --test alloc_budget -- --nocapture | grep -E ' per (sample|scan|device) '
 cargo test -q
 
 if [[ "$run_lint" == 1 ]]; then

@@ -16,8 +16,11 @@
 //! benchmark's `fleet_localization`. It reports allocator calls per
 //! delivered scan and VM steps per script callback — the two counts a
 //! change to the compiler's lowering or to the value representation
-//! moves — and gates both. Every gate is the count read when the constants
-//! below were last re-based, plus 3 %.
+//! moves — and gates both, and with them the heap bytes the thread still
+//! holds per device when the run ends: what a phone's scripts, logs and
+//! buffers have grown to, which is what a fleet's size multiplies. Every
+//! gate is the count read when the constants below were last re-based,
+//! plus 3 %.
 //!
 //! The counting `#[global_allocator]` is why this is its own test binary;
 //! it is the repository's only `unsafe`.
@@ -39,40 +42,51 @@ thread_local! {
     /// a destructor, so reading it never allocates and it outlives every
     /// other thread-local.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread has allocated and not freed, by the sizes asked
+    /// for. Signed: a thread may free what another allocated.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 /// The system allocator, counting `alloc`, `alloc_zeroed` and `realloc`
-/// calls per thread (the harness's other threads do not disturb a test's
-/// count).
+/// calls and the bytes outstanding per thread (the harness's other
+/// threads do not disturb a test's count).
 struct Counting;
 
 fn count() {
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
 }
 
+fn resize(from: usize, to: usize) {
+    let _ = LIVE.try_with(|n| n.set(n.get() - from as i64 + to as i64));
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the only addition is a thread-local
-// counter bump that neither allocates nor unwinds.
+// bump of two counters that neither allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
+        resize(0, layout.size());
         // SAFETY: the caller's obligations are passed on as they are.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count();
+        resize(0, layout.size());
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count();
+        resize(layout.size(), new_size);
         // SAFETY: `ptr` came from this allocator, that is from `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        resize(layout.size(), 0);
         // SAFETY: `ptr` came from this allocator, that is from `System`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -83,6 +97,10 @@ static GLOBAL: Counting = Counting;
 
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+fn live_bytes() -> i64 {
+    LIVE.with(Cell::get)
 }
 
 const EXP: &str = "budget";
@@ -201,11 +219,10 @@ fn measure(fleet: Fleet) -> (u64, u64) {
 }
 
 /// Allocator calls per stored sample this same test read at the parent
-/// commit (f2da3ec: every event a box and a hash-table entry, every timer
-/// tick a fresh closure) and reads at this one (slab-backed queue, shared
-/// closures for the platform's periodic timers).
-const PARENT_UPLINK: f64 = 34.7;
-const PARENT_TAILSYNC: f64 = 46.6;
+/// commit (3a70932) and reads at this one: no script runs on these two
+/// fleets, and the change between the two commits is to script values.
+const PARENT_UPLINK: f64 = 25.2;
+const PARENT_TAILSYNC: f64 = 26.3;
 const UPLINK: f64 = 25.2;
 const TAILSYNC: f64 = 26.3;
 
@@ -237,12 +254,24 @@ fn sample_path_allocations_stay_within_budget_and_repeat_exactly() {
     }
 }
 
-/// `(allocator calls, scans delivered, VM steps, script callbacks)` of a
-/// localization fleet over an hour, after the hour that fills
-/// `clustering.js`'s 60-scan window. Every phone alternates between two
-/// neighbourhoods of five access points, 25 to 44 minutes in each, so
-/// places open, close and are published inside the window.
-fn measure_localization() -> (u64, u64, u64, u64) {
+/// What a localization fleet costs over an hour, after the hour that
+/// fills `clustering.js`'s 60-scan window, and what it still holds then.
+#[derive(Debug, PartialEq)]
+struct Localization {
+    allocs: u64,
+    scans: u64,
+    steps: u64,
+    callbacks: u64,
+    /// Heap bytes outstanding at the end of the second hour that were not
+    /// at the start of the first: fleet, testbed and per-thread tables.
+    live_bytes: i64,
+}
+
+/// Every phone alternates between two neighbourhoods of five access
+/// points, 25 to 44 minutes in each, so places open, close and are
+/// published inside the window.
+fn measure_localization() -> Localization {
+    let live_before = live_bytes();
     const HOUR_MIN: u64 = 60;
     let sim = Sim::new();
     let mut testbed = Testbed::new(&sim);
@@ -306,43 +335,67 @@ fn measure_localization() -> (u64, u64, u64, u64) {
         collector.stats().ingest.ingested_rows - rows_before >= DEVICES as u64,
         "every phone's places reach the store"
     );
-    (
-        spent,
-        scans - scans_before,
-        steps - steps_before,
-        callbacks - callbacks_before,
-    )
+    Localization {
+        allocs: spent,
+        scans: scans - scans_before,
+        steps: steps - steps_before,
+        callbacks: callbacks - callbacks_before,
+        live_bytes: live_bytes() - live_before,
+    }
 }
 
-/// What this same test read at the parent commit (f2da3ec) and reads at
-/// this one. The queue and timer change moved the allocations and left
-/// the VM's step count alone.
-const PARENT_ALLOCS_PER_SCAN: f64 = 192.5;
-const ALLOCS_PER_SCAN: f64 = 175.7;
+/// What this same test read at the parent commit (3a70932: an object a
+/// vector of key/value pairs, a string per BSSID per scan, a `String` per
+/// log line) and reads at this one (keys once per shape, strings once
+/// per script context, a log one buffer). The VM's step count is the
+/// parent's.
+const PARENT_ALLOCS_PER_SCAN: f64 = 175.7;
+const PARENT_LIVE_PER_DEVICE: f64 = 203_788.0;
+const ALLOCS_PER_SCAN: f64 = 165.0;
 const STEPS_PER_CALLBACK: f64 = 1516.6;
+const LIVE_PER_DEVICE: f64 = 140_011.0;
 
 #[test]
 fn script_path_allocations_and_steps_stay_within_budget_and_repeat_exactly() {
-    let first = measure_localization();
-    assert_eq!(
-        first,
-        measure_localization(),
-        "two runs must count the same"
-    );
-    let (spent, scans, steps, callbacks) = first;
+    // Each run on a thread of its own: both start with empty per-thread
+    // tables (compiled chunks, interned keys, shapes), so what the second
+    // still holds at the end is what the first does.
+    let run = || {
+        let thread = std::thread::spawn(measure_localization);
+        thread.join().expect("the run does not panic")
+    };
+    let first = run();
+    assert_eq!(first, run(), "two runs must count the same");
+    let Localization {
+        allocs,
+        scans,
+        steps,
+        callbacks,
+        live_bytes,
+    } = first;
     assert!(scans >= 59 * DEVICES as u64, "only {scans} scans");
     // scan.js hears the sensor, clustering.js hears scan.js.
     assert_eq!(callbacks, 2 * scans);
-    let per_scan = spent as f64 / scans as f64;
+    let per_scan = allocs as f64 / scans as f64;
     let per_callback = steps as f64 / callbacks as f64;
+    let live_per_device = live_bytes as f64 / DEVICES as f64;
     println!(
-        "Localization: {spent} allocations / {scans} scans = {per_scan:.1} per scan \
+        "Localization: {allocs} allocations / {scans} scans = {per_scan:.1} per scan \
          (parent {PARENT_ALLOCS_PER_SCAN:.1}); {steps} steps / {callbacks} callbacks = \
          {per_callback:.1} per callback (parent {STEPS_PER_CALLBACK:.1})"
+    );
+    println!(
+        "Localization: {live_bytes} live heap bytes / {DEVICES} devices = {live_per_device:.0} \
+         per device after the second hour (parent {PARENT_LIVE_PER_DEVICE:.0})"
     );
     for (what, got, now) in [
         ("allocations per delivered scan", per_scan, ALLOCS_PER_SCAN),
         ("VM steps per callback", per_callback, STEPS_PER_CALLBACK),
+        (
+            "live heap bytes per device",
+            live_per_device,
+            LIVE_PER_DEVICE,
+        ),
     ] {
         assert!(
             got <= HEADROOM * now,
