@@ -20,7 +20,7 @@ use pogo_sim::SimDuration;
 use crate::broker::{Broker, SubscriptionId};
 use crate::bump;
 use crate::scheduler::Scheduler;
-use crate::value::{Msg, SeenStrings};
+use crate::value::{Msg, SeenStrings, WriteJson};
 
 /// Persistent per-script `freeze`/`thaw` slot. Lives *outside* the script
 /// host so it survives restarts and reboots, like the flash storage it
@@ -70,17 +70,24 @@ struct Log {
     ends: Vec<usize>,
 }
 
-impl Log {
-    fn push(&mut self, line: &str) {
+impl std::fmt::Write for Log {
+    /// Adds to the line being written; [`Log::end_line`] closes it.
+    fn write_str(&mut self, piece: &str) -> std::fmt::Result {
         // A log is kept for good and a fleet holds one per phone, so it
         // grows by an eighth: doubling leaves a quarter of all log memory
         // unused on average, and every byte is still copied only nine
         // times over.
-        if self.text.capacity() - self.text.len() < line.len() {
-            let more = line.len().max(self.text.len() / 8);
+        if self.text.capacity() - self.text.len() < piece.len() {
+            let more = piece.len().max(self.text.len() / 8);
             self.text.reserve_exact(more);
         }
-        self.text.push_str(line);
+        self.text.push_str(piece);
+        Ok(())
+    }
+}
+
+impl Log {
+    fn end_line(&mut self) {
         self.ends.push(self.text.len());
     }
 
@@ -111,15 +118,22 @@ impl LogStore {
         }
     }
 
-    /// Appends a line to the named log.
-    pub fn append(&self, log: &str, line: String) {
+    /// Appends a line to the named log. The line writes itself into the
+    /// log's buffer: a `&str`, a `String` and `format_args!` all do, and
+    /// none of them is copied anywhere else on the way.
+    pub fn append(&self, log: &str, line: impl std::fmt::Display) {
+        use std::fmt::Write as _;
         let mut logs = self.inner.logs.borrow_mut();
-        match logs.get_mut(log) {
-            Some(known) => known.push(&line),
-            None => logs.entry(log.to_owned()).or_default().push(&line),
-        }
+        let known = match logs.get_mut(log) {
+            Some(known) => known,
+            None => logs.entry(log.to_owned()).or_default(),
+        };
+        let from = known.text.len();
+        write!(known, "{line}").expect("a log takes whatever is written to it");
+        known.end_line();
         let obs = &self.inner.obs;
         if obs.is_enabled() {
+            let line = known.text[from..].to_owned();
             obs.event("log", log.to_owned(), vec![pogo_obs::field("line", line)]);
             obs.metrics().inc("log.lines", 1);
         }
@@ -163,6 +177,7 @@ struct HostInner {
     watchdog_trips: Cell<u64>,
     callbacks_run: Cell<u64>,
     steps_used: Cell<u64>,
+    dispatches_used: Cell<u64>,
     publishes: Cell<u64>,
     published_bytes: Cell<u64>,
     stopped: Cell<bool>,
@@ -234,6 +249,7 @@ impl ScriptHost {
                 watchdog_trips: Cell::new(0),
                 callbacks_run: Cell::new(0),
                 steps_used: Cell::new(0),
+                dispatches_used: Cell::new(0),
                 publishes: Cell::new(0),
                 published_bytes: Cell::new(0),
                 stopped: Cell::new(false),
@@ -269,6 +285,7 @@ impl ScriptHost {
         let inner = &self.inner;
         let result = {
             let mut interp = inner.interp.borrow_mut();
+            let dispatched = interp.dispatches();
             interp.set_budget(Some(LOAD_BUDGET));
             // Compile once per distinct source (the cache is shared by
             // every simulated phone on this thread, so a fleet-wide
@@ -287,6 +304,7 @@ impl ScriptHost {
             });
             let consumed = LOAD_BUDGET.saturating_sub(interp.steps_remaining());
             bump(&inner.steps_used, consumed);
+            bump(&inner.dispatches_used, interp.dispatches() - dispatched);
             r
         };
         if let Err(e) = &result {
@@ -346,6 +364,14 @@ impl ScriptHost {
         self.inner.steps_used.get()
     }
 
+    /// VM instructions dispatched to run those steps: fewer than the
+    /// steps, because one fused instruction stands for several ops and is
+    /// billed the steps of all of them. Steps are what the script is
+    /// charged; dispatches are what the host's CPU paid.
+    pub fn dispatches_used(&self) -> u64 {
+        self.inner.dispatches_used.get()
+    }
+
     /// Messages this script has published.
     pub fn publishes(&self) -> u64 {
         self.inner.publishes.get()
@@ -366,8 +392,10 @@ impl ScriptHost {
         }
         let (result, consumed) = {
             let mut interp = inner.interp.borrow_mut();
+            let dispatched = interp.dispatches();
             interp.set_budget(Some(WATCHDOG_BUDGET));
             let r = interp.call(f, args);
+            bump(&inner.dispatches_used, interp.dispatches() - dispatched);
             (r, WATCHDOG_BUDGET.saturating_sub(interp.steps_remaining()))
         };
         bump(&inner.callbacks_run, 1);
@@ -428,7 +456,7 @@ impl ScriptHost {
             let weak = weak.clone();
             interp.register_native("print", move |_, args| {
                 if let Some(inner) = weak.upgrade() {
-                    inner.prints.borrow_mut().push(join_args(args));
+                    inner.prints.borrow_mut().push(Joined(args).to_string());
                 }
                 Ok(Value::Null)
             });
@@ -438,7 +466,7 @@ impl ScriptHost {
             let weak = weak.clone();
             interp.register_native("log", move |_, args| {
                 if let Some(inner) = weak.upgrade() {
-                    inner.logs.append(&inner.name, join_args(args));
+                    inner.logs.append(&inner.name, Joined(args));
                 }
                 Ok(Value::Null)
             });
@@ -450,10 +478,9 @@ impl ScriptHost {
                 let log_name = args
                     .first()
                     .and_then(Value::as_str)
-                    .ok_or_else(|| ScriptError::host("logTo: first argument must be a string"))?
-                    .to_owned();
+                    .ok_or_else(|| ScriptError::host("logTo: first argument must be a string"))?;
                 if let Some(inner) = weak.upgrade() {
-                    inner.logs.append(&log_name, join_args(&args[1..]));
+                    inner.logs.append(log_name, Joined(&args[1..]));
                 }
                 Ok(Value::Null)
             });
@@ -570,8 +597,8 @@ impl ScriptHost {
         }
         // json(object) -> String
         interp.register_native("json", move |_, args| {
-            let msg = args.first().map(Msg::from_script).unwrap_or(Msg::Null);
-            Ok(Value::from(msg.to_json()))
+            let value = args.first().unwrap_or(&Value::Null);
+            Ok(value.with_json(|json| Value::str(json)))
         });
         // setTimeout(function, delay)
         interp.register_native("setTimeout", move |_, args| {
@@ -600,11 +627,24 @@ impl ScriptHost {
     }
 }
 
-fn join_args(args: &[Value]) -> String {
-    args.iter()
-        .map(Value::to_display_string)
-        .collect::<Vec<_>>()
-        .join(" ")
+/// The arguments of `print`, `log` and `logTo` as one line: each as it
+/// displays, a space between. A string argument is written as it is,
+/// without a copy of its own.
+struct Joined<'a>(&'a [Value]);
+
+impl std::fmt::Display for Joined<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (i, arg) in self.0.iter().enumerate() {
+            if i > 0 {
+                f.write_str(" ")?;
+            }
+            match arg {
+                Value::Str(s) => f.write_str(s)?,
+                other => f.write_str(&other.to_display_string())?,
+            }
+        }
+        Ok(())
+    }
 }
 
 fn native_value(

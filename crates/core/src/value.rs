@@ -264,15 +264,59 @@ pub(crate) trait WriteJson {
     /// single time (formatting a float costs more than copying the result)
     /// into a scratch buffer the thread reuses.
     fn to_sized_json(&self) -> String {
+        self.with_json(str::to_owned)
+    }
+
+    /// The JSON text, lent to `f` from the thread's scratch buffer.
+    fn with_json<R>(&self, f: impl FnOnce(&str) -> R) -> R {
         thread_local! {
             static SCRATCH: Cell<String> = const { Cell::new(String::new()) };
         }
         let mut scratch = SCRATCH.take();
         scratch.clear();
         let _ = self.write_json(&mut scratch);
-        let out = scratch.as_str().to_owned();
+        let out = f(&scratch);
         SCRATCH.set(scratch);
         out
+    }
+}
+
+/// A script value writes the JSON its message would
+/// (`Msg::from_script(v).to_json()`, functions as `null`) without the
+/// message being built: `json(msg)` in a script is a serialisation, not a
+/// conversion.
+impl WriteJson for Value {
+    fn write_json<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        match self {
+            Value::Null | Value::Func(_) | Value::Native(_) => out.write_str("null")?,
+            Value::Bool(true) => out.write_str("true")?,
+            Value::Bool(false) => out.write_str("false")?,
+            Value::Num(n) => jsonw::write_num(*n, out)?,
+            Value::Str(s) => jsonw::write_str(s, out)?,
+            Value::Array(items) => {
+                out.write_char('[')?;
+                for (i, item) in items.borrow().iter().enumerate() {
+                    if i > 0 {
+                        out.write_char(',')?;
+                    }
+                    item.write_json(out)?;
+                }
+                out.write_char(']')?;
+            }
+            Value::Object(map) => {
+                out.write_char('{')?;
+                for (i, (k, v)) in map.borrow().iter().enumerate() {
+                    if i > 0 {
+                        out.write_char(',')?;
+                    }
+                    jsonw::write_str(k, out)?;
+                    out.write_char(':')?;
+                    v.write_json(out)?;
+                }
+                out.write_char('}')?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -616,6 +660,31 @@ impl<'a> JsonParser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `json(v)` in a script writes `v` itself; what it writes is what the
+    /// message made from `v` would.
+    #[test]
+    fn a_script_value_serializes_as_its_message_does() {
+        let mut interp = pogo_script::Interpreter::new();
+        for src in [
+            "null;",
+            "-0.5;",
+            "0 / 0;",
+            "'q\\\"uote \u{e9}\\n';",
+            "var f = function () {}; f;",
+            "[];",
+            "var e = {}; e;",
+            "var v = { a: [1, 2.5, 'x', null, true, function () {}, [[]]], \
+             b: { c: -1e21, 'k y': { d: [{}, { e: false }] } }, a2: 'a' }; v;",
+        ] {
+            let value = interp.eval(src).unwrap();
+            assert_eq!(
+                value.to_sized_json(),
+                Msg::from_script(&value).to_json(),
+                "{src}"
+            );
+        }
+    }
 
     #[test]
     fn serializes_scalars() {

@@ -23,8 +23,11 @@
 //!                      `code` `P000`; the `VERIFY_*` code is in
 //!                      `message`
 //! --dump-bytecode      compile each FILE and print the disassembled
-//!                      chunk instead of linting (stable, diff-friendly
-//!                      text; the golden-file tests pin it)
+//!                      chunk instead of linting, then (after a
+//!                      `;; quickened` line) the runs of ops the VM
+//!                      executes as one fused instruction (stable,
+//!                      diff-friendly text; the golden-file tests pin
+//!                      both)
 //! --dump-cfg           compile each FILE and print its control-flow
 //!                      graph, inferred loop trip counts, and static
 //!                      cost report instead of linting (also golden)
@@ -39,7 +42,8 @@ use std::process::ExitCode;
 
 use pogo_script::absint::render_cfg;
 use pogo_script::{
-    analyze_with, compile, deploy_gate, disassemble, AnalyzeOptions, Diagnostic, Severity,
+    analyze_with, compile, deploy_gate, disassemble, quickened_listing, AnalyzeOptions, Diagnostic,
+    Severity,
 };
 
 struct Options {
@@ -156,7 +160,10 @@ fn main() -> ExitCode {
         return usage();
     }
     if opts.dump_bytecode {
-        return dump(&opts.files, disassemble);
+        return dump(&opts.files, |program| {
+            let fused = quickened_listing(program);
+            format!("{}\n;; quickened\n{fused}", disassemble(program))
+        });
     }
     if opts.dump_cfg {
         return dump(&opts.files, render_cfg);

@@ -303,7 +303,7 @@ pub fn call_array_method(
             Ok(Value::from(out))
         }
         "concat" => {
-            let mut out = items.borrow().clone();
+            let mut out = items.borrow().to_vec();
             for a in args {
                 match a {
                     Value::Array(other) => out.extend(other.borrow().iter().cloned()),
@@ -318,7 +318,7 @@ pub fn call_array_method(
         }
         "map" => {
             let f = args.first().cloned().unwrap_or(Value::Null);
-            let snapshot = items.borrow().clone();
+            let snapshot = items.borrow().to_vec();
             let mut out = Vec::with_capacity(snapshot.len());
             for (i, item) in snapshot.into_iter().enumerate() {
                 out.push(interp.call_value(&f, &[item, Value::Num(i as f64)])?);
@@ -327,7 +327,7 @@ pub fn call_array_method(
         }
         "filter" => {
             let f = args.first().cloned().unwrap_or(Value::Null);
-            let snapshot = items.borrow().clone();
+            let snapshot = items.borrow().to_vec();
             let mut out = Vec::new();
             for (i, item) in snapshot.into_iter().enumerate() {
                 if interp
@@ -341,7 +341,7 @@ pub fn call_array_method(
         }
         "forEach" => {
             let f = args.first().cloned().unwrap_or(Value::Null);
-            let snapshot = items.borrow().clone();
+            let snapshot = items.borrow().to_vec();
             for (i, item) in snapshot.into_iter().enumerate() {
                 interp.call_value(&f, &[item, Value::Num(i as f64)])?;
             }
@@ -351,7 +351,7 @@ pub fn call_array_method(
             // Sorts in place. With no comparator: numbers ascending or
             // strings lexicographic (not JS's everything-as-string order —
             // documented deviation, and the sane choice for sensor data).
-            let mut v = items.borrow().clone();
+            let mut v = items.borrow().to_vec();
             match args.first() {
                 Some(f @ (Value::Func(_) | Value::Native(_))) => {
                     // Insertion sort so the comparator (a script function)
@@ -388,7 +388,7 @@ pub fn call_array_method(
                     }
                 }
             }
-            *items.borrow_mut() = v;
+            **items.borrow_mut() = v;
             Ok(receiver.clone())
         }
         other => Err(err(format!("arrays have no method `{other}`"))),

@@ -15,11 +15,12 @@
 //! (the sites' cells) are the one mutable part, and they only ever change
 //! probe order, never an observable result.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
-use crate::value::{Shape, Value};
+use crate::quicken::Quick;
+use crate::value::{ObjMap, Shape, Value};
 
 /// One VM instruction. Operands index the side tables of the
 /// enclosing [`Chunk`] (constants, protos, sites, chains) or name a
@@ -164,24 +165,59 @@ impl Clone for GlobalSite {
 
 /// A named property-access site with an inline cache: the shape of the
 /// last object the property was found in ([`crate::value::ObjMap`] keeps
-/// one key list per layout) and the property's index there. The site
-/// holds that shape, so its address cannot pass to another key list, and
-/// a hit is one pointer compare. The name is an interned key
+/// one key list per layout) and the property's index there. A hit is one
+/// address compare; the site holds that shape, so its address cannot
+/// pass to another key list. The name is an interned key
 /// ([`crate::value::intern`]), so the lookup that follows a miss usually
 /// compares pointers too.
-#[derive(Debug)]
 pub struct MemberSite {
     pub name: Rc<str>,
-    pub cache: RefCell<Option<(Shape, u32)>>,
+    /// The name is `length`, which an array answers without a lookup.
+    pub(crate) is_length: bool,
+    /// Address of the cached shape (0: none yet), the shape itself, held
+    /// so that the address stays its own, and the property's index in it.
+    addr: Cell<usize>,
+    held: Cell<Option<Shape>>,
+    idx: Cell<u32>,
+}
+
+impl MemberSite {
+    /// A site for `name`, its cache cold.
+    pub fn new(name: Rc<str>) -> Self {
+        MemberSite {
+            is_length: &*name == "length",
+            name,
+            addr: Cell::new(0),
+            held: Cell::new(None),
+            idx: Cell::new(0),
+        }
+    }
+
+    /// Where `map` keeps this site's property, through the cache: an
+    /// object of the shape the site saw last has it at the index it had
+    /// then; any other is searched by name and becomes the cached one.
+    pub(crate) fn index_in(&self, map: &ObjMap) -> Option<usize> {
+        if self.addr.get() == map.shape_addr() {
+            return Some(self.idx.get() as usize);
+        }
+        let idx = map.index_of(&self.name)?;
+        self.held.set(Some(map.shape().clone()));
+        self.addr.set(map.shape_addr());
+        self.idx.set(idx as u32);
+        Some(idx)
+    }
+}
+
+impl std::fmt::Debug for MemberSite {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "MemberSite({:?})", self.name)
+    }
 }
 
 impl Clone for MemberSite {
     /// A cloned site starts with a cold cache (see [`GlobalSite`]).
     fn clone(&self) -> Self {
-        MemberSite {
-            name: self.name.clone(),
-            cache: RefCell::new(None),
-        }
+        MemberSite::new(self.name.clone())
     }
 }
 
@@ -232,6 +268,11 @@ pub struct Chunk {
     pub chains: Vec<ChainInfo>,
     /// Frame slots this function needs (locals, cells, iterators).
     pub n_slots: u16,
+    /// What the VM dispatches on: `ops` index by index, with the head of
+    /// each recognised idiom fused ([`crate::quicken`]). Built by the
+    /// compiler when the chunk is finished; a chunk put together any
+    /// other way does not run.
+    pub(crate) quick: Quick,
 }
 
 /// A compiled function: parameter placement, upvalue recipe, body.

@@ -199,7 +199,17 @@ struct FuncCtx {
 
 impl FuncCtx {
     fn finish(mut self) -> Chunk {
-        self.chunk.n_slots = self.next_slot as u16;
+        let chunk = &mut self.chunk;
+        chunk.n_slots = self.next_slot as u16;
+        // A finished chunk lives as long as the thread's compile cache:
+        // the room its tables grew by is handed back, which pays for the
+        // second stream.
+        chunk.ops.shrink_to_fit();
+        chunk.lines.shrink_to_fit();
+        chunk.consts.shrink_to_fit();
+        chunk.globals.shrink_to_fit();
+        chunk.members.shrink_to_fit();
+        chunk.quick = crate::quicken::quicken(chunk);
         self.chunk
     }
 }
@@ -312,10 +322,7 @@ impl Compiler {
     fn member_site(&mut self, name: &Rc<str>) -> Result<u16, ScriptError> {
         let n = self.fun().chunk.members.len();
         let idx = self.limit(n)?;
-        self.fun().chunk.members.push(MemberSite {
-            name: intern(name),
-            cache: std::cell::RefCell::new(None),
-        });
+        self.fun().chunk.members.push(MemberSite::new(intern(name)));
         Ok(idx)
     }
 

@@ -6,7 +6,7 @@
 //! VM's global-access sites cache a slot index per chunk location and
 //! verify it with a cheap name comparison instead of a hash lookup.
 
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -79,11 +79,17 @@ impl Env {
     /// cache access — a chunk may be shared across environments with
     /// different declaration orders).
     pub(crate) fn slot_get(&self, idx: usize, name: &Rc<str>) -> Option<Value> {
-        let scope = self.scope.borrow();
-        match scope.slots.get(idx) {
-            Some((n, v)) if Rc::ptr_eq(n, name) || **n == **name => Some(v.clone()),
+        self.slot_ref(idx, name).map(|v| v.clone())
+    }
+
+    /// [`Env::slot_get`] without the clone: the value where it is bound,
+    /// for as long as the guard is held.
+    pub(crate) fn slot_ref(&self, idx: usize, name: &Rc<str>) -> Option<Ref<'_, Value>> {
+        Ref::filter_map(self.scope.borrow(), |scope| match scope.slots.get(idx) {
+            Some((n, v)) if Rc::ptr_eq(n, name) || **n == **name => Some(v),
             _ => None,
-        }
+        })
+        .ok()
     }
 
     /// Writes slot `idx` if it still belongs to `name`.

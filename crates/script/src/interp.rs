@@ -54,6 +54,8 @@ enum Flow {
 pub struct Interpreter {
     pub(crate) globals: Env,
     pub(crate) steps_remaining: u64,
+    /// Instructions the VM has dispatched over this interpreter's life.
+    pub(crate) dispatches: u64,
     budget_limit: Option<u64>,
     pub(crate) depth: usize,
     pub(crate) current_line: u32,
@@ -92,6 +94,7 @@ impl Interpreter {
         Interpreter {
             globals,
             steps_remaining: u64::MAX,
+            dispatches: 0,
             budget_limit: None,
             depth: 0,
             current_line: 0,
@@ -132,6 +135,15 @@ impl Interpreter {
     /// budget set).
     pub fn steps_remaining(&self) -> u64 {
         self.steps_remaining
+    }
+
+    /// Instructions the bytecode VM has dispatched since this interpreter
+    /// was made. A step is one op of the verified ISA; a dispatch is one
+    /// trip round the VM's loop, which a fused instruction makes once for
+    /// all the ops (and steps) it stands for. Steps are what the watchdog
+    /// bills; dispatches are what the host pays for.
+    pub fn dispatches(&self) -> u64 {
+        self.dispatches
     }
 
     /// Parses and executes `source` in the global scope, returning the

@@ -58,6 +58,7 @@ pub mod gate;
 pub mod interp;
 pub mod lexer;
 pub mod parser;
+pub(crate) mod quicken;
 pub mod sloc;
 pub mod token;
 pub mod value;
@@ -76,6 +77,12 @@ pub use error::{ErrorKind, ScriptError};
 pub use gate::{deploy_gate, GateReport};
 pub use interp::{Engine, Interpreter};
 pub use parser::parse;
+pub use quicken::quickened_listing;
 pub use sloc::{count_sloc, SourceStats};
 pub use value::{NativeFn, ObjMap, Value};
 pub use verify::{VerifyError, VERIFY_CODES};
+
+// The integration tests' support code, compiled into the unit tests too,
+// names the crate from outside.
+#[cfg(test)]
+extern crate self as pogo_script;

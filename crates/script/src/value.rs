@@ -1,6 +1,6 @@
 //! Runtime values of PogoScript.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
 use std::fmt;
 use std::rc::Rc;
@@ -204,11 +204,12 @@ impl ObjMap {
         None
     }
 
-    /// Whether this map's keys are `shape` itself — the inline-cache
-    /// probe of the VM's member sites. While it holds, `shape[i]` is the
-    /// key of [`ObjMap::value_at`]`(i)`.
-    pub(crate) fn has_shape(&self, shape: &Shape) -> bool {
-        Rc::ptr_eq(&self.shape, shape)
+    /// The key list's address — the inline-cache probe of the VM's member
+    /// sites. It identifies the shape for as long as someone holds it, and
+    /// while it is this map's, `shape[i]` is the key of
+    /// [`ObjMap::value_at`]`(i)`.
+    pub(crate) fn shape_addr(&self) -> usize {
+        Rc::as_ptr(&self.shape).cast::<()>() as usize
     }
 
     /// The key list, for cache population.
@@ -294,6 +295,86 @@ impl<K: AsRef<str> + Into<Rc<str>>> FromIterator<(K, Value)> for ObjMap {
     }
 }
 
+impl Drop for ObjMap {
+    fn drop(&mut self) {
+        drop_children(std::mem::take(&mut self.values).into_vec());
+    }
+}
+
+/// The elements of a script array: a `Vec<Value>`, which it derefs to, in
+/// all but the way it is dropped (see [`drop_children`]).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Items(Vec<Value>);
+
+impl std::ops::Deref for Items {
+    type Target = Vec<Value>;
+
+    fn deref(&self) -> &Vec<Value> {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for Items {
+    fn deref_mut(&mut self) -> &mut Vec<Value> {
+        &mut self.0
+    }
+}
+
+impl Drop for Items {
+    fn drop(&mut self) {
+        drop_children(std::mem::take(&mut self.0));
+    }
+}
+
+/// Containers being dropped inside one another on this thread, while a
+/// container's drop is still plain recursion.
+const DROP_RECURSION: u32 = 64;
+
+thread_local! {
+    static DROP_DEPTH: Cell<u32> = const { Cell::new(0) };
+}
+
+/// Drops what a container held when its last reference went. A script can
+/// nest values as deep as its budget lets it run (`a = [a]` in a loop, a
+/// few hundred thousand levels across callbacks), and dropping those one
+/// inside the other would take a host stack frame per level. So only the
+/// first [`DROP_RECURSION`] levels recurse, which costs the everyday drop
+/// of a message or a scan window a counter and nothing else; anything
+/// nested deeper is unwound on the heap.
+fn drop_children(children: Vec<Value>) {
+    if children.is_empty() {
+        return;
+    }
+    // No counter while the thread is being torn down: recurse.
+    let depth = DROP_DEPTH
+        .try_with(|depth| depth.replace(depth.get() + 1))
+        .unwrap_or(0);
+    if depth < DROP_RECURSION {
+        drop(children);
+    } else {
+        let mut pending = children;
+        while let Some(value) = pending.pop() {
+            // A container nobody else holds hands over what it holds and
+            // is dropped empty; anything else is dropped as it is.
+            match value {
+                Value::Array(items) => {
+                    if let Ok(items) = Rc::try_unwrap(items) {
+                        pending.append(&mut items.into_inner().0);
+                    }
+                }
+                Value::Object(map) => {
+                    if let Ok(map) = Rc::try_unwrap(map) {
+                        let values = std::mem::take(&mut map.into_inner().values);
+                        pending.extend(values.into_vec());
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    let _ = DROP_DEPTH.try_with(|counter| counter.set(depth));
+}
+
 /// A captured-variable cell shared between a compiled closure and the
 /// frame (or sibling closures) it was created in. `None` means the
 /// binding's declaration has not executed yet.
@@ -360,7 +441,7 @@ pub enum Value {
     Bool(bool),
     Num(f64),
     Str(Rc<str>),
-    Array(Rc<RefCell<Vec<Value>>>),
+    Array(Rc<RefCell<Items>>),
     Object(Rc<RefCell<ObjMap>>),
     Func(Rc<Closure>),
     Native(Rc<NativeFn>),
@@ -374,7 +455,7 @@ impl Value {
 
     /// Creates an array value from items.
     pub fn array(items: Vec<Value>) -> Value {
-        Value::Array(Rc::new(RefCell::new(items)))
+        Value::Array(Rc::new(RefCell::new(Items(items))))
     }
 
     /// Creates an object value from a map.
@@ -505,6 +586,12 @@ impl From<String> for Value {
 mod tests {
     use super::*;
 
+    impl ObjMap {
+        fn has_shape(&self, shape: &Shape) -> bool {
+            Rc::ptr_eq(&self.shape, shape)
+        }
+    }
+
     #[test]
     fn objmap_preserves_insertion_order() {
         let mut m = ObjMap::new();
@@ -588,6 +675,58 @@ mod tests {
         let (x, y) = (late(0), late(1));
         assert!(!x.has_shape(y.shape()));
         assert_eq!(x, y);
+    }
+
+    /// A script nests a value as deep as a few callbacks' budgets allow
+    /// and lets go of it: every level goes, and none of them on the host's
+    /// stack (this test's thread has 2 MiB of it).
+    #[test]
+    fn values_nested_300k_deep_by_a_script_drop_without_recursion() {
+        use crate::{Interpreter, WATCHDOG_BUDGET};
+        for grow in ["a = [a];", "a = { next: a, n: 1 };"] {
+            let mut interp = Interpreter::new();
+            interp.set_budget(Some(WATCHDOG_BUDGET));
+            let src = format!(
+                "var a = null;\n\
+                 function nest() {{ for (var i = 0; i < 10000; i++) {{ {grow} }} }}\n\
+                 function release() {{ a = null; }}"
+            );
+            interp.eval(&src).unwrap();
+            let call = |interp: &mut Interpreter, name: &str| {
+                let f = interp.globals().get(name).unwrap();
+                interp.call(&f, &[]).unwrap();
+            };
+            for _ in 0..30 {
+                call(&mut interp, "nest");
+            }
+            let root = interp.globals().get("a").unwrap();
+            assert!(matches!(root, Value::Array(_) | Value::Object(_)));
+            call(&mut interp, "release");
+            // The last reference to all 300,000 levels:
+            drop(root);
+            assert_eq!(DROP_DEPTH.with(Cell::get), 0);
+        }
+    }
+
+    /// Past the recursion limit a container is unwound on the heap; what
+    /// it shares with a holder outside survives, to the element.
+    #[test]
+    fn deep_drop_spares_what_someone_else_still_holds() {
+        let kept = Value::array(vec![Value::from(7.0), Value::str("kept")]);
+        let mut nest = Value::array(vec![kept.clone()]);
+        for level in 0..1000 {
+            let mut map = ObjMap::new();
+            map.insert("inner", nest);
+            map.insert("shared", kept.clone());
+            nest = Value::array(vec![Value::from(f64::from(level)), Value::object(map)]);
+        }
+        let Value::Array(items) = &kept else {
+            unreachable!()
+        };
+        assert_eq!(Rc::strong_count(items), 1002);
+        drop(nest);
+        assert_eq!(Rc::strong_count(items), 1);
+        assert_eq!(kept.to_display_string(), "[7, kept]");
     }
 
     #[test]

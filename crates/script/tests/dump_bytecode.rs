@@ -5,7 +5,10 @@
 //! they catch accidental codegen changes (a different chunk for the
 //! same source is a deployment-visible change — phones cache compiled
 //! specs), and they document the instruction stream each shipped
-//! script actually runs. Regenerate intentionally with
+//! script actually runs. Beside each `.bytecode.txt` a `.quick.txt`
+//! pins the runs of ops the VM executes as one fused instruction: a
+//! lowering change that stops an idiom from matching is a diff there,
+//! not a slowdown someone has to notice. Regenerate intentionally with
 //! `POGO_BLESS=1 cargo test -p pogo-script --test dump_bytecode`.
 
 use std::path::{Path, PathBuf};
@@ -24,7 +27,8 @@ fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
-fn dump(script: &Path) -> String {
+/// The disassembly and, after the `;; quickened` line, the fused runs.
+fn dump(script: &Path) -> (String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_pogo-lint"))
         .arg("--dump-bytecode")
         .arg(script)
@@ -42,7 +46,8 @@ fn dump(script: &Path) -> String {
     // pins everything after it.
     let (first, rest) = text.split_once('\n').expect("header line");
     assert!(first.starts_with(";; "), "header: {first}");
-    rest.to_owned()
+    let (ops, fused) = rest.split_once(";; quickened\n").expect("fused runs");
+    (ops.to_owned(), fused.to_owned())
 }
 
 #[test]
@@ -64,25 +69,27 @@ fn asset_scripts_match_bytecode_goldens() {
     let bless = std::env::var_os("POGO_BLESS").is_some();
     for script in &paths {
         let name = script.file_stem().expect("stem").to_string_lossy();
-        let golden_path = golden_dir().join(format!("{name}.bytecode.txt"));
         let got = dump(script);
         assert_eq!(got, dump(script), "disassembly must be deterministic");
-        if bless {
-            std::fs::write(&golden_path, &got).expect("write golden");
-            continue;
-        }
-        let want = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
-            panic!(
-                "missing golden {} ({e}); run with POGO_BLESS=1 to create it",
+        for (kind, got) in [("bytecode", &got.0), ("quick", &got.1)] {
+            let golden_path = golden_dir().join(format!("{name}.{kind}.txt"));
+            if bless {
+                std::fs::write(&golden_path, got).expect("write golden");
+                continue;
+            }
+            let want = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
+                panic!(
+                    "missing golden {} ({e}); run with POGO_BLESS=1 to create it",
+                    golden_path.display()
+                )
+            });
+            assert!(
+                *got == want,
+                "{name}: {kind} listing drifted from {}; if the codegen change is \
+                 intentional, re-bless with POGO_BLESS=1",
                 golden_path.display()
-            )
-        });
-        assert!(
-            got == want,
-            "{name}: disassembly drifted from {}; if the codegen change is \
-             intentional, re-bless with POGO_BLESS=1",
-            golden_path.display()
-        );
+            );
+        }
     }
 }
 

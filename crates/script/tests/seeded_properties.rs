@@ -477,7 +477,7 @@ fn one_member_site_alternating_between_shapes_never_reads_the_wrong_property() {
                 panic!("pick returns an array");
             };
             assert_eq!(
-                *got.borrow(),
+                **got.borrow(),
                 vec![want.clone(), want],
                 "seed {seed} step {step}"
             );

@@ -50,10 +50,11 @@ scripts/sloc.sh --uncalled HEAD~1 2>/dev/null || true
 scripts/sloc.sh --uncalled
 # The deterministic work counters, beside the size lines (ROADMAP aim 1:
 # counts that repeat exactly on any machine): allocator calls per stored
-# sample on the two scriptless fleets, per delivered scan and VM steps per
-# callback on the script fleet, and the heap bytes that fleet still holds
-# per device at the end. The test gates them; this prints them.
-cargo test --release --test alloc_budget -- --nocapture | grep -E ' per (sample|scan|device) '
+# sample on the two scriptless fleets, per delivered scan and VM steps and
+# dispatches per callback on the script fleet, and the heap bytes that
+# fleet still holds per device at the end. The test gates them; this
+# prints them.
+cargo test --release --test alloc_budget -- --nocapture | grep -E ' per (sample|scan|device|callback)[, ]'
 cargo test -q
 
 if [[ "$run_lint" == 1 ]]; then
