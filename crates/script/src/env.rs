@@ -1,10 +1,12 @@
-//! Lexical environments (scope chains) for the interpreter.
+//! The global scope of an interpreter.
 //!
 //! Storage is a name→index map over an append-only slot vector. A
 //! name's slot index never changes once declared (redeclaration
 //! overwrites the value in place), which is what lets the bytecode
 //! VM's global-access sites cache a slot index per chunk location and
 //! verify it with a cheap name comparison instead of a hash lookup.
+//! Everything below the top level lives in VM frame slots and cells, so
+//! there is one scope here and no chain.
 
 use std::cell::{Ref, RefCell};
 use std::collections::HashMap;
@@ -20,7 +22,6 @@ struct Scope {
     vars: HashMap<Rc<str>, usize>,
     /// Append-only storage; an index is stable for the scope's life.
     slots: Vec<(Rc<str>, Value)>,
-    parent: Option<Env>,
 }
 
 impl Scope {
@@ -37,40 +38,29 @@ impl Scope {
     }
 }
 
-/// A lexical scope, shared by closures that capture it.
+/// The global scope, shared by every handle to it.
 #[derive(Debug, Clone, Default)]
 pub struct Env {
     scope: Rc<RefCell<Scope>>,
 }
 
 impl Env {
-    /// Creates a root (global) scope.
+    /// Creates an empty scope.
     pub fn new() -> Self {
         Env::default()
     }
 
-    /// Creates a child scope whose lookups fall through to `self`.
-    pub fn child(&self) -> Env {
-        Env {
-            scope: Rc::new(RefCell::new(Scope {
-                vars: HashMap::new(),
-                slots: Vec::new(),
-                parent: Some(self.clone()),
-            })),
-        }
-    }
-
-    /// Declares (or redeclares) a variable in *this* scope.
+    /// Declares (or redeclares) a variable.
     pub fn declare(&self, name: impl Into<Rc<str>>, value: Value) {
         self.scope.borrow_mut().declare(name.into(), value);
     }
 
-    /// Declares in *this* scope and returns the (stable) slot index.
+    /// Declares and returns the (stable) slot index.
     pub(crate) fn declare_indexed(&self, name: Rc<str>, value: Value) -> usize {
         self.scope.borrow_mut().declare(name, value)
     }
 
-    /// The slot index of `name` in *this* scope, if declared here.
+    /// The slot index of `name`, if declared.
     pub(crate) fn slot_of(&self, name: &str) -> Option<usize> {
         self.scope.borrow().vars.get(name).copied()
     }
@@ -104,41 +94,24 @@ impl Env {
         }
     }
 
-    /// Looks a name up through the scope chain.
+    /// Looks a name up.
     pub fn get(&self, name: &str) -> Option<Value> {
-        // Iterative walk: deep scope chains (recursion-heavy scripts)
-        // should not grow the host stack per level.
-        let mut current = self.scope.clone();
-        loop {
-            let parent = {
-                let scope = current.borrow();
-                if let Some(&idx) = scope.vars.get(name) {
-                    return Some(scope.slots[idx].1.clone());
-                }
-                scope.parent.as_ref()?.scope.clone()
-            };
-            current = parent;
-        }
+        let scope = self.scope.borrow();
+        let &idx = scope.vars.get(name)?;
+        Some(scope.slots[idx].1.clone())
     }
 
-    /// Assigns to an existing variable somewhere in the chain. Returns
-    /// `false` if the name is not declared anywhere (PogoScript has no
-    /// implicit globals — §4.4's sandbox would not want them).
+    /// Assigns to an existing variable. Returns `false` if the name is
+    /// not declared (PogoScript has no implicit globals — §4.4's sandbox
+    /// would not want them).
     pub fn assign(&self, name: &str, value: Value) -> bool {
-        let mut current = self.scope.clone();
-        loop {
-            let parent = {
-                let mut scope = current.borrow_mut();
-                if let Some(&idx) = scope.vars.get(name) {
-                    scope.slots[idx].1 = value;
-                    return true;
-                }
-                match &scope.parent {
-                    Some(parent) => parent.scope.clone(),
-                    None => return false,
-                }
-            };
-            current = parent;
+        let mut scope = self.scope.borrow_mut();
+        match scope.vars.get(name) {
+            Some(&idx) => {
+                scope.slots[idx].1 = value;
+                true
+            }
+            None => false,
         }
     }
 }
@@ -148,46 +121,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lookup_walks_the_chain() {
-        let root = Env::new();
-        root.declare("x", Value::from(1.0));
-        let child = root.child();
-        assert_eq!(child.get("x"), Some(Value::from(1.0)));
-        assert_eq!(child.get("y"), None);
-    }
-
-    #[test]
-    fn shadowing_in_child_scope() {
-        let root = Env::new();
-        root.declare("x", Value::from(1.0));
-        let child = root.child();
-        child.declare("x", Value::from(2.0));
-        assert_eq!(child.get("x"), Some(Value::from(2.0)));
-        assert_eq!(root.get("x"), Some(Value::from(1.0)));
-    }
-
-    #[test]
-    fn assign_mutates_outer_variable() {
-        let root = Env::new();
-        root.declare("x", Value::from(1.0));
-        let child = root.child();
-        assert!(child.assign("x", Value::from(5.0)));
-        assert_eq!(root.get("x"), Some(Value::from(5.0)));
-    }
-
-    #[test]
     fn assign_to_undeclared_fails() {
         let root = Env::new();
         assert!(!root.assign("nope", Value::Null));
-    }
-
-    #[test]
-    fn sibling_scopes_are_independent() {
-        let root = Env::new();
-        let a = root.child();
-        let b = root.child();
-        a.declare("x", Value::from(1.0));
-        assert_eq!(b.get("x"), None);
     }
 
     #[test]

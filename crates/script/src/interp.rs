@@ -1,50 +1,21 @@
-//! Script execution: engine selection, the host-facing [`Interpreter`]
-//! API, and the tree-walking engine (kept as the semantic oracle for
-//! the bytecode VM in [`crate::vm`]).
+//! Script execution: the host-facing [`Interpreter`] API — global
+//! scope, watchdog budget, calls into script — and the value operations
+//! the bytecode VM ([`crate::vm`]) falls back to off its fast paths.
 
 use std::rc::Rc;
 
-use crate::ast::{BinOp, Expr, LogicalOp, Stmt, UnaryOp};
-use crate::builtins;
+use crate::ast::BinOp;
 use crate::bytecode::CompiledProgram;
 use crate::env::Env;
 use crate::error::{ErrorKind, ScriptError};
-use crate::parser::parse;
-use crate::value::{Closure, ClosureRepr, NativeFn, Value};
+use crate::value::{NativeFn, Value};
 
-/// Default per-invocation instruction budget: the deterministic analogue
-/// of the paper's 100 ms callback watchdog (§4.5), at a nominal 1 µs per
-/// interpreter step.
-pub const DEFAULT_BUDGET: u64 = 100_000;
-
-/// Maximum script call-stack depth. Conservative: each script frame
-/// costs several Rust frames in this tree-walking interpreter, and the
+/// Maximum script call-stack depth. A call from script to script is a
+/// VM frame, but one made through a native (an `Array.sort` comparator,
+/// a `map` callback) nests another machine on the host stack, and the
 /// host may run on a 2 MiB thread stack. Pogo's sensing scripts iterate,
 /// they don't recurse deeply.
 pub(crate) const MAX_DEPTH: usize = 100;
-
-/// Which execution engine an [`Interpreter`] uses for whole programs.
-///
-/// Both engines implement the same observable semantics (results,
-/// emitted messages, error kinds and messages); the tree-walk is kept
-/// as the equivalence oracle, chosen per interpreter through
-/// [`Interpreter::with_engine`]; the bytecode VM is what
-/// [`Interpreter::new`] and every host run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// Compile to bytecode and run on the stack VM (default).
-    Bytecode,
-    /// Walk the AST directly (oracle / debugging).
-    TreeWalk,
-}
-
-/// Statement execution outcome.
-enum Flow {
-    Normal,
-    Return(Value),
-    Break,
-    Continue,
-}
 
 /// A PogoScript interpreter instance: global scope plus watchdog state.
 ///
@@ -59,7 +30,6 @@ pub struct Interpreter {
     budget_limit: Option<u64>,
     pub(crate) depth: usize,
     pub(crate) current_line: u32,
-    engine: Engine,
     /// Stacks of finished VM machines, kept for the next one.
     pub(crate) vm_stacks: Vec<crate::vm::Stacks>,
 }
@@ -80,17 +50,11 @@ impl Default for Interpreter {
 }
 
 impl Interpreter {
-    /// Creates a bytecode-VM interpreter with the standard builtins
-    /// installed and no instruction budget.
+    /// Creates an interpreter with the standard builtins installed and
+    /// no instruction budget.
     pub fn new() -> Self {
-        Self::with_engine(Engine::Bytecode)
-    }
-
-    /// Creates an interpreter pinned to a specific execution engine
-    /// (the differential tests use this; hosts take [`Interpreter::new`]).
-    pub fn with_engine(engine: Engine) -> Self {
         let globals = Env::new();
-        builtins::install(&globals);
+        crate::builtins::install(&globals);
         Interpreter {
             globals,
             steps_remaining: u64::MAX,
@@ -98,7 +62,6 @@ impl Interpreter {
             budget_limit: None,
             depth: 0,
             current_line: 0,
-            engine,
             vm_stacks: Vec::new(),
         }
     }
@@ -125,7 +88,8 @@ impl Interpreter {
 
     /// Sets the per-invocation instruction budget. `None` disables the
     /// watchdog. The budget is re-armed on every [`Interpreter::eval`],
-    /// [`Interpreter::run`], and [`Interpreter::call`] from the host.
+    /// [`Interpreter::run_compiled`] and [`Interpreter::call`] from the
+    /// host.
     pub fn set_budget(&mut self, steps: Option<u64>) {
         self.budget_limit = steps;
         self.steps_remaining = steps.unwrap_or(u64::MAX);
@@ -154,30 +118,12 @@ impl Interpreter {
     /// Returns parse errors, runtime errors, or [`ErrorKind::Timeout`] if
     /// the instruction budget is exhausted.
     pub fn eval(&mut self, source: &str) -> Result<Value, ScriptError> {
-        let program = parse(source)?;
-        self.run(&program)
+        let program = crate::compile::compile(source)?;
+        self.run_compiled(&program)
     }
 
-    /// Executes an already-parsed program in the global scope, through
-    /// whichever engine this interpreter is configured with.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Interpreter::eval`].
-    pub fn run(&mut self, program: &[Stmt]) -> Result<Value, ScriptError> {
-        match self.engine {
-            Engine::TreeWalk => self.run_tree(program),
-            Engine::Bytecode => {
-                let compiled = crate::compile::compile_program(program)?;
-                self.run_compiled(&compiled)
-            }
-        }
-    }
-
-    /// Executes a pre-compiled program on the bytecode VM (regardless
-    /// of the configured engine — compilation already happened). This
-    /// is the hot host path: compile once per script spec, run per
-    /// event.
+    /// Executes a pre-compiled program on the bytecode VM. This is the
+    /// hot host path: compile once per script spec, run per event.
     ///
     /// # Errors
     ///
@@ -185,31 +131,6 @@ impl Interpreter {
     pub fn run_compiled(&mut self, program: &CompiledProgram) -> Result<Value, ScriptError> {
         self.arm_budget();
         crate::vm::run_main(self, program)
-    }
-
-    /// The tree-walk execution path (oracle engine).
-    fn run_tree(&mut self, program: &[Stmt]) -> Result<Value, ScriptError> {
-        self.arm_budget();
-        let env = self.globals.clone();
-        self.hoist(program, &env);
-        let mut last = Value::Null;
-        for stmt in program {
-            if let Stmt::Expr { expr, line } = stmt {
-                self.current_line = *line;
-                last = self.eval_expr(expr, &env)?;
-            } else {
-                match self.exec_stmt(stmt, &env)? {
-                    Flow::Normal => {}
-                    Flow::Return(v) => return Ok(v),
-                    Flow::Break | Flow::Continue => {
-                        return Err(
-                            self.rt_err(ErrorKind::Parse, "break/continue outside of a loop")
-                        )
-                    }
-                }
-            }
-        }
-        Ok(last)
     }
 
     /// Calls a script (or native) function value from the host, re-arming
@@ -233,50 +154,9 @@ impl Interpreter {
     /// script-level calls).
     pub(crate) fn call_value(&mut self, f: &Value, args: &[Value]) -> Result<Value, ScriptError> {
         match f {
-            Value::Func(closure) => match &closure.repr {
-                ClosureRepr::Compiled { proto, upvals } => {
-                    crate::vm::call_closure(self, proto, upvals, args)
-                }
-                ClosureRepr::Ast { body, env } => {
-                    if self.depth >= MAX_DEPTH {
-                        return Err(self.rt_err(ErrorKind::StackOverflow, "call stack exhausted"));
-                    }
-                    self.depth += 1;
-                    let env = env.child();
-                    for (i, param) in closure.params.iter().enumerate() {
-                        env.declare(param.clone(), args.get(i).cloned().unwrap_or(Value::Null));
-                    }
-                    self.hoist(body, &env);
-                    let mut result = Value::Null;
-                    let mut error = None;
-                    for stmt in body.iter() {
-                        match self.exec_stmt(stmt, &env) {
-                            Ok(Flow::Normal) => {}
-                            Ok(Flow::Return(v)) => {
-                                result = v;
-                                break;
-                            }
-                            Ok(Flow::Break) | Ok(Flow::Continue) => {
-                                error =
-                                    Some(self.rt_err(
-                                        ErrorKind::Parse,
-                                        "break/continue outside of a loop",
-                                    ));
-                                break;
-                            }
-                            Err(e) => {
-                                error = Some(e);
-                                break;
-                            }
-                        }
-                    }
-                    self.depth -= 1;
-                    match error {
-                        Some(e) => Err(e),
-                        None => Ok(result),
-                    }
-                }
-            },
+            Value::Func(closure) => {
+                crate::vm::call_closure(self, &closure.proto, &closure.upvals, args)
+            }
             Value::Native(native) => {
                 (native.func)(self, args).map_err(|e| e.with_line_if_unset(self.current_line))
             }
@@ -291,17 +171,6 @@ impl Interpreter {
 
     pub(crate) fn rt_err(&self, kind: ErrorKind, msg: impl Into<String>) -> ScriptError {
         ScriptError::new(kind, msg, self.current_line)
-    }
-
-    fn step(&mut self) -> Result<(), ScriptError> {
-        if self.steps_remaining == 0 {
-            return Err(self.rt_err(
-                ErrorKind::Timeout,
-                "instruction budget exhausted (callback watchdog)",
-            ));
-        }
-        self.steps_remaining -= 1;
-        Ok(())
     }
 
     /// Deducts `cost` steps from the current invocation's budget.
@@ -327,317 +196,20 @@ impl Interpreter {
         Ok(())
     }
 
-    /// Declares function statements ahead of execution so forward and
-    /// mutual references work (JavaScript hoisting).
-    fn hoist(&mut self, body: &[Stmt], env: &Env) {
-        for stmt in body {
-            if let Stmt::Func {
-                name, params, body, ..
-            } = stmt
-            {
-                env.declare(
-                    name.clone(),
-                    Value::Func(Rc::new(Closure {
-                        params: params.clone(),
-                        name: name.clone(),
-                        repr: ClosureRepr::Ast {
-                            body: body.clone(),
-                            env: env.clone(),
-                        },
-                    })),
-                );
-            }
-        }
-    }
+    // ---- value operations --------------------------------------------------
+    //
+    // What the VM does off its fast paths, and what the tree-walk oracle
+    // in the tests (`tests/common/treewalk.rs`) calls for the same
+    // operations, so the two agree on coercions, error kinds and
+    // messages by construction. Errors carry the line the VM last set.
 
-    // ---- statements ---------------------------------------------------------
-
-    fn exec_stmt(&mut self, stmt: &Stmt, env: &Env) -> Result<Flow, ScriptError> {
-        self.current_line = stmt.line();
-        self.step()?;
-        match stmt {
-            Stmt::Var { decls, .. } => {
-                for (name, init) in decls {
-                    let value = match init {
-                        Some(expr) => self.eval_expr(expr, env)?,
-                        None => Value::Null,
-                    };
-                    env.declare(name.clone(), value);
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::Func { .. } => Ok(Flow::Normal), // handled by hoisting
-            Stmt::Expr { expr, .. } => {
-                self.eval_expr(expr, env)?;
-                Ok(Flow::Normal)
-            }
-            Stmt::If {
-                cond, then, els, ..
-            } => {
-                if self.eval_expr(cond, env)?.is_truthy() {
-                    self.exec_stmt(then, env)
-                } else if let Some(els) = els {
-                    self.exec_stmt(els, env)
-                } else {
-                    Ok(Flow::Normal)
-                }
-            }
-            Stmt::While { cond, body, .. } => {
-                while self.eval_expr(cond, env)?.is_truthy() {
-                    match self.exec_stmt(body, env)? {
-                        Flow::Normal | Flow::Continue => {}
-                        Flow::Break => break,
-                        ret @ Flow::Return(_) => return Ok(ret),
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::DoWhile { body, cond, .. } => {
-                loop {
-                    match self.exec_stmt(body, env)? {
-                        Flow::Normal | Flow::Continue => {}
-                        Flow::Break => break,
-                        ret @ Flow::Return(_) => return Ok(ret),
-                    }
-                    if !self.eval_expr(cond, env)?.is_truthy() {
-                        break;
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::ForIn {
-                name, object, body, ..
-            } => {
-                let object = self.eval_expr(object, env)?;
-                let keys: Vec<Value> = match &object {
-                    Value::Object(map) => map.borrow().keys().map(Value::str).collect(),
-                    Value::Array(items) => (0..items.borrow().len())
-                        .map(|i| Value::Num(i as f64))
-                        .collect(),
-                    Value::Null => Vec::new(),
-                    other => {
-                        return Err(self.rt_err(
-                            ErrorKind::Type,
-                            format!("cannot enumerate a {}", other.type_name()),
-                        ))
-                    }
-                };
-                let scope = env.child();
-                scope.declare(name.clone(), Value::Null);
-                for key in keys {
-                    scope.declare(name.clone(), key);
-                    match self.exec_stmt(body, &scope)? {
-                        Flow::Normal | Flow::Continue => {}
-                        Flow::Break => break,
-                        ret @ Flow::Return(_) => return Ok(ret),
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::For {
-                init,
-                cond,
-                step,
-                body,
-                ..
-            } => {
-                let scope = env.child();
-                if let Some(init) = init {
-                    self.exec_stmt(init, &scope)?;
-                }
-                loop {
-                    if let Some(cond) = cond {
-                        if !self.eval_expr(cond, &scope)?.is_truthy() {
-                            break;
-                        }
-                    }
-                    match self.exec_stmt(body, &scope)? {
-                        Flow::Normal | Flow::Continue => {}
-                        Flow::Break => break,
-                        ret @ Flow::Return(_) => return Ok(ret),
-                    }
-                    if let Some(step) = step {
-                        self.eval_expr(step, &scope)?;
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::Return { value, .. } => {
-                let v = match value {
-                    Some(expr) => self.eval_expr(expr, env)?,
-                    None => Value::Null,
-                };
-                Ok(Flow::Return(v))
-            }
-            Stmt::Break { .. } => Ok(Flow::Break),
-            Stmt::Continue { .. } => Ok(Flow::Continue),
-            Stmt::Block { body, .. } => {
-                let scope = env.child();
-                self.hoist(body, &scope);
-                for stmt in body {
-                    match self.exec_stmt(stmt, &scope)? {
-                        Flow::Normal => {}
-                        other => return Ok(other),
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::Empty { .. } => Ok(Flow::Normal),
-        }
-    }
-
-    // ---- expressions ----------------------------------------------------------
-
-    fn eval_expr(&mut self, expr: &Expr, env: &Env) -> Result<Value, ScriptError> {
-        self.step()?;
-        match expr {
-            Expr::Number(n) => Ok(Value::Num(*n)),
-            Expr::Str(s) => Ok(Value::str(s)),
-            Expr::Bool(b) => Ok(Value::Bool(*b)),
-            Expr::Null => Ok(Value::Null),
-            Expr::Ident(name) => env.get(name).ok_or_else(|| {
-                self.rt_err(ErrorKind::Reference, format!("`{name}` is not defined"))
-            }),
-            Expr::Array(items) => {
-                let mut out = Vec::with_capacity(items.len());
-                for item in items {
-                    out.push(self.eval_expr(item, env)?);
-                }
-                Ok(Value::array(out))
-            }
-            Expr::Object(props) => {
-                let mut map = crate::value::ObjMap::new();
-                for (key, value) in props {
-                    let v = self.eval_expr(value, env)?;
-                    map.insert(key.clone(), v);
-                }
-                Ok(Value::object(map))
-            }
-            Expr::Func { params, body } => Ok(Value::Func(Rc::new(Closure {
-                params: params.clone(),
-                name: Rc::from("<anonymous>"),
-                repr: ClosureRepr::Ast {
-                    body: body.clone(),
-                    env: env.clone(),
-                },
-            }))),
-            Expr::Unary { op, expr } => {
-                let v = self.eval_expr(expr, env)?;
-                self.eval_unary(*op, v)
-            }
-            Expr::Binary { op, lhs, rhs } => {
-                let a = self.eval_expr(lhs, env)?;
-                let b = self.eval_expr(rhs, env)?;
-                self.eval_binary(*op, a, b)
-            }
-            Expr::Logical { op, lhs, rhs } => {
-                let a = self.eval_expr(lhs, env)?;
-                match op {
-                    LogicalOp::And => {
-                        if a.is_truthy() {
-                            self.eval_expr(rhs, env)
-                        } else {
-                            Ok(a)
-                        }
-                    }
-                    LogicalOp::Or => {
-                        if a.is_truthy() {
-                            Ok(a)
-                        } else {
-                            self.eval_expr(rhs, env)
-                        }
-                    }
-                }
-            }
-            Expr::Ternary { cond, then, els } => {
-                if self.eval_expr(cond, env)?.is_truthy() {
-                    self.eval_expr(then, env)
-                } else {
-                    self.eval_expr(els, env)
-                }
-            }
-            Expr::Assign { target, op, value } => {
-                let rhs = self.eval_expr(value, env)?;
-                let new_value = match op {
-                    None => rhs,
-                    Some(op) => {
-                        let current = self.eval_expr(target, env)?;
-                        self.eval_binary(*op, current, rhs)?
-                    }
-                };
-                self.assign_to(target, new_value.clone(), env)?;
-                Ok(new_value)
-            }
-            Expr::Update {
-                target,
-                increment,
-                prefix,
-            } => {
-                let current = self.eval_expr(target, env)?;
-                let n = current
-                    .as_num()
-                    .ok_or_else(|| self.update_err(*increment, &current))?;
-                let updated = if *increment { n + 1.0 } else { n - 1.0 };
-                self.assign_to(target, Value::Num(updated), env)?;
-                Ok(Value::Num(if *prefix { updated } else { n }))
-            }
-            Expr::Call { callee, args, line } => {
-                self.current_line = *line;
-                let mut arg_values = Vec::with_capacity(args.len());
-                for arg in args {
-                    arg_values.push(self.eval_expr(arg, env)?);
-                }
-                self.current_line = *line;
-                // Method call: dispatch on the receiver so `arr.push(x)`
-                // and `subscription.release()` work.
-                if let Expr::Member { object, name } = callee.as_ref() {
-                    let receiver = self.eval_expr(object, env)?;
-                    self.current_line = *line;
-                    return self.call_method(receiver, name, &arg_values);
-                }
-                let f = self.eval_expr(callee, env)?;
-                self.current_line = *line;
-                self.call_value(&f, &arg_values)
-            }
-            Expr::Member { object, name } => {
-                let obj = self.eval_expr(object, env)?;
-                self.get_member(&obj, name)
-            }
-            Expr::Index { object, index } => {
-                let obj = self.eval_expr(object, env)?;
-                let idx = self.eval_expr(index, env)?;
-                self.get_index(&obj, &idx)
-            }
-        }
-    }
-
-    pub(crate) fn eval_unary(&self, op: UnaryOp, v: Value) -> Result<Value, ScriptError> {
-        match op {
-            UnaryOp::Not => Ok(Value::Bool(!v.is_truthy())),
-            UnaryOp::Neg => match v.as_num() {
-                Some(n) => Ok(Value::Num(-n)),
-                None => Err(self.rt_err(
-                    ErrorKind::Type,
-                    format!("cannot negate a {}", v.type_name()),
-                )),
-            },
-            UnaryOp::Plus => match v.as_num() {
-                Some(n) => Ok(Value::Num(n)),
-                None => Err(self.rt_err(
-                    ErrorKind::Type,
-                    format!("unary + applied to a {}", v.type_name()),
-                )),
-            },
-            UnaryOp::Typeof => Ok(Value::str(v.type_name())),
-        }
-    }
-
-    pub(crate) fn eval_binary(
-        &mut self,
-        op: BinOp,
-        a: Value,
-        b: Value,
-    ) -> Result<Value, ScriptError> {
+    /// `a op b`. A concatenation charges the bytes it produces.
+    ///
+    /// # Errors
+    ///
+    /// [`ErrorKind::Type`] for operands the operator does not take;
+    /// [`ErrorKind::Timeout`] when a concatenation outruns the budget.
+    pub fn eval_binary(&mut self, op: BinOp, a: Value, b: Value) -> Result<Value, ScriptError> {
         use BinOp::*;
         match op {
             Add => match (&a, &b) {
@@ -696,34 +268,12 @@ impl Interpreter {
         )
     }
 
-    fn assign_to(&mut self, target: &Expr, value: Value, env: &Env) -> Result<(), ScriptError> {
-        match target {
-            Expr::Ident(name) => {
-                if env.assign(name, value) {
-                    Ok(())
-                } else {
-                    Err(self.rt_err(
-                        ErrorKind::Reference,
-                        format!("assignment to undeclared variable `{name}`"),
-                    ))
-                }
-            }
-            Expr::Member { object, name } => {
-                let obj = self.eval_expr(object, env)?;
-                self.set_member_value(&obj, name, value)
-            }
-            Expr::Index { object, index } => {
-                let obj = self.eval_expr(object, env)?;
-                let idx = self.eval_expr(index, env)?;
-                self.set_index_value(&obj, &idx, value)
-            }
-            _ => Err(self.rt_err(ErrorKind::Type, "invalid assignment target")),
-        }
-    }
-
-    /// Stores into `obj.name` (shared by tree-walk `assign_to` and the
-    /// VM's `SetMember`).
-    pub(crate) fn set_member_value(
+    /// Stores into `obj.name` (the VM's `SetMember`).
+    ///
+    /// # Errors
+    ///
+    /// [`ErrorKind::Type`] unless `obj` is an object.
+    pub fn set_member_value(
         &self,
         obj: &Value,
         name: &Rc<str>,
@@ -741,8 +291,8 @@ impl Interpreter {
         }
     }
 
-    /// The refusal of `++`/`--` on a non-number (one text for the
-    /// tree-walk and the VM's stack and slot forms).
+    /// The refusal of `++`/`--` on a non-number (one text for the VM's
+    /// stack and slot forms).
     pub(crate) fn update_err(&self, increment: bool, operand: &Value) -> ScriptError {
         let verb = if increment { "increment" } else { "decrement" };
         self.rt_err(
@@ -751,9 +301,14 @@ impl Interpreter {
         )
     }
 
-    /// Stores into `obj[idx]` (shared by tree-walk `assign_to` and the
-    /// VM's `SetIndex`).
-    pub(crate) fn set_index_value(
+    /// Stores into `obj[idx]` (the VM's `SetIndex`). Growing an array
+    /// charges the elements it adds, before it adds them.
+    ///
+    /// # Errors
+    ///
+    /// [`ErrorKind::Type`] for an index the container cannot take;
+    /// [`ErrorKind::Timeout`] when the growth outruns the budget.
+    pub fn set_index_value(
         &mut self,
         obj: &Value,
         idx: &Value,
@@ -796,7 +351,13 @@ impl Interpreter {
         }
     }
 
-    pub(crate) fn get_member(&self, obj: &Value, name: &str) -> Result<Value, ScriptError> {
+    /// Reads `obj.name`: an object's property (`null` when it has none)
+    /// or an array's or a string's `length`.
+    ///
+    /// # Errors
+    ///
+    /// [`ErrorKind::Type`] for any other receiver or property.
+    pub fn get_member(&self, obj: &Value, name: &str) -> Result<Value, ScriptError> {
         match obj {
             Value::Object(map) => Ok(map.borrow().get(name).cloned().unwrap_or(Value::Null)),
             Value::Array(items) => match name {
@@ -824,7 +385,13 @@ impl Interpreter {
         }
     }
 
-    pub(crate) fn get_index(&self, obj: &Value, idx: &Value) -> Result<Value, ScriptError> {
+    /// Reads `obj[idx]`: `null` off either end of an array or a string
+    /// and for a key an object does not hold.
+    ///
+    /// # Errors
+    ///
+    /// [`ErrorKind::Type`] for an index the receiver cannot take.
+    pub fn get_index(&self, obj: &Value, idx: &Value) -> Result<Value, ScriptError> {
         match (obj, idx) {
             (Value::Array(items), Value::Num(n)) => {
                 if *n < 0.0 || n.fract() != 0.0 {
@@ -856,39 +423,6 @@ impl Interpreter {
                     obj.type_name(),
                     idx.type_name()
                 ),
-            )),
-        }
-    }
-
-    /// Dispatches `receiver.name(args)`.
-    pub(crate) fn call_method(
-        &mut self,
-        receiver: Value,
-        name: &str,
-        args: &[Value],
-    ) -> Result<Value, ScriptError> {
-        match &receiver {
-            Value::Object(map) => {
-                let method = map.borrow().get(name).cloned();
-                match method {
-                    Some(f @ (Value::Func(_) | Value::Native(_))) => self.call_value(&f, args),
-                    Some(other) => Err(self.rt_err(
-                        ErrorKind::Type,
-                        format!(
-                            "property `{name}` is a {}, not a function",
-                            other.type_name()
-                        ),
-                    )),
-                    None => {
-                        Err(self.rt_err(ErrorKind::Type, format!("object has no method `{name}`")))
-                    }
-                }
-            }
-            Value::Array(_) => builtins::call_array_method(self, &receiver, name, args),
-            Value::Str(_) => builtins::call_string_method(self, &receiver, name, args),
-            other => Err(self.rt_err(
-                ErrorKind::Type,
-                format!("cannot call method `{name}` on a {}", other.type_name()),
             )),
         }
     }

@@ -2,7 +2,7 @@
 //!
 //! The Pogo middleware executes experiment scripts "using Rhino, a
 //! JavaScript runtime for Java" (§4.4). This crate is the reproduction's
-//! Rhino: a from-scratch lexer, parser, and tree-walking interpreter for
+//! Rhino: a from-scratch lexer, parser, bytecode compiler and stack VM for
 //! **PogoScript**, a JavaScript subset rich enough to express the paper's
 //! most demanding workload — the sliding-window DBSCAN clustering
 //! algorithm of `clustering.js` — while remaining fully sandboxed:
@@ -75,14 +75,21 @@ pub use compile::{compile, compile_cached, compile_program};
 pub use diag::{Diagnostic, Rule, Severity};
 pub use error::{ErrorKind, ScriptError};
 pub use gate::{deploy_gate, GateReport};
-pub use interp::{Engine, Interpreter};
+pub use interp::Interpreter;
 pub use parser::parse;
 pub use quicken::quickened_listing;
 pub use sloc::{count_sloc, SourceStats};
 pub use value::{NativeFn, ObjMap, Value};
 pub use verify::{VerifyError, VERIFY_CODES};
 
-// The integration tests' support code, compiled into the unit tests too,
-// names the crate from outside.
+// The integration tests' support code — the program generator, the
+// paper scripts and the tree-walk oracle — compiled into the unit tests
+// too; it names the crate from outside.
 #[cfg(test)]
 extern crate self as pogo_script;
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
+#[cfg(test)]
+#[path = "../tests/common/treewalk.rs"]
+mod treewalk;

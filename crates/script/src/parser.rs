@@ -9,7 +9,7 @@ use crate::token::{Token, TokenKind};
 
 /// How deep statements and expressions may nest: the bound on the height
 /// of the tree [`parse`] returns, and so on the recursion of everything
-/// that walks it (analyzer, compiler, tree-walk interpreter, `Drop`).
+/// that walks it (analyzer, compiler, `Drop`, the tests' tree-walk oracle).
 /// Deployed scripts come from outside the program; without the bound a
 /// few hundred kilobytes of `(` or `1+1+…` overflow the stack. Sized
 /// like `pogo_core::value::MAX_JSON_DEPTH`: far above anything
@@ -862,7 +862,7 @@ function start()
 
     #[test]
     fn a_tree_at_the_nesting_cap_parses_analyzes_compiles_and_runs() {
-        use crate::{Engine, Interpreter, Value};
+        use crate::{treewalk, Interpreter, Value};
         for (name, shape) in SHAPES {
             let n = (1..)
                 .find(|&n| parse(&shape(n + 1)).is_err())
@@ -879,12 +879,12 @@ function start()
             assert!(diags.iter().all(|d| !d.is_error()), "{name}: {diags:?}");
             crate::compile::compile(&src).expect(name);
             // What the program evaluates to, and what it left in `x`.
-            let run = |engine| {
-                let mut interp = Interpreter::with_engine(engine);
-                let value = interp.eval(&src).expect(name);
+            let run = |eval: treewalk::Eval| {
+                let mut interp = Interpreter::new();
+                let value = eval(&mut interp, &src).expect(name);
                 (value.to_display_string(), interp.globals().get("x"))
             };
-            let (tree, vm) = (run(Engine::TreeWalk), run(Engine::Bytecode));
+            let (tree, vm) = (run(treewalk::eval), run(Interpreter::eval));
             assert_eq!(tree.0, vm.0, "{name}");
             if name == "sum" {
                 assert_eq!(tree.1, Some(Value::Num(n as f64 + 1.0)));

@@ -391,10 +391,6 @@ pub(crate) fn unfused(proto: &FnProto) -> FnProto {
     }
 }
 
-#[cfg(test)]
-#[path = "../tests/common/mod.rs"]
-mod common;
-
 /// The fused stream against the plain one: same results, same errors on
 /// the same lines, the same budget left, whatever the budget was.
 #[cfg(test)]
@@ -403,8 +399,8 @@ mod tests {
     use std::collections::VecDeque;
     use std::rc::Rc;
 
-    use super::common::{eq_val, paper_scripts, VmGen};
     use super::*;
+    use crate::common::{eq_val, paper_scripts, VmGen};
     use crate::{compile, ErrorKind, Interpreter, NativeFn, ObjMap, ScriptError, Value};
 
     fn plain(program: &CompiledProgram) -> CompiledProgram {

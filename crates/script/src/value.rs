@@ -5,8 +5,7 @@ use std::collections::HashSet;
 use std::fmt;
 use std::rc::Rc;
 
-use crate::ast::Stmt;
-use crate::env::Env;
+use crate::bytecode::FnProto;
 use crate::error::ScriptError;
 use crate::interp::Interpreter;
 
@@ -380,36 +379,15 @@ fn drop_children(children: Vec<Value>) {
 /// binding's declaration has not executed yet.
 pub type UpvalCell = Rc<RefCell<Option<Value>>>;
 
-/// A script-visible function defined in PogoScript.
+/// A script-visible function defined in PogoScript: a compiled
+/// prototype plus the cells it captured.
 #[derive(Debug)]
 pub struct Closure {
-    /// Parameter names (interned, shared with the AST).
-    pub params: Vec<Rc<str>>,
-    /// Name for diagnostics (`<anonymous>` for function expressions).
-    pub name: Rc<str>,
-    /// How the function body is represented and executed.
-    pub repr: ClosureRepr,
-}
-
-/// The two execution representations of a script function. Both are
-/// first-class [`Value::Func`]s and can call each other freely, so a
-/// host can mix engines (e.g. the differential oracle tests do).
-#[derive(Debug)]
-pub enum ClosureRepr {
-    /// Tree-walk form: the AST body plus the captured environment.
-    Ast {
-        /// Function body (shared with the AST).
-        body: Rc<Vec<Stmt>>,
-        /// Captured environment.
-        env: Env,
-    },
-    /// Bytecode form: a compiled prototype plus captured cells.
-    Compiled {
-        /// The compiled function.
-        proto: Rc<crate::bytecode::FnProto>,
-        /// Captured variables, in the prototype's upvalue order.
-        upvals: Rc<[UpvalCell]>,
-    },
+    /// The compiled function (its `name` is `<anonymous>` for function
+    /// expressions).
+    pub proto: Rc<FnProto>,
+    /// Captured variables, in the prototype's upvalue order.
+    pub upvals: Rc<[UpvalCell]>,
 }
 
 /// Signature of a host-registered native function.
@@ -511,22 +489,81 @@ impl Value {
             Value::Bool(b) => b.to_string(),
             Value::Num(n) => format_number(*n),
             Value::Str(s) => s.to_string(),
-            Value::Array(items) => {
-                let items = items.borrow();
-                let parts: Vec<String> = items.iter().map(|v| v.to_display_string()).collect();
-                format!("[{}]", parts.join(", "))
-            }
-            Value::Object(map) => {
-                let map = map.borrow();
-                let parts: Vec<String> = map
-                    .iter()
-                    .map(|(k, v)| format!("{k}: {}", v.to_display_string()))
-                    .collect();
-                format!("{{{}}}", parts.join(", "))
-            }
-            Value::Func(c) => format!("function {}", c.name),
+            Value::Array(_) | Value::Object(_) => display_container(self),
+            Value::Func(c) => format!("function {}", c.proto.name),
             Value::Native(n) => format!("function {} [native]", n.name),
         }
+    }
+}
+
+/// The address of an array's or an object's storage, which is its
+/// identity.
+fn container_addr(value: &Value) -> Option<*const ()> {
+    match value {
+        Value::Array(items) => Some(Rc::as_ptr(items).cast()),
+        Value::Object(map) => Some(Rc::as_ptr(map).cast()),
+        _ => None,
+    }
+}
+
+/// `[a, b]` or `{k: v}`, entries rendered in order. A script can nest a
+/// value as deep as its budget lets it run (see [`drop_children`]), so
+/// the containers being written are kept on a stack on the heap, not on
+/// the host's; and a container met again inside itself, which would
+/// never end, is written `[circular]`.
+fn display_container(root: &Value) -> String {
+    let mut out = String::new();
+    // The containers being written, innermost last, each with the index
+    // of its next entry; `open_at` holds their addresses.
+    let mut open: Vec<(Value, usize)> = Vec::new();
+    let mut open_at = HashSet::new();
+    let mut entry = root.clone();
+    loop {
+        match container_addr(&entry) {
+            None => out.push_str(&entry.to_display_string()),
+            Some(addr) if open_at.insert(addr) => {
+                out.push(if matches!(entry, Value::Array(_)) {
+                    '['
+                } else {
+                    '{'
+                });
+                open.push((entry, 0));
+            }
+            Some(_) => out.push_str("[circular]"),
+        }
+        // The innermost container's next entry; each one with none left
+        // is closed.
+        entry = loop {
+            let Some((container, next)) = open.last_mut() else {
+                return out;
+            };
+            let i = *next;
+            *next += 1;
+            let sep = if i > 0 { ", " } else { "" };
+            match container {
+                Value::Array(items) => {
+                    if let Some(v) = items.borrow().get(i) {
+                        out.push_str(sep);
+                        break v.clone();
+                    }
+                    out.push(']');
+                }
+                Value::Object(map) => {
+                    let map = map.borrow();
+                    if let Some(key) = map.shape.get(i) {
+                        out.push_str(sep);
+                        out.push_str(key);
+                        out.push_str(": ");
+                        break map.values[i].clone();
+                    }
+                    out.push('}');
+                }
+                _ => unreachable!("only containers are opened"),
+            }
+            if let Some(addr) = open.pop().and_then(|(done, _)| container_addr(&done)) {
+                open_at.remove(&addr);
+            }
+        };
     }
 }
 
@@ -706,6 +743,67 @@ mod tests {
             drop(root);
             assert_eq!(DROP_DEPTH.with(Cell::get), 0);
         }
+    }
+
+    /// A value nested 300,000 deep by a script renders — by concatenation
+    /// or `String()` — to the bytes the recursive definition gives,
+    /// without a host stack frame per level (the thread has 2 MiB), and
+    /// the bytes are billed: with less budget left than that, the
+    /// watchdog stops it.
+    #[test]
+    fn values_nested_300k_deep_render_without_recursion() {
+        use crate::{ErrorKind, Interpreter, WATCHDOG_BUDGET};
+        const LEVELS: usize = 300_000;
+        let nested = [
+            ("a = [a];", "[".repeat(LEVELS), "]".repeat(LEVELS)),
+            (
+                "a = { next: a, n: 1 };",
+                "{next: ".repeat(LEVELS),
+                ", n: 1}".repeat(LEVELS),
+            ),
+        ];
+        let thread = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                for (grow, open, close) in nested {
+                    let want = format!("{open}[]{close}");
+                    let mut interp = Interpreter::new();
+                    interp.set_budget(Some(WATCHDOG_BUDGET));
+                    let src =
+                        format!("var a = [];\nfor (var k = 0; k < {LEVELS}; k++) {{ {grow} }}");
+                    interp.eval(&src).unwrap();
+                    for show in ["'' + a;", "String(a);"] {
+                        assert_eq!(
+                            interp.eval(show).unwrap(),
+                            Value::str(&want),
+                            "{grow} {show}"
+                        );
+                        interp.set_budget(Some(want.len() as u64));
+                        let err = interp.eval(show).unwrap_err();
+                        assert_eq!(err.kind(), ErrorKind::Timeout, "{grow} {show}");
+                        interp.set_budget(Some(WATCHDOG_BUDGET));
+                    }
+                }
+            });
+        thread.unwrap().join().unwrap();
+    }
+
+    /// A container met again inside itself is written `[circular]` where
+    /// the recursive renderer never returned.
+    #[test]
+    fn a_value_that_holds_itself_renders_the_inner_reference_as_circular() {
+        let mut interp = crate::Interpreter::new();
+        let got = interp
+            .eval(
+                "var c = [1]; c.push(c); var o = { n: c }; o.self = o;\n\
+                 var shared = [2]; var twice = [shared, shared];\n\
+                 String(c) + ' ' + String(o) + ' ' + String(twice);",
+            )
+            .unwrap();
+        assert_eq!(
+            got,
+            Value::str("[1, [circular]] {n: [1, [circular]], self: [circular]} [[2], [2]]")
+        );
     }
 
     /// Past the recursion limit a container is unwound on the heap; what

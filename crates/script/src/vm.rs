@@ -1,13 +1,12 @@
-//! The bytecode stack VM — the default PogoScript execution engine.
+//! The bytecode stack VM — the PogoScript execution engine.
 //!
 //! One [`Machine`] executes one host invocation (a program run or a
-//! callback). Script-to-script calls between compiled closures reuse
-//! the machine's explicit frame stack (no host recursion); calls that
-//! cross representations (a compiled closure invoking a tree-walk
-//! closure or a native, and vice versa) go through
+//! callback). Script-to-script calls reuse the machine's explicit frame
+//! stack (no host recursion); a call to a native, and a native calling
+//! back into script (an `Array.sort` comparator), go through
 //! [`Interpreter::call_value`], which may nest another machine — the
-//! shared `Interpreter::depth` counter bounds the total exactly like
-//! the tree-walk's `MAX_DEPTH`. A machine's stacks are borrowed from
+//! shared `Interpreter::depth` counter bounds the total at `MAX_DEPTH`
+//! either way. A machine's stacks are borrowed from
 //! the interpreter and handed back when it finishes ([`Stacks`]), so a
 //! callback — or each comparator call of an `Array.sort` — reuses the
 //! buffers of the one before it.
@@ -21,19 +20,19 @@
 //! index runs instead, and the ops after it in their turn.
 //!
 //! The watchdog is a per-instruction budget decrement on
-//! `Interpreter::steps_remaining` — the same counter, message, and
-//! error kind as the tree-walk's per-node check, so the 100 ms-budget
-//! semantics (§4.5) are preserved across engines. The dispatch loop
+//! `Interpreter::steps_remaining` — the counter `Interpreter::charge`
+//! bills, with its message and error kind — the deterministic analogue
+//! of the paper's 100 ms budget (§4.5). The dispatch loop
 //! counts in locals (budget, dispatches, instruction pointer) and writes
 //! them back around every call out of the machine and when it stops.
 //! Long-running natives additionally charge their input size via
 //! `Interpreter::charge`.
 //!
 //! Error behavior is defined by delegation: every slow path (mixed-type
-//! arithmetic, member/index access on odd receivers, method dispatch)
-//! calls the *same* `Interpreter` helpers the tree-walk uses, so error
-//! kinds and messages agree by construction. The fast paths only cover
-//! cases those helpers succeed on.
+//! arithmetic, member/index access on odd receivers) calls the public
+//! `Interpreter` value operations, which the tree-walk oracle in the
+//! tests calls too, so error kinds and messages agree by construction.
+//! The fast paths only cover cases those operations succeed on.
 
 use std::cell::RefCell;
 use std::mem;
@@ -48,7 +47,7 @@ use crate::env::Env;
 use crate::error::{ErrorKind, ScriptError};
 use crate::interp::{Interpreter, MAX_DEPTH};
 use crate::quicken::{Base, Branch, Fused, QOp, Src};
-use crate::value::{Closure, ClosureRepr, ObjMap, UpvalCell, Value};
+use crate::value::{Closure, ObjMap, UpvalCell, Value};
 
 /// Runs a compiled program's main chunk in the interpreter's global
 /// scope. The caller has armed the budget.
@@ -59,8 +58,8 @@ pub(crate) fn run_main(
     Machine::new(interp).run(&program.main, &Rc::from([]), &[])
 }
 
-/// Calls a compiled closure (host callback delivery, or a tree-walk /
-/// native caller invoking a compiled function value).
+/// Calls a closure from outside a machine (host callback delivery, or a
+/// native calling back into script).
 pub(crate) fn call_closure(
     interp: &mut Interpreter,
     proto: &Rc<FnProto>,
@@ -516,13 +515,7 @@ impl<'a> Machine<'a> {
                     ($callee:expr, $argc:expr) => {{
                         let (callee, argc) = ($callee, $argc as usize);
                         if let Value::Func(cl) = &callee {
-                            if let ClosureRepr::Compiled {
-                                proto: p,
-                                upvals: u,
-                            } = &cl.repr
-                            {
-                                enter!(p.clone(), u.clone(), argc);
-                            }
+                            enter!(cl.proto.clone(), cl.upvals.clone(), argc);
                         }
                         let args_start = self.stack.len() - argc;
                         self.interp.steps_remaining = steps;
@@ -554,9 +547,7 @@ impl<'a> Machine<'a> {
                 'next: loop {
                     let q = code[ip];
                     ip += 1;
-                    // The watchdog: one budget step per instruction (the
-                    // tree-walk charges one per AST node — same counter,
-                    // same error, coarser grain there, finer here). A
+                    // The watchdog: one budget step per instruction. A
                     // fused instruction is charged its head here and the
                     // rest of its run when it takes it.
                     if steps == 0 {
@@ -707,14 +698,9 @@ impl<'a> Machine<'a> {
                                     UpvalSrc::ParentUpval(u) => upvals[u as usize].clone(),
                                 });
                             }
-                            let name = fn_proto.name.clone();
                             self.stack.push(Value::Func(Rc::new(Closure {
-                                params: Vec::new(),
-                                name,
-                                repr: ClosureRepr::Compiled {
-                                    proto: fn_proto,
-                                    upvals: Rc::from(ups),
-                                },
+                                proto: fn_proto,
+                                upvals: Rc::from(ups),
                             })));
                         }
 
@@ -1144,12 +1130,12 @@ impl<'a> Machine<'a> {
         false
     }
 
-    /// `receiver.name(args)` — the dispatch mirrors
-    /// `Interpreter::call_method` case-for-case (including every error
-    /// message), with one addition: an object property holding a
-    /// *compiled* closure is handed back for the dispatch loop to enter
-    /// on the machine's own frame stack instead of recursing through the
-    /// host; every other call has pushed its result when this returns.
+    /// `receiver.name(args)`. An object property holding a closure is
+    /// handed back for the dispatch loop to enter on the machine's own
+    /// frame stack instead of recursing through the host; every other
+    /// call has pushed its result when this returns. The tree-walk
+    /// oracle in the tests dispatches on its own, with the same error
+    /// texts, so a change to either one shows in `vm_diff`.
     #[allow(clippy::type_complexity)]
     fn call_method(
         &mut self,
@@ -1166,14 +1152,9 @@ impl<'a> Machine<'a> {
                     site.index_in(&map).map(|idx| map.value_at(idx).clone())
                 };
                 match method {
-                    Some(Value::Func(cl)) => match &cl.repr {
-                        ClosureRepr::Compiled { proto, upvals } => {
-                            return Ok(Some((proto.clone(), upvals.clone())));
-                        }
-                        ClosureRepr::Ast { .. } => self
-                            .interp
-                            .call_value(&Value::Func(cl), &self.stack[args_start..]),
-                    },
+                    Some(Value::Func(cl)) => {
+                        return Ok(Some((cl.proto.clone(), cl.upvals.clone())));
+                    }
                     Some(f @ Value::Native(_)) => {
                         self.interp.call_value(&f, &self.stack[args_start..])
                     }

@@ -1,7 +1,8 @@
 //! Shared infrastructure for the integration-test suites: the random
-//! program generator (`VmGen`), the engine runner that observes a
-//! program's full behavior (`run_engine`), and structural value
-//! equality across engine heaps (`eq_val`).
+//! program generator (`VmGen`), the runner that observes a program's
+//! full behavior on one engine (`observe`), and structural value
+//! equality across engine heaps (`eq_val`). The tree-walk oracle the VM
+//! is compared with is `treewalk.rs`, beside this file.
 //!
 //! Each test binary compiles its own copy (`mod common;`), so not
 //! every consumer uses every item.
@@ -10,16 +11,25 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use pogo_script::{Engine, ErrorKind, Interpreter, Value};
+use pogo_script::{ErrorKind, Interpreter, ScriptError, Value};
 
 // ---- structural value equality ---------------------------------------------
 
+/// `s` without the `[native]` marker. The oracle's script functions are
+/// natives and the VM's are not; that is the one thing a rendering of the
+/// same value tells apart, so renderings are compared without it.
+pub fn unmarked(s: &str) -> String {
+    s.replace(" [native]", "")
+}
+
 /// Structural equality across engine heaps: numbers with `NaN == NaN`,
-/// containers element-wise, functions by type only (closure identity is
-/// meaningless across engines).
+/// strings modulo the `[native]` marker, containers element-wise,
+/// functions by type only (closure identity is meaningless across
+/// engines).
 pub fn eq_val(a: &Value, b: &Value) -> bool {
     match (a, b) {
         (Value::Num(x), Value::Num(y)) => x == y || (x.is_nan() && y.is_nan()),
+        (Value::Str(x), Value::Str(y)) => unmarked(x) == unmarked(y),
         (Value::Array(x), Value::Array(y)) => {
             let (x, y) = (x.borrow(), y.borrow());
             x.len() == y.len() && x.iter().zip(y.iter()).all(|(a, b)| eq_val(a, b))
@@ -31,51 +41,40 @@ pub fn eq_val(a: &Value, b: &Value) -> bool {
                     .zip(y.iter())
                     .all(|((ka, va), (kb, vb))| ka == kb && eq_val(va, vb))
         }
-        (Value::Func(_), Value::Func(_)) => true,
-        (Value::Native(_), Value::Native(_)) => true,
+        (Value::Func(_) | Value::Native(_), Value::Func(_) | Value::Native(_)) => true,
         _ => a == b,
     }
 }
 
 /// One engine's observation of a program: result or error, plus every
-/// value the program passed to `emit` (rendered, so heap identity does
-/// not leak in).
+/// value the program passed to `emit` (rendered without the `[native]`
+/// marker, so heap identity does not leak in).
 pub struct Run {
     /// The value, or the error's kind, message and line.
     pub result: Result<Value, (ErrorKind, String, u32)>,
     pub emitted: Vec<String>,
 }
 
-fn fresh(engine: Engine, sink: &Rc<RefCell<Vec<String>>>) -> Interpreter {
-    let sink = Rc::clone(sink);
-    let mut interp = Interpreter::with_engine(engine);
+/// `src` run by `eval` — `Interpreter::eval` for the VM, the oracle's
+/// `treewalk::eval` — in a fresh interpreter with an `emit` native.
+pub fn observe(src: &str, eval: fn(&mut Interpreter, &str) -> Result<Value, ScriptError>) -> Run {
+    let emitted = Rc::new(RefCell::new(Vec::new()));
+    let sink = Rc::clone(&emitted);
+    let mut interp = Interpreter::new();
     interp.register_native("emit", move |_, args| {
         let mut out = sink.borrow_mut();
         for a in args {
-            out.push(a.to_display_string());
+            out.push(unmarked(&a.to_display_string()));
         }
         Ok(Value::Null)
     });
-    interp
-}
-
-fn finish(
-    result: Result<Value, pogo_script::ScriptError>,
-    emitted: Rc<RefCell<Vec<String>>>,
-) -> Run {
+    let result = eval(&mut interp, src);
     Run {
         result: result.map_err(|e| (e.kind(), e.message().to_owned(), e.line())),
         emitted: Rc::try_unwrap(emitted)
             .map(RefCell::into_inner)
             .unwrap_or_else(|rc| rc.borrow().clone()),
     }
-}
-
-pub fn run_engine(engine: Engine, src: &str) -> Run {
-    let emitted = Rc::new(RefCell::new(Vec::new()));
-    let mut interp = fresh(engine, &emitted);
-    let result = interp.eval(src);
-    finish(result, emitted)
 }
 
 // ---- paper scripts ----------------------------------------------------------

@@ -20,13 +20,16 @@
 //! held to the same max with that factor applied.
 
 mod common;
+#[path = "common/treewalk.rs"]
+mod treewalk;
 
 use std::rc::Rc;
 
 use common::paper_scripts;
 use pogo_script::absint::{analyze_costs, EntryKind, Max, KNOWN_NATIVES};
 use pogo_script::value::{NativeFn, ObjMap};
-use pogo_script::{compile, Engine, Interpreter, Value};
+use pogo_script::{compile, Interpreter, Value};
+use treewalk::Eval;
 
 /// Watchdog arming value for the measurements; large enough that no
 /// test program exhausts it, so `BUDGET - steps_remaining` is exact.
@@ -36,8 +39,8 @@ const BUDGET: u64 = 10_000_000;
 /// stubbed out. `String`/`Number` keep real conversion semantics (a
 /// null-returning stub would change downstream arithmetic); the
 /// middleware verbs are inert.
-fn sensing_interp(engine: Engine) -> Interpreter {
-    let mut interp = Interpreter::with_engine(engine);
+fn sensing_interp() -> Interpreter {
+    let mut interp = Interpreter::new();
     for &name in KNOWN_NATIVES {
         match name {
             // The real host returns a subscription handle with
@@ -84,13 +87,14 @@ fn sensing_interp(engine: Engine) -> Interpreter {
     interp
 }
 
-/// Runs the top-level body of `src` on `engine` and returns the billed
-/// budget units. Errors (none expected for these sources) fail loudly.
-fn dynamic_load_charge(engine: Engine, name: &str, src: &str) -> u64 {
-    let mut interp = sensing_interp(engine);
+/// Runs the top-level body of `src` with `eval` (the VM's or the
+/// oracle's) and returns the billed budget units. Errors (none expected
+/// for these sources) fail loudly.
+fn dynamic_load_charge(eval: Eval, name: &str, src: &str) -> u64 {
+    let mut interp = sensing_interp();
     interp.set_budget(Some(BUDGET));
-    if let Err(e) = interp.eval(src) {
-        panic!("{name}: load run failed on {engine:?}: {e}");
+    if let Err(e) = eval(&mut interp, src) {
+        panic!("{name}: load run failed: {e}");
     }
     BUDGET - interp.steps_remaining()
 }
@@ -121,8 +125,8 @@ const TREE_WALK_SHAPE_FACTOR: u64 = 4;
 fn paper_script_load_bounds_bracket_the_dynamic_charge() {
     for (name, src) in paper_scripts() {
         let (min, max) = static_load_bounds(&name, &src);
-        let vm = dynamic_load_charge(Engine::Bytecode, &name, &src);
-        let tree = dynamic_load_charge(Engine::TreeWalk, &name, &src);
+        let vm = dynamic_load_charge(Interpreter::eval, &name, &src);
+        let tree = dynamic_load_charge(treewalk::eval, &name, &src);
 
         assert!(
             min <= vm,
@@ -216,8 +220,8 @@ fn finite_static_bounds_are_sound_on_both_engines() {
             Max::Finite(m) => m,
             Max::Unbounded => panic!("{name}: expected a finite static bound"),
         };
-        let vm = dynamic_load_charge(Engine::Bytecode, name, src);
-        let tree = dynamic_load_charge(Engine::TreeWalk, name, src);
+        let vm = dynamic_load_charge(Interpreter::eval, name, src);
+        let tree = dynamic_load_charge(treewalk::eval, name, src);
 
         assert!(
             min <= vm && vm <= m,

@@ -5,6 +5,8 @@
 
 #[path = "common/pretty.rs"]
 mod pretty;
+#[path = "common/treewalk.rs"]
+mod treewalk;
 
 use pogo_script::{parse, Interpreter, Value};
 use pretty::print_program;
@@ -315,7 +317,6 @@ fn objmap_agrees_with_a_vec_model_for_every_kind_of_key() {
 /// order, and both engines agree.
 #[test]
 fn script_stores_keep_insertion_order_for_for_in_on_both_engines() {
-    use pogo_script::Engine;
     const KEYS: [&str; 5] = ["a", "b", "aps", "t", "l"];
     for seed in 0..SEEDS {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -340,9 +341,9 @@ fn script_stores_keep_insertion_order_for_for_in_on_both_engines() {
         }
         src += "var order = '';\nfor (var k in o) { order += k + o[k] + ','; }\norder;";
         let want: String = model.iter().map(|(k, v)| format!("{k}{v},")).collect();
-        for engine in [Engine::Bytecode, Engine::TreeWalk] {
-            let got = Interpreter::with_engine(engine).eval(&src).unwrap();
-            assert_eq!(got, Value::str(&want), "seed {seed} {engine:?}:\n{src}");
+        for (engine, eval) in treewalk::ENGINES {
+            let got = eval(&mut Interpreter::new(), &src).unwrap();
+            assert_eq!(got, Value::str(&want), "seed {seed} {engine}:\n{src}");
         }
     }
 }
@@ -352,16 +353,15 @@ fn script_stores_keep_insertion_order_for_for_in_on_both_engines() {
 /// the VM builds such a literal by stores).
 #[test]
 fn a_literal_that_repeats_a_key_keeps_first_position_and_last_value() {
-    use pogo_script::Engine;
     let src = "var n = 0;\n\
                function next() { n = n + 1; return n; }\n\
                var o = { a: next(), b: next(), a: next(), c: next(), b: next() };\n\
                var order = '';\n\
                for (var k in o) { order += k + o[k]; }\n\
                order;";
-    for engine in [Engine::Bytecode, Engine::TreeWalk] {
-        let got = Interpreter::with_engine(engine).eval(src).unwrap();
-        assert_eq!(got, Value::str("a3b5c4"), "{engine:?}");
+    for (engine, eval) in treewalk::ENGINES {
+        let got = eval(&mut Interpreter::new(), src).unwrap();
+        assert_eq!(got, Value::str("a3b5c4"), "{engine}");
     }
 }
 
@@ -489,7 +489,6 @@ fn one_member_site_alternating_between_shapes_never_reads_the_wrong_property() {
 /// the VM answers that from the pointers, the tree-walk from the text.
 #[test]
 fn string_ordering_agrees_across_engines_for_shared_and_equal_strings() {
-    use pogo_script::Engine;
     let src = "var s = 'ab'; var t = s; var u = 'a' + 'b';\n\
                var out = '';\n\
                var pairs = [[s, t], [s, u], [s, 'b'], ['b', s], ['', s], [s, 'a']];\n\
@@ -501,8 +500,8 @@ fn string_ordering_agrees_across_engines_for_shared_and_equal_strings() {
     let want = "false,true,false,true,true;false,true,false,true,true;\
                 true,true,false,false,false;false,false,true,true,false;\
                 true,true,false,false,false;false,false,true,true,false;";
-    for engine in [Engine::Bytecode, Engine::TreeWalk] {
-        let got = Interpreter::with_engine(engine).eval(src).unwrap();
-        assert_eq!(got, Value::str(want), "{engine:?}");
+    for (engine, eval) in treewalk::ENGINES {
+        let got = eval(&mut Interpreter::new(), src).unwrap();
+        assert_eq!(got, Value::str(want), "{engine}");
     }
 }

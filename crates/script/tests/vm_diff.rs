@@ -1,14 +1,15 @@
 //! Differential execution: the bytecode VM against the tree-walk
-//! oracle.
+//! oracle (`common/treewalk.rs`).
 //!
 //! The tree-walk interpreter is the semantic reference (it predates the
-//! VM and is exercised by the whole conformance suite); the VM must be
-//! observationally identical. For every random program we compare:
+//! VM); the VM must be observationally identical. For every random
+//! program we compare:
 //!
 //! - the program result (structurally — `NaN == NaN`, containers by
 //!   shape not identity, since the two engines build distinct heaps);
 //! - the full sequence of values passed to a host native (`emit`),
-//!   which observes evaluation *order*, not just final state;
+//!   which observes evaluation *order*, not just final state (functions
+//!   render without the `[native]` marker the oracle's carry);
 //! - on error, the error **kind and message** (line numbers may
 //!   legitimately differ inside multi-line expressions, the same
 //!   slack the tree-walk itself has across statement kinds; the
@@ -22,9 +23,11 @@
 //! paths of both engines are compared too.
 
 mod common;
+#[path = "common/treewalk.rs"]
+mod treewalk;
 
-use common::{eq_val, run_engine, VmGen};
-use pogo_script::{Engine, ErrorKind, Value};
+use common::{eq_val, observe, VmGen};
+use pogo_script::{ErrorKind, Interpreter, Value};
 
 // ---- the differential property ----------------------------------------------
 
@@ -36,8 +39,8 @@ fn vm_matches_tree_walk_on_random_programs() {
     let mut err_kinds: std::collections::BTreeMap<String, usize> = Default::default();
     for seed in 0..CASES {
         let src = VmGen::generate(seed);
-        let tree = run_engine(Engine::TreeWalk, &src);
-        let vm = run_engine(Engine::Bytecode, &src);
+        let tree = observe(&src, treewalk::eval);
+        let vm = observe(&src, Interpreter::eval);
 
         assert_eq!(
             tree.emitted, vm.emitted,
@@ -70,6 +73,12 @@ fn vm_matches_tree_walk_on_random_programs() {
             ),
         }
     }
+    // What the oracle covers, printed under `--nocapture` for
+    // `scripts/ci.sh`, so a change that shrinks the corpus shows there.
+    println!(
+        "oracle: {CASES} random programs compared on both engines, \
+         {ok_runs} ran to completion on both"
+    );
     // The corpus must exercise both outcomes or the property is weak.
     assert!(
         ok_runs > 400,
@@ -109,8 +118,8 @@ fn slot_addressed_lowerings_match_tree_walk_in_kind_message_and_line() {
     }
     let mut errors = std::collections::BTreeSet::new();
     for src in &programs {
-        let tree = run_engine(Engine::TreeWalk, src);
-        let vm = run_engine(Engine::Bytecode, src);
+        let tree = observe(src, treewalk::eval);
+        let vm = observe(src, Interpreter::eval);
         assert_eq!(tree.emitted, vm.emitted, "emitted sequences diverge\n{src}");
         match (&tree.result, &vm.result) {
             (Ok(a), Ok(b)) => assert!(eq_val(a, b), "results diverge: {a:?} vs {b:?}\n{src}"),
@@ -142,9 +151,9 @@ fn math_fast_path_yields_to_every_rebinding_of_math() {
         "Math.floor = function (x) { return 42; }; Math.floor(1.5);".to_owned(),
         "var m = Math; m.floor = function (x) { return 42; }; Math.floor(1.5);".to_owned(),
     ] {
-        for engine in [Engine::TreeWalk, Engine::Bytecode] {
-            let run = run_engine(engine, &src);
-            assert_eq!(run.result, Ok(Value::Num(42.0)), "{engine:?}\n{src}");
+        for (engine, eval) in treewalk::ENGINES {
+            let run = observe(&src, eval);
+            assert_eq!(run.result, Ok(Value::Num(42.0)), "{engine}\n{src}");
         }
     }
 }
@@ -166,7 +175,7 @@ fn analyzer_clean_programs_never_trip_vm_slot_invariants() {
             continue;
         }
         clean += 1;
-        let vm = run_engine(Engine::Bytecode, &src);
+        let vm = observe(&src, Interpreter::eval);
         if let Err((kind, msg, _)) = &vm.result {
             assert!(
                 *kind != ErrorKind::Reference,

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus the lint gates and the benchmark's sanity pass.
 #
-#   scripts/ci.sh              build + size and work-counter lines + tests + lint gates + benchmark smoke
+#   scripts/ci.sh              build + size, work-counter and oracle lines + tests + lint gates + benchmark smoke
 #   scripts/ci.sh --no-perf    skip the benchmark build, smoke pass and unit tests
 #   scripts/ci.sh --no-lint    skip fmt/clippy/pogo-lint (e.g. older toolchain)
 #   scripts/ci.sh --no-chaos   skip the chaos_soak fault-injection gate
@@ -55,6 +55,10 @@ scripts/sloc.sh --uncalled
 # fleet still holds per device at the end. The test gates them; this
 # prints them.
 cargo test --release --test alloc_budget -- --nocapture | grep -E ' per (sample|scan|device|callback)[, ]'
+# What the tree-walk oracle checks the VM on: programs compared, and how
+# many ran to completion on both, so a change that shrinks the corpus
+# shows here.
+cargo test --release -p pogo-script --test vm_diff -- --nocapture | grep -o 'oracle: .*'
 cargo test -q
 
 if [[ "$run_lint" == 1 ]]; then

@@ -5,12 +5,16 @@
 //! a single long-running native operation — one string concatenation
 //! or one `join` that renders megabytes — is billed by its output
 //! size, so a script cannot hide unbounded work behind a handful of
-//! budget steps. Both engines must kill such a script with the same
-//! error kind and the same stable `SCRIPT_ERROR` code the middleware
-//! reports upstream.
+//! budget steps. The VM and the tree-walk oracle must both kill such a
+//! script with the same error kind and the same stable `SCRIPT_ERROR`
+//! code the middleware reports upstream.
 
-use pogo::script::{Engine, ErrorKind, Interpreter};
+#[path = "../crates/script/tests/common/treewalk.rs"]
+mod treewalk;
+
+use pogo::script::{ErrorKind, Interpreter};
 use pogo::{Error, ErrorCode};
+use treewalk::{Eval, ENGINES};
 
 const BUDGET: u64 = 10_000;
 
@@ -37,39 +41,35 @@ for (var j = 0; j < 8; j++) {
 }
 parts.join('-').length;";
 
-fn run_budgeted(
-    engine: Engine,
-    source: &str,
-    budget: u64,
-) -> Result<(), pogo::script::ScriptError> {
-    let mut interp = Interpreter::with_engine(engine);
+fn run_budgeted(eval: Eval, source: &str, budget: u64) -> Result<(), pogo::script::ScriptError> {
+    let mut interp = Interpreter::new();
     interp.set_budget(Some(budget));
-    interp.eval(source).map(|_| ())
+    eval(&mut interp, source).map(|_| ())
 }
 
 #[test]
 fn long_native_work_is_attributed_to_the_budget_under_both_engines() {
     for source in [DOUBLING_SOURCE, JOIN_SOURCE] {
-        for engine in [Engine::Bytecode, Engine::TreeWalk] {
-            let err = run_budgeted(engine, source, BUDGET)
+        for (engine, eval) in ENGINES {
+            let err = run_budgeted(eval, source, BUDGET)
                 .expect_err("budget-exceeding script must be killed");
             assert_eq!(
                 err.kind(),
                 ErrorKind::Timeout,
-                "{engine:?}: expected the watchdog, got: {err}"
+                "{engine}: expected the watchdog, got: {err}"
             );
             assert_eq!(
                 Error::from(err).code(),
                 ErrorCode::ScriptError,
-                "{engine:?}: the middleware-facing code must stay SCRIPT_ERROR"
+                "{engine}: the middleware-facing code must stay SCRIPT_ERROR"
             );
         }
         // The same work fits comfortably once the budget covers the
         // produced bytes — the kill above is attribution, not a
         // blanket ban on string work.
-        for engine in [Engine::Bytecode, Engine::TreeWalk] {
-            run_budgeted(engine, source, 10_000_000)
-                .unwrap_or_else(|e| panic!("{engine:?}: generous budget still trips: {e}"));
+        for (engine, eval) in ENGINES {
+            run_budgeted(eval, source, 10_000_000)
+                .unwrap_or_else(|e| panic!("{engine}: generous budget still trips: {e}"));
         }
     }
 }
@@ -81,35 +81,37 @@ fn long_native_work_is_attributed_to_the_budget_under_both_engines() {
 /// used to allocate 7 GB for one step.
 #[test]
 fn array_growth_by_indexed_store_is_billed_before_it_allocates() {
-    for engine in [Engine::Bytecode, Engine::TreeWalk] {
+    for (engine, eval) in ENGINES {
         for index in ["1e15", "3e8"] {
             let source = format!("var a = [];\na[{index}] = 1;\na.length;");
-            let err = run_budgeted(engine, &source, 10_000_000)
+            let err = run_budgeted(eval, &source, 10_000_000)
                 .expect_err("a store far past the end must be killed");
             assert_eq!(
                 err.kind(),
                 ErrorKind::Timeout,
-                "{engine:?} a[{index}]: expected the watchdog, got: {err}"
+                "{engine} a[{index}]: expected the watchdog, got: {err}"
             );
-            assert_eq!(err.line(), 2, "{engine:?} a[{index}]: {err}");
+            assert_eq!(err.line(), 2, "{engine} a[{index}]: {err}");
         }
         // No slot has an index past `usize::MAX`: a type error, not a
         // wrapped length.
-        let err = run_budgeted(engine, "var a = [];\na[1e300] = 1;", 10_000_000)
+        let err = run_budgeted(eval, "var a = [];\na[1e300] = 1;", 10_000_000)
             .expect_err("an index no array can hold");
-        assert_eq!(err.kind(), ErrorKind::Type, "{engine:?}: {err}");
+        assert_eq!(err.kind(), ErrorKind::Type, "{engine}: {err}");
         // Growth the budget covers still works, holes filled with null.
-        let mut interp = Interpreter::with_engine(engine);
+        let mut interp = Interpreter::new();
         interp.set_budget(Some(BUDGET));
-        let v = interp
-            .eval("var a = [7];\na[5000] = 1;\na.length + (a[4999] == null ? 0.5 : 0);")
-            .unwrap_or_else(|e| panic!("{engine:?}: covered growth trips: {e}"));
-        assert_eq!(v, pogo::script::Value::Num(5001.5), "{engine:?}");
+        let v = eval(
+            &mut interp,
+            "var a = [7];\na[5000] = 1;\na.length + (a[4999] == null ? 0.5 : 0);",
+        )
+        .unwrap_or_else(|e| panic!("{engine}: covered growth trips: {e}"));
+        assert_eq!(v, pogo::script::Value::Num(5001.5), "{engine}");
         // ...and is charged: the same store does not fit a budget
         // smaller than the elements it adds.
-        let err = run_budgeted(engine, "var a = [7];\na[5000] = 1;", 4_000)
+        let err = run_budgeted(eval, "var a = [7];\na[5000] = 1;", 4_000)
             .expect_err("growth larger than the budget");
-        assert_eq!(err.kind(), ErrorKind::Timeout, "{engine:?}: {err}");
+        assert_eq!(err.kind(), ErrorKind::Timeout, "{engine}: {err}");
     }
 }
 
