@@ -20,7 +20,7 @@ use pogo_sim::SimDuration;
 use crate::broker::{Broker, SubscriptionId};
 use crate::bump;
 use crate::scheduler::Scheduler;
-use crate::value::{Msg, SeenStrings, WriteJson};
+use crate::value::{too_deep, Msg, SeenStrings, WriteJson};
 
 /// Persistent per-script `freeze`/`thaw` slot. Lives *outside* the script
 /// host so it survives restarts and reboots, like the flash storage it
@@ -500,7 +500,7 @@ impl ScriptHost {
                     _ => return Err(ScriptError::host("publish: expected (channel, message)")),
                 };
                 if let Some(inner) = weak.upgrade() {
-                    let msg = Msg::from_script(&message);
+                    let msg = Msg::from_script(&message)?;
                     bump(&inner.publishes, 1);
                     bump(&inner.published_bytes, msg.json_size());
                     inner.broker.publish(&channel, &msg);
@@ -525,7 +525,11 @@ impl ScriptHost {
                         ))
                     }
                 };
-                let params = args.get(2).map(Msg::from_script).unwrap_or(Msg::Null);
+                let params = args
+                    .get(2)
+                    .map(Msg::from_script)
+                    .transpose()?
+                    .unwrap_or(Msg::Null);
                 let Some(inner) = weak.upgrade() else {
                     return Ok(Value::Null);
                 };
@@ -573,10 +577,13 @@ impl ScriptHost {
         {
             let weak = weak.clone();
             interp.register_native("freeze", move |_, args| {
+                let frozen = args
+                    .first()
+                    .map(Msg::from_script)
+                    .transpose()?
+                    .unwrap_or(Msg::Null);
                 if let Some(inner) = weak.upgrade() {
-                    inner.frozen.set(Some(
-                        args.first().map(Msg::from_script).unwrap_or(Msg::Null),
-                    ));
+                    inner.frozen.set(Some(frozen));
                 }
                 Ok(Value::Null)
             });
@@ -598,7 +605,9 @@ impl ScriptHost {
         // json(object) -> String
         interp.register_native("json", move |_, args| {
             let value = args.first().unwrap_or(&Value::Null);
-            Ok(value.with_json(|json| Value::str(json)))
+            value
+                .with_json(|json| Value::str(json))
+                .map_err(|_| too_deep())
         });
         // setTimeout(function, delay)
         interp.register_native("setTimeout", move |_, args| {
@@ -841,6 +850,108 @@ mod tests {
         let h = host(&broker, &sched);
         h.load("print(json({ a: 1, b: [true, null] }));").unwrap();
         assert_eq!(h.prints(), vec![r#"{"a":1,"b":[true,null]}"#]);
+    }
+
+    /// A value that holds itself, or one nested 300,000 deep, used to take
+    /// the whole process down with a stack overflow in each of the calls
+    /// that hand a value to the host. Each now raises the one error in the
+    /// callback that made it, and the script goes on.
+    #[test]
+    fn values_too_deep_to_leave_a_script_raise_and_the_host_runs_on() {
+        let shapes = [
+            "var a = []; a.push(a);",
+            "var a = []; for (var k = 0; k < 300000; k++) { a = [a]; }",
+        ];
+        let calls = [
+            "json(a)",
+            "publish('out', a)",
+            "publish(a, 'out')",
+            "freeze(a)",
+            "subscribe('x', function (m) {}, a)",
+        ];
+        for shape in shapes {
+            for call in calls {
+                let (sim, broker, sched) = setup();
+                let h = host(&broker, &sched);
+                h.load(&format!(
+                    "{shape}\n\
+                     subscribe('go', function (m) {{ {call}; print('unreachable'); }});\n\
+                     subscribe('ok', function (m) {{ print('ok'); }});"
+                ))
+                .unwrap();
+                broker.publish("go", &Msg::Null);
+                sim.run_until_idle();
+                let errors = h.errors();
+                assert_eq!(errors.len(), 1, "{shape} {call}: {errors:?}");
+                assert!(
+                    errors[0].ends_with(&format!("host error at line 2: {}", too_deep().message())),
+                    "{shape} {call}: {}",
+                    errors[0]
+                );
+                broker.publish("ok", &Msg::Null);
+                sim.run_until_idle();
+                assert_eq!(h.prints(), vec!["ok"], "{shape} {call}");
+                assert_eq!(broker.subscriptions_on("x").len(), 0, "{call}");
+            }
+        }
+    }
+
+    /// The deepest value `publish` takes is the deepest the collector
+    /// decodes inside the envelope it travels in; one level deeper is
+    /// refused by both, and by `json`, `freeze` and `subscribe` alike.
+    #[test]
+    fn the_deepest_value_a_script_may_publish_is_the_deepest_the_collector_decodes() {
+        use crate::proto::{ControlMsg, DataRef};
+        use crate::value::MAX_VALUE_DEPTH;
+        let nest =
+            |levels: usize| format!("var a = 1; for (var i = 0; i < {levels}; i++) {{ a = [a]; }}");
+        let envelope = |msg: &Msg| {
+            let data = DataRef {
+                exp: "e",
+                channel: "out",
+                msg,
+                sub_ref: None,
+            };
+            (data.to_json(), data.to_control())
+        };
+        let (_sim, broker, sched) = setup();
+        let seen: Rc<RefCell<Vec<Msg>>> = Rc::default();
+        let s = seen.clone();
+        broker.subscribe("out", Msg::Null, move |_, m, _| {
+            s.borrow_mut().push(m.clone())
+        });
+
+        let deepest = host(&broker, &sched);
+        deepest
+            .load(&format!(
+                "{}\npublish('out', a); freeze(a); print(json(a).length);\n\
+                 subscribe('x', function (m) {{}}, a);",
+                nest(MAX_VALUE_DEPTH)
+            ))
+            .unwrap();
+        let open = 2 * MAX_VALUE_DEPTH + 1;
+        assert_eq!(deepest.prints(), vec![open.to_string()]);
+        let published = seen.borrow()[0].clone();
+        let (wire, sent) = envelope(&published);
+        assert_eq!(ControlMsg::from_json(&wire).unwrap(), sent);
+
+        let deeper = Msg::Arr(vec![published]);
+        let (wire, _) = envelope(&deeper);
+        let err = ControlMsg::from_json(&wire).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        for call in [
+            "publish('out', a)",
+            "freeze(a)",
+            "json(a)",
+            "subscribe('x', function (m) {}, a)",
+        ] {
+            let h = host(&broker, &sched);
+            let err = h
+                .load(&format!("{} a = [a]; {call};", nest(MAX_VALUE_DEPTH)))
+                .unwrap_err();
+            assert_eq!(err.message(), too_deep().message(), "{call}");
+        }
+        assert_eq!(seen.borrow().len(), 1, "the deeper value was never sent");
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use pogo_script::value::intern;
-use pogo_script::{ObjMap, Value};
+use pogo_script::{ObjMap, ScriptError, Value};
 
 /// A message value: the middleware-side mirror of a JavaScript object
 /// tree. Unlike [`pogo_script::Value`] it has value semantics, cannot
@@ -109,21 +109,44 @@ impl Msg {
 
     /// Converts a script value into a message. Functions become `null`
     /// (they cannot cross the network); shared containers are deep-copied.
-    pub fn from_script(value: &Value) -> Msg {
-        match value {
-            Value::Null => Msg::Null,
+    ///
+    /// # Errors
+    ///
+    /// A host [`ScriptError`] for a value nested deeper than
+    /// [`MAX_VALUE_DEPTH`], which includes every value that holds itself.
+    pub fn from_script(value: &Value) -> Result<Msg, ScriptError> {
+        Msg::from_script_within(value, MAX_VALUE_DEPTH).ok_or_else(too_deep)
+    }
+
+    /// [`Msg::from_script`] with `room` more containers allowed to open;
+    /// `None` past that.
+    fn from_script_within(value: &Value, room: usize) -> Option<Msg> {
+        Some(match value {
+            Value::Null | Value::Func(_) | Value::Native(_) => Msg::Null,
             Value::Bool(b) => Msg::Bool(*b),
             Value::Num(n) => Msg::Num(*n),
             Value::Str(s) => Msg::Str(s.to_string()),
-            Value::Array(items) => Msg::Arr(items.borrow().iter().map(Msg::from_script).collect()),
-            Value::Object(map) => Msg::Obj(
-                map.borrow()
-                    .iter()
-                    .map(|(k, v)| (k.to_owned(), Msg::from_script(v)))
-                    .collect(),
-            ),
-            Value::Func(_) | Value::Native(_) => Msg::Null,
-        }
+            // Filled in loops, not collected through `Option`, which would
+            // lose the exact length and grow each vector from four.
+            Value::Array(items) => {
+                let room = room.checked_sub(1)?;
+                let items = items.borrow();
+                let mut out = Vec::with_capacity(items.len());
+                for v in items.iter() {
+                    out.push(Msg::from_script_within(v, room)?);
+                }
+                Msg::Arr(out)
+            }
+            Value::Object(map) => {
+                let room = room.checked_sub(1)?;
+                let map = map.borrow();
+                let mut out = Vec::with_capacity(map.len());
+                for (k, v) in map.iter() {
+                    out.push((k.to_owned(), Msg::from_script_within(v, room)?));
+                }
+                Msg::Obj(out)
+            }
+        })
     }
 
     /// Converts a message into a (fresh) script value for the script
@@ -262,20 +285,22 @@ pub(crate) trait WriteJson {
     /// The JSON text in a buffer allocated once at its final size, so it
     /// carries no spare capacity into the message stores. It is written a
     /// single time (formatting a float costs more than copying the result)
-    /// into a scratch buffer the thread reuses.
+    /// into a scratch buffer the thread reuses. A message, an envelope and
+    /// a borrowed data message always write in full; a script value too
+    /// deep to write gives the empty string (`json` raises instead).
     fn to_sized_json(&self) -> String {
-        self.with_json(str::to_owned)
+        self.with_json(str::to_owned).unwrap_or_default()
     }
 
-    /// The JSON text, lent to `f` from the thread's scratch buffer.
-    fn with_json<R>(&self, f: impl FnOnce(&str) -> R) -> R {
+    /// The JSON text, lent to `f` from the thread's scratch buffer; `Err`
+    /// if the value refused to be written.
+    fn with_json<R>(&self, f: impl FnOnce(&str) -> R) -> Result<R, fmt::Error> {
         thread_local! {
             static SCRATCH: Cell<String> = const { Cell::new(String::new()) };
         }
         let mut scratch = SCRATCH.take();
         scratch.clear();
-        let _ = self.write_json(&mut scratch);
-        let out = f(&scratch);
+        let out = self.write_json(&mut scratch).map(|()| f(&scratch));
         SCRATCH.set(scratch);
         out
     }
@@ -284,40 +309,48 @@ pub(crate) trait WriteJson {
 /// A script value writes the JSON its message would
 /// (`Msg::from_script(v).to_json()`, functions as `null`) without the
 /// message being built: `json(msg)` in a script is a serialisation, not a
-/// conversion.
+/// conversion. A value nested deeper than [`MAX_VALUE_DEPTH`] is a write
+/// error where `Msg::from_script` refuses it.
 impl WriteJson for Value {
     fn write_json<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
-        match self {
-            Value::Null | Value::Func(_) | Value::Native(_) => out.write_str("null")?,
-            Value::Bool(true) => out.write_str("true")?,
-            Value::Bool(false) => out.write_str("false")?,
-            Value::Num(n) => jsonw::write_num(*n, out)?,
-            Value::Str(s) => jsonw::write_str(s, out)?,
-            Value::Array(items) => {
-                out.write_char('[')?;
-                for (i, item) in items.borrow().iter().enumerate() {
-                    if i > 0 {
-                        out.write_char(',')?;
-                    }
-                    item.write_json(out)?;
-                }
-                out.write_char(']')?;
-            }
-            Value::Object(map) => {
-                out.write_char('{')?;
-                for (i, (k, v)) in map.borrow().iter().enumerate() {
-                    if i > 0 {
-                        out.write_char(',')?;
-                    }
-                    jsonw::write_str(k, out)?;
-                    out.write_char(':')?;
-                    v.write_json(out)?;
-                }
-                out.write_char('}')?;
-            }
-        }
-        Ok(())
+        write_value(self, MAX_VALUE_DEPTH, out)
     }
+}
+
+/// Writes `value` with `room` more containers allowed to open.
+fn write_value<W: fmt::Write>(value: &Value, room: usize, out: &mut W) -> fmt::Result {
+    match value {
+        Value::Null | Value::Func(_) | Value::Native(_) => out.write_str("null")?,
+        Value::Bool(true) => out.write_str("true")?,
+        Value::Bool(false) => out.write_str("false")?,
+        Value::Num(n) => jsonw::write_num(*n, out)?,
+        Value::Str(s) => jsonw::write_str(s, out)?,
+        Value::Array(items) => {
+            let room = room.checked_sub(1).ok_or(fmt::Error)?;
+            out.write_char('[')?;
+            for (i, item) in items.borrow().iter().enumerate() {
+                if i > 0 {
+                    out.write_char(',')?;
+                }
+                write_value(item, room, out)?;
+            }
+            out.write_char(']')?;
+        }
+        Value::Object(map) => {
+            let room = room.checked_sub(1).ok_or(fmt::Error)?;
+            out.write_char('{')?;
+            for (i, (k, v)) in map.borrow().iter().enumerate() {
+                if i > 0 {
+                    out.write_char(',')?;
+                }
+                jsonw::write_str(k, out)?;
+                out.write_char(':')?;
+                write_value(v, room, out)?;
+            }
+            out.write_char('}')?;
+        }
+    }
+    Ok(())
 }
 
 impl WriteJson for Msg {
@@ -377,6 +410,21 @@ impl std::error::Error for JsonError {}
 /// level and its input comes off the network. The paper's deepest message,
 /// a `locations` envelope, nests five levels.
 pub const MAX_JSON_DEPTH: usize = 128;
+
+/// Deepest a script value may nest to leave its script through `json`,
+/// `publish`, `freeze` or `subscribe`'s parameters: [`MAX_JSON_DEPTH`]
+/// less the level of the envelope a message travels in, so that whatever
+/// a script publishes, the collector's decoder accepts. A value that holds
+/// itself is deeper than any bound.
+pub const MAX_VALUE_DEPTH: usize = MAX_JSON_DEPTH - 1;
+
+/// The one error a script gets for a value nested deeper than
+/// [`MAX_VALUE_DEPTH`].
+pub(crate) fn too_deep() -> ScriptError {
+    ScriptError::host(format!(
+        "value nested deeper than {MAX_VALUE_DEPTH} levels, or holding itself"
+    ))
+}
 
 /// Parses `text` as one JSON value, handing the members of a top-level
 /// object to `member` in text order (duplicates included) instead of
@@ -680,7 +728,7 @@ mod tests {
             let value = interp.eval(src).unwrap();
             assert_eq!(
                 value.to_sized_json(),
-                Msg::from_script(&value).to_json(),
+                Msg::from_script(&value).unwrap().to_json(),
                 "{src}"
             );
         }
@@ -805,7 +853,7 @@ mod tests {
             ("l", Msg::Arr(vec![Msg::Bool(true), Msg::Null])),
         ]);
         let script = m.to_script(&mut SeenStrings::default());
-        let back = Msg::from_script(&script);
+        let back = Msg::from_script(&script).unwrap();
         assert_eq!(back, m);
     }
 
@@ -920,7 +968,7 @@ mod tests {
     fn script_functions_become_null() {
         let mut interp = pogo_script::Interpreter::new();
         let v = interp.eval("var o = { f: function () {} }; o;").unwrap();
-        let m = Msg::from_script(&v);
+        let m = Msg::from_script(&v).unwrap();
         assert_eq!(m.get("f"), Some(&Msg::Null));
     }
 

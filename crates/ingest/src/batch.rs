@@ -27,9 +27,60 @@ pub(crate) enum Column {
     /// Booleans.
     Bool(Vec<bool>),
     /// Strings.
-    Str(Vec<String>),
+    Str(Text),
     /// Pre-serialized compact JSON trees.
-    Json(Vec<String>),
+    Json(Text),
+}
+
+/// A column of text values end to end in one buffer: row `i` is
+/// `text[ends[i - 1]..ends[i]]` (from 0 for the first row). A value
+/// costs its bytes and a `u32`, where a `String` of its own cost a
+/// 24-byte header, an allocator chunk and whatever slack it grew.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub(crate) struct Text {
+    text: String,
+    ends: Vec<u32>,
+}
+
+impl Text {
+    fn get(&self, row: usize) -> &str {
+        let start = row
+            .checked_sub(1)
+            .map_or(0, |prev| self.ends[prev] as usize);
+        &self.text[start..self.ends[row] as usize]
+    }
+
+    fn push(&mut self, value: &str) {
+        self.text.push_str(value);
+        let end = u32::try_from(self.text.len())
+            .expect("the pipeline flushes before a batch's text passes u32::MAX");
+        self.ends.push(end);
+    }
+
+    fn take_exact(&mut self) -> Text {
+        let text = self.text.as_str().to_owned();
+        self.text.clear();
+        Text {
+            text,
+            ends: take_exact(&mut self.ends),
+        }
+    }
+}
+
+/// Whether `value` more bytes of text still end where a `u32` offset
+/// can say, behind `pending` bytes a batch already holds.
+pub(crate) fn text_fits(pending: usize, value: usize) -> bool {
+    pending
+        .checked_add(value)
+        .is_some_and(|end| end <= u32::MAX as usize)
+}
+
+/// `v`'s entries in a vector of their own at its exact length; `v` is
+/// emptied and keeps its capacity for the next batch.
+fn take_exact<T: Clone>(v: &mut Vec<T>) -> Vec<T> {
+    let out = v.as_slice().to_vec();
+    v.clear();
+    out
 }
 
 impl Column {
@@ -38,8 +89,8 @@ impl Column {
             Template::I64 => Column::I64(Vec::new()),
             Template::F64 => Column::F64(Vec::new()),
             Template::Bool => Column::Bool(Vec::new()),
-            Template::Str => Column::Str(Vec::new()),
-            Template::Json => Column::Json(Vec::new()),
+            Template::Str => Column::Str(Text::default()),
+            Template::Json => Column::Json(Text::default()),
         }
     }
 
@@ -53,28 +104,52 @@ impl Column {
             Column::I64(v) => SampleValue::I64(v[row]),
             Column::F64(v) => SampleValue::F64(v[row]),
             Column::Bool(v) => SampleValue::Bool(v[row]),
-            Column::Str(v) => SampleValue::Str(v[row].clone()),
-            Column::Json(v) => SampleValue::Json(v[row].clone()),
+            Column::Str(t) => SampleValue::Str(t.get(row).to_owned()),
+            Column::Json(t) => SampleValue::Json(t.get(row).to_owned()),
         }
     }
 
+    /// Appends one value; a text value is copied into the column's
+    /// buffer and its `String` freed here.
     fn push(&mut self, value: SampleValue) {
         match (self, value) {
             (Column::I64(v), SampleValue::I64(x)) => v.push(x),
             (Column::F64(v), SampleValue::F64(x)) => v.push(x),
             (Column::Bool(v), SampleValue::Bool(x)) => v.push(x),
-            (Column::Str(v), SampleValue::Str(x)) => v.push(x),
-            (Column::Json(v), SampleValue::Json(x)) => v.push(x),
+            (Column::Str(t), SampleValue::Str(x)) | (Column::Json(t), SampleValue::Json(x)) => {
+                t.push(&x)
+            }
             _ => unreachable!("append type-checks against the template first"),
         }
     }
 
+    /// Bytes of text the column holds (0 for the scalar columns).
+    fn text_len(&self) -> usize {
+        match self {
+            Column::Str(t) | Column::Json(t) => t.text.len(),
+            _ => 0,
+        }
+    }
+
+    /// The entries at their exact length; `self` keeps its capacity.
+    fn take_exact(&mut self) -> Column {
+        match self {
+            Column::I64(v) => Column::I64(take_exact(v)),
+            Column::F64(v) => Column::F64(take_exact(v)),
+            Column::Bool(v) => Column::Bool(take_exact(v)),
+            Column::Str(t) => Column::Str(t.take_exact()),
+            Column::Json(t) => Column::Json(t.take_exact()),
+        }
+    }
+
+    /// The charged size: 8 bytes per number, 1 per boolean, and `len +
+    /// 24` per text value, what a `String` of its own was charged.
     fn approx_bytes(&self) -> u64 {
         match self {
             Column::I64(v) => v.len() as u64 * 8,
             Column::F64(v) => v.len() as u64 * 8,
             Column::Bool(v) => v.len() as u64,
-            Column::Str(v) | Column::Json(v) => v.iter().map(|s| s.len() as u64 + 24).sum(),
+            Column::Str(t) | Column::Json(t) => t.text.len() as u64 + 24 * t.ends.len() as u64,
         }
     }
 }
@@ -101,8 +176,11 @@ impl Batch {
         self.at.len()
     }
 
-    /// Approximate resident size of the three columns. The device names
-    /// are the store's, accounted there once.
+    /// The charged size of the three columns: 4 bytes per device id, 8
+    /// per timestamp, and the value column's charge (`len + 24` per text
+    /// value). It is a stable count, not the resident size, which
+    /// `tests/alloc_budget.rs` measures. The device names are the
+    /// store's, charged there once.
     pub(crate) fn approx_bytes(&self) -> u64 {
         self.device_idx.len() as u64 * 4 + self.at.len() as u64 * 8 + self.values.approx_bytes()
     }
@@ -174,6 +252,13 @@ impl BatchBuilder {
         self.watermarks.max_age
     }
 
+    /// Whether `value` can join the pending rows: `false` when its text
+    /// would end past what the batch's `u32` offsets can say, and the
+    /// caller must [`BatchBuilder::flush`] first.
+    pub(crate) fn has_room_for(&self, value: &SampleValue) -> bool {
+        text_fits(self.values.text_len(), text_len(value))
+    }
+
     /// Appends one sample, interning `device` in `store`'s dictionary.
     /// Returns `true` when the size watermark is reached and the caller
     /// should [`BatchBuilder::flush`].
@@ -181,8 +266,15 @@ impl BatchBuilder {
     /// # Errors
     ///
     /// [`IngestError::SchemaMismatch`] when the value does not belong
-    /// in this builder's typed column; builder and dictionary are
+    /// in this builder's typed column, or is text that even an empty
+    /// batch could not hold (4 GiB or more); builder and dictionary are
     /// unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the value would carry the pending text past
+    /// `u32::MAX` bytes: [`BatchBuilder::has_room_for`] says when to
+    /// flush first.
     pub(crate) fn append(
         &mut self,
         store: &SampleStore,
@@ -190,13 +282,24 @@ impl BatchBuilder {
         at: SimTime,
         value: SampleValue,
     ) -> Result<bool, IngestError> {
-        if !value.matches(self.template) {
+        let got = if !value.matches(self.template) {
+            Some(value.type_name().to_owned())
+        } else if !text_fits(0, text_len(&value)) {
+            Some(format!(
+                "{} of {} bytes",
+                value.type_name(),
+                text_len(&value)
+            ))
+        } else {
+            None
+        };
+        if let Some(got) = got {
             return Err(IngestError::SchemaMismatch {
                 exp: self.exp.clone(),
                 channel: self.channel.clone(),
                 device: device.to_owned(),
                 expected: self.template,
-                got: value.type_name().to_owned(),
+                got,
             });
         }
         self.device_idx.push(store.intern_device(device));
@@ -205,7 +308,9 @@ impl BatchBuilder {
         Ok(self.at.len() >= self.watermarks.max_rows)
     }
 
-    /// Drains the pending rows into a [`Batch`]; `None` when empty.
+    /// Copies the pending rows out into a [`Batch`] that holds every
+    /// column at its exact length; the builder keeps its capacity for the
+    /// next one. `None` when empty.
     pub(crate) fn flush(&mut self) -> Option<Batch> {
         if self.at.is_empty() {
             return None;
@@ -213,10 +318,18 @@ impl BatchBuilder {
         Some(Batch {
             exp: self.exp.clone(),
             channel: self.channel.clone(),
-            device_idx: std::mem::take(&mut self.device_idx),
-            at: std::mem::take(&mut self.at),
-            values: std::mem::replace(&mut self.values, Column::empty(self.template)),
+            device_idx: take_exact(&mut self.device_idx),
+            at: take_exact(&mut self.at),
+            values: self.values.take_exact(),
         })
+    }
+}
+
+/// Bytes of text `value` carries (0 for a scalar).
+fn text_len(value: &SampleValue) -> usize {
+    match value {
+        SampleValue::Str(s) | SampleValue::Json(s) => s.len(),
+        _ => 0,
     }
 }
 
@@ -294,13 +407,73 @@ mod tests {
         );
     }
 
+    /// A text value is charged `len + 24` whatever holds it, so the store's
+    /// byte counts compare with those of a column of `String`s.
     #[test]
     fn batch_bytes_account_for_strings() {
         let store = SampleStore::new();
         let mut b = BatchBuilder::new("e", "c", Template::Str, Watermarks::default());
-        b.append(&store, "d", t(1), SampleValue::Str("hello".into()))
-            .unwrap();
+        for s in ["hello", "", "\u{e9}t\u{e9}"] {
+            b.append(&store, "d", t(1), SampleValue::Str(s.into()))
+                .unwrap();
+        }
         let batch = b.flush().unwrap();
-        assert!(batch.approx_bytes() > "hello".len() as u64);
+        let text = ("hello".len() + "\u{e9}t\u{e9}".len()) as u64;
+        assert_eq!(batch.approx_bytes(), 3 * (4 + 8) + text + 3 * 24);
+    }
+
+    /// Every text value comes back as it went in, the empty one and those
+    /// whose characters take several bytes included; the flushed batch
+    /// holds its columns at their exact length and the builder keeps its
+    /// buffers for the next batch.
+    #[test]
+    fn text_columns_return_each_value_and_flush_at_exact_length() {
+        let store = SampleStore::new();
+        let values = [
+            "",
+            "plain",
+            "",
+            "\u{e9}\u{1F600}\u{4e2d}",
+            "a,\"b\"\nc",
+            "\u{1F600}",
+            "",
+        ];
+        for (template, wrap) in [
+            (Template::Str, SampleValue::Str as fn(String) -> SampleValue),
+            (Template::Json, SampleValue::Json),
+        ] {
+            let mut b = BatchBuilder::new("e", "c", template, Watermarks::default());
+            for round in 0..2 {
+                for v in values {
+                    b.append(&store, "d", t(round), wrap(v.to_owned())).unwrap();
+                }
+                let batch = b.flush().unwrap();
+                for (row, v) in values.iter().enumerate() {
+                    assert_eq!(batch.values.value(row), wrap((*v).to_owned()), "{row}");
+                }
+                let (Column::Str(text) | Column::Json(text)) = &batch.values else {
+                    panic!("{template:?} is a text column");
+                };
+                assert_eq!(text.text.capacity(), text.text.len());
+                assert_eq!(text.ends.capacity(), values.len());
+                assert_eq!(batch.at.capacity(), values.len());
+                assert_eq!(batch.device_idx.capacity(), values.len());
+                assert_eq!(b.values.text_len(), 0, "the builder starts empty");
+                assert!(b.at.capacity() >= values.len(), "and keeps its capacity");
+            }
+        }
+    }
+
+    #[test]
+    fn text_fits_up_to_u32_max_and_not_a_byte_past() {
+        let max = u32::MAX as usize;
+        assert!(text_fits(0, 0));
+        assert!(text_fits(0, max));
+        assert!(!text_fits(0, max + 1));
+        assert!(text_fits(max - 5, 5));
+        assert!(!text_fits(max - 5, 6));
+        assert!(text_fits(max, 0));
+        assert!(!text_fits(max, 1));
+        assert!(!text_fits(1, usize::MAX), "no overflow on the way");
     }
 }

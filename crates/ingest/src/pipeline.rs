@@ -59,7 +59,8 @@ pub struct IngestStats {
     pub pending_rows: u64,
     /// Rows resident in the store.
     pub store_rows: u64,
-    /// Approximate bytes resident in the store.
+    /// Bytes the store is charged for ([`SampleStore::bytes`]): a stable
+    /// count, not the resident size.
     pub store_bytes: u64,
 }
 
@@ -170,7 +171,7 @@ impl IngestPipeline {
             // names the device) can be held together.
             let inner = &mut *guard;
             let now = inner.sim.now();
-            let Some(state) = inner
+            let Some(mut state) = inner
                 .channels
                 .get_mut(exp)
                 .and_then(|channels| channels.get_mut(channel))
@@ -180,6 +181,16 @@ impl IngestPipeline {
                     channel: channel.to_owned(),
                 });
             };
+            if !state.builder.has_room_for(&value) {
+                // The batch's text offsets are `u32`s: this value starts
+                // the next batch.
+                Self::flush_locked(inner, exp, channel);
+                state = inner
+                    .channels
+                    .get_mut(exp)
+                    .and_then(|channels| channels.get_mut(channel))
+                    .expect("the channel was found above");
+            }
             let full = match state.builder.append(&inner.store, device, now, value) {
                 Ok(full) => full,
                 Err(e) => {

@@ -231,7 +231,9 @@ pub struct SampleStore {
 pub struct ChannelCounters {
     /// Rows currently resident.
     pub rows: u64,
-    /// Approximate resident bytes of the channel's batches (the device
+    /// Bytes the channel's batches are charged for: 4 per device id, 8
+    /// per timestamp or number, 1 per boolean and `len + 24` per text
+    /// value. A stable count, not the resident size (the device
     /// dictionary is store-wide: see [`SampleStore::bytes`]).
     pub bytes: u64,
     /// Rows dropped by retention so far.
@@ -283,8 +285,8 @@ impl SampleStore {
     }
 
     /// Ingests one flushed batch, then applies the channel's retention
-    /// with `now` as the age reference. Returns the batch's resident
-    /// size in bytes.
+    /// with `now` as the age reference. Returns the bytes the batch is
+    /// charged for.
     ///
     /// # Panics
     ///
@@ -386,8 +388,11 @@ impl SampleStore {
         inner.all_channels().map(|c| c.rows).sum()
     }
 
-    /// Approximate total resident bytes: every channel's batches plus
-    /// the device dictionary, once.
+    /// Total bytes charged: every channel's batches
+    /// ([`ChannelCounters::bytes`]) plus the device dictionary, once.
+    /// The charge keeps the per-value rates it had when every text value
+    /// was a `String` of its own, so it compares across versions; it is
+    /// not the resident size.
     pub fn bytes(&self) -> u64 {
         let inner = self.inner.borrow();
         inner.all_channels().map(|c| c.bytes).sum::<u64>() + inner.devices.bytes

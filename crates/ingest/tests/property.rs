@@ -12,7 +12,10 @@
 //! shaped for the store's index: more devices than a batch has rows,
 //! runs of equal timestamps that straddle batch boundaries, windows cut
 //! one millisecond either side of a real row, a device that is never
-//! appended and one whose rows are the first to be evicted.
+//! appended and one whose rows are the first to be evicted. Text values,
+//! which a batch holds end to end in one buffer, include the empty
+//! string, multi-byte characters, quotes, commas and newlines, and values
+//! of 64 KiB, each counted through scans and evictions.
 
 use pogo_ingest::{
     export, ChannelSchema, IngestPipeline, Retention, SampleValue, ScanQuery, Template, Watermarks,
@@ -58,14 +61,51 @@ struct Channel {
     retention: Retention,
 }
 
+/// At least this long, a text value spans many of a column's neighbours.
+const BIG: usize = 64 * 1024;
+
+/// The text of a `Str` or `Json` value: besides the short ASCII a sample
+/// usually is, the cases a column holding its values end to end must
+/// slice exactly. Those are the empty string, characters of two to four
+/// bytes (a cut off their boundary panics), the characters CSV and JSON
+/// quote, and a value of at least [`BIG`] bytes.
+fn text(rng: &mut SmallRng) -> String {
+    let n = rng.gen_range(0u64..100);
+    match rng.gen_range(0u64..64) {
+        0..8 => String::new(),
+        8..16 => format!("\u{e9}{n}\u{4e2d}\u{1F600}"),
+        16..24 => format!("a\"{n}\",\n\"b"),
+        24 => format!("{}\u{1F600}", "\u{e9}".repeat(BIG / 2 + n as usize)),
+        _ => format!("s{n},\"q\""),
+    }
+}
+
 fn value_for(template: Template, rng: &mut SmallRng) -> SampleValue {
     match template {
         Template::I64 => SampleValue::I64(rng.gen_range(0u64..2000) as i64 - 1000),
         Template::F64 => SampleValue::F64((rng.gen_range(0u64..20) as f64 - 10.0) * 0.5),
         Template::Bool => SampleValue::Bool(rng.gen_range(0u64..2) == 0),
-        Template::Str => SampleValue::Str(format!("s{},\"q\"", rng.gen_range(0u64..100))),
-        Template::Json => SampleValue::Json(format!("{{\"k\":{}}}", rng.gen_range(0u64..100))),
+        Template::Str => SampleValue::Str(text(rng)),
+        Template::Json => SampleValue::Json(text(rng)),
     }
+}
+
+/// Which of [`text`]'s cases a value is, if it is text.
+fn text_case(value: &SampleValue) -> Option<usize> {
+    let (SampleValue::Str(s) | SampleValue::Json(s)) = value else {
+        return None;
+    };
+    Some(if s.is_empty() {
+        0
+    } else if s.len() >= BIG {
+        3
+    } else if !s.is_ascii() {
+        1
+    } else if s.contains('\n') {
+        2
+    } else {
+        4
+    })
 }
 
 /// A value that never matches `template` (exercises the rejection path).
@@ -240,6 +280,9 @@ fn store_scans_equal_the_log_replay_oracle() {
     let mut compared_with_evictions = 0usize;
     let mut early_fully_evicted = 0usize;
     let mut max_age_evictions = 0usize;
+    // Per case of `text`: rows scans returned, and rows retention evicted.
+    let mut text_scanned = [0usize; 5];
+    let mut text_evicted = [0usize; 5];
     for seed in 0..SEEDS {
         let run = run_stream(seed);
         let store = run.pipeline.store();
@@ -294,6 +337,9 @@ fn store_scans_equal_the_log_replay_oracle() {
                     max_age_evictions += gone.len();
                 }
             }
+            for case in gone.iter().filter_map(|e| text_case(&e.value)) {
+                text_evicted[case] += 1;
+            }
             resident.extend_from_slice(kept);
         }
         let evicted_any = resident.len() < run.log.len();
@@ -318,6 +364,9 @@ fn store_scans_equal_the_log_replay_oracle() {
                         && row.value == entry.value,
                     "seed {seed} query {q:?}: {row:?} != {entry:?}"
                 );
+                if let Some(case) = text_case(&row.value) {
+                    text_scanned[case] += 1;
+                }
             }
             if q.device.as_deref() == Some(NEVER) {
                 assert!(rows.is_empty(), "seed {seed}: {NEVER} never sent");
@@ -341,6 +390,18 @@ fn store_scans_equal_the_log_replay_oracle() {
         max_age_evictions > 5000,
         "few rows evicted by MaxAge: {max_age_evictions}"
     );
+    println!("text cases scanned {text_scanned:?}, evicted {text_evicted:?}");
+    for (case, name) in ["empty", "multi-byte", "quoted", "64 KiB", "plain"]
+        .into_iter()
+        .enumerate()
+    {
+        assert!(
+            text_scanned[case] > 200 && text_evicted[case] > 20,
+            "few {name} text values: {} scanned, {} evicted",
+            text_scanned[case],
+            text_evicted[case]
+        );
+    }
 }
 
 #[test]

@@ -51,10 +51,13 @@ scripts/sloc.sh --uncalled
 # The deterministic work counters, beside the size lines (ROADMAP aim 1:
 # counts that repeat exactly on any machine): allocator calls per stored
 # sample on the two scriptless fleets, per delivered scan and VM steps and
-# dispatches per callback on the script fleet, and the heap bytes that
-# fleet still holds per device at the end. The test gates them; this
-# prints them.
-cargo test --release --test alloc_budget -- --nocapture | grep -E ' per (sample|scan|device|callback)[, ]'
+# dispatches per callback on the script fleet; then the live heap bytes,
+# per stored sample on the two scriptless fleets (the collector's store)
+# beside per device on the script fleet. The test gates them; this prints
+# them.
+budget_out="$(cargo test --release --test alloc_budget -- --nocapture)"
+echo "$budget_out" | grep -E ' allocations .* per (sample|scan)[, ]| steps .* per callback|dispatches .* per callback'
+echo "$budget_out" | grep -E ' live heap bytes .* per (stored sample|device)[, ]'
 # What the tree-walk oracle checks the VM on: programs compared, and how
 # many ran to completion on both, so a change that shrinks the corpus
 # shows here.

@@ -106,10 +106,10 @@ pub fn summary_from_msg(msg: &Msg) -> Option<ClusterSummary> {
 /// stand-in, §4.1) on a collector script host.
 pub fn register_geolocate(host: &ScriptHost, service: GeolocationService) {
     host.register_native("geolocate", move |_, args: &[Value]| {
-        let msg = args
+        let scan = args
             .first()
-            .map(Msg::from_script)
             .ok_or_else(|| ScriptError::host("geolocate: expected a scan"))?;
+        let msg = Msg::from_script(scan)?;
         let Some(scan) = scan_from_msg(&msg) else {
             return Ok(Value::Null);
         };

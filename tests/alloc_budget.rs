@@ -8,8 +8,10 @@
 //! flush, 1 % link loss so retransmit and dedup run) and a tail-sync
 //! cohort (battery at 60 s, e-mail app, Pogo's default flush policy) — and
 //! the test fails when a run allocates more per stored sample than the
-//! budget below. A `clone()` creeping back onto the path shows up here
-//! before it shows up in any timing.
+//! budget below, or leaves more heap bytes held per stored sample: what
+//! the collector's store costs to keep a sample, which is what a
+//! many-phone, many-day deployment piles up. A `clone()` creeping back
+//! onto the path shows up here before it shows up in any timing.
 //!
 //! A third fleet is the gauge for the script path: `scan.js` and
 //! `clustering.js` on every device, one Wi-Fi scan a minute, as in the
@@ -153,8 +155,10 @@ impl Fleet {
     }
 }
 
-/// `(allocator calls, samples stored)` over the measured window.
-fn measure(fleet: Fleet) -> (u64, u64) {
+/// `(allocator calls, samples stored, heap bytes still held)` over the
+/// measured window: the last is what the window's samples cost to keep,
+/// in the collector's store above all.
+fn measure(fleet: Fleet) -> (u64, u64, i64) {
     let sim = Sim::new();
     let mut testbed = Testbed::new(&sim);
     testbed.server().reseed_link_rng(0x5eed);
@@ -207,8 +211,10 @@ fn measure(fleet: Fleet) -> (u64, u64) {
     let rows_before = collector.stats().ingest.ingested_rows;
     let delivered_before = delivered.get();
     let allocs_before = allocs();
+    let live_before = live_bytes();
     testbed.run_lockstep(MINUTE.mul(MEASURED_MIN), MINUTE);
     let spent = allocs() - allocs_before;
+    let held = live_bytes() - live_before;
     let rows = collector.stats().ingest.ingested_rows - rows_before;
     assert_eq!(
         delivered.get() - delivered_before,
@@ -220,16 +226,23 @@ fn measure(fleet: Fleet) -> (u64, u64) {
         0,
         "{fleet:?} logged errors"
     );
-    (spent, rows)
+    (spent, rows, held)
 }
 
-/// Allocator calls per stored sample this same test read at the parent
-/// commit (1a6c3ef) and reads at this one: no script runs on these two
-/// fleets, and the change between the two commits is to the script VM.
+/// Allocator calls per stored sample, and the heap bytes a stored sample
+/// leaves held, that this same test read at the parent commit (cea51de,
+/// where every text value in the collector's store was a `String` of its
+/// own, and a flushed batch took its builder's growing vectors) and reads
+/// at this one (a batch holds its text end to end in one buffer, every
+/// column copied out at its exact length).
 const PARENT_UPLINK: f64 = 25.2;
 const PARENT_TAILSYNC: f64 = 26.3;
-const UPLINK: f64 = 25.2;
-const TAILSYNC: f64 = 26.3;
+const PARENT_UPLINK_LIVE: f64 = 127.5;
+const PARENT_TAILSYNC_LIVE: f64 = 300.6;
+const UPLINK: f64 = 25.1;
+const TAILSYNC: f64 = 26.0;
+const UPLINK_LIVE: f64 = 103.1;
+const TAILSYNC_LIVE: f64 = 270.5;
 
 /// The gate on every count in this file: what this commit reads plus
 /// 3 %. The counts repeat exactly, so the headroom is for deliberate
@@ -239,23 +252,46 @@ const HEADROOM: f64 = 1.03;
 
 #[test]
 fn sample_path_allocations_stay_within_budget_and_repeat_exactly() {
-    for (fleet, parent, now, least_rows) in [
-        (Fleet::Uplink, PARENT_UPLINK, UPLINK, 2_000),
-        (Fleet::Tailsync, PARENT_TAILSYNC, TAILSYNC, 150),
+    for (fleet, least_rows, [parent, now], [parent_live, now_live]) in [
+        (
+            Fleet::Uplink,
+            2_000,
+            [PARENT_UPLINK, UPLINK],
+            [PARENT_UPLINK_LIVE, UPLINK_LIVE],
+        ),
+        (
+            Fleet::Tailsync,
+            150,
+            [PARENT_TAILSYNC, TAILSYNC],
+            [PARENT_TAILSYNC_LIVE, TAILSYNC_LIVE],
+        ),
     ] {
         let first = measure(fleet);
         let second = measure(fleet);
         assert_eq!(first, second, "{fleet:?}: two runs must count the same");
-        let (spent, rows) = first;
+        let (spent, rows, held) = first;
         assert!(rows >= least_rows, "{fleet:?} stored only {rows} samples");
         let per_sample = spent as f64 / rows as f64;
+        let live_per_sample = held as f64 / rows as f64;
         println!("{fleet:?}: {spent} allocations / {rows} samples = {per_sample:.1} per sample (parent {parent:.1})");
-        assert!(
-            per_sample <= HEADROOM * now,
-            "{fleet:?}: {per_sample:.1} allocations per stored sample exceeds {:.1} \
-             ({now:.1} at the last re-base, plus 3 %)",
-            HEADROOM * now,
+        println!(
+            "{fleet:?}: {held} live heap bytes / {rows} samples = {live_per_sample:.1} per \
+             stored sample (parent {parent_live:.1})"
         );
+        for (what, got, now) in [
+            ("allocations per stored sample", per_sample, now),
+            (
+                "live heap bytes per stored sample",
+                live_per_sample,
+                now_live,
+            ),
+        ] {
+            assert!(
+                got <= HEADROOM * now,
+                "{fleet:?}: {got:.1} {what} exceeds {:.1} ({now:.1} at the last re-base, plus 3 %)",
+                HEADROOM * now,
+            );
+        }
     }
 }
 
@@ -352,17 +388,15 @@ fn measure_localization() -> Localization {
     }
 }
 
-/// What this same test read at the parent commit (2da0b79, where a
-/// closure also held a name, a parameter list and the tag of a second,
-/// tree-walk representation) and reads at this one (a closure is its
-/// prototype and its cells): the same allocations and steps, fewer live
-/// bytes — every script function a phone keeps is one of those closures.
+/// What this same test read at the parent commit (cea51de) and reads at
+/// this one: the same allocations and steps, and a few live bytes fewer,
+/// those of the store's `locations` rows.
 const PARENT_ALLOCS_PER_SCAN: f64 = 136.0;
-const PARENT_LIVE_PER_DEVICE: f64 = 139_808.0;
+const PARENT_LIVE_PER_DEVICE: f64 = 139_352.0;
 const ALLOCS_PER_SCAN: f64 = 136.0;
 const STEPS: u64 = 3_579_138;
 const STEPS_PER_CALLBACK: f64 = 1516.6;
-const LIVE_PER_DEVICE: f64 = 139_352.0;
+const LIVE_PER_DEVICE: f64 = 139_139.0;
 /// Most dispatches the VM may make per step on this fleet.
 const DISPATCHES_PER_STEP: f64 = 0.55;
 
