@@ -6,8 +6,9 @@
 //! these pin what the analyzer *concludes* about it: block structure,
 //! loop trip bounds, and the per-entry cost report the deploy gate
 //! prices against the watchdog budgets. A drift here means deployment
-//! decisions changed for an unmodified script. Regenerate
-//! intentionally with
+//! decisions changed for an unmodified script. Beside them,
+//! `bundle.lint.jsonl` pins the deploy gate's findings over the whole
+//! bundle. Regenerate intentionally with
 //! `POGO_BLESS=1 cargo test -p pogo-script --test dump_cfg`.
 
 use std::path::{Path, PathBuf};
@@ -86,6 +87,54 @@ fn asset_scripts_match_cfg_goldens() {
             golden_path.display()
         );
     }
+}
+
+/// The deploy gate's findings over the whole bundle, as `pogo-lint
+/// --allow-native geolocate --json assets/scripts/*.js` prints them: no
+/// error-severity finding (the exit status), and exactly the pinned
+/// `P30x` warnings, messages included. `geolocate` is allowed because
+/// `collect.js` expects the collector to register it as an extension
+/// native. Regenerate intentionally with
+/// `POGO_BLESS=1 cargo test -p pogo-script --test dump_cfg`.
+#[test]
+fn asset_bundle_matches_lint_golden() {
+    let mut scripts: Vec<String> = std::fs::read_dir(repo_root().join("assets/scripts"))
+        .expect("assets/scripts exists")
+        .filter_map(|e| {
+            let name = e.expect("dir entry").file_name().into_string().ok()?;
+            name.ends_with(".js")
+                .then(|| format!("assets/scripts/{name}"))
+        })
+        .collect();
+    scripts.sort();
+    let out = Command::new(env!("CARGO_BIN_EXE_pogo-lint"))
+        .args(["--allow-native", "geolocate", "--json"])
+        .args(&scripts)
+        .current_dir(repo_root())
+        .output()
+        .expect("pogo-lint runs");
+    assert!(
+        out.status.success(),
+        "the bundle has error-severity findings: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    let got = String::from_utf8(out.stdout).expect("JSON lines are UTF-8");
+    let golden_path = golden_dir().join("bundle.lint.jsonl");
+    if std::env::var_os("POGO_BLESS").is_some() {
+        std::fs::write(&golden_path, &got).expect("write golden");
+        return;
+    }
+    let want = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden {} ({e}); run with POGO_BLESS=1 to create it",
+            golden_path.display()
+        )
+    });
+    assert!(
+        got == want,
+        "the bundle's deploy-gate findings drifted from {}:\n{got}",
+        golden_path.display()
+    );
 }
 
 #[test]
