@@ -3,15 +3,17 @@
 //!
 //! A custom-harness bench target: these are simulation experiments, not
 //! timing benchmarks (host time is measured by `benchmark/` alone). Pass
-//! `--quick` (or set `POGO_QUICK=1`) to shorten the Table 4 deployment
-//! from 24 to 6 simulated days.
+//! `--quick` (`cargo bench -p pogo-bench --bench experiments -- --quick`)
+//! to shorten the Table 4 deployment from 24 to 6 simulated days.
 
 use pogo_bench::{ablation, fig3, fig4, table2, table3, table4};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick")
-        || std::env::var("POGO_QUICK").is_ok_and(|v| v == "1");
-    let days = if quick { 6 } else { 24 };
+    let days = if std::env::args().any(|a| a == "--quick") {
+        6
+    } else {
+        24
+    };
 
     println!("Pogo-rs experiment suite (Table 4 window: {days} days)");
 

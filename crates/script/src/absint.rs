@@ -1,21 +1,17 @@
-//! Abstract interpretation over compiled bytecode.
+//! Abstract interpretation over compiled bytecode: the static cost
+//! bounds of the deploy gate.
 //!
-//! This module walks a chunk's control-flow graph with a small
-//! type/constancy/interval lattice ([`AbsVal`]) and produces two
-//! things:
-//!
-//! * **Per-instruction abstract states** ([`Analysis`]) — what the
-//!   operand stack and frame slots can hold at each reachable
-//!   instruction. The cost model below reads them for loop trip
-//!   counts, call targets and constant operands.
-//! * **Static cost bounds per entry point** ([`analyze_costs`]) — for
-//!   the on-load run and for every callback registered through
-//!   `subscribe`/`setTimeout`, a lower and upper bound on the
-//!   instruction-budget units one invocation can consume (VM steps
-//!   plus bytes billed by size-producing natives) and on the number of
-//!   `publish` calls per trigger. Loop trip counts are inferred where
-//!   the guard compares a locally-updated counter against a constant;
-//!   everything else is honestly reported as `unbounded`.
+//! [`analyze_costs`] bounds, for the on-load run and for every callback
+//! registered through `subscribe`/`setTimeout`, the instruction-budget
+//! units one invocation can consume (VM steps plus bytes billed by
+//! string building and size-producing natives) and the number of
+//! `publish` calls per trigger. To get there it walks each function's
+//! control-flow graph to a fixpoint over a small lattice (numeric
+//! intervals, constant strings, known callees), and reads the result for
+//! loop trip counts, call targets and string operands. Loop trip counts
+//! are inferred where the guard
+//! compares a locally-updated counter against a constant; everything
+//! else is honestly reported as `unbounded`.
 //!
 //! The bounds feed the `P3xx` resource diagnostics
 //! ([`cost_diagnostics`]): a callback whose *minimum* cost exceeds the
@@ -26,8 +22,14 @@
 //! bounds are over-approximations (never smaller), so the deploy gate
 //! can reject on `min > budget` without ever rejecting a script that
 //! could have worked.
+//!
+//! The analysis takes what `compile()` emits: chunks `verify::check`
+//! accepts, whose loops nest and whose only backward edges are loop
+//! back-edges. Its lattice and transfer functions are sized to what
+//! reads them (DESIGN §13): a value is told apart from "unknown" only
+//! where a cost rule, the trip counter or the entry scan reads it.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::rc::Rc;
 
@@ -38,63 +40,37 @@ use crate::value::Value;
 // ---- control-flow graph ----------------------------------------------------
 
 /// A maximal straight-line run of instructions.
-#[derive(Debug, Clone)]
-pub struct Block {
+struct Block {
     /// First instruction index (inclusive).
-    pub start: usize,
+    start: usize,
     /// One past the last instruction.
-    pub end: usize,
+    end: usize,
     /// Successor block ids, in (fall-through, jump) order.
-    pub succs: Vec<usize>,
+    succs: Vec<usize>,
 }
 
 /// Basic blocks of one chunk, ordered by start index.
-#[derive(Debug, Clone)]
-pub struct Cfg {
-    pub blocks: Vec<Block>,
+struct Cfg {
+    blocks: Vec<Block>,
     /// Block id of each instruction.
-    pub block_of: Vec<usize>,
+    block_of: Vec<usize>,
 }
 
-fn jump_target(op: Op) -> Option<usize> {
-    match op {
-        Op::Jump(t)
-        | Op::JumpIfFalse(t)
-        | Op::JumpIfTruePeek(t)
-        | Op::JumpIfFalsePeek(t)
-        | Op::ForInNext(_, t) => Some(t as usize),
-        _ => None,
-    }
-}
-
-fn is_terminal(op: Op) -> bool {
-    matches!(
-        op,
-        Op::Return | Op::ReturnNull | Op::ReturnResult | Op::FlowErr(_)
-    )
-}
-
-/// Build the basic-block graph of a chunk. Works on unverified chunks
-/// too: out-of-range jump targets are clamped to the stream end.
-pub fn build_cfg(chunk: &Chunk) -> Cfg {
+/// Build the basic-block graph of a chunk: a block ends at a jump, at an
+/// instruction control cannot fall out of, and before a jump target.
+fn build_cfg(chunk: &Chunk) -> Cfg {
     let n = chunk.ops.len();
-    let mut leader = vec![false; n.max(1)];
-    if n > 0 {
-        leader[0] = true;
-    }
+    let mut leader = vec![false; n];
+    leader[0] = true;
     for (ip, &op) in chunk.ops.iter().enumerate() {
-        if let Some(t) = jump_target(op) {
-            if t < n {
-                leader[t] = true;
-            }
-            if ip + 1 < n {
-                leader[ip + 1] = true;
-            }
-        } else if is_terminal(op) && ip + 1 < n {
+        if let Some(t) = op.jump_target() {
+            leader[t] = true;
+        }
+        if (op.jump_target().is_some() || !op.falls_through()) && ip + 1 < n {
             leader[ip + 1] = true;
         }
     }
-    let mut blocks = Vec::new();
+    let mut blocks: Vec<Block> = Vec::new();
     let mut block_of = vec![0usize; n];
     for ip in 0..n {
         if leader[ip] {
@@ -108,146 +84,77 @@ pub fn build_cfg(chunk: &Chunk) -> Cfg {
         block_of[ip] = cur;
         blocks[cur].end = ip + 1;
     }
-    let nb = blocks.len();
-    for b in 0..nb {
-        let last = blocks[b].end - 1;
-        let op = chunk.ops[last];
-        let mut succs = Vec::new();
-        match op {
-            Op::Jump(t) => {
-                if (t as usize) < n {
-                    succs.push(block_of[t as usize]);
-                }
-            }
-            _ if is_terminal(op) => {}
-            _ => {
-                if blocks[b].end < n {
-                    succs.push(block_of[blocks[b].end]);
-                }
-                if let Some(t) = jump_target(op) {
-                    if t < n {
-                        let tb = block_of[t];
-                        if !succs.contains(&tb) {
-                            succs.push(tb);
-                        }
-                    }
-                }
+    for block in &mut blocks {
+        let op = chunk.ops[block.end - 1];
+        if op.falls_through() {
+            block.succs.push(block_of[block.end]);
+        }
+        if let Some(t) = op.jump_target() {
+            if !block.succs.contains(&block_of[t]) {
+                block.succs.push(block_of[t]);
             }
         }
-        blocks[b].succs = succs;
     }
     Cfg { blocks, block_of }
 }
 
 // ---- the lattice -----------------------------------------------------------
 
-/// Abstract value: constancy, numeric intervals, or a type. `Num`
-/// means "some number, possibly NaN; its non-NaN values lie in
-/// `[lo, hi]`" — bounds are never NaN themselves. `Closure`/`Native`
-/// only appear when the analysis runs with whole-program context.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AbsVal {
-    /// A known number, stored as bits so NaN compares equal to itself
-    /// for fixpoint purposes.
-    ConstNum(u64),
-    ConstStr(Rc<str>),
-    ConstBool(bool),
-    ConstNull,
+/// Abstract value: what the cost rules, the trip counter and the entry
+/// scan read of a runtime value. Everything else about it is `Any`.
+#[derive(Clone, PartialEq)]
+enum AbsVal {
+    /// Some number, possibly NaN; its non-NaN values lie in `[lo, hi]`.
+    /// The bounds are never NaN; `lo == hi` is a known number.
     Num {
         lo: f64,
         hi: f64,
     },
-    Bool,
-    Str,
-    Array,
-    Object,
-    /// Some script function (opaque).
-    Func,
-    /// The closure of program-wide prototype `id` (see [`ProgramCtx`]).
+    /// A known string: concatenating it bills its bytes.
+    ConstStr(Rc<str>),
+    /// The closure of program-wide prototype `id` (see `ProgramCtx`).
     Closure(u32),
-    /// A host native known by name (untouched global binding).
+    /// A host native known by name (a global the script never stores to).
     Native(Rc<str>),
     Any,
-    /// No value has flowed here yet: the identity of `join`. Only
-    /// appears transiently, inside the global-value fixpoint of
-    /// [`ProgramCtx::build`]; finished analyses never expose it.
+    /// No value has flowed here yet: the identity of `join`, inside the
+    /// global-value fixpoint of `ProgramCtx::build`. A global whose only
+    /// stores read itself stays `Bottom`: no value ever reaches it.
     Bottom,
 }
 
 impl AbsVal {
-    pub fn num(x: f64) -> AbsVal {
-        AbsVal::ConstNum(x.to_bits())
-    }
-
-    pub fn num_any() -> AbsVal {
-        AbsVal::Num {
-            lo: f64::NEG_INFINITY,
-            hi: f64::INFINITY,
-        }
+    fn num(x: f64) -> AbsVal {
+        AbsVal::interval(x, x)
     }
 
     fn interval(lo: f64, hi: f64) -> AbsVal {
         if lo.is_nan() || hi.is_nan() {
-            AbsVal::num_any()
+            AbsVal::Num {
+                lo: f64::NEG_INFINITY,
+                hi: f64::INFINITY,
+            }
         } else {
             AbsVal::Num { lo, hi }
         }
     }
 
     /// The numeric interval of a definitely-a-number value.
-    pub fn as_interval(&self) -> Option<(f64, f64)> {
+    fn as_interval(&self) -> Option<(f64, f64)> {
         match self {
-            AbsVal::ConstNum(b) => {
-                let x = f64::from_bits(*b);
-                if x.is_nan() {
-                    Some((f64::NEG_INFINITY, f64::INFINITY))
-                } else {
-                    Some((x, x))
-                }
-            }
             AbsVal::Num { lo, hi } => Some((*lo, *hi)),
             _ => None,
         }
     }
 
-    fn is_numeric(&self) -> bool {
-        matches!(self, AbsVal::ConstNum(_) | AbsVal::Num { .. })
-    }
-
-    /// Truthiness when statically known (matches `Value::is_truthy`).
-    pub fn truthiness(&self) -> Option<bool> {
-        match self {
-            AbsVal::ConstNum(b) => {
-                let x = f64::from_bits(*b);
-                Some(x != 0.0 && !x.is_nan())
-            }
-            AbsVal::ConstStr(s) => Some(!s.is_empty()),
-            AbsVal::ConstBool(b) => Some(*b),
-            AbsVal::ConstNull => Some(false),
-            // Arrays, objects, functions and natives are always truthy.
-            AbsVal::Array | AbsVal::Object | AbsVal::Func | AbsVal::Closure(_) => Some(true),
-            AbsVal::Native(_) => Some(true),
-            _ => None,
-        }
-    }
-
-    pub fn join(&self, other: &AbsVal) -> AbsVal {
-        use AbsVal::*;
-        if self == other {
-            return self.clone();
-        }
+    fn join(&self, other: &AbsVal) -> AbsVal {
         match (self, other) {
-            (Bottom, b) => b.clone(),
-            (a, Bottom) => a.clone(),
-            (a, b) if a.is_numeric() && b.is_numeric() => {
-                let (al, ah) = a.as_interval().unwrap();
-                let (bl, bh) = b.as_interval().unwrap();
-                AbsVal::interval(al.min(bl), ah.max(bh))
-            }
-            (ConstStr(_) | Str, ConstStr(_) | Str) => Str,
-            (ConstBool(_) | Bool, ConstBool(_) | Bool) => Bool,
-            (Func | Closure(_), Func | Closure(_)) => Func,
-            _ => Any,
+            _ if self == other => self.clone(),
+            (AbsVal::Bottom, v) | (v, AbsVal::Bottom) => v.clone(),
+            _ => match (self.as_interval(), other.as_interval()) {
+                (Some((al, ah)), Some((bl, bh))) => AbsVal::interval(al.min(bl), ah.max(bh)),
+                _ => AbsVal::Any,
+            },
         }
     }
 
@@ -266,79 +173,21 @@ impl AbsVal {
     }
 }
 
-/// What a frame slot holds.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SlotAbs {
-    /// No binding yet (pre-declaration, or cleared on block re-entry).
-    Empty,
-    Val(AbsVal),
-    /// A heap cell (captured variable); contents are opaque because
-    /// closures can mutate them between any two instructions.
-    Cell,
-    /// A for-in key iterator.
-    Iter,
-    /// Unknown binding state.
-    Top,
-}
-
-impl SlotAbs {
-    fn join(&self, other: &SlotAbs) -> SlotAbs {
-        use SlotAbs::*;
-        match (self, other) {
-            (a, b) if a == b => a.clone(),
-            (Val(a), Val(b)) => Val(a.join(b)),
-            _ => Top,
-        }
-    }
-
-    fn widen(&self, other: &SlotAbs) -> SlotAbs {
-        use SlotAbs::*;
-        match (self, other) {
-            (Val(a), Val(b)) => Val(a.widen(b)),
-            _ => self.join(other),
-        }
-    }
-}
-
-/// Abstract machine state at one program point.
-#[derive(Debug, Clone, PartialEq)]
-pub struct State {
-    pub stack: Vec<AbsVal>,
-    pub slots: Vec<SlotAbs>,
+/// Abstract machine state at one program point: the operand stack and
+/// what the last plain store left in each frame slot (`Any` at entry).
+#[derive(Clone)]
+struct State {
+    stack: Vec<AbsVal>,
+    slots: Vec<AbsVal>,
 }
 
 impl State {
-    fn entry(chunk: &Chunk, params: &[(u16, bool)]) -> State {
-        let mut slots = vec![SlotAbs::Empty; chunk.n_slots as usize];
-        for &(slot, is_cell) in params {
-            slots[slot as usize] = if is_cell {
-                SlotAbs::Cell
-            } else {
-                SlotAbs::Val(AbsVal::Any)
-            };
-        }
-        State {
-            stack: Vec::new(),
-            slots,
-        }
-    }
-
-    /// Join `other` into `self`; returns whether anything changed.
-    /// Verified chunks guarantee equal stack depths at joins; if they
-    /// differ anyway (unverified input) the shorter prefix wins.
+    /// Join `other` into `self`; returns whether anything changed. A
+    /// verified chunk enters a block at one stack depth.
     fn join_from(&mut self, other: &State, widen: bool) -> bool {
         let mut changed = false;
-        if self.stack.len() != other.stack.len() {
-            self.stack.truncate(other.stack.len().min(self.stack.len()));
-        }
-        for (a, b) in self.stack.iter_mut().zip(&other.stack) {
-            let j = if widen { a.widen(b) } else { a.join(b) };
-            if *a != j {
-                *a = j;
-                changed = true;
-            }
-        }
-        for (a, b) in self.slots.iter_mut().zip(&other.slots) {
+        let mine = self.stack.iter_mut().chain(&mut self.slots);
+        for (a, b) in mine.zip(other.stack.iter().chain(&other.slots)) {
             let j = if widen { a.widen(b) } else { a.join(b) };
             if *a != j {
                 *a = j;
@@ -353,9 +202,9 @@ impl State {
 
 /// Names the embedder registers as natives (the Pogo API of `host.rs`
 /// plus the language builtins). A global read of one of these — when
-/// no script declaration shadows it — is abstracted as
-/// [`AbsVal::Native`], which is what lets the analyzer recognize
-/// `subscribe`/`setTimeout` registrations and cost `publish` calls.
+/// no script store writes it — is the native itself, which is what lets
+/// the analyzer recognize `subscribe`/`setTimeout` registrations and
+/// cost `publish` calls.
 pub const KNOWN_NATIVES: &[&str] = &[
     "setDescription",
     "setAutoStart",
@@ -376,192 +225,118 @@ pub const KNOWN_NATIVES: &[&str] = &[
     "parseFloat",
 ];
 
-enum GlobalBinding {
-    /// `function f(..)` at top level, never reassigned anywhere.
-    Closure(u32),
-    /// Declared or assigned by the script in a way we cannot track.
-    Opaque,
-}
-
-/// Whole-program facts: a flat prototype numbering and the provable
-/// global bindings. Built once per [`CompiledProgram`].
-pub struct ProgramCtx {
+/// Whole-program facts: a flat prototype numbering and the abstract
+/// value of every global the script stores to. Built once per program.
+struct ProgramCtx {
     protos: Vec<Rc<FnProto>>,
-    ids: HashMap<usize, u32>,
-    globals: HashMap<Rc<str>, GlobalBinding>,
-    /// Flow-insensitive abstract value of every global the script
-    /// itself stores to: the join of everything any store site can
-    /// write, iterated to fixpoint. Assumes the host does not inject
-    /// values into script-declared globals (it registers natives under
-    /// names scripts don't shadow), which is how `pogo-core` behaves.
-    global_vals: HashMap<Rc<str>, AbsVal>,
+    ids: HashMap<*const FnProto, u32>,
+    /// Flow-insensitive abstract value of every global the script itself
+    /// stores to: the join of everything any store site can write,
+    /// iterated to fixpoint, so a top-level `function f` stored nowhere
+    /// else is its `Closure`. Assumes the host does not inject values
+    /// into script-declared globals (it registers natives under names
+    /// scripts don't shadow), which is how `pogo-core` behaves.
+    globals: HashMap<Rc<str>, AbsVal>,
 }
 
 impl ProgramCtx {
-    pub fn build(program: &CompiledProgram) -> ProgramCtx {
+    fn build(program: &CompiledProgram) -> ProgramCtx {
         let mut ctx = ProgramCtx {
             protos: Vec::new(),
             ids: HashMap::new(),
             globals: HashMap::new(),
-            global_vals: HashMap::new(),
         };
         ctx.number(&program.main);
-        // Global bindings: a MakeClosure immediately followed by
-        // DeclGlobal is a top-level `function` declaration. Any other
-        // global declaration/store (or a store through a chain whose
-        // fallback is the global scope) makes the name opaque.
-        for id in 0..ctx.protos.len() {
-            let proto = ctx.protos[id].clone();
-            let chunk = &proto.chunk;
-            for (ip, &op) in chunk.ops.iter().enumerate() {
-                match op {
-                    Op::DeclGlobal(g) => {
-                        let name = chunk.globals[g as usize].name.clone();
-                        let bound = match (ip.checked_sub(1).map(|p| chunk.ops[p]), id) {
-                            (Some(Op::MakeClosure(p)), 0) => {
-                                let child = &chunk.protos[p as usize];
-                                Some(ctx.ids[&(Rc::as_ptr(child) as usize)])
-                            }
-                            _ => None,
-                        };
-                        ctx.globals
-                            .entry(name)
-                            .and_modify(|b| *b = GlobalBinding::Opaque)
-                            .or_insert(match bound {
-                                Some(pid) => GlobalBinding::Closure(pid),
-                                None => GlobalBinding::Opaque,
-                            });
-                    }
-                    Op::StoreGlobal(g) => {
-                        let name = chunk.globals[g as usize].name.clone();
-                        ctx.globals.insert(name, GlobalBinding::Opaque);
-                    }
-                    Op::StoreChain(c) => {
-                        let chain = &chunk.chains[c as usize];
-                        if chain.cands.iter().any(|r| matches!(r, ChainRef::Global)) {
-                            ctx.globals
-                                .insert(chain.name.clone(), GlobalBinding::Opaque);
-                        }
-                    }
-                    _ => {}
+        for proto in &ctx.protos {
+            for &op in &proto.chunk.ops {
+                if let Some(name) = stored_global(&proto.chunk, op) {
+                    ctx.globals.insert(name.clone(), AbsVal::Bottom);
                 }
             }
         }
-        ctx.solve_global_values();
+        ctx.solve_globals();
         ctx
     }
 
-    /// Kleene iteration for [`ProgramCtx::global_vals`]: start every
-    /// stored-to global at `Bottom`, re-analyze each function under
-    /// the current assumption, join what every store site writes, and
-    /// repeat (with widening from round three) until stable. If the
-    /// cap trips, everything degrades to `Any` — never unsound, only
-    /// imprecise.
-    fn solve_global_values(&mut self) {
-        const MAX_ROUNDS: usize = 8;
-        // Seed: every global with at least one in-script store site.
-        for proto in &self.protos {
-            let chunk = &proto.chunk;
-            for &op in &chunk.ops {
-                match op {
-                    Op::DeclGlobal(g) | Op::StoreGlobal(g) => {
-                        self.global_vals
-                            .insert(chunk.globals[g as usize].name.clone(), AbsVal::Bottom);
-                    }
-                    Op::StoreChain(c) => {
-                        let chain = &chunk.chains[c as usize];
-                        if chain.cands.iter().any(|r| matches!(r, ChainRef::Global)) {
-                            self.global_vals.insert(chain.name.clone(), AbsVal::Bottom);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        if self.global_vals.is_empty() {
-            return;
-        }
-        let mut converged = false;
-        for round in 0..MAX_ROUNDS {
-            let mut next: HashMap<Rc<str>, AbsVal> = self
-                .global_vals
-                .keys()
-                .map(|k| (k.clone(), AbsVal::Bottom))
-                .collect();
-            for proto in self.protos.clone() {
-                let chunk = &proto.chunk;
-                let analysis = analyze_chunk(chunk, &proto.params, self);
-                for (ip, &op) in chunk.ops.iter().enumerate() {
-                    let name = match op {
-                        Op::DeclGlobal(g) | Op::StoreGlobal(g) => {
-                            chunk.globals[g as usize].name.clone()
-                        }
-                        Op::StoreChain(c) => {
-                            let chain = &chunk.chains[c as usize];
-                            if !chain.cands.iter().any(|r| matches!(r, ChainRef::Global)) {
-                                continue;
-                            }
-                            chain.name.clone()
-                        }
-                        _ => continue,
-                    };
-                    // All three ops take the stored value from the top
-                    // of the stack at entry.
-                    let stored = match &analysis.in_states[ip] {
-                        Some(st) => st.stack.last().cloned().unwrap_or(AbsVal::Any),
-                        None => continue, // store never reached
-                    };
-                    next.entry(name).and_modify(|v| *v = v.join(&stored));
-                }
-            }
-            if round >= 2 {
-                for (k, v) in &mut next {
-                    *v = self.global_vals[k].widen(v);
-                }
-            }
-            if next == self.global_vals {
-                converged = true;
-                break;
-            }
-            self.global_vals = next;
-        }
-        for v in self.global_vals.values_mut() {
-            // Residual Bottom = the only stores are self-referential
-            // (dead at runtime); unconverged = give up precision.
-            if !converged || matches!(v, AbsVal::Bottom) {
-                *v = AbsVal::Any;
-            }
-        }
-    }
-
     fn number(&mut self, proto: &Rc<FnProto>) {
-        let id = self.protos.len() as u32;
-        self.ids.insert(Rc::as_ptr(proto) as usize, id);
+        self.ids.insert(Rc::as_ptr(proto), self.protos.len() as u32);
         self.protos.push(proto.clone());
         for p in &proto.chunk.protos {
             self.number(p);
         }
     }
 
-    pub fn proto(&self, id: u32) -> &Rc<FnProto> {
-        &self.protos[id as usize]
+    /// Kleene iteration for `globals`: start every stored-to global at
+    /// `Bottom`, re-analyze each function under the current assumption,
+    /// join what every store site writes, and repeat (with widening from
+    /// round three) until stable. If the cap trips, or a function's
+    /// analysis trips its own backstop, every global is `Any`: never
+    /// unsound, only imprecise.
+    fn solve_globals(&mut self) {
+        const MAX_ROUNDS: usize = 8;
+        for round in 0..MAX_ROUNDS {
+            let Some(mut next) = self.stores() else { break };
+            if round >= 2 {
+                for (k, v) in &mut next {
+                    *v = self.globals[k].widen(v);
+                }
+            }
+            if next == self.globals {
+                return;
+            }
+            self.globals = next;
+        }
+        for v in self.globals.values_mut() {
+            *v = AbsVal::Any;
+        }
     }
 
-    pub fn proto_count(&self) -> usize {
-        self.protos.len()
+    /// What the store sites write under the current assumption, joined
+    /// per global; `None` when a function's analysis does not converge.
+    fn stores(&self) -> Option<HashMap<Rc<str>, AbsVal>> {
+        let mut next: HashMap<Rc<str>, AbsVal> = self
+            .globals
+            .keys()
+            .map(|k| (k.clone(), AbsVal::Bottom))
+            .collect();
+        for proto in &self.protos {
+            let chunk = &proto.chunk;
+            let facts = analyze_chunk(chunk, self)?;
+            for (&op, st) in chunk.ops.iter().zip(&facts.in_states) {
+                if let (Some(name), Some(st)) = (stored_global(chunk, op), st) {
+                    if let Some(v) = next.get_mut(name) {
+                        *v = v.join(st.stack.last().unwrap_or(&AbsVal::Any));
+                    }
+                }
+            }
+        }
+        Some(next)
     }
 
     /// Abstract value of a global read by name.
     fn global_abs(&self, name: &str) -> AbsVal {
         match self.globals.get(name) {
-            Some(GlobalBinding::Closure(id)) => AbsVal::Closure(*id),
-            Some(GlobalBinding::Opaque) => match self.global_vals.get(name) {
-                Some(v) => v.clone(),
-                None => AbsVal::Any,
-            },
+            Some(v) => v.clone(),
             None if KNOWN_NATIVES.contains(&name) => AbsVal::Native(Rc::from(name)),
             None => AbsVal::Any,
         }
+    }
+}
+
+/// The global a store op writes: `DeclGlobal`, `StoreGlobal`, or a
+/// `StoreChain` whose chain falls back to the global scope. Each takes
+/// the stored value from the top of the stack.
+fn stored_global(chunk: &Chunk, op: Op) -> Option<&Rc<str>> {
+    match op {
+        Op::DeclGlobal(g) | Op::StoreGlobal(g) => Some(&chunk.globals[g as usize].name),
+        Op::StoreChain(c) => {
+            let chain = &chunk.chains[c as usize];
+            chain
+                .cands
+                .contains(&ChainRef::Global)
+                .then_some(&chain.name)
+        }
+        _ => None,
     }
 }
 
@@ -569,68 +344,48 @@ impl ProgramCtx {
 
 /// Fixpoint result over one chunk: the CFG plus the abstract state at
 /// the entry of every reachable instruction (`None` = unreachable).
-pub struct Analysis {
-    pub cfg: Cfg,
-    pub in_states: Vec<Option<State>>,
+struct Analysis {
+    cfg: Cfg,
+    in_states: Vec<Option<State>>,
 }
 
 /// Block visits before widening kicks in.
 const WIDEN_AFTER: u32 = 8;
 
-/// Run the abstract interpreter to fixpoint over one chunk.
-pub fn analyze_chunk(chunk: &Chunk, params: &[(u16, bool)], ctx: &ProgramCtx) -> Analysis {
+/// Run the abstract interpreter to fixpoint over one chunk. A bound on
+/// the rounds keeps a pathological chunk cheap; when it trips, the
+/// states are not a fixpoint and so are no facts: the result is `None`,
+/// which every reader takes as "nothing is known".
+fn analyze_chunk(chunk: &Chunk, ctx: &ProgramCtx) -> Option<Analysis> {
     let cfg = build_cfg(chunk);
     let nb = cfg.blocks.len();
-    let mut in_states = vec![None; chunk.ops.len()];
-    if chunk.ops.is_empty() {
-        return Analysis { cfg, in_states };
-    }
     let mut entry: Vec<Option<State>> = vec![None; nb];
+    entry[0] = Some(State {
+        stack: Vec::new(),
+        slots: vec![AbsVal::Any; chunk.n_slots as usize],
+    });
     let mut visits = vec![0u32; nb];
-    entry[0] = Some(State::entry(chunk, params));
     let mut work: Vec<usize> = vec![0];
-    let mut rounds = 0usize;
-    // Hard backstop: the widening lattice is finite so this always
-    // converges, but a bound keeps a pathological chunk cheap.
-    let max_rounds = 64 * nb.max(1) + 256;
-    while let Some(b) = work.pop() {
-        rounds += 1;
-        if rounds > max_rounds {
-            break;
-        }
+    for _ in 0..64 * nb + 256 {
+        let Some(b) = work.pop() else { break };
+        let Some(mut st) = entry[b].clone() else {
+            continue;
+        };
         visits[b] += 1;
-        let mut st = entry[b].clone().expect("queued blocks have a state");
-        let block = cfg.blocks[b].clone();
-        let mut flows: Vec<(usize, State)> = Vec::new();
-        let mut fell_off = true;
-        for ip in block.start..block.end {
-            let op = chunk.ops[ip];
-            match step(&mut st, op, chunk, ctx) {
-                Flow::Fall => {}
-                Flow::Jump(t) => {
-                    flows.push((cfg.block_of[t.min(chunk.ops.len() - 1)], st.clone()));
-                    fell_off = false;
-                    break;
-                }
-                Flow::Branch(t) => {
-                    flows.push((cfg.block_of[t.min(chunk.ops.len() - 1)], st.clone()));
-                    // Fall-through continues with the same state.
-                }
-                Flow::ForIn(t) => {
-                    flows.push((cfg.block_of[t.min(chunk.ops.len() - 1)], st.clone()));
-                    // Fall-through additionally holds the next key.
-                    st.stack.push(AbsVal::Any);
-                }
-                Flow::End => {
-                    fell_off = false;
-                    break;
-                }
+        let block = &cfg.blocks[b];
+        for &op in &chunk.ops[block.start..block.end] {
+            step(&mut st, op, chunk, ctx);
+        }
+        let last = chunk.ops[block.end - 1];
+        let taken = last.jump_target().map(|t| {
+            let mut taken = st.clone();
+            if let Op::ForInNext(..) = last {
+                taken.stack.pop(); // the loop exit pushes no key
             }
-        }
-        if fell_off && block.end < chunk.ops.len() {
-            flows.push((cfg.block_of[block.end], st));
-        }
-        for (succ, fs) in flows {
+            (cfg.block_of[t], taken)
+        });
+        let fall = last.falls_through().then_some((b + 1, st));
+        for (succ, fs) in taken.into_iter().chain(fall) {
             let widen = visits[succ] >= WIDEN_AFTER;
             let changed = match &mut entry[succ] {
                 Some(cur) => cur.join_from(&fs, widen),
@@ -644,364 +399,104 @@ pub fn analyze_chunk(chunk: &Chunk, params: &[(u16, bool)], ctx: &ProgramCtx) ->
             }
         }
     }
-    // Final pass: record converged per-instruction entry states.
-    for (b, entry_st) in entry.iter().enumerate().take(nb) {
-        let Some(st) = entry_st else { continue };
-        let mut st = st.clone();
-        let block = &cfg.blocks[b];
-        for (ip, in_state) in in_states
-            .iter_mut()
-            .enumerate()
-            .take(block.end)
-            .skip(block.start)
-        {
+    if !work.is_empty() {
+        return None;
+    }
+    // Record the converged per-instruction entry states.
+    let mut in_states = vec![None; chunk.ops.len()];
+    for (block, st) in cfg.blocks.iter().zip(&entry) {
+        let Some(mut st) = st.clone() else { continue };
+        let ops = &chunk.ops[block.start..block.end];
+        for (&op, in_state) in ops.iter().zip(&mut in_states[block.start..block.end]) {
             *in_state = Some(st.clone());
-            let op = chunk.ops[ip];
-            match step(&mut st, op, chunk, ctx) {
-                Flow::Jump(_) | Flow::End => break,
-                Flow::ForIn(_) => {
-                    st.stack.push(AbsVal::Any);
-                }
-                _ => {}
-            }
+            step(&mut st, op, chunk, ctx);
         }
     }
-    Analysis { cfg, in_states }
+    Some(Analysis { cfg, in_states })
 }
 
-enum Flow {
-    Fall,
-    Jump(usize),
-    Branch(usize),
-    ForIn(usize),
-    End,
-}
-
-fn abs_of_value(v: &Value) -> AbsVal {
-    match v {
-        Value::Num(n) => AbsVal::num(*n),
-        Value::Str(s) => AbsVal::ConstStr(s.clone()),
-        Value::Bool(b) => AbsVal::ConstBool(*b),
-        Value::Null => AbsVal::ConstNull,
+/// Apply one instruction to `st`. The arms are the instructions whose
+/// result a cost rule or the trip counter reads, and those that write a
+/// frame slot; every other instruction pops its operands and pushes
+/// `Any` ([`Op::stack_effect`]). An instruction that unbinds a slot
+/// (`ClearSlot`, `NewCell`, `ForInPrep`) needs no arm: the VM faults on
+/// a read of an unbound slot, so what the slot held is never read again.
+fn step(st: &mut State, op: Op, chunk: &Chunk, ctx: &ProgramCtx) {
+    let n = st.stack.len();
+    if op == Op::Swap {
+        st.stack.swap(n - 2, n - 1);
+        return;
+    }
+    // The `i`-th operand from the top.
+    let arg = |i: usize| {
+        let v = st.stack.get(n.wrapping_sub(i + 1));
+        v.cloned().unwrap_or(AbsVal::Any)
+    };
+    let top = match op {
+        Op::Const(i) => match &chunk.consts[i as usize] {
+            Value::Num(x) => AbsVal::num(*x),
+            Value::Str(s) => AbsVal::ConstStr(s.clone()),
+            _ => AbsVal::Any,
+        },
+        Op::MakeClosure(i) => AbsVal::Closure(ctx.ids[&Rc::as_ptr(&chunk.protos[i as usize])]),
+        Op::LoadLocal(s) => st.slots[s as usize].clone(),
+        Op::LoadGlobal(g) => ctx.global_abs(&chunk.globals[g as usize].name),
+        Op::StoreLocal(s) | Op::DeclLocal(s) => {
+            st.slots[s as usize] = arg(0);
+            AbsVal::Any
+        }
+        Op::AddLocal(s, d) => {
+            let v = binop(Op::Add, &st.slots[s as usize], &AbsVal::num(f64::from(d)));
+            st.slots[s as usize] = v;
+            AbsVal::Any
+        }
+        // The store lands in the innermost bound candidate, which may be
+        // any local slot of the chain.
+        Op::StoreChain(c) => {
+            for cand in chunk.chains[c as usize].cands.iter() {
+                if let ChainRef::Local(s) = cand {
+                    st.slots[*s as usize] = AbsVal::Any;
+                }
+            }
+            AbsVal::Any
+        }
+        Op::Add | Op::Sub | Op::Mul | Op::Div | Op::Rem => binop(op, &arg(1), &arg(0)),
         _ => AbsVal::Any,
+    };
+    let (pops, pushes) = op.stack_effect(chunk);
+    st.stack.truncate(n.saturating_sub(pops));
+    if pushes > 0 {
+        st.stack
+            .extend(std::iter::repeat_n(AbsVal::Any, pushes - 1));
+        st.stack.push(top);
     }
 }
 
-/// Abstract binary arithmetic. Numeric facts are tracked precisely;
-/// of strings, only constant + constant keeps its value (the cost
-/// model needs the byte length concatenation charges), the rest stay
-/// at the type level.
+/// Abstract arithmetic: intervals for numbers and, of strings, the sum
+/// of two constants, which keeps its value: the VM does exactly this
+/// append, and keeping it is what lets chained literal concatenations
+/// (`'a' + '-' + 'b'`) keep an exact byte charge.
 fn binop(op: Op, a: &AbsVal, b: &AbsVal) -> AbsVal {
     use AbsVal::*;
     // Bottom-strict: an operation on a not-yet-flowed value produces
     // nothing. This is what lets the global-value fixpoint prove that
     // `s = s + 1` keeps a number-initialized `s` numeric.
-    if matches!(a, Bottom) || matches!(b, Bottom) {
+    if *a == Bottom || *b == Bottom {
         return Bottom;
     }
-    match op {
-        Op::Add => match (a.as_interval(), b.as_interval()) {
-            (Some(_), Some(_)) => match (a, b) {
-                (ConstNum(x), ConstNum(y)) => AbsVal::num(f64::from_bits(*x) + f64::from_bits(*y)),
-                _ => {
-                    let (al, ah) = a.as_interval().unwrap();
-                    let (bl, bh) = b.as_interval().unwrap();
-                    AbsVal::interval(al + bl, ah + bh)
-                }
-            },
-            _ => match (a, b) {
-                // Constant concatenation stays constant — the VM does
-                // exactly this append, and keeping the value const is
-                // what lets chained literal concats (`'a' + '-' + 'b'`)
-                // keep an exact byte charge instead of degrading to
-                // "some string" after the first `+`.
-                (ConstStr(x), ConstStr(y)) => ConstStr(format!("{x}{y}").into()),
-                _ if matches!(a, ConstStr(_) | Str) || matches!(b, ConstStr(_) | Str) => {
-                    // At least one side may be a string: the result is
-                    // a string if either side definitely is.
-                    Str
-                }
-                _ => Any,
-            },
+    match (a.as_interval(), b.as_interval()) {
+        (Some((al, ah)), Some((bl, bh))) => match op {
+            Op::Add => AbsVal::interval(al + bl, ah + bh),
+            Op::Sub => AbsVal::interval(al - bh, ah - bl),
+            // Mul/Div/Rem intervals are easy to get subtly wrong around
+            // zeros and infinities; "some number" is enough.
+            _ => AbsVal::interval(f64::NEG_INFINITY, f64::INFINITY),
         },
-        Op::Sub | Op::Mul | Op::Div | Op::Rem => match (a, b) {
-            (ConstNum(x), ConstNum(y)) => {
-                let (x, y) = (f64::from_bits(*x), f64::from_bits(*y));
-                AbsVal::num(match op {
-                    Op::Sub => x - y,
-                    Op::Mul => x * y,
-                    Op::Div => x / y,
-                    _ => x % y,
-                })
-            }
-            _ if a.is_numeric() && b.is_numeric() => match op {
-                Op::Sub => {
-                    let (al, ah) = a.as_interval().unwrap();
-                    let (bl, bh) = b.as_interval().unwrap();
-                    AbsVal::interval(al - bh, ah - bl)
-                }
-                // Mul/Div/Rem intervals are easy to get subtly wrong
-                // around zeros and infinities; "some number" is enough.
-                _ => AbsVal::num_any(),
-            },
+        _ => match (op, a, b) {
+            (Op::Add, ConstStr(x), ConstStr(y)) => ConstStr(format!("{x}{y}").into()),
             _ => Any,
         },
-        Op::Eq | Op::Ne => {
-            let eq = match (a, b) {
-                (ConstNum(x), ConstNum(y)) => Some(f64::from_bits(*x) == f64::from_bits(*y)),
-                (ConstStr(x), ConstStr(y)) => Some(x == y),
-                (ConstBool(x), ConstBool(y)) => Some(x == y),
-                (ConstNull, ConstNull) => Some(true),
-                // Distinct known kinds: strict equality is false.
-                (ConstNum(_) | ConstStr(_) | ConstBool(_) | ConstNull, _)
-                    if is_distinct_const_kind(a, b) =>
-                {
-                    Some(false)
-                }
-                _ => None,
-            };
-            match eq {
-                Some(e) => ConstBool(if matches!(op, Op::Eq) { e } else { !e }),
-                None => Bool,
-            }
-        }
-        Op::Lt | Op::Gt | Op::Le | Op::Ge => match (a, b) {
-            (ConstNum(x), ConstNum(y)) => {
-                let (x, y) = (f64::from_bits(*x), f64::from_bits(*y));
-                ConstBool(match op {
-                    Op::Lt => x < y,
-                    Op::Gt => x > y,
-                    Op::Le => x <= y,
-                    _ => x >= y,
-                })
-            }
-            _ => Bool,
-        },
-        _ => Any,
     }
-}
-
-/// Both are known constants of provably different runtime types.
-fn is_distinct_const_kind(a: &AbsVal, b: &AbsVal) -> bool {
-    use AbsVal::*;
-    let kind = |v: &AbsVal| match v {
-        ConstNum(_) => Some(0),
-        ConstStr(_) => Some(1),
-        ConstBool(_) => Some(2),
-        ConstNull => Some(3),
-        _ => None,
-    };
-    matches!((kind(a), kind(b)), (Some(x), Some(y)) if x != y)
-}
-
-/// `v + d` for `++`/`--` (`Inc`/`Dec` on the stack, `AddLocal` in a
-/// slot): a number moves by `d`, anything else faults at runtime.
-fn shifted(v: &AbsVal, d: f64) -> AbsVal {
-    match (v, v.as_interval()) {
-        (AbsVal::ConstNum(b), _) => AbsVal::num(f64::from_bits(*b) + d),
-        (_, Some((lo, hi))) => AbsVal::interval(lo + d, hi + d),
-        (_, None) => AbsVal::Any,
-    }
-}
-
-/// Apply one instruction to `st`. Underflows push/return `Any`
-/// defensively — this runs on verifier-approved chunks in production,
-/// but lint tooling may walk arbitrary input.
-fn step(st: &mut State, op: Op, chunk: &Chunk, ctx: &ProgramCtx) -> Flow {
-    let pop = |st: &mut State| st.stack.pop().unwrap_or(AbsVal::Any);
-    match op {
-        Op::Const(i) => st.stack.push(abs_of_value(&chunk.consts[i as usize])),
-        Op::PushNull => st.stack.push(AbsVal::ConstNull),
-        Op::PushTrue => st.stack.push(AbsVal::ConstBool(true)),
-        Op::PushFalse => st.stack.push(AbsVal::ConstBool(false)),
-        Op::MakeArray(n) => {
-            for _ in 0..n {
-                pop(st);
-            }
-            st.stack.push(AbsVal::Array);
-        }
-        Op::MakeObject(i) => {
-            for _ in 0..chunk.shapes[i as usize].len() {
-                pop(st);
-            }
-            st.stack.push(AbsVal::Object);
-        }
-        Op::MakeClosure(i) => {
-            let child = &chunk.protos[i as usize];
-            let v = match ctx.ids.get(&(Rc::as_ptr(child) as usize)) {
-                Some(&id) => AbsVal::Closure(id),
-                None => AbsVal::Func,
-            };
-            st.stack.push(v);
-        }
-        Op::LoadLocal(s) => {
-            let v = match &st.slots[s as usize] {
-                SlotAbs::Val(v) => v.clone(),
-                _ => AbsVal::Any,
-            };
-            st.stack.push(v);
-        }
-        Op::StoreLocal(s) => {
-            let v = st.stack.last().cloned().unwrap_or(AbsVal::Any);
-            st.slots[s as usize] = SlotAbs::Val(v);
-        }
-        Op::DeclLocal(s) => {
-            let v = pop(st);
-            st.slots[s as usize] = SlotAbs::Val(v);
-        }
-        Op::AddLocal(s, d) => {
-            if let SlotAbs::Val(v) = &st.slots[s as usize] {
-                st.slots[s as usize] = SlotAbs::Val(shifted(v, f64::from(d)));
-            }
-        }
-        Op::LoadCell(_) | Op::LoadUpval(_) => st.stack.push(AbsVal::Any),
-        Op::StoreCell(_) | Op::StoreUpval(_) => {}
-        Op::DeclCell(s) => {
-            pop(st);
-            st.slots[s as usize] = SlotAbs::Cell;
-        }
-        Op::NewCell(s) => st.slots[s as usize] = SlotAbs::Cell,
-        Op::ClearSlot(s) => st.slots[s as usize] = SlotAbs::Empty,
-        Op::LoadGlobal(g) => {
-            st.stack
-                .push(ctx.global_abs(&chunk.globals[g as usize].name));
-        }
-        Op::StoreGlobal(_) => {}
-        Op::DeclGlobal(_) => {
-            pop(st);
-        }
-        Op::LoadChain(c) => {
-            // Only a pure-global chain is predictable; frame/cell
-            // candidates depend on runtime binding order.
-            let chain = &chunk.chains[c as usize];
-            let v = match chain.cands.as_ref() {
-                [ChainRef::Global] => ctx.global_abs(&chain.name),
-                _ => AbsVal::Any,
-            };
-            st.stack.push(v);
-        }
-        Op::StoreChain(c) => {
-            // The store lands in the innermost *bound* candidate; any
-            // local-slot candidate may receive it (weak update).
-            let v = st.stack.last().cloned().unwrap_or(AbsVal::Any);
-            let chain = &chunk.chains[c as usize];
-            for cand in chain.cands.iter() {
-                if let ChainRef::Local(s) = cand {
-                    let cur = st.slots[*s as usize].clone();
-                    st.slots[*s as usize] = cur.join(&SlotAbs::Val(v.clone()));
-                }
-            }
-        }
-        Op::Pop | Op::SetResult => {
-            pop(st);
-        }
-        Op::Dup => {
-            let v = st.stack.last().cloned().unwrap_or(AbsVal::Any);
-            st.stack.push(v);
-        }
-        Op::Swap => {
-            let n = st.stack.len();
-            if n >= 2 {
-                st.stack.swap(n - 1, n - 2);
-            }
-        }
-        Op::Add
-        | Op::Sub
-        | Op::Mul
-        | Op::Div
-        | Op::Rem
-        | Op::Eq
-        | Op::Ne
-        | Op::Lt
-        | Op::Gt
-        | Op::Le
-        | Op::Ge => {
-            let b = pop(st);
-            let a = pop(st);
-            st.stack.push(binop(op, &a, &b));
-        }
-        Op::Not => {
-            let v = pop(st);
-            st.stack.push(match v.truthiness() {
-                Some(t) => AbsVal::ConstBool(!t),
-                None => AbsVal::Bool,
-            });
-        }
-        Op::Neg | Op::UnaryPlus | Op::Inc | Op::Dec => {
-            let v = pop(st);
-            let out = match (op, v.as_interval()) {
-                (Op::Inc, _) => shifted(&v, 1.0),
-                (Op::Dec, _) => shifted(&v, -1.0),
-                (_, None) => AbsVal::Any,
-                (Op::UnaryPlus, Some(_)) => v,
-                (_, Some((lo, hi))) => match v {
-                    AbsVal::ConstNum(b) => AbsVal::num(-f64::from_bits(b)),
-                    _ => AbsVal::interval(-hi, -lo),
-                },
-            };
-            st.stack.push(out);
-        }
-        Op::TypeOf => {
-            pop(st);
-            st.stack.push(AbsVal::Str);
-        }
-        Op::GetMember(_) => {
-            pop(st);
-            st.stack.push(AbsVal::Any);
-        }
-        Op::GetLocalMember(_, _) => st.stack.push(AbsVal::Any),
-        Op::SetMember(_) => {
-            // Pops the object; the stored value stays on the stack.
-            pop(st);
-        }
-        Op::GetIndex => {
-            pop(st);
-            pop(st);
-            st.stack.push(AbsVal::Any);
-        }
-        Op::SetIndex => {
-            // Pops index and object; the value stays on the stack.
-            pop(st);
-            pop(st);
-        }
-        Op::Call(n) => {
-            for _ in 0..=n {
-                pop(st);
-            }
-            st.stack.push(AbsVal::Any);
-        }
-        Op::CallMethod(_, n) => {
-            for _ in 0..=n {
-                pop(st);
-            }
-            st.stack.push(AbsVal::Any);
-        }
-        Op::MathCall(_, n) => {
-            for _ in 0..n {
-                pop(st);
-            }
-            st.stack.push(AbsVal::num_any());
-        }
-        Op::Jump(t) => return Flow::Jump(t as usize),
-        Op::JumpIfFalse(t) => {
-            pop(st);
-            return Flow::Branch(t as usize);
-        }
-        Op::JumpIfTruePeek(t) | Op::JumpIfFalsePeek(t) => {
-            return Flow::Branch(t as usize);
-        }
-        Op::Return => {
-            pop(st);
-            return Flow::End;
-        }
-        Op::ReturnNull | Op::ReturnResult | Op::FlowErr(_) => return Flow::End,
-        Op::ForInPrep(s) => {
-            pop(st);
-            st.slots[s as usize] = SlotAbs::Iter;
-        }
-        Op::ForInNext(_, t) => return Flow::ForIn(t as usize),
-    }
-    Flow::Fall
 }
 
 // ---- cost bounds -----------------------------------------------------------
@@ -1014,29 +509,29 @@ pub enum Max {
 }
 
 impl Max {
-    fn add(self, other: Max) -> Max {
+    fn zip(self, other: Max, f: fn(u64, u64) -> u64) -> Max {
         match (self, other) {
-            (Max::Finite(a), Max::Finite(b)) => Max::Finite(a.saturating_add(b)),
+            (Max::Finite(a), Max::Finite(b)) => Max::Finite(f(a, b)),
             _ => Max::Unbounded,
         }
+    }
+
+    fn add(self, other: Max) -> Max {
+        self.zip(other, u64::saturating_add)
     }
 
     fn mul(self, k: Max) -> Max {
-        match (self, k) {
-            (Max::Finite(0), _) | (_, Max::Finite(0)) => Max::Finite(0),
-            (Max::Finite(a), Max::Finite(b)) => Max::Finite(a.saturating_mul(b)),
-            _ => Max::Unbounded,
+        if self == Max::Finite(0) || k == Max::Finite(0) {
+            return Max::Finite(0);
         }
+        self.zip(k, u64::saturating_mul)
     }
 
     fn join(self, other: Max) -> Max {
-        match (self, other) {
-            (Max::Finite(a), Max::Finite(b)) => Max::Finite(a.max(b)),
-            _ => Max::Unbounded,
-        }
+        self.zip(other, u64::max)
     }
 
-    pub fn exceeds(self, budget: u64) -> bool {
+    fn exceeds(self, budget: u64) -> bool {
         match self {
             Max::Finite(x) => x > budget,
             Max::Unbounded => true,
@@ -1053,9 +548,9 @@ impl fmt::Display for Max {
     }
 }
 
-/// `[min, max]` bound on one cost dimension. `min` is a guaranteed
-/// lower bound over every completing execution; `max` an upper bound
-/// over all of them.
+/// `[min, max]` bound on one cost dimension (or on a loop's trips).
+/// `min` is a guaranteed lower bound over every completing execution;
+/// `max` an upper bound over all of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Bound {
     pub min: u64,
@@ -1063,30 +558,28 @@ pub struct Bound {
 }
 
 impl Bound {
-    pub const ZERO: Bound = Bound {
+    const ZERO: Bound = Bound::exact(0);
+
+    const UNBOUNDED: Bound = Bound {
         min: 0,
-        max: Max::Finite(0),
+        max: Max::Unbounded,
     };
 
-    pub fn exact(x: u64) -> Bound {
+    const fn exact(x: u64) -> Bound {
         Bound {
             min: x,
             max: Max::Finite(x),
         }
     }
 
-    pub fn at_most(x: u64) -> Bound {
+    fn at_most(x: u64) -> Bound {
         Bound {
             min: 0,
             max: Max::Finite(x),
         }
     }
 
-    pub const UNBOUNDED: Bound = Bound {
-        min: 0,
-        max: Max::Unbounded,
-    };
-
+    /// Sequence.
     fn add(self, other: Bound) -> Bound {
         Bound {
             min: self.min.saturating_add(other.min),
@@ -1099,13 +592,6 @@ impl Bound {
         Bound {
             min: self.min.min(other.min),
             max: self.max.join(other.max),
-        }
-    }
-
-    fn scale(self, trips_min: u64, trips_max: Max) -> Bound {
-        Bound {
-            min: self.min.saturating_mul(trips_min),
-            max: self.max.mul(trips_max),
         }
     }
 }
@@ -1128,51 +614,34 @@ pub struct Cost {
 }
 
 impl Cost {
-    pub const ZERO: Cost = Cost {
+    const ZERO: Cost = Cost {
         steps: Bound::ZERO,
         charge: Bound::ZERO,
         publishes: Bound::ZERO,
     };
 
-    /// One VM instruction.
-    fn step() -> Cost {
-        Cost {
-            steps: Bound::exact(1),
-            ..Cost::ZERO
-        }
-    }
-
     /// A call we can say nothing about.
-    fn unknown_call() -> Cost {
+    const UNKNOWN: Cost = Cost {
+        steps: Bound::UNBOUNDED,
+        charge: Bound::UNBOUNDED,
+        publishes: Bound::UNBOUNDED,
+    };
+
+    /// `f` applied currency by currency.
+    fn zip(self, o: Cost, f: impl Fn(Bound, Bound) -> Bound) -> Cost {
         Cost {
-            steps: Bound::UNBOUNDED,
-            charge: Bound::UNBOUNDED,
-            publishes: Bound::UNBOUNDED,
+            steps: f(self.steps, o.steps),
+            charge: f(self.charge, o.charge),
+            publishes: f(self.publishes, o.publishes),
         }
     }
 
     fn add(self, o: Cost) -> Cost {
-        Cost {
-            steps: self.steps.add(o.steps),
-            charge: self.charge.add(o.charge),
-            publishes: self.publishes.add(o.publishes),
-        }
+        self.zip(o, Bound::add)
     }
 
     fn join(self, o: Cost) -> Cost {
-        Cost {
-            steps: self.steps.join(o.steps),
-            charge: self.charge.join(o.charge),
-            publishes: self.publishes.join(o.publishes),
-        }
-    }
-
-    fn scale(self, trips_min: u64, trips_max: Max) -> Cost {
-        Cost {
-            steps: self.steps.scale(trips_min, trips_max),
-            charge: self.charge.scale(trips_min, trips_max),
-            publishes: self.publishes.scale(trips_min, trips_max),
-        }
+        self.zip(o, Bound::join)
     }
 
     /// Budget units one invocation is guaranteed to consume (steps and
@@ -1187,76 +656,51 @@ impl Cost {
     }
 }
 
+/// `slot ⊔= c`, where `None` is "no path yet".
+fn join_into(slot: &mut Option<Cost>, c: Cost) {
+    *slot = Some(slot.map_or(c, |s| s.join(c)));
+}
+
 // ---- loop structure --------------------------------------------------------
 
 /// A natural-loop interval of basic blocks: `header..=last`, where
-/// every back-edge targets `header`. The compiler's structured
-/// codegen guarantees loops form properly nested intervals.
-#[derive(Debug, Clone)]
-pub struct LoopRegion {
-    pub header: usize,
-    pub last: usize,
-    pub children: Vec<LoopRegion>,
+/// every back-edge targets `header`. The compiler's structured codegen
+/// makes loops properly nested intervals.
+struct LoopRegion {
+    header: usize,
+    last: usize,
+    children: Vec<LoopRegion>,
 }
 
-/// Find loop intervals and nest them. Returns `None` when intervals
-/// cross (never for compiler output — a bailout for mutated chunks).
-pub fn find_loops(cfg: &Cfg) -> Option<Vec<LoopRegion>> {
-    let mut by_header: HashMap<usize, usize> = HashMap::new();
+/// Find the loop intervals and nest them: a loop ends at the last block
+/// with a back-edge to its header.
+fn find_loops(cfg: &Cfg) -> Vec<LoopRegion> {
+    let mut last_of: BTreeMap<usize, usize> = BTreeMap::new();
     for (b, block) in cfg.blocks.iter().enumerate() {
-        for &s in &block.succs {
-            if s <= b {
-                let last = by_header.entry(s).or_insert(b);
-                *last = (*last).max(b);
-            }
+        for &s in block.succs.iter().filter(|&&s| s <= b) {
+            last_of.insert(s, b);
         }
     }
-    let mut loops: Vec<(usize, usize)> = by_header.into_iter().collect();
-    // Outermost-first: earlier header, then wider interval.
-    loops.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
-    let mut roots: Vec<LoopRegion> = Vec::new();
-    let mut stack: Vec<LoopRegion> = Vec::new();
-    for (header, last) in loops {
-        let region = LoopRegion {
-            header,
-            last,
-            children: Vec::new(),
-        };
-        while let Some(top) = stack.last() {
-            if top.last < header {
-                let done = stack.pop().unwrap();
-                match stack.last_mut() {
-                    Some(parent) => parent.children.push(done),
-                    None => roots.push(done),
-                }
-            } else {
-                break;
-            }
-        }
-        if let Some(top) = stack.last() {
-            if last > top.last {
-                return None; // crossing intervals
-            }
-        }
-        stack.push(region);
+    let mut roots = Vec::new();
+    // Outermost first: by header.
+    for (header, last) in last_of {
+        nest(
+            &mut roots,
+            LoopRegion {
+                header,
+                last,
+                children: Vec::new(),
+            },
+        );
     }
-    while let Some(done) = stack.pop() {
-        match stack.last_mut() {
-            Some(parent) => parent.children.push(done),
-            None => roots.push(done),
-        }
-    }
-    Some(roots)
+    roots
 }
 
-/// Statically inferred trip counts of one loop.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Trips {
-    /// Guaranteed iterations (0 when the loop can break out early or
-    /// the entry value is not exact).
-    pub min: u64,
-    /// `None` = no static bound.
-    pub max: Option<u64>,
+fn nest(loops: &mut Vec<LoopRegion>, region: LoopRegion) {
+    match loops.last_mut() {
+        Some(outer) if region.header <= outer.last => nest(&mut outer.children, region),
+        _ => loops.push(region),
+    }
 }
 
 fn flip_cmp(op: Op) -> Op {
@@ -1329,32 +773,15 @@ fn counted_trips(cmp: Op, init: f64, limit: f64, d: f64) -> Option<u64> {
 /// The entry value comes from the abstract interval at the header
 /// (`max` side — the interval's stable bound survives widening) and,
 /// for the `min` side, from an exact syntactic initializer directly
-/// before the loop. Everything else returns `max: None`.
-fn loop_trips(chunk: &Chunk, facts: &Analysis, region: &LoopRegion) -> (Trips, bool) {
+/// before a single-exit loop. Everything else is `[0, unbounded]`.
+fn loop_trips(chunk: &Chunk, facts: &Analysis, region: &LoopRegion) -> Bound {
     let cfg = &facts.cfg;
     let op_lo = cfg.blocks[region.header].start;
     let op_hi = cfg.blocks[region.last].end;
-    let none = Trips { min: 0, max: None };
-
-    // Exit shape: which blocks leave the region?
-    let mut exit_sources: Vec<usize> = Vec::new();
-    for b in region.header..=region.last {
-        let block = &cfg.blocks[b];
-        if block
-            .succs
-            .iter()
-            .any(|&s| s < region.header || s > region.last)
-            || block.succs.is_empty()
-        {
-            exit_sources.push(b);
-        }
-    }
-    let single_exit = exit_sources == [region.header];
 
     // Guard pattern in the header block.
-    let header_end = cfg.blocks[region.header].end;
-    if op_lo + 4 > header_end {
-        return (none, single_exit);
+    if op_lo + 4 > cfg.blocks[region.header].end {
+        return Bound::UNBOUNDED;
     }
     let w = &chunk.ops[op_lo..op_lo + 4];
     let (slot, limit_idx, cmp) = match (w[0], w[1], w[2]) {
@@ -1362,16 +789,16 @@ fn loop_trips(chunk: &Chunk, facts: &Analysis, region: &LoopRegion) -> (Trips, b
         (Op::Const(k), Op::LoadLocal(s), c @ (Op::Lt | Op::Gt | Op::Le | Op::Ge)) => {
             (s, k, flip_cmp(c))
         }
-        _ => return (none, single_exit),
+        _ => return Bound::UNBOUNDED,
     };
     let Op::JumpIfFalse(exit) = w[3] else {
-        return (none, single_exit);
+        return Bound::UNBOUNDED;
     };
     if (exit as usize) < op_hi {
-        return (none, single_exit);
+        return Bound::UNBOUNDED;
     }
     let Value::Num(limit) = chunk.consts[limit_idx as usize] else {
-        return (none, single_exit);
+        return Bound::UNBOUNDED;
     };
 
     // Counter integrity: collect update sites, reject anything else
@@ -1380,30 +807,30 @@ fn loop_trips(chunk: &Chunk, facts: &Analysis, region: &LoopRegion) -> (Trips, b
     for ip in op_lo..op_hi {
         match chunk.ops[ip] {
             Op::DeclCell(s) | Op::NewCell(s) | Op::ClearSlot(s) if s == slot => {
-                return (none, single_exit)
+                return Bound::UNBOUNDED
             }
-            Op::ForInPrep(s) | Op::ForInNext(s, _) if s == slot => return (none, single_exit),
+            Op::ForInPrep(s) | Op::ForInNext(s, _) if s == slot => return Bound::UNBOUNDED,
             Op::StoreChain(c) => {
                 let touches = chunk.chains[c as usize]
                     .cands
                     .iter()
                     .any(|r| matches!(r, ChainRef::Local(s) | ChainRef::CellSlot(s) if *s == slot));
                 if touches {
-                    return (none, single_exit);
+                    return Bound::UNBOUNDED;
                 }
             }
             Op::AddLocal(s, d) if s == slot => sites.push((ip, f64::from(d))),
             Op::StoreLocal(s) | Op::DeclLocal(s) if s == slot => {
                 match update_delta(chunk, ip, slot) {
                     Some(d) => sites.push((ip, d)),
-                    None => return (none, single_exit),
+                    None => return Bound::UNBOUNDED,
                 }
             }
             _ => {}
         }
     }
     let [(site_ip, d)] = sites[..] else {
-        return (none, single_exit);
+        return Bound::UNBOUNDED;
     };
 
     // The update must run on every path from header back to header,
@@ -1411,13 +838,13 @@ fn loop_trips(chunk: &Chunk, facts: &Analysis, region: &LoopRegion) -> (Trips, b
     // number of times per outer iteration).
     let site_block = cfg.block_of[site_ip];
     if inside_child(region, site_block) {
-        return (none, single_exit);
+        return Bound::UNBOUNDED;
     }
     let back_sources: Vec<usize> = (region.header..=region.last)
         .filter(|&b| cfg.blocks[b].succs.contains(&region.header))
         .collect();
     if back_sources.is_empty() || !dominates_backedges(cfg, region, site_block, &back_sources) {
-        return (none, single_exit);
+        return Bound::UNBOUNDED;
     }
 
     // Entry interval for the max bound: the header's merged interval
@@ -1425,23 +852,28 @@ fn loop_trips(chunk: &Chunk, facts: &Analysis, region: &LoopRegion) -> (Trips, b
     // from it), so it is a sound worst-case entry value.
     let entry_iv = facts.in_states[op_lo]
         .as_ref()
-        .and_then(|st| match &st.slots[slot as usize] {
-            SlotAbs::Val(v) => v.as_interval(),
-            _ => None,
-        });
+        .and_then(|st| st.slots[slot as usize].as_interval());
     let max = entry_iv.and_then(|(lo, hi)| {
         let init = if d > 0.0 { lo } else { hi };
         counted_trips(cmp, init, limit, d)
     });
 
-    // Exact syntactic initializer directly before the loop gives the
-    // min bound.
-    let exact_init = syntactic_init(chunk, op_lo, slot);
-    let min = match (exact_init, single_exit) {
-        (Some(init), true) => counted_trips(cmp, init, limit, d).unwrap_or(0),
+    // An exact syntactic initializer directly before a loop that only
+    // leaves through its guard gives the min bound.
+    let single_exit = (region.header..=region.last).all(|b| {
+        let succs = &cfg.blocks[b].succs;
+        let leaves =
+            succs.is_empty() || succs.iter().any(|&s| s < region.header || s > region.last);
+        !leaves || b == region.header
+    });
+    let min = match syntactic_init(chunk, op_lo, slot) {
+        Some(init) if single_exit => counted_trips(cmp, init, limit, d).unwrap_or(0),
         _ => 0,
     };
-    (Trips { min, max }, single_exit)
+    Bound {
+        min,
+        max: max.map_or(Max::Unbounded, Max::Finite),
+    }
 }
 
 /// The `±const` delta of the store into `slot` at `ip` — a
@@ -1542,17 +974,8 @@ fn syntactic_init(chunk: &Chunk, op_lo: usize, slot: u16) -> Option<f64> {
 
 // ---- per-function cost evaluation ------------------------------------------
 
-/// Array methods that bill the element count up front (`builtins.rs`).
-const CHARGING_ARRAY_METHODS: &[&str] = &[
-    "shift", "unshift", "slice", "splice", "indexOf", "join", "concat", "reverse", "map", "filter",
-    "forEach", "sort",
-];
-
-/// Array methods that invoke a script callback per element.
-const HOF_ARRAY_METHODS: &[&str] = &["map", "filter", "forEach", "sort", "reduce"];
-
 /// Outcome of collapsing one region into a DAG and path-summing it.
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 struct RegionOut {
     /// Cost of traversing the region entry→exit once (loops inside
     /// already multiplied out).
@@ -1563,55 +986,46 @@ struct RegionOut {
 
 struct CostCx<'a> {
     ctx: &'a ProgramCtx,
-    facts: HashMap<u32, Rc<Analysis>>,
-    memo: HashMap<u32, Cost>,
-    in_flight: HashSet<u32>,
+    /// Per prototype: its fixpoint, or `None` when the backstop tripped.
+    facts: Vec<Option<Rc<Analysis>>>,
+    /// Per prototype: its invocation cost once known.
+    memo: Vec<Option<Cost>>,
 }
 
 impl<'a> CostCx<'a> {
     fn new(ctx: &'a ProgramCtx) -> Self {
         CostCx {
             ctx,
-            facts: HashMap::new(),
-            memo: HashMap::new(),
-            in_flight: HashSet::new(),
+            facts: (ctx.protos.iter())
+                .map(|p| analyze_chunk(&p.chunk, ctx).map(Rc::new))
+                .collect(),
+            memo: vec![None; ctx.protos.len()],
         }
     }
 
-    fn facts(&mut self, id: u32) -> Rc<Analysis> {
-        if let Some(f) = self.facts.get(&id) {
-            return f.clone();
-        }
-        let proto = self.ctx.proto(id).clone();
-        let f = Rc::new(analyze_chunk(&proto.chunk, &proto.params, self.ctx));
-        self.facts.insert(id, f.clone());
-        f
-    }
-
-    /// Cost of invoking prototype `id` once. Recursion (direct or
-    /// mutual) makes every dimension unbounded.
+    /// Cost of invoking prototype `id` once.
     fn proto_cost(&mut self, id: u32) -> Cost {
-        if let Some(c) = self.memo.get(&id) {
-            return *c;
+        let id = id as usize;
+        if let Some(c) = self.memo[id] {
+            return c;
         }
-        if !self.in_flight.insert(id) {
-            return Cost::unknown_call();
-        }
-        let facts = self.facts(id);
-        let chunk = &self.ctx.proto(id).clone().chunk;
-        let cost = match find_loops(&facts.cfg) {
-            Some(roots) => {
-                let region = LoopRegion {
+        // Recursion (direct or mutual) meets this placeholder: every
+        // dimension unbounded.
+        self.memo[id] = Some(Cost::UNKNOWN);
+        let ctx = self.ctx;
+        let cost = match self.facts[id].clone() {
+            Some(facts) => {
+                let root = LoopRegion {
                     header: 0,
-                    last: facts.cfg.blocks.len().saturating_sub(1),
-                    children: roots,
+                    last: facts.cfg.blocks.len() - 1,
+                    children: find_loops(&facts.cfg),
                 };
-                self.region_cost(chunk, &facts, &region, false).total
+                let chunk = &ctx.protos[id].chunk;
+                self.region_cost(chunk, &facts, &root, false).total
             }
-            None => Cost::unknown_call(),
+            None => Cost::UNKNOWN,
         };
-        self.in_flight.remove(&id);
-        self.memo.insert(id, cost);
+        self.memo[id] = Some(cost);
         cost
     }
 
@@ -1630,22 +1044,14 @@ impl<'a> CostCx<'a> {
         is_loop: bool,
     ) -> RegionOut {
         let cfg = &facts.cfg;
-        let unbounded = RegionOut {
-            total: Cost::unknown_call(),
-            has_return: true,
-        };
-
-        // Collapse children into supernodes, keyed by header block.
-        let mut child_out: HashMap<usize, RegionOut> = HashMap::new();
-        for child in &region.children {
-            child_out.insert(child.header, self.region_cost(chunk, facts, child, true));
-        }
+        let child_out: Vec<RegionOut> = (region.children.iter())
+            .map(|child| self.region_cost(chunk, facts, child, true))
+            .collect();
 
         // Entry-cost DP over blocks in index order. `acc[b]` is the
         // joined path cost to the entry of node `b` (None =
         // unreachable from the region entry without a back-edge).
-        let nb = cfg.blocks.len();
-        let mut acc: Vec<Option<Cost>> = vec![None; nb];
+        let mut acc: Vec<Option<Cost>> = vec![None; cfg.blocks.len()];
         acc[region.header] = Some(Cost::ZERO);
         let mut iter_done: Option<Cost> = None; // back to header
         let mut exited: Option<Cost> = None; // left the interval
@@ -1653,271 +1059,147 @@ impl<'a> CostCx<'a> {
         let mut has_return = false;
 
         let mut b = region.header;
-        while b <= region.last && b < nb {
+        while b <= region.last {
             let Some(entry) = acc[b] else {
                 b += 1;
                 continue;
             };
-            let (node_end, out, node_succs, node_ret) =
-                if let Some(child) = region.children.iter().find(|c| c.header == b) {
-                    let co = child_out[&child.header];
+            let (node_end, out, succs) = match region.children.iter().position(|c| c.header == b) {
+                Some(i) => {
+                    let (child, co) = (&region.children[i], child_out[i]);
                     if co.has_return {
                         has_return = true;
-                        // A path may end inside the child; entering it is
-                        // a sound lower bound for that outcome.
-                        returned = Some(match returned {
-                            Some(r) => r.join(entry),
-                            None => entry,
-                        });
+                        // A path may end inside the child; entering
+                        // it is a sound lower bound for that outcome.
+                        join_into(&mut returned, entry);
                     }
                     // Exit edges of the child region.
                     let mut succs: Vec<usize> = Vec::new();
-                    for cb in child.header..=child.last.min(nb - 1) {
-                        for &s in &cfg.blocks[cb].succs {
+                    for block in &cfg.blocks[child.header..=child.last] {
+                        for &s in &block.succs {
                             if (s < child.header || s > child.last) && !succs.contains(&s) {
                                 succs.push(s);
                             }
                         }
                     }
-                    (child.last, entry.add(co.total), succs, false)
-                } else {
-                    if inside_child(region, b) {
-                        b += 1;
-                        continue; // interior of a collapsed child
-                    }
+                    (child.last, entry.add(co.total), succs)
+                }
+                None => {
                     let block = &cfg.blocks[b];
-                    let mut cost = Cost::ZERO;
+                    let mut out = entry;
                     for ip in block.start..block.end {
-                        let Some(st) = &facts.in_states[ip] else {
-                            continue;
-                        };
-                        cost = cost.add(self.op_cost(chunk, st, chunk.ops[ip]));
+                        if let Some(st) = &facts.in_states[ip] {
+                            out = out.add(self.op_cost(st, chunk.ops[ip]));
+                        }
                     }
-                    let terminal = block.succs.is_empty();
-                    (b, entry.add(cost), block.succs.clone(), terminal)
-                };
-            if node_ret {
-                has_return = true;
-                returned = Some(match returned {
-                    Some(r) => r.join(out),
-                    None => out,
-                });
-            }
-            for s in node_succs {
+                    if block.succs.is_empty() {
+                        has_return = true;
+                        join_into(&mut returned, out);
+                    }
+                    (b, out, block.succs.clone())
+                }
+            };
+            for s in succs {
                 if is_loop && s == region.header {
-                    iter_done = Some(match iter_done {
-                        Some(c) => c.join(out),
-                        None => out,
-                    });
+                    join_into(&mut iter_done, out);
                 } else if s < region.header || s > region.last {
-                    exited = Some(match exited {
-                        Some(c) => c.join(out),
-                        None => out,
-                    });
-                } else if s <= node_end {
-                    // Non-forward edge that is not our own back-edge:
-                    // irregular flow (mutated chunk) — give up soundly.
-                    return unbounded;
+                    join_into(&mut exited, out);
                 } else {
-                    acc[s] = Some(match acc[s] {
-                        Some(c) => c.join(out),
-                        None => out,
-                    });
+                    join_into(&mut acc[s], out);
                 }
             }
             b = node_end + 1;
         }
 
+        // One traversal that leaves: through a terminal or out of the
+        // interval (a function-level region only ends at terminals).
+        let leave = (returned.into_iter().chain(exited))
+            .reduce(Cost::join)
+            .unwrap_or(Cost::ZERO);
         if !is_loop {
-            // Function (or root interval) level: paths end at
-            // terminals; `exited` cannot happen.
-            let total = match (returned, exited) {
-                (Some(r), Some(e)) => r.join(e),
-                (Some(r), None) => r,
-                (None, Some(e)) => e,
-                (None, None) => Cost::ZERO,
+            return RegionOut {
+                total: leave,
+                has_return,
             };
-            return RegionOut { total, has_return };
         }
-
-        let (trips, _single_exit) = loop_trips(chunk, facts, region);
-        let iter = iter_done.unwrap_or(Cost::ZERO);
-        let exit_once = match (exited, returned) {
-            (Some(e), Some(r)) => e.join(r),
-            (Some(e), None) => e,
-            (None, Some(r)) => r,
-            (None, None) => Cost::ZERO,
+        let trips = loop_trips(chunk, facts, region);
+        // A body that never reaches the back-edge runs at most once.
+        let trips_max = match iter_done {
+            Some(_) => trips.max,
+            None => Max::Finite(0),
         };
-        let trips_max = match (trips.max, iter_done.is_some()) {
-            (_, false) => Max::Finite(0), // body never reaches the back-edge
-            (Some(t), true) => Max::Finite(t),
-            (None, true) => Max::Unbounded,
-        };
-        let mut total = iter.scale(trips.min, trips_max);
-        // One exit traversal (the final failed guard / break path).
-        total = Cost {
-            steps: Bound {
-                min: total.steps.min,
-                max: total.steps.max.add(exit_once.steps.max),
-            },
-            charge: Bound {
-                min: total.charge.min,
-                max: total.charge.max.add(exit_once.charge.max),
-            },
-            publishes: Bound {
-                min: total.publishes.min,
-                max: total.publishes.max.add(exit_once.publishes.max),
-            },
-        };
+        // `trips` iterations, plus the final failed guard or break path
+        // on the max side.
+        let total = iter_done
+            .unwrap_or(Cost::ZERO)
+            .zip(leave, |iter, leave| Bound {
+                min: iter.min.saturating_mul(trips.min),
+                max: iter.max.mul(trips_max).add(leave.max),
+            });
         RegionOut { total, has_return }
     }
 
     /// Cost of one instruction under abstract state `st` (the state
     /// *before* the op): one watchdog step, plus whatever the
     /// operation can bill or trigger.
-    fn op_cost(&mut self, chunk: &Chunk, st: &State, op: Op) -> Cost {
-        let base = Cost::step();
+    fn op_cost(&mut self, st: &State, op: Op) -> Cost {
         let arg = |i: usize| -> &AbsVal {
             let n = st.stack.len();
             st.stack.get(n.wrapping_sub(i + 1)).unwrap_or(&AbsVal::Any)
         };
-        match op {
-            Op::Add => {
-                let (b, a) = (arg(0), arg(1));
-                let may_str =
-                    |v: &AbsVal| matches!(v, AbsVal::ConstStr(_) | AbsVal::Str | AbsVal::Any);
-                let charge = match (a, b) {
-                    (AbsVal::ConstStr(x), AbsVal::ConstStr(y)) => {
-                        Bound::exact((x.len() + y.len()) as u64)
-                    }
-                    // String + definitely-number: the rendered number
-                    // is at most ~24 bytes.
-                    (AbsVal::ConstStr(x), n) | (n, AbsVal::ConstStr(x)) if n.is_numeric() => {
-                        Bound {
-                            min: x.len() as u64,
-                            max: Max::Finite(x.len() as u64 + 24),
-                        }
-                    }
-                    _ if may_str(a) || may_str(b) => Bound::UNBOUNDED,
-                    _ => Bound::ZERO,
-                };
-                base.add(Cost {
-                    charge,
-                    ..Cost::ZERO
-                })
-            }
-            Op::SetIndex => {
-                // Stack: [value, object, index]. Growing an array bills
-                // the elements added, at most `index + 1`.
-                let (idx, obj) = (arg(0), arg(1));
-                let charge = match (obj, idx, idx.as_interval()) {
-                    (AbsVal::Array | AbsVal::Any, _, Some((_, hi))) if hi < 1e15 => {
-                        Bound::at_most(hi.max(0.0) as u64 + 1)
-                    }
-                    (AbsVal::Array | AbsVal::Any, AbsVal::Any, _)
-                    | (AbsVal::Array | AbsVal::Any, _, Some(_)) => Bound::UNBOUNDED,
-                    // Not an array, or an index that is no number:
-                    // nothing grows.
-                    _ => Bound::ZERO,
-                };
-                base.add(Cost {
-                    charge,
-                    ..Cost::ZERO
-                })
-            }
-            Op::Call(argc) => {
-                let callee = arg(0).clone();
-                let extra = match callee {
-                    AbsVal::Native(name) => self.native_cost(&name, st, argc),
-                    AbsVal::Closure(id) => self.proto_cost(id),
-                    // Known non-callables fault at runtime: no cost on
-                    // the continuing path.
-                    AbsVal::ConstNum(_)
-                    | AbsVal::ConstStr(_)
-                    | AbsVal::ConstBool(_)
-                    | AbsVal::ConstNull
-                    | AbsVal::Num { .. } => Cost::ZERO,
-                    _ => Cost::unknown_call(),
-                };
-                base.add(extra)
-            }
-            Op::CallMethod(m, _) => {
-                let receiver = arg(0);
-                let name = &*chunk.members[m as usize].name;
-                let extra = match receiver {
-                    AbsVal::Array => {
-                        let mut c = Cost::ZERO;
-                        if CHARGING_ARRAY_METHODS.contains(&name) {
-                            c.charge = Bound::UNBOUNDED; // bills element count / output bytes
-                        }
-                        if HOF_ARRAY_METHODS.contains(&name) {
-                            // Invokes a script callback per element.
-                            c = Cost::unknown_call();
-                        }
-                        c
-                    }
-                    AbsVal::ConstStr(s) => Cost {
-                        charge: Bound::at_most(s.len() as u64),
-                        ..Cost::ZERO
-                    },
-                    AbsVal::Str => Cost {
-                        charge: Bound::UNBOUNDED,
-                        ..Cost::ZERO
-                    },
-                    // A method on an object (or unknown receiver) can
-                    // be any stored closure.
-                    AbsVal::Object | AbsVal::Any | AbsVal::Func | AbsVal::Closure(_) => {
-                        Cost::unknown_call()
-                    }
-                    _ => Cost::ZERO,
-                };
-                base.add(extra)
-            }
-            _ => base,
-        }
-    }
-
-    /// Extra cost of calling host native `name` (beyond the Call op).
-    /// `argc` and the abstract argument values refine string sizes.
-    fn native_cost(&mut self, name: &str, st: &State, argc: u8) -> Cost {
-        let arg = |i: usize| -> &AbsVal {
-            // Stack: [a0 .. a(n-1), callee]; a_i is argc-i slots below.
-            let n = st.stack.len();
-            st.stack
-                .get(n.wrapping_sub(1 + argc as usize - i))
-                .unwrap_or(&AbsVal::Any)
+        let charge = |charge: Bound| Cost {
+            charge,
+            ..Cost::ZERO
         };
-        match name {
-            "publish" => Cost {
-                publishes: Bound::exact(1),
-                ..Cost::ZERO
-            },
-            "String" => {
-                let charge = match arg(0) {
-                    AbsVal::ConstStr(s) => Bound::exact(s.len() as u64),
-                    v if v.is_numeric() => Bound::at_most(24),
-                    AbsVal::ConstBool(_) | AbsVal::ConstNull => Bound::at_most(9),
-                    _ => Bound::UNBOUNDED,
-                };
-                Cost {
-                    charge,
-                    ..Cost::ZERO
+        let extra = match op {
+            Op::Add => charge(match (arg(1), arg(0)) {
+                (AbsVal::ConstStr(x), AbsVal::ConstStr(y)) => {
+                    Bound::exact((x.len() + y.len()) as u64)
                 }
-            }
-            "keys" => Cost {
-                charge: Bound::UNBOUNDED,
-                ..Cost::ZERO
+                (a, b) if a.as_interval().is_some() && b.as_interval().is_some() => Bound::ZERO,
+                // Either side may be a string: the concatenation bills
+                // its bytes.
+                _ => Bound::UNBOUNDED,
+            }),
+            // Stack: [value, object, index]. A store past an array's end
+            // bills the elements it adds, at most `index + 1`; a store
+            // under a string key adds none.
+            Op::SetIndex => charge(match arg(0) {
+                AbsVal::Num { hi, .. } if *hi < 1e15 => Bound::at_most(hi.max(0.0) as u64 + 1),
+                AbsVal::Num { .. } | AbsVal::Any => Bound::UNBOUNDED,
+                _ => Bound::ZERO,
+            }),
+            Op::Call(_) => match arg(0) {
+                AbsVal::Native(name) => native_cost(name),
+                AbsVal::Closure(id) => self.proto_cost(*id),
+                _ => Cost::UNKNOWN,
             },
-            // The remaining Pogo API natives run host-side work that
-            // is not billed to the script's instruction budget.
-            _ if KNOWN_NATIVES.contains(&name) => Cost::ZERO,
-            // An extension native may bill arbitrary bytes but cannot
-            // consume VM steps.
-            _ => Cost {
-                charge: Bound::UNBOUNDED,
-                ..Cost::ZERO
-            },
-        }
+            // A method can be any stored closure, or bill what it builds.
+            Op::CallMethod(..) => Cost::UNKNOWN,
+            _ => Cost::ZERO,
+        };
+        extra.add(Cost {
+            steps: Bound::exact(1),
+            ..Cost::ZERO
+        })
+    }
+}
+
+/// Extra cost of calling host native `name`, beyond the `Call` op.
+fn native_cost(name: &str) -> Cost {
+    match name {
+        "publish" => Cost {
+            publishes: Bound::exact(1),
+            ..Cost::ZERO
+        },
+        // The size-producing natives bill the bytes they build.
+        "String" | "keys" => Cost {
+            charge: Bound::UNBOUNDED,
+            ..Cost::ZERO
+        },
+        // The rest of the Pogo API runs host-side work that is not
+        // billed to the script's instruction budget.
+        _ => Cost::ZERO,
     }
 }
 
@@ -1959,73 +1241,72 @@ pub struct EntryCost {
     pub cost: Cost,
 }
 
-/// Cost bounds for every entry point of a compiled program, plus the
-/// per-function invocation costs they were assembled from.
+/// Cost bounds for every entry point of a compiled program.
 #[derive(Debug, Clone)]
 pub struct CostReport {
     pub entries: Vec<EntryCost>,
-    /// `(function name, one-invocation cost)` in prototype order.
-    pub fns: Vec<(String, Cost)>,
 }
 
 /// Analyze a compiled program's entry points: the on-load run plus
 /// every statically visible `subscribe`/`setTimeout` registration.
 pub fn analyze_costs(program: &CompiledProgram) -> CostReport {
-    let ctx = ProgramCtx::build(program);
-    let mut cx = CostCx::new(&ctx);
-    let mut entries = vec![EntryCost {
-        kind: EntryKind::Load,
-        name: program.main.name.to_string(),
-        channel: None,
-        line: 1,
-        cost: cx.proto_cost(0),
-    }];
-    for id in 0..ctx.proto_count() as u32 {
-        let facts = cx.facts(id);
-        let proto = ctx.proto(id).clone();
-        let chunk = &proto.chunk;
-        for (ip, &op) in chunk.ops.iter().enumerate() {
-            let Op::Call(argc) = op else { continue };
-            let Some(st) = &facts.in_states[ip] else {
-                continue;
-            };
-            let n = st.stack.len();
-            let get = |i: usize| st.stack.get(n.wrapping_sub(i + 1)).cloned();
-            let Some(AbsVal::Native(native)) = get(0) else {
-                continue;
-            };
-            let arg = |i: usize| get(argc as usize - i);
-            let line = chunk.lines.get(ip).copied().unwrap_or(0);
-            let (kind, cb, channel) = match (&*native, argc) {
-                ("subscribe", a) if a >= 2 => {
-                    let channel = match arg(0) {
-                        Some(AbsVal::ConstStr(s)) => Some(s.to_string()),
-                        _ => None,
-                    };
-                    (EntryKind::Callback, arg(1), channel)
-                }
-                ("setTimeout", a) if a >= 1 => (EntryKind::Timer, arg(0), None),
-                _ => continue,
-            };
-            let (name, cost) = match cb {
-                Some(AbsVal::Closure(cb_id)) => {
-                    (ctx.proto(cb_id).name.to_string(), cx.proto_cost(cb_id))
-                }
-                _ => ("<dynamic>".to_string(), Cost::unknown_call()),
-            };
-            entries.push(EntryCost {
-                kind,
-                name,
-                channel,
-                line,
-                cost,
-            });
+    CostCx::new(&ProgramCtx::build(program)).report()
+}
+
+impl CostCx<'_> {
+    fn report(&mut self) -> CostReport {
+        let ctx = self.ctx;
+        let mut entries = vec![EntryCost {
+            kind: EntryKind::Load,
+            name: ctx.protos[0].name.to_string(),
+            channel: None,
+            line: 1,
+            cost: self.proto_cost(0),
+        }];
+        for (proto, facts) in ctx.protos.iter().zip(self.facts.clone()) {
+            // A function without a fixpoint shows no registration.
+            let Some(facts) = facts else { continue };
+            let chunk = &proto.chunk;
+            for (ip, st) in facts.in_states.iter().enumerate() {
+                let (Op::Call(argc), Some(st)) = (chunk.ops[ip], st) else {
+                    continue;
+                };
+                // Stack: [a0 .. a(argc-1), callee].
+                let n = st.stack.len();
+                let get = |i: usize| st.stack.get(n.wrapping_sub(i + 1));
+                let Some(AbsVal::Native(native)) = get(0) else {
+                    continue;
+                };
+                let arg = |i: usize| get(argc as usize - i);
+                let (kind, cb, channel) = match (&**native, argc) {
+                    ("subscribe", 2..) => {
+                        let channel = match arg(0) {
+                            Some(AbsVal::ConstStr(s)) => Some(s.to_string()),
+                            _ => None,
+                        };
+                        (EntryKind::Callback, arg(1), channel)
+                    }
+                    ("setTimeout", 1..) => (EntryKind::Timer, arg(0), None),
+                    _ => continue,
+                };
+                let (name, cost) = match cb {
+                    Some(AbsVal::Closure(id)) => (
+                        ctx.protos[*id as usize].name.to_string(),
+                        self.proto_cost(*id),
+                    ),
+                    _ => ("<dynamic>".to_string(), Cost::UNKNOWN),
+                };
+                entries.push(EntryCost {
+                    kind,
+                    name,
+                    channel,
+                    line: chunk.lines[ip],
+                    cost,
+                });
+            }
         }
+        CostReport { entries }
     }
-    let fns = (0..ctx.proto_count() as u32)
-        .map(|id| (ctx.proto(id).name.to_string(), cx.proto_cost(id)))
-        .collect();
-    CostReport { entries, fns }
 }
 
 // ---- diagnostics ------------------------------------------------------------
@@ -2159,10 +1440,8 @@ pub fn render_cfg(program: &CompiledProgram) -> String {
     let ctx = ProgramCtx::build(program);
     let mut cx = CostCx::new(&ctx);
     let mut out = String::new();
-    for id in 0..ctx.proto_count() as u32 {
-        let proto = ctx.proto(id).clone();
-        let facts = cx.facts(id);
-        let cfg = &facts.cfg;
+    for (id, proto) in ctx.protos.iter().enumerate() {
+        let cfg = build_cfg(&proto.chunk);
         out.push_str(&format!(
             "== fn{id} {} (blocks {}) ==\n",
             proto.name,
@@ -2172,53 +1451,23 @@ pub fn render_cfg(program: &CompiledProgram) -> String {
             let succs = if block.succs.is_empty() {
                 "(exit)".to_string()
             } else {
-                format!(
-                    "-> {}",
-                    block
-                        .succs
-                        .iter()
-                        .map(|s| format!("b{s}"))
-                        .collect::<Vec<_>>()
-                        .join(" ")
-                )
+                let names: Vec<String> = block.succs.iter().map(|s| format!("b{s}")).collect();
+                format!("-> {}", names.join(" "))
             };
             out.push_str(&format!(
                 "  b{b}  {:04}..{:04}  {succs}\n",
                 block.start, block.end
             ));
         }
-        if let Some(roots) = find_loops(cfg) {
-            let mut stack: Vec<&LoopRegion> = roots.iter().collect();
-            let mut loops: Vec<&LoopRegion> = Vec::new();
-            while let Some(l) = stack.pop() {
-                loops.push(l);
-                stack.extend(l.children.iter());
-            }
-            loops.sort_by_key(|l| (l.header, l.last));
-            for l in loops {
-                let (trips, _) = loop_trips(&proto.chunk, &facts, l);
-                let max = match trips.max {
-                    Some(t) => t.to_string(),
-                    None => "unbounded".to_string(),
-                };
-                out.push_str(&format!(
-                    "  loop b{}..b{}  trips [{}, {}]\n",
-                    l.header, l.last, trips.min, max
-                ));
-            }
-        }
-        out.push_str(&format!("  cost: {}\n", cx.proto_cost(id)));
+        let trips = |l: &LoopRegion| match &cx.facts[id] {
+            Some(facts) => loop_trips(&proto.chunk, facts, l),
+            None => Bound::UNBOUNDED,
+        };
+        render_loops(&mut out, &find_loops(&cfg), &trips);
+        out.push_str(&format!("  cost: {}\n", cx.proto_cost(id as u32)));
     }
     out.push_str("== cost report ==\n");
-    let report = analyze_costs(program);
-    out.push_str(&render_cost_report(&report));
-    out
-}
-
-/// Deterministic text rendering of a [`CostReport`].
-fn render_cost_report(report: &CostReport) -> String {
-    let mut out = String::new();
-    for e in &report.entries {
+    for e in cx.report().entries {
         let what = match (&e.channel, e.kind) {
             (Some(ch), _) => format!(
                 "{} {} (channel \"{}\", line {})",
@@ -2230,6 +1479,19 @@ fn render_cost_report(report: &CostReport) -> String {
         out.push_str(&format!("{what}: {}\n", e.cost));
     }
     out
+}
+
+/// One line per loop, outermost first, in header order.
+fn render_loops(out: &mut String, loops: &[LoopRegion], trips: &dyn Fn(&LoopRegion) -> Bound) {
+    for l in loops {
+        out.push_str(&format!(
+            "  loop b{}..b{}  trips {}\n",
+            l.header,
+            l.last,
+            trips(l)
+        ));
+        render_loops(out, &l.children, trips);
+    }
 }
 
 #[cfg(test)]
@@ -2481,6 +1743,32 @@ mod tests {
                 "{name}: spurious P301 in {diags:?}"
             );
         }
+    }
+
+    /// A fact that needs more fixpoint rounds than the backstop allows
+    /// must not come out as a bound. `x300`'s string walks one slot down
+    /// the chain per trip, so `x0 + x0` concatenates two 41-byte strings
+    /// by the end; a run cut short still sees `x0` as the number 0.
+    #[test]
+    fn backstop_gives_up_instead_of_returning_a_non_fixpoint() {
+        let k = 300;
+        let mut src = String::from("function f() {\n");
+        for j in 0..=k {
+            src += &format!("  var x{j} = 0;\n");
+        }
+        src += &format!("  for (var i = 0; i < {}; i++) {{\n", k + 5);
+        for j in 0..k {
+            src += &format!("    x{j} = x{};\n", j + 1);
+        }
+        src += &format!("    x{k} = '{}';\n  }}\n", "s".repeat(41));
+        src += "  return x0 + x0;\n}\nf();\n";
+        let c = load_cost(&src);
+        let mut interp = crate::Interpreter::new();
+        interp.set_budget(Some(LOAD_BUDGET));
+        interp.eval(&src).expect("runs");
+        let billed = LOAD_BUDGET - interp.steps_remaining();
+        assert!(c.budget_min() <= billed, "{billed} {c}");
+        assert!(c.budget_max().exceeds(billed - 1), "{billed} {c}");
     }
 
     #[test]

@@ -142,6 +142,88 @@ pub enum Op {
     FlowErr(u8),
 }
 
+/// What the verifier and the analyzer know of an instruction without
+/// running it: its stack effect, where it can jump, and whether control
+/// can reach the next instruction. The one description both use,
+/// mirroring `vm.rs`.
+impl Op {
+    /// `(pops, pushes)` on the fall-through edge. A jump edge carries
+    /// the same stack, except `ForInNext`'s: its exit pushes no key.
+    pub(crate) fn stack_effect(self, chunk: &Chunk) -> (usize, usize) {
+        match self {
+            Op::Const(_)
+            | Op::PushNull
+            | Op::PushTrue
+            | Op::PushFalse
+            | Op::MakeClosure(_)
+            | Op::LoadLocal(_)
+            | Op::GetLocalMember(_, _)
+            | Op::LoadCell(_)
+            | Op::LoadUpval(_)
+            | Op::LoadGlobal(_)
+            | Op::LoadChain(_)
+            | Op::ForInNext(_, _) => (0, 1),
+            Op::MakeArray(n) => (n as usize, 1),
+            Op::MakeObject(i) => (chunk.shapes[i as usize].len(), 1),
+            // Stores peek the value (it remains the expression result).
+            Op::StoreLocal(_)
+            | Op::StoreCell(_)
+            | Op::StoreUpval(_)
+            | Op::StoreGlobal(_)
+            | Op::StoreChain(_) => (1, 1),
+            Op::DeclLocal(_) | Op::DeclCell(_) | Op::DeclGlobal(_) => (1, 0),
+            Op::NewCell(_) | Op::ClearSlot(_) | Op::AddLocal(_, _) => (0, 0),
+            Op::Pop | Op::SetResult | Op::JumpIfFalse(_) | Op::Return | Op::ForInPrep(_) => (1, 0),
+            Op::Dup => (1, 2),
+            Op::Swap => (2, 2),
+            Op::Add
+            | Op::Sub
+            | Op::Mul
+            | Op::Div
+            | Op::Rem
+            | Op::Eq
+            | Op::Ne
+            | Op::Lt
+            | Op::Gt
+            | Op::Le
+            | Op::Ge
+            | Op::GetIndex => (2, 1),
+            Op::Not | Op::Neg | Op::UnaryPlus | Op::TypeOf | Op::Inc | Op::Dec => (1, 1),
+            Op::GetMember(_) => (1, 1),
+            // SetMember pops the object; the stored value stays pushed.
+            Op::SetMember(_) => (2, 1),
+            // SetIndex pops index and object; the value stays pushed.
+            Op::SetIndex => (3, 1),
+            Op::Call(n) | Op::CallMethod(_, n) => (n as usize + 1, 1),
+            Op::MathCall(_, n) => (n as usize, 1),
+            // Peeks require an operand but leave it in place.
+            Op::JumpIfTruePeek(_) | Op::JumpIfFalsePeek(_) => (1, 1),
+            Op::Jump(_) | Op::ReturnNull | Op::ReturnResult | Op::FlowErr(_) => (0, 0),
+        }
+    }
+
+    /// The instruction this one can jump to.
+    pub(crate) fn jump_target(self) -> Option<usize> {
+        match self {
+            Op::Jump(t)
+            | Op::JumpIfFalse(t)
+            | Op::JumpIfTruePeek(t)
+            | Op::JumpIfFalsePeek(t)
+            | Op::ForInNext(_, t) => Some(t as usize),
+            _ => None,
+        }
+    }
+
+    /// Control can continue at the next instruction: false for an
+    /// unconditional jump and for what leaves the frame.
+    pub(crate) fn falls_through(self) -> bool {
+        !matches!(
+            self,
+            Op::Jump(_) | Op::Return | Op::ReturnNull | Op::ReturnResult | Op::FlowErr(_)
+        )
+    }
+}
+
 /// A named global-access site with a verified inline cache: the cached
 /// root-environment slot is checked against the name on every use, so
 /// a chunk shared across phones with differently-ordered globals stays

@@ -388,86 +388,17 @@ fn verify_operands(proto: &FnProto, path: &str) -> Result<(), VerifyError> {
                     format!("FlowErr kind {kind} (expected 0=break or 1=continue)"),
                 ));
             }
-            Op::Jump(t) | Op::JumpIfFalse(t) | Op::JumpIfTruePeek(t) | Op::JumpIfFalsePeek(t)
-                if t as usize >= n_ops =>
-            {
-                return oob("VERIFY_JUMP_TARGET", at, "jump target", t as usize, n_ops);
-            }
             _ => {}
         }
-        // ForInNext carries a jump target too, alongside its slot.
-        if let Op::ForInNext(_, t) = op {
-            if t as usize >= n_ops {
-                return oob("VERIFY_JUMP_TARGET", at, "jump target", t as usize, n_ops);
-            }
+        if let Some(t) = op.jump_target().filter(|&t| t >= n_ops) {
+            return oob("VERIFY_JUMP_TARGET", at, "jump target", t, n_ops);
         }
     }
     Ok(())
 }
 
-/// `(pops, pushes)` of one instruction, mirroring `vm.rs` exactly.
-/// Jump-related asymmetries (ForInNext) are handled by the caller.
-fn stack_effect(op: Op, chunk: &Chunk) -> (usize, usize) {
-    match op {
-        Op::Const(_)
-        | Op::PushNull
-        | Op::PushTrue
-        | Op::PushFalse
-        | Op::MakeClosure(_)
-        | Op::LoadLocal(_)
-        | Op::GetLocalMember(_, _)
-        | Op::LoadCell(_)
-        | Op::LoadUpval(_)
-        | Op::LoadGlobal(_)
-        | Op::LoadChain(_) => (0, 1),
-        Op::MakeArray(n) => (n as usize, 1),
-        Op::MakeObject(i) => (chunk.shapes[i as usize].len(), 1),
-        // Stores peek the value (it remains the expression result).
-        Op::StoreLocal(_)
-        | Op::StoreCell(_)
-        | Op::StoreUpval(_)
-        | Op::StoreGlobal(_)
-        | Op::StoreChain(_) => (1, 1),
-        Op::DeclLocal(_) | Op::DeclCell(_) | Op::DeclGlobal(_) => (1, 0),
-        Op::NewCell(_) | Op::ClearSlot(_) | Op::AddLocal(_, _) => (0, 0),
-        Op::Pop | Op::SetResult => (1, 0),
-        Op::Dup => (1, 2),
-        Op::Swap => (2, 2),
-        Op::Add
-        | Op::Sub
-        | Op::Mul
-        | Op::Div
-        | Op::Rem
-        | Op::Eq
-        | Op::Ne
-        | Op::Lt
-        | Op::Gt
-        | Op::Le
-        | Op::Ge => (2, 1),
-        Op::Not | Op::Neg | Op::UnaryPlus | Op::TypeOf | Op::Inc | Op::Dec => (1, 1),
-        Op::GetMember(_) => (1, 1),
-        // SetMember pops the object; the stored value stays pushed.
-        Op::SetMember(_) => (2, 1),
-        Op::GetIndex => (2, 1),
-        // SetIndex pops index and object; the value stays pushed.
-        Op::SetIndex => (3, 1),
-        Op::Call(n) => (n as usize + 1, 1),
-        Op::CallMethod(_, n) => (n as usize + 1, 1),
-        Op::MathCall(_, n) => (n as usize, 1),
-        Op::Jump(_) => (0, 0),
-        Op::JumpIfFalse(_) => (1, 0),
-        // Peeks require an operand but leave it in place.
-        Op::JumpIfTruePeek(_) | Op::JumpIfFalsePeek(_) => (1, 1),
-        Op::Return => (1, 0),
-        Op::ReturnNull | Op::ReturnResult | Op::FlowErr(_) => (0, 0),
-        Op::ForInPrep(_) => (1, 0),
-        // Fall-through pushes the next key; the exit edge pushes
-        // nothing. Modeled explicitly in the walk below.
-        Op::ForInNext(_, _) => (0, 0),
-    }
-}
-
-/// Layer 3: abstract stack-depth walk over reachable instructions.
+/// Layer 3: abstract stack-depth walk over reachable instructions, by
+/// [`Op::stack_effect`], [`Op::jump_target`] and [`Op::falls_through`].
 fn verify_stack(chunk: &Chunk, path: &str) -> Result<(), VerifyError> {
     let n_ops = chunk.ops.len();
     let mut depth_in: Vec<Option<u32>> = vec![None; n_ops];
@@ -502,7 +433,7 @@ fn verify_stack(chunk: &Chunk, path: &str) -> Result<(), VerifyError> {
     while let Some(ip) = work.pop() {
         let op = chunk.ops[ip];
         let d = depth_in[ip].expect("worklist entries have a depth");
-        let (pops, pushes) = stack_effect(op, chunk);
+        let (pops, pushes) = op.stack_effect(chunk);
         if (d as usize) < pops {
             return Err(err(
                 "VERIFY_STACK_UNDERFLOW",
@@ -512,43 +443,29 @@ fn verify_stack(chunk: &Chunk, path: &str) -> Result<(), VerifyError> {
             ));
         }
         let out = d - pops as u32 + pushes as u32;
-        match op {
-            Op::Jump(t) => flow_to(&mut depth_in, &mut work, ip, t as usize, out)?,
-            Op::JumpIfFalse(t) | Op::JumpIfTruePeek(t) | Op::JumpIfFalsePeek(t) => {
-                flow_to(&mut depth_in, &mut work, ip, t as usize, out)?;
-                if ip + 1 == n_ops {
-                    return Err(fallthrough(path, ip, op));
-                }
-                flow_to(&mut depth_in, &mut work, ip, ip + 1, out)?;
+        if let Some(t) = op.jump_target() {
+            // `ForInNext`'s exit edge pushes no key.
+            let at_target = if let Op::ForInNext(..) = op {
+                out - 1
+            } else {
+                out
+            };
+            flow_to(&mut depth_in, &mut work, ip, t, at_target)?;
+        }
+        if op.falls_through() {
+            if ip + 1 == n_ops {
+                return Err(err(
+                    "VERIFY_FALLTHROUGH_END",
+                    path,
+                    ip,
+                    format!("{op:?} at end of stream can fall off the chunk"),
+                ));
             }
-            Op::ForInNext(_, t) => {
-                // Exit edge: nothing pushed. Fall-through: the key.
-                flow_to(&mut depth_in, &mut work, ip, t as usize, out)?;
-                if ip + 1 == n_ops {
-                    return Err(fallthrough(path, ip, op));
-                }
-                flow_to(&mut depth_in, &mut work, ip, ip + 1, out + 1)?;
-            }
-            Op::Return | Op::ReturnNull | Op::ReturnResult | Op::FlowErr(_) => {}
-            _ => {
-                if ip + 1 == n_ops {
-                    return Err(fallthrough(path, ip, op));
-                }
-                flow_to(&mut depth_in, &mut work, ip, ip + 1, out)?;
-            }
+            flow_to(&mut depth_in, &mut work, ip, ip + 1, out)?;
         }
     }
 
     Ok(())
-}
-
-fn fallthrough(path: &str, ip: usize, op: Op) -> VerifyError {
-    err(
-        "VERIFY_FALLTHROUGH_END",
-        path,
-        ip,
-        format!("{op:?} at end of stream can fall off the chunk"),
-    )
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus the lint gates and the benchmark's sanity pass.
 #
-#   scripts/ci.sh              build + size, work-counter and oracle lines + tests + lint gates + benchmark smoke
+#   scripts/ci.sh              build + size, public-surface, work-counter and oracle lines + tests + lint gates + benchmark smoke
 #   scripts/ci.sh --no-perf    skip the benchmark build, smoke pass and unit tests
 #   scripts/ci.sh --no-lint    skip fmt/clippy/pogo-lint (e.g. older toolchain)
 #   scripts/ci.sh --no-chaos   skip the chaos_soak fault-injection gate
@@ -39,12 +39,14 @@ for arg in "$@"; do
 done
 
 cargo build --release --workspace
-# Size and public functions without a non-test caller, parent -> change
-# (ROADMAP item 5; report-only).
+# Size, public functions without a non-test caller and public items never
+# named outside their crate, parent -> change (report-only).
 scripts/sloc.sh HEAD~1 2>/dev/null || echo "sloc HEAD~1: no parent commit here"
 scripts/sloc.sh
 scripts/sloc.sh --uncalled HEAD~1 2>/dev/null || true
 scripts/sloc.sh --uncalled
+scripts/sloc.sh --crate-local HEAD~1 2>/dev/null | head -1 || true
+scripts/sloc.sh --crate-local
 # The deterministic work counters, beside the size lines (ROADMAP aim 1:
 # counts that repeat exactly on any machine): allocator calls per stored
 # sample on the two scriptless fleets, per delivered scan and VM steps and

@@ -24,14 +24,23 @@
 #       call graph: report-only. A recursive function names itself in its
 #       own body, so it counts as its own caller (`Msg::canonicalize`, which
 #       only tests call, is missed that way).
+#
+#   scripts/sloc.sh --crate-local [<commit>]
+#       the public items (as counted above) whose name occurs in no code line
+#       outside their own crate, listed by crate: candidates for `pub(crate)`.
+#       A crate is one library's src/ (its src/bin/*.rs are crates of their
+#       own); a crate's tests/, benches/ and examples/, the root tests/ and
+#       examples/, and benchmark/ count as outside. Also a grep over names:
+#       an item whose name is common (`new`, `len`) never shows. Report-only.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 uncalled=0
-if [[ "${1:-}" == --uncalled ]]; then
-    uncalled=1
-    shift
-fi
+crate_local=0
+case "${1:-}" in
+    --uncalled) uncalled=1 && shift ;;
+    --crate-local) crate_local=1 && shift ;;
+esac
 rev="${1:-}"
 if [[ -n "$rev" ]]; then
     list() { git ls-tree -r --name-only "$rev"; }
@@ -89,6 +98,54 @@ if [[ "$uncalled" == 1 ]]; then
             for (i = 1; i <= n; i++) out = out " " a[i]
             return out
         }'
+    exit 0
+fi
+
+if [[ "$crate_local" == 1 ]]; then
+    # One stream, each line "<crate> <D|C> <text>": D = counted line
+    # (declares), C = any other code line (names).
+    list | grep -E '\.rs$' | while read -r f; do
+        [[ -n "$rev" || -f "$f" ]] || continue
+        case "$f" in
+            benchmark/* | tests/* | */tests/*) crate="$f" kind=C ;;
+            examples/* | */examples/* | */benches/* | */src/bin/*) crate="${f%.rs}" kind=D ;;
+            crates/*) crate="${f#crates/}" && crate="${crate%%/*}" kind=D ;;
+            vendor/*) crate="${f#vendor/}" && crate="${crate%%/*}" kind=D ;;
+            *) crate=pogo kind=D ;;
+        esac
+        show "$f" | awk -v crate="$crate" -v kind="$kind" '
+            /#\[cfg\(test\)\]/ { kind = "C" }
+            /^[[:space:]]*\/\// { next }
+            { print crate, kind, $0 }'
+    done | awk -v rev="${rev:-worktree}" '
+        {
+            crate = $1
+            line = substr($0, length($1) + 4)
+            if ($2 == "D" && match(line, /^[[:space:]]*pub (const )?(fn|struct|enum|trait|mod)[[:space:]]+[A-Za-z0-9_]+/)) {
+                name = substr(line, RSTART, RLENGTH)
+                sub(/.*[[:space:]]/, "", name)
+                decl[crate SUBSEP name] = 1
+                items++
+            }
+            n = split(line, tok, /[^A-Za-z0-9_]+/)
+            for (i = 1; i <= n; i++) {
+                if (tok[i] == "" || (tok[i], crate) in seen) continue
+                seen[tok[i], crate] = 1
+                crates_naming[tok[i]]++
+            }
+        }
+        END {
+            for (key in decl) {
+                split(key, part, SUBSEP)
+                if (crates_naming[part[2]] == 1) { local++; print part[1], part[2] | "LC_ALL=C sort" }
+            }
+            close("LC_ALL=C sort")
+            printf "crate-local %s: %d of %d public items never named outside their crate\n", rev, local, items
+        }' | awk '
+        /^crate-local / { summary = $0; next }
+        $1 != crate { if (crate != "") body = body "  " crate ":" names "\n"; crate = $1; names = "" }
+        { names = names " " $2 }
+        END { if (crate != "") body = body "  " crate ":" names "\n"; printf "%s\n%s", summary, body }'
     exit 0
 fi
 
