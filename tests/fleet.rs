@@ -162,6 +162,79 @@ fn tailsync_fleet_trace_and_store_hash_is_pinned_across_commits() {
     );
 }
 
+/// FNV-1a over the `Obs` trace (JSONL) and the `locations` store (CSV)
+/// of a 20-device localization fleet running `scan.js` + `clustering.js`
+/// for two hours of lock-step. Every phone alternates between two groups
+/// of five access points, 25 to 44 minutes at each, so places open, close
+/// and are published inside the run. This is the scripted path end to
+/// end: sensor, VM, host API, broker, wire, collector and store.
+fn localization_fleet_hash() -> u64 {
+    const EXP: &str = "loc-pin";
+    let sim = Sim::new();
+    let mut testbed = Testbed::with_obs(&sim, ObsConfig::on());
+    let spec = FleetSpec::new(20)
+        .prefix("phone")
+        .seed(13)
+        .configure(|_, c| c.with_flush_policy(FlushPolicy::Interval(SimDuration::from_secs(90))))
+        .sensors(|i, rng| {
+            let mut rng = rng.clone();
+            let dwell_ms = (25 + i as u64) * 60_000;
+            SensorSources {
+                wifi_scan: Some(Box::new(move |t_ms| {
+                    let side = (t_ms / dwell_ms) % 2;
+                    Some(
+                        (0..5)
+                            .map(|j| WifiReading {
+                                bssid: format!("00:00:{i:02x}:00:0{side}:{j:02x}"),
+                                rssi_dbm: -55.0 - 4.0 * j as f64
+                                    + (rng.range_f64(-1.5, 1.5) * 100.0).round() / 100.0,
+                            })
+                            .collect(),
+                    )
+                })),
+                ..SensorSources::default()
+            }
+        });
+    let fleet = testbed.add_fleet(spec);
+    let collector = testbed.collector();
+    collector
+        .registry()
+        .register_with_params(EXP, "locations", Msg::Null, ChannelSchema::json())
+        .expect("fresh channel registers");
+    collector
+        .deployment(&pogo::glue::localization_experiment(EXP))
+        .to(&fleet.jids())
+        .send()
+        .expect("the paper's scripts pass pre-deployment analysis");
+    testbed.run_lockstep(SimDuration::from_hours(2), SimDuration::from_mins(1));
+
+    let rows = collector.store().scan(&ScanQuery::exp(EXP));
+    assert!(rows.len() >= 20, "only {} places stored", rows.len());
+    let trace = export::to_jsonl(&testbed.obs().events());
+    let csv = pogo::ingest::export::to_csv(&rows);
+    trace
+        .bytes()
+        .chain(csv.bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// What [`localization_fleet_hash`] read at the parent of the commit that
+/// made each crate's modules private (c22c837). A change that means to
+/// move the script path's output or event order re-reads it there and
+/// says so; any other change leaves it alone.
+const LOCALIZATION_FLEET_HASH: u64 = 0xbf44_a406_2c2f_05eb;
+
+#[test]
+fn localization_fleet_trace_and_store_hash_is_pinned_across_commits() {
+    assert_eq!(
+        localization_fleet_hash(),
+        LOCALIZATION_FLEET_HASH,
+        "the scripted fleet's trace or store differs from the pinned commit's"
+    );
+}
+
 #[test]
 fn lockstep_stepping_changes_nothing_but_metrics() {
     let (trace_straight, rows_straight) = run_fleet(false);
