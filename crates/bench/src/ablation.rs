@@ -48,7 +48,7 @@ pub struct BatchingRow {
 }
 
 /// Runs the Table 3 "with Pogo" scenario (KPN) under one flush policy.
-pub fn measure_policy(policy: FlushPolicy, label: &str) -> BatchingRow {
+pub(crate) fn measure_policy(policy: FlushPolicy, label: &str) -> BatchingRow {
     let sim = pogo_sim::Sim::new();
     let mut testbed = Testbed::new(&sim);
     let (device, phone) = testbed.add(

@@ -31,7 +31,7 @@ pub struct Figure3 {
 impl Figure3 {
     /// The paper's headline quantity: the tail duration b→d in seconds
     /// (59.5 s in the KPN trace of Figure 3).
-    pub fn tail_secs(&self) -> f64 {
+    pub(crate) fn tail_secs(&self) -> f64 {
         self.d_secs - self.b_secs
     }
 }

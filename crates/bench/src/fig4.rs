@@ -14,7 +14,7 @@ use crate::report;
 
 /// Who did what when.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Actor {
+pub(crate) enum Actor {
     /// The application CPU (awake intervals).
     Cpu,
     /// The e-mail client (radio activity it triggers).
@@ -25,7 +25,7 @@ pub enum Actor {
 
 /// One timeline event.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Event {
+pub(crate) struct Event {
     /// Which component.
     pub actor: Actor,
     /// Seconds from the start of the captured slice.
@@ -38,7 +38,7 @@ pub struct Event {
 #[derive(Debug, Clone, Default)]
 pub struct Figure4 {
     /// Ordered events in the slice.
-    pub events: Vec<Event>,
+    pub(crate) events: Vec<Event>,
     /// Batch sizes Pogo pushed (the paper: "reported in batches of five").
     pub batch_sizes: Vec<usize>,
     /// Battery samples the collector's sample store ingested over the

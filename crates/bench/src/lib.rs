@@ -22,8 +22,8 @@
 pub mod ablation;
 pub mod fig3;
 pub mod fig4;
-pub mod report;
-pub mod session;
+mod report;
+mod session;
 pub mod table2;
 pub mod table3;
 pub mod table4;

@@ -33,7 +33,7 @@ pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
 
 /// Formats a byte count with thousands separators, like the paper's
 /// "6,278,929".
-pub fn thousands(n: u64) -> String {
+pub(crate) fn thousands(n: u64) -> String {
     let digits = n.to_string();
     let mut out = String::new();
     for (i, c) in digits.chars().enumerate() {

@@ -16,7 +16,7 @@ const DAY: u64 = 86_400_000;
 
 /// Everything measured from one user session.
 #[derive(Debug, Clone)]
-pub struct SessionResult {
+pub(crate) struct SessionResult {
     /// Table 4 row label.
     pub name: String,
     /// Raw access-point scans captured (the "Scans" column).
@@ -41,7 +41,12 @@ pub struct SessionResult {
 /// Runs one session. `days` can shorten the window for tests; the
 /// disruption days scale with the session's own window. `use_freeze`
 /// enables the §5.3 freeze/thaw fix (off in the paper's deployment).
-pub fn run_session(spec: &UserSpec, days: u64, seed: u64, use_freeze: bool) -> SessionResult {
+pub(crate) fn run_session(
+    spec: &UserSpec,
+    days: u64,
+    seed: u64,
+    use_freeze: bool,
+) -> SessionResult {
     run_session_with(spec, days, seed, use_freeze, ObsConfig::off()).0
 }
 

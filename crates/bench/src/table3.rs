@@ -44,12 +44,12 @@ pub struct Row {
 
 impl Row {
     /// Measured relative increase, percent.
-    pub fn increase_pct(&self) -> f64 {
+    pub(crate) fn increase_pct(&self) -> f64 {
         100.0 * (self.with_j - self.without_j) / self.without_j
     }
 
     /// Paper's relative increase, percent.
-    pub fn paper_increase_pct(&self) -> f64 {
+    pub(crate) fn paper_increase_pct(&self) -> f64 {
         100.0 * (self.paper_with_j - self.paper_without_j) / self.paper_without_j
     }
 }

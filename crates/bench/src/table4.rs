@@ -11,7 +11,7 @@ use crate::session::{run_session, SessionResult};
 #[derive(Debug, Clone)]
 pub struct Row {
     /// The session's measurements.
-    pub result: SessionResult,
+    pub(crate) result: SessionResult,
     /// Match percentage (exact).
     pub match_pct: f64,
     /// Partial-match percentage (superset of exact).
@@ -57,7 +57,7 @@ pub fn run(days: u64, seed: u64) -> Vec<Row> {
 
 /// Aggregate statistics across rows (the §5.3 prose numbers).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Totals {
+pub(crate) struct Totals {
     /// Total scans collected.
     pub scans: u64,
     /// Total raw bytes.
@@ -71,7 +71,7 @@ pub struct Totals {
 }
 
 /// Computes the aggregate §5.3 statistics.
-pub fn totals(rows: &[Row]) -> Totals {
+pub(crate) fn totals(rows: &[Row]) -> Totals {
     let scans: u64 = rows.iter().map(|r| r.result.scans as u64).sum();
     let raw_bytes: u64 = rows.iter().map(|r| r.result.raw_bytes as u64).sum();
     let locations: u64 = rows.iter().map(|r| r.result.locations as u64).sum();

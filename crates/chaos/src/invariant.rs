@@ -110,7 +110,7 @@ impl InvariantHarness {
     /// numeric key is rejected by the schema check and surfaces as
     /// `INGEST_SCHEMA_MISMATCH` in the collector's error log and
     /// stats, instead of reaching the store.
-    pub fn for_workload(
+    pub(crate) fn for_workload(
         testbed: &Testbed,
         workload: &'static str,
         audits: Vec<ChannelAudit>,
@@ -230,7 +230,7 @@ impl InvariantHarness {
     }
 
     /// Total samples the devices logged as sent across all audits.
-    pub fn sent_total(&self) -> u64 {
+    pub(crate) fn sent_total(&self) -> u64 {
         let inner = self.inner.borrow();
         let mut total = 0u64;
         for audit in &inner.audits {

@@ -6,13 +6,14 @@
 //!
 //! * scans are *sanitized* — locally administered BSSIDs removed — and
 //!   RSSI values normalized so 0 ↦ −100 dBm and 1 ↦ −55 dBm
-//!   ([`scan`]);
-//! * the distance metric is the cosine coefficient ([`similarity`]);
+//!   ([`RawScan::sanitize`], [`Scan`]);
+//! * the distance metric is the cosine coefficient ([`cosine`]);
 //! * clustering is "a modified version of the DBSCAN clustering
 //!   algorithm … a sliding window of 60 samples from which we extract
 //!   core objects", with clusters *closed* when the user moves away and
-//!   characterized by the member nearest the cluster mean ([`stream`]);
-//! * [`matching`] computes Table 4's exact/partial match percentages
+//!   characterized by the member nearest the cluster mean
+//!   ([`StreamClusterer`]);
+//! * [`match_clusters`] computes Table 4's exact/partial match percentages
 //!   between a ground-truth clustering and what a collector received.
 //!
 //! In the deployed system the streaming algorithm runs *inside the
@@ -21,12 +22,12 @@
 //! same algorithm over raw SD-card traces) and for differential testing
 //! of the script version.
 
-pub mod matching;
-pub mod scan;
-pub mod similarity;
-pub mod stream;
+mod matching;
+mod scan;
+mod similarity;
+mod stream;
 
 pub use matching::{match_clusters, MatchParams, MatchReport};
-pub use scan::{normalize_rssi, ApReading, Bssid, RawScan, Scan};
-pub use similarity::cosine;
+pub use scan::{ApReading, Bssid, ParseBssidError, RawScan, Scan};
+pub use similarity::{cosine, cosine_distance};
 pub use stream::{ClusterSummary, StreamClusterer, StreamConfig};

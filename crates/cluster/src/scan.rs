@@ -98,7 +98,7 @@ pub struct RawScan {
 
 /// Normalizes RSSI so that "0 and 1 correspond to −100 dBm and −55 dBm
 /// respectively" (§4.1), clamping outside that range.
-pub fn normalize_rssi(dbm: f64) -> f64 {
+pub(crate) fn normalize_rssi(dbm: f64) -> f64 {
     ((dbm + 100.0) / 45.0).clamp(0.0, 1.0)
 }
 

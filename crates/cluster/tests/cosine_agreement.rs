@@ -6,8 +6,7 @@
 //! (norms via a separate pass, no caching), so agreement is asserted to
 //! 1e-12 rather than exactly.
 
-use pogo_cluster::similarity::cosine_distance;
-use pogo_cluster::{cosine, Bssid, Scan};
+use pogo_cluster::{cosine, cosine_distance, Bssid, Scan};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 

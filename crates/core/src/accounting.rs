@@ -35,13 +35,13 @@ pub struct ResourceReport {
 
 impl ResourceReport {
     /// Estimated CPU seconds consumed by this script's code.
-    pub fn est_cpu_seconds(&self) -> f64 {
+    pub(crate) fn est_cpu_seconds(&self) -> f64 {
         self.steps as f64 / STEPS_PER_SECOND
     }
 
     /// Estimated CPU energy in joules at the given awake power draw
     /// (default Galaxy-Nexus calibration: 0.14 W).
-    pub fn est_cpu_joules(&self, awake_power_watts: f64) -> f64 {
+    pub(crate) fn est_cpu_joules(&self, awake_power_watts: f64) -> f64 {
         self.est_cpu_seconds() * awake_power_watts
     }
 }

@@ -374,7 +374,7 @@ impl Broker {
     /// Invoked with the post-change snapshot. The empty channel name
     /// subscribes to changes on *every* channel (used by the collector
     /// context to sync new subscriptions to member devices).
-    pub fn on_subscriptions_changed(
+    pub(crate) fn on_subscriptions_changed(
         &self,
         channel: &str,
         listener: impl Fn(&str, &[SubscriptionInfo]) + 'static,

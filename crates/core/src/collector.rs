@@ -301,7 +301,7 @@ impl CollectorNode {
     }
 
     /// The registry handle for declaring typed channels on this
-    /// collector — the consumption API (see [`crate::registry`]).
+    /// collector — the consumption API (see [`ChannelRegistry`]).
     pub fn registry(&self) -> ChannelRegistry {
         ChannelRegistry::new(self)
     }

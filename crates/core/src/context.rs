@@ -32,13 +32,13 @@ use crate::scheduler::Scheduler;
 use crate::value::Msg;
 
 /// Callback taking owned protocol messages; [`DeviceContext::new`] accepts
-/// one and adapts it to a [`DataSink`].
+/// one and adapts it to the borrowed sink the node encodes from.
 pub type Outbound = Rc<dyn Fn(ControlMsg)>;
 
 /// How a device context hands the data its mirrored subscriptions match
 /// to the node's transport: a view borrowed from the publisher, which the
 /// device node encodes straight into its store-and-forward buffer.
-pub type DataSink = Rc<dyn Fn(DataRef<'_>)>;
+pub(crate) type DataSink = Rc<dyn Fn(DataRef<'_>)>;
 
 // =============================== device side ===============================
 
@@ -90,7 +90,7 @@ impl DeviceContext {
     /// Creates an empty context for experiment `exp`, handing outbound
     /// data to `outbound` borrowed and recording broker and script
     /// activity into `obs`.
-    pub fn with_obs(
+    pub(crate) fn with_obs(
         exp: &str,
         version: u64,
         scheduler: &Scheduler,
@@ -162,7 +162,7 @@ impl DeviceContext {
     }
 
     /// Handles a control message addressed to this context.
-    pub fn handle_control(&self, ctl: &ControlMsg, from: &str) {
+    pub(crate) fn handle_control(&self, ctl: &ControlMsg, from: &str) {
         let broker = &self.inner.broker;
         match ctl {
             ControlMsg::Subscribe {
@@ -222,7 +222,7 @@ impl DeviceContext {
 
     /// Stops all scripts and drops mirrored subscriptions (undeploy or
     /// reboot). Frozen slots and logs live on in the device.
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         let scripts = self.inner.scripts.take();
         let mirrors = self.inner.mirrors.take();
         for script in scripts {
@@ -325,7 +325,7 @@ impl CollectorContext {
     }
 
     /// Adds a member device, syncing every existing subscription to it.
-    pub fn add_device(&self, device: &str) {
+    pub(crate) fn add_device(&self, device: &str) {
         let inner = &self.inner;
         {
             let mut devices = inner.devices.borrow_mut();
@@ -396,7 +396,7 @@ impl CollectorContext {
     }
 
     /// Handles a data message arriving from a member device.
-    pub fn handle_data(&self, from: &str, channel: &str, msg: &Msg, sub_ref: Option<u64>) {
+    pub(crate) fn handle_data(&self, from: &str, channel: &str, msg: &Msg, sub_ref: Option<u64>) {
         let broker = &self.inner.broker;
         match sub_ref {
             Some(r) => {

@@ -753,9 +753,6 @@ impl DeviceNode {
             ControlMsg::Subscribe { channel, .. } => !self.inner.cfg.privacy.is_allowed(channel),
             _ => false,
         };
-        if denied {
-            self.inner.cfg.privacy.record_denied();
-        }
         // Subscriptions may arrive before the Deploy (reordering across
         // the reliable layer): create the context shell so nothing is
         // lost. That already applies the persisted mirrors, including
@@ -837,13 +834,13 @@ impl DeviceNode {
     /// the traffic detector via [`DeviceNode::maybe_flush_on_tail`],
     /// because an open tail at enqueue time may be one the device itself
     /// paid for (flushing then would keep the modem alive forever).
-    pub fn maybe_flush(&self) {
+    pub(crate) fn maybe_flush(&self) {
         self.maybe_flush_inner(false);
     }
 
     /// §4.7 trigger: the tail detector saw *traffic* — some app just used
     /// the modem, so data pushed now rides that app's tail.
-    pub fn maybe_flush_on_tail(&self) {
+    pub(crate) fn maybe_flush_on_tail(&self) {
         self.maybe_flush_inner(true);
     }
 
@@ -1336,7 +1333,6 @@ mod tests {
             "vetoed channel keeps the sensor off"
         );
         assert_eq!(node.messages_sent(), 0, "no battery data leaves the phone");
-        assert_eq!(policy.denied_deliveries(), 1);
 
         // The owner changes their mind in the settings UI.
         policy.set_allowed("battery", true);

@@ -148,7 +148,7 @@ impl LogStore {
     }
 
     /// Number of lines in one log.
-    pub fn line_count(&self, log: &str) -> usize {
+    pub(crate) fn line_count(&self, log: &str) -> usize {
         self.inner
             .logs
             .borrow()
@@ -170,7 +170,6 @@ struct HostInner {
     /// Short strings the script has received in messages ([`SeenStrings`]).
     strings: RefCell<SeenStrings>,
     description: RefCell<Option<String>>,
-    autostart: Cell<bool>,
     prints: RefCell<Vec<String>>,
     subscriptions: RefCell<Vec<SubscriptionId>>,
     errors: RefCell<Vec<String>>,
@@ -242,7 +241,6 @@ impl ScriptHost {
                 interp: RefCell::new(Interpreter::new()),
                 strings: RefCell::default(),
                 description: RefCell::new(None),
-                autostart: Cell::new(true),
                 prints: RefCell::default(),
                 subscriptions: RefCell::default(),
                 errors: RefCell::default(),
@@ -329,14 +327,6 @@ impl ScriptHost {
         self.inner.description.borrow().clone()
     }
 
-    /// `setAutoStart` value (default `true`). The paper's UI lets users
-    /// manually start scripts that opted out of autostart; this
-    /// reproduction has no UI layer, so the flag is exposed for an
-    /// embedder to honour.
-    pub fn autostart(&self) -> bool {
-        self.inner.autostart.get()
-    }
-
     /// Debug output produced by `print`.
     pub fn prints(&self) -> Vec<String> {
         self.inner.prints.borrow().clone()
@@ -378,14 +368,14 @@ impl ScriptHost {
     }
 
     /// JSON bytes of the messages this script has published.
-    pub fn published_bytes(&self) -> u64 {
+    pub(crate) fn published_bytes(&self) -> u64 {
         self.inner.published_bytes.get()
     }
 
     /// Calls a script function value under the watchdog. Used by the
     /// framework for subscription events and timers; suppressed once the
     /// host is stopped.
-    pub fn invoke(&self, f: &Value, args: &[Value]) {
+    pub(crate) fn invoke(&self, f: &Value, args: &[Value]) {
         let inner = &self.inner;
         if inner.stopped.get() {
             return;
@@ -439,18 +429,10 @@ impl ScriptHost {
                 Ok(Value::Null)
             });
         }
-        // setAutoStart(start)
-        {
-            let weak = weak.clone();
-            interp.register_native("setAutoStart", move |_, args| {
-                if let Some(inner) = weak.upgrade() {
-                    inner
-                        .autostart
-                        .set(args.first().map(Value::is_truthy).unwrap_or(true));
-                }
-                Ok(Value::Null)
-            });
-        }
+        // setAutoStart(start): accepted and ignored. The paper's UI lets
+        // users start by hand a script that opted out; there is no UI here,
+        // so every deployed script starts.
+        interp.register_native("setAutoStart", |_, _| Ok(Value::Null));
         // print(message1[, ...])
         {
             let weak = weak.clone();
@@ -708,7 +690,7 @@ mod tests {
         h.load("setDescription('Wi-Fi localization'); setAutoStart(false);")
             .unwrap();
         assert_eq!(h.description().as_deref(), Some("Wi-Fi localization"));
-        assert!(!h.autostart());
+        assert!(h.errors().is_empty());
     }
 
     #[test]

@@ -11,45 +11,45 @@
 //!
 //! * [`value::Msg`] — messages are "a tree of key/value pairs, which map
 //!   directly onto JavaScript objects", serialized to JSON on the wire;
-//! * [`broker::Broker`] — topic-based publish/subscribe with
+//! * [`Broker`] — topic-based publish/subscribe with
 //!   parameterized subscriptions and subscription-change notifications
 //!   (so sensors can power down when nobody listens, §4.3);
 //! * [`sensor`] — the sensor manager and the wifi-scan / battery /
 //!   location sensors;
-//! * [`scheduler::Scheduler`] — power-aware task execution on top of
+//! * [`Scheduler`] — power-aware task execution on top of
 //!   alarms and wake locks (§4.5);
 //! * [`host::ScriptHost`] — the 11-method JavaScript API of Table 1,
 //!   including `freeze`/`thaw` persistence and the 100 ms callback
 //!   watchdog;
 //! * [`context`] — per-experiment sandboxes whose brokers sync with a
 //!   remote counterpart across the network (§4.2);
-//! * [`tail::TailDetector`] — §4.7's frozen-`Thread.sleep` traffic
+//! * the tail detector — §4.7's frozen-`Thread.sleep` traffic
 //!   detector driving transmission synchronization;
-//! * [`device::DeviceNode`] / [`collector::CollectorNode`] — the two node
-//!   roles, and [`testbed::Testbed`] wiring a whole deployment together;
-//! * [`registry`] — the collector's typed consumption API: declared
-//!   channel schemas feeding the `pogo-ingest` pipeline and its
+//! * [`DeviceNode`] / [`CollectorNode`] — the two node roles, and
+//!   [`Testbed`] wiring a whole deployment together;
+//! * [`ChannelRegistry`] — the collector's typed consumption API:
+//!   declared channel schemas feeding the `pogo-ingest` pipeline and its
 //!   queryable sample store.
 
 pub mod accounting;
-pub mod assignment;
-pub mod broker;
-pub mod collector;
+mod assignment;
+mod broker;
+mod collector;
 pub mod context;
-pub mod device;
-pub mod fleet;
+mod device;
+mod fleet;
 pub mod host;
-pub mod privacy;
+mod privacy;
 pub mod proto;
-pub mod registry;
-pub mod scheduler;
+mod registry;
+mod scheduler;
 pub mod sensor;
-pub mod tail;
-pub mod testbed;
+mod tail;
+mod testbed;
 pub mod value;
 
-pub use assignment::{Admin, DeviceProfile, DeviceRequest};
-pub use broker::{Broker, SubscriptionId};
+pub use assignment::{Admin, AssignError, DeviceProfile, DeviceRequest, GeoRect};
+pub use broker::{Broker, SubscriptionId, SubscriptionInfo};
 pub use collector::{CollectorNode, DeployError, Deployment};
 pub use device::{DeviceConfig, DeviceNode};
 pub use fleet::{Fleet, FleetMember, FleetSpec};
@@ -64,7 +64,6 @@ pub use privacy::PrivacyPolicy;
 pub use proto::ExperimentSpec;
 pub use registry::{ChannelFilter, ChannelRegistry, CollectorStats, SampleEvent};
 pub use scheduler::Scheduler;
-pub use tail::TailDetector;
 pub use testbed::{DeviceSetup, Testbed};
 pub use value::Msg;
 

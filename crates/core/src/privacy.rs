@@ -18,17 +18,6 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-/// Sensor channels the user can veto. Non-sensor (script-to-script)
-/// channels are never blocked: they carry data the experiment computed
-/// itself, inside its sandbox.
-pub const SENSOR_CHANNELS: [&str; 5] = [
-    "wifi-scan",
-    "battery",
-    "location",
-    "accelerometer",
-    "cell-id",
-];
-
 type ChangeListener = Rc<dyn Fn(&str, bool)>;
 
 #[derive(Default)]
@@ -36,7 +25,6 @@ struct Inner {
     /// Channel → allowed. Channels not present default to allowed.
     rules: BTreeMap<String, bool>,
     listeners: Vec<ChangeListener>,
-    denied_deliveries: u64,
 }
 
 /// A device owner's sharing preferences. Cheap to clone; clones share
@@ -51,7 +39,6 @@ impl std::fmt::Debug for PrivacyPolicy {
         let inner = self.inner.borrow();
         f.debug_struct("PrivacyPolicy")
             .field("rules", &inner.rules)
-            .field("denied_deliveries", &inner.denied_deliveries)
             .finish()
     }
 }
@@ -60,12 +47,12 @@ impl PrivacyPolicy {
     /// The default policy: everything shared (the §3.3 opportunistic
     /// opt-out model — installing Pogo is consent, the settings page is
     /// the veto).
-    pub fn allow_all() -> Self {
+    pub(crate) fn allow_all() -> Self {
         PrivacyPolicy::default()
     }
 
     /// True if experiments may observe `channel` on this device.
-    pub fn is_allowed(&self, channel: &str) -> bool {
+    pub(crate) fn is_allowed(&self, channel: &str) -> bool {
         *self.inner.borrow().rules.get(channel).unwrap_or(&true)
     }
 
@@ -90,27 +77,6 @@ impl PrivacyPolicy {
     pub fn on_change(&self, f: impl Fn(&str, bool) + 'static) {
         self.inner.borrow_mut().listeners.push(Rc::new(f));
     }
-
-    /// Counts a delivery suppressed by this policy (diagnostics shown in
-    /// the user's settings UI: "what did I veto lately?").
-    pub fn record_denied(&self) {
-        self.inner.borrow_mut().denied_deliveries += 1;
-    }
-
-    /// Number of sensor deliveries suppressed so far.
-    pub fn denied_deliveries(&self) -> u64 {
-        self.inner.borrow().denied_deliveries
-    }
-
-    /// Snapshot of explicit rules (for the settings UI).
-    pub fn rules(&self) -> Vec<(String, bool)> {
-        self.inner
-            .borrow()
-            .rules
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -120,7 +86,7 @@ mod tests {
     #[test]
     fn default_is_share_everything() {
         let p = PrivacyPolicy::allow_all();
-        for ch in SENSOR_CHANNELS {
+        for ch in pogo_script::analyze::SENSOR_CHANNELS {
             assert!(p.is_allowed(ch));
         }
         assert!(p.is_allowed("some-future-sensor"));
@@ -143,13 +109,5 @@ mod tests {
                 ("location".to_owned(), true)
             ]
         );
-    }
-
-    #[test]
-    fn denied_counter_accumulates() {
-        let p = PrivacyPolicy::allow_all();
-        p.record_denied();
-        p.record_denied();
-        assert_eq!(p.denied_deliveries(), 2);
     }
 }

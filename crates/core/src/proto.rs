@@ -85,7 +85,7 @@ impl std::error::Error for ProtoError {}
 /// device context hands its node per published sample, so the message
 /// tree is read once, by the encoder, and never cloned on the way.
 #[derive(Debug, Clone, Copy)]
-pub struct DataRef<'a> {
+pub(crate) struct DataRef<'a> {
     /// Experiment id.
     pub exp: &'a str,
     /// Channel published on.
@@ -98,12 +98,12 @@ pub struct DataRef<'a> {
 
 impl DataRef<'_> {
     /// Encodes to the JSON [`ControlMsg::to_json`] gives the owned form.
-    pub fn to_json(&self) -> String {
+    pub fn to_json(self) -> String {
         self.to_sized_json()
     }
 
     /// The owned protocol message.
-    pub fn to_control(&self) -> ControlMsg {
+    pub(crate) fn to_control(self) -> ControlMsg {
         ControlMsg::Data {
             exp: self.exp.to_owned(),
             channel: self.channel.to_owned(),

@@ -2,7 +2,7 @@
 //!
 //! Instead of wiring a raw callback per channel, a
 //! consumer *declares* the channels it wants with a
-//! [`ChannelSchema`](pogo_ingest::ChannelSchema) — type template,
+//! [`ChannelSchema`] — type template,
 //! optional value field, retention — and the collector does the rest:
 //! every inbound sample is type-checked, appended to the ingestion
 //! pipeline, batched into columnar form, and flushed into the

@@ -62,7 +62,7 @@ impl Scheduler {
     }
 
     /// Runs `task` after `delay`, waking the CPU if necessary.
-    pub fn run_later(&self, delay: SimDuration, task: impl FnOnce() + 'static) -> AlarmId {
+    pub(crate) fn run_later(&self, delay: SimDuration, task: impl FnOnce() + 'static) -> AlarmId {
         let counter = self.tasks_run.clone();
         let obs = self.obs.clone();
         self.cpu.set_alarm_in(delay, move || {
@@ -76,7 +76,7 @@ impl Scheduler {
     /// [`RepeatingAlarm::set_in`] on the result runs it once more, counted
     /// and woken for like a [`Scheduler::run_later`] task, and
     /// [`Scheduler::cancel`] takes the id it returns.
-    pub fn repeating(&self, task: impl Fn() + 'static) -> RepeatingAlarm {
+    pub(crate) fn repeating(&self, task: impl Fn() + 'static) -> RepeatingAlarm {
         let counter = self.tasks_run.clone();
         let obs = self.obs.clone();
         self.cpu.repeating_alarm(move || {
@@ -89,7 +89,7 @@ impl Scheduler {
     /// Runs `task` as soon as possible (still via the event loop, so the
     /// current call stack unwinds first — matching asynchronous delivery
     /// of publish/subscribe events).
-    pub fn run_soon(&self, task: impl FnOnce() + 'static) -> AlarmId {
+    pub(crate) fn run_soon(&self, task: impl FnOnce() + 'static) -> AlarmId {
         self.run_later(SimDuration::ZERO, task)
     }
 

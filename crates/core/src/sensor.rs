@@ -345,7 +345,7 @@ impl SensorManager {
     }
 
     /// Detaches a context (experiment undeployed / device rebooting).
-    pub fn detach_context(&self, exp: &str) {
+    pub(crate) fn detach_context(&self, exp: &str) {
         let mut state = self.inner.state.borrow_mut();
         state.brokers.retain(|(e, _)| e != exp);
         drop(state); // reconfigure borrows it again
@@ -355,7 +355,7 @@ impl SensorManager {
     }
 
     /// Stops everything (reboot). Bumps the epoch so in-flight ticks die.
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         let mut state = self.inner.state.borrow_mut();
         state.brokers.clear();
         state.epoch += 1;

@@ -27,13 +27,12 @@ struct Inner {
     period: SimDuration,
     last_counters: (u64, u64),
     on_traffic: Rc<dyn Fn(u64)>,
-    detections: u64,
     running: bool,
 }
 
 /// The §4.7 traffic detector. Cheap to clone; clones share state.
 #[derive(Clone)]
-pub struct TailDetector {
+pub(crate) struct TailDetector {
     inner: Rc<RefCell<Inner>>,
 }
 
@@ -42,7 +41,6 @@ impl std::fmt::Debug for TailDetector {
         let inner = self.inner.borrow();
         f.debug_struct("TailDetector")
             .field("running", &inner.running)
-            .field("detections", &inner.detections)
             .finish()
     }
 }
@@ -68,7 +66,6 @@ impl TailDetector {
                     period,
                     last_counters: (tx, rx),
                     on_traffic: Rc::new(on_traffic),
-                    detections: 0,
                     running: false,
                 })
             }),
@@ -92,15 +89,10 @@ impl TailDetector {
         self.inner.borrow_mut().running = false;
     }
 
-    /// Number of traffic detections so far.
-    pub fn detections(&self) -> u64 {
-        self.inner.borrow().detections
-    }
-
     /// Re-baselines the byte counters to their current values. The device
     /// node calls this when its own upload completes so Pogo's traffic is
     /// not mistaken for another app's (real Pogo knows what it sent).
-    pub fn resync(&self) {
+    pub(crate) fn resync(&self) {
         let mut inner = self.inner.borrow_mut();
         inner.last_counters = inner.phone.mobile_byte_counters();
     }
@@ -123,7 +115,6 @@ impl TailDetector {
             let delta = (tx - ltx) + (rx - lrx);
             inner.last_counters = (tx, rx);
             if delta > 0 {
-                inner.detections += 1;
                 Some((inner.on_traffic.clone(), delta))
             } else {
                 None
@@ -157,7 +148,6 @@ mod tests {
         sim.run_for(SimDuration::from_mins(31));
         // 6 e-mail checks in 31 minutes, each detected once.
         assert_eq!(hits.get(), 6);
-        assert_eq!(detector.detections(), 6);
     }
 
     #[test]
@@ -199,13 +189,17 @@ mod tests {
         let sim = Sim::new();
         let phone = Phone::new(&sim, PhoneConfig::default());
         let _email = PeriodicNetApp::install(&phone, NetAppConfig::email());
-        let detector = TailDetector::new(&phone, SimDuration::from_secs(1), |_| {});
+        let hits = Rc::new(Cell::new(0u32));
+        let h = hits.clone();
+        let detector = TailDetector::new(&phone, SimDuration::from_secs(1), move |_| {
+            h.set(h.get() + 1)
+        });
         detector.start();
         sim.run_for(SimDuration::from_mins(12));
-        let before = detector.detections();
+        let before = hits.get();
         assert!(before >= 2);
         detector.stop();
         sim.run_for(SimDuration::from_mins(20));
-        assert_eq!(detector.detections(), before);
+        assert_eq!(hits.get(), before);
     }
 }

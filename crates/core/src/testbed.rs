@@ -3,7 +3,7 @@
 //!
 //! A convenience layer used by the examples, integration tests, and
 //! experiment harness; production users can wire
-//! [`crate::device::DeviceNode`] and [`crate::collector::CollectorNode`]
+//! [`DeviceNode`](crate::DeviceNode) and [`CollectorNode`](crate::CollectorNode)
 //! directly.
 
 use pogo_net::{Jid, Switchboard};

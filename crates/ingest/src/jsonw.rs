@@ -28,7 +28,7 @@ impl fmt::Write for ByteCounter {
 /// # Errors
 ///
 /// Propagates the sink's write error.
-pub fn write_int<W: fmt::Write>(value: i64, out: &mut W) -> fmt::Result {
+pub(crate) fn write_int<W: fmt::Write>(value: i64, out: &mut W) -> fmt::Result {
     let mut buf = [0u8; 20]; // i64::MIN is 20 bytes with the sign
     let mut pos = buf.len();
     let negative = value < 0;

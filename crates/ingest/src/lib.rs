@@ -26,13 +26,13 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
-pub mod error;
+mod batch;
+mod error;
 pub mod export;
 pub mod jsonw;
-pub mod pipeline;
-pub mod schema;
-pub mod store;
+mod pipeline;
+mod schema;
+mod store;
 
 pub use batch::Watermarks;
 pub use error::IngestError;

@@ -22,27 +22,17 @@ pub struct GeoPoint {
 #[derive(Debug, Clone)]
 pub struct GeolocationService {
     world: World,
-    lookups: std::rc::Rc<std::cell::Cell<u64>>,
 }
 
 impl GeolocationService {
     /// Creates a service backed by `world`'s AP database.
     pub fn new(world: World) -> Self {
-        GeolocationService {
-            world,
-            lookups: std::rc::Rc::new(std::cell::Cell::new(0)),
-        }
-    }
-
-    /// Number of lookups served (the experiment reports API usage).
-    pub fn lookups(&self) -> u64 {
-        self.lookups.get()
+        GeolocationService { world }
     }
 
     /// Locates a scan: the strength-weighted centroid of its resolvable
     /// APs, or `None` if no AP is in the database.
     pub fn locate(&self, scan: &Scan) -> Option<GeoPoint> {
-        self.lookups.set(self.lookups.get() + 1);
         let mut lat_sum = 0.0;
         let mut lon_sum = 0.0;
         let mut weight_sum = 0.0;
@@ -87,7 +77,6 @@ mod tests {
         let point = service.locate(&scan).expect("resolvable");
         assert!((point.lat - place.lat).abs() < 1e-9);
         assert!((point.lon - place.lon).abs() < 1e-9);
-        assert_eq!(service.lookups(), 1);
     }
 
     #[test]

@@ -13,7 +13,6 @@ use crate::world::{PlaceId, World};
 pub struct ScanSynthesizer {
     rng: SimRng,
     rssi_noise_std: f64,
-    scans_produced: u64,
 }
 
 impl ScanSynthesizer {
@@ -22,13 +21,7 @@ impl ScanSynthesizer {
         ScanSynthesizer {
             rng,
             rssi_noise_std: 2.5,
-            scans_produced: 0,
         }
-    }
-
-    /// Number of scans synthesized so far.
-    pub fn scans_produced(&self) -> u64 {
-        self.scans_produced
     }
 
     /// Synthesizes an accelerometer reading for the current activity:
@@ -105,7 +98,6 @@ impl ScanSynthesizer {
                 rssi_dbm: self.rng.gauss(-70.0, 5.0),
             });
         }
-        self.scans_produced += 1;
         Some(RawScan {
             timestamp_ms: t_ms,
             readings,
@@ -131,7 +123,12 @@ mod tests {
     fn phone_off_yields_no_scan() {
         let (world, mut synth) = setup();
         assert!(synth.scan(&world, Whereabouts::PhoneOff, 0).is_none());
-        assert_eq!(synth.scans_produced(), 0);
+        // Nothing was drawn: the next scan is a fresh synthesizer's first.
+        let (_, mut fresh) = setup();
+        assert_eq!(
+            synth.scan(&world, Whereabouts::Transit, 0),
+            fresh.scan(&world, Whereabouts::Transit, 0)
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@ pub struct PlaceId(pub usize);
 /// One access point: identity, typical signal strength at the place it
 /// serves, and how reliably a scan detects it.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ApSpec {
+pub(crate) struct ApSpec {
     /// The AP's MAC address.
     pub bssid: Bssid,
     /// Mean RSSI observed at the place, in dBm.
@@ -29,7 +29,7 @@ pub struct Place {
     /// Longitude in degrees.
     pub lon: f64,
     /// Access points audible at this place.
-    pub aps: Vec<ApSpec>,
+    pub(crate) aps: Vec<ApSpec>,
 }
 
 /// The synthetic world: every place of every user plus the street-AP pool
@@ -98,20 +98,20 @@ impl World {
     }
 
     /// The street-AP pool (transit noise).
-    pub fn street_aps(&self) -> &[ApSpec] {
+    pub(crate) fn street_aps(&self) -> &[ApSpec] {
         &self.street_aps
     }
 
     /// A fresh locally administered BSSID (ad-hoc interference for the
     /// sanitizer to remove). Deterministic in `salt`.
-    pub fn local_admin_bssid(salt: u64) -> Bssid {
+    pub(crate) fn local_admin_bssid(salt: u64) -> Bssid {
         Bssid::new(LOCAL_AP_BASE + (salt % 0xFFFF))
     }
 
     /// Looks up where an AP lives: its place's coordinates, or the city
     /// center for street APs. `None` for unknown BSSIDs — the geolocation
     /// service cannot resolve them.
-    pub fn ap_location(&self, bssid: Bssid) -> Option<(f64, f64)> {
+    pub(crate) fn ap_location(&self, bssid: Bssid) -> Option<(f64, f64)> {
         let raw = bssid.raw();
         if (PLACE_AP_BASE..STREET_AP_BASE).contains(&raw) {
             let place_idx = ((raw - PLACE_AP_BASE) / 64) as usize;

@@ -5,30 +5,30 @@
 //! collector nodes" (§4.2, §4.6). This crate rebuilds the pieces of that
 //! stack the middleware's behaviour depends on:
 //!
-//! * [`server::Switchboard`] — the Openfire equivalent: accounts,
+//! * [`Switchboard`] — the Openfire equivalent: accounts,
 //!   admin-managed rosters (the device↔researcher associations), and
 //!   routing between connected sessions only;
-//! * [`server::Session`] — a client connection. Like a real TCP/XMPP
+//! * [`Session`] — a client connection. Like a real TCP/XMPP
 //!   session over a mobile bearer, **in-flight messages are lost when the
 //!   session drops** (interface handover), which is exactly why Pogo
 //!   implements its own end-to-end acknowledgements;
-//! * [`store::MessageStore`] — the embedded-SQL-database substitute:
+//! * [`MessageStore`] — the embedded-SQL-database substitute:
 //!   a persistent outgoing buffer that survives reboots and purges
 //!   messages older than a configurable age (the fateful 24-hour expiry
 //!   of §5.3);
-//! * [`reliable::DedupFilter`] — receiver-side de-duplication, the other
+//! * [`DedupFilter`] — receiver-side de-duplication, the other
 //!   half of Pogo's "own end-to-end acknowledgements on top of XMPP"
-//!   (the sender side is [`store::MessageStore::ack`]);
-//! * [`batch::FlushPolicy`] — when to push buffered data: on a detected
+//!   (the sender side is [`MessageStore::ack`]);
+//! * [`FlushPolicy`] — when to push buffered data: on a detected
 //!   3G tail (Pogo's mechanism), at fixed intervals, when charging, or
 //!   immediately (the ablation baselines).
 
-pub mod batch;
+mod batch;
 pub mod jid;
-pub mod reliable;
-pub mod server;
-pub mod store;
-pub mod wire;
+mod reliable;
+mod server;
+mod store;
+mod wire;
 
 pub use batch::FlushPolicy;
 pub use jid::{Jid, ParseJidError};

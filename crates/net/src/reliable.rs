@@ -1,7 +1,7 @@
 //! End-to-end reliability: Pogo's "own end-to-end acknowledgements on top
 //! of XMPP to recover from message loss" (§4.6).
 //!
-//! The sender keeps messages in the [`crate::store::MessageStore`] until
+//! The sender keeps messages in the [`MessageStore`](crate::MessageStore) until
 //! the *recipient* acknowledges them (`MessageStore::ack` is the whole
 //! sender side); retransmissions after a reconnect can therefore
 //! duplicate messages, which the receiving side filters with a

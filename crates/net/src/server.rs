@@ -460,7 +460,8 @@ impl Session {
     /// Sends a payload to `to`, subject to roster authorization. Delivery
     /// is asynchronous and may silently fail if either session dies while
     /// the envelope is in flight, or if the recipient is offline — use the
-    /// [`crate::reliable`] layer on top.
+    /// reliable layer ([`MessageStore`](crate::MessageStore) plus
+    /// [`DedupFilter`](crate::DedupFilter)) on top.
     ///
     /// # Errors
     ///

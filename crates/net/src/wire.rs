@@ -19,7 +19,7 @@ pub enum Payload {
 
 impl Payload {
     /// Payload size in bytes as transferred.
-    pub fn size_bytes(&self) -> u64 {
+    pub(crate) fn size_bytes(&self) -> u64 {
         match self {
             Payload::Data(s) => s.len() as u64,
             Payload::Ack(ids) => 8 * ids.len() as u64,

@@ -276,7 +276,7 @@ impl Cpu {
 
     /// Marks CPU activity: wakes the CPU if asleep and restarts the linger
     /// countdown.
-    pub fn poke(&self) {
+    pub(crate) fn poke(&self) {
         let wake_actions = {
             let mut inner = self.inner.borrow_mut();
             inner.last_activity = inner.sim.now();

@@ -133,7 +133,7 @@ impl EnergyMeter {
     }
 
     /// Current total draw across all of this meter's rails in watts.
-    pub fn total_power(&self) -> f64 {
+    pub(crate) fn total_power(&self) -> f64 {
         self.state.borrow().total_watts()
     }
 
@@ -203,11 +203,6 @@ pub struct PowerTrace {
 }
 
 impl PowerTrace {
-    /// The raw `(instant, watts)` change points.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
     /// The instant recording stopped.
     pub fn end(&self) -> SimTime {
         self.end
@@ -267,6 +262,14 @@ impl PowerTrace {
     /// Peak power over the trace in watts.
     pub fn peak_watts(&self) -> f64 {
         self.points.iter().map(|&(_, w)| w).fold(0.0, f64::max)
+    }
+}
+
+#[cfg(test)]
+impl PowerTrace {
+    /// The raw `(instant, watts)` change points.
+    pub(crate) fn points(&self) -> &[(SimTime, f64)] {
+        &self.points
     }
 }
 

@@ -6,35 +6,35 @@
 //! ADC. This crate rebuilds exactly the behaviours the paper's mechanisms
 //! and measurements depend on:
 //!
-//! * an [`energy::EnergyMeter`] that integrates per-rail power draw over
+//! * an [`EnergyMeter`] that integrates per-rail power draw over
 //!   simulated time (the ADC substitute — see Table 3 and Figure 3),
-//! * a [`cpu::Cpu`] with wake locks, alarms, a post-activity awake linger,
+//! * a [`Cpu`] with wake locks, alarms, a post-activity awake linger,
 //!   and *sleep-frozen timers* — the `Thread.sleep` side effect Pogo's tail
 //!   detection exploits (§4.7),
-//! * a [`radio::CellularModem`] implementing the IDLE → ramp-up → DCH →
+//! * a [`CellularModem`] implementing the IDLE → ramp-up → DCH →
 //!   FACH → IDLE RRC state machine with per-carrier tail timers
-//!   ([`radio::CarrierProfile`]; KPN / T-Mobile / Vodafone from §5.2),
-//! * a [`wifi::WifiRadio`] with scan and transfer energy costs,
-//! * [`connectivity::Connectivity`] for interface handover events, and
-//! * [`apps::PeriodicNetApp`], the background e-mail checker whose radio
+//!   ([`CarrierProfile`]; KPN / T-Mobile / Vodafone from §5.2),
+//! * a [`WifiRadio`] with scan and transfer energy costs,
+//! * [`Connectivity`] for interface handover events, and
+//! * [`PeriodicNetApp`], the background e-mail checker whose radio
 //!   tails Pogo piggybacks on.
 //!
-//! Everything is assembled by [`phone::Phone`].
+//! Everything is assembled by [`Phone`].
 
-pub mod apps;
-pub mod battery;
-pub mod connectivity;
-pub mod cpu;
-pub mod energy;
-pub mod phone;
-pub mod radio;
-pub mod wifi;
+mod apps;
+mod battery;
+mod connectivity;
+mod cpu;
+mod energy;
+mod phone;
+mod radio;
+mod wifi;
 
 pub use apps::{NetAppConfig, PeriodicNetApp};
 pub use battery::Battery;
 pub use connectivity::{Bearer, Connectivity};
 pub use cpu::{AlarmId, Cpu, CpuConfig, FrozenTimer, RepeatingAlarm, WakeLock};
 pub use energy::{EnergyMeter, PowerTrace, RailId};
-pub use phone::{Phone, PhoneConfig};
+pub use phone::{OfflineError, Phone, PhoneConfig};
 pub use radio::{CarrierProfile, CellularModem, RadioState};
 pub use wifi::{WifiConfig, WifiRadio};

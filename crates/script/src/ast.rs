@@ -212,7 +212,7 @@ pub enum Expr {
 
 impl Expr {
     /// True if this expression is a valid assignment target.
-    pub fn is_lvalue(&self) -> bool {
+    pub(crate) fn is_lvalue(&self) -> bool {
         matches!(
             self,
             Expr::Ident(_) | Expr::Member { .. } | Expr::Index { .. }

@@ -377,11 +377,13 @@ pub fn call_array_method(
                 _ => {
                     let all_nums = v.iter().all(|x| matches!(x, Value::Num(_)));
                     if all_nums {
+                        // NaN after every number and equal to any NaN: a
+                        // total order, which std's sort may panic without.
                         v.sort_by(|a, b| {
-                            a.as_num()
-                                .unwrap()
-                                .partial_cmp(&b.as_num().unwrap())
-                                .unwrap_or(std::cmp::Ordering::Equal)
+                            let (a, b) = (a.as_num().unwrap(), b.as_num().unwrap());
+                            a.is_nan().cmp(&b.is_nan()).then_with(|| {
+                                a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal)
+                            })
                         });
                     } else {
                         v.sort_by_key(|a| a.to_display_string());
@@ -605,6 +607,26 @@ mod tests {
             Value::str("3,2,1")
         );
         assert_eq!(eval("['b','a'].sort().join(',');"), Value::str("a,b"));
+    }
+
+    #[test]
+    fn array_sort_puts_nan_last_instead_of_panicking() {
+        for n in 20..=64 {
+            let src = format!(
+                "var a = []; var i = 0; while (i < {n}) {{ a.push(i % 3 == 0 ? 0/0 : {n} - i); i = i + 1; }} a.sort().join(',');"
+            );
+            let mut numbers: Vec<f64> = (0..n)
+                .filter(|i| i % 3 != 0)
+                .map(|i| f64::from(n - i))
+                .collect();
+            numbers.sort_by(f64::total_cmp);
+            let mut expected: Vec<String> = numbers
+                .into_iter()
+                .map(crate::value::format_number)
+                .collect();
+            expected.extend((0..n).filter(|i| i % 3 == 0).map(|_| "NaN".to_owned()));
+            assert_eq!(eval(&src), Value::str(expected.join(",")), "length {n}");
+        }
     }
 
     #[test]

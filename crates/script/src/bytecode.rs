@@ -1,4 +1,4 @@
-//! The compact bytecode format executed by [`crate::vm`].
+//! The compact bytecode format the VM (`vm.rs`) executes.
 //!
 //! A compiled function is an [`FnProto`]: a flat instruction stream
 //! ([`Op`]) plus the side tables it indexes — a constant pool, nested
@@ -305,7 +305,7 @@ impl Clone for MemberSite {
 
 /// Where one candidate binding for a [`ChainInfo`] lives.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ChainRef {
+pub(crate) enum ChainRef {
     /// A plain slot in the current frame.
     Local(u16),
     /// A cell slot in the current frame.
@@ -320,7 +320,7 @@ pub enum ChainRef {
 /// have executed yet: candidates are probed innermost-out and the
 /// first *bound* one wins, reproducing the tree-walk scope chain.
 #[derive(Debug, Clone)]
-pub struct ChainInfo {
+pub(crate) struct ChainInfo {
     pub name: Rc<str>,
     pub cands: Box<[ChainRef]>,
 }
@@ -347,7 +347,7 @@ pub struct Chunk {
     pub shapes: Vec<Rc<[Rc<str>]>>,
     pub globals: Vec<GlobalSite>,
     pub members: Vec<MemberSite>,
-    pub chains: Vec<ChainInfo>,
+    pub(crate) chains: Vec<ChainInfo>,
     /// Frame slots this function needs (locals, cells, iterators).
     pub n_slots: u16,
     /// What the VM dispatches on: `ops` index by index, with the head of
@@ -383,12 +383,12 @@ pub struct CompiledProgram {
 
 impl Chunk {
     /// Instructions in this chunk and, recursively, its prototypes.
-    pub fn total_ops(&self) -> u64 {
+    pub(crate) fn total_ops(&self) -> u64 {
         self.ops.len() as u64 + self.protos.iter().map(|p| p.chunk.total_ops()).sum::<u64>()
     }
 
     /// Prototypes in this chunk and, recursively, below it.
-    pub fn total_fns(&self) -> u32 {
+    pub(crate) fn total_fns(&self) -> u32 {
         self.protos
             .iter()
             .map(|p| 1 + p.chunk.total_fns())

@@ -87,7 +87,7 @@ pub fn compile_cached(source: &str) -> Result<Rc<CompiledProgram>, ScriptError> 
 /// # Errors
 ///
 /// As for [`compile`].
-pub fn compile_program(program: &[Stmt]) -> Result<CompiledProgram, ScriptError> {
+pub(crate) fn compile_program(program: &[Stmt]) -> Result<CompiledProgram, ScriptError> {
     let prog = lower_program(program)?;
     if let Err(e) = crate::verify::check(&prog) {
         debug_assert!(false, "compiler emitted an invalid chunk: {e}");

@@ -1,6 +1,6 @@
 //! Script execution: the host-facing [`Interpreter`] API — global
 //! scope, watchdog budget, calls into script — and the value operations
-//! the bytecode VM ([`crate::vm`]) falls back to off its fast paths.
+//! the bytecode VM (`vm.rs`) falls back to off its fast paths.
 
 use std::rc::Rc;
 
@@ -428,7 +428,7 @@ impl Interpreter {
     }
 
     /// The line currently being executed (for native error reporting).
-    pub fn current_line(&self) -> u32 {
+    pub(crate) fn current_line(&self) -> u32 {
         self.current_line
     }
 }

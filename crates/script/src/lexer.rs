@@ -9,7 +9,7 @@ use crate::token::{Token, TokenKind};
 ///
 /// Returns [`ErrorKind::Parse`] errors for unterminated strings or
 /// comments, malformed numbers, and unexpected characters.
-pub fn tokenize(source: &str) -> Result<Vec<Token>, ScriptError> {
+pub(crate) fn tokenize(source: &str) -> Result<Vec<Token>, ScriptError> {
     Lexer::new(source).run()
 }
 

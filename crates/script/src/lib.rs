@@ -50,20 +50,20 @@ pub mod analyze;
 pub mod ast;
 pub mod builtins;
 pub mod bytecode;
-pub mod compile;
-pub mod diag;
+mod compile;
+mod diag;
 pub mod env;
-pub mod error;
-pub mod gate;
-pub mod interp;
-pub mod lexer;
-pub mod parser;
-pub(crate) mod quicken;
-pub mod sloc;
-pub mod token;
+mod error;
+mod gate;
+mod interp;
+mod lexer;
+mod parser;
+mod quicken;
+mod sloc;
+mod token;
 pub mod value;
 pub mod verify;
-pub(crate) mod vm;
+mod vm;
 
 pub use absint::{
     analyze_costs, cost_diagnostics, Bound, Cost, CostBudgets, CostReport, Max, LOAD_BUDGET,
@@ -71,7 +71,7 @@ pub use absint::{
 };
 pub use analyze::{analyze, analyze_bundle, analyze_bundle_with, analyze_with, AnalyzeOptions};
 pub use bytecode::{disassemble, CompiledProgram};
-pub use compile::{compile, compile_cached, compile_program};
+pub use compile::{compile, compile_cached};
 pub use diag::{Diagnostic, Rule, Severity};
 pub use error::{ErrorKind, ScriptError};
 pub use gate::{deploy_gate, GateReport};

@@ -21,7 +21,7 @@ pub const MAX_NESTING: usize = 128;
 /// # Errors
 ///
 /// Returns the first lexical or syntactic error, annotated with its line;
-/// nesting deeper than [`MAX_NESTING`] is such an error.
+/// nesting deeper than `MAX_NESTING` (128) levels is such an error.
 ///
 /// # Example
 ///

@@ -4,7 +4,7 @@ use std::fmt;
 
 /// A lexical token with its 1-based source line.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub(crate) struct Token {
     /// The token kind and payload.
     pub kind: TokenKind,
     /// 1-based line the token starts on.
@@ -13,7 +13,7 @@ pub struct Token {
 
 /// Every token kind PogoScript knows.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     // Literals and identifiers
     Number(f64),
     Str(String),
@@ -82,7 +82,7 @@ pub enum TokenKind {
 
 impl TokenKind {
     /// Keyword lookup for identifiers.
-    pub fn keyword(word: &str) -> Option<TokenKind> {
+    pub(crate) fn keyword(word: &str) -> Option<TokenKind> {
         Some(match word {
             "var" => TokenKind::Var,
             "do" => TokenKind::Do,

@@ -301,7 +301,7 @@ impl Drop for ObjMap {
 }
 
 /// The elements of a script array: a `Vec<Value>`, which it derefs to, in
-/// all but the way it is dropped (see [`drop_children`]).
+/// all but the way it is dropped (see `drop_children`).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Items(Vec<Value>);
 

@@ -1,7 +1,7 @@
 //! Per-device wall clocks that can drift and step away from simulated
 //! truth.
 //!
-//! The event queue always runs on the global [`Sim`](crate::Sim) clock —
+//! The event queue always runs on the global [`Sim`] clock —
 //! timers have *elapsed-time* semantics, exactly like Android's
 //! `SystemClock.elapsedRealtime()` alarms — but the timestamps a phone
 //! *reports* come from its own real-time clock, which in the field

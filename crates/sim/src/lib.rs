@@ -25,12 +25,12 @@
 //! assert_eq!(hits.get(), 1);
 //! ```
 
-pub mod arena;
-pub mod clock;
+mod arena;
+mod clock;
 pub mod queue;
-pub mod rng;
-pub mod sim;
-pub mod time;
+mod rng;
+mod sim;
+mod time;
 
 pub use arena::DeviceId;
 pub use clock::DeviceClock;

@@ -9,7 +9,7 @@
 //! makes push O(1) and pop amortized O(levels): an event is touched at
 //! most once per level as it cascades toward the slot it fires from.
 //!
-//! Layout: [`LEVELS`] wheels of [`SLOTS`] slots each; level `l` slots
+//! Layout: `LEVELS` wheels of `SLOTS` slots each; level `l` slots
 //! span `64^l` ms, so the hierarchy covers `64^7` ms ≈ 139 years.
 //! Entries are placed at the *smallest* level whose current frame
 //! (the span of one parent slot) contains their deadline, which keeps

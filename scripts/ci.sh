@@ -3,11 +3,13 @@
 #
 #   scripts/ci.sh              build + size, public-surface, work-counter and oracle lines + tests + lint gates + benchmark smoke
 #   scripts/ci.sh --no-perf    skip the benchmark build, smoke pass and unit tests
-#   scripts/ci.sh --no-lint    skip fmt/clippy/pogo-lint (e.g. older toolchain)
+#   scripts/ci.sh --no-lint    skip fmt/clippy/rustdoc/pogo-lint (e.g. older toolchain)
 #   scripts/ci.sh --no-chaos   skip the chaos_soak fault-injection gate
 #
 # Lint gates (Rust- and script-side static analysis):
 #   * cargo fmt --check and cargo clippy -D warnings over the workspace;
+#   * rustdoc -D warnings over the workspace (a doc link to a private
+#     module or item fails it);
 #   * pogo-lint --rust-embedded over the inline scripts in examples/.
 # The deploy gate over the bundle in assets/scripts/ (no error-severity
 # finding, exactly the pinned P30x warnings) is a tier-1 golden:
@@ -66,6 +68,7 @@ cargo test -q
 if [[ "$run_lint" == 1 ]]; then
     cargo fmt --check
     cargo clippy --all-targets -- -D warnings
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
     ./target/release/pogo-lint --rust-embedded examples/*.rs
 fi
 

@@ -30,7 +30,8 @@
 #       outside their own crate, listed by crate: candidates for `pub(crate)`.
 #       A crate is one library's src/ (its src/bin/*.rs are crates of their
 #       own); a crate's tests/, benches/ and examples/, the root tests/ and
-#       examples/, and benchmark/ count as outside. Also a grep over names:
+#       examples/, and benchmark/ count as outside. vendor/ is left out: its
+#       public items mirror an upstream crate's API. Also a grep over names:
 #       an item whose name is common (`new`, `len`) never shows. Report-only.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -110,7 +111,7 @@ if [[ "$crate_local" == 1 ]]; then
             benchmark/* | tests/* | */tests/*) crate="$f" kind=C ;;
             examples/* | */examples/* | */benches/* | */src/bin/*) crate="${f%.rs}" kind=D ;;
             crates/*) crate="${f#crates/}" && crate="${crate%%/*}" kind=D ;;
-            vendor/*) crate="${f#vendor/}" && crate="${crate%%/*}" kind=D ;;
+            vendor/*) continue ;;
             *) crate=pogo kind=D ;;
         esac
         show "$f" | awk -v crate="$crate" -v kind="$kind" '

@@ -30,7 +30,7 @@ const STORE_FLUSH: SimDuration = SimDuration::from_secs(90);
 /// freeze slot the paper's deployment leaves free (`USE_FREEZE` off),
 /// so the counter survives reboots even though the cluster state does
 /// not — exactly the property the frozen-monotonicity invariant needs.
-pub fn clustering_js_chaos() -> String {
+pub(crate) fn clustering_js_chaos() -> String {
     let with_seq = glue::CLUSTERING_JS.replace(
         "var saved = thaw();",
         "var saved = thaw();\nvar cseq = saved == null ? 0 : saved.cseq;",
@@ -60,7 +60,7 @@ pub fn clustering_js_chaos() -> String {
 /// `roguefinder.js` with the chaos sequence counter on the geofenced
 /// `filtered-scans` stream; same freeze-before-publish discipline as
 /// [`clustering_js_chaos`].
-pub fn roguefinder_js_chaos() -> String {
+pub(crate) fn roguefinder_js_chaos() -> String {
     let descr = "setDescription('RogueFinder: scan for APs inside a target area');";
     let with_seq = glue::ROGUEFINDER_JS.replace(
         descr,

@@ -75,7 +75,7 @@ pub fn scan_from_msg(msg: &Msg) -> Option<Scan> {
 
 /// Parses a raw sensor scan message (`{timestamp, aps: [{bssid, rssi}]}`
 /// as logged by `scan.js` to `raw-scans`) into a native [`RawScan`].
-pub fn raw_scan_from_msg(msg: &Msg) -> Option<RawScan> {
+pub(crate) fn raw_scan_from_msg(msg: &Msg) -> Option<RawScan> {
     let timestamp_ms = msg.get("timestamp").and_then(Msg::as_num)? as u64;
     let aps = msg.get("aps")?.as_arr()?;
     let mut readings = Vec::with_capacity(aps.len());

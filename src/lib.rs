@@ -51,7 +51,7 @@ pub use pogo_script as script;
 pub use pogo_sim as sim;
 
 pub mod chaos_workloads;
-pub mod error;
+mod error;
 pub mod glue;
 
 pub use error::{Error, ErrorCode};

@@ -7,7 +7,10 @@ use std::rc::Rc;
 
 use pogo::core::proto::ScriptSpec;
 use pogo::core::sensor::{SensorSources, WifiReading};
-use pogo::core::{ChannelFilter, DeviceSetup, ExperimentSpec, Testbed};
+use pogo::core::{
+    ChannelFilter, ChannelSchema, DeviceSetup, ExperimentSpec, Msg, PrivacyPolicy, ScanQuery,
+    Testbed,
+};
 use pogo::glue;
 use pogo::net::FlushPolicy;
 use pogo::platform::Bearer;
@@ -69,6 +72,55 @@ fn identical_seeds_replay_identically() {
     let b = run();
     assert!(!a.is_empty());
     assert_eq!(a, b, "replays diverged");
+}
+
+#[test]
+fn owner_veto_in_the_device_config_keeps_a_channel_on_the_phone() {
+    // §3.3: the owner's sharing settings are a `PrivacyPolicy` the
+    // embedder hands the device's config. A veto keeps the sensor off and
+    // the channel's data on the phone; lifting it lets the data flow.
+    let sim = Sim::new();
+    let mut testbed = Testbed::new(&sim);
+    let policy = PrivacyPolicy::default();
+    policy.set_allowed("battery", false);
+    let owner = policy.clone();
+    let (device, _phone) = testbed.add(DeviceSetup::named("phone").configure(move |cfg| {
+        let mut cfg = immediate(cfg);
+        cfg.privacy = owner;
+        cfg
+    }));
+    let collector = testbed.collector();
+    collector
+        .registry()
+        .register_with_params(
+            "exp",
+            "battery",
+            Msg::obj([("interval", Msg::Num(60_000.0))]),
+            ChannelSchema::json(),
+        )
+        .expect("fresh channel registers");
+    collector
+        .deployment(&ExperimentSpec {
+            id: "exp".into(),
+            scripts: vec![],
+        })
+        .to(&[device.jid()])
+        .send()
+        .expect("an empty deployment passes the gate");
+    let stored = || collector.store().scan(&ScanQuery::exp("exp")).len();
+
+    sim.run_for(SimDuration::from_mins(10));
+    assert_eq!(
+        device.sensors().sample_count("battery"),
+        0,
+        "the sensor stays off"
+    );
+    assert_eq!(stored(), 0, "a vetoed channel's data stays on the phone");
+
+    policy.set_allowed("battery", true);
+    sim.run_for(SimDuration::from_mins(10));
+    assert!(device.sensors().sample_count("battery") > 0);
+    assert!(stored() > 0, "data flows once the veto is lifted");
 }
 
 #[test]

@@ -6,10 +6,11 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use pogo::core::assignment::{Admin, DeviceProfile, DeviceRequest};
 use pogo::core::proto::ScriptSpec;
 use pogo::core::sensor::{SensorSources, WifiReading};
-use pogo::core::{CollectorNode, DeviceConfig, DeviceNode, ExperimentSpec};
+use pogo::core::{
+    Admin, CollectorNode, DeviceConfig, DeviceNode, DeviceProfile, DeviceRequest, ExperimentSpec,
+};
 use pogo::net::{FlushPolicy, Jid, Switchboard};
 use pogo::platform::{Phone, PhoneConfig};
 use pogo::sim::{Sim, SimDuration};
