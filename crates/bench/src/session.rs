@@ -2,15 +2,11 @@
 //! up to 24 days with the localization experiment deployed, complete
 //! with that user's real-world disruptions (§5.3).
 
-use std::cell::RefCell;
-
 use pogo::cluster::{ClusterSummary, StreamConfig};
-use pogo::core::sensor::SensorSources;
 use pogo::core::{ChannelSchema, Msg, Obs, ObsConfig, SampleValue, ScanQuery, Testbed};
 use pogo::glue;
-use pogo::mobility::{GeolocationService, ScanSynthesizer, UserScenario, UserSpec, World};
+use pogo::mobility::{UserSpec, World};
 use pogo::sim::{Sim, SimDuration, SimRng, SimTime};
-use pogo_platform::{NetAppConfig, PeriodicNetApp};
 
 const DAY: u64 = 86_400_000;
 
@@ -59,57 +55,31 @@ fn run_session_with(
     use_freeze: bool,
     obs_config: ObsConfig,
 ) -> (SessionResult, Obs) {
-    let mut spec = spec.clone();
-    spec.end_day = spec.end_day.min(days);
-    spec.start_day = spec.start_day.min(spec.end_day);
-    if let Some((a, b)) = spec.roaming_days {
-        spec.roaming_days = if a < spec.end_day {
-            Some((a, b.min(spec.end_day)))
-        } else {
-            None
-        };
-    }
-    if let Some((a, b)) = spec.outage_days {
-        spec.outage_days = if a < spec.end_day {
-            Some((a, b.min(spec.end_day)))
-        } else {
-            None
-        };
-    }
+    let end_day = spec.end_day.min(days);
+    let spec = glue::clip_user(spec, spec.start_day.min(end_day), end_day);
 
     let sim = Sim::new();
     let mut rng = SimRng::seed_from_u64(seed);
     let mut world = World::new(600, &mut rng);
-    let scenario = spec.build(&mut world, &mut rng);
-
     let mut testbed = Testbed::with_obs(&sim, obs_config);
-    let trace = scenario.trace.clone();
-    let world2 = world.clone();
-    let synth = RefCell::new(ScanSynthesizer::new(rng.fork(spec.seed_salt)));
-    let failure_rng = RefCell::new(rng.fork(spec.seed_salt ^ 0xF41));
-    let scan_failure_prob = spec.scan_failure_prob;
-    let sources = SensorSources {
-        wifi_scan: Some(Box::new(move |t_ms| {
-            let w = trace.whereabouts(t_ms);
-            if failure_rng.borrow_mut().chance(scan_failure_prob) {
-                return None; // the chipset returned nothing this time
-            }
-            synth
-                .borrow_mut()
-                .scan(&world2, w, t_ms)
-                .map(|raw| glue::readings_from_raw(&raw))
-        })),
-        ..SensorSources::default()
-    };
-    let node_name = spec.name.to_lowercase().replace(' ', "-");
-    let (device, phone) = testbed.add(pogo::core::DeviceSetup::named(&node_name).sensors(sources));
+    let (device, scenario) =
+        glue::add_cohort_phone(&mut testbed, &spec, &mut world, &mut rng, |c| c);
 
-    // Background e-mail traffic for tail synchronization, like the §5.2
-    // measurement phones.
-    let _email = PeriodicNetApp::install(&phone, NetAppConfig::email());
-
-    glue::drive_connectivity(&sim, &phone, &scenario);
-    schedule_disruptions(&sim, &device, &testbed, &scenario, use_freeze);
+    // The researchers' script redeployments.
+    let clustering = use_freeze.then(glue::clustering_js_with_freeze);
+    let mut experiment = glue::localization_experiment("loc");
+    if let Some(source) = &clustering {
+        experiment.scripts[1].source.clone_from(source);
+    }
+    for &t in &scenario.disruptions.script_updates {
+        let (collector, experiment) = (testbed.collector().clone(), experiment.clone());
+        sim.schedule_at(SimTime::from_millis(t), move || {
+            collector
+                .deployment(&experiment)
+                .send()
+                .expect("scripts pass pre-deployment analysis");
+        });
+    }
 
     // Deploy the localization experiment. The registry ingests every
     // location summary into the collector's sample store alongside the
@@ -119,23 +89,7 @@ fn run_session_with(
         .registry()
         .register("loc", "locations", ChannelSchema::json())
         .expect("locations channel registers");
-    let service = GeolocationService::new(world.clone());
-    testbed
-        .collector()
-        .install_collector_script("loc", "collect.js", glue::COLLECT_JS, |host| {
-            glue::register_geolocate(host, service);
-        })
-        .expect("collect.js loads");
-    let mut experiment = glue::localization_experiment("loc");
-    if use_freeze {
-        experiment.scripts[1].source = glue::clustering_js_with_freeze();
-    }
-    testbed
-        .collector()
-        .deployment(&experiment)
-        .to(&[device.jid()])
-        .send()
-        .expect("scripts pass pre-deployment analysis");
+    glue::deploy_localization(&testbed, world, clustering);
 
     // Run the window plus slack for the final uploads.
     sim.run_until(SimTime::from_millis(spec.end_day * DAY) + SimDuration::from_hours(2));
@@ -198,31 +152,6 @@ fn summary_bytes(s: &ClusterSummary) -> usize {
     ])
     .to_json()
     .len()
-}
-
-/// Schedules reboots (incl. phone-off mornings) and the researchers'
-/// script redeployments.
-fn schedule_disruptions(
-    sim: &Sim,
-    device: &pogo::core::DeviceNode,
-    testbed: &Testbed,
-    scenario: &UserScenario,
-    use_freeze: bool,
-) {
-    glue::schedule_reboots(sim, device, scenario);
-    for &t in &scenario.disruptions.script_updates {
-        let collector = testbed.collector().clone();
-        let mut experiment = glue::localization_experiment("loc");
-        if use_freeze {
-            experiment.scripts[1].source = glue::clustering_js_with_freeze();
-        }
-        sim.schedule_at(SimTime::from_millis(t), move || {
-            collector
-                .deployment(&experiment)
-                .send()
-                .expect("scripts pass pre-deployment analysis");
-        });
-    }
 }
 
 #[cfg(test)]

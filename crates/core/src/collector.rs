@@ -9,13 +9,11 @@
 //! and script deployment.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use pogo_ingest::{ChannelSchema, IngestError, IngestPipeline, SampleStore};
-use pogo_net::{
-    DedupFilter, Envelope, Jid, MessageStore, Payload, Session, StoredMessage, Switchboard,
-};
+use pogo_net::{Jid, Switchboard};
 use pogo_obs::{field, Obs};
 use pogo_platform::{Cpu, CpuConfig, EnergyMeter};
 use pogo_script::ScriptError;
@@ -24,6 +22,7 @@ use pogo_sim::{Sim, SimDuration};
 use crate::bump;
 use crate::context::CollectorContext;
 use crate::host::{LogStore, ScriptHost};
+use crate::link::{Hooks, Link};
 use crate::proto::{ControlMsg, ExperimentSpec};
 use crate::registry::{self, ChannelFilter, ChannelRegistry, CollectorStats, SampleEvent};
 use crate::scheduler::Scheduler;
@@ -40,6 +39,25 @@ const RECONNECT_DELAY: SimDuration = SimDuration::from_secs(2);
 
 /// One-way latency of the collector's wired link.
 const LINK_LATENCY: SimDuration = SimDuration::from_millis(5);
+
+/// The collector's half of the link: a wired, always-on dial; acks sent
+/// at once; device presence → retransmit; and, after the switchboard
+/// kicked us (restart/outage), a retransmission to every device with
+/// pending control traffic — their presence may have fired while we were
+/// dark.
+static LINK_HOOKS: Hooks<CollectorNode> = Hooks {
+    link: |me| &me.inner.link,
+    dial: |_| Some(LINK_LATENCY),
+    up: |_| true,
+    reconnect_delay: RECONNECT_DELAY,
+    radio: None,
+    deliver: CollectorNode::on_control,
+    reconnected: |me| {
+        me.inner.obs.event("pogo", "reconnect", vec![]);
+        me.inner.link.retransmit_all();
+    },
+    presence: |me, device| me.inner.link.transmit(device, true),
+};
 
 /// A deployment rejected by the pre-flight static analyzer: the bundle
 /// contains at least one error-severity finding, so no device was sent
@@ -107,15 +125,16 @@ impl Deployment<'_> {
 
 /// Wiring is set once in [`CollectorNode::with_obs`] and never
 /// reassigned (every handle is itself shared). Of what changes, a
-/// collector restart would keep the durable part — with `dedup`, `logs`
-/// and the `pipeline`'s store — and rebuild the rest.
+/// collector restart would keep the durable part — with the link's
+/// outbox and dedup filter, `logs` and the `pipeline`'s store — and
+/// rebuild the rest.
 struct Inner {
     // -- wiring --
     jid: Jid,
-    server: Switchboard,
     sim: Sim,
     scheduler: Scheduler,
-    dedup: DedupFilter,
+    /// The reliable control channel to every device (§4.6).
+    link: Link<CollectorNode>,
     logs: LogStore,
     /// The ingestion pipeline behind the registry API: registered
     /// channels, batch builders, and the queryable sample store.
@@ -123,24 +142,14 @@ struct Inner {
     /// JID-scoped observability handle (off unless configured).
     obs: Obs,
     // -- durable state --
-    /// Per-device reliable outgoing queues (control messages). BTreeMap:
-    /// the retry backstop and reconnect catch-up iterate this while
-    /// scheduling sends, and the deterministic sim needs a stable order.
-    outstores: RefCell<BTreeMap<Jid, MessageStore>>,
-    /// Messages waiting in `outstores`, all devices together (the
-    /// `net.store_depth` gauge).
-    store_depth: Cell<usize>,
     versions: RefCell<HashMap<String, u64>>,
     data_received: Cell<u64>,
     // -- volatile state --
-    session: RefCell<Session>,
     contexts: RefCell<HashMap<String, CollectorContext>>,
     /// Push consumers attached with `attach_listener`, fired after a
     /// sample is accepted into the pipeline.
     listeners: RefCell<Vec<(ChannelFilter, registry::Listener)>>,
     retry_armed: Cell<bool>,
-    /// A reconnect retry is already scheduled (server kicked us).
-    reconnect_pending: Cell<bool>,
 }
 
 /// A Pogo collector node. Cheap to clone; clones share state.
@@ -193,89 +202,28 @@ impl CollectorNode {
         );
         // Never let the PC sleep.
         std::mem::forget(cpu.acquire_wake_lock());
-        let session = server
-            .connect(jid, LINK_LATENCY)
-            .expect("collector JID must be registered");
+        let logs = LogStore::with_obs(&obs);
+        let link = Link::new(&LINK_HOOKS, sim, server, jid, &obs, &logs);
         let node = CollectorNode {
             inner: Rc::new(Inner {
                 jid: jid.clone(),
-                server: server.clone(),
                 sim: sim.clone(),
                 scheduler: Scheduler::with_obs(&cpu, &obs),
-                dedup: DedupFilter::new(),
-                logs: LogStore::with_obs(&obs),
+                link,
+                logs,
                 pipeline: IngestPipeline::new(sim, &obs),
                 obs,
-                outstores: RefCell::default(),
-                store_depth: Cell::new(0),
                 versions: RefCell::default(),
                 data_received: Cell::new(0),
-                session: RefCell::new(session.clone()),
                 contexts: RefCell::default(),
                 listeners: RefCell::default(),
                 retry_armed: Cell::new(false),
-                reconnect_pending: Cell::new(false),
             }),
         };
-        node.wire_session(&session);
+        node.inner.link.connect(&node);
+        let connected = node.inner.link.session().is_some();
+        assert!(connected, "collector JID must be registered");
         node
-    }
-
-    /// Attaches the collector's callbacks to a (new) session: inbound
-    /// envelopes, device presence → retransmit, and the reconnect loop
-    /// for when the switchboard kicks us (restart/outage).
-    fn wire_session(&self, session: &Session) {
-        let me = self.clone();
-        session.on_receive(move |envelope| me.on_envelope(envelope));
-        let me = self.clone();
-        session.on_presence(move |device, online| {
-            if online {
-                me.transmit_pending(device, true);
-            }
-        });
-        let me = self.clone();
-        session.on_disconnect(move || me.schedule_reconnect());
-    }
-
-    /// Schedules one reconnect attempt after [`RECONNECT_DELAY`], unless
-    /// one is already pending; keeps retrying through an outage. After a
-    /// successful reconnect, retransmits to every device with pending
-    /// control traffic — their presence may have fired while we were dark.
-    fn schedule_reconnect(&self) {
-        if self.inner.reconnect_pending.replace(true) {
-            return;
-        }
-        let me = self.clone();
-        self.inner.sim.schedule_in(RECONNECT_DELAY, move || {
-            let inner = &me.inner;
-            inner.reconnect_pending.set(false);
-            if inner.session.borrow().is_connected() {
-                return;
-            }
-            match inner.server.connect(&inner.jid, LINK_LATENCY) {
-                Ok(session) => {
-                    me.wire_session(&session);
-                    *inner.session.borrow_mut() = session;
-                    inner.obs.event("pogo", "reconnect", vec![]);
-                    me.retransmit_all();
-                }
-                Err(_) => me.schedule_reconnect(),
-            }
-        });
-    }
-
-    /// (Re)sends everything pending, device by device; returns whether
-    /// anything was.
-    fn retransmit_all(&self) -> bool {
-        let devices: Vec<Jid> = {
-            let outstores = self.inner.outstores.borrow();
-            let waiting = outstores.iter().filter(|(_, s)| !s.is_empty());
-            waiting.map(|(d, _)| d.clone()).collect()
-        };
-        for device in &devices {
-            self.transmit_pending(device, true);
-        }
-        !devices.is_empty()
     }
 
     /// This collector's JID.
@@ -609,45 +557,9 @@ impl CollectorNode {
     /// Queues a control message for a device, transmitting immediately if
     /// it is online (the collector is on mains: no batching needed).
     fn send_reliable(&self, device: &Jid, ctl: &ControlMsg) {
-        let inner = &self.inner;
-        let store = {
-            let mut outstores = inner.outstores.borrow_mut();
-            outstores.entry(device.clone()).or_default().clone()
-        };
-        store.enqueue(device, ctl.to_json(), inner.sim.now());
-        inner.store_depth.set(inner.store_depth.get() + 1);
-        if inner.obs.is_enabled() {
-            inner.obs.metrics().inc("net.enqueued", 1);
-            let depth = inner.store_depth.get() as f64;
-            inner.obs.metrics().gauge("net.store_depth", depth);
-        }
-        self.transmit_pending(device, false);
+        self.inner.link.enqueue(device, ctl.to_json());
+        self.inner.link.transmit(device, false);
         self.arm_retry();
-    }
-
-    /// Sends everything pending for one device. `retry` marks the
-    /// presence/backstop paths (as opposed to the first transmission on
-    /// enqueue) for the `net.retransmits` metric.
-    fn transmit_pending(&self, device: &Jid, retry: bool) {
-        let inner = &self.inner;
-        let store = inner.outstores.borrow().get(device).cloned();
-        let pending = store.map(|s| s.pending()).unwrap_or_default();
-        if !inner.server.is_online(device) {
-            return;
-        }
-        if inner.obs.is_enabled() && !pending.is_empty() {
-            let metrics = inner.obs.metrics();
-            metrics.inc("net.messages_sent", pending.len() as u64);
-            if retry {
-                metrics.inc("net.retransmits", pending.len() as u64);
-            }
-            let bytes = pending.iter().map(StoredMessage::wire_size).sum();
-            metrics.inc("net.bytes_up", bytes);
-        }
-        let session = inner.session.borrow().clone();
-        for msg in pending {
-            let _ = session.send(device, msg.seq, Payload::Data(msg.data));
-        }
     }
 
     /// Periodic retransmission backstop while anything is pending.
@@ -658,7 +570,7 @@ impl CollectorNode {
         let me = self.clone();
         self.inner.scheduler.run_later(RETRY_PERIOD, move || {
             me.inner.retry_armed.set(false);
-            if me.retransmit_all() {
+            if me.inner.link.retransmit_all() {
                 me.arm_retry();
             }
         });
@@ -666,56 +578,26 @@ impl CollectorNode {
 
     // ---- inbound ----------------------------------------------------------------
 
-    fn on_envelope(&self, envelope: Envelope) {
+    /// A fresh control message from a device: only sample data is
+    /// expected.
+    fn on_control(&self, ctl: ControlMsg, from: &Jid) {
         let inner = &self.inner;
-        let json = match &envelope.payload {
-            Payload::Ack(seqs) => {
-                let store = inner.outstores.borrow().get(&envelope.from).cloned();
-                if let Some(store) = store {
-                    let acked = store.ack(seqs);
-                    inner.store_depth.set(inner.store_depth.get() - acked);
-                }
-                return;
-            }
-            Payload::Data(json) => json,
-        };
-        let fresh = inner.dedup.first_sighting(&envelope.from, envelope.seq);
-        // Ack immediately (mains-powered, no batching).
-        let session = inner.session.borrow().clone();
-        let _ = session.send(&envelope.from, 0, Payload::Ack(vec![envelope.seq]));
-        if inner.obs.is_enabled() {
-            let metrics = inner.obs.metrics();
-            metrics.inc("net.acks_sent", 1);
-            if fresh {
-                metrics.inc("net.messages_received", 1);
-                metrics.inc("net.bytes_down", envelope.wire_size());
-            } else {
-                metrics.inc("net.dedup_drops", 1);
-            }
-        }
-        if !fresh {
-            return;
-        }
-        match ControlMsg::from_json(json) {
-            Ok(ControlMsg::Data {
+        match ctl {
+            ControlMsg::Data {
                 exp,
                 channel,
                 msg,
                 sub_ref,
-            }) => {
+            } => {
                 bump(&inner.data_received, 1);
                 inner.obs.metrics().inc("pogo.data_received", 1);
                 if let Some(ctx) = self.context(&exp) {
-                    ctx.handle_data(envelope.from.as_str(), &channel, &msg, sub_ref);
+                    ctx.handle_data(from.as_str(), &channel, &msg, sub_ref);
                 }
             }
-            Ok(other) => inner.logs.append(
+            other => inner.logs.append(
                 "pogo-errors",
-                format!("unexpected control from {}: {other:?}", envelope.from),
-            ),
-            Err(e) => inner.logs.append(
-                "pogo-errors",
-                format!("malformed message from {}: {e}", envelope.from),
+                format!("unexpected control from {from}: {other:?}"),
             ),
         }
     }

@@ -1,20 +1,17 @@
 //! The device node: the Pogo middleware as it runs on a phone.
 //!
 //! Owns the per-experiment [`DeviceContext`]s, the [`SensorManager`], the
-//! persistent store-and-forward buffer, the end-to-end reliability layer,
-//! connectivity/reconnect handling (§4.6), and §4.7's tail-synchronized
-//! transmission. Reboots tear down everything *except* what lives on
-//! flash — installed experiments, the message store, logs, and frozen
-//! script state — exactly the §5.3 failure model.
+//! reliable link (§4.6; `link.rs`) with its persistent store-and-forward
+//! buffer, and §4.7's tail-synchronized transmission. Reboots tear down
+//! everything *except* what lives on flash — installed experiments, the
+//! message store, logs, and frozen script state — exactly the §5.3
+//! failure model.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
 use std::rc::{Rc, Weak};
 
-use pogo_net::{
-    DedupFilter, Envelope, FlushPolicy, Jid, MessageStore, Payload, Session, StoredMessage,
-    Switchboard,
-};
+use pogo_net::{FlushPolicy, Jid, Switchboard};
 use pogo_obs::{field, Obs};
 use pogo_platform::{Bearer, Phone, RadioState};
 use pogo_sim::{SimDuration, SimTime};
@@ -22,6 +19,7 @@ use pogo_sim::{SimDuration, SimTime};
 use crate::bump;
 use crate::context::{DataSink, DeviceContext};
 use crate::host::{FrozenSlot, LogStore};
+use crate::link::{self, Hooks, Link};
 use crate::privacy::PrivacyPolicy;
 use crate::proto::{ControlMsg, ScriptSpec};
 use crate::scheduler::Scheduler;
@@ -35,10 +33,38 @@ const CELLULAR_LATENCY: SimDuration = SimDuration::from_millis(120);
 const WIFI_LATENCY: SimDuration = SimDuration::from_millis(30);
 /// Tail-detector poll period (§4.7 uses 1 second).
 const TAIL_POLL: SimDuration = SimDuration::from_secs(1);
-/// Delay before reconnecting after an interface change.
+/// Delay before reconnecting after an interface change or a kick.
 const RECONNECT_DELAY: SimDuration = SimDuration::from_secs(5);
 /// Time from reboot to the middleware running again.
 const BOOT_DELAY: SimDuration = SimDuration::from_secs(45);
+
+/// The device's half of the link: dial over the active bearer, carry
+/// acks over the radio, hand control messages to the contexts.
+static LINK_HOOKS: Hooks<DeviceNode> = Hooks {
+    link: |me| &me.inner.link,
+    dial: |me| {
+        let connectivity = me.inner.phone.connectivity();
+        let latency = match connectivity.active()? {
+            Bearer::Cellular => CELLULAR_LATENCY,
+            Bearer::Wifi => WIFI_LATENCY,
+        };
+        connectivity.is_online().then_some(latency)
+    },
+    up: DeviceNode::is_booted,
+    reconnect_delay: RECONNECT_DELAY,
+    // Acks ride immediately: the modem is already in DCH from receiving
+    // the data, so this costs almost nothing extra.
+    radio: Some(|me, session, ack| {
+        let me2 = me.clone();
+        let _ = me.inner.phone.transmit(ack.wire_size(), 0, move || {
+            let _ = session.send(&ack.to, ack.seq, ack.payload);
+            me2.resync_tail();
+        });
+    }),
+    deliver: DeviceNode::handle_control,
+    reconnected: DeviceNode::maybe_flush,
+    presence: |_, _| {},
+};
 
 /// Device-node configuration.
 #[derive(Debug, Clone)]
@@ -135,14 +161,13 @@ struct Inner {
     // -- wiring --
     cfg: DeviceConfig,
     phone: Phone,
-    server: Switchboard,
     scheduler: Scheduler,
     sensors: SensorManager,
     /// JID-scoped observability handle (off unless configured).
     obs: Obs,
     // -- flash-persistent state (survives reboot) --
-    store: MessageStore,
-    dedup: DedupFilter,
+    /// The session, the outbox and the dedup filter (§4.6).
+    link: Link<DeviceNode>,
     logs: LogStore,
     frozen: RefCell<HashMap<(String, String), FrozenSlot>>,
     // BTreeMaps where HashMaps would do: boot/reboot/privacy iterate
@@ -154,15 +179,12 @@ struct Inner {
     /// Subscribe that arrived before its Deploy).
     mirror_specs: RefCell<BTreeMap<String, BTreeMap<u64, MirrorSpec>>>,
     // -- volatile state --
-    session: RefCell<Option<Session>>,
     contexts: RefCell<BTreeMap<String, DeviceContext>>,
     tail: RefCell<Option<TailDetector>>,
     booted: Cell<bool>,
     /// True from power-off until [`DeviceNode::power_on`] — the battery
     /// died; unlike a reboot, nothing is scheduled to bring it back.
     powered_off: Cell<bool>,
-    /// A reconnect retry is already scheduled (server kicked us).
-    reconnect_pending: Cell<bool>,
     flushing: Cell<bool>,
     deadline_armed: Cell<bool>,
     /// New data was enqueued since the last flush.
@@ -186,7 +208,7 @@ impl std::fmt::Debug for DeviceNode {
             .field("jid", &self.inner.cfg.jid.as_str())
             .field("booted", &self.inner.booted.get())
             .field("contexts", &self.inner.contexts.borrow().len())
-            .field("buffered", &self.inner.store.len())
+            .field("buffered", &self.inner.link.depth())
             .finish()
     }
 }
@@ -204,26 +226,23 @@ impl DeviceNode {
         let scheduler = Scheduler::with_obs(phone.cpu(), &obs);
         let sensors = SensorManager::with_obs(phone, &scheduler, sources, &obs);
         let logs = LogStore::with_obs(&obs);
+        let link = Link::new(&LINK_HOOKS, phone.sim(), server, &cfg.jid, &obs, &logs);
         let node = DeviceNode {
             inner: Rc::new(Inner {
                 cfg,
                 phone: phone.clone(),
-                server: server.clone(),
                 scheduler,
                 sensors,
                 obs,
-                store: MessageStore::new(),
-                dedup: DedupFilter::new(),
+                link,
                 logs,
                 frozen: RefCell::default(),
                 installed: RefCell::default(),
                 mirror_specs: RefCell::default(),
-                session: RefCell::new(None),
                 contexts: RefCell::default(),
                 tail: RefCell::new(None),
                 booted: Cell::new(false),
                 powered_off: Cell::new(false),
-                reconnect_pending: Cell::new(false),
                 flushing: Cell::new(false),
                 deadline_armed: Cell::new(false),
                 dirty: Cell::new(false),
@@ -322,12 +341,12 @@ impl DeviceNode {
 
     /// Unacknowledged buffered messages.
     pub fn buffered(&self) -> usize {
-        self.inner.store.len()
+        self.inner.link.depth()
     }
 
     /// Messages purged by the age limit so far.
     pub fn purged(&self) -> u64 {
-        self.inner.store.purged_total()
+        self.inner.link.purged()
     }
 
     /// Data messages handed to the network so far.
@@ -362,7 +381,7 @@ impl DeviceNode {
         }
         self.inner.booted.set(true);
         self.inner.obs.event("pogo", "boot", vec![]);
-        self.connect();
+        self.inner.link.connect(self);
         self.start_tail_detector();
         // Reinstall persisted experiments (empty on first boot).
         let installed = self.inner.installed.borrow().clone();
@@ -430,7 +449,6 @@ impl DeviceNode {
         self.inner.flushing.set(false);
         self.inner.deadline_armed.set(false);
         let contexts = self.inner.contexts.take();
-        let session = self.inner.session.take();
         let tail = self.inner.tail.take();
         for (_, ctx) in contexts {
             ctx.shutdown();
@@ -438,9 +456,7 @@ impl DeviceNode {
         if let Some(tail) = tail {
             tail.stop();
         }
-        if let Some(session) = session {
-            session.disconnect();
-        }
+        self.inner.link.disconnect();
         self.inner.sensors.shutdown();
     }
 
@@ -533,131 +549,14 @@ impl DeviceNode {
         self.inner.phone.connectivity().on_change(move |bearer| {
             // §4.6: detect the interface change, drop the stale session,
             // reconnect on the new interface.
-            let session = me.inner.session.take();
-            if let Some(session) = session {
-                session.disconnect();
-            }
+            me.inner.link.disconnect();
             if bearer.is_some() && me.inner.booted.get() {
                 let me2 = me.clone();
                 me.inner.phone.sim().schedule_in(RECONNECT_DELAY, move || {
-                    me2.connect();
+                    me2.inner.link.connect(&me2);
                     me2.maybe_flush();
                 });
             }
-        });
-    }
-
-    /// True while a live session to the switchboard exists.
-    fn is_connected(&self) -> bool {
-        let session = self.inner.session.borrow();
-        session.as_ref().is_some_and(Session::is_connected)
-    }
-
-    fn connect(&self) {
-        let connectivity = self.inner.phone.connectivity();
-        let latency = match connectivity.active() {
-            Some(Bearer::Cellular) => CELLULAR_LATENCY,
-            Some(Bearer::Wifi) => WIFI_LATENCY,
-            None => return,
-        };
-        if !connectivity.is_online() || self.is_connected() {
-            return;
-        }
-        let Ok(session) = self.inner.server.connect(&self.inner.cfg.jid, latency) else {
-            // Server down (or account gone): retry until it comes back.
-            self.schedule_reconnect();
-            return;
-        };
-        let me = self.clone();
-        session.on_receive(move |envelope| me.on_envelope(envelope));
-        // §4.6: the server may kick us at any time (restart, outage). A
-        // phone notices the dead TCP session and dials back in.
-        let me = self.clone();
-        session.on_disconnect(move || me.schedule_reconnect());
-        *self.inner.session.borrow_mut() = Some(session);
-    }
-
-    /// Schedules one reconnect attempt after the configured delay, unless
-    /// one is already pending. The attempt re-evaluates conditions at fire
-    /// time (reboot and bearer changes have their own reconnect paths) and
-    /// keeps retrying while the switchboard refuses us.
-    fn schedule_reconnect(&self) {
-        if self.inner.reconnect_pending.get() || !self.inner.booted.get() {
-            return;
-        }
-        self.inner.reconnect_pending.set(true);
-        let me = self.clone();
-        self.inner
-            .phone
-            .sim()
-            .schedule_in(RECONNECT_DELAY, move || {
-                me.inner.reconnect_pending.set(false);
-                let online = me.inner.phone.connectivity().is_online();
-                if !me.inner.booted.get() || !online || me.is_connected() {
-                    return;
-                }
-                me.connect();
-                if me.is_connected() {
-                    me.maybe_flush();
-                }
-            });
-    }
-
-    // ---- inbound -----------------------------------------------------------
-
-    fn on_envelope(&self, envelope: Envelope) {
-        match &envelope.payload {
-            Payload::Ack(seqs) => {
-                self.inner.store.ack(seqs);
-            }
-            Payload::Data(json) => {
-                let fresh = self
-                    .inner
-                    .dedup
-                    .first_sighting(&envelope.from, envelope.seq);
-                // Always ack — the previous ack may have been lost.
-                self.send_ack(&envelope.from, envelope.seq);
-                let metrics = self.inner.obs.metrics();
-                if !fresh {
-                    metrics.inc("net.dedup_drops", 1);
-                    return;
-                }
-                metrics.inc("net.messages_received", 1);
-                metrics.inc("net.bytes_down", envelope.wire_size());
-                match ControlMsg::from_json(json) {
-                    Ok(ctl) => self.handle_control(ctl, &envelope.from),
-                    Err(e) => self.inner.logs.append(
-                        "pogo-errors",
-                        format!("malformed message from {}: {e}", envelope.from),
-                    ),
-                }
-            }
-        }
-    }
-
-    /// Acks ride immediately: the modem is already in DCH from receiving
-    /// the data, so this costs almost nothing extra.
-    fn send_ack(&self, to: &Jid, seq: u64) {
-        let Some(session) = self.inner.session.borrow().clone() else {
-            return;
-        };
-        if !session.is_connected() {
-            return;
-        }
-        self.inner.obs.metrics().inc("net.acks_sent", 1);
-        let to = to.clone();
-        let ack = Envelope {
-            from: session.jid(),
-            to: to.clone(),
-            seq: 0,
-            payload: Payload::Ack(vec![seq]),
-            sent_at_ms: 0,
-        };
-        let bytes = ack.wire_size();
-        let me = self.clone();
-        let _ = self.inner.phone.transmit(bytes, 0, move || {
-            let _ = session.send(&to, 0, Payload::Ack(vec![seq]));
-            me.resync_tail();
         });
     }
 
@@ -770,28 +669,13 @@ impl DeviceNode {
 
     // ---- outbound ----------------------------------------------------------
 
-    /// Queues a protocol message for `to` in the persistent buffer and
-    /// applies the flush policy.
-    pub fn enqueue(&self, to: &Jid, ctl: &ControlMsg) {
-        self.enqueue_json(to, ctl.to_json());
-    }
-
-    /// Queues an encoded protocol message: the buffer holds wire bytes.
+    /// Queues an encoded protocol message for `to` in the persistent
+    /// buffer (which holds wire bytes) and applies the flush policy.
     fn enqueue_json(&self, to: &Jid, json: String) {
-        let inner = &self.inner;
-        inner.store.enqueue(to, json, self.now());
-        inner.dirty.set(true);
-        inner.obs.metrics().inc("net.enqueued", 1);
-        inner
-            .obs
-            .metrics()
-            .gauge("net.store_depth", inner.store.len() as f64);
+        self.inner.link.enqueue(to, json);
+        self.inner.dirty.set(true);
         self.arm_deadline();
         self.maybe_flush();
-    }
-
-    fn now(&self) -> SimTime {
-        self.inner.phone.sim().now()
     }
 
     /// Arms the max-delay deadline alarm for the TailSync policy.
@@ -809,7 +693,7 @@ impl DeviceNode {
             me.inner.deadline_armed.set(false);
             me.maybe_flush();
             // Re-arm if data is still waiting (e.g. offline).
-            if !me.inner.store.is_empty() {
+            if me.inner.link.depth() > 0 {
                 me.arm_deadline();
             }
         });
@@ -846,7 +730,7 @@ impl DeviceNode {
 
     fn maybe_flush_inner(&self, traffic_detected: bool) {
         let inner = &self.inner;
-        let now = self.now();
+        let now = inner.phone.sim().now();
         if !inner.booted.get() || inner.flushing.get() {
             return;
         }
@@ -862,7 +746,7 @@ impl DeviceNode {
             return;
         }
         // The fateful expiry purge (§5.3).
-        inner.store.purge_older_than(now, inner.cfg.max_msg_age);
+        let oldest_age = inner.link.expire(now, inner.cfg.max_msg_age);
         let connectivity = inner.phone.connectivity();
         let tail_open = traffic_detected
             && inner.phone.modem().is_tail_open()
@@ -870,12 +754,10 @@ impl DeviceNode {
         let on_wifi = connectivity.active() == Some(Bearer::Wifi);
         let charging = inner.phone.battery().is_charging();
         let should = connectivity.is_online()
-            && inner.cfg.flush_policy.should_flush(
-                tail_open,
-                inner.store.oldest_age(now),
-                charging,
-                on_wifi,
-            );
+            && inner
+                .cfg
+                .flush_policy
+                .should_flush(tail_open, oldest_age, charging, on_wifi);
         if should {
             self.flush(if tail_open {
                 "tail"
@@ -893,26 +775,23 @@ impl DeviceNode {
     /// names the policy trigger ("tail", "deadline", "wifi", "charger")
     /// for the trace.
     fn flush(&self, reason: &'static str) {
-        self.connect(); // ensure a session exists
         let inner = &self.inner;
-        let Some(session) = inner.session.borrow().clone() else {
+        inner.link.connect(self); // ensure a session exists
+        let Some(session) = inner.link.session() else {
             return;
         };
-        if !session.is_connected() {
-            return;
-        }
-        let pending = inner.store.pending();
+        let pending = inner.link.pending(None);
         if pending.is_empty() {
             return;
         }
-        let now = self.now();
+        let now = inner.phone.sim().now();
         inner.flushing.set(true);
         inner.dirty.set(false);
         inner.last_flush.set(Some(now));
         bump(&inner.flushes, 1);
         bump(&inner.messages_sent, pending.len() as u64);
         // One radio burst carries the whole batch.
-        let bytes: u64 = pending.iter().map(StoredMessage::wire_size).sum();
+        let bytes = inner.link.sent(&pending);
         if inner.obs.is_enabled() {
             inner.obs.event(
                 "pogo",
@@ -925,8 +804,6 @@ impl DeviceNode {
             );
             let metrics = inner.obs.metrics();
             metrics.inc("net.flushes", 1);
-            metrics.inc("net.messages_sent", pending.len() as u64);
-            metrics.inc("net.bytes_up", bytes);
             if matches!(inner.cfg.flush_policy, FlushPolicy::TailSync { .. }) {
                 if reason == "tail" {
                     metrics.inc("tail.sync.hits", 1);
@@ -943,9 +820,7 @@ impl DeviceNode {
         // interface.
         let me = self.clone();
         let result = inner.phone.transmit(bytes, 64, move || {
-            for msg in pending {
-                let _ = session.send(&msg.to, msg.seq, Payload::Data(msg.data));
-            }
+            link::send_data(&session, pending);
             me.inner.flushing.set(false);
             me.resync_tail();
             // Messages stay in the store until acked end-to-end. Anything
@@ -1014,6 +889,7 @@ fn radio_dwell_metric(state: RadioState) -> &'static str {
 mod tests {
     use super::*;
     use crate::value::Msg;
+    use pogo_net::Payload;
     use pogo_platform::PhoneConfig;
     use pogo_sim::Sim;
 
@@ -1030,6 +906,11 @@ mod tests {
         cfg.flush_policy = policy;
         let node = DeviceNode::new(&phone, &server, cfg, SensorSources::default());
         (sim, server, phone, node, col_jid)
+    }
+
+    /// Queues a protocol message the way a context's outbound sink does.
+    fn enqueue(node: &DeviceNode, to: &Jid, ctl: &ControlMsg) {
+        node.enqueue_json(to, ctl.to_json());
     }
 
     fn data_msg(n: f64) -> ControlMsg {
@@ -1077,7 +958,7 @@ mod tests {
                 *g.borrow_mut() += 1;
             }
         });
-        node.enqueue(&col, &data_msg(1.0));
+        enqueue(&node, &col, &data_msg(1.0));
         sim.run_for(SimDuration::from_mins(2));
         assert_eq!(*got.borrow(), 1);
         assert_eq!(node.flushes(), 1);
@@ -1088,7 +969,7 @@ mod tests {
         let (sim, server, phone, node, col) = setup(FlushPolicy::pogo_default());
         node.boot();
         let _cs = server.connect(&col, SimDuration::from_millis(10)).unwrap();
-        node.enqueue(&col, &data_msg(1.0));
+        enqueue(&node, &col, &data_msg(1.0));
         sim.run_for(SimDuration::from_mins(5));
         assert_eq!(node.flushes(), 0, "no foreign traffic yet");
         assert_eq!(node.buffered(), 1);
@@ -1113,7 +994,7 @@ mod tests {
         });
         node.boot();
         let _cs = server.connect(&col, SimDuration::from_millis(10)).unwrap();
-        node.enqueue(&col, &data_msg(1.0));
+        enqueue(&node, &col, &data_msg(1.0));
         sim.run_for(SimDuration::from_mins(29));
         assert_eq!(node.flushes(), 0);
         sim.run_for(SimDuration::from_mins(2));
@@ -1135,7 +1016,7 @@ mod tests {
             }
             let _ = (&server2, &col2);
         });
-        node.enqueue(&col, &data_msg(1.0));
+        enqueue(&node, &col, &data_msg(1.0));
         sim.run_for(SimDuration::from_mins(1));
         assert_eq!(node.buffered(), 0, "acked and removed");
     }
@@ -1155,7 +1036,7 @@ mod tests {
         // Go offline, enqueue, stay offline a while.
         phone.connectivity().set_active(None);
         sim.run_for(SimDuration::from_secs(10));
-        node.enqueue(&col, &data_msg(1.0));
+        enqueue(&node, &col, &data_msg(1.0));
         sim.run_for(SimDuration::from_hours(2));
         assert_eq!(*got.borrow(), 0);
         assert_eq!(node.buffered(), 1);
@@ -1170,9 +1051,9 @@ mod tests {
         let (sim, _server, phone, node, col) = setup(FlushPolicy::Immediate);
         node.boot();
         phone.connectivity().set_active(None); // roaming, data off
-        node.enqueue(&col, &data_msg(1.0));
+        enqueue(&node, &col, &data_msg(1.0));
         sim.run_for(SimDuration::from_hours(30));
-        node.enqueue(&col, &data_msg(2.0)); // triggers a purge check
+        enqueue(&node, &col, &data_msg(2.0)); // triggers a purge check
         assert_eq!(node.purged(), 1);
         assert_eq!(node.buffered(), 1, "only the fresh message remains");
     }
@@ -1258,7 +1139,7 @@ mod tests {
         cs.send(&node.jid(), 1, Payload::Data(deploy.to_json()))
             .unwrap();
         sim.run_for(SimDuration::from_secs(5));
-        node.enqueue(&col, &data_msg(1.0)); // OnCharge: stays buffered
+        enqueue(&node, &col, &data_msg(1.0)); // OnCharge: stays buffered
         node.reboot();
         assert!(!node.is_booted());
         sim.run_for(SimDuration::from_mins(1));
@@ -1378,7 +1259,7 @@ mod tests {
         let (sim, server, phone, node, col) = setup(FlushPolicy::OnCharge);
         node.boot();
         let _cs = server.connect(&col, SimDuration::from_millis(10)).unwrap();
-        node.enqueue(&col, &data_msg(1.0));
+        enqueue(&node, &col, &data_msg(1.0));
         sim.run_for(SimDuration::from_hours(1));
         assert_eq!(node.flushes(), 0);
         phone.battery().set_charging(true);

@@ -39,6 +39,7 @@ pub mod context;
 mod device;
 mod fleet;
 pub mod host;
+mod link;
 mod privacy;
 pub mod proto;
 mod registry;

@@ -423,11 +423,6 @@ impl fmt::Debug for Session {
 }
 
 impl Session {
-    /// The JID this session authenticates as.
-    pub fn jid(&self) -> Jid {
-        self.inner.borrow().jid.clone()
-    }
-
     /// True until [`Session::disconnect`] (or a replacing reconnect).
     pub fn is_connected(&self) -> bool {
         self.inner.borrow().connected

@@ -11,7 +11,7 @@ use std::cell::RefCell;
 use pogo::core::sensor::SensorSources;
 use pogo::core::Testbed;
 use pogo::glue;
-use pogo::mobility::{Archetype, GeolocationService, ScanSynthesizer, UserSpec, World};
+use pogo::mobility::{Archetype, ScanSynthesizer, UserSpec, World};
 use pogo::sim::{Sim, SimDuration, SimRng};
 
 fn main() {
@@ -40,22 +40,9 @@ fn main() {
     };
     let (device, _phone) = testbed.add(pogo::core::DeviceSetup::named("commuter").sensors(sources));
 
-    // Collector side: collect.js with the geolocation service.
-    let service = GeolocationService::new(world.clone());
-    testbed
-        .collector()
-        .install_collector_script("loc", "collect.js", glue::COLLECT_JS, |host| {
-            glue::register_geolocate(host, service);
-        })
-        .expect("collect.js loads");
-
-    // Deploy scan.js + clustering.js to the device.
-    testbed
-        .collector()
-        .deployment(&glue::localization_experiment("loc"))
-        .to(&[device.jid()])
-        .send()
-        .expect("scripts pass pre-deployment analysis");
+    // collect.js with the geolocation service on the collector, scan.js +
+    // clustering.js on the device.
+    glue::deploy_localization(&testbed, world, None);
 
     println!("running 2 simulated days of commuting ...");
     sim.run_for(SimDuration::from_hours(49));

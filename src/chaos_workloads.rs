@@ -14,10 +14,9 @@ use std::cell::RefCell;
 use pogo_chaos::{ChannelAudit, SoakConfig, WorkloadSpec};
 use pogo_core::proto::ScriptSpec;
 use pogo_core::sensor::{LocationFix, SensorSources, WifiReading};
-use pogo_core::{DeviceNode, DeviceSetup, ExperimentSpec, FleetSpec, Testbed};
-use pogo_mobility::{paper_cohort, GeolocationService, ScanSynthesizer, UserSpec, World};
+use pogo_core::{DeviceNode, ExperimentSpec, FleetSpec, Testbed};
+use pogo_mobility::{paper_cohort, World};
 use pogo_net::{FlushPolicy, Jid};
-use pogo_platform::{NetAppConfig, PeriodicNetApp};
 use pogo_sim::{SimDuration, SimRng};
 
 use crate::glue;
@@ -89,28 +88,6 @@ fn localization_audit() -> ChannelAudit {
     ChannelAudit::new("loc", "locations", "chaos-sent-locations", "cseq")
 }
 
-/// Installs `collect.js` (with the geolocation native over `world`) and
-/// deploys the localization experiment, clustering patched with the
-/// chaos counter, to every device.
-fn deploy_localization(testbed: &Testbed, world: World) {
-    let service = GeolocationService::new(world);
-    testbed
-        .collector()
-        .install_collector_script("loc", "collect.js", glue::COLLECT_JS, |host| {
-            glue::register_geolocate(host, service);
-        })
-        .expect("collect.js loads");
-    let mut experiment = glue::localization_experiment("loc");
-    experiment.scripts[1].source = clustering_js_chaos();
-    let jids: Vec<Jid> = testbed.devices().iter().map(DeviceNode::jid).collect();
-    testbed
-        .collector()
-        .deployment(&experiment)
-        .to(&jids)
-        .send()
-        .expect("scripts pass pre-deployment analysis");
-}
-
 /// The localization pipeline (§4.1) as a chaos workload: `cfg.phones`
 /// synthetic devices, each alternating between two disjoint AP
 /// neighbourhoods every 30 minutes so `clustering.js` closes about two
@@ -157,7 +134,7 @@ impl WorkloadSpec for LocalizationWorkload {
         // APs; collect.js still exercises its annotate-and-log path.
         let mut rng = SimRng::seed_from_u64(cfg.seed);
         let world = World::new(20, &mut rng);
-        deploy_localization(testbed, world);
+        glue::deploy_localization(testbed, world, Some(clustering_js_chaos()));
     }
 
     fn audits(&self) -> Vec<ChannelAudit> {
@@ -277,68 +254,21 @@ impl WorkloadSpec for Table4ChaosWorkload {
     }
 
     fn setup(&self, testbed: &mut Testbed, cfg: &SoakConfig) {
-        let sim = testbed.sim().clone();
         let mut rng = SimRng::seed_from_u64(cfg.seed ^ 0x007a_b1e4); // "table4"
         let mut world = World::new(600, &mut rng);
         let age = cfg.max_msg_age;
         // The paper's eight phones: user 2's early phone (2a) is folded
         // into its replacement, and every session is stretched to the
-        // full window so the whole fleet stays under fire.
-        let days = self.days;
-        let specs: Vec<UserSpec> = paper_cohort()
-            .into_iter()
-            .filter(|s| s.name != "User 2a")
-            .map(|mut s| {
-                s.start_day = 0;
-                s.end_day = days;
-                s.roaming_days = s
-                    .roaming_days
-                    .and_then(|(a, b)| (a < days).then_some((a, b.min(days))));
-                s.outage_days = s
-                    .outage_days
-                    .and_then(|(a, b)| (a < days).then_some((a, b.min(days))));
-                s
-            })
-            .collect();
-        for spec in &specs {
-            let scenario = spec.build(&mut world, &mut rng);
-            let trace = scenario.trace.clone();
-            let world2 = world.clone();
-            let synth = RefCell::new(ScanSynthesizer::new(rng.fork(spec.seed_salt)));
-            let failure_rng = RefCell::new(rng.fork(spec.seed_salt ^ 0xF41));
-            let scan_failure_prob = spec.scan_failure_prob;
-            let sources = SensorSources {
-                wifi_scan: Some(Box::new(move |t_ms| {
-                    let w = trace.whereabouts(t_ms);
-                    if failure_rng.borrow_mut().chance(scan_failure_prob) {
-                        return None; // the chipset returned nothing
-                    }
-                    synth
-                        .borrow_mut()
-                        .scan(&world2, w, t_ms)
-                        .map(|raw| glue::readings_from_raw(&raw))
-                })),
-                ..SensorSources::default()
-            };
-            let node_name = spec.name.to_lowercase().replace(' ', "-");
-            let (device, phone) = testbed.add(
-                DeviceSetup::named(&node_name)
-                    .sensors(sources)
-                    .configure(move |c| {
-                        c.with_flush_policy(FlushPolicy::Interval(STORE_FLUSH))
-                            .with_max_msg_age(age)
-                    }),
-            );
-            // Background e-mail traffic for tail synchronization, like
-            // the §5.2 measurement phones. The app keeps itself alive
-            // through its own alarms; the handle can be dropped.
-            let _ = PeriodicNetApp::install(&phone, NetAppConfig::email());
-            glue::drive_connectivity(&sim, &phone, &scenario);
-            // The researchers' script redeployments are left out: a
-            // redeploy racing an injected server outage would fail the
-            // deployment, which is a test-harness artifact, not a
-            // middleware bug.
-            glue::schedule_reboots(&sim, &device, &scenario);
+        // full window so the whole fleet stays under fire. The
+        // researchers' script redeployments are left out: a redeploy
+        // racing an injected server outage would fail the deployment,
+        // which is a test-harness artifact, not a middleware bug.
+        for spec in paper_cohort().iter().filter(|s| s.name != "User 2a") {
+            let spec = glue::clip_user(spec, 0, self.days);
+            glue::add_cohort_phone(testbed, &spec, &mut world, &mut rng, move |c| {
+                c.with_flush_policy(FlushPolicy::Interval(STORE_FLUSH))
+                    .with_max_msg_age(age)
+            });
         }
         *self.world.borrow_mut() = Some(world);
     }
@@ -349,7 +279,7 @@ impl WorkloadSpec for Table4ChaosWorkload {
             .borrow()
             .clone()
             .expect("setup populates the world");
-        deploy_localization(testbed, world);
+        glue::deploy_localization(testbed, world, Some(clustering_js_chaos()));
     }
 
     fn audits(&self) -> Vec<ChannelAudit> {

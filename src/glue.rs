@@ -1,14 +1,19 @@
 //! Glue between the middleware, the scripts, and the native clustering —
 //! everything needed to stand up the paper's localization experiment.
 
+use std::cell::RefCell;
+
 use pogo_cluster::{ClusterSummary, RawScan, Scan};
 use pogo_core::proto::{ExperimentSpec, ScriptSpec};
-use pogo_core::sensor::WifiReading;
-use pogo_core::{DeviceNode, Msg, ScriptHost};
-use pogo_mobility::{GeolocationService, UserScenario, Whereabouts};
-use pogo_platform::{Bearer, Phone};
+use pogo_core::sensor::{SensorSources, WifiReading};
+use pogo_core::{DeviceConfig, DeviceNode, DeviceSetup, Msg, ScriptHost, Testbed};
+use pogo_mobility::{
+    GeolocationService, ScanSynthesizer, UserScenario, UserSpec, Whereabouts, World,
+};
+use pogo_net::Jid;
+use pogo_platform::{Bearer, NetAppConfig, PeriodicNetApp, Phone};
 use pogo_script::{ObjMap, ScriptError, Value};
-use pogo_sim::{Sim, SimTime};
+use pogo_sim::{Sim, SimRng, SimTime};
 
 /// `scan.js` source (Figure 1 / Table 2).
 pub const SCAN_JS: &str = include_str!("../assets/scripts/scan.js");
@@ -102,9 +107,33 @@ pub fn summary_from_msg(msg: &Msg) -> Option<ClusterSummary> {
     })
 }
 
+/// Deploys the localization experiment (Figure 1) as `loc` to every phone
+/// on `testbed`: `collect.js` on the collector, with the `geolocate`
+/// native over `world`, then `scan.js` and `clustering` (`clustering.js`
+/// when `None`) on the phones.
+pub fn deploy_localization(testbed: &Testbed, world: World, clustering: Option<String>) {
+    let service = GeolocationService::new(world);
+    let collector = testbed.collector();
+    collector
+        .install_collector_script("loc", "collect.js", COLLECT_JS, |host| {
+            register_geolocate(host, service);
+        })
+        .expect("collect.js loads");
+    let mut experiment = localization_experiment("loc");
+    if let Some(source) = clustering {
+        experiment.scripts[1].source = source;
+    }
+    let jids: Vec<Jid> = testbed.devices().iter().map(DeviceNode::jid).collect();
+    collector
+        .deployment(&experiment)
+        .to(&jids)
+        .send()
+        .expect("scripts pass pre-deployment analysis");
+}
+
 /// Registers the `geolocate` extension native (the Google-geolocation
 /// stand-in, §4.1) on a collector script host.
-pub fn register_geolocate(host: &ScriptHost, service: GeolocationService) {
+fn register_geolocate(host: &ScriptHost, service: GeolocationService) {
     host.register_native("geolocate", move |_, args: &[Value]| {
         let scan = args
             .first()
@@ -179,12 +208,67 @@ pub fn places_from_log(lines: &[String]) -> Vec<(String, ClusterSummary, bool)> 
     out
 }
 
+/// `spec` over days `start_day..end_day`, its roaming and outage gaps
+/// clipped to that window (a gap that starts after it is dropped).
+pub fn clip_user(spec: &UserSpec, start_day: u64, end_day: u64) -> UserSpec {
+    let clip = |gap: Option<(u64, u64)>| {
+        gap.and_then(|(a, b)| (a < end_day).then_some((a, b.min(end_day))))
+    };
+    UserSpec {
+        start_day,
+        end_day,
+        roaming_days: clip(spec.roaming_days),
+        outage_days: clip(spec.outage_days),
+        ..spec.clone()
+    }
+}
+
+/// Adds one Table 4 user's phone (§5.2, §5.3) to `testbed`: `spec`'s
+/// scenario, built on `world` and `rng`; a Wi-Fi scanner along its trace
+/// that fails as often as the user's chipset did; the §5.2 background
+/// e-mail app, whose radio tails the flushes ride; and the scenario's
+/// connectivity and reboots. The scanner and its failure stream fork
+/// `rng`, in that order, after the scenario is built.
+pub fn add_cohort_phone(
+    testbed: &mut Testbed,
+    spec: &UserSpec,
+    world: &mut World,
+    rng: &mut SimRng,
+    configure: impl FnOnce(DeviceConfig) -> DeviceConfig + 'static,
+) -> (DeviceNode, UserScenario) {
+    let scenario = spec.build(world, rng);
+    let trace = scenario.trace.clone();
+    let world = world.clone();
+    let synth = RefCell::new(ScanSynthesizer::new(rng.fork(spec.seed_salt)));
+    let failure_rng = RefCell::new(rng.fork(spec.seed_salt ^ 0xF41));
+    let scan_failure_prob = spec.scan_failure_prob;
+    let sources = SensorSources {
+        wifi_scan: Some(Box::new(move |t_ms| {
+            let w = trace.whereabouts(t_ms);
+            if failure_rng.borrow_mut().chance(scan_failure_prob) {
+                return None; // the chipset returned nothing this time
+            }
+            let raw = synth.borrow_mut().scan(&world, w, t_ms)?;
+            Some(readings_from_raw(&raw))
+        })),
+        ..SensorSources::default()
+    };
+    let node_name = spec.name.to_lowercase().replace(' ', "-");
+    let setup = DeviceSetup::named(&node_name).sensors(sources);
+    let (device, phone) = testbed.add(setup.configure(configure));
+    // The app keeps itself alive through its own alarms.
+    let _ = PeriodicNetApp::install(&phone, NetAppConfig::email());
+    drive_connectivity(testbed.sim(), &phone, &scenario);
+    schedule_reboots(testbed.sim(), &device, &scenario);
+    (device, scenario)
+}
+
 /// Applies a Table 4 user's movement/connectivity schedule to `phone`:
 /// cellular normally, no data during roaming/outage gaps, Wi-Fi only at
 /// home/office for the wifi-only user, nothing while the phone is off.
 /// (In the chaos soak the controller's own bearer manipulation
 /// interleaves with these breakpoints, which is the point.)
-pub fn drive_connectivity(sim: &Sim, phone: &Phone, scenario: &UserScenario) {
+fn drive_connectivity(sim: &Sim, phone: &Phone, scenario: &UserScenario) {
     let mut breakpoints: Vec<u64> = scenario.trace.segments().iter().map(|&(t, _)| t).collect();
     for &(a, b) in &scenario.disruptions.data_gaps {
         breakpoints.push(a);
@@ -229,7 +313,7 @@ pub fn drive_connectivity(sim: &Sim, phone: &Phone, scenario: &UserScenario) {
 /// after every phone-off night. (A reboot landing inside a chaos
 /// battery-death window is a harmless no-op: the device refuses to boot
 /// while powered off.)
-pub fn schedule_reboots(sim: &Sim, device: &DeviceNode, scenario: &UserScenario) {
+fn schedule_reboots(sim: &Sim, device: &DeviceNode, scenario: &UserScenario) {
     let mut reboots = scenario.disruptions.reboots.clone();
     let segments = scenario.trace.segments();
     for pair in segments.windows(2) {

@@ -13,10 +13,12 @@ use pogo::sim::{Sim, SimDuration};
 use pogo::{Error, ErrorCode};
 
 /// A per-device counter script: freeze + log + publish in one atomic
-/// script step, the contract the invariant harness relies on.
-fn counter_script(period_ms: u64) -> String {
+/// script step, the contract the invariant harness relies on. Each start
+/// of the script logs `version` to the `loads` log.
+fn counter_script(period_ms: u64, version: u32) -> String {
     format!(
-        "var st = thaw();\n\
+        "logTo('loads', 'v{version}');\n\
+         var st = thaw();\n\
          var n = st == null ? 0 : st.n;\n\
          function tick() {{\n\
              n = n + 1;\n\
@@ -29,16 +31,21 @@ fn counter_script(period_ms: u64) -> String {
     )
 }
 
+/// The counter experiment at script `version`.
+fn counter_spec(period_ms: u64, version: u32) -> ExperimentSpec {
+    ExperimentSpec {
+        id: "chaos".into(),
+        scripts: vec![ScriptSpec {
+            name: "tick.js".into(),
+            source: counter_script(period_ms, version),
+        }],
+    }
+}
+
 fn deploy_counter(tb: &Testbed, period_ms: u64) {
     let jids: Vec<_> = tb.devices().iter().map(|d| d.jid()).collect();
     tb.collector()
-        .deployment(&ExperimentSpec {
-            id: "chaos".into(),
-            scripts: vec![ScriptSpec {
-                name: "tick.js".into(),
-                source: counter_script(period_ms),
-            }],
-        })
+        .deployment(&counter_spec(period_ms, 1))
         .to(&jids)
         .send()
         .expect("counter script passes the lint gate");
@@ -120,15 +127,34 @@ fn store_and_forward_rides_out_outage_and_restart() {
     sim.run_for(SimDuration::from_mins(2));
 
     // Hard outage: sessions die, reconnects are refused for 90 s. The
-    // script keeps publishing into the store the whole time.
+    // script keeps publishing into the store the whole time, and the
+    // researcher redeploys into the outage: the collector's own outbox
+    // must carry version 2 across it.
     tb.server().set_down(true);
-    sim.run_for(SimDuration::from_secs(90));
+    sim.run_for(SimDuration::from_secs(30));
+    tb.collector()
+        .deployment(&counter_spec(30_000, 2))
+        .send()
+        .expect("counter script passes the lint gate");
+    sim.run_for(SimDuration::from_secs(60));
     tb.server().set_down(false);
     sim.run_for(SimDuration::from_mins(3));
+    let device = &tb.devices()[0];
+    assert_eq!(device.context("chaos").map(|c| c.version()), Some(2));
+    assert_eq!(
+        device.logs().lines("loads"),
+        ["v1", "v2"],
+        "version 2 arrived after the outage and started exactly once"
+    );
 
     // Bounce the server again with no grace at all.
     tb.server().restart();
     sim.run_for(SimDuration::from_mins(5));
+    // Stop publishing, so that nothing is left waiting for the next
+    // 30 s flush when the store is checked.
+    tb.collector().undeploy("chaos", &[device.jid()]);
+    sim.run_for(SimDuration::from_mins(2));
+    assert!(device.context("chaos").is_none());
 
     let got = delivered.borrow();
     let max = *got.iter().max().expect("samples arrived");
@@ -141,7 +167,7 @@ fn store_and_forward_rides_out_outage_and_restart() {
     );
     assert!(max >= 15, "publishing continued across the faults");
     assert!(tb.server().restarts() >= 1);
-    assert_eq!(tb.devices()[0].buffered(), 0, "store fully drained");
+    assert_eq!(device.buffered(), 0, "store fully drained");
 }
 
 #[test]
@@ -175,6 +201,17 @@ fn dedup_absorbs_duplicated_retransmits_when_acks_vanish() {
         dedup_drops > 0,
         "ack loss must actually force duplicate retransmits"
     );
+    // The same holds downstream: the collector's backstop resends the
+    // deploy, the phone drops the copies and runs the script once.
+    let device_drops = tb
+        .obs()
+        .metrics()
+        .counter_for(Some("phone-0@pogo"), "net.dedup_drops");
+    assert!(
+        device_drops > 0,
+        "the deploy was retransmitted to the phone"
+    );
+    assert_eq!(device.logs().lines("loads"), ["v1"], "deployed once");
     {
         let got = delivered.borrow();
         let mut sorted: Vec<i64> = got.clone();

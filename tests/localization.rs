@@ -10,7 +10,7 @@ use pogo::cluster::{match_clusters, MatchParams, StreamConfig};
 use pogo::core::sensor::SensorSources;
 use pogo::core::Testbed;
 use pogo::glue;
-use pogo::mobility::{GeolocationService, MovementTrace, ScanSynthesizer, Whereabouts, World};
+use pogo::mobility::{MovementTrace, ScanSynthesizer, Whereabouts, World};
 use pogo::net::FlushPolicy;
 use pogo::sim::{Sim, SimDuration, SimRng};
 
@@ -77,22 +77,7 @@ fn launch() -> Setup {
 }
 
 fn deploy_localization(setup: &Setup) {
-    let service = GeolocationService::new(setup.world.clone());
-    setup
-        .testbed
-        .collector()
-        .install_collector_script("loc", "collect.js", glue::COLLECT_JS, |host| {
-            glue::register_geolocate(host, service);
-        })
-        .expect("collect.js loads");
-    let jids: Vec<_> = setup.testbed.devices().iter().map(|d| d.jid()).collect();
-    setup
-        .testbed
-        .collector()
-        .deployment(&glue::localization_experiment("loc"))
-        .to(&jids)
-        .send()
-        .expect("scripts pass pre-deployment analysis");
+    glue::deploy_localization(&setup.testbed, setup.world.clone(), None);
 }
 
 #[test]
