@@ -1012,7 +1012,7 @@ mod tests {
         let cs2 = cs.clone();
         cs.on_receive(move |e| {
             if matches!(e.payload, Payload::Data(_)) {
-                let _ = cs2.send(&e.from, 0, Payload::Ack(vec![e.seq]));
+                let _ = cs2.send(&e.from, 0, Payload::Ack(e.seq));
             }
             let _ = (&server2, &col2);
         });
@@ -1108,8 +1108,8 @@ mod tests {
         let acked: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
         let a = acked.clone();
         cs.on_receive(move |e| {
-            if let Payload::Ack(seqs) = &e.payload {
-                a.borrow_mut().extend(seqs);
+            if let Payload::Ack(seq) = e.payload {
+                a.borrow_mut().push(seq);
             }
         });
         let deploy = ControlMsg::Deploy {

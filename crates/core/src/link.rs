@@ -249,10 +249,10 @@ impl<N: Clone + 'static> Link<N> {
         let (from, seq) = (&envelope.from, envelope.seq);
         let json = match &envelope.payload {
             Payload::Data(json) => json,
-            Payload::Ack(seqs) => {
+            Payload::Ack(acked) => {
                 let store = self.outbox.borrow().get(from).cloned();
                 if let Some(store) = store {
-                    self.depth.set(self.depth.get() - store.ack(seqs));
+                    self.depth.set(self.depth.get() - store.ack(&[*acked]));
                 }
                 return;
             }
@@ -292,7 +292,7 @@ impl<N: Clone + 'static> Link<N> {
             from: self.jid.clone(),
             to: to.clone(),
             seq: 0,
-            payload: Payload::Ack(vec![seq]),
+            payload: Payload::Ack(seq),
             sent_at_ms: 0,
         };
         match self.hooks.radio {

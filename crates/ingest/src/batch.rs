@@ -10,6 +10,8 @@
 //! builder goes non-empty. Only [`Watermarks`] is visible outside the
 //! crate.
 
+use std::ops::Range;
+
 use pogo_sim::{SimDuration, SimTime};
 
 use crate::error::IngestError;
@@ -36,18 +38,65 @@ pub(crate) enum Column {
 /// `text[ends[i - 1]..ends[i]]` (from 0 for the first row). A value
 /// costs its bytes and a `u32`, where a `String` of its own cost a
 /// 24-byte header, an allocator chunk and whatever slack it grew.
+///
+/// A flushed `Json` column may be *shaped* (`pieces > 0`): every row was
+/// a compact object with the first row's keys in the same order, so the
+/// buffer starts with that key skeleton once, cut by `ends[..pieces]`
+/// into the text around the values (`{"a":`, `,"b":`, `}`), and each row
+/// after it holds only its values, each behind its length as one byte.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct Text {
     text: String,
     ends: Vec<u32>,
+    pieces: usize,
 }
 
 impl Text {
+    /// Entry `i` of the buffer: a skeleton piece below `pieces`, a row
+    /// from there on.
+    fn entry(&self, i: usize) -> &str {
+        let start = i.checked_sub(1).map_or(0, |prev| self.ends[prev] as usize);
+        &self.text[start..self.ends[i] as usize]
+    }
+
+    /// Row `row` as stored: its text, or its values if shaped.
     fn get(&self, row: usize) -> &str {
-        let start = row
-            .checked_sub(1)
-            .map_or(0, |prev| self.ends[prev] as usize);
-        &self.text[start..self.ends[row] as usize]
+        self.entry(self.pieces + row)
+    }
+
+    fn rows(&self) -> usize {
+        self.ends.len() - self.pieces
+    }
+
+    /// Row `row`'s text, rebuilt from skeleton and values when shaped, in
+    /// one allocation of its exact size.
+    fn json(&self, row: usize) -> String {
+        let stored = self.get(row);
+        let Some(values) = self.pieces.checked_sub(1) else {
+            return stored.to_owned();
+        };
+        let skeleton = self.ends[values] as usize;
+        let mut out = String::with_capacity(skeleton + stored.len() - values);
+        let mut rest = stored;
+        for k in 0..values {
+            out.push_str(self.entry(k));
+            let len = usize::from(rest.as_bytes()[0]);
+            out.push_str(&rest[1..=len]);
+            rest = &rest[1 + len..];
+        }
+        out.push_str(self.entry(values));
+        out
+    }
+
+    /// Bytes of text the rows hold as appended, skeleton included.
+    fn raw_len(&self) -> usize {
+        match self.pieces.checked_sub(1) {
+            None => self.text.len(),
+            Some(values) => {
+                let skeleton = self.ends[values] as usize;
+                self.text.len() - skeleton + self.rows() * (skeleton - values)
+            }
+        }
     }
 
     fn push(&mut self, value: &str) {
@@ -63,7 +112,139 @@ impl Text {
         Text {
             text,
             ends: take_exact(&mut self.ends),
+            pieces: 0,
         }
+    }
+
+    /// [`Text::take_exact`] for a `Json` column whose every row rebuilds
+    /// byte for byte from the first row's skeleton and values of under
+    /// 128 bytes: the rows shaped, each buffer allocated once at its exact
+    /// size. `None`, with `self` untouched, when a row does not, or when
+    /// shaping would not make the batch smaller. `cuts` is the builder's
+    /// scratch.
+    fn take_shaped(&mut self, cuts: &mut Vec<Range<usize>>) -> Option<Text> {
+        cuts.clear();
+        let first = self.get(0);
+        if !cut_members(first.as_bytes(), cuts) {
+            return None;
+        }
+        let skeleton = first.len() - cuts.iter().map(ExactSizeIterator::len).sum::<usize>();
+        // Each row sheds the skeleton but gains a length byte per value;
+        // the batch gains the skeleton once and an offset per piece.
+        let saved = self.rows() * (skeleton - cuts.len());
+        if saved <= skeleton + 4 * (cuts.len() + 1) {
+            return None;
+        }
+        // Exact once every row has proved to share the skeleton.
+        let mut text = Vec::with_capacity((self.text.len() + skeleton).saturating_sub(saved));
+        let mut ends = Vec::with_capacity(cuts.len() + 1 + self.rows());
+        for k in 0..=cuts.len() {
+            text.extend_from_slice(piece(first, cuts, k).as_bytes());
+            ends.push(text.len() as u32);
+        }
+        for row in 0..self.rows() {
+            let bytes = self.get(row).as_bytes();
+            let mut pos = 0;
+            for k in 0..=cuts.len() {
+                let gap = piece(first, cuts, k).as_bytes();
+                if bytes.get(pos..pos + gap.len()) != Some(gap) {
+                    return None;
+                }
+                pos += gap.len();
+                if k == cuts.len() {
+                    break;
+                }
+                let end = value_end(bytes, pos)?;
+                let value = &bytes[pos..end];
+                if value.len() >= 128 {
+                    return None;
+                }
+                text.push(value.len() as u8);
+                text.extend_from_slice(value);
+                pos = end;
+            }
+            if pos != bytes.len() {
+                return None;
+            }
+            ends.push(text.len() as u32);
+        }
+        // Cut at ASCII bytes, and every length byte is ASCII.
+        let text = String::from_utf8(text).expect("shaped text is UTF-8");
+        let pieces = cuts.len() + 1;
+        self.text.clear();
+        self.ends.clear();
+        Some(Text { text, ends, pieces })
+    }
+}
+
+/// Skeleton piece `k` of `first`, whose member values `cuts` holds: the
+/// text before value `k`, or after the last one for `k == cuts.len()`.
+fn piece<'a>(first: &'a str, cuts: &[Range<usize>], k: usize) -> &'a str {
+    let start = k.checked_sub(1).map_or(0, |prev| cuts[prev].end);
+    &first[start..cuts.get(k).map_or(first.len(), |c| c.start)]
+}
+
+/// Pushes to `cuts` the byte range of each member value of `row`, a
+/// compact JSON object of one member or more (`{"k":v,...}`, no space
+/// outside values); `false` when `row` is not one. Values are not
+/// validated: one ends at the first `,` or `}` outside strings and brackets.
+fn cut_members(row: &[u8], cuts: &mut Vec<Range<usize>>) -> bool {
+    if row.first() != Some(&b'{') {
+        return false;
+    }
+    let mut pos = 1;
+    loop {
+        if row.get(pos) != Some(&b'"') {
+            return false;
+        }
+        let Some(close) = string_end(row, pos) else {
+            return false;
+        };
+        if row.get(close + 1) != Some(&b':') {
+            return false;
+        }
+        let start = close + 2;
+        let Some(end) = value_end(row, start) else {
+            return false;
+        };
+        cuts.push(start..end);
+        match row[end] {
+            b',' => pos = end + 1,
+            b'}' => return end + 1 == row.len(),
+            _ => return false,
+        }
+    }
+}
+
+/// The index of the closing quote of the string opened at `row[open]`.
+fn string_end(row: &[u8], open: usize) -> Option<usize> {
+    let mut i = open + 1;
+    loop {
+        match *row.get(i)? {
+            b'\\' => i += 2,
+            b'"' => return Some(i),
+            _ => i += 1,
+        }
+    }
+}
+
+/// The index of the first `,`, `}` or `]` at or after `from` that is
+/// outside every string and bracket opened there.
+fn value_end(row: &[u8], from: usize) -> Option<usize> {
+    let mut depth = 0usize;
+    let mut i = from;
+    loop {
+        match *row.get(i)? {
+            b'"' => i = string_end(row, i)?,
+            b'{' | b'[' => depth += 1,
+            b',' if depth == 0 => return Some(i),
+            b'}' | b']' => match depth.checked_sub(1) {
+                Some(d) => depth = d,
+                None => return Some(i),
+            },
+            _ => {}
+        }
+        i += 1;
     }
 }
 
@@ -105,7 +286,7 @@ impl Column {
             Column::F64(v) => SampleValue::F64(v[row]),
             Column::Bool(v) => SampleValue::Bool(v[row]),
             Column::Str(t) => SampleValue::Str(t.get(row).to_owned()),
-            Column::Json(t) => SampleValue::Json(t.get(row).to_owned()),
+            Column::Json(t) => SampleValue::Json(t.json(row)),
         }
     }
 
@@ -131,25 +312,28 @@ impl Column {
         }
     }
 
-    /// The entries at their exact length; `self` keeps its capacity.
-    fn take_exact(&mut self) -> Column {
+    /// The entries at their exact length, a `Json` column shaped when
+    /// that rebuilds every row (`Text::take_shaped`); `self` keeps its
+    /// capacity.
+    fn take_exact(&mut self, cuts: &mut Vec<Range<usize>>) -> Column {
         match self {
             Column::I64(v) => Column::I64(take_exact(v)),
             Column::F64(v) => Column::F64(take_exact(v)),
             Column::Bool(v) => Column::Bool(take_exact(v)),
             Column::Str(t) => Column::Str(t.take_exact()),
-            Column::Json(t) => Column::Json(t.take_exact()),
+            Column::Json(t) => Column::Json(t.take_shaped(cuts).unwrap_or_else(|| t.take_exact())),
         }
     }
 
     /// The charged size: 8 bytes per number, 1 per boolean, and `len +
-    /// 24` per text value, what a `String` of its own was charged.
+    /// 24` per text value as appended, what a `String` of its own was
+    /// charged, shaped or not.
     fn approx_bytes(&self) -> u64 {
         match self {
             Column::I64(v) => v.len() as u64 * 8,
             Column::F64(v) => v.len() as u64 * 8,
             Column::Bool(v) => v.len() as u64,
-            Column::Str(t) | Column::Json(t) => t.text.len() as u64 + 24 * t.ends.len() as u64,
+            Column::Str(t) | Column::Json(t) => t.raw_len() as u64 + 24 * t.rows() as u64,
         }
     }
 }
@@ -216,6 +400,8 @@ pub(crate) struct BatchBuilder {
     device_idx: Vec<u32>,
     at: Vec<SimTime>,
     values: Column,
+    /// Scratch for a `Json` flush: the first row's member values.
+    cuts: Vec<Range<usize>>,
 }
 
 impl BatchBuilder {
@@ -234,6 +420,7 @@ impl BatchBuilder {
             device_idx: Vec::new(),
             at: Vec::new(),
             values: Column::empty(template),
+            cuts: Vec::new(),
         }
     }
 
@@ -320,7 +507,7 @@ impl BatchBuilder {
             channel: self.channel.clone(),
             device_idx: take_exact(&mut self.device_idx),
             at: take_exact(&mut self.at),
-            values: self.values.take_exact(),
+            values: self.values.take_exact(&mut self.cuts),
         })
     }
 }
@@ -462,6 +649,79 @@ mod tests {
                 assert!(b.at.capacity() >= values.len(), "and keeps its capacity");
             }
         }
+    }
+
+    fn json_batch(rows: &[&str]) -> Batch {
+        let store = SampleStore::new();
+        let mut b = BatchBuilder::new("e", "c", Template::Json, Watermarks::default());
+        for row in rows {
+            b.append(&store, "d", t(1), SampleValue::Json((*row).to_owned()))
+                .unwrap();
+        }
+        b.flush().unwrap()
+    }
+
+    /// A batch of same-keyed objects keeps the keys once and per row only
+    /// the values, each behind its length; every row rebuilds to its text
+    /// and the charge is that of the text as appended.
+    #[test]
+    fn same_keyed_json_is_stored_shaped_and_rebuilds_exactly() {
+        let rows = [
+            r#"{"charging":false,"level":0.5,"voltage":3.7}"#,
+            r#"{"charging":true,"level":0.25,"voltage":3.91}"#,
+            r#"{"charging":false,"level":1,"voltage":4.2}"#,
+        ];
+        let batch = json_batch(&rows);
+        let Column::Json(text) = &batch.values else {
+            panic!("a json column");
+        };
+        assert_eq!(text.pieces, 4);
+        assert_eq!(
+            text.text,
+            "{\"charging\":,\"level\":,\"voltage\":}\u{5}false\u{3}0.5\u{3}3.7\
+             \u{4}true\u{4}0.25\u{4}3.91\u{5}false\u{1}1\u{3}4.2"
+        );
+        for (row, want) in rows.iter().enumerate() {
+            assert_eq!(
+                batch.values.value(row),
+                SampleValue::Json((*want).to_owned())
+            );
+        }
+        let raw: usize = rows.iter().map(|r| r.len()).sum();
+        assert!(text.text.len() < raw);
+        assert_eq!(text.text.capacity(), text.text.len());
+        assert_eq!(text.ends.capacity(), text.ends.len());
+        assert_eq!(batch.approx_bytes(), 3 * (4 + 8 + 24) + raw as u64);
+    }
+
+    /// A batch keeps its layout when a row is not a compact object with
+    /// the first row's keys, when a value is 128 bytes or longer, and when
+    /// shaping would not make it smaller.
+    #[test]
+    fn json_that_does_not_rebuild_keeps_its_layout() {
+        let long = format!(r#"{{"aaaa":"{}"}}"#, "x".repeat(126));
+        for rows in [
+            &[r#"{"a":1,"b":2}"#, r#"{"b":1,"a":2}"#, r#"{"a":1,"b":2}"#][..],
+            &[r#"{"a":1,"b":2}"#, r#"{"a":1}"#, r#"{"a":1,"b":2}"#],
+            &[r#"{"a":1,"b":2}"#, r#"{"a":1, "b":2}"#, r#"{"a":1,"b":2}"#],
+            &[r#"{"a":1,"b":2}"#, "[1,2]", r#"{"a":1,"b":2}"#],
+            &[r#"{"a":1,"b":2}"#, r#"{"a":1,"b":2"#, r#"{"a":1,"b":2}"#],
+            &[
+                r#"{"a":1,"b":2} "#,
+                r#"{"a":1,"b":2} "#,
+                r#"{"a":1,"b":2} "#,
+            ],
+            &[r#"{"aaaa":1}"#, long.as_str(), r#"{"aaaa":1}"#],
+            &[r#"{"aaaa":1}"#],
+        ] {
+            let batch = json_batch(rows);
+            let Column::Json(text) = &batch.values else {
+                panic!("a json column");
+            };
+            assert_eq!(text.pieces, 0, "{rows:?}");
+            assert_eq!(text.text, rows.concat());
+        }
+        assert_eq!(long.len() - r#"{"aaaa":}"#.len(), 128);
     }
 
     #[test]

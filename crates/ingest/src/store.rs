@@ -201,6 +201,18 @@ fn row_range(at: &[SimTime], since: Option<SimTime>, until: Option<SimTime>) -> 
     lo..hi.max(lo)
 }
 
+/// Each of `ch`'s batches that can hold a row inside `query`'s time
+/// window, with the rows of it that do.
+fn window<'a>(
+    ch: &'a ChannelStore,
+    query: &ScanQuery,
+) -> impl Iterator<Item = (&'a Batch, Range<usize>)> {
+    let (since, until) = (query.since, query.until);
+    ch.batches
+        .range(batch_range(&ch.batches, since, until))
+        .map(move |batch| (batch, row_range(&batch.at, since, until)))
+}
+
 #[derive(Debug, Default)]
 struct StoreInner {
     /// Experiment → channel → batches. Nested rather than keyed by a
@@ -326,15 +338,23 @@ impl SampleStore {
         let Some(channels) = inner.channels.get(&query.exp) else {
             return out;
         };
-        for (channel, ch) in channels {
-            if query.channel.as_ref().is_some_and(|want| want != channel) {
-                continue;
-            }
-            for batch in ch
-                .batches
-                .range(batch_range(&ch.batches, query.since, query.until))
-            {
-                for row in row_range(&batch.at, query.since, query.until) {
+        let wanted = channels
+            .iter()
+            .filter(|(channel, _)| query.channel.as_ref().is_none_or(|want| want == *channel));
+        if device.is_none() {
+            // Exactly the rows returned: a doubling `Vec` leaves each
+            // buffer it outgrew behind as a hole in the heap.
+            out.reserve_exact(
+                wanted
+                    .clone()
+                    .flat_map(|(_, ch)| window(ch, query))
+                    .map(|(_, rows)| rows.len())
+                    .sum(),
+            );
+        }
+        for (channel, ch) in wanted {
+            for (batch, rows) in window(ch, query) {
+                for row in rows {
                     let id = batch.device_idx[row];
                     if device.is_some_and(|want| want != id) {
                         continue;
@@ -462,6 +482,33 @@ mod tests {
             store.scan(&ScanQuery::exp("e").device("d9")).is_empty(),
             "a device the store never saw"
         );
+    }
+
+    /// Without a device filter a scan knows how many rows it returns and
+    /// allocates for exactly those, under a time window too.
+    #[test]
+    fn a_scan_without_a_device_filter_is_sized_exactly() {
+        let store = SampleStore::new();
+        store.declare("e", "b", Template::I64, Retention::KeepAll);
+        store.declare("e", "c", Template::I64, Retention::KeepAll);
+        for secs in [&[1, 2, 2][..], &[3, 4], &[5, 6, 7]] {
+            store.push_batch(batch_at(&store, secs), t(9));
+        }
+        store.push_batch(
+            batch_of(&store, "e", "b", &[("d", 4, 1), ("d", 5, 2)]),
+            t(9),
+        );
+        for (q, want) in [
+            (ScanQuery::exp("e"), 10),
+            (ScanQuery::exp("e").channel("b"), 2),
+            (ScanQuery::exp("e").since(t(2)), 9),
+            (ScanQuery::exp("e").since(t(2)).until(t(5)), 5),
+            (ScanQuery::exp("e").until(t(1)), 0),
+        ] {
+            let rows = store.scan(&q);
+            assert_eq!(rows.len(), want, "{q:?}");
+            assert_eq!(rows.capacity(), want, "{q:?}");
+        }
     }
 
     #[test]

@@ -12,9 +12,9 @@ pub const ENVELOPE_OVERHEAD_BYTES: u64 = 64;
 pub enum Payload {
     /// Application data (a serialized JSON message from the middleware).
     Data(String),
-    /// End-to-end acknowledgement of the given sender sequence numbers
-    /// (Pogo's own ack layer on top of XMPP, §4.6).
-    Ack(Vec<u64>),
+    /// End-to-end acknowledgement of one sender sequence number (Pogo's
+    /// own ack layer on top of XMPP, §4.6).
+    Ack(u64),
 }
 
 impl Payload {
@@ -22,7 +22,7 @@ impl Payload {
     pub(crate) fn size_bytes(&self) -> u64 {
         match self {
             Payload::Data(s) => s.len() as u64,
-            Payload::Ack(ids) => 8 * ids.len() as u64,
+            Payload::Ack(_) => 8,
         }
     }
 }
@@ -80,15 +80,15 @@ mod tests {
     }
 
     #[test]
-    fn ack_size_scales_with_ids() {
+    fn ack_carries_one_seq_in_eight_bytes() {
         let e = Envelope {
             from: jid("a@x"),
             to: jid("b@x"),
             seq: 2,
-            payload: Payload::Ack(vec![1, 2, 3]),
+            payload: Payload::Ack(1),
             sent_at_ms: 5,
         };
-        assert_eq!(e.wire_size(), ENVELOPE_OVERHEAD_BYTES + 24);
+        assert_eq!(e.wire_size(), ENVELOPE_OVERHEAD_BYTES + 8);
         assert_eq!(e.data(), None);
     }
 }

@@ -129,7 +129,7 @@ fn retransmission_achieves_exactly_once_despite_handovers() {
             let receiver2 = receiver.clone();
             receiver.on_receive(move |env| {
                 if let Payload::Data(data) = &env.payload {
-                    let _ = receiver2.send(&env.from, 0, Payload::Ack(vec![env.seq]));
+                    let _ = receiver2.send(&env.from, 0, Payload::Ack(env.seq));
                     if dedup.first_sighting(&env.from, env.seq) {
                         received.borrow_mut().push(data.clone());
                     }
@@ -143,8 +143,8 @@ fn retransmission_achieves_exactly_once_despite_handovers() {
             move |session: &Session| {
                 let store = store.clone();
                 session.on_receive(move |env| {
-                    if let Payload::Ack(seqs) = &env.payload {
-                        store.ack(seqs);
+                    if let Payload::Ack(seq) = env.payload {
+                        store.ack(&[seq]);
                     }
                 });
             }

@@ -11,7 +11,11 @@
 //! budget below, or leaves more heap bytes held per stored sample: what
 //! the collector's store costs to keep a sample, which is what a
 //! many-phone, many-day deployment piles up. A `clone()` creeping back
-//! onto the path shows up here before it shows up in any timing.
+//! onto the path shows up here before it shows up in any timing. Those
+//! bytes mix the store with the simulation around it, so a fourth gauge
+//! takes the store alone: 10,000 `battery` and 10,000 `accelerometer`
+//! values, in the fleets' own JSON shapes, appended to a bare pipeline
+//! and flushed, with the heap bytes held per stored row gated.
 //!
 //! A third fleet is the gauge for the script path: `scan.js` and
 //! `clustering.js` on every device, one Wi-Fi scan a minute, as in the
@@ -37,8 +41,9 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use pogo::core::{ChannelFilter, FleetSpec, Msg, Testbed};
-use pogo::ingest::ChannelSchema;
+use pogo::ingest::{ChannelSchema, IngestPipeline, SampleValue};
 use pogo::net::{FlushPolicy, LinkShape};
+use pogo::obs::Obs;
 use pogo::platform::{NetAppConfig, PeriodicNetApp};
 use pogo::sim::{Sim, SimDuration};
 use pogo_core::proto::ExperimentSpec;
@@ -230,19 +235,19 @@ fn measure(fleet: Fleet) -> (u64, u64, i64) {
 }
 
 /// Allocator calls per stored sample, and the heap bytes a stored sample
-/// leaves held, that this same test read at the parent commit (cea51de,
-/// where every text value in the collector's store was a `String` of its
-/// own, and a flushed batch took its builder's growing vectors) and reads
-/// at this one (a batch holds its text end to end in one buffer, every
-/// column copied out at its exact length).
-const PARENT_UPLINK: f64 = 25.2;
-const PARENT_TAILSYNC: f64 = 26.3;
-const PARENT_UPLINK_LIVE: f64 = 127.5;
-const PARENT_TAILSYNC_LIVE: f64 = 300.6;
-const UPLINK: f64 = 25.1;
-const TAILSYNC: f64 = 26.0;
-const UPLINK_LIVE: f64 = 103.1;
-const TAILSYNC_LIVE: f64 = 270.5;
+/// leaves held, that this same test read at the parent commit (91ca331,
+/// where every JSON row in the collector's store kept its keys, a scan's
+/// result grew by doubling and an ack carried a `Vec` of seqs) and reads
+/// at this one (a batch of same-keyed objects keeps its keys once, a scan
+/// sizes its result exactly, an ack carries one seq).
+const PARENT_UPLINK: f64 = 25.1;
+const PARENT_TAILSYNC: f64 = 26.0;
+const PARENT_UPLINK_LIVE: f64 = 103.1;
+const PARENT_TAILSYNC_LIVE: f64 = 270.5;
+const UPLINK: f64 = 23.9;
+const TAILSYNC: f64 = 25.0;
+const UPLINK_LIVE: f64 = 77.4;
+const TAILSYNC_LIVE: f64 = 233.3;
 
 /// The gate on every count in this file: what this commit reads plus
 /// 3 %. The counts repeat exactly, so the headroom is for deliberate
@@ -292,6 +297,87 @@ fn sample_path_allocations_stay_within_budget_and_repeat_exactly() {
                 HEADROOM * now,
             );
         }
+    }
+}
+
+/// Heap bytes a bare pipeline holds after taking [`STORE_ROWS`] values of
+/// one channel, in the shape its fleet's sensor sends, and flushing: the
+/// store alone, without the simulation around it that the per-sample
+/// counts above include.
+fn store_live_bytes(channel: &str) -> i64 {
+    let sim = Sim::new();
+    let pipeline = IngestPipeline::new(&sim, &Obs::off());
+    pipeline
+        .register(EXP, channel, ChannelSchema::json())
+        .expect("fresh channel registers");
+    let live_before = live_bytes();
+    for i in 0..STORE_ROWS {
+        let t_ms = 5_000 * i;
+        let msg = if channel == "battery" {
+            let level = 1.0 - i as f64 / 7_919.0;
+            Msg::obj([
+                ("voltage", Msg::Num(3.5 + 0.7 * level)),
+                ("level", Msg::Num(level)),
+                ("charging", Msg::Bool(i % 7 == 0)),
+                ("timestamp", Msg::Num(t_ms as f64)),
+            ])
+        } else {
+            let sample = AccelSample {
+                x: t_ms as f64,
+                y: ((i % 1_000) as f64 - 500.0) / 1_000.0,
+                z: 9.81,
+            };
+            Msg::obj([
+                ("x", Msg::Num(sample.x)),
+                ("y", Msg::Num(sample.y)),
+                ("z", Msg::Num(sample.z)),
+                ("magnitude", Msg::Num(sample.magnitude())),
+            ])
+        };
+        let device = format!("phone{}", i % DEVICES as u64);
+        pipeline
+            .append(EXP, channel, &device, SampleValue::Json(msg.to_json()))
+            .expect("a json value ingests");
+    }
+    pipeline.flush_all();
+    assert_eq!(pipeline.store().rows(), STORE_ROWS);
+    live_bytes() - live_before
+}
+
+const STORE_ROWS: u64 = 10_000;
+/// Heap bytes per stored row that `store_live_bytes` read at the parent commit (91ca331, every
+/// JSON row kept its keys) and reads at this one (a batch of same-keyed
+/// objects keeps them once).
+const PARENT_BATTERY_ROW_LIVE: f64 = 116.0;
+const PARENT_ACCEL_ROW_LIVE: f64 = 84.2;
+const BATTERY_ROW_LIVE: f64 = 74.4;
+const ACCEL_ROW_LIVE: f64 = 59.5;
+
+#[test]
+fn store_resident_bytes_per_row_stay_within_budget_and_repeat_exactly() {
+    for (channel, parent, now) in [
+        ("battery", PARENT_BATTERY_ROW_LIVE, BATTERY_ROW_LIVE),
+        ("accelerometer", PARENT_ACCEL_ROW_LIVE, ACCEL_ROW_LIVE),
+    ] {
+        // On threads of their own, as the localization runs below: both
+        // start with empty per-thread tables.
+        let run = || {
+            let thread = std::thread::spawn(move || store_live_bytes(channel));
+            thread.join().expect("the run does not panic")
+        };
+        let held = run();
+        assert_eq!(held, run(), "{channel}: two runs must count the same");
+        let got = held as f64 / STORE_ROWS as f64;
+        println!(
+            "Store {channel}: {held} live heap bytes / {STORE_ROWS} rows = {got:.1} per \
+             stored row, the store alone (parent {parent:.1})"
+        );
+        assert!(
+            got <= HEADROOM * now,
+            "{channel}: {got:.1} live heap bytes per stored row exceeds {:.1} ({now:.1} at the \
+             last re-base, plus 3 %)",
+            HEADROOM * now,
+        );
     }
 }
 
