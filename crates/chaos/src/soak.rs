@@ -110,6 +110,15 @@ impl SoakReport {
         self.violations.is_empty()
     }
 
+    /// FNV-1a over `trace_jsonl` then `store_csv`: one number that pins a
+    /// run's trace and store across commits.
+    pub fn digest(&self) -> u64 {
+        let bytes = self.trace_jsonl.bytes().chain(self.store_csv.bytes());
+        bytes.fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
     /// Multi-line human summary.
     pub fn summary(&self) -> String {
         let mut out = String::new();

@@ -41,22 +41,20 @@ const RECONNECT_DELAY: SimDuration = SimDuration::from_secs(2);
 const LINK_LATENCY: SimDuration = SimDuration::from_millis(5);
 
 /// The collector's half of the link: a wired, always-on dial; acks sent
-/// at once; device presence → retransmit; and, after the switchboard
-/// kicked us (restart/outage), a retransmission to every device with
-/// pending control traffic — their presence may have fired while we were
-/// dark.
+/// at once; device presence → retransmit; after a kick (restart/outage),
+/// a retransmission to every device, whose presence may have fired while
+/// we were dark.
 static LINK_HOOKS: Hooks<CollectorNode> = Hooks {
     link: |me| &me.inner.link,
     dial: |_| Some(LINK_LATENCY),
-    up: |_| true,
-    reconnect_delay: RECONNECT_DELAY,
+    redial: |_| Some(RECONNECT_DELAY),
     radio: None,
     deliver: CollectorNode::on_control,
     reconnected: |me| {
         me.inner.obs.event("pogo", "reconnect", vec![]);
-        me.inner.link.retransmit_all();
+        me.inner.link.transmit(None, true);
     },
-    presence: |me, device| me.inner.link.transmit(device, true),
+    presence: |me, device| me.inner.link.transmit(Some(device), true),
 };
 
 /// A deployment rejected by the pre-flight static analyzer: the bundle
@@ -126,8 +124,8 @@ impl Deployment<'_> {
 /// Wiring is set once in [`CollectorNode::with_obs`] and never
 /// reassigned (every handle is itself shared). Of what changes, a
 /// collector restart would keep the durable part — with the link's
-/// outbox and dedup filter, `logs` and the `pipeline`'s store — and
-/// rebuild the rest.
+/// per-peer records, `logs` and the `pipeline`'s store — and rebuild the
+/// rest.
 struct Inner {
     // -- wiring --
     jid: Jid,
@@ -220,8 +218,7 @@ impl CollectorNode {
                 retry_armed: Cell::new(false),
             }),
         };
-        node.inner.link.connect(&node);
-        let connected = node.inner.link.session().is_some();
+        let connected = node.inner.link.connect(&node).is_some();
         assert!(connected, "collector JID must be registered");
         node
     }
@@ -558,7 +555,7 @@ impl CollectorNode {
     /// it is online (the collector is on mains: no batching needed).
     fn send_reliable(&self, device: &Jid, ctl: &ControlMsg) {
         self.inner.link.enqueue(device, ctl.to_json());
-        self.inner.link.transmit(device, false);
+        self.inner.link.transmit(Some(device), false);
         self.arm_retry();
     }
 
@@ -570,7 +567,8 @@ impl CollectorNode {
         let me = self.clone();
         self.inner.scheduler.run_later(RETRY_PERIOD, move || {
             me.inner.retry_armed.set(false);
-            if me.inner.link.retransmit_all() {
+            me.inner.link.transmit(None, true);
+            if me.inner.link.depth() > 0 {
                 me.arm_retry();
             }
         });

@@ -50,8 +50,7 @@ static LINK_HOOKS: Hooks<DeviceNode> = Hooks {
         };
         connectivity.is_online().then_some(latency)
     },
-    up: DeviceNode::is_booted,
-    reconnect_delay: RECONNECT_DELAY,
+    redial: |me| me.is_booted().then_some(RECONNECT_DELAY),
     // Acks ride immediately: the modem is already in DCH from receiving
     // the data, so this costs almost nothing extra.
     radio: Some(|me, session, ack| {
@@ -62,7 +61,7 @@ static LINK_HOOKS: Hooks<DeviceNode> = Hooks {
         });
     }),
     deliver: DeviceNode::handle_control,
-    reconnected: DeviceNode::maybe_flush,
+    reconnected: |me| me.maybe_flush(false),
     presence: |_, _| {},
 };
 
@@ -166,7 +165,7 @@ struct Inner {
     /// JID-scoped observability handle (off unless configured).
     obs: Obs,
     // -- flash-persistent state (survives reboot) --
-    /// The session, the outbox and the dedup filter (§4.6).
+    /// The session and the per-peer outboxes and seen-sets (§4.6).
     link: Link<DeviceNode>,
     logs: LogStore,
     frozen: RefCell<HashMap<(String, String), FrozenSlot>>,
@@ -388,7 +387,7 @@ impl DeviceNode {
         for (exp, spec) in installed {
             self.instantiate_context(&exp, spec.version, &spec.scripts, &spec.collector);
         }
-        self.maybe_flush();
+        self.maybe_flush(false);
     }
 
     /// Reboots the phone's middleware: everything volatile is lost —
@@ -554,7 +553,7 @@ impl DeviceNode {
                 let me2 = me.clone();
                 me.inner.phone.sim().schedule_in(RECONNECT_DELAY, move || {
                     me2.inner.link.connect(&me2);
-                    me2.maybe_flush();
+                    me2.maybe_flush(false);
                 });
             }
         });
@@ -675,7 +674,7 @@ impl DeviceNode {
         self.inner.link.enqueue(to, json);
         self.inner.dirty.set(true);
         self.arm_deadline();
-        self.maybe_flush();
+        self.maybe_flush(false);
     }
 
     /// Arms the max-delay deadline alarm for the TailSync policy.
@@ -691,7 +690,7 @@ impl DeviceNode {
         let me = self.clone();
         self.inner.scheduler.run_later(delay, move || {
             me.inner.deadline_armed.set(false);
-            me.maybe_flush();
+            me.maybe_flush(false);
             // Re-arm if data is still waiting (e.g. offline).
             if me.inner.link.depth() > 0 {
                 me.arm_deadline();
@@ -705,30 +704,20 @@ impl DeviceNode {
         let obs = self.inner.obs.clone();
         let detector = TailDetector::new(&self.inner.phone, TAIL_POLL, move |_delta| {
             obs.metrics().inc("tail.detections", 1);
-            me.maybe_flush_on_tail();
+            me.maybe_flush(true);
         });
         detector.start();
         *self.inner.tail.borrow_mut() = Some(detector);
     }
 
     /// Evaluates the flush policy and pushes the buffer out if it says
-    /// so. This is the generic trigger (enqueue, deadline, reconnect,
-    /// charger): for the tail-sync policy it only honours the max-delay
-    /// deadline — credit for an open radio tail is given exclusively by
-    /// the traffic detector via [`DeviceNode::maybe_flush_on_tail`],
-    /// because an open tail at enqueue time may be one the device itself
-    /// paid for (flushing then would keep the modem alive forever).
-    pub(crate) fn maybe_flush(&self) {
-        self.maybe_flush_inner(false);
-    }
-
-    /// §4.7 trigger: the tail detector saw *traffic* — some app just used
-    /// the modem, so data pushed now rides that app's tail.
-    pub(crate) fn maybe_flush_on_tail(&self) {
-        self.maybe_flush_inner(true);
-    }
-
-    fn maybe_flush_inner(&self, traffic_detected: bool) {
+    /// so. `traffic` is §4.7's trigger: the tail detector saw some app use
+    /// the modem, so data pushed now rides that app's tail. Every other
+    /// trigger (enqueue, deadline, reconnect, charger) passes `false`, and
+    /// the tail-sync policy then honours only its max-delay deadline: an
+    /// open tail at enqueue time may be one the device itself paid for
+    /// (flushing then would keep the modem alive forever).
+    pub(crate) fn maybe_flush(&self, traffic: bool) {
         let inner = &self.inner;
         let now = inner.phone.sim().now();
         if !inner.booted.get() || inner.flushing.get() {
@@ -737,38 +726,29 @@ impl DeviceNode {
         // Everything pending was already sent recently; wait for acks (or
         // the retransmit timeout) instead of re-sending on every tail we
         // detect — including our own.
-        if !inner.dirty.get()
-            && inner
-                .last_flush
-                .get()
-                .is_some_and(|t| now.saturating_duration_since(t) < inner.cfg.retransmit_timeout)
-        {
+        let sent_recently = |t| now.saturating_duration_since(t) < inner.cfg.retransmit_timeout;
+        if !inner.dirty.get() && inner.last_flush.get().is_some_and(sent_recently) {
             return;
         }
         // The fateful expiry purge (§5.3).
         let oldest_age = inner.link.expire(now, inner.cfg.max_msg_age);
         let connectivity = inner.phone.connectivity();
-        let tail_open = traffic_detected
+        let tail_open = traffic
             && inner.phone.modem().is_tail_open()
             && connectivity.active() == Some(Bearer::Cellular);
         let on_wifi = connectivity.active() == Some(Bearer::Wifi);
         let charging = inner.phone.battery().is_charging();
-        let should = connectivity.is_online()
-            && inner
-                .cfg
-                .flush_policy
-                .should_flush(tail_open, oldest_age, charging, on_wifi);
-        if should {
-            self.flush(if tail_open {
-                "tail"
-            } else if charging {
-                "charger"
-            } else if on_wifi {
-                "wifi"
-            } else {
-                "deadline"
-            });
+        let policy = &inner.cfg.flush_policy;
+        let due = policy.should_flush(tail_open, oldest_age, charging, on_wifi);
+        if !due || !connectivity.is_online() {
+            return;
         }
+        self.flush(match (tail_open, charging, on_wifi) {
+            (true, ..) => "tail",
+            (_, true, _) => "charger",
+            (_, _, true) => "wifi",
+            _ => "deadline",
+        });
     }
 
     /// Pushes every pending message out over the active bearer. `reason`
@@ -776,22 +756,18 @@ impl DeviceNode {
     /// for the trace.
     fn flush(&self, reason: &'static str) {
         let inner = &self.inner;
-        inner.link.connect(self); // ensure a session exists
-        let Some(session) = inner.link.session() else {
+        let Some(session) = inner.link.connect(self) else {
             return;
         };
-        let pending = inner.link.pending(None);
-        if pending.is_empty() {
+        let Some((pending, bytes)) = inner.link.outgoing(None) else {
             return;
-        }
+        };
         let now = inner.phone.sim().now();
         inner.flushing.set(true);
         inner.dirty.set(false);
         inner.last_flush.set(Some(now));
         bump(&inner.flushes, 1);
         bump(&inner.messages_sent, pending.len() as u64);
-        // One radio burst carries the whole batch.
-        let bytes = inner.link.sent(&pending);
         if inner.obs.is_enabled() {
             inner.obs.event(
                 "pogo",
@@ -826,7 +802,7 @@ impl DeviceNode {
             // Messages stay in the store until acked end-to-end. Anything
             // enqueued while this flush was in flight gets its own policy
             // evaluation now.
-            me.maybe_flush();
+            me.maybe_flush(false);
         });
         if result.is_err() {
             inner.flushing.set(false);
@@ -1263,7 +1239,7 @@ mod tests {
         sim.run_for(SimDuration::from_hours(1));
         assert_eq!(node.flushes(), 0);
         phone.battery().set_charging(true);
-        node.maybe_flush(); // charger-plug event
+        node.maybe_flush(false); // charger-plug event
         sim.run_for(SimDuration::from_mins(1));
         assert_eq!(node.flushes(), 1);
     }

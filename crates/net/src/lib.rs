@@ -16,9 +16,10 @@
 //!   a persistent outgoing buffer that survives reboots and purges
 //!   messages older than a configurable age (the fateful 24-hour expiry
 //!   of §5.3);
-//! * [`DedupFilter`] — receiver-side de-duplication, the other
-//!   half of Pogo's "own end-to-end acknowledgements on top of XMPP"
-//!   (the sender side is [`MessageStore::ack`]);
+//! * [`SeenSet`] — the sequence numbers seen from one sender, which
+//!   drops duplicates: the receiving half of Pogo's "own end-to-end
+//!   acknowledgements on top of XMPP" (the sender side is
+//!   [`MessageStore::ack`]);
 //! * [`FlushPolicy`] — when to push buffered data: on a detected
 //!   3G tail (Pogo's mechanism), at fixed intervals, when charging, or
 //!   immediately (the ablation baselines).
@@ -32,7 +33,7 @@ mod wire;
 
 pub use batch::FlushPolicy;
 pub use jid::{Jid, ParseJidError};
-pub use reliable::DedupFilter;
+pub use reliable::SeenSet;
 pub use server::{ChaosHook, LinkFate, LinkShape, NetError, Session, Switchboard};
 pub use store::{MessageStore, StoredMessage};
 pub use wire::{Envelope, Payload};

@@ -4,25 +4,15 @@
 //! The sender keeps messages in the [`MessageStore`](crate::MessageStore) until
 //! the *recipient* acknowledges them (`MessageStore::ack` is the whole
 //! sender side); retransmissions after a reconnect can therefore
-//! duplicate messages, which the receiving side filters with a
-//! [`DedupFilter`].
+//! duplicate messages, which the receiver drops with one [`SeenSet`] per
+//! sender.
 
-use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap};
-use std::rc::Rc;
+use std::collections::BTreeSet;
 
-use crate::jid::Jid;
-
-/// Receiver-side duplicate filter: remembers which `(sender, seq)` pairs
-/// have been seen, compactly (a low-water mark plus a sparse set above
-/// it).
-#[derive(Debug, Clone, Default)]
-pub struct DedupFilter {
-    inner: Rc<RefCell<HashMap<Jid, SeenSet>>>,
-}
-
+/// The sequence numbers seen from one sender, compactly: a low-water mark
+/// plus a sparse set above it.
 #[derive(Debug, Default)]
-struct SeenSet {
+pub struct SeenSet {
     /// Every seq `< floor` has been seen.
     floor: u64,
     /// Seen seqs `>= floor` (kept sparse by advancing the floor).
@@ -30,7 +20,10 @@ struct SeenSet {
 }
 
 impl SeenSet {
-    fn insert(&mut self, seq: u64) -> bool {
+    /// Records `seq`. Returns `true` the first time it is seen (deliver
+    /// it) and `false` for a duplicate (drop it; the ack was lost, not the
+    /// data).
+    pub fn insert(&mut self, seq: u64) -> bool {
         if seq < self.floor || self.above.contains(&seq) {
             return false;
         }
@@ -43,58 +36,36 @@ impl SeenSet {
     }
 }
 
-impl DedupFilter {
-    /// Creates an empty filter.
-    pub fn new() -> Self {
-        DedupFilter::default()
-    }
-
-    /// Records `(from, seq)`. Returns `true` the first time this pair is
-    /// seen (deliver it) and `false` for duplicates (drop it; the ack was
-    /// lost, not the data).
-    pub fn first_sighting(&self, from: &Jid, seq: u64) -> bool {
-        self.inner
-            .borrow_mut()
-            .entry(from.clone())
-            .or_default()
-            .insert(seq)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn jid(s: &str) -> Jid {
-        Jid::new(s).unwrap()
-    }
-
     #[test]
     fn dedup_accepts_first_rejects_second() {
-        let f = DedupFilter::new();
-        let d = jid("d@p");
-        assert!(f.first_sighting(&d, 0));
-        assert!(!f.first_sighting(&d, 0));
-        assert!(f.first_sighting(&d, 1));
+        let mut seen = SeenSet::default();
+        assert!(seen.insert(0));
+        assert!(!seen.insert(0));
+        assert!(seen.insert(1));
     }
 
     #[test]
     fn dedup_is_per_sender() {
-        let f = DedupFilter::new();
-        assert!(f.first_sighting(&jid("a@p"), 5));
-        assert!(f.first_sighting(&jid("b@p"), 5));
+        let (mut a, mut b) = (SeenSet::default(), SeenSet::default());
+        assert!(a.insert(5));
+        assert!(b.insert(5));
+        assert!(!a.insert(5));
     }
 
     #[test]
     fn dedup_handles_out_of_order_and_compacts() {
-        let f = DedupFilter::new();
-        let d = jid("d@p");
-        assert!(f.first_sighting(&d, 2));
-        assert!(f.first_sighting(&d, 0));
-        assert!(f.first_sighting(&d, 1));
+        let mut seen = SeenSet::default();
+        assert!(seen.insert(2));
+        assert!(seen.insert(0));
+        assert!(seen.insert(1));
         // floor should now be 3; all below are duplicates.
-        assert!(!f.first_sighting(&d, 0));
-        assert!(!f.first_sighting(&d, 2));
-        assert!(f.first_sighting(&d, 3));
+        assert!(!seen.insert(0));
+        assert!(!seen.insert(2));
+        assert!(seen.insert(3));
+        assert_eq!((seen.floor, seen.above.len()), (4, 0));
     }
 }

@@ -7,7 +7,7 @@ use std::cell::RefCell;
 use std::collections::HashSet;
 use std::rc::Rc;
 
-use pogo_net::{DedupFilter, Jid, MessageStore, Payload, Session, Switchboard};
+use pogo_net::{Jid, MessageStore, Payload, SeenSet, Session, Switchboard};
 use pogo_sim::{Sim, SimDuration, SimRng, SimTime};
 
 const SEEDS: u64 = 200;
@@ -16,14 +16,12 @@ const SEEDS: u64 = 200;
 fn dedup_admits_exactly_first_occurrences() {
     for seed in 0..SEEDS {
         let mut rng = SimRng::seed_from_u64(seed);
-        let filter = DedupFilter::new();
-        let senders: Vec<Jid> = (0..3)
-            .map(|i| Jid::new(&format!("s{i}@pogo")).unwrap())
-            .collect();
+        // One seen-set per sender, as a receiver keeps them.
+        let mut senders: Vec<SeenSet> = (0..3).map(|_| SeenSet::default()).collect();
         let mut seen: HashSet<(usize, u64)> = HashSet::new();
         for _ in 0..rng.index(60) {
             let (s, seq) = (rng.index(3), rng.range_u64(0, 20));
-            let fresh = filter.first_sighting(&senders[s], seq);
+            let fresh = senders[s].insert(seq);
             assert_eq!(
                 fresh,
                 seen.insert((s, seq)),
@@ -122,7 +120,8 @@ fn retransmission_achieves_exactly_once_despite_handovers() {
         }
 
         let received: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
-        let dedup = DedupFilter::new();
+        // One sender, so one seen-set.
+        let dedup = RefCell::new(SeenSet::default());
         let receiver = server.connect(&b, SimDuration::from_millis(20)).unwrap();
         {
             let received = received.clone();
@@ -130,7 +129,7 @@ fn retransmission_achieves_exactly_once_despite_handovers() {
             receiver.on_receive(move |env| {
                 if let Payload::Data(data) = &env.payload {
                     let _ = receiver2.send(&env.from, 0, Payload::Ack(env.seq));
-                    if dedup.first_sighting(&env.from, env.seq) {
+                    if dedup.borrow_mut().insert(env.seq) {
                         received.borrow_mut().push(data.clone());
                     }
                 }

@@ -82,9 +82,16 @@ fi
 # Chaos gate: the fixed-seed table4 cohort replay (24 days, 8 phones)
 # must inject >=100 faults over >=4 classes — bearer-flap and clock-skew
 # among them — with zero delivery-invariant violations, and two
-# back-to-back runs must produce byte-identical obs traces.
+# back-to-back runs must produce byte-identical obs traces. Its digest
+# (FNV-1a over trace + store export) is pinned across commits: a change
+# that moves the 24-day trace on purpose re-reads it at its parent and
+# says so.
+TABLE4_24D_DIGEST=0xb64adb2c75d6506a
 if [[ "$run_chaos" == 1 ]]; then
-    ./target/release/chaos_soak --workload table4 --check
+    soak_out="$(./target/release/chaos_soak --workload table4 --check)" || { echo "$soak_out"; exit 1; }
+    echo "$soak_out"
+    echo "$soak_out" | grep -qx "digest: $TABLE4_24D_DIGEST" \
+        || { echo "chaos soak: digest differs from $TABLE4_24D_DIGEST" >&2; exit 1; }
 fi
 
 # pogo-trace smoke: the quickstart workload with tracing on must emit

@@ -15,7 +15,9 @@
 //! config, the two obs traces must match byte for byte, at least 100
 //! faults across at least 3 classes must inject (4 classes including
 //! bearer-flap and clock-skew for table4), and no invariant may break.
-//! Exit status 1 on any failure.
+//! Exit status 1 on any failure. A passing check prints the run's
+//! `digest:` (FNV-1a over trace and store export), which `scripts/ci.sh`
+//! compares for the 24-day table4 soak.
 
 use pogo::chaos::{run_workload_soak, CounterWorkload, SoakConfig, SoakReport, WorkloadSpec};
 use pogo::chaos_workloads::{LocalizationWorkload, RogueFinderWorkload, Table4ChaosWorkload};
@@ -134,6 +136,7 @@ fn main() {
                 report.faults_injected,
                 report.classes()
             );
+            println!("digest: {:#018x}", report.digest());
         } else {
             for f in &failures {
                 eprintln!("chaos check: FAIL: {f}");

@@ -44,9 +44,10 @@ fn roguefinder_soak_holds_the_invariants() {
     );
 }
 
-/// FNV-1a over the table4 soak's trace (JSONL) and audited store (CSV),
-/// read at the parent of the commit that put the device's and the
-/// collector's acks, dedup and reconnect into one link module. The soak
+/// [`SoakReport::digest`](pogo::chaos::SoakReport::digest) of the table4
+/// soak's trace (JSONL) and audited store (CSV), read at the parent of the
+/// commit that put the device's and the collector's acks, dedup and
+/// reconnect into one link module. The soak
 /// reconnects, retransmits and drops duplicates under faults, so this pins
 /// that protocol's behaviour; a change that means to move it re-reads the
 /// hash there and says so.
@@ -68,13 +69,7 @@ fn table4_soak_holds_the_invariants() {
     assert!(report.classes() >= 3, "{}", report.summary());
     assert!(report.passed(), "{}", report.summary());
     assert!(report.delivered_distinct > 0, "{}", report.summary());
-    let hash = report
-        .trace_jsonl
-        .bytes()
-        .chain(report.store_csv.bytes())
-        .fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
-            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
-        });
+    let hash = report.digest();
     assert_eq!(
         hash, TABLE4_SOAK_HASH,
         "the soak's trace or store differs from the pinned commit's: {hash:#018x}"
