@@ -6,9 +6,9 @@
 //! server and … easily managed by the testbed administrator".
 //!
 //! Loss model: a session over a mobile bearer dies on interface handover.
-//! Envelopes still in flight when either endpoint's session generation
-//! changes are silently dropped — the §4.6 failure mode Pogo's end-to-end
-//! acks exist to repair.
+//! Envelopes still in flight when either endpoint's session dies are
+//! silently dropped — the §4.6 failure mode Pogo's end-to-end acks exist
+//! to repair.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -214,7 +214,6 @@ impl Switchboard {
                 server: self.clone(),
                 jid: jid.clone(),
                 latency,
-                generation: 0,
                 connected: true,
                 on_receive: None,
                 on_presence: None,
@@ -251,9 +250,9 @@ impl Switchboard {
     }
 
     /// Restarts the switchboard: every session dies at once (envelopes in
-    /// flight are lost via the generation check, presence state is wiped)
-    /// but the server keeps accepting connections — the "Openfire bounced"
-    /// fault. Accounts and rosters persist, as they would on disk.
+    /// flight are lost, presence state is wiped) but the server keeps
+    /// accepting connections — the "Openfire bounced" fault. Accounts and
+    /// rosters persist, as they would on disk.
     pub fn restart(&self) {
         self.inner.borrow_mut().restarts += 1;
         self.drop_all_sessions();
@@ -379,11 +378,10 @@ impl Switchboard {
             self.count_dropped();
             return;
         };
-        let expected_gen = recipient.generation();
         let latency = recipient.latency() + extra;
         let server = self.clone();
         sim.schedule_in(latency, move || {
-            if recipient.is_connected() && recipient.generation() == expected_gen {
+            if recipient.is_connected() {
                 server.inner.borrow_mut().routed += 1;
                 recipient.deliver(envelope);
             } else {
@@ -399,7 +397,6 @@ struct SessionInner {
     server: Switchboard,
     jid: Jid,
     latency: SimDuration,
-    generation: u64,
     connected: bool,
     on_receive: Option<Rc<dyn Fn(Envelope)>>,
     on_presence: Option<PresenceListener>,
@@ -462,17 +459,12 @@ impl Session {
     ///
     /// Returns [`NetError::NotConnected`] or [`NetError::NotAuthorized`].
     pub fn send(&self, to: &Jid, seq: u64, payload: Payload) -> Result<(), NetError> {
-        let (server, from, latency, my_gen) = {
+        let (server, from, latency) = {
             let inner = self.inner.borrow();
             if !inner.connected {
                 return Err(NetError::NotConnected);
             }
-            (
-                inner.server.clone(),
-                inner.jid.clone(),
-                inner.latency,
-                inner.generation,
-            )
+            (inner.server.clone(), inner.jid.clone(), inner.latency)
         };
         // Roster check at the server.
         let authorized = {
@@ -506,7 +498,7 @@ impl Session {
         sim.schedule_in(latency + extra, move || {
             // Uplink leg: lost if our session died while in flight.
             let server = me.inner.borrow().server.clone();
-            if me.is_connected() && me.generation() == my_gen {
+            if me.is_connected() {
                 server.route(envelope);
             } else {
                 server.count_dropped();
@@ -550,7 +542,6 @@ impl Session {
                 return;
             }
             inner.connected = false;
-            inner.generation += 1;
             inner.on_disconnect.clone()
         };
         // Invoked outside the borrow: handlers reconnect, which touches
@@ -558,10 +549,6 @@ impl Session {
         if let Some(handler) = handler {
             handler();
         }
-    }
-
-    fn generation(&self) -> u64 {
-        self.inner.borrow().generation
     }
 
     fn deliver(&self, envelope: Envelope) {

@@ -33,6 +33,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::rc::Rc;
 
+use crate::analyze::NATIVE_SIGS;
 use crate::bytecode::{ChainRef, Chunk, CompiledProgram, FnProto, Op};
 use crate::diag::{Diagnostic, Rule};
 use crate::value::Value;
@@ -200,30 +201,21 @@ impl State {
 
 // ---- whole-program context -------------------------------------------------
 
-/// Names the embedder registers as natives (the Pogo API of `host.rs`
-/// plus the language builtins). A global read of one of these — when
-/// no script store writes it — is the native itself, which is what lets
-/// the analyzer recognize `subscribe`/`setTimeout` registrations and
-/// cost `publish` calls.
-pub const KNOWN_NATIVES: &[&str] = &[
-    "setDescription",
-    "setAutoStart",
-    "print",
-    "log",
-    "logTo",
-    "publish",
-    "subscribe",
-    "freeze",
-    "thaw",
-    "json",
-    "setTimeout",
-    "geolocate",
-    "keys",
-    "Number",
-    "String",
-    "isNaN",
-    "parseFloat",
-];
+/// Names the embedder registers as natives: the analyzer's signature
+/// table (the Pogo API of `host.rs` plus the language builtins), then the
+/// collector's `geolocate`. A global read of one of these — when no script
+/// store writes it — is the native itself, which is what lets the analyzer
+/// recognize `subscribe`/`setTimeout` registrations and cost `publish`
+/// calls.
+pub const KNOWN_NATIVES: &[&str] = &{
+    let mut names = ["geolocate"; NATIVE_SIGS.len() + 1];
+    let mut i = 0;
+    while i < NATIVE_SIGS.len() {
+        names[i] = NATIVE_SIGS[i].name;
+        i += 1;
+    }
+    names
+};
 
 /// Whole-program facts: a flat prototype numbering and the abstract
 /// value of every global the script stores to. Built once per program.

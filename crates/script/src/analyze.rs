@@ -27,6 +27,7 @@ use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 use crate::ast::{walk_subexprs, walk_substmts, Expr, Node, Stmt};
+use crate::builtins::MATH_DISPATCH;
 use crate::diag::{Diagnostic, Rule};
 use crate::parser::parse;
 
@@ -170,8 +171,8 @@ impl ArgKind {
 }
 
 /// Arity and literal-argument expectations for one known native.
-struct NativeSig {
-    name: &'static str,
+pub(crate) struct NativeSig {
+    pub(crate) name: &'static str,
     min: usize,
     /// `None` means variadic.
     max: Option<usize>,
@@ -183,7 +184,7 @@ struct NativeSig {
 /// `assets/scripts/README.md`) plus the stdlib builtins installed by
 /// `builtins::install`. `publish` accepts both argument orders, so its
 /// literal-type check is special-cased in `check_call`.
-const NATIVE_SIGS: &[NativeSig] = &[
+pub(crate) const NATIVE_SIGS: &[NativeSig] = &[
     NativeSig {
         name: "setDescription",
         min: 1,
@@ -280,22 +281,6 @@ const NATIVE_SIGS: &[NativeSig] = &[
         max: Some(1),
         args: &[ArgKind::Any],
     },
-];
-
-/// `Math.*` callables, mirroring `builtins::math_object`.
-const MATH_FNS: &[(&str, usize, Option<usize>)] = &[
-    ("sqrt", 1, Some(1)),
-    ("abs", 1, Some(1)),
-    ("floor", 1, Some(1)),
-    ("ceil", 1, Some(1)),
-    ("round", 1, Some(1)),
-    ("exp", 1, Some(1)),
-    ("log", 1, Some(1)),
-    ("sin", 1, Some(1)),
-    ("cos", 1, Some(1)),
-    ("pow", 2, Some(2)),
-    ("min", 1, None),
-    ("max", 1, None),
 ];
 
 /// `Math.*` non-callable constants.
@@ -1101,7 +1086,7 @@ impl Analyzer {
     }
 
     fn check_math_call(&mut self, method: &str, args: &[Expr], line: u32) {
-        if let Some(&(name, min, max)) = MATH_FNS.iter().find(|(n, _, _)| *n == method) {
+        if let Some(&(name, min, max, _)) = MATH_DISPATCH.iter().find(|(n, ..)| *n == method) {
             if self.check_arity(&format!("Math.{name}"), min, max, args.len(), line) {
                 for (i, arg) in args.iter().enumerate() {
                     if let Some(found) = literal_kind(arg) {

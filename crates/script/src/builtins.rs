@@ -76,29 +76,30 @@ fn math_max(args: &[Value]) -> Result<Value, ScriptError> {
     Ok(Value::Num(best))
 }
 
-/// Every `Math` function, in the (stable) order `MathCall` operands
-/// index. The compiler resolves `Math.sqrt(..)` & co. to positions in
-/// this table when it can prove `Math` is the untouched builtin.
-pub(crate) const MATH_DISPATCH: &[(&str, MathImpl)] = &[
-    ("sqrt", math_unary!(f64::sqrt)),
-    ("abs", math_unary!(f64::abs)),
-    ("floor", math_unary!(f64::floor)),
-    ("ceil", math_unary!(f64::ceil)),
-    ("round", math_unary!(f64::round)),
-    ("exp", math_unary!(f64::exp)),
-    ("log", math_unary!(f64::ln)),
-    ("sin", math_unary!(f64::sin)),
-    ("cos", math_unary!(f64::cos)),
-    ("pow", math_pow),
-    ("min", math_min),
-    ("max", math_max),
+/// Every `Math` function with its arity (min, max; `None` is variadic),
+/// in the (stable) order `MathCall` operands index. The compiler resolves
+/// `Math.sqrt(..)` & co. to positions in this table when it can prove
+/// `Math` is the untouched builtin; the analyzer checks arities from it.
+pub(crate) const MATH_DISPATCH: &[(&str, usize, Option<usize>, MathImpl)] = &[
+    ("sqrt", 1, Some(1), math_unary!(f64::sqrt)),
+    ("abs", 1, Some(1), math_unary!(f64::abs)),
+    ("floor", 1, Some(1), math_unary!(f64::floor)),
+    ("ceil", 1, Some(1), math_unary!(f64::ceil)),
+    ("round", 1, Some(1), math_unary!(f64::round)),
+    ("exp", 1, Some(1), math_unary!(f64::exp)),
+    ("log", 1, Some(1), math_unary!(f64::ln)),
+    ("sin", 1, Some(1), math_unary!(f64::sin)),
+    ("cos", 1, Some(1), math_unary!(f64::cos)),
+    ("pow", 2, Some(2), math_pow),
+    ("min", 1, None, math_min),
+    ("max", 1, None, math_max),
 ];
 
 /// The `MathCall` operand for `name`, if it is a dispatchable builtin.
 pub(crate) fn math_fn_index(name: &str) -> Option<u8> {
     MATH_DISPATCH
         .iter()
-        .position(|&(n, _)| n == name)
+        .position(|&(n, ..)| n == name)
         .map(|i| i as u8)
 }
 
@@ -181,7 +182,7 @@ fn math_object() -> Value {
     let mut m = ObjMap::new();
     m.insert("PI", Value::Num(std::f64::consts::PI));
     m.insert("E", Value::Num(std::f64::consts::E));
-    for &(name, f) in MATH_DISPATCH {
+    for &(name, .., f) in MATH_DISPATCH {
         m.insert(name, native(name, move |_, args| f(args)));
     }
     Value::object(m)

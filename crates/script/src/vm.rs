@@ -978,7 +978,7 @@ impl<'a> Machine<'a> {
                             }
                         }
                         Op::MathCall(f, argc) => {
-                            let func = builtins::MATH_DISPATCH[f as usize].1;
+                            let func = builtins::MATH_DISPATCH[f as usize].3;
                             let args_start = self.stack.len() - argc as usize;
                             let result = func(&self.stack[args_start..]);
                             self.stack.truncate(args_start);

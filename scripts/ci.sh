@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus the lint gates and the benchmark's sanity pass.
 #
-#   scripts/ci.sh              build + size, public-surface, work-counter and oracle lines + tests + lint gates + benchmark smoke
+#   scripts/ci.sh              build + size, public-surface, work-counter and oracle lines + tests + lint gates
+#                              + benchmark smoke + the slow EXPERIMENTS.md reports + chaos soak + pogo-trace smoke
 #   scripts/ci.sh --no-perf    skip the benchmark build, smoke pass and unit tests
 #   scripts/ci.sh --no-lint    skip fmt/clippy/rustdoc/pogo-lint (e.g. older toolchain)
 #   scripts/ci.sh --no-chaos   skip the chaos_soak fault-injection gate
@@ -78,6 +79,19 @@ if [[ "$run_perf" == 1 ]]; then
     ./benchmark/target/release/pogo-benchmark --smoke
     cargo test --release --offline --manifest-path benchmark/Cargo.toml
 fi
+
+# The slow reports in EXPERIMENTS.md: the 24-day Table 4 and the 8-day
+# Ablation B (~25 s in release on a 2-core Xeon) must print exactly their
+# blocks there — the ```console fence opened by `$ pogo-experiments
+# REPORT`, framed by the report's leading and trailing blank line. The
+# cheap reports are tier-1 (crates/experiments/tests/reports.rs).
+for report in table4 ablation-freeze; do
+    diff <(echo; awk -v open="\$ pogo-experiments $report" \
+        '$0 == open { on = 1; next } on && /^```/ { exit } on' EXPERIMENTS.md; echo) \
+        <(./target/release/pogo-experiments "$report") \
+        || { echo "EXPERIMENTS.md: the $report block differs from pogo-experiments $report" >&2; exit 1; }
+done
+echo "EXPERIMENTS.md: the table4 and ablation-freeze blocks match"
 
 # Chaos gate: the fixed-seed table4 cohort replay (24 days, 8 phones)
 # must inject >=100 faults over >=4 classes — bearer-flap and clock-skew

@@ -28,11 +28,12 @@
 #   scripts/sloc.sh --crate-local [<commit>]
 #       the public items (as counted above) whose name occurs in no code line
 #       outside their own crate, listed by crate: candidates for `pub(crate)`.
-#       A crate is one library's src/ (its src/bin/*.rs are crates of their
-#       own); a crate's tests/, benches/ and examples/, the root tests/ and
-#       examples/, and benchmark/ count as outside. vendor/ is left out: its
-#       public items mirror an upstream crate's API. Also a grep over names:
-#       an item whose name is common (`new`, `len`) never shows. Report-only.
+#       A crate is one library's src/ (its src/main.rs and src/bin/*.rs are
+#       crates of their own); a crate's tests/, benches/ and examples/, the
+#       root tests/ and examples/, and benchmark/ count as outside. vendor/
+#       is left out: its public items mirror an upstream crate's API. Also a
+#       grep over names: an item whose name is common (`new`, `len`) never
+#       shows. Report-only.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -109,7 +110,7 @@ if [[ "$crate_local" == 1 ]]; then
         [[ -n "$rev" || -f "$f" ]] || continue
         case "$f" in
             benchmark/* | tests/* | */tests/*) crate="$f" kind=C ;;
-            examples/* | */examples/* | */benches/* | */src/bin/*) crate="${f%.rs}" kind=D ;;
+            examples/* | */examples/* | */benches/* | */src/bin/* | */src/main.rs) crate="${f%.rs}" kind=D ;;
             crates/*) crate="${f#crates/}" && crate="${crate%%/*}" kind=D ;;
             vendor/*) continue ;;
             *) crate=pogo kind=D ;;
