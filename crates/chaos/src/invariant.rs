@@ -235,7 +235,7 @@ impl InvariantHarness {
         let mut total = 0u64;
         for audit in &inner.audits {
             for node in &inner.devices {
-                total += node.logs().lines(&audit.sent_log).len() as u64;
+                total += node.logs().line_count(&audit.sent_log) as u64;
             }
         }
         total

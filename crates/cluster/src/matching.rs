@@ -42,23 +42,20 @@ pub struct MatchReport {
 }
 
 impl MatchReport {
-    /// The "Match" percentage (0–100).
-    pub fn match_pct(&self) -> f64 {
+    /// The "Match" percentage (0–100); `None` without ground truth, where
+    /// there is nothing to match.
+    pub fn match_pct(&self) -> Option<f64> {
         percentage(self.exact, self.ground_truth)
     }
 
-    /// The "Partial" percentage (0–100).
-    pub fn partial_pct(&self) -> f64 {
+    /// The "Partial" percentage (0–100); `None` without ground truth.
+    pub fn partial_pct(&self) -> Option<f64> {
         percentage(self.partial, self.ground_truth)
     }
 }
 
-fn percentage(num: usize, den: usize) -> f64 {
-    if den == 0 {
-        100.0
-    } else {
-        100.0 * num as f64 / den as f64
-    }
+fn percentage(num: usize, den: usize) -> Option<f64> {
+    (den > 0).then(|| 100.0 * num as f64 / den as f64)
 }
 
 /// Matches `collected` (what reached the collector node) against `truth`
@@ -132,7 +129,7 @@ mod tests {
         let report = match_clusters(&truth, &truth, MatchParams::default());
         assert_eq!(report.exact, 2);
         assert_eq!(report.partial, 2);
-        assert_eq!(report.match_pct(), 100.0);
+        assert_eq!(report.match_pct(), Some(100.0));
     }
 
     #[test]
@@ -143,8 +140,8 @@ mod tests {
         let report = match_clusters(&truth, &collected, MatchParams::default());
         assert_eq!(report.exact, 0);
         assert_eq!(report.partial, 1);
-        assert_eq!(report.partial_pct(), 100.0);
-        assert_eq!(report.match_pct(), 0.0);
+        assert_eq!(report.partial_pct(), Some(100.0));
+        assert_eq!(report.match_pct(), Some(0.0));
     }
 
     #[test]
@@ -175,10 +172,10 @@ mod tests {
     }
 
     #[test]
-    fn empty_truth_reports_100() {
-        let report = match_clusters(&[], &[], MatchParams::default());
-        assert_eq!(report.match_pct(), 100.0);
-        assert_eq!(report.partial_pct(), 100.0);
+    fn empty_truth_reports_no_data() {
+        let report = match_clusters(&[], &[summary(10, 0, 60)], MatchParams::default());
+        assert_eq!(report.match_pct(), None);
+        assert_eq!(report.partial_pct(), None);
     }
 
     #[test]

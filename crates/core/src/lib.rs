@@ -40,6 +40,7 @@ mod device;
 mod fleet;
 pub mod host;
 mod link;
+mod lz77;
 mod privacy;
 pub mod proto;
 mod registry;

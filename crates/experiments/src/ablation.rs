@@ -183,14 +183,15 @@ pub fn render_batching(rows: &[BatchingRow]) -> String {
 /// Result of the freeze ablation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FreezeResult {
-    /// Match % without freeze (the paper's deployment).
-    pub match_without: f64,
+    /// Match % without freeze (the paper's deployment); `None` where the
+    /// session had no ground truth.
+    pub match_without: Option<f64>,
     /// Partial % without freeze.
-    pub partial_without: f64,
+    pub partial_without: Option<f64>,
     /// Match % with the §5.3 fix.
-    pub match_with: f64,
+    pub match_with: Option<f64>,
     /// Partial % with the fix.
-    pub partial_with: f64,
+    pub partial_with: Option<f64>,
     /// Restarts suffered in each run (same schedule).
     pub restarts: u64,
 }
@@ -219,8 +220,12 @@ pub fn run_freeze(days: u64, seed: u64) -> FreezeResult {
 pub fn render_freeze(r: &FreezeResult) -> String {
     let mut out = report::banner("Ablation B — freeze/thaw state preservation (§5.3 fix)");
     out.push_str(&format!(
-        "restarts in window : {}\nwithout freeze     : match {:.0}%  partial {:.0}%\nwith freeze        : match {:.0}%  partial {:.0}%\n",
-        r.restarts, r.match_without, r.partial_without, r.match_with, r.partial_with,
+        "restarts in window : {}\nwithout freeze     : match {}  partial {}\nwith freeze        : match {}  partial {}\n",
+        r.restarts,
+        report::percent(r.match_without, 0),
+        report::percent(r.partial_without, 0),
+        report::percent(r.match_with, 0),
+        report::percent(r.partial_with, 0),
     ));
     out
 }

@@ -45,6 +45,12 @@ pub(crate) fn thousands(n: u64) -> String {
     out
 }
 
+/// A percentage to `decimals` places, or `n/a` where there was no data
+/// to take one of.
+pub(crate) fn percent(pct: Option<f64>, decimals: usize) -> String {
+    pct.map_or_else(|| "n/a".to_owned(), |p| format!("{p:.decimals$}%"))
+}
+
 /// A section banner for experiment output.
 pub fn banner(title: &str) -> String {
     format!("\n=== {title} ===\n")

@@ -12,10 +12,10 @@ use crate::session::{run_session, SessionResult};
 pub struct Row {
     /// The session's measurements.
     pub(crate) result: SessionResult,
-    /// Match percentage (exact).
-    pub match_pct: f64,
+    /// Match percentage (exact); `None` for a session without ground truth.
+    pub match_pct: Option<f64>,
     /// Partial-match percentage (superset of exact).
-    pub partial_pct: f64,
+    pub partial_pct: Option<f64>,
     /// Paper's row: (scans, raw size, locations, loc size, match, partial).
     pub paper: (u64, u64, u64, u64, f64, f64),
 }
@@ -66,8 +66,9 @@ pub(crate) struct Totals {
     pub locations: u64,
     /// Total location bytes.
     pub location_bytes: u64,
-    /// Data reduction achieved by on-line clustering, percent.
-    pub reduction_pct: f64,
+    /// Data reduction achieved by on-line clustering, percent; `None`
+    /// without raw bytes to reduce.
+    pub reduction_pct: Option<f64>,
 }
 
 /// Computes the aggregate §5.3 statistics.
@@ -81,7 +82,8 @@ pub(crate) fn totals(rows: &[Row]) -> Totals {
         raw_bytes,
         locations,
         location_bytes,
-        reduction_pct: 100.0 * (1.0 - location_bytes as f64 / raw_bytes as f64),
+        reduction_pct: (raw_bytes > 0)
+            .then(|| 100.0 * (1.0 - location_bytes as f64 / raw_bytes as f64)),
     }
 }
 
@@ -97,8 +99,8 @@ pub fn render(rows: &[Row]) -> String {
                 report::thousands(r.result.raw_bytes as u64),
                 report::thousands(r.result.locations as u64),
                 report::thousands(r.result.location_bytes as u64),
-                format!("{:.0}%", r.match_pct),
-                format!("{:.0}%", r.partial_pct),
+                report::percent(r.match_pct, 0),
+                report::percent(r.partial_pct, 0),
                 format!("{:.0}/{:.0}%", r.paper.4, r.paper.5),
                 report::thousands(r.paper.0),
                 r.result.purged.to_string(),
@@ -124,12 +126,25 @@ pub fn render(rows: &[Row]) -> String {
     ));
     let t = totals(rows);
     out.push_str(&format!(
-        "\nTotals: {} scans ({} B raw) -> {} locations ({} B); data reduction {:.1}% (paper: 246,908 scans, 76.7 MB -> 3,525 locations, 1.3 MB, 98.3%)\n",
+        "\nTotals: {} scans ({} B raw) -> {} locations ({} B); data reduction {} (paper: 246,908 scans, 76.7 MB -> 3,525 locations, 1.3 MB, 98.3%)\n",
         report::thousands(t.scans),
         report::thousands(t.raw_bytes),
         report::thousands(t.locations),
         report::thousands(t.location_bytes),
-        t.reduction_pct,
+        report::percent(t.reduction_pct, 1),
     ));
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn totals_of_no_rows_have_no_reduction() {
+        let t = totals(&[]);
+        assert_eq!((t.scans, t.raw_bytes, t.location_bytes), (0, 0, 0));
+        assert_eq!(t.reduction_pct, None);
+        assert_eq!(report::percent(t.reduction_pct, 1), "n/a");
+    }
 }

@@ -24,8 +24,9 @@
 //! change to the compiler's lowering or to the value representation
 //! moves — and gates both, and with them the heap bytes the thread still
 //! holds per device when the run ends: what a phone's scripts, logs and
-//! buffers have grown to, which is what a fleet's size multiplies. Every
-//! gate is the count read when the constants below were last re-based,
+//! buffers have grown to, which is what a fleet's size multiplies, and
+//! the part of that a phone's `raw-scans` log holds, the one state that
+//! grows with the run. Every gate is the count read when the constants below were last re-based,
 //! plus 3 %. Beside the steps it reports VM dispatches per callback: a
 //! step is one op of the verified ISA and is what the watchdog bills, a
 //! dispatch is one trip round the VM's loop, and a fused instruction
@@ -46,6 +47,7 @@ use pogo::net::{FlushPolicy, LinkShape};
 use pogo::obs::Obs;
 use pogo::platform::{NetAppConfig, PeriodicNetApp};
 use pogo::sim::{Sim, SimDuration};
+use pogo_core::host::LogStore;
 use pogo_core::proto::ExperimentSpec;
 use pogo_core::sensor::{AccelSample, SensorSources, WifiReading};
 
@@ -393,6 +395,10 @@ struct Localization {
     /// Heap bytes outstanding at the end of the second hour that were not
     /// at the start of the first: fleet, testbed and per-thread tables.
     live_bytes: i64,
+    /// Heap bytes the phones' `raw-scans` logs hold then, summed: each
+    /// phone's lines appended in order to a store of its own, what that
+    /// store holds counted.
+    log_bytes: i64,
 }
 
 /// Every phone alternates between two neighbourhoods of five access
@@ -464,25 +470,40 @@ fn measure_localization() -> Localization {
         collector.stats().ingest.ingested_rows - rows_before >= DEVICES as u64,
         "every phone's places reach the store"
     );
+    let live = live_bytes() - live_before;
+    let mut log_bytes = 0;
+    for m in members.iter() {
+        let lines = m.device.logs().lines("raw-scans");
+        let held_before = live_bytes();
+        let log = LogStore::new();
+        for line in &lines {
+            log.append("raw-scans", line);
+        }
+        log_bytes += live_bytes() - held_before;
+        assert_eq!(log.lines("raw-scans"), lines);
+    }
     Localization {
         allocs: spent,
         scans: scans - scans_before,
         steps: steps - steps_before,
         dispatches: dispatches - dispatches_before,
         callbacks: callbacks - callbacks_before,
-        live_bytes: live_bytes() - live_before,
+        live_bytes: live,
+        log_bytes,
     }
 }
 
-/// What this same test read at the parent commit (cea51de) and reads at
-/// this one: the same allocations and steps, and a few live bytes fewer,
-/// those of the store's `locations` rows.
+/// What this same test read at the parent commit (1e2560c) and reads at
+/// this one: the same allocations and steps, and fewer live bytes, those
+/// a phone's log saves by keeping its lines in sealed, packed segments.
 const PARENT_ALLOCS_PER_SCAN: f64 = 136.0;
-const PARENT_LIVE_PER_DEVICE: f64 = 139_352.0;
+const PARENT_LIVE_PER_DEVICE: f64 = 139_611.0;
+const PARENT_LOG_PER_DEVICE: f64 = 33_445.0;
 const ALLOCS_PER_SCAN: f64 = 136.0;
 const STEPS: u64 = 3_579_138;
 const STEPS_PER_CALLBACK: f64 = 1516.6;
-const LIVE_PER_DEVICE: f64 = 139_139.0;
+const LIVE_PER_DEVICE: f64 = 117_116.0;
+const LOG_PER_DEVICE: f64 = 10_774.0;
 /// Most dispatches the VM may make per step on this fleet.
 const DISPATCHES_PER_STEP: f64 = 0.55;
 
@@ -504,6 +525,7 @@ fn script_path_allocations_and_steps_stay_within_budget_and_repeat_exactly() {
         dispatches,
         callbacks,
         live_bytes,
+        log_bytes,
     } = first;
     assert!(scans >= 59 * DEVICES as u64, "only {scans} scans");
     // scan.js hears the sensor, clustering.js hears scan.js.
@@ -511,6 +533,7 @@ fn script_path_allocations_and_steps_stay_within_budget_and_repeat_exactly() {
     let per_scan = allocs as f64 / scans as f64;
     let per_callback = steps as f64 / callbacks as f64;
     let live_per_device = live_bytes as f64 / DEVICES as f64;
+    let log_per_device = log_bytes as f64 / DEVICES as f64;
     println!(
         "Localization: {allocs} allocations / {scans} scans = {per_scan:.1} per scan \
          (parent {PARENT_ALLOCS_PER_SCAN:.1}); {steps} steps / {callbacks} callbacks = \
@@ -525,6 +548,10 @@ fn script_path_allocations_and_steps_stay_within_budget_and_repeat_exactly() {
     println!(
         "Localization: {live_bytes} live heap bytes / {DEVICES} devices = {live_per_device:.0} \
          per device after the second hour (parent {PARENT_LIVE_PER_DEVICE:.0})"
+    );
+    println!(
+        "Localization: {log_bytes} raw-scans log bytes / {DEVICES} devices = {log_per_device:.0} \
+         log bytes held per device (parent {PARENT_LOG_PER_DEVICE:.0})"
     );
     assert_eq!(
         steps, STEPS,
@@ -541,6 +568,7 @@ fn script_path_allocations_and_steps_stay_within_budget_and_repeat_exactly() {
             live_per_device,
             LIVE_PER_DEVICE,
         ),
+        ("log bytes held per device", log_per_device, LOG_PER_DEVICE),
     ] {
         assert!(
             got <= HEADROOM * now,

@@ -148,8 +148,8 @@ fn script_clustering_matches_native_ground_truth_exactly() {
         assert_eq!(a.samples, b.samples, "member counts in lock-step");
     }
     let report = match_clusters(&truth, &collected, MatchParams::default());
-    assert_eq!(report.match_pct(), 100.0);
-    assert_eq!(report.partial_pct(), 100.0);
+    assert_eq!(report.match_pct(), Some(100.0));
+    assert_eq!(report.partial_pct(), Some(100.0));
 }
 
 #[test]
