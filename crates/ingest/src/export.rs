@@ -4,42 +4,187 @@
 //! for numbers and string escaping, and all three are deterministic:
 //! the same rows always serialize to the same bytes, which the chaos
 //! determinism gate asserts across same-seed re-runs.
+//!
+//! Each export is one `String`, allocated once before its first byte is
+//! written. A format lays a row out through a `Sink`; the first pass
+//! hands every row to a `Tally`, which adds up field lengths, the bytes
+//! escaping and quote doubling add and integer digits, all counted from
+//! the row without writing it, and the second hands them to the
+//! `String`. Only an `F64`'s text is not known without formatting it; the
+//! tally takes a bound on its length, so the writes never outgrow the
+//! reservation.
 
-use crate::jsonw;
+use crate::jsonw::{self, QUOTE};
 use crate::schema::SampleValue;
 use crate::store::Row;
 
-/// Writes the typed value as a JSON fragment (raw for `Json`, which is
-/// already serialized).
-fn write_value_json(value: &SampleValue, out: &mut String) {
-    match value {
-        SampleValue::I64(n) => {
-            let _ = jsonw::write_int(*n, out);
+/// `"` inside a JSON string literal that sits in a quoted CSV field,
+/// where the field doubles it.
+const CSV_QUOTE: &str = "\\\"\"";
+
+/// What a format lays a row out into: the export's `String`, or a
+/// [`Tally`] of the bytes that would take. One layout function does both,
+/// so the size and the bytes cannot disagree.
+trait Sink {
+    /// Text copied as it is.
+    fn text(&mut self, s: &str);
+    /// An integer's digits.
+    fn int(&mut self, n: i64);
+    /// A JSON number.
+    fn num(&mut self, n: f64);
+    /// The inside of `s`'s JSON string literal, with `"` spelled `quote`.
+    fn escaped(&mut self, s: &str, quote: &str);
+    /// `s` as a CSV field: quoted, its quotes doubled, when it holds a
+    /// delimiter, quote, or newline.
+    fn csv_field(&mut self, s: &str);
+
+    /// `s` as a JSON string literal, quotes included.
+    fn json_str(&mut self, s: &str) {
+        self.text("\"");
+        self.escaped(s, QUOTE);
+        self.text("\"");
+    }
+
+    /// The typed value as a JSON fragment (raw for `Json`, which is
+    /// already serialized).
+    fn json_value(&mut self, value: &SampleValue) {
+        match value {
+            SampleValue::I64(n) => self.int(*n),
+            SampleValue::F64(n) => self.num(*n),
+            SampleValue::Bool(b) => self.text(if *b { "true" } else { "false" }),
+            SampleValue::Str(s) => self.json_str(s),
+            SampleValue::Json(raw) => self.text(raw),
         }
-        SampleValue::F64(n) => {
-            let _ = jsonw::write_num(*n, out);
-        }
-        SampleValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        SampleValue::Str(s) => {
-            let _ = jsonw::write_str(s, out);
-        }
-        SampleValue::Json(raw) => out.push_str(raw),
     }
 }
 
-/// Quotes a CSV field when it contains a delimiter, quote, or newline.
-fn write_csv_field(field: &str, out: &mut String) {
-    if field.contains(['"', ',', '\n', '\r']) {
-        out.push('"');
-        for c in field.chars() {
-            if c == '"' {
-                out.push('"');
-            }
-            out.push(c);
+/// How many `"`s `s` holds.
+fn quotes(s: &str) -> usize {
+    s.bytes().filter(|&b| b == b'"').count()
+}
+
+/// Whether a CSV field is quoted.
+fn csv_quoted(field: &str) -> bool {
+    field
+        .bytes()
+        .any(|b| matches!(b, b'"' | b',' | b'\n' | b'\r'))
+}
+
+impl Sink for String {
+    fn text(&mut self, s: &str) {
+        self.push_str(s);
+    }
+
+    fn int(&mut self, n: i64) {
+        let _ = jsonw::write_int(n, self);
+    }
+
+    fn num(&mut self, n: f64) {
+        let _ = jsonw::write_num(n, self);
+    }
+
+    fn escaped(&mut self, s: &str, quote: &str) {
+        let _ = jsonw::write_escaped(s, quote, self);
+    }
+
+    fn csv_field(&mut self, s: &str) {
+        if !csv_quoted(s) {
+            self.push_str(s);
+            return;
         }
-        out.push('"');
-    } else {
-        out.push_str(field);
+        self.push('"');
+        for (i, run) in s.split('"').enumerate() {
+            if i > 0 {
+                self.push_str("\"\"");
+            }
+            self.push_str(run);
+        }
+        self.push('"');
+    }
+}
+
+/// The bytes a layout would write, counted without writing them.
+struct Tally(usize);
+
+impl Sink for Tally {
+    fn text(&mut self, s: &str) {
+        self.0 += s.len();
+    }
+
+    fn int(&mut self, n: i64) {
+        self.0 += jsonw::int_len(n);
+    }
+
+    fn num(&mut self, n: f64) {
+        self.0 += jsonw::num_len_bound(n);
+    }
+
+    fn escaped(&mut self, s: &str, quote: &str) {
+        // `escaped_len` counts each `"` as `QUOTE`.
+        self.0 += jsonw::escaped_len(s);
+        if quote.len() > QUOTE.len() {
+            self.0 += (quote.len() - QUOTE.len()) * quotes(s);
+        }
+    }
+
+    fn csv_field(&mut self, s: &str) {
+        self.0 += s.len();
+        if csv_quoted(s) {
+            self.0 += 2 + quotes(s);
+        }
+    }
+}
+
+/// One export format: the text around its rows, and how it lays out the
+/// `i`th.
+trait Layout {
+    const HEAD: &'static str;
+    const TAIL: &'static str;
+    fn row<S: Sink>(&self, i: usize, row: &Row, out: &mut S);
+}
+
+/// Sizes the export of `rows`, then writes it into one allocation.
+fn export<L: Layout>(layout: &L, rows: &[Row]) -> String {
+    let mut size = Tally(L::HEAD.len() + L::TAIL.len());
+    for (i, row) in rows.iter().enumerate() {
+        layout.row(i, row, &mut size);
+    }
+    let mut out = String::with_capacity(size.0);
+    out.push_str(L::HEAD);
+    for (i, row) in rows.iter().enumerate() {
+        layout.row(i, row, &mut out);
+    }
+    out.push_str(L::TAIL);
+    out
+}
+
+struct Csv;
+
+impl Layout for Csv {
+    const HEAD: &'static str = "exp,channel,device,t_ms,value\n";
+    const TAIL: &'static str = "";
+
+    fn row<S: Sink>(&self, _: usize, row: &Row, out: &mut S) {
+        out.csv_field(&row.exp);
+        out.text(",");
+        out.csv_field(&row.channel);
+        out.text(",");
+        out.csv_field(&row.device);
+        out.text(",");
+        out.int(row.at.as_millis() as i64);
+        out.text(",");
+        match &row.value {
+            // A string literal holds quotes, so its field is always quoted.
+            SampleValue::Str(s) => {
+                out.text("\"\"\"");
+                out.escaped(s, CSV_QUOTE);
+                out.text("\"\"\"");
+            }
+            SampleValue::Json(raw) => out.csv_field(raw),
+            // Numbers, `null` and booleans hold nothing CSV quotes.
+            value => out.json_value(value),
+        }
+        out.text("\n");
     }
 }
 
@@ -47,43 +192,81 @@ fn write_csv_field(field: &str, out: &mut String) {
 /// Timestamps are integral sim milliseconds; values render as their
 /// JSON fragment (then CSV-quoted if needed).
 pub fn to_csv(rows: &[Row]) -> String {
-    let mut out = String::from("exp,channel,device,t_ms,value\n");
-    let mut value = String::new();
-    for row in rows {
-        write_csv_field(&row.exp, &mut out);
-        out.push(',');
-        write_csv_field(&row.channel, &mut out);
-        out.push(',');
-        write_csv_field(&row.device, &mut out);
-        out.push(',');
-        let _ = jsonw::write_int(row.at.as_millis() as i64, &mut out);
-        out.push(',');
-        value.clear();
-        write_value_json(&row.value, &mut value);
-        write_csv_field(&value, &mut out);
-        out.push('\n');
+    export(&Csv, rows)
+}
+
+struct Jsonl;
+
+impl Layout for Jsonl {
+    const HEAD: &'static str = "";
+    const TAIL: &'static str = "";
+
+    fn row<S: Sink>(&self, _: usize, row: &Row, out: &mut S) {
+        out.text("{\"exp\":");
+        out.json_str(&row.exp);
+        out.text(",\"channel\":");
+        out.json_str(&row.channel);
+        out.text(",\"device\":");
+        out.json_str(&row.device);
+        out.text(",\"t\":");
+        out.int(row.at.as_millis() as i64);
+        out.text(",\"v\":");
+        out.json_value(&row.value);
+        out.text("}\n");
     }
-    out
 }
 
 /// Exports rows as JSONL: one `{"exp":…,"channel":…,"device":…,"t":…,
 /// "v":…}` object per line, `t` in sim milliseconds.
 pub fn to_jsonl(rows: &[Row]) -> String {
-    let mut out = String::new();
-    for row in rows {
-        out.push_str("{\"exp\":");
-        let _ = jsonw::write_str(&row.exp, &mut out);
-        out.push_str(",\"channel\":");
-        let _ = jsonw::write_str(&row.channel, &mut out);
-        out.push_str(",\"device\":");
-        let _ = jsonw::write_str(&row.device, &mut out);
-        out.push_str(",\"t\":");
-        let _ = jsonw::write_int(row.at.as_millis() as i64, &mut out);
-        out.push_str(",\"v\":");
-        write_value_json(&row.value, &mut out);
-        out.push_str("}\n");
+    export(&Jsonl, rows)
+}
+
+/// SenML against the first row, which sets the base name and time.
+struct Senml<'a> {
+    base: &'a Row,
+}
+
+impl Layout for Senml<'_> {
+    const HEAD: &'static str = "[";
+    const TAIL: &'static str = "]";
+
+    fn row<S: Sink>(&self, i: usize, row: &Row, out: &mut S) {
+        let base = self.base;
+        out.text(if i == 0 { "{" } else { ",{" });
+        if i == 0 {
+            out.text("\"bn\":\"");
+            out.escaped(&base.exp, QUOTE);
+            out.text("/");
+            out.escaped(&base.channel, QUOTE);
+            out.text("/\",\"bt\":");
+            out.num(base.at.as_secs_f64());
+            out.text(",");
+        }
+        out.text("\"n\":\"");
+        if row.exp != base.exp || row.channel != base.channel {
+            // Outside the base name: spell the full name.
+            out.escaped(&row.exp, QUOTE);
+            out.text("/");
+            out.escaped(&row.channel, QUOTE);
+            out.text("/");
+        }
+        out.escaped(&row.device, QUOTE);
+        out.text("\",\"t\":");
+        out.num(row.at.as_secs_f64() - base.at.as_secs_f64());
+        out.text(",");
+        match &row.value {
+            SampleValue::I64(_) | SampleValue::F64(_) => out.text("\"v\":"),
+            SampleValue::Bool(_) => out.text("\"vb\":"),
+            SampleValue::Str(_) => out.text("\"vs\":"),
+            SampleValue::Json(_) => out.text("\"vd\":"),
+        }
+        match &row.value {
+            SampleValue::Json(raw) => out.json_str(raw),
+            value => out.json_value(value),
+        }
+        out.text("}");
     }
-    out
 }
 
 /// Exports rows as a SenML-style pack (RFC 8428 shape): the first
@@ -92,63 +275,10 @@ pub fn to_jsonl(rows: &[Row]) -> String {
 /// strings `vs`, booleans `vb`, and pre-serialized JSON trees ride in
 /// `vd` (data) as a string.
 pub fn to_senml(rows: &[Row]) -> String {
-    let mut out = String::from("[");
-    let base = rows
-        .first()
-        .map(|r| (r.exp.clone(), r.channel.clone(), r.at));
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('{');
-        let (base_exp, base_channel, bt) = base.as_ref().expect("rows non-empty");
-        if i == 0 {
-            out.push_str("\"bn\":");
-            let _ = jsonw::write_str(&format!("{base_exp}/{base_channel}/"), &mut out);
-            out.push_str(",\"bt\":");
-            let _ = jsonw::write_num(bt.as_secs_f64(), &mut out);
-            out.push(',');
-        }
-        out.push_str("\"n\":");
-        if row.exp == *base_exp && row.channel == *base_channel {
-            let _ = jsonw::write_str(&row.device, &mut out);
-        } else {
-            // Outside the base name: spell the full name.
-            let _ = jsonw::write_str(
-                &format!("{}/{}/{}", row.exp, row.channel, row.device),
-                &mut out,
-            );
-        }
-        out.push_str(",\"t\":");
-        let dt = row.at.as_secs_f64() - bt.as_secs_f64();
-        let _ = jsonw::write_num(dt, &mut out);
-        out.push(',');
-        match &row.value {
-            SampleValue::I64(n) => {
-                out.push_str("\"v\":");
-                let _ = jsonw::write_int(*n, &mut out);
-            }
-            SampleValue::F64(n) => {
-                out.push_str("\"v\":");
-                let _ = jsonw::write_num(*n, &mut out);
-            }
-            SampleValue::Bool(b) => {
-                out.push_str("\"vb\":");
-                out.push_str(if *b { "true" } else { "false" });
-            }
-            SampleValue::Str(s) => {
-                out.push_str("\"vs\":");
-                let _ = jsonw::write_str(s, &mut out);
-            }
-            SampleValue::Json(raw) => {
-                out.push_str("\"vd\":");
-                let _ = jsonw::write_str(raw, &mut out);
-            }
-        }
-        out.push('}');
+    match rows.first() {
+        Some(base) => export(&Senml { base }, rows),
+        None => String::from("[]"),
     }
-    out.push(']');
-    out
 }
 
 #[cfg(test)]

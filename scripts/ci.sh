@@ -53,13 +53,14 @@ scripts/sloc.sh --crate-local
 # The deterministic work counters, beside the size lines (ROADMAP aim 1:
 # counts that repeat exactly on any machine): allocator calls per stored
 # sample on the two scriptless fleets, per delivered scan and VM steps and
-# dispatches per callback on the script fleet; then the live heap bytes,
+# dispatches per callback on the script fleet, per CSV / JSONL / SenML
+# export of a 10,000-row battery and accelerometer store; then the live heap bytes,
 # per stored sample on the two scriptless fleets (the collector's store)
 # and per stored row of a bare store fed their JSON shapes, beside per
 # device on the script fleet and the part of that its `raw-scans` log
 # holds. The test gates them; this prints them.
 budget_out="$(cargo test --release --test alloc_budget -- --nocapture)"
-echo "$budget_out" | grep -E ' allocations .* per (sample|scan)[, ]| steps .* per callback|dispatches .* per callback'
+echo "$budget_out" | grep -E ' allocations .* per (sample|scan|export)[, ]| steps .* per callback|dispatches .* per callback'
 echo "$budget_out" | grep -E ' live heap bytes .* per (stored sample|stored row|device)[, ]| log bytes held per device '
 # What the tree-walk oracle checks the VM on: programs compared, and how
 # many ran to completion on both, so a change that shrinks the corpus

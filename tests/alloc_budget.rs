@@ -15,7 +15,9 @@
 //! bytes mix the store with the simulation around it, so a fourth gauge
 //! takes the store alone: 10,000 `battery` and 10,000 `accelerometer`
 //! values, in the fleets' own JSON shapes, appended to a bare pipeline
-//! and flushed, with the heap bytes held per stored row gated.
+//! and flushed, with the heap bytes held per stored row gated. The same
+//! two stores gauge the read path: the allocator calls one CSV, JSONL or
+//! SenML export of the whole store makes, pinned exactly, not gated.
 //!
 //! A third fleet is the gauge for the script path: `scan.js` and
 //! `clustering.js` on every device, one Wi-Fi scan a minute, as in the
@@ -42,7 +44,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use pogo::core::{ChannelFilter, FleetSpec, Msg, Testbed};
-use pogo::ingest::{ChannelSchema, IngestPipeline, SampleValue};
+use pogo::ingest::{export, ChannelSchema, IngestPipeline, Row, SampleValue, ScanQuery};
 use pogo::net::{FlushPolicy, LinkShape};
 use pogo::obs::Obs;
 use pogo::platform::{NetAppConfig, PeriodicNetApp};
@@ -302,17 +304,18 @@ fn sample_path_allocations_stay_within_budget_and_repeat_exactly() {
     }
 }
 
-/// Heap bytes a bare pipeline holds after taking [`STORE_ROWS`] values of
-/// one channel, in the shape its fleet's sensor sends, and flushing: the
-/// store alone, without the simulation around it that the per-sample
-/// counts above include.
-fn store_live_bytes(channel: &str) -> i64 {
-    let sim = Sim::new();
-    let pipeline = IngestPipeline::new(&sim, &Obs::off());
+/// A bare pipeline with one JSON channel, `channel`, registered.
+fn bare_pipeline(sim: &Sim, channel: &str) -> IngestPipeline {
+    let pipeline = IngestPipeline::new(sim, &Obs::off());
     pipeline
         .register(EXP, channel, ChannelSchema::json())
         .expect("fresh channel registers");
-    let live_before = live_bytes();
+    pipeline
+}
+
+/// Appends [`STORE_ROWS`] values of `channel`, in the shape its fleet's
+/// sensor sends, and flushes.
+fn fill_store(pipeline: &IngestPipeline, channel: &str) {
     for i in 0..STORE_ROWS {
         let t_ms = 5_000 * i;
         let msg = if channel == "battery" {
@@ -343,6 +346,17 @@ fn store_live_bytes(channel: &str) -> i64 {
     }
     pipeline.flush_all();
     assert_eq!(pipeline.store().rows(), STORE_ROWS);
+}
+
+/// Heap bytes a bare pipeline holds after taking [`STORE_ROWS`] values of
+/// one channel, in the shape its fleet's sensor sends, and flushing: the
+/// store alone, without the simulation around it that the per-sample
+/// counts above include.
+fn store_live_bytes(channel: &str) -> i64 {
+    let sim = Sim::new();
+    let pipeline = bare_pipeline(&sim, channel);
+    let live_before = live_bytes();
+    fill_store(&pipeline, channel);
     live_bytes() - live_before
 }
 
@@ -379,6 +393,45 @@ fn store_resident_bytes_per_row_stay_within_budget_and_repeat_exactly() {
             "{channel}: {got:.1} live heap bytes per stored row exceeds {:.1} ({now:.1} at the \
              last re-base, plus 3 %)",
             HEADROOM * now,
+        );
+    }
+}
+
+/// Allocator calls one export of a whole [`STORE_ROWS`]-row store makes,
+/// CSV / JSONL / SenML, that this same test read at the parent commit
+/// (1f7b4ba, each exporter grew its `String` by doubling) and reads at
+/// this one (each sizes its `String` from the rows before the first
+/// byte). Pinned exactly: the rows are JSON values, so nothing falls
+/// back to growth.
+const PARENT_EXPORT_ALLOCS: [(&str, [u64; 3]); 2] =
+    [("battery", [19, 19, 23]), ("accelerometer", [19, 19, 24])];
+const EXPORT_ALLOCS: [u64; 3] = [1, 1, 1];
+
+#[test]
+fn export_allocations_are_pinned_exactly() {
+    for (channel, parent) in PARENT_EXPORT_ALLOCS {
+        let sim = Sim::new();
+        let pipeline = bare_pipeline(&sim, channel);
+        fill_store(&pipeline, channel);
+        let rows = pipeline.store().scan(&ScanQuery::exp(EXP));
+        let exporters: [fn(&[Row]) -> String; 3] =
+            [export::to_csv, export::to_jsonl, export::to_senml];
+        let spent = exporters.map(|exporter| {
+            let before = allocs();
+            let text = exporter(&rows);
+            let spent = allocs() - before;
+            assert!(!text.is_empty());
+            spent
+        });
+        let [csv, jsonl, senml] = spent;
+        let [p_csv, p_jsonl, p_senml] = parent;
+        println!(
+            "Store {channel}: {csv} / {jsonl} / {senml} allocations (CSV / JSONL / SenML) per \
+             export of {STORE_ROWS} rows (parent {p_csv} / {p_jsonl} / {p_senml})"
+        );
+        assert_eq!(
+            spent, EXPORT_ALLOCS,
+            "{channel}: allocator calls per export"
         );
     }
 }
