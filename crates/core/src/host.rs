@@ -9,9 +9,10 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use pogo_obs::Obs;
+use pogo_script::value::intern;
 use pogo_script::{
     ErrorKind, Interpreter, ObjMap, ScriptError, Value, LOAD_BUDGET, WATCHDOG_BUDGET,
 };
@@ -21,7 +22,7 @@ use crate::broker::{Broker, SubscriptionId};
 use crate::bump;
 use crate::lz77;
 use crate::scheduler::Scheduler;
-use crate::value::{too_deep, Msg, SeenStrings, WriteJson};
+use crate::value::{refusal, Msg, SeenStrings, WriteJson};
 
 /// Persistent per-script `freeze`/`thaw` slot. Lives *outside* the script
 /// host so it survives restarts and reboots, like the flash storage it
@@ -494,210 +495,236 @@ impl ScriptHost {
 
     // ---- API installation --------------------------------------------------
 
-    /// The natives hold the host weakly (the host owns the interpreter
-    /// that owns them); the callbacks `subscribe` and `setTimeout` hand to
-    /// the broker and the scheduler hold it strongly.
+    /// Binds the thread's [`API_NATIVES`] and ties the interpreter to this
+    /// host, weakly (the host owns the interpreter); the callbacks
+    /// `subscribe` and `setTimeout` hand to the broker and the scheduler
+    /// hold it strongly.
     fn install_api(&self) {
-        let weak = Rc::downgrade(&self.inner);
         let mut interp = self.inner.interp.borrow_mut();
-
-        // setDescription(description)
-        {
-            let weak = weak.clone();
-            interp.register_native("setDescription", move |_, args| {
-                if let (Some(inner), Some(desc)) = (weak.upgrade(), args.first()) {
-                    *inner.description.borrow_mut() = Some(desc.to_display_string());
-                }
-                Ok(Value::Null)
-            });
-        }
-        // setAutoStart(start): accepted and ignored. The paper's UI lets
-        // users start by hand a script that opted out; there is no UI here,
-        // so every deployed script starts.
-        interp.register_native("setAutoStart", |_, _| Ok(Value::Null));
-        // print(message1[, ...])
-        {
-            let weak = weak.clone();
-            interp.register_native("print", move |_, args| {
-                if let Some(inner) = weak.upgrade() {
-                    inner.prints.borrow_mut().push(Joined(args).to_string());
-                }
-                Ok(Value::Null)
-            });
-        }
-        // log(message1[, ...]) — writes to the script's default log.
-        {
-            let weak = weak.clone();
-            interp.register_native("log", move |_, args| {
-                if let Some(inner) = weak.upgrade() {
-                    inner.logs.append(&inner.name, Joined(args));
-                }
-                Ok(Value::Null)
-            });
-        }
-        // logTo(logName, message1[, ...])
-        {
-            let weak = weak.clone();
-            interp.register_native("logTo", move |_, args| {
-                let log_name = args
-                    .first()
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| ScriptError::host("logTo: first argument must be a string"))?;
-                if let Some(inner) = weak.upgrade() {
-                    inner.logs.append(log_name, Joined(&args[1..]));
-                }
-                Ok(Value::Null)
-            });
-        }
-        // publish(channel, message) — Listing 2 also uses
-        // publish(message, channel); accept both argument orders.
-        {
-            let weak = weak.clone();
-            interp.register_native("publish", move |_, args| {
-                // Script strings are already `Rc<str>`; clone the handle
-                // instead of allocating a `String` per publish.
-                let (channel, message) = match (args.first(), args.get(1)) {
-                    (Some(Value::Str(ch)), msg) => {
-                        (ch.clone(), msg.cloned().unwrap_or(Value::Null))
-                    }
-                    (Some(msg), Some(Value::Str(ch))) => (ch.clone(), msg.clone()),
-                    _ => return Err(ScriptError::host("publish: expected (channel, message)")),
-                };
-                if let Some(inner) = weak.upgrade() {
-                    let msg = Msg::from_script(&message)?;
-                    bump(&inner.publishes, 1);
-                    bump(&inner.published_bytes, msg.json_size());
-                    inner.broker.publish(&channel, &msg);
-                }
-                Ok(Value::Null)
-            });
-        }
-        // subscribe(channel, function[, parameters]) -> Subscription
-        {
-            let weak = weak.clone();
-            interp.register_native("subscribe", move |_, args| {
-                let channel = args
-                    .first()
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| ScriptError::host("subscribe: channel must be a string"))?
-                    .to_owned();
-                let handler = match args.get(1) {
-                    Some(f @ (Value::Func(_) | Value::Native(_))) => f.clone(),
-                    _ => {
-                        return Err(ScriptError::host(
-                            "subscribe: second argument must be a function",
-                        ))
-                    }
-                };
-                let params = args
-                    .get(2)
-                    .map(Msg::from_script)
-                    .transpose()?
-                    .unwrap_or(Msg::Null);
-                let Some(inner) = weak.upgrade() else {
-                    return Ok(Value::Null);
-                };
-                let broker = inner.broker.clone();
-                let sink_host = ScriptHost {
-                    inner: inner.clone(),
-                };
-                let id = broker.subscribe(&channel, params, move |_ch, msg, from| {
-                    // Defer into the scheduler: pub/sub delivery is
-                    // asynchronous and per-script serialized.
-                    let host = sink_host.clone();
-                    let handler = handler.clone();
-                    let msg = msg.to_script(&mut sink_host.inner.strings.borrow_mut());
-                    let from_arg = match from {
-                        Some(jid) => Value::str(jid),
-                        None => Value::Null,
-                    };
-                    sink_host
-                        .inner
-                        .scheduler
-                        .run_soon(move || host.invoke(&handler, &[msg, from_arg]));
-                });
-                inner.subscriptions.borrow_mut().push(id);
-                // Build the Subscription object: { release(), renew() }.
-                let mut obj = ObjMap::new();
-                let b = broker.clone();
-                obj.insert(
-                    "release",
-                    native_value("release", move |_, _| {
-                        b.set_active(id, false);
-                        Ok(Value::Null)
-                    }),
-                );
-                obj.insert(
-                    "renew",
-                    native_value("renew", move |_, _| {
-                        broker.set_active(id, true);
-                        Ok(Value::Null)
-                    }),
-                );
-                Ok(Value::object(obj))
-            });
-        }
-        // freeze(object)
-        {
-            let weak = weak.clone();
-            interp.register_native("freeze", move |_, args| {
-                let frozen = args
-                    .first()
-                    .map(Msg::from_script)
-                    .transpose()?
-                    .unwrap_or(Msg::Null);
-                if let Some(inner) = weak.upgrade() {
-                    inner.frozen.set(Some(frozen));
-                }
-                Ok(Value::Null)
-            });
-        }
-        // thaw() -> object
-        {
-            let weak = weak.clone();
-            interp.register_native("thaw", move |_, _| {
-                let Some(inner) = weak.upgrade() else {
-                    return Ok(Value::Null);
-                };
-                Ok(inner
-                    .frozen
-                    .get()
-                    .map(|m| m.to_script(&mut inner.strings.borrow_mut()))
-                    .unwrap_or(Value::Null))
-            });
-        }
-        // json(object) -> String
-        interp.register_native("json", move |_, args| {
-            let value = args.first().unwrap_or(&Value::Null);
-            value
-                .with_json(|json| Value::str(json))
-                .map_err(|_| too_deep())
-        });
-        // setTimeout(function, delay)
-        interp.register_native("setTimeout", move |_, args| {
-            let f = match args.first() {
-                Some(f @ (Value::Func(_) | Value::Native(_))) => f.clone(),
-                _ => {
-                    return Err(ScriptError::host(
-                        "setTimeout: first argument must be a function",
-                    ))
-                }
-            };
-            let delay = args.get(1).and_then(Value::as_num).unwrap_or(0.0).max(0.0);
-            let Some(inner) = weak.upgrade() else {
-                return Ok(Value::Null);
-            };
-            let host = ScriptHost {
-                inner: inner.clone(),
-            };
-            inner
-                .scheduler
-                .run_later(SimDuration::from_millis(delay as u64), move || {
-                    host.invoke(&f, &[]);
-                });
-            Ok(Value::Null)
+        let host: Weak<HostInner> = Rc::downgrade(&self.inner);
+        interp.set_host(host);
+        API_NATIVES.with(|api| {
+            for (name, f) in api {
+                interp.globals().declare(name.clone(), f.clone());
+            }
         });
     }
+}
+
+/// A native of [`API`].
+type ApiFn = fn(&mut Interpreter, &[Value]) -> Result<Value, ScriptError>;
+
+/// Table 1's API, in the order it is declared. Each native finds the host
+/// of the script that calls it through the interpreter it is called with
+/// ([`Interpreter::host`]), so one set serves every script on a thread.
+const API: [(&str, ApiFn); 11] = [
+    ("setDescription", set_description),
+    ("setAutoStart", set_auto_start),
+    ("print", print),
+    ("log", log),
+    ("logTo", log_to),
+    ("publish", publish),
+    ("subscribe", subscribe),
+    ("freeze", freeze),
+    ("thaw", thaw),
+    ("json", json),
+    ("setTimeout", set_timeout),
+];
+
+thread_local! {
+    /// [`API`] as script values, made once per thread: every script host
+    /// on it binds the same `Rc`s under the interned names.
+    static API_NATIVES: Vec<(Rc<str>, Value)> = API
+        .iter()
+        .map(|&(name, f)| (intern(name), native_value(name, f)))
+        .collect();
+}
+
+/// `setDescription(description)`
+fn set_description(interp: &mut Interpreter, args: &[Value]) -> Result<Value, ScriptError> {
+    if let (Some(inner), Some(desc)) = (interp.host::<HostInner>(), args.first()) {
+        *inner.description.borrow_mut() = Some(desc.to_display_string());
+    }
+    Ok(Value::Null)
+}
+
+/// `setAutoStart(start)`: accepted and ignored. The paper's UI lets users
+/// start by hand a script that opted out; there is no UI here, so every
+/// deployed script starts.
+fn set_auto_start(_: &mut Interpreter, _: &[Value]) -> Result<Value, ScriptError> {
+    Ok(Value::Null)
+}
+
+/// `print(message1[, ...])`
+fn print(interp: &mut Interpreter, args: &[Value]) -> Result<Value, ScriptError> {
+    if let Some(inner) = interp.host::<HostInner>() {
+        inner.prints.borrow_mut().push(Joined(args).to_string());
+    }
+    Ok(Value::Null)
+}
+
+/// `log(message1[, ...])` — writes to the script's default log.
+fn log(interp: &mut Interpreter, args: &[Value]) -> Result<Value, ScriptError> {
+    if let Some(inner) = interp.host::<HostInner>() {
+        inner.logs.append(&inner.name, Joined(args));
+    }
+    Ok(Value::Null)
+}
+
+/// `logTo(logName, message1[, ...])`
+fn log_to(interp: &mut Interpreter, args: &[Value]) -> Result<Value, ScriptError> {
+    let log_name = args
+        .first()
+        .and_then(Value::as_str)
+        .ok_or_else(|| ScriptError::host("logTo: first argument must be a string"))?;
+    if let Some(inner) = interp.host::<HostInner>() {
+        inner.logs.append(log_name, Joined(&args[1..]));
+    }
+    Ok(Value::Null)
+}
+
+/// `publish(channel, message)` — Listing 2 also uses
+/// `publish(message, channel)`; both argument orders are accepted.
+fn publish(interp: &mut Interpreter, args: &[Value]) -> Result<Value, ScriptError> {
+    // Script strings are already `Rc<str>`; clone the handle instead of
+    // allocating a `String` per publish.
+    let (channel, message) = match (args.first(), args.get(1)) {
+        (Some(Value::Str(ch)), msg) => (ch.clone(), msg.cloned().unwrap_or(Value::Null)),
+        (Some(msg), Some(Value::Str(ch))) => (ch.clone(), msg.clone()),
+        _ => return Err(ScriptError::host("publish: expected (channel, message)")),
+    };
+    if let Some(inner) = interp.host::<HostInner>() {
+        let msg = Msg::from_script(&message)?;
+        bump(&inner.publishes, 1);
+        bump(&inner.published_bytes, msg.json_size());
+        inner.broker.publish(&channel, &msg);
+    }
+    Ok(Value::Null)
+}
+
+/// `subscribe(channel, function[, parameters])` -> Subscription
+fn subscribe(interp: &mut Interpreter, args: &[Value]) -> Result<Value, ScriptError> {
+    let channel = args
+        .first()
+        .and_then(Value::as_str)
+        .ok_or_else(|| ScriptError::host("subscribe: channel must be a string"))?
+        .to_owned();
+    let handler = match args.get(1) {
+        Some(f @ (Value::Func(_) | Value::Native(_))) => f.clone(),
+        _ => {
+            return Err(ScriptError::host(
+                "subscribe: second argument must be a function",
+            ))
+        }
+    };
+    let params = args
+        .get(2)
+        .map(Msg::from_script)
+        .transpose()?
+        .unwrap_or(Msg::Null);
+    let Some(inner) = interp.host::<HostInner>() else {
+        return Ok(Value::Null);
+    };
+    let broker = inner.broker.clone();
+    let sink_host = ScriptHost {
+        inner: inner.clone(),
+    };
+    let id = broker.subscribe(&channel, params, move |_ch, msg, from| {
+        // Defer into the scheduler: pub/sub delivery is asynchronous and
+        // per-script serialized.
+        let host = sink_host.clone();
+        let handler = handler.clone();
+        let msg = msg.to_script(&mut sink_host.inner.strings.borrow_mut());
+        let from_arg = match from {
+            Some(jid) => Value::str(jid),
+            None => Value::Null,
+        };
+        sink_host
+            .inner
+            .scheduler
+            .run_soon(move || host.invoke(&handler, &[msg, from_arg]));
+    });
+    // A script subscribes a few times, not a few hundred: grow by one.
+    let mut subscriptions = inner.subscriptions.borrow_mut();
+    subscriptions.reserve_exact(1);
+    subscriptions.push(id);
+    drop(subscriptions);
+    // Build the Subscription object: { release(), renew() }.
+    let mut obj = ObjMap::new();
+    let b = broker.clone();
+    obj.insert(
+        "release",
+        native_value("release", move |_, _| {
+            b.set_active(id, false);
+            Ok(Value::Null)
+        }),
+    );
+    obj.insert(
+        "renew",
+        native_value("renew", move |_, _| {
+            broker.set_active(id, true);
+            Ok(Value::Null)
+        }),
+    );
+    Ok(Value::object(obj))
+}
+
+/// `freeze(object)`
+fn freeze(interp: &mut Interpreter, args: &[Value]) -> Result<Value, ScriptError> {
+    let frozen = args
+        .first()
+        .map(Msg::from_script)
+        .transpose()?
+        .unwrap_or(Msg::Null);
+    if let Some(inner) = interp.host::<HostInner>() {
+        inner.frozen.set(Some(frozen));
+    }
+    Ok(Value::Null)
+}
+
+/// `thaw()` -> object
+fn thaw(interp: &mut Interpreter, _: &[Value]) -> Result<Value, ScriptError> {
+    let Some(inner) = interp.host::<HostInner>() else {
+        return Ok(Value::Null);
+    };
+    Ok(inner
+        .frozen
+        .get()
+        .map(|m| m.to_script(&mut inner.strings.borrow_mut()))
+        .unwrap_or(Value::Null))
+}
+
+/// `json(object)` -> String
+fn json(_: &mut Interpreter, args: &[Value]) -> Result<Value, ScriptError> {
+    let value = args.first().unwrap_or(&Value::Null);
+    value
+        .with_json(|json| Value::str(json))
+        .map_err(|_| refusal(value))
+}
+
+/// `setTimeout(function, delay)`
+fn set_timeout(interp: &mut Interpreter, args: &[Value]) -> Result<Value, ScriptError> {
+    let f = match args.first() {
+        Some(f @ (Value::Func(_) | Value::Native(_))) => f.clone(),
+        _ => {
+            return Err(ScriptError::host(
+                "setTimeout: first argument must be a function",
+            ))
+        }
+    };
+    let delay = args.get(1).and_then(Value::as_num).unwrap_or(0.0).max(0.0);
+    let Some(inner) = interp.host::<HostInner>() else {
+        return Ok(Value::Null);
+    };
+    let host = ScriptHost {
+        inner: inner.clone(),
+    };
+    inner
+        .scheduler
+        .run_later(SimDuration::from_millis(delay as u64), move || {
+            host.invoke(&f, &[]);
+        });
+    Ok(Value::Null)
 }
 
 /// The arguments of `print`, `log` and `logTo` as one line: each as it
@@ -742,6 +769,7 @@ impl ScriptHost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::too_deep;
     use pogo_platform::{Cpu, CpuConfig, EnergyMeter};
     use pogo_sim::{Sim, SimRng};
 
@@ -1091,6 +1119,100 @@ mod tests {
             assert_eq!(err.message(), too_deep().message(), "{call}");
         }
         assert_eq!(seen.borrow().len(), 1, "the deeper value was never sent");
+    }
+
+    /// Two scripts on one thread hold the same `Rc` for every native, the
+    /// builtins and `Math`'s functions included, yet each binds them in a
+    /// scope of its own: a script that rebinds `Math.sqrt` or `publish`
+    /// changes nothing the other sees.
+    #[test]
+    fn scripts_on_a_thread_share_each_native_but_not_its_binding() {
+        let (_sim, broker, sched) = setup();
+        let seen = Rc::new(Cell::new(0));
+        let s = seen.clone();
+        broker.subscribe("out", Msg::Null, move |_, _, _| s.set(s.get() + 1));
+        let (a, b) = (host(&broker, &sched), host(&broker, &sched));
+        let natives = |h: &ScriptHost| -> Vec<(String, Value)> {
+            let interp = h.inner.interp.borrow();
+            let globals = interp.globals();
+            let Some(Value::Object(math)) = globals.get("Math") else {
+                panic!("Math is an object")
+            };
+            let math = math.borrow();
+            let builtins = ["keys", "Number", "String", "isNaN", "parseFloat"];
+            let mut all: Vec<(String, Value)> = API
+                .iter()
+                .map(|(n, _)| *n)
+                .chain(builtins)
+                .map(|n| (n.to_owned(), globals.get(n).expect("declared")))
+                .collect();
+            all.extend(
+                math.iter()
+                    .filter(|(_, v)| matches!(v, Value::Native(_)))
+                    .map(|(k, v)| (format!("Math.{k}"), v.clone())),
+            );
+            all
+        };
+        let (of_a, of_b) = (natives(&a), natives(&b));
+        assert_eq!(of_a.len(), 11 + 5 + 12);
+        for ((name, x), (_, y)) in of_a.iter().zip(&of_b) {
+            let (Value::Native(x), Value::Native(y)) = (x, y) else {
+                panic!("{name} is a native")
+            };
+            assert!(Rc::ptr_eq(x, y), "{name} is one allocation per thread");
+        }
+        a.load(
+            "Math.sqrt = function (x) { return -1; };\n\
+             publish = function (c, m) { print('swallowed'); };\n\
+             print(Math.sqrt(16)); publish('out', { v: 1 });",
+        )
+        .unwrap();
+        b.load("print(Math.sqrt(16)); publish('out', { v: 2 });")
+            .unwrap();
+        assert_eq!(a.prints(), vec!["-1", "swallowed"]);
+        assert_eq!(b.prints(), vec!["4"]);
+        assert_eq!(seen.get(), 1, "only b's publish reached the broker");
+        assert_eq!((a.publishes(), b.publishes()), (0, 1));
+        let same = |x: &[(String, Value)], y: &[(String, Value)]| {
+            x.len() == y.len() && x.iter().zip(y).all(|(x, y)| x == y)
+        };
+        assert!(same(&natives(&b), &of_a), "b still binds every native");
+        assert!(!same(&natives(&a), &of_a), "a does not");
+    }
+
+    /// A value shared many times is met, and counted, each time it is:
+    /// `a = [a, a]` twenty times over is 2^21 values for a hundred or so
+    /// VM steps, and each call that hands a value to the host refuses it
+    /// with one error instead of copying it for seconds. Seventeen times
+    /// over, 2^18 - 1 values, is the most any of them takes.
+    #[test]
+    fn values_shared_too_many_times_to_leave_a_script_raise_one_error() {
+        use crate::value::{too_large, MAX_VALUE_NODES};
+        let shared = |levels: u32| {
+            format!("var a = 1; for (var i = 0; i < {levels}; i++) {{ a = [a, a]; }}")
+        };
+        assert_eq!(MAX_VALUE_NODES, 1 << 18);
+        let (_sim, broker, sched) = setup();
+        for call in [
+            "json(a)",
+            "publish('out', a)",
+            "freeze(a)",
+            "subscribe('x', function (m) {}, a)",
+        ] {
+            let t0 = std::time::Instant::now();
+            let err = host(&broker, &sched)
+                .load(&format!("{} {call};", shared(20)))
+                .unwrap_err();
+            assert_eq!(err.message(), too_large().message(), "{call}");
+            assert!(t0.elapsed().as_secs() < 5, "{call} gave up at the budget");
+            host(&broker, &sched)
+                .load(&format!("{} {call};", shared(17)))
+                .unwrap();
+            let err = host(&broker, &sched)
+                .load(&format!("{} {call};", shared(18)))
+                .unwrap_err();
+            assert_eq!(err.message(), too_large().message(), "{call}");
+        }
     }
 
     #[test]

@@ -113,36 +113,44 @@ impl Msg {
     /// # Errors
     ///
     /// A host [`ScriptError`] for a value nested deeper than
-    /// [`MAX_VALUE_DEPTH`], which includes every value that holds itself.
+    /// [`MAX_VALUE_DEPTH`], which includes every value that holds itself,
+    /// or of more than [`MAX_VALUE_NODES`] values counted as the copy
+    /// meets them.
     pub fn from_script(value: &Value) -> Result<Msg, ScriptError> {
-        Msg::from_script_within(value, MAX_VALUE_DEPTH).ok_or_else(too_deep)
+        let mut nodes = MAX_VALUE_NODES;
+        Msg::from_script_within(value, MAX_VALUE_DEPTH, &mut nodes)
     }
 
-    /// [`Msg::from_script`] with `room` more containers allowed to open;
-    /// `None` past that.
-    fn from_script_within(value: &Value, room: usize) -> Option<Msg> {
-        Some(match value {
+    /// [`Msg::from_script`] with `room` more containers allowed to open
+    /// and `nodes` more values to visit.
+    fn from_script_within(
+        value: &Value,
+        room: usize,
+        nodes: &mut usize,
+    ) -> Result<Msg, ScriptError> {
+        *nodes = nodes.checked_sub(1).ok_or_else(too_large)?;
+        Ok(match value {
             Value::Null | Value::Func(_) | Value::Native(_) => Msg::Null,
             Value::Bool(b) => Msg::Bool(*b),
             Value::Num(n) => Msg::Num(*n),
             Value::Str(s) => Msg::Str(s.to_string()),
-            // Filled in loops, not collected through `Option`, which would
+            // Filled in loops, not collected through `Result`, which would
             // lose the exact length and grow each vector from four.
             Value::Array(items) => {
-                let room = room.checked_sub(1)?;
+                let room = room.checked_sub(1).ok_or_else(too_deep)?;
                 let items = items.borrow();
                 let mut out = Vec::with_capacity(items.len());
                 for v in items.iter() {
-                    out.push(Msg::from_script_within(v, room)?);
+                    out.push(Msg::from_script_within(v, room, nodes)?);
                 }
                 Msg::Arr(out)
             }
             Value::Object(map) => {
-                let room = room.checked_sub(1)?;
+                let room = room.checked_sub(1).ok_or_else(too_deep)?;
                 let map = map.borrow();
                 let mut out = Vec::with_capacity(map.len());
                 for (k, v) in map.iter() {
-                    out.push((k.to_owned(), Msg::from_script_within(v, room)?));
+                    out.push((k.to_owned(), Msg::from_script_within(v, room, nodes)?));
                 }
                 Msg::Obj(out)
             }
@@ -309,16 +317,24 @@ pub(crate) trait WriteJson {
 /// A script value writes the JSON its message would
 /// (`Msg::from_script(v).to_json()`, functions as `null`) without the
 /// message being built: `json(msg)` in a script is a serialisation, not a
-/// conversion. A value nested deeper than [`MAX_VALUE_DEPTH`] is a write
-/// error where `Msg::from_script` refuses it.
+/// conversion. A value `Msg::from_script` refuses is a write error, at
+/// the same value ([`refusal`] says why).
 impl WriteJson for Value {
     fn write_json<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
-        write_value(self, MAX_VALUE_DEPTH, out)
+        let mut nodes = MAX_VALUE_NODES;
+        write_value(self, MAX_VALUE_DEPTH, &mut nodes, out)
     }
 }
 
-/// Writes `value` with `room` more containers allowed to open.
-fn write_value<W: fmt::Write>(value: &Value, room: usize, out: &mut W) -> fmt::Result {
+/// Writes `value` with `room` more containers allowed to open and `nodes`
+/// more values to visit.
+fn write_value<W: fmt::Write>(
+    value: &Value,
+    room: usize,
+    nodes: &mut usize,
+    out: &mut W,
+) -> fmt::Result {
+    *nodes = nodes.checked_sub(1).ok_or(fmt::Error)?;
     match value {
         Value::Null | Value::Func(_) | Value::Native(_) => out.write_str("null")?,
         Value::Bool(true) => out.write_str("true")?,
@@ -332,7 +348,7 @@ fn write_value<W: fmt::Write>(value: &Value, room: usize, out: &mut W) -> fmt::R
                 if i > 0 {
                     out.write_char(',')?;
                 }
-                write_value(item, room, out)?;
+                write_value(item, room, nodes, out)?;
             }
             out.write_char(']')?;
         }
@@ -345,7 +361,7 @@ fn write_value<W: fmt::Write>(value: &Value, room: usize, out: &mut W) -> fmt::R
                 }
                 jsonw::write_str(k, out)?;
                 out.write_char(':')?;
-                write_value(v, room, out)?;
+                write_value(v, room, nodes, out)?;
             }
             out.write_char('}')?;
         }
@@ -418,12 +434,37 @@ pub const MAX_JSON_DEPTH: usize = 128;
 /// itself is deeper than any bound.
 pub const MAX_VALUE_DEPTH: usize = MAX_JSON_DEPTH - 1;
 
+/// Most values a script value may count, each time a walk meets it, to
+/// leave its script through `json`, `publish`, `freeze` or `subscribe`'s
+/// parameters. A value shared many times is met as many times, so without
+/// this bound `a = [a, a]` repeated 40 times, a few hundred VM steps, is
+/// 2^41 values to copy. The largest value the paper's scripts hand out,
+/// Ablation B's frozen clustering window (`pogo-experiments
+/// ablation-freeze`, 8 days, seed 42), is 24,555 of them; this is 10.7
+/// times that.
+pub const MAX_VALUE_NODES: usize = 1 << 18;
+
 /// The one error a script gets for a value nested deeper than
 /// [`MAX_VALUE_DEPTH`].
 pub(crate) fn too_deep() -> ScriptError {
     ScriptError::host(format!(
         "value nested deeper than {MAX_VALUE_DEPTH} levels, or holding itself"
     ))
+}
+
+/// The one error a script gets for a value of more than
+/// [`MAX_VALUE_NODES`] values.
+pub(crate) fn too_large() -> ScriptError {
+    ScriptError::host(format!(
+        "value of more than {MAX_VALUE_NODES} values, a shared one counted each time it is met"
+    ))
+}
+
+/// Why `value` cannot leave its script, once a walk of it has refused it:
+/// [`Msg::from_script`]'s walk visits and counts as [`WriteJson`]'s does,
+/// so it stops at the same value for the same reason.
+pub(crate) fn refusal(value: &Value) -> ScriptError {
+    Msg::from_script(value).err().unwrap_or_else(too_deep)
 }
 
 /// Parses `text` as one JSON value, handing the members of a top-level

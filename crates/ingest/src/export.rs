@@ -253,7 +253,10 @@ impl Layout for Senml<'_> {
         }
         out.escaped(&row.device, QUOTE);
         out.text("\",\"t\":");
-        out.num(row.at.as_secs_f64() - base.at.as_secs_f64());
+        // From the whole milliseconds, which are exact in an `f64`: 3,759
+        // ms after a 1,000 s base is `3.759`, where the difference of the
+        // two second counts is `3.7590000000000146`.
+        out.num((row.at.as_millis() as f64 - base.at.as_millis() as f64) / 1_000.0);
         out.text(",");
         match &row.value {
             SampleValue::I64(_) | SampleValue::F64(_) => out.text("\"v\":"),

@@ -155,7 +155,10 @@ mod reference {
                 );
             }
             out.push_str(",\"t\":");
-            write_num(row.at.as_secs_f64() - bt.as_secs_f64(), &mut out);
+            write_num(
+                (row.at.as_millis() as f64 - bt.as_millis() as f64) / 1_000.0,
+                &mut out,
+            );
             out.push(',');
             match &row.value {
                 SampleValue::I64(n) => {
@@ -338,9 +341,11 @@ fn exports_equal_the_reference_writers_byte_for_byte() {
             _ => true,
         });
         let exact_times = rows.first().is_none_or(|base| {
-            let bt = base.at.as_secs_f64();
-            rows.iter()
-                .all(|r| sized_exactly(bt) && sized_exactly(r.at.as_secs_f64() - bt))
+            let bt = base.at.as_millis() as f64;
+            rows.iter().all(|r| {
+                sized_exactly(bt / 1_000.0)
+                    && sized_exactly((r.at.as_millis() as f64 - bt) / 1_000.0)
+            })
         });
         for (format, got, want, exact) in [
             (
@@ -381,8 +386,8 @@ fn exports_equal_the_reference_writers_byte_for_byte() {
 /// The cases a random batch might miss, one row each after a fixed first
 /// row: every control byte in a name and a value, a row before the base
 /// time and one outside the base name, a fractional offset whose
-/// difference in seconds is not the offset's decimal (3,759 ms), and the
-/// numbers whose text is longest.
+/// difference in seconds would not be the offset's decimal (3,759 ms) but
+/// is written as it, and the numbers whose text is longest.
 #[test]
 fn edge_rows_equal_the_reference_writers() {
     let first = Row {
@@ -421,7 +426,7 @@ fn edge_rows_equal_the_reference_writers() {
     assert_eq!(export::to_jsonl(&rows), reference::to_jsonl(&rows));
     let senml = export::to_senml(&rows);
     assert_eq!(senml, reference::to_senml(&rows));
-    assert!(senml.contains("\"t\":3.7590000000000146,"), "{senml}");
+    assert!(senml.contains("\"t\":3.759,"), "{senml}");
     assert_eq!(export::to_csv(&[]), reference::to_csv(&[]));
     assert_eq!(export::to_jsonl(&[]), reference::to_jsonl(&[]));
     assert_eq!(export::to_senml(&[]), reference::to_senml(&[]));

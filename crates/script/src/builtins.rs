@@ -11,16 +11,44 @@ use std::rc::Rc;
 use crate::env::Env;
 use crate::error::{ErrorKind, ScriptError};
 use crate::interp::Interpreter;
-use crate::value::{NativeFn, ObjMap, Value};
+use crate::value::{intern, NativeFn, ObjMap, Value};
 
-/// Installs the standard builtins into a global scope.
+/// The builtin natives, made once per thread: every interpreter on it
+/// binds the same `Rc`s. A script that reassigns one rebinds its own
+/// global or its own `Math`'s property and nothing else, since a native
+/// holds no state.
+struct Natives {
+    /// The global functions, in the order they are declared.
+    globals: [(&'static str, Value); 5],
+    /// `Math`'s functions, in [`MATH_DISPATCH`] order.
+    math: Vec<Value>,
+}
+
+thread_local! {
+    static NATIVES: Natives = Natives {
+        globals: [
+            ("keys", native("keys", keys_impl)),
+            ("Number", native("Number", number_impl)),
+            ("String", native("String", string_impl)),
+            ("isNaN", native("isNaN", is_nan_impl)),
+            ("parseFloat", native("parseFloat", parse_float_impl)),
+        ],
+        math: MATH_DISPATCH
+            .iter()
+            .map(|&(name, .., f)| native(name, move |_, args| f(args)))
+            .collect(),
+    };
+}
+
+/// Installs the standard builtins into a global scope: a `Math` object of
+/// its own, holding the thread's natives, and the thread's global natives.
 pub fn install(globals: &Env) {
-    globals.declare("Math", math_object());
-    globals.declare("keys", native("keys", keys_impl));
-    globals.declare("Number", native("Number", number_impl));
-    globals.declare("String", native("String", string_impl));
-    globals.declare("isNaN", native("isNaN", is_nan_impl));
-    globals.declare("parseFloat", native("parseFloat", parse_float_impl));
+    NATIVES.with(|natives| {
+        globals.declare(intern("Math"), math_object(&natives.math));
+        for (name, f) in &natives.globals {
+            globals.declare(intern(name), f.clone());
+        }
+    });
 }
 
 fn native(
@@ -178,14 +206,17 @@ fn parse_float_impl(_: &mut Interpreter, args: &[Value]) -> Result<Value, Script
 
 // ---- Math ------------------------------------------------------------------
 
-fn math_object() -> Value {
-    let mut m = ObjMap::new();
-    m.insert("PI", Value::Num(std::f64::consts::PI));
-    m.insert("E", Value::Num(std::f64::consts::E));
-    for &(name, .., f) in MATH_DISPATCH {
-        m.insert(name, native(name, move |_, args| f(args)));
-    }
-    Value::object(m)
+/// `Math`, with `fns` (in [`MATH_DISPATCH`] order) for its functions.
+fn math_object(fns: &[Value]) -> Value {
+    let constants = [
+        ("PI", Value::Num(std::f64::consts::PI)),
+        ("E", Value::Num(std::f64::consts::E)),
+    ];
+    let fns = MATH_DISPATCH
+        .iter()
+        .zip(fns)
+        .map(|(&(name, ..), f)| (name, f.clone()));
+    Value::object(constants.into_iter().chain(fns).collect::<ObjMap>())
 }
 
 // ---- array methods -----------------------------------------------------------

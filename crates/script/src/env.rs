@@ -1,39 +1,44 @@
 //! The global scope of an interpreter.
 //!
-//! Storage is a name→index map over an append-only slot vector. A
-//! name's slot index never changes once declared (redeclaration
-//! overwrites the value in place), which is what lets the bytecode
-//! VM's global-access sites cache a slot index per chunk location and
-//! verify it with a cheap name comparison instead of a hash lookup.
-//! Everything below the top level lives in VM frame slots and cells, so
-//! there is one scope here and no chain.
+//! Storage is an append-only vector of `(name, value)` slots. A name's
+//! slot index never changes once declared (redeclaration overwrites the
+//! value in place), which is what lets the bytecode VM's global-access
+//! sites cache a slot index per chunk location and verify it with a
+//! cheap name comparison. A name is found by a scan of the slots, which
+//! only a site's first visit and a declaration make: a scope holds a few
+//! dozen names, and a name table beside them cost every interpreter
+//! more than a kilobyte. Everything below the top level lives in VM frame
+//! slots and cells, so there is one scope here and no chain.
 
 use std::cell::{Ref, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::value::Value;
 
+/// Name equality: the same allocation — an interned name, or a chunk's
+/// own — or else the same text.
+fn same_name(a: &Rc<str>, b: &str) -> bool {
+    std::ptr::eq(&**a, b) || **a == *b
+}
+
 #[derive(Debug, Default)]
 struct Scope {
-    /// Keyed by interned names: declaring an AST identifier clones an
-    /// `Rc`, and `&str` lookups work through `Borrow<str>`. Values
-    /// index `slots`.
-    vars: HashMap<Rc<str>, usize>,
     /// Append-only storage; an index is stable for the scope's life.
     slots: Vec<(Rc<str>, Value)>,
 }
 
 impl Scope {
+    fn index_of(&self, name: &str) -> Option<usize> {
+        self.slots.iter().position(|(n, _)| same_name(n, name))
+    }
+
     fn declare(&mut self, name: Rc<str>, value: Value) -> usize {
-        if let Some(&idx) = self.vars.get(&name) {
+        if let Some(idx) = self.index_of(&name) {
             self.slots[idx].1 = value;
             idx
         } else {
-            let idx = self.slots.len();
-            self.slots.push((name.clone(), value));
-            self.vars.insert(name, idx);
-            idx
+            self.slots.push((name, value));
+            self.slots.len() - 1
         }
     }
 }
@@ -62,7 +67,14 @@ impl Env {
 
     /// The slot index of `name`, if declared.
     pub(crate) fn slot_of(&self, name: &str) -> Option<usize> {
-        self.scope.borrow().vars.get(name).copied()
+        self.scope.borrow().index_of(name)
+    }
+
+    /// Gives back the room the slots grew into past the names declared.
+    /// Only a program's top level declares, so after it has run the scope
+    /// keeps its size.
+    pub(crate) fn shrink_to_fit(&self) {
+        self.scope.borrow_mut().slots.shrink_to_fit();
     }
 
     /// Reads slot `idx` if it still belongs to `name` (verified inline
@@ -76,7 +88,7 @@ impl Env {
     /// for as long as the guard is held.
     pub(crate) fn slot_ref(&self, idx: usize, name: &Rc<str>) -> Option<Ref<'_, Value>> {
         Ref::filter_map(self.scope.borrow(), |scope| match scope.slots.get(idx) {
-            Some((n, v)) if Rc::ptr_eq(n, name) || **n == **name => Some(v),
+            Some((n, v)) if same_name(n, name) => Some(v),
             _ => None,
         })
         .ok()
@@ -86,7 +98,7 @@ impl Env {
     pub(crate) fn slot_set(&self, idx: usize, name: &Rc<str>, value: Value) -> bool {
         let mut scope = self.scope.borrow_mut();
         match scope.slots.get_mut(idx) {
-            Some((n, v)) if Rc::ptr_eq(n, name) || **n == **name => {
+            Some((n, v)) if same_name(n, name) => {
                 *v = value;
                 true
             }
@@ -97,7 +109,7 @@ impl Env {
     /// Looks a name up.
     pub fn get(&self, name: &str) -> Option<Value> {
         let scope = self.scope.borrow();
-        let &idx = scope.vars.get(name)?;
+        let idx = scope.index_of(name)?;
         Some(scope.slots[idx].1.clone())
     }
 
@@ -106,8 +118,8 @@ impl Env {
     /// would not want them).
     pub fn assign(&self, name: &str, value: Value) -> bool {
         let mut scope = self.scope.borrow_mut();
-        match scope.vars.get(name) {
-            Some(&idx) => {
+        match scope.index_of(name) {
+            Some(idx) => {
                 scope.slots[idx].1 = value;
                 true
             }

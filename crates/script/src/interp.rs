@@ -2,13 +2,14 @@
 //! scope, watchdog budget, calls into script — and the value operations
 //! the bytecode VM (`vm.rs`) falls back to off its fast paths.
 
-use std::rc::Rc;
+use std::any::Any;
+use std::rc::{Rc, Weak};
 
 use crate::ast::BinOp;
 use crate::bytecode::CompiledProgram;
 use crate::env::Env;
 use crate::error::{ErrorKind, ScriptError};
-use crate::value::{NativeFn, Value};
+use crate::value::{intern, NativeFn, Value};
 
 /// Maximum script call-stack depth. A call from script to script is a
 /// VM frame, but one made through a native (an `Array.sort` comparator,
@@ -30,8 +31,8 @@ pub struct Interpreter {
     budget_limit: Option<u64>,
     pub(crate) depth: usize,
     pub(crate) current_line: u32,
-    /// Stacks of finished VM machines, kept for the next one.
-    pub(crate) vm_stacks: Vec<crate::vm::Stacks>,
+    /// The host state this interpreter's natives act on ([`Interpreter::host`]).
+    host: Option<Weak<dyn Any>>,
 }
 
 impl std::fmt::Debug for Interpreter {
@@ -62,7 +63,7 @@ impl Interpreter {
             budget_limit: None,
             depth: 0,
             current_line: 0,
-            vm_stacks: Vec::new(),
+            host: None,
         }
     }
 
@@ -78,12 +79,26 @@ impl Interpreter {
         f: impl Fn(&mut Interpreter, &[Value]) -> Result<Value, ScriptError> + 'static,
     ) {
         self.globals.declare(
-            name,
+            intern(name),
             Value::Native(Rc::new(NativeFn {
                 name: name.to_owned(),
                 func: Box::new(f),
             })),
         );
+    }
+
+    /// Ties this interpreter to the state of the host that owns it, held
+    /// weakly (the host owns the interpreter). A native shared by every
+    /// interpreter on a thread reaches its caller's host through
+    /// [`Interpreter::host`] instead of capturing it.
+    pub fn set_host(&mut self, host: Weak<dyn Any>) {
+        self.host = Some(host);
+    }
+
+    /// The host state set by [`Interpreter::set_host`], if it is a `T` and
+    /// still alive.
+    pub fn host<T: Any>(&self) -> Option<Rc<T>> {
+        self.host.as_ref()?.upgrade()?.downcast().ok()
     }
 
     /// Sets the per-invocation instruction budget. `None` disables the

@@ -7,9 +7,9 @@
 //! [`Interpreter::call_value`], which may nest another machine — the
 //! shared `Interpreter::depth` counter bounds the total at `MAX_DEPTH`
 //! either way. A machine's stacks are borrowed from
-//! the interpreter and handed back when it finishes ([`Stacks`]), so a
-//! callback — or each comparator call of an `Array.sort` — reuses the
-//! buffers of the one before it.
+//! a pool of the thread's and handed back when it finishes ([`Stacks`]),
+//! so a callback — or each comparator call of an `Array.sort` — reuses the
+//! buffers of the one before it, whichever script that one ran.
 //!
 //! The machine dispatches on a chunk's quickened stream
 //! ([`crate::quicken`]): the op at each index, or a fused instruction
@@ -49,13 +49,26 @@ use crate::interp::{Interpreter, MAX_DEPTH};
 use crate::quicken::{Base, Branch, Fused, QOp, Src};
 use crate::value::{Closure, ObjMap, UpvalCell, Value};
 
+thread_local! {
+    /// The capture list of every function that captures nothing: one
+    /// allocation per thread, not one per closure made.
+    static NO_UPVALS: Rc<[UpvalCell]> = Rc::from([]);
+}
+
+fn no_upvals() -> Rc<[UpvalCell]> {
+    NO_UPVALS.with(Rc::clone)
+}
+
 /// Runs a compiled program's main chunk in the interpreter's global
 /// scope. The caller has armed the budget.
 pub(crate) fn run_main(
     interp: &mut Interpreter,
     program: &CompiledProgram,
 ) -> Result<Value, ScriptError> {
-    Machine::new(interp).run(&program.main, &Rc::from([]), &[])
+    let result = Machine::new(interp).run(&program.main, &no_upvals(), &[]);
+    // Only a program's top level declares globals.
+    interp.globals.shrink_to_fit();
+    result
 }
 
 /// Calls a closure from outside a machine (host callback delivery, or a
@@ -106,14 +119,20 @@ pub(crate) struct Frame {
     stack_base: usize,
 }
 
-/// One machine's operand stack, frame slots and suspended frames. The
-/// interpreter keeps the sets its finished machines handed back (one
-/// per level of machine nesting ever reached), all empty.
+/// One machine's operand stack, frame slots and suspended frames.
 #[derive(Default)]
-pub(crate) struct Stacks {
+struct Stacks {
     stack: Vec<Value>,
     slots: Vec<Slot>,
     frames: Vec<Frame>,
+}
+
+thread_local! {
+    /// The stacks finished machines handed back, all empty, for the next
+    /// machine on this thread, whichever interpreter it runs for: one set
+    /// per level of machine nesting ever reached on the thread, not per
+    /// interpreter.
+    static POOL: RefCell<Vec<Stacks>> = const { RefCell::new(Vec::new()) };
 }
 
 struct Machine<'a> {
@@ -300,7 +319,11 @@ impl<'a> Machine<'a> {
             stack,
             slots,
             frames,
-        } = interp.vm_stacks.pop().unwrap_or_default();
+        } = POOL
+            .try_with(|pool| pool.borrow_mut().pop())
+            .ok()
+            .flatten()
+            .unwrap_or_default();
         Machine {
             interp,
             stack,
@@ -331,11 +354,13 @@ impl<'a> Machine<'a> {
             self.slots.clear();
             self.frames.clear();
         }
-        self.interp.vm_stacks.push(Stacks {
+        let stacks = Stacks {
             stack: self.stack,
             slots: self.slots,
             frames: self.frames,
-        });
+        };
+        // While the thread is being torn down the stacks are dropped.
+        let _ = POOL.try_with(|pool| pool.borrow_mut().push(stacks));
         result
     }
 
@@ -698,9 +723,14 @@ impl<'a> Machine<'a> {
                                     UpvalSrc::ParentUpval(u) => upvals[u as usize].clone(),
                                 });
                             }
+                            let captured = if ups.is_empty() {
+                                no_upvals()
+                            } else {
+                                Rc::from(ups)
+                            };
                             self.stack.push(Value::Func(Rc::new(Closure {
                                 proto: fn_proto,
-                                upvals: Rc::from(ups),
+                                upvals: captured,
                             })));
                         }
 

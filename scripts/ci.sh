@@ -58,10 +58,12 @@ scripts/sloc.sh --crate-local
 # per stored sample on the two scriptless fleets (the collector's store)
 # and per stored row of a bare store fed their JSON shapes, beside per
 # device on the script fleet and the part of that its `raw-scans` log
-# holds. The test gates them; this prints them.
+# holds, and the allocator calls and bytes of one two-key object literal
+# and of one script host with the API installed. The test gates them;
+# this prints them.
 budget_out="$(cargo test --release --test alloc_budget -- --nocapture)"
 echo "$budget_out" | grep -E ' allocations .* per (sample|scan|export)[, ]| steps .* per callback|dispatches .* per callback'
-echo "$budget_out" | grep -E ' live heap bytes .* per (stored sample|stored row|device)[, ]| log bytes held per device '
+echo "$budget_out" | grep -E ' live heap bytes .* per (stored sample|stored row|device)[, ]| log bytes held per device |^Script: '
 # What the tree-walk oracle checks the VM on: programs compared, and how
 # many ran to completion on both, so a change that shrinks the corpus
 # shows here.

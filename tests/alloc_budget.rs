@@ -43,13 +43,13 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::rc::Rc;
 
-use pogo::core::{ChannelFilter, FleetSpec, Msg, Testbed};
+use pogo::core::{Broker, ChannelFilter, FleetSpec, Msg, Scheduler, ScriptHost, Testbed};
 use pogo::ingest::{export, ChannelSchema, IngestPipeline, Row, SampleValue, ScanQuery};
 use pogo::net::{FlushPolicy, LinkShape};
 use pogo::obs::Obs;
-use pogo::platform::{NetAppConfig, PeriodicNetApp};
+use pogo::platform::{Cpu, CpuConfig, EnergyMeter, NetAppConfig, PeriodicNetApp};
 use pogo::sim::{Sim, SimDuration};
-use pogo_core::host::LogStore;
+use pogo_core::host::{FrozenSlot, LogStore};
 use pogo_core::proto::ExperimentSpec;
 use pogo_core::sensor::{AccelSample, SensorSources, WifiReading};
 
@@ -436,6 +436,86 @@ fn export_allocations_are_pinned_exactly() {
     }
 }
 
+/// Allocator calls and heap bytes (the sizes asked for) `run` costs per
+/// unit of `n`, from a run at `n` and one at `2 * n`, each in an
+/// interpreter made for it after a warm-up run has filled the thread's
+/// tables: what every further unit costs, the fixed costs cancelled.
+fn per_unit(n: u64, run: fn(u64) -> (u64, i64)) -> (f64, f64) {
+    let thread = std::thread::spawn(move || {
+        run(8);
+        let (a1, b1) = run(n);
+        let (a2, b2) = run(2 * n);
+        ((a2 - a1) as f64 / n as f64, (b2 - b1) as f64 / n as f64)
+    });
+    thread.join().expect("the run does not panic")
+}
+
+/// Runs a chain of `n` two-key object literals, each holding the one
+/// before it, and counts what it allocates and still holds.
+fn object_literals(n: u64) -> (u64, i64) {
+    let program = pogo_script::compile(&format!(
+        "var head = null;\nfor (var i = 0; i < {n}; i++) {{ head = {{ b: i, l: head }}; }}"
+    ))
+    .expect("compiles");
+    let mut interp = pogo_script::Interpreter::new();
+    let (allocs_before, live_before) = (allocs(), live_bytes());
+    interp.run_compiled(&program).expect("runs");
+    (allocs() - allocs_before, live_bytes() - live_before)
+}
+
+/// Makes `n` script hosts, the Pogo API installed on each, and counts
+/// what that allocates and holds.
+fn script_hosts(n: u64) -> (u64, i64) {
+    let sim = Sim::new();
+    let meter = EnergyMeter::new(&sim);
+    let cpu = Cpu::new(&sim, &meter, CpuConfig::default());
+    let (broker, scheduler) = (Broker::new(), Scheduler::new(&cpu));
+    let (allocs_before, live_before) = (allocs(), live_bytes());
+    let hosts: Vec<ScriptHost> = (0..n)
+        .map(|_| {
+            ScriptHost::new(
+                "s.js",
+                &broker,
+                &scheduler,
+                FrozenSlot::new(),
+                LogStore::new(),
+            )
+        })
+        .collect();
+    let spent = (allocs() - allocs_before, live_bytes() - live_before);
+    drop(hosts);
+    spent
+}
+
+/// What one two-key object literal and one script host with the Pogo
+/// API cost, read with this test at the parent commit (fda8950: an
+/// object's `Rc` box and its values' slice, 56 + 48 bytes; every
+/// interpreter with its own natives, global names and name table) and at
+/// this one (one 104-byte box holding two values and an empty overflow
+/// slice, a 112-byte chunk where the two took 128; one set of natives per
+/// thread, names from the key interner). Pinned exactly. The host's bytes
+/// include its `Vec` slot here.
+const PARENT_PER_OBJECT: (f64, f64) = (2.0, 104.0);
+const PARENT_PER_HOST: (f64, f64) = (122.0, 5628.0);
+const PER_OBJECT: (f64, f64) = (1.0, 104.0);
+const PER_HOST: (f64, f64) = (11.0, 2420.0);
+
+#[test]
+fn script_object_and_host_footprints_are_pinned_exactly() {
+    let got = [per_unit(1_000, object_literals), per_unit(50, script_hosts)];
+    for (what, got, parent) in [
+        ("two-key object literal", got[0], PARENT_PER_OBJECT),
+        ("script host with the Pogo API", got[1], PARENT_PER_HOST),
+    ] {
+        println!(
+            "Script: {:.1} allocations, {:.1} live heap bytes per {what}, each after the \
+             first on a thread (parent {:.1}, {:.1})",
+            got.0, got.1, parent.0, parent.1
+        );
+    }
+    assert_eq!(got, [PER_OBJECT, PER_HOST], "allocations and heap bytes");
+}
+
 /// What a localization fleet costs over an hour, after the hour that
 /// fills `clustering.js`'s 60-scan window, and what it still holds then.
 #[derive(Debug, PartialEq)]
@@ -546,16 +626,17 @@ fn measure_localization() -> Localization {
     }
 }
 
-/// What this same test read at the parent commit (1e2560c) and reads at
-/// this one: the same allocations and steps, and fewer live bytes, those
-/// a phone's log saves by keeping its lines in sealed, packed segments.
+/// What this same test read at the parent commit (fda8950) and reads at
+/// this one: the same steps and log, fewer allocations (a small object is
+/// one) and fewer live bytes (one set of natives per thread, no name
+/// table, one pool of VM stacks per thread).
 const PARENT_ALLOCS_PER_SCAN: f64 = 136.0;
-const PARENT_LIVE_PER_DEVICE: f64 = 139_611.0;
-const PARENT_LOG_PER_DEVICE: f64 = 33_445.0;
-const ALLOCS_PER_SCAN: f64 = 136.0;
+const PARENT_LIVE_PER_DEVICE: f64 = 117_116.0;
+const PARENT_LOG_PER_DEVICE: f64 = 10_774.0;
+const ALLOCS_PER_SCAN: f64 = 117.8;
 const STEPS: u64 = 3_579_138;
 const STEPS_PER_CALLBACK: f64 = 1516.6;
-const LIVE_PER_DEVICE: f64 = 117_116.0;
+const LIVE_PER_DEVICE: f64 = 106_975.0;
 const LOG_PER_DEVICE: f64 = 10_774.0;
 /// Most dispatches the VM may make per step on this fleet.
 const DISPATCHES_PER_STEP: f64 = 0.55;
