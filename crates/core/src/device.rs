@@ -31,6 +31,13 @@ use crate::value::Msg;
 const CELLULAR_LATENCY: SimDuration = SimDuration::from_millis(120);
 /// One-way latency on Wi-Fi.
 const WIFI_LATENCY: SimDuration = SimDuration::from_millis(30);
+/// How long a data message stays in flight once it has entered the
+/// network: until then the device does not hand it to the same session
+/// again, however often its flush policy fires. Its ack comes back one
+/// cellular leg each way and two 5 ms wired legs later, 250 ms (70 ms on
+/// Wi-Fi), so this leaves eight round trips for jitter, and a message
+/// still unacked after it goes out again with the next flush.
+pub const ACK_TIMEOUT: SimDuration = SimDuration::from_secs(2);
 /// Tail-detector poll period (§4.7 uses 1 second).
 const TAIL_POLL: SimDuration = SimDuration::from_secs(1);
 /// Delay before reconnecting after an interface change or a kick.
@@ -74,7 +81,10 @@ pub struct DeviceConfig {
     pub flush_policy: FlushPolicy,
     /// Buffered messages older than this are purged — §5.3's 24 hours.
     pub max_msg_age: SimDuration,
-    /// Minimum delay before retransmitting already-sent, unacked data.
+    /// How long after a flush an unchanged buffer is not evaluated for
+    /// another: the flush policy is not asked again until new data is
+    /// queued or this has passed. It gates re-flushing only; whether a
+    /// message already sent goes out again is [`ACK_TIMEOUT`]'s call.
     pub retransmit_timeout: SimDuration,
     /// The owner's sharing preferences (§3.3). Shared handle: toggling a
     /// channel in the "settings UI" applies immediately.
@@ -751,15 +761,16 @@ impl DeviceNode {
         });
     }
 
-    /// Pushes every pending message out over the active bearer. `reason`
-    /// names the policy trigger ("tail", "deadline", "wifi", "charger")
-    /// for the trace.
+    /// Pushes every message due out over the active bearer: those not
+    /// sent yet and those whose ack is overdue, not those in flight. With
+    /// nothing due it transmits nothing. `reason` names the policy
+    /// trigger ("tail", "deadline", "wifi", "charger") for the trace.
     fn flush(&self, reason: &'static str) {
         let inner = &self.inner;
         let Some(session) = inner.link.connect(self) else {
             return;
         };
-        let Some((pending, bytes)) = inner.link.outgoing(None) else {
+        let Some((pending, bytes)) = inner.link.outgoing(None, ACK_TIMEOUT) else {
             return;
         };
         let now = inner.phone.sim().now();
@@ -797,6 +808,7 @@ impl DeviceNode {
         let me = self.clone();
         let result = inner.phone.transmit(bytes, 64, move || {
             link::send_data(&session, pending);
+            me.inner.link.landed(ACK_TIMEOUT);
             me.inner.flushing.set(false);
             me.resync_tail();
             // Messages stay in the store until acked end-to-end. Anything
@@ -805,6 +817,8 @@ impl DeviceNode {
             me.maybe_flush(false);
         });
         if result.is_err() {
+            // Nothing left the phone: all of it is due at once.
+            inner.link.landed(SimDuration::ZERO);
             inner.flushing.set(false);
         }
     }

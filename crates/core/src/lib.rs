@@ -53,7 +53,7 @@ pub mod value;
 pub use assignment::{Admin, AssignError, DeviceProfile, DeviceRequest, GeoRect};
 pub use broker::{Broker, SubscriptionId, SubscriptionInfo};
 pub use collector::{CollectorNode, DeployError, Deployment};
-pub use device::{DeviceConfig, DeviceNode};
+pub use device::{DeviceConfig, DeviceNode, ACK_TIMEOUT};
 pub use fleet::{Fleet, FleetMember, FleetSpec};
 pub use host::ScriptHost;
 pub use pogo_ingest::{

@@ -122,6 +122,9 @@ impl<N: Clone + 'static> Link<N> {
         let me = node.clone();
         session.on_disconnect(move || link(&me).schedule_reconnect(&me));
         *self.session.borrow_mut() = Some(session);
+        // Whatever the old session carried may be lost with it.
+        let peers = self.peers.borrow();
+        peers.values().for_each(|p| p.outbox.resend_all());
         self.session()
     }
 
@@ -168,16 +171,33 @@ impl<N: Clone + 'static> Link<N> {
         metrics.gauge("net.store_depth", self.depth.get() as f64);
     }
 
-    /// Counts what `peer` has not acked (every peer, for `None`) as sent
-    /// and returns it, oldest first, with its bytes on the wire; `None` if
-    /// nothing waits. The caller hands it to the session with
-    /// [`send_data`].
-    pub(crate) fn outgoing(&self, peer: Option<&Jid>) -> Option<(Vec<StoredMessage>, u64)> {
+    /// Counts what `peer` (every peer, for `None`) has waiting as sent and
+    /// returns it, oldest first, with its bytes on the wire; `None` if
+    /// nothing is due. With a zero `ack_timeout` that is every unacked
+    /// message. Otherwise it is only those not in flight: each message
+    /// returned is on the air until [`Link::landed`], then in flight for
+    /// `ack_timeout`, unless a new session comes first; the resends among
+    /// them count as `net.retransmits`. The caller hands the messages to
+    /// the session with [`send_data`].
+    pub(crate) fn outgoing(
+        &self,
+        peer: Option<&Jid>,
+        ack_timeout: SimDuration,
+    ) -> Option<(Vec<StoredMessage>, u64)> {
         let bound = peer.map_or(Bound::Unbounded, Bound::Included);
+        let now = self.sim.now();
+        let pick = |peer: &Peer| match ack_timeout {
+            SimDuration::ZERO => (peer.outbox.pending(), 0),
+            _ => peer.outbox.hand_out(now),
+        };
         let peers = self.peers.borrow();
         let mut outboxes = peers.range::<Jid, _>((bound, bound));
-        let mut pending = outboxes.next()?.1.outbox.pending();
-        outboxes.for_each(|(_, more)| pending.extend(more.outbox.pending()));
+        let (mut pending, mut resent) = pick(outboxes.next()?.1);
+        for (_, more) in outboxes {
+            let (more, more_resent) = pick(more);
+            pending.extend(more);
+            resent += more_resent;
+        }
         if pending.is_empty() {
             return None;
         }
@@ -185,7 +205,18 @@ impl<N: Clone + 'static> Link<N> {
         let metrics = self.obs.metrics();
         metrics.inc("net.messages_sent", pending.len() as u64);
         metrics.inc("net.bytes_up", bytes);
+        if resent > 0 {
+            metrics.inc("net.retransmits", resent);
+        }
         Some((pending, bytes))
+    }
+
+    /// What [`Link::outgoing`] put on the air entered the network now:
+    /// each message not acked by `ack_timeout` from now is due again.
+    pub(crate) fn landed(&self, ack_timeout: SimDuration) {
+        let overdue_at = self.sim.now() + ack_timeout;
+        let peers = self.peers.borrow();
+        peers.values().for_each(|p| p.outbox.landed(overdue_at));
     }
 
     /// Sends what `peer` has not acked, if it is online; `None`
@@ -200,7 +231,7 @@ impl<N: Clone + 'static> Link<N> {
         if !self.server.is_online(peer) {
             return;
         }
-        let Some((pending, _)) = self.outgoing(Some(peer)) else {
+        let Some((pending, _)) = self.outgoing(Some(peer), SimDuration::ZERO) else {
             return;
         };
         if retry {

@@ -13,9 +13,10 @@
 //!   session drops** (interface handover), which is exactly why Pogo
 //!   implements its own end-to-end acknowledgements;
 //! * [`MessageStore`] — the embedded-SQL-database substitute:
-//!   a persistent outgoing buffer that survives reboots and purges
+//!   a persistent outgoing buffer that survives reboots, purges
 //!   messages older than a configurable age (the fateful 24-hour expiry
-//!   of §5.3);
+//!   of §5.3) and knows which messages are in flight, so that a sender
+//!   resends only those whose ack is overdue;
 //! * [`SeenSet`] — the sequence numbers seen from one sender, which
 //!   drops duplicates: the receiving half of Pogo's "own end-to-end
 //!   acknowledgements on top of XMPP" (the sender side is

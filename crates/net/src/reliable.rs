@@ -2,10 +2,11 @@
 //! of XMPP to recover from message loss" (§4.6).
 //!
 //! The sender keeps messages in the [`MessageStore`](crate::MessageStore) until
-//! the *recipient* acknowledges them (`MessageStore::ack` is the whole
-//! sender side); retransmissions after a reconnect can therefore
-//! duplicate messages, which the receiver drops with one [`SeenSet`] per
-//! sender.
+//! the *recipient* acknowledges them (`MessageStore::ack`, with
+//! `MessageStore::hand_out` picking what is not in flight, is the whole
+//! sender side); a message whose ack was lost, or that a reconnect
+//! resends, arrives twice, and the receiver drops the copy with one
+//! [`SeenSet`] per sender.
 
 use std::collections::BTreeSet;
 

@@ -38,10 +38,44 @@ impl StoredMessage {
     }
 }
 
+/// The due time of a message on the air: never, until it lands.
+const ON_AIR: SimTime = SimTime::from_millis(u64::MAX);
+
+/// A message as the store keeps it: [`StoredMessage`]'s fields, the
+/// payload boxed exactly, and when it may be handed out again.
+#[derive(Debug)]
+struct Queued {
+    seq: u64,
+    to: Jid,
+    data: Box<str>,
+    enqueued_at: SimTime,
+    /// When the message is due to go out: [`SimTime::ZERO`] until it is
+    /// first handed out and after a new session, [`ON_AIR`] while it
+    /// is on the air, then one ack timeout after it landed. `data` is a
+    /// box, not a `String`, so that the record, this mark included,
+    /// stays 48 bytes.
+    due_at: SimTime,
+}
+
+impl Queued {
+    fn to_stored(&self) -> StoredMessage {
+        StoredMessage {
+            seq: self.seq,
+            to: self.to.clone(),
+            data: String::from(&*self.data),
+            enqueued_at: self.enqueued_at,
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct Inner {
-    queue: VecDeque<StoredMessage>,
+    queue: VecDeque<Queued>,
     next_seq: u64,
+    /// Every seq below this has been handed out at least once: picks go
+    /// oldest first and take every due message, so a first send never
+    /// skips one.
+    handed_below: u64,
     purged: u64,
 }
 
@@ -50,6 +84,12 @@ struct Inner {
 /// The handle is cheap to clone. Persistence across reboots is modelled by
 /// *keeping the store alive* while the middleware around it is torn down
 /// and recreated — exactly what a database file on flash gives you.
+///
+/// Besides holding messages until they are acked, the store knows which
+/// are *in flight*: [`MessageStore::hand_out`] picks only the messages due
+/// and marks them on the air, [`MessageStore::landed`] starts their ack
+/// timeout, and [`MessageStore::resend_all`] (a new session) makes every
+/// one due again.
 #[derive(Debug, Clone, Default)]
 pub struct MessageStore {
     inner: Rc<RefCell<Inner>>,
@@ -66,19 +106,65 @@ impl MessageStore {
         let mut inner = self.inner.borrow_mut();
         let seq = inner.next_seq;
         inner.next_seq += 1;
-        inner.queue.push_back(StoredMessage {
+        inner.queue.push_back(Queued {
             seq,
             to: to.clone(),
-            data,
+            data: data.into_boxed_str(),
             enqueued_at: now,
+            due_at: SimTime::ZERO,
         });
         seq
     }
 
-    /// All unacknowledged messages, oldest first (retransmission reads
-    /// this; messages stay queued until [`MessageStore::ack`]).
+    /// All unacknowledged messages, oldest first, in flight or not
+    /// (messages stay queued until [`MessageStore::ack`]).
     pub fn pending(&self) -> Vec<StoredMessage> {
-        self.inner.borrow().queue.iter().cloned().collect()
+        self.inner
+            .borrow()
+            .queue
+            .iter()
+            .map(Queued::to_stored)
+            .collect()
+    }
+
+    /// The messages due at `now` — never handed out, or unacked one ack
+    /// timeout after they landed — oldest first, in a vector of exactly
+    /// their number, and how many of them were handed out before (the
+    /// resends). Each is on the air from now until
+    /// [`MessageStore::landed`].
+    pub fn hand_out(&self, now: SimTime) -> (Vec<StoredMessage>, u64) {
+        let mut inner = self.inner.borrow_mut();
+        let inner = &mut *inner;
+        let due = inner.queue.iter().filter(|m| m.due_at <= now).count();
+        let mut picked = Vec::with_capacity(due);
+        let mut resent = 0;
+        for m in inner.queue.iter_mut().filter(|m| m.due_at <= now) {
+            m.due_at = ON_AIR;
+            resent += u64::from(m.seq < inner.handed_below);
+            picked.push(m.to_stored());
+        }
+        if let Some(last) = picked.last() {
+            inner.handed_below = inner.handed_below.max(last.seq + 1);
+        }
+        (picked, resent)
+    }
+
+    /// The messages on the air entered the network: unacked, each is due
+    /// again at `overdue_at`.
+    pub fn landed(&self, overdue_at: SimTime) {
+        let mut inner = self.inner.borrow_mut();
+        let on_air = inner.queue.iter_mut().filter(|m| m.due_at == ON_AIR);
+        on_air.for_each(|m| m.due_at = overdue_at);
+    }
+
+    /// A new session: whatever the old one carried may be lost, so every
+    /// unacknowledged message is due at once.
+    pub fn resend_all(&self) {
+        let mut inner = self.inner.borrow_mut();
+        inner
+            .queue
+            .iter_mut()
+            .for_each(|m| m.due_at = SimTime::ZERO);
     }
 
     /// Number of unacknowledged messages.
@@ -190,6 +276,30 @@ mod tests {
         store.enqueue(&jid(), "a".into(), at(0));
         assert_eq!(store.pending().len(), 1);
         assert_eq!(store.pending().len(), 1);
+    }
+
+    #[test]
+    fn hand_out_skips_what_is_in_flight_until_overdue() {
+        let store = MessageStore::new();
+        let a = store.enqueue(&jid(), "a".into(), at(0));
+        let (first, resent) = store.hand_out(at(0));
+        assert_eq!((first.len(), first.capacity(), resent), (1, 1, 0));
+        let b = store.enqueue(&jid(), "b".into(), at(1));
+        // `a` is on the air: only `b` goes, however long the air takes.
+        let seqs = |(picked, resent): (Vec<StoredMessage>, u64)| {
+            (picked.iter().map(|m| m.seq).collect::<Vec<_>>(), resent)
+        };
+        assert_eq!(seqs(store.hand_out(at(60_000))), (vec![b], 0));
+        store.landed(at(62_000));
+        assert_eq!(seqs(store.hand_out(at(61_999))), (vec![], 0));
+        assert_eq!(seqs(store.hand_out(at(62_000))), (vec![a, b], 2));
+        store.ack(&[a]);
+        store.landed(at(70_000));
+        assert_eq!(seqs(store.hand_out(at(65_000))), (vec![], 0));
+        // A new session: the old one may have lost anything it carried.
+        store.resend_all();
+        assert_eq!(seqs(store.hand_out(at(65_000))), (vec![b], 1));
+        assert_eq!(store.pending().len(), 1, "handing out consumes nothing");
     }
 
     #[test]

@@ -54,7 +54,8 @@ scripts/sloc.sh --crate-local
 # counts that repeat exactly on any machine): allocator calls per stored
 # sample on the two scriptless fleets, per delivered scan and VM steps and
 # dispatches per callback on the script fleet, per CSV / JSONL / SenML
-# export of a 10,000-row battery and accelerometer store; then the live heap bytes,
+# export of a 10,000-row battery and accelerometer store, beside the data
+# envelopes sent per stored sample on the lossy uplink fleet; then the live heap bytes,
 # per stored sample on the two scriptless fleets (the collector's store)
 # and per stored row of a bare store fed their JSON shapes, beside per
 # device on the script fleet and the part of that its `raw-scans` log
@@ -62,7 +63,7 @@ scripts/sloc.sh --crate-local
 # and of one script host with the API installed. The test gates them;
 # this prints them.
 budget_out="$(cargo test --release --test alloc_budget -- --nocapture)"
-echo "$budget_out" | grep -E ' allocations .* per (sample|scan|export)[, ]| steps .* per callback|dispatches .* per callback'
+echo "$budget_out" | grep -E ' allocations .* per (sample|scan|export)[, ]| steps .* per callback|dispatches .* per callback| data envelopes sent .* per stored sample'
 echo "$budget_out" | grep -E ' live heap bytes .* per (stored sample|stored row|device)[, ]| log bytes held per device |^Script: '
 # What the tree-walk oracle checks the VM on: programs compared, and how
 # many ran to completion on both, so a change that shrinks the corpus
@@ -103,7 +104,7 @@ echo "EXPERIMENTS.md: the table4 and ablation-freeze blocks match"
 # (FNV-1a over trace + store export) is pinned across commits: a change
 # that moves the 24-day trace on purpose re-reads it at its parent and
 # says so.
-TABLE4_24D_DIGEST=0xb64adb2c75d6506a
+TABLE4_24D_DIGEST=0x778691fb7d3dbe4a
 if [[ "$run_chaos" == 1 ]]; then
     soak_out="$(./target/release/chaos_soak --workload table4 --check)" || { echo "$soak_out"; exit 1; }
     echo "$soak_out"

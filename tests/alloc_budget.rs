@@ -11,7 +11,10 @@
 //! budget below, or leaves more heap bytes held per stored sample: what
 //! the collector's store costs to keep a sample, which is what a
 //! many-phone, many-day deployment piles up. A `clone()` creeping back
-//! onto the path shows up here before it shows up in any timing. Those
+//! onto the path shows up here before it shows up in any timing. On the
+//! uplink fleet it also gates the data envelopes the devices send per
+//! stored sample: above one by the copies a lossy link needs, and by
+//! nothing more while a flush never resends what is still in flight. Those
 //! bytes mix the store with the simulation around it, so a fourth gauge
 //! takes the store alone: 10,000 `battery` and 10,000 `accelerometer`
 //! values, in the fleets' own JSON shapes, appended to a bare pipeline
@@ -164,10 +167,11 @@ impl Fleet {
     }
 }
 
-/// `(allocator calls, samples stored, heap bytes still held)` over the
-/// measured window: the last is what the window's samples cost to keep,
-/// in the collector's store above all.
-fn measure(fleet: Fleet) -> (u64, u64, i64) {
+/// `(allocator calls, samples stored, heap bytes still held, data
+/// envelopes the devices sent)` over the measured window: the third is
+/// what the window's samples cost to keep, in the collector's store above
+/// all.
+fn measure(fleet: Fleet) -> (u64, u64, i64, u64) {
     let sim = Sim::new();
     let mut testbed = Testbed::new(&sim);
     testbed.server().reseed_link_rng(0x5eed);
@@ -219,11 +223,19 @@ fn measure(fleet: Fleet) -> (u64, u64, i64) {
 
     let rows_before = collector.stats().ingest.ingested_rows;
     let delivered_before = delivered.get();
+    let sent = || {
+        members
+            .iter()
+            .map(|m| m.device.messages_sent())
+            .sum::<u64>()
+    };
+    let sent_before = sent();
     let allocs_before = allocs();
     let live_before = live_bytes();
     testbed.run_lockstep(MINUTE.mul(MEASURED_MIN), MINUTE);
     let spent = allocs() - allocs_before;
     let held = live_bytes() - live_before;
+    let sent = sent() - sent_before;
     let rows = collector.stats().ingest.ingested_rows - rows_before;
     assert_eq!(
         delivered.get() - delivered_before,
@@ -235,23 +247,25 @@ fn measure(fleet: Fleet) -> (u64, u64, i64) {
         0,
         "{fleet:?} logged errors"
     );
-    (spent, rows, held)
+    (spent, rows, held, sent)
 }
 
-/// Allocator calls per stored sample, and the heap bytes a stored sample
-/// leaves held, that this same test read at the parent commit (91ca331,
-/// where every JSON row in the collector's store kept its keys, a scan's
-/// result grew by doubling and an ack carried a `Vec` of seqs) and reads
-/// at this one (a batch of same-keyed objects keeps its keys once, a scan
-/// sizes its result exactly, an ack carries one seq).
-const PARENT_UPLINK: f64 = 25.1;
-const PARENT_TAILSYNC: f64 = 26.0;
-const PARENT_UPLINK_LIVE: f64 = 103.1;
-const PARENT_TAILSYNC_LIVE: f64 = 270.5;
-const UPLINK: f64 = 23.9;
+/// Allocator calls per stored sample, the heap bytes a stored sample
+/// leaves held and, on the uplink fleet, the data envelopes the devices
+/// sent per stored sample, that this same test read at the parent commit
+/// (dde1187, where each flush resent every unacked message, those whose
+/// acks were still on their way included) and reads at this one (a flush
+/// sends only the messages not in flight).
+const PARENT_UPLINK: f64 = 23.9;
+const PARENT_TAILSYNC: f64 = 25.0;
+const PARENT_UPLINK_LIVE: f64 = 77.4;
+const PARENT_TAILSYNC_LIVE: f64 = 233.3;
+const PARENT_UPLINK_SENT: f64 = 1.221;
+const UPLINK: f64 = 22.9;
 const TAILSYNC: f64 = 25.0;
-const UPLINK_LIVE: f64 = 77.4;
+const UPLINK_LIVE: f64 = 72.0;
 const TAILSYNC_LIVE: f64 = 233.3;
+const UPLINK_SENT: f64 = 1.023;
 
 /// The gate on every count in this file: what this commit reads plus
 /// 3 %. The counts repeat exactly, so the headroom is for deliberate
@@ -278,8 +292,21 @@ fn sample_path_allocations_stay_within_budget_and_repeat_exactly() {
         let first = measure(fleet);
         let second = measure(fleet);
         assert_eq!(first, second, "{fleet:?}: two runs must count the same");
-        let (spent, rows, held) = first;
+        let (spent, rows, held, sent) = first;
         assert!(rows >= least_rows, "{fleet:?} stored only {rows} samples");
+        if fleet == Fleet::Uplink {
+            let sent_per_sample = sent as f64 / rows as f64;
+            println!(
+                "{fleet:?}: {sent} data envelopes sent / {rows} samples = {sent_per_sample:.3} per \
+                 stored sample (parent {PARENT_UPLINK_SENT:.3})"
+            );
+            assert!(
+                sent_per_sample <= HEADROOM * UPLINK_SENT,
+                "{fleet:?}: {sent_per_sample:.3} data envelopes sent per stored sample exceeds \
+                 {:.3} ({UPLINK_SENT:.3} at the last re-base, plus 3 %)",
+                HEADROOM * UPLINK_SENT,
+            );
+        }
         let per_sample = spent as f64 / rows as f64;
         let live_per_sample = held as f64 / rows as f64;
         println!("{fleet:?}: {spent} allocations / {rows} samples = {per_sample:.1} per sample (parent {parent:.1})");

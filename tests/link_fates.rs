@@ -3,16 +3,20 @@
 //! is delivered, dropped or held past the 60 s retransmit timeout, and
 //! every combination runs. At quiescence each message has arrived exactly
 //! once, both outboxes are empty, and the link's `net.*` counters agree
-//! with what the switchboard saw.
+//! with what the switchboard saw. Throughout, the device never hands a
+//! message to its session again before the ack timeout has run out since
+//! it last did: a copy in flight is not sent twice. A last run queues
+//! samples while a flush is on the air, the case that once resent a
+//! whole batch whose acks were still on their way.
 
 use std::cell::RefCell;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use pogo::core::proto::ScriptSpec;
-use pogo::core::{ChannelFilter, DeviceSetup, ExperimentSpec, ObsConfig, Testbed};
+use pogo::core::{ChannelFilter, DeviceSetup, ExperimentSpec, ObsConfig, Testbed, ACK_TIMEOUT};
 use pogo::net::{FlushPolicy, Jid, LinkFate, Payload};
-use pogo::sim::{Sim, SimDuration};
+use pogo::sim::{Sim, SimDuration, SimTime};
 
 /// Envelopes whose fate is enumerated: `3^K` runs.
 const K: u32 = 7;
@@ -32,12 +36,24 @@ const SCRIPT: &str = "var n = 0;\n\
     }\n\
     setTimeout(tick, 60000);\n";
 
+/// Publishes a sample a second for 40 seconds, a minute after it loads:
+/// the 30 s interval flush goes out with the first thirty, and the next
+/// ones are queued while it is on the air.
+const ON_AIR_SCRIPT: &str = "var n = 0;\n\
+    function tick() {\n\
+        n = n + 1;\n\
+        publish('data', { n: n });\n\
+        if (n < 40) { setTimeout(tick, 1000); }\n\
+    }\n\
+    setTimeout(tick, 60000);\n";
+
 /// One envelope as the switchboard's hook saw it: `(from, seq, data?,
 /// fate)`; an ack's `seq` is the one it acknowledges.
 type Seen = (Jid, u64, bool, LinkFate);
 
-/// Runs one schedule: envelope `i < K` meets `FATES[digit i of schedule]`.
-fn run(schedule: u32) {
+/// Runs one schedule of `script`: envelope `i < K` meets `FATES[digit i
+/// of schedule]`.
+fn run(script: &str, schedule: u32) -> BTreeSet<SimTime> {
     let sim = Sim::new();
     let mut tb = Testbed::with_obs(&sim, ObsConfig::on());
     let (device, _phone) = tb.add(
@@ -46,7 +62,23 @@ fn run(schedule: u32) {
     );
     let log: Rc<RefCell<Vec<Seen>>> = Rc::default();
     let sink = log.clone();
+    // When the device last handed each seq to its session (the fates
+    // never drop the session), the instants it handed data over, and
+    // every hand-over that came too soon.
+    let handed: RefCell<BTreeMap<u64, SimTime>> = RefCell::default();
+    let flights: Rc<RefCell<BTreeSet<SimTime>>> = Rc::default();
+    let too_soon: Rc<RefCell<Vec<(u64, SimTime, SimTime)>>> = Rc::default();
+    let (clock, me) = (sim.clone(), device.jid());
+    let (flown, early) = (flights.clone(), too_soon.clone());
     tb.server().set_link_chaos(&device.jid(), move |env| {
+        if env.from == me && matches!(env.payload, Payload::Data(_)) {
+            let now = clock.now();
+            flown.borrow_mut().insert(now);
+            let last = handed.borrow_mut().insert(env.seq, now);
+            if let Some(last) = last.filter(|t| now.saturating_duration_since(*t) < ACK_TIMEOUT) {
+                early.borrow_mut().push((env.seq, last, now));
+            }
+        }
         let mut log = sink.borrow_mut();
         let i = log.len() as u32;
         let fate = if i < K {
@@ -72,7 +104,7 @@ fn run(schedule: u32) {
         id: "fates".into(),
         scripts: vec![ScriptSpec {
             name: "tick.js".into(),
-            source: SCRIPT.into(),
+            source: script.into(),
         }],
     };
     tb.collector()
@@ -109,6 +141,15 @@ fn run(schedule: u32) {
         "schedule {schedule}"
     );
     assert_eq!(net("net.acks_sent"), acks, "schedule {schedule}");
+    // A phone counts its resends too: every copy of a seq after the first.
+    let phone = device.jid();
+    let phone_sent = data().filter(|seen| seen.0 == phone).count();
+    let phone_distinct = sent.iter().filter(|(from, _)| **from == phone).count();
+    assert_eq!(
+        metrics.counter_for(Some(phone.as_str()), "net.retransmits"),
+        (phone_sent - phone_distinct) as u64,
+        "schedule {schedule}: the phone's resends"
+    );
     assert_eq!(
         net("net.messages_received"),
         distinct.len() as u64,
@@ -126,11 +167,30 @@ fn run(schedule: u32) {
         samples.len(),
         "schedule {schedule}: {samples:?}"
     );
+    let too_soon = too_soon.borrow();
+    assert!(
+        too_soon.is_empty(),
+        "schedule {schedule}: handed to the session again within the {ACK_TIMEOUT:?} ack \
+         timeout, (seq, first, again): {too_soon:?}"
+    );
+    flights.take()
 }
 
 #[test]
 fn every_fate_of_the_first_envelopes_delivers_each_message_once() {
     for schedule in 0..3u32.pow(K) {
-        run(schedule);
+        run(SCRIPT, schedule);
     }
+}
+
+#[test]
+fn samples_queued_while_a_flush_is_on_the_air_do_not_resend_it() {
+    let flights: Vec<SimTime> = run(ON_AIR_SCRIPT, 0).into_iter().collect();
+    let overlapping = flights
+        .windows(2)
+        .any(|pair| pair[1].saturating_duration_since(pair[0]) < ACK_TIMEOUT);
+    assert!(
+        overlapping,
+        "no flush went out while the one before it was in flight: {flights:?}"
+    );
 }
