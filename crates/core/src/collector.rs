@@ -245,6 +245,13 @@ impl CollectorNode {
         }
     }
 
+    /// Seqs the collector's dedup sets hold above their floors, every
+    /// device together: none once each device's low-water mark has
+    /// arrived and nothing it sent is still in flight.
+    pub fn held_above_floor(&self) -> usize {
+        self.inner.link.held_above_floor()
+    }
+
     /// The registry handle for declaring typed channels on this
     /// collector — the consumption API (see [`ChannelRegistry`]).
     pub fn registry(&self) -> ChannelRegistry {
@@ -568,7 +575,7 @@ impl CollectorNode {
         self.inner.scheduler.run_later(RETRY_PERIOD, move || {
             me.inner.retry_armed.set(false);
             me.inner.link.transmit(None, true);
-            if me.inner.link.depth() > 0 {
+            if me.inner.link.owes() {
                 me.arm_retry();
             }
         });

@@ -358,6 +358,13 @@ impl DeviceNode {
         self.inner.link.purged()
     }
 
+    /// Seqs the phone's dedup sets hold above their floors, every sender
+    /// together: none once each sender's low-water mark has arrived and
+    /// nothing it sent is still in flight.
+    pub fn held_above_floor(&self) -> usize {
+        self.inner.link.held_above_floor()
+    }
+
     /// Data messages handed to the network so far.
     pub fn messages_sent(&self) -> u64 {
         self.inner.messages_sent.get()
@@ -701,8 +708,9 @@ impl DeviceNode {
         self.inner.scheduler.run_later(delay, move || {
             me.inner.deadline_armed.set(false);
             me.maybe_flush(false);
-            // Re-arm if data is still waiting (e.g. offline).
-            if me.inner.link.depth() > 0 {
+            // Re-arm if data (or a purge's mark) is still waiting (e.g.
+            // offline).
+            if me.inner.link.owes() {
                 me.arm_deadline();
             }
         });
@@ -770,22 +778,23 @@ impl DeviceNode {
         let Some(session) = inner.link.connect(self) else {
             return;
         };
-        let Some((pending, bytes)) = inner.link.outgoing(None, ACK_TIMEOUT) else {
+        let Some(out) = inner.link.outgoing(None, ACK_TIMEOUT) else {
             return;
         };
+        let (frames, batch) = (out.frames, out.messages);
         let now = inner.phone.sim().now();
         inner.flushing.set(true);
         inner.dirty.set(false);
         inner.last_flush.set(Some(now));
         bump(&inner.flushes, 1);
-        bump(&inner.messages_sent, pending.len() as u64);
+        bump(&inner.messages_sent, batch as u64);
         if inner.obs.is_enabled() {
             inner.obs.event(
                 "pogo",
                 "flush",
                 vec![
-                    field("batch", pending.len() as u64),
-                    field("bytes", bytes),
+                    field("batch", batch as u64),
+                    field("bytes", out.bytes),
                     field("reason", reason),
                 ],
             );
@@ -801,13 +810,13 @@ impl DeviceNode {
         }
         let listeners = inner.flush_listeners.borrow().clone();
         for l in listeners {
-            l(now, pending.len());
+            l(now, batch);
         }
         // Envelopes enter the network when the last byte leaves the air
         // interface.
         let me = self.clone();
-        let result = inner.phone.transmit(bytes, 64, move || {
-            link::send_data(&session, pending);
+        let result = inner.phone.transmit(out.bytes, 64, move || {
+            link::send_data(&session, frames);
             me.inner.link.landed(ACK_TIMEOUT);
             me.inner.flushing.set(false);
             me.resync_tail();

@@ -6,13 +6,22 @@
 //! every data envelope is acked, a duplicate dropped, a fresh one handed
 //! to the node) and the `net.*` counters of all of it. The node supplies
 //! [`Hooks`] and decides when its outbox goes out.
-
+//!
+//! What goes out goes as frames: each run of consecutive seqs handed out
+//! for one peer is one data envelope, numbered by the run's first seq,
+//! its messages one per line (a message's JSON holds no raw newline).
+//! While the sender owes the peer its low-water mark (a §5.3 purge is
+//! unacknowledged) a `mark <seq>` line comes first, and a frame may be
+//! that line alone. A run of one without a mark is the message itself.
+//! The receiver acks the whole run with one ack, `Ack(first)` on an
+//! envelope whose own seq is the run's length less one.
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
 use pogo_net::{
     Envelope, Jid, MessageStore, Payload, SeenSet, Session, StoredMessage, Switchboard,
+    ENVELOPE_OVERHEAD_BYTES,
 };
 use pogo_obs::Obs;
 use pogo_sim::{Sim, SimDuration, SimTime};
@@ -48,6 +57,113 @@ pub(crate) struct Hooks<N: 'static> {
 struct Peer {
     outbox: MessageStore,
     seen: SeenSet,
+}
+
+impl Peer {
+    /// A message waits for the peer's ack, or a purge for its mark's.
+    fn owed(&self) -> bool {
+        self.outbox.owed_since().is_some()
+    }
+}
+
+/// The first line of a frame that carries the sender's low-water mark.
+const MARK: &str = "mark ";
+
+/// One data envelope's worth of a peer's outbox: a run of consecutive
+/// seqs, numbered by its first, framed.
+pub(crate) struct Frame {
+    to: Jid,
+    seq: u64,
+    data: String,
+}
+
+/// What [`Link::outgoing`] hands out: the frames, how many messages they
+/// carry, and their bytes on the wire.
+pub(crate) struct Outgoing {
+    pub frames: Vec<Frame>,
+    pub messages: usize,
+    pub bytes: u64,
+}
+
+/// Frames one peer's `picked` messages, oldest first, into runs of
+/// consecutive seqs, one frame each, behind a `mark` line while `mark` is
+/// owed. With nothing picked and nothing queued, an owed mark goes out
+/// alone, numbered at the mark.
+fn frame(to: &Jid, mut picked: Vec<StoredMessage>, mark: Option<u64>, out: &mut Vec<Frame>) {
+    if picked.is_empty() {
+        if let Some(mark) = mark {
+            let data = format!("{MARK}{mark}");
+            out.push(Frame {
+                to: to.clone(),
+                seq: mark,
+                data,
+            });
+        }
+        return;
+    }
+    out.reserve_exact(picked.len());
+    let mut start = 0;
+    while start < picked.len() {
+        let end = start + 1;
+        let run = &mut picked[start..end];
+        let seq = run[0].seq;
+        let data = match mark {
+            None if run.len() == 1 => std::mem::take(&mut run[0].data),
+            _ => {
+                let lines: usize = run.iter().map(|m| m.data.len() + 1).sum();
+                let header = mark.map_or(0, |m| MARK.len() + digits(m) + 1);
+                let mut data = String::with_capacity(header + lines - 1);
+                if let Some(mark) = mark {
+                    data.push_str(MARK);
+                    data.push_str(&mark.to_string());
+                    data.push('\n');
+                }
+                for (i, m) in run.iter().enumerate() {
+                    if i > 0 {
+                        data.push('\n');
+                    }
+                    data.push_str(&m.data);
+                }
+                data
+            }
+        };
+        out.push(Frame {
+            to: to.clone(),
+            seq,
+            data,
+        });
+        start = end;
+    }
+}
+
+/// Decimal digits of `n`.
+fn digits(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// A data envelope numbered `seq`, unframed: the low-water mark if it
+/// carries one, its messages (joined by newlines) and how many there
+/// are. A frame that cannot be read is refused whole, with the reason.
+fn unframe(data: &str, seq: u64) -> Result<(Option<u64>, &str, u64), &'static str> {
+    let (mark, body) = match data.strip_prefix(MARK) {
+        None => (None, Some(data)),
+        Some(rest) => {
+            let (digits, body) = match rest.split_once('\n') {
+                Some((digits, body)) => (digits, Some(body)),
+                None => (rest, None),
+            };
+            let mark: u64 = digits.parse().map_err(|_| "unreadable mark")?;
+            if mark > seq {
+                return Err("mark above the run");
+            }
+            (Some(mark), body)
+        }
+    };
+    let len = body.map_or(0, |b| b.split('\n').count() as u64);
+    if len > 0 && seq.checked_add(len - 1).is_none() {
+        return Err("run past the last seq");
+    }
+    Ok((mark, body.unwrap_or(""), len))
 }
 
 /// One node's link.
@@ -172,43 +288,55 @@ impl<N: Clone + 'static> Link<N> {
     }
 
     /// Counts what `peer` (every peer, for `None`) has waiting as sent and
-    /// returns it, oldest first, with its bytes on the wire; `None` if
-    /// nothing is due. With a zero `ack_timeout` that is every unacked
-    /// message. Otherwise it is only those not in flight: each message
-    /// returned is on the air until [`Link::landed`], then in flight for
-    /// `ack_timeout`, unless a new session comes first; the resends among
-    /// them count as `net.retransmits`. The caller hands the messages to
-    /// the session with [`send_data`].
+    /// returns it framed, oldest first; `None` if nothing is due. With a
+    /// zero `ack_timeout` that is every unacked message. Otherwise it is
+    /// only those not in flight: each message returned is on the air until
+    /// [`Link::landed`], then in flight for `ack_timeout`, unless a new
+    /// session comes first; the resends among them count as
+    /// `net.retransmits`. A peer owed a mark and nothing else gets the mark
+    /// alone. The caller hands the frames to the session with
+    /// [`send_data`].
     pub(crate) fn outgoing(
         &self,
         peer: Option<&Jid>,
         ack_timeout: SimDuration,
-    ) -> Option<(Vec<StoredMessage>, u64)> {
+    ) -> Option<Outgoing> {
         let bound = peer.map_or(Bound::Unbounded, Bound::Included);
         let now = self.sim.now();
-        let pick = |peer: &Peer| match ack_timeout {
-            SimDuration::ZERO => (peer.outbox.pending(), 0),
-            _ => peer.outbox.hand_out(now),
-        };
         let peers = self.peers.borrow();
-        let mut outboxes = peers.range::<Jid, _>((bound, bound));
-        let (mut pending, mut resent) = pick(outboxes.next()?.1);
-        for (_, more) in outboxes {
-            let (more, more_resent) = pick(more);
-            pending.extend(more);
-            resent += more_resent;
+        let (mut frames, mut messages, mut resent) = (Vec::new(), 0, 0);
+        for (jid, peer) in peers.range::<Jid, _>((bound, bound)) {
+            let (picked, again) = match ack_timeout {
+                SimDuration::ZERO => (peer.outbox.pending(), 0),
+                _ => peer.outbox.hand_out(now),
+            };
+            // Nothing due but something in flight: that carries the mark.
+            let in_flight = picked.is_empty() && !peer.outbox.is_empty();
+            let mark = peer.outbox.mark().filter(|_| !in_flight);
+            messages += picked.len();
+            resent += again;
+            frame(jid, picked, mark, &mut frames);
         }
-        if pending.is_empty() {
+        if frames.is_empty() {
             return None;
         }
-        let bytes = pending.iter().map(StoredMessage::wire_size).sum();
+        let bytes = frames
+            .iter()
+            .map(|f| ENVELOPE_OVERHEAD_BYTES + f.data.len() as u64)
+            .sum();
         let metrics = self.obs.metrics();
-        metrics.inc("net.messages_sent", pending.len() as u64);
+        if messages > 0 {
+            metrics.inc("net.messages_sent", messages as u64);
+        }
         metrics.inc("net.bytes_up", bytes);
         if resent > 0 {
             metrics.inc("net.retransmits", resent);
         }
-        Some((pending, bytes))
+        Some(Outgoing {
+            frames,
+            messages,
+            bytes,
+        })
     }
 
     /// What [`Link::outgoing`] put on the air entered the network now:
@@ -220,26 +348,26 @@ impl<N: Clone + 'static> Link<N> {
     }
 
     /// Sends what `peer` has not acked, if it is online; `None`
-    /// retransmits to every peer with messages waiting. `retry` counts
-    /// them as `net.retransmits`.
+    /// retransmits to every peer owed something. `retry` counts the
+    /// messages as `net.retransmits`.
     pub(crate) fn transmit(&self, peer: Option<&Jid>, retry: bool) {
         let Some(peer) = peer else {
             let peers = self.peers.borrow();
-            let waiting = peers.iter().filter(|(_, p)| !p.outbox.is_empty());
+            let waiting = peers.iter().filter(|(_, p)| p.owed());
             return waiting.for_each(|(peer, _)| self.transmit(Some(peer), true));
         };
         if !self.server.is_online(peer) {
             return;
         }
-        let Some((pending, _)) = self.outgoing(Some(peer), SimDuration::ZERO) else {
+        let Some(out) = self.outgoing(Some(peer), SimDuration::ZERO) else {
             return;
         };
-        if retry {
+        if retry && out.messages > 0 {
             let metrics = self.obs.metrics();
-            metrics.inc("net.retransmits", pending.len() as u64);
+            metrics.inc("net.retransmits", out.messages as u64);
         }
         if let Some(session) = self.session() {
-            send_data(&session, pending);
+            send_data(&session, out.frames);
         }
     }
 
@@ -248,15 +376,26 @@ impl<N: Clone + 'static> Link<N> {
         self.depth.get()
     }
 
+    /// True while some peer is owed a message or a mark.
+    pub(crate) fn owes(&self) -> bool {
+        self.peers.borrow().values().any(Peer::owed)
+    }
+
+    /// Seen seqs held above the dedup floors, every sender together.
+    pub(crate) fn held_above_floor(&self) -> usize {
+        self.peers.borrow().values().map(|p| p.seen.held()).sum()
+    }
+
     /// §5.3's expiry: drops messages older than `max_age`, then returns
-    /// the age of the oldest one left.
+    /// how long the oldest thing owed (a message, or a purge's mark) has
+    /// been.
     pub(crate) fn expire(&self, now: SimTime, max_age: SimDuration) -> Option<SimDuration> {
         let peers = self.peers.borrow();
         let purge = |peer: &Peer| peer.outbox.purge_older_than(now, max_age);
         let purged: usize = peers.values().map(purge).sum();
         self.depth.set(self.depth.get() - purged);
-        let oldest = |peer: &Peer| peer.outbox.oldest_age(now);
-        peers.values().filter_map(oldest).max()
+        let since = peers.values().filter_map(|p| p.outbox.owed_since()).min()?;
+        Some(now.saturating_duration_since(since))
     }
 
     /// Messages the expiry dropped so far.
@@ -267,37 +406,66 @@ impl<N: Clone + 'static> Link<N> {
 
     fn on_envelope(&self, node: &N, envelope: Envelope) {
         let (from, seq) = (&envelope.from, envelope.seq);
-        let json = match &envelope.payload {
-            Payload::Data(json) => json,
-            Payload::Ack(acked) => {
+        let data = match &envelope.payload {
+            Payload::Data(data) => data,
+            Payload::Ack(first) => {
                 if let Some(peer) = self.peers.borrow().get(from) {
-                    let cleared = peer.outbox.ack(&[*acked]);
+                    let cleared = peer.outbox.ack_run(*first, seq.wrapping_add(1));
                     self.depth.set(self.depth.get() - cleared);
                 }
                 return;
             }
         };
-        let mut peers = self.peers.borrow_mut();
-        let fresh = peers.entry(from.clone()).or_default().seen.insert(seq);
-        drop(peers);
-        // Always ack: the previous ack may have been lost.
-        self.send_ack(node, from, seq);
-        let metrics = self.obs.metrics();
-        if !fresh {
-            return metrics.inc("net.dedup_drops", 1);
-        }
-        metrics.inc("net.messages_received", 1);
-        metrics.inc("net.bytes_down", envelope.wire_size());
-        match ControlMsg::from_json(json) {
-            Ok(ctl) => (self.hooks.deliver)(node, ctl, from),
-            Err(e) => {
-                let line = format!("malformed message from {from}: {e}");
-                self.logs.append("pogo-errors", line);
+        let (mark, body, len) = match unframe(data, seq) {
+            Ok(frame) => frame,
+            Err(why) => {
+                let line = format!("malformed frame from {from} at seq {seq}: {why}");
+                return self.logs.append("pogo-errors", line);
             }
+        };
+        if let Some(mark) = mark {
+            let mut peers = self.peers.borrow_mut();
+            peers
+                .entry(from.clone())
+                .or_default()
+                .seen
+                .raise_floor(mark);
+        }
+        // Always ack: the previous ack may have been lost.
+        self.send_ack(node, from, seq, len);
+        let (mut fresh, mut refused, mut more) = (0, None, 0);
+        for (at, json) in (seq..).zip(body.split('\n').take(len as usize)) {
+            let mut peers = self.peers.borrow_mut();
+            if !peers.entry(from.clone()).or_default().seen.insert(at) {
+                continue;
+            }
+            drop(peers);
+            fresh += 1;
+            match ControlMsg::from_json(json) {
+                Ok(ctl) => (self.hooks.deliver)(node, ctl, from),
+                Err(e) if refused.is_none() => refused = Some((at, e)),
+                Err(_) => more += 1,
+            }
+        }
+        let metrics = self.obs.metrics();
+        if fresh < len {
+            metrics.inc("net.dedup_drops", len - fresh);
+        }
+        if fresh > 0 {
+            metrics.inc("net.messages_received", fresh);
+            metrics.inc("net.bytes_down", envelope.wire_size());
+        }
+        if let Some((at, e)) = refused {
+            let mut line = format!("malformed message from {from} at seq {at}: {e}");
+            if more > 0 {
+                line.push_str(&format!(" (and {more} more in its frame)"));
+            }
+            self.logs.append("pogo-errors", line);
         }
     }
 
-    fn send_ack(&self, node: &N, to: &Jid, seq: u64) {
+    /// Acks the run of `len` seqs from `first` with one envelope.
+    fn send_ack(&self, node: &N, to: &Jid, first: u64, len: u64) {
         let Some(session) = self.session() else {
             return;
         };
@@ -305,8 +473,8 @@ impl<N: Clone + 'static> Link<N> {
         let ack = Envelope {
             from: self.jid.clone(),
             to: to.clone(),
-            seq: 0,
-            payload: Payload::Ack(seq),
+            seq: len.wrapping_sub(1),
+            payload: Payload::Ack(first),
             sent_at_ms: 0,
         };
         match self.hooks.radio {
@@ -316,10 +484,9 @@ impl<N: Clone + 'static> Link<N> {
     }
 }
 
-/// Hands `pending` to `session`, each message under its own sequence
-/// number.
-pub(crate) fn send_data(session: &Session, pending: Vec<StoredMessage>) {
-    for msg in pending {
-        let _ = session.send(&msg.to, msg.seq, Payload::Data(msg.data));
+/// Hands `frames` to `session`, each as one data envelope.
+pub(crate) fn send_data(session: &Session, frames: Vec<Frame>) {
+    for frame in frames {
+        let _ = session.send(&frame.to, frame.seq, Payload::Data(frame.data));
     }
 }

@@ -37,4 +37,4 @@ pub use jid::{Jid, ParseJidError};
 pub use reliable::SeenSet;
 pub use server::{ChaosHook, LinkFate, LinkShape, NetError, Session, Switchboard};
 pub use store::{MessageStore, StoredMessage};
-pub use wire::{Envelope, Payload};
+pub use wire::{Envelope, Payload, ENVELOPE_OVERHEAD_BYTES};

@@ -7,6 +7,12 @@
 //! sender side); a message whose ack was lost, or that a reconnect
 //! resends, arrives twice, and the receiver drops the copy with one
 //! [`SeenSet`] per sender.
+//!
+//! A gap the sender will never fill (a message its §5.3 purge dropped
+//! unsent) would pin the floor below it for good, and every later seq
+//! would stay in the sparse set. So a sender that has purged carries its
+//! low-water mark ([`MessageStore::mark`](crate::MessageStore::mark)),
+//! and the receiver raises its floor to it ([`SeenSet::raise_floor`]).
 
 use std::collections::BTreeSet;
 
@@ -34,6 +40,25 @@ impl SeenSet {
             self.floor += 1;
         }
         true
+    }
+
+    /// The sender's low-water mark: every seq below `mark` was acked or
+    /// will never be sent again, so none is fresh any more.
+    pub fn raise_floor(&mut self, mark: u64) {
+        if mark <= self.floor {
+            return;
+        }
+        self.above = self.above.split_off(&mark);
+        self.floor = mark;
+        while self.above.remove(&self.floor) {
+            self.floor += 1;
+        }
+    }
+
+    /// How many seen seqs are held above the floor: none once the sender
+    /// has nothing in flight and its low-water mark has arrived.
+    pub fn held(&self) -> usize {
+        self.above.len()
     }
 }
 
@@ -68,5 +93,23 @@ mod tests {
         assert!(!seen.insert(2));
         assert!(seen.insert(3));
         assert_eq!((seen.floor, seen.above.len()), (4, 0));
+    }
+
+    #[test]
+    fn the_mark_unpins_a_floor_stuck_below_a_purged_gap() {
+        let mut seen = SeenSet::default();
+        // Seqs 0-4 and 6-9 seen; 5 was purged by its sender.
+        (0..5)
+            .chain(6..10)
+            .for_each(|seq| assert!(seen.insert(seq)));
+        assert_eq!((seen.floor, seen.held()), (5, 4));
+        seen.raise_floor(7);
+        assert_eq!((seen.floor, seen.held()), (10, 0));
+        assert!(!seen.insert(5), "a late copy of the purged seq");
+        seen.raise_floor(3);
+        assert_eq!(seen.floor, 10, "a stale mark lowers nothing");
+        assert!(seen.insert(12));
+        seen.raise_floor(11);
+        assert_eq!((seen.floor, seen.held()), (11, 1));
     }
 }

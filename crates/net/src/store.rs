@@ -77,6 +77,12 @@ struct Inner {
     /// skips one.
     handed_below: u64,
     purged: u64,
+    /// While a purge is unacknowledged: the next seq at that purge and
+    /// when it was. Every seq from the first on is handed out only after
+    /// the purge, in frames that carry the low-water mark, so the ack of
+    /// one of them (or of a mark-only frame, numbered at the mark) tells
+    /// that the receiver has raised its floor past the purged seqs.
+    owed: Option<(u64, SimTime)>,
 }
 
 /// A persistent store-and-forward queue (the embedded-database stand-in).
@@ -177,13 +183,24 @@ impl MessageStore {
         self.inner.borrow().queue.is_empty()
     }
 
-    /// Age of the oldest unacknowledged message.
-    pub fn oldest_age(&self, now: SimTime) -> Option<SimDuration> {
-        self.inner
-            .borrow()
-            .queue
-            .front()
-            .map(|m| now.saturating_duration_since(m.enqueued_at))
+    /// When what the store still owes its peer became owed: the oldest
+    /// unacknowledged message's enqueue time, else the purge whose
+    /// low-water mark the peer has not acknowledged. `None` when the
+    /// store owes nothing.
+    pub fn owed_since(&self) -> Option<SimTime> {
+        let inner = self.inner.borrow();
+        let oldest = inner.queue.front().map(|m| m.enqueued_at);
+        oldest.or(inner.owed.map(|(_, at)| at))
+    }
+
+    /// The low-water mark to carry to the peer, while a purge is
+    /// unacknowledged: the oldest unacknowledged seq, or the next seq if
+    /// none is. Every seq below it is acknowledged or purged, so the
+    /// receiver may raise its dedup floor to it.
+    pub fn mark(&self) -> Option<u64> {
+        let inner = self.inner.borrow();
+        inner.owed?;
+        Some(inner.queue.front().map_or(inner.next_seq, |m| m.seq))
     }
 
     /// Removes messages acknowledged end-to-end; returns how many were
@@ -206,8 +223,28 @@ impl MessageStore {
         acked
     }
 
+    /// Removes the run of `len` seqs from `first`, acknowledged
+    /// end-to-end by one ack; returns how many were still queued. An ack
+    /// of a frame handed out after the last purge (a run reaching the
+    /// next seq at that purge, or a mark-only frame's empty run at or
+    /// above it) also acknowledges the mark that frame carried.
+    pub fn ack_run(&self, first: u64, len: u64) -> usize {
+        let mut inner = self.inner.borrow_mut();
+        let end = first.saturating_add(len);
+        let from = inner.queue.partition_point(|m| m.seq < first);
+        let to = inner.queue.partition_point(|m| m.seq < end);
+        inner.queue.drain(from..to);
+        let reach = first.saturating_add(len.max(1));
+        if inner.owed.is_some_and(|(owed_from, _)| owed_from < reach) {
+            inner.owed = None;
+        }
+        to - from
+    }
+
     /// Drops messages older than `max_age` — the 24-hour expiry of §5.3.
-    /// Returns how many were purged.
+    /// Returns how many were purged. Until the peer acknowledges a frame
+    /// handed out after it, the purge owes the peer the low-water mark
+    /// ([`MessageStore::mark`]).
     pub fn purge_older_than(&self, now: SimTime, max_age: SimDuration) -> usize {
         let mut inner = self.inner.borrow_mut();
         let before = inner.queue.len();
@@ -216,6 +253,9 @@ impl MessageStore {
             .retain(|m| now.saturating_duration_since(m.enqueued_at) <= max_age);
         let purged = before - inner.queue.len();
         inner.purged += purged as u64;
+        if purged > 0 {
+            inner.owed = Some((inner.next_seq, now));
+        }
         purged
     }
 
@@ -320,11 +360,48 @@ mod tests {
     }
 
     #[test]
-    fn oldest_age_tracks_head() {
+    fn owed_since_tracks_head() {
         let store = MessageStore::new();
-        assert_eq!(store.oldest_age(at(100)), None);
+        assert_eq!(store.owed_since(), None);
         store.enqueue(&jid(), "a".into(), at(100));
-        assert_eq!(store.oldest_age(at(5_100)), Some(SimDuration::from_secs(5)));
+        store.enqueue(&jid(), "b".into(), at(200));
+        assert_eq!(store.owed_since(), Some(at(100)));
+    }
+
+    #[test]
+    fn ack_run_clears_the_run_and_nothing_around_it() {
+        let store = MessageStore::new();
+        for name in ["a", "b", "c", "d", "e"] {
+            store.enqueue(&jid(), name.into(), at(0));
+        }
+        assert_eq!(store.ack_run(1, 3), 3);
+        assert_eq!(store.ack_run(1, 3), 0, "a repeated ack clears nothing");
+        let seqs: Vec<u64> = store.pending().iter().map(|m| m.seq).collect();
+        assert_eq!(seqs, vec![0, 4]);
+        assert_eq!(store.ack_run(u64::MAX, u64::MAX), 0);
+    }
+
+    #[test]
+    fn a_purge_owes_the_mark_until_a_later_frame_is_acked() {
+        let store = MessageStore::new();
+        store.enqueue(&jid(), "old".into(), at(0));
+        store.enqueue(
+            &jid(),
+            "new".into(),
+            SimTime::ZERO + SimDuration::from_hours(20),
+        );
+        assert_eq!(store.mark(), None, "nothing purged: no mark to carry");
+        let now = SimTime::ZERO + SimDuration::from_hours(25);
+        store.purge_older_than(now, SimDuration::from_hours(24));
+        // Seq 0 is gone: the receiver may forget it.
+        assert_eq!(store.mark(), Some(1));
+        // The ack of seq 1, handed out before the purge perhaps, proves
+        // nothing about the mark.
+        store.ack_run(1, 1);
+        assert_eq!((store.mark(), store.owed_since()), (Some(2), Some(now)));
+        // A mark-only frame numbered at the mark, acked.
+        store.ack_run(2, 0);
+        assert_eq!((store.mark(), store.owed_since()), (None, None));
     }
 
     #[test]

@@ -104,7 +104,7 @@ echo "EXPERIMENTS.md: the table4 and ablation-freeze blocks match"
 # (FNV-1a over trace + store export) is pinned across commits: a change
 # that moves the 24-day trace on purpose re-reads it at its parent and
 # says so.
-TABLE4_24D_DIGEST=0x778691fb7d3dbe4a
+TABLE4_24D_DIGEST=0x1531fcb672dece34
 if [[ "$run_chaos" == 1 ]]; then
     soak_out="$(./target/release/chaos_soak --workload table4 --check)" || { echo "$soak_out"; exit 1; }
     echo "$soak_out"
