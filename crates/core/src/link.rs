@@ -15,6 +15,7 @@
 //! that line alone. A run of one without a mark is the message itself.
 //! The receiver acks the whole run with one ack, `Ack(first)` on an
 //! envelope whose own seq is the run's length less one.
+
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -87,37 +88,40 @@ pub(crate) struct Outgoing {
 
 /// Frames one peer's `picked` messages, oldest first, into runs of
 /// consecutive seqs, one frame each, behind a `mark` line while `mark` is
-/// owed. With nothing picked and nothing queued, an owed mark goes out
-/// alone, numbered at the mark.
+/// owed. With nothing picked, an owed mark goes out alone, numbered at
+/// the mark.
 fn frame(to: &Jid, mut picked: Vec<StoredMessage>, mark: Option<u64>, out: &mut Vec<Frame>) {
+    let to = || to.clone();
     if picked.is_empty() {
         if let Some(mark) = mark {
+            out.reserve_exact(1);
             let data = format!("{MARK}{mark}");
             out.push(Frame {
-                to: to.clone(),
+                to: to(),
                 seq: mark,
                 data,
             });
         }
         return;
     }
-    out.reserve_exact(picked.len());
-    let mut start = 0;
-    while start < picked.len() {
-        let end = start + 1;
-        let run = &mut picked[start..end];
-        let seq = run[0].seq;
-        let data = match mark {
-            None if run.len() == 1 => std::mem::take(&mut run[0].data),
+    let run_len = |rest: &[StoredMessage]| {
+        1 + rest
+            .windows(2)
+            .take_while(|w| w[1].seq == w[0].seq + 1)
+            .count()
+    };
+    let breaks = picked.windows(2).filter(|w| w[1].seq != w[0].seq + 1);
+    out.reserve_exact(1 + breaks.count());
+    let header = mark.map(|m| format!("{MARK}{m}\n")).unwrap_or_default();
+    let mut rest = &mut picked[..];
+    while !rest.is_empty() {
+        let (run, tail) = rest.split_at_mut(run_len(rest));
+        let data = match run {
+            [single] if header.is_empty() => std::mem::take(&mut single.data),
             _ => {
                 let lines: usize = run.iter().map(|m| m.data.len() + 1).sum();
-                let header = mark.map_or(0, |m| MARK.len() + digits(m) + 1);
-                let mut data = String::with_capacity(header + lines - 1);
-                if let Some(mark) = mark {
-                    data.push_str(MARK);
-                    data.push_str(&mark.to_string());
-                    data.push('\n');
-                }
+                let mut data = String::with_capacity(header.len() + lines - 1);
+                data.push_str(&header);
                 for (i, m) in run.iter().enumerate() {
                     if i > 0 {
                         data.push('\n');
@@ -128,17 +132,12 @@ fn frame(to: &Jid, mut picked: Vec<StoredMessage>, mark: Option<u64>, out: &mut 
             }
         };
         out.push(Frame {
-            to: to.clone(),
-            seq,
+            to: to(),
+            seq: run[0].seq,
             data,
         });
-        start = end;
+        rest = tail;
     }
-}
-
-/// Decimal digits of `n`.
-fn digits(n: u64) -> usize {
-    n.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
 /// A data envelope numbered `seq`, unframed: the low-water mark if it
@@ -464,12 +463,14 @@ impl<N: Clone + 'static> Link<N> {
         }
     }
 
-    /// Acks the run of `len` seqs from `first` with one envelope.
+    /// Acks the run of `len` seqs from `first`. A node without a radio to
+    /// pay for it sends the ack of a longer run twice: a lost ack costs
+    /// the sender the whole run again, and at loss `p` per envelope two
+    /// copies cut that to `p²`.
     fn send_ack(&self, node: &N, to: &Jid, first: u64, len: u64) {
         let Some(session) = self.session() else {
             return;
         };
-        self.obs.metrics().inc("net.acks_sent", 1);
         let ack = Envelope {
             from: self.jid.clone(),
             to: to.clone(),
@@ -477,9 +478,19 @@ impl<N: Clone + 'static> Link<N> {
             payload: Payload::Ack(first),
             sent_at_ms: 0,
         };
+        let metrics = self.obs.metrics();
         match self.hooks.radio {
-            Some(radio) => radio(node, session, ack),
-            None => drop(session.send(&ack.to, ack.seq, ack.payload)),
+            Some(radio) => {
+                metrics.inc("net.acks_sent", 1);
+                radio(node, session, ack);
+            }
+            None => {
+                let copies = if len > 1 { 2 } else { 1 };
+                metrics.inc("net.acks_sent", copies);
+                for _ in 0..copies {
+                    let _ = session.send(&ack.to, ack.seq, ack.payload.clone());
+                }
+            }
         }
     }
 }
@@ -488,5 +499,58 @@ impl<N: Clone + 'static> Link<N> {
 pub(crate) fn send_data(session: &Session, frames: Vec<Frame>) {
     for frame in frames {
         let _ = session.send(&frame.to, frame.seq, Payload::Data(frame.data));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn picked(seqs: &[u64]) -> Vec<StoredMessage> {
+        let to = Jid::new("collector@pogo").unwrap();
+        let message = |&seq: &u64| StoredMessage {
+            seq,
+            to: to.clone(),
+            data: format!("{{\"n\":{seq}}}"),
+            enqueued_at: SimTime::ZERO,
+        };
+        seqs.iter().map(message).collect()
+    }
+
+    fn framed(seqs: &[u64], mark: Option<u64>) -> Vec<(u64, String)> {
+        let to = Jid::new("collector@pogo").unwrap();
+        let mut out = Vec::new();
+        frame(&to, picked(seqs), mark, &mut out);
+        assert_eq!(out.capacity(), out.len(), "sized before the first frame");
+        out.into_iter().map(|f| (f.seq, f.data)).collect()
+    }
+
+    #[test]
+    fn each_run_of_consecutive_seqs_is_one_frame() {
+        assert_eq!(framed(&[7], None), vec![(7, "{\"n\":7}".to_owned())]);
+        assert_eq!(
+            framed(&[3, 4, 5, 8, 9], None),
+            vec![
+                (3, "{\"n\":3}\n{\"n\":4}\n{\"n\":5}".to_owned()),
+                (8, "{\"n\":8}\n{\"n\":9}".to_owned()),
+            ]
+        );
+        assert_eq!(
+            framed(&[12], Some(10)),
+            vec![(12, "mark 10\n{\"n\":12}".to_owned())]
+        );
+        assert_eq!(framed(&[], Some(10)), vec![(10, "mark 10".to_owned())]);
+        assert_eq!(framed(&[], None), vec![]);
+    }
+
+    #[test]
+    fn unframe_reads_what_frame_writes() {
+        assert_eq!(unframe("{}", 5), Ok((None, "{}", 1)));
+        assert_eq!(unframe("a\nb", 5), Ok((None, "a\nb", 2)));
+        assert_eq!(unframe("mark 3\na\nb", 5), Ok((Some(3), "a\nb", 2)));
+        assert_eq!(unframe("mark 5", 5), Ok((Some(5), "", 0)));
+        assert_eq!(unframe("mark 6", 5), Err("mark above the run"));
+        assert_eq!(unframe("mark \n{}", 5), Err("unreadable mark"));
+        assert_eq!(unframe("a\nb", u64::MAX), Err("run past the last seq"));
     }
 }

@@ -55,7 +55,9 @@ scripts/sloc.sh --crate-local
 # sample on the two scriptless fleets, per delivered scan and VM steps and
 # dispatches per callback on the script fleet, per CSV / JSONL / SenML
 # export of a 10,000-row battery and accelerometer store, beside the data
-# envelopes sent per stored sample on the lossy uplink fleet; then the live heap bytes,
+# messages sent per stored sample on the lossy uplink fleet and, on both
+# scriptless fleets, the data envelopes and radio tx bytes per stored
+# sample (pinned exactly); then the live heap bytes,
 # per stored sample on the two scriptless fleets (the collector's store)
 # and per stored row of a bare store fed their JSON shapes, beside per
 # device on the script fleet and the part of that its `raw-scans` log
@@ -63,8 +65,11 @@ scripts/sloc.sh --crate-local
 # and of one script host with the API installed. The test gates them;
 # this prints them.
 budget_out="$(cargo test --release --test alloc_budget -- --nocapture)"
-echo "$budget_out" | grep -E ' allocations .* per (sample|scan|export)[, ]| steps .* per callback|dispatches .* per callback| data envelopes sent .* per stored sample'
+echo "$budget_out" | grep -E ' allocations .* per (sample|scan|export)[, ]| steps .* per callback|dispatches .* per callback| data (messages|envelopes) sent .* per stored sample| radio tx bytes .* per stored sample'
 echo "$budget_out" | grep -E ' live heap bytes .* per (stored sample|stored row|device)[, ]| log bytes held per device |^Script: '
+# The loss ladder: data messages (gated) and data envelopes sent per
+# stored sample on each loss rung.
+cargo test --release --test loss_ladder -- --nocapture | grep -E '^loss .* data (messages|envelopes) sent'
 # What the tree-walk oracle checks the VM on: programs compared, and how
 # many ran to completion on both, so a change that shrinks the corpus
 # shows here.
@@ -104,7 +109,7 @@ echo "EXPERIMENTS.md: the table4 and ablation-freeze blocks match"
 # (FNV-1a over trace + store export) is pinned across commits: a change
 # that moves the 24-day trace on purpose re-reads it at its parent and
 # says so.
-TABLE4_24D_DIGEST=0x1531fcb672dece34
+TABLE4_24D_DIGEST=0x634cecd639d55c64
 if [[ "$run_chaos" == 1 ]]; then
     soak_out="$(./target/release/chaos_soak --workload table4 --check)" || { echo "$soak_out"; exit 1; }
     echo "$soak_out"

@@ -12,13 +12,16 @@
 //! the collector's store costs to keep a sample, which is what a
 //! many-phone, many-day deployment piles up. A `clone()` creeping back
 //! onto the path shows up here before it shows up in any timing. On the
-//! uplink fleet it also gates the data envelopes the devices send per
+//! uplink fleet it also gates the data messages the devices send per
 //! stored sample: above one by the copies a lossy link needs, and by
-//! nothing more while a flush never resends what is still in flight. Those
-//! bytes mix the store with the simulation around it, so a fourth gauge
-//! takes the store alone: 10,000 `battery` and 10,000 `accelerometer`
-//! values, in the fleets' own JSON shapes, appended to a bare pipeline
-//! and flushed, with the heap bytes held per stored row gated. The same
+//! nothing more while a flush never resends what is still in flight. On
+//! both fleets it pins exactly the data envelopes the devices put on the
+//! wire (one per run of a flush) and the bytes their radios send for
+//! Pogo. The heap bytes mix the store with the simulation around it, so a
+//! fourth gauge takes the store alone: 10,000 `battery` and 10,000
+//! `accelerometer` values, in the fleets' own JSON shapes, appended to a
+//! bare pipeline and flushed, with the heap bytes held per stored row
+//! gated. The same
 //! two stores gauge the read path: the allocator calls one CSV, JSONL or
 //! SenML export of the whole store makes, pinned exactly, not gated.
 //!
@@ -48,7 +51,7 @@ use std::rc::Rc;
 
 use pogo::core::{Broker, ChannelFilter, FleetSpec, Msg, Scheduler, ScriptHost, Testbed};
 use pogo::ingest::{export, ChannelSchema, IngestPipeline, Row, SampleValue, ScanQuery};
-use pogo::net::{FlushPolicy, LinkShape};
+use pogo::net::{FlushPolicy, LinkFate, LinkShape};
 use pogo::obs::Obs;
 use pogo::platform::{Cpu, CpuConfig, EnergyMeter, NetAppConfig, PeriodicNetApp};
 use pogo::sim::{Sim, SimDuration};
@@ -167,11 +170,25 @@ impl Fleet {
     }
 }
 
-/// `(allocator calls, samples stored, heap bytes still held, data
-/// envelopes the devices sent)` over the measured window: the third is
-/// what the window's samples cost to keep, in the collector's store above
-/// all.
-fn measure(fleet: Fleet) -> (u64, u64, i64, u64) {
+/// What one fleet run counts over the measured window.
+#[derive(Debug, PartialEq)]
+struct Counts {
+    allocs: u64,
+    /// Samples stored.
+    rows: u64,
+    /// Heap bytes still held: what the window's samples cost to keep, in
+    /// the collector's store above all.
+    held: i64,
+    /// Data messages the devices handed out, resends included.
+    messages: u64,
+    /// Data envelopes the devices put on the wire.
+    envelopes: u64,
+    /// Bytes the devices' radios sent for Pogo (the e-mail app's taken
+    /// out).
+    tx_bytes: u64,
+}
+
+fn measure(fleet: Fleet) -> Counts {
     let sim = Sim::new();
     let mut testbed = Testbed::new(&sim);
     testbed.server().reseed_link_rng(0x5eed);
@@ -201,7 +218,18 @@ fn measure(fleet: Fleet) -> (u64, u64, i64, u64) {
         .send()
         .expect("an empty deployment passes the gate");
     let mut apps = Vec::new();
+    let envelopes = Rc::new(Cell::new(0u64));
     for (i, m) in members.iter().enumerate() {
+        // Sees each envelope a phone sends as it leaves, before any loss.
+        let (jid, count) = (m.device.jid(), envelopes.clone());
+        testbed
+            .server()
+            .set_link_chaos(&m.device.jid(), move |env| {
+                if env.from == jid && env.data().is_some() {
+                    count.set(count.get() + 1);
+                }
+                LinkFate::Deliver
+            });
         match fleet {
             Fleet::Uplink => testbed.server().shape_link(
                 &m.device.jid(),
@@ -223,19 +251,26 @@ fn measure(fleet: Fleet) -> (u64, u64, i64, u64) {
 
     let rows_before = collector.stats().ingest.ingested_rows;
     let delivered_before = delivered.get();
-    let sent = || {
+    let messages = || {
         members
             .iter()
             .map(|m| m.device.messages_sent())
             .sum::<u64>()
     };
-    let sent_before = sent();
+    let tx_bytes = || {
+        let radio: u64 = members
+            .iter()
+            .map(|m| m.phone.mobile_byte_counters().0)
+            .sum();
+        let email: u64 = apps.iter().map(|app| app.checks()).sum();
+        radio - email * NetAppConfig::email().tx_bytes
+    };
+    let (messages_before, envelopes_before, tx_before) = (messages(), envelopes.get(), tx_bytes());
     let allocs_before = allocs();
     let live_before = live_bytes();
     testbed.run_lockstep(MINUTE.mul(MEASURED_MIN), MINUTE);
     let spent = allocs() - allocs_before;
     let held = live_bytes() - live_before;
-    let sent = sent() - sent_before;
     let rows = collector.stats().ingest.ingested_rows - rows_before;
     assert_eq!(
         delivered.get() - delivered_before,
@@ -247,25 +282,37 @@ fn measure(fleet: Fleet) -> (u64, u64, i64, u64) {
         0,
         "{fleet:?} logged errors"
     );
-    (spent, rows, held, sent)
+    Counts {
+        allocs: spent,
+        rows,
+        held,
+        messages: messages() - messages_before,
+        envelopes: envelopes.get() - envelopes_before,
+        tx_bytes: tx_bytes() - tx_before,
+    }
 }
 
 /// Allocator calls per stored sample, the heap bytes a stored sample
-/// leaves held and, on the uplink fleet, the data envelopes the devices
+/// leaves held and, on the uplink fleet, the data messages the devices
 /// sent per stored sample, that this same test read at the parent commit
-/// (dde1187, where each flush resent every unacked message, those whose
-/// acks were still on their way included) and reads at this one (a flush
-/// sends only the messages not in flight).
-const PARENT_UPLINK: f64 = 23.9;
+/// (563a2c2, one envelope and one ack per message) and reads at this one
+/// (a run of a flush is one envelope, acked once).
+const PARENT_UPLINK: f64 = 22.9;
 const PARENT_TAILSYNC: f64 = 25.0;
-const PARENT_UPLINK_LIVE: f64 = 77.4;
+const PARENT_UPLINK_LIVE: f64 = 72.0;
 const PARENT_TAILSYNC_LIVE: f64 = 233.3;
-const PARENT_UPLINK_SENT: f64 = 1.221;
-const UPLINK: f64 = 22.9;
-const TAILSYNC: f64 = 25.0;
-const UPLINK_LIVE: f64 = 72.0;
-const TAILSYNC_LIVE: f64 = 233.3;
-const UPLINK_SENT: f64 = 1.023;
+const PARENT_UPLINK_SENT: f64 = 1.023;
+const UPLINK: f64 = 20.1;
+const TAILSYNC: f64 = 22.4;
+const UPLINK_LIVE: f64 = 66.1;
+const TAILSYNC_LIVE: f64 = 219.6;
+const UPLINK_SENT: f64 = 1.019;
+
+/// `(data envelopes, radio tx bytes)` the devices sent over the measured
+/// window, per stored sample at the parent commit and pinned exactly at
+/// this one, on the uplink and tail-sync fleets.
+const PARENT_WIRE: [(f64, f64); 2] = [(1.023, 194.8), (1.000, 212.8)];
+const WIRE: [(u64, u64); 2] = [(441, 363_500), (40, 32_504)];
 
 /// The gate on every count in this file: what this commit reads plus
 /// 3 %. The counts repeat exactly, so the headroom is for deliberate
@@ -275,44 +322,73 @@ const HEADROOM: f64 = 1.03;
 
 #[test]
 fn sample_path_allocations_stay_within_budget_and_repeat_exactly() {
-    for (fleet, least_rows, [parent, now], [parent_live, now_live]) in [
+    for (fleet, least_rows, [parent, now], [parent_live, now_live], parent_wire, wire) in [
         (
             Fleet::Uplink,
             2_000,
             [PARENT_UPLINK, UPLINK],
             [PARENT_UPLINK_LIVE, UPLINK_LIVE],
+            PARENT_WIRE[0],
+            WIRE[0],
         ),
         (
             Fleet::Tailsync,
             150,
             [PARENT_TAILSYNC, TAILSYNC],
             [PARENT_TAILSYNC_LIVE, TAILSYNC_LIVE],
+            PARENT_WIRE[1],
+            WIRE[1],
         ),
     ] {
         let first = measure(fleet);
         let second = measure(fleet);
         assert_eq!(first, second, "{fleet:?}: two runs must count the same");
-        let (spent, rows, held, sent) = first;
+        let rows = first.rows;
         assert!(rows >= least_rows, "{fleet:?} stored only {rows} samples");
+        let per_row = |n: u64| n as f64 / rows as f64;
         if fleet == Fleet::Uplink {
-            let sent_per_sample = sent as f64 / rows as f64;
+            let sent_per_sample = per_row(first.messages);
             println!(
-                "{fleet:?}: {sent} data envelopes sent / {rows} samples = {sent_per_sample:.3} per \
-                 stored sample (parent {PARENT_UPLINK_SENT:.3})"
+                "{fleet:?}: {} data messages sent / {rows} samples = {sent_per_sample:.3} per \
+                 stored sample (parent {PARENT_UPLINK_SENT:.3})",
+                first.messages
             );
             assert!(
                 sent_per_sample <= HEADROOM * UPLINK_SENT,
-                "{fleet:?}: {sent_per_sample:.3} data envelopes sent per stored sample exceeds \
+                "{fleet:?}: {sent_per_sample:.3} data messages sent per stored sample exceeds \
                  {:.3} ({UPLINK_SENT:.3} at the last re-base, plus 3 %)",
                 HEADROOM * UPLINK_SENT,
             );
         }
-        let per_sample = spent as f64 / rows as f64;
-        let live_per_sample = held as f64 / rows as f64;
-        println!("{fleet:?}: {spent} allocations / {rows} samples = {per_sample:.1} per sample (parent {parent:.1})");
+        let (parent_envelopes, parent_tx) = parent_wire;
         println!(
-            "{fleet:?}: {held} live heap bytes / {rows} samples = {live_per_sample:.1} per \
-             stored sample (parent {parent_live:.1})"
+            "{fleet:?}: {} data envelopes sent / {rows} samples = {:.3} per stored sample \
+             (parent {parent_envelopes:.3})",
+            first.envelopes,
+            per_row(first.envelopes)
+        );
+        println!(
+            "{fleet:?}: {} radio tx bytes / {rows} samples = {:.1} per stored sample (parent \
+             {parent_tx:.1})",
+            first.tx_bytes,
+            per_row(first.tx_bytes)
+        );
+        assert_eq!(
+            (first.envelopes, first.tx_bytes),
+            wire,
+            "{fleet:?}: (data envelopes, radio tx bytes) over the window"
+        );
+        let per_sample = per_row(first.allocs);
+        let live_per_sample = first.held as f64 / rows as f64;
+        println!(
+            "{fleet:?}: {} allocations / {rows} samples = {per_sample:.1} per sample (parent \
+             {parent:.1})",
+            first.allocs
+        );
+        println!(
+            "{fleet:?}: {} live heap bytes / {rows} samples = {live_per_sample:.1} per \
+             stored sample (parent {parent_live:.1})",
+            first.held
         );
         for (what, got, now) in [
             ("allocations per stored sample", per_sample, now),

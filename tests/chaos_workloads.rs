@@ -45,13 +45,12 @@ fn roguefinder_soak_holds_the_invariants() {
 }
 
 /// [`SoakReport::digest`](pogo::chaos::SoakReport::digest) of the table4
-/// soak's trace (JSONL) and audited store (CSV), read at the parent of the
-/// commit that put the device's and the collector's acks, dedup and
-/// reconnect into one link module. The soak
-/// reconnects, retransmits and drops duplicates under faults, so this pins
-/// that protocol's behaviour; a change that means to move it re-reads the
-/// hash there and says so.
-const TABLE4_SOAK_HASH: u64 = 0xc86d_4898_20d9_1cee;
+/// soak's trace (JSONL) and audited store (CSV), read at the commit that
+/// sent each run of a flush as one framed envelope, acked once (it read
+/// 0xc86d_4898_20d9_1cee before). The soak reconnects, retransmits and
+/// drops duplicates under faults, so this pins that protocol's behaviour;
+/// a change that means to move it re-reads the hash and says so.
+const TABLE4_SOAK_HASH: u64 = 0xc745_9682_e2bc_461c;
 
 #[test]
 fn table4_soak_holds_the_invariants() {

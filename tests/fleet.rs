@@ -148,10 +148,12 @@ fn tailsync_fleet_hash() -> u64 {
         })
 }
 
-/// What [`tailsync_fleet_hash`] read at the parent of the commit that
-/// rebuilt the event queue (f2da3ec). A change that means to move event
-/// order re-reads it there and says so; any other change leaves it alone.
-const TAILSYNC_FLEET_HASH: u64 = 0x3df2_a281_c961_81f8;
+/// What [`tailsync_fleet_hash`] read at the commit that sent each run of a
+/// flush as one framed envelope (0x3df2_a281_c961_81f8 before, read at
+/// the parent of the commit that rebuilt the event queue, f2da3ec). A
+/// change that means to move event order re-reads it and says so; any
+/// other change leaves it alone.
+const TAILSYNC_FLEET_HASH: u64 = 0x3f9c_6520_760f_1bb4;
 
 #[test]
 fn tailsync_fleet_trace_and_store_hash_is_pinned_across_commits() {
@@ -220,11 +222,13 @@ fn localization_fleet_hash() -> u64 {
         })
 }
 
-/// What [`localization_fleet_hash`] read at the parent of the commit that
-/// made each crate's modules private (c22c837). A change that means to
-/// move the script path's output or event order re-reads it there and
-/// says so; any other change leaves it alone.
-const LOCALIZATION_FLEET_HASH: u64 = 0xbf44_a406_2c2f_05eb;
+/// What [`localization_fleet_hash`] read at the commit that sent each run
+/// of a flush as one framed envelope, where the collector's deployment
+/// messages to a phone started to share one (0xbf44_a406_2c2f_05eb
+/// before, read at the parent of c22c837). A change that means to move
+/// the script path's output or event order re-reads it and says so; any
+/// other change leaves it alone.
+const LOCALIZATION_FLEET_HASH: u64 = 0x4c89_5d72_8c45_12cf;
 
 #[test]
 fn localization_fleet_trace_and_store_hash_is_pinned_across_commits() {
