@@ -422,20 +422,18 @@ impl<N: Clone + 'static> Link<N> {
                 return self.logs.append("pogo-errors", line);
             }
         };
-        if let Some(mark) = mark {
+        {
             let mut peers = self.peers.borrow_mut();
-            peers
-                .entry(from.clone())
-                .or_default()
-                .seen
-                .raise_floor(mark);
+            let seen = &mut peers.entry(from.clone()).or_default().seen;
+            mark.inspect(|mark| seen.raise_floor(*mark));
         }
         // Always ack: the previous ack may have been lost.
         self.send_ack(node, from, seq, len);
         let (mut fresh, mut refused, mut more) = (0, None, 0);
         for (at, json) in (seq..).zip(body.split('\n').take(len as usize)) {
+            // Borrowed per message: delivering one may re-enter the link.
             let mut peers = self.peers.borrow_mut();
-            if !peers.entry(from.clone()).or_default().seen.insert(at) {
+            if !peers.get_mut(from).is_some_and(|peer| peer.seen.insert(at)) {
                 continue;
             }
             drop(peers);

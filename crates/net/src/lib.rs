@@ -20,7 +20,8 @@
 //! * [`SeenSet`] — the sequence numbers seen from one sender, which
 //!   drops duplicates: the receiving half of Pogo's "own end-to-end
 //!   acknowledgements on top of XMPP" (the sender side is
-//!   [`MessageStore::ack`]);
+//!   [`MessageStore::ack_run`]), whose floor a purging sender's
+//!   low-water mark raises;
 //! * [`FlushPolicy`] — when to push buffered data: on a detected
 //!   3G tail (Pogo's mechanism), at fixed intervals, when charging, or
 //!   immediately (the ablation baselines).

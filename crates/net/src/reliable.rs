@@ -2,7 +2,7 @@
 //! of XMPP to recover from message loss" (§4.6).
 //!
 //! The sender keeps messages in the [`MessageStore`](crate::MessageStore) until
-//! the *recipient* acknowledges them (`MessageStore::ack`, with
+//! the *recipient* acknowledges them (`MessageStore::ack_run`, with
 //! `MessageStore::hand_out` picking what is not in flight, is the whole
 //! sender side); a message whose ack was lost, or that a reconnect
 //! resends, arrives twice, and the receiver drops the copy with one

@@ -15,7 +15,6 @@ use std::rc::Rc;
 use pogo_sim::{SimDuration, SimTime};
 
 use crate::jid::Jid;
-use crate::wire::ENVELOPE_OVERHEAD_BYTES;
 
 /// One buffered message awaiting delivery and acknowledgement.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,14 +27,6 @@ pub struct StoredMessage {
     pub data: String,
     /// When the message was enqueued.
     pub enqueued_at: SimTime,
-}
-
-impl StoredMessage {
-    /// Bytes this message occupies on the wire once wrapped in its
-    /// envelope.
-    pub fn wire_size(&self) -> u64 {
-        self.data.len() as u64 + ENVELOPE_OVERHEAD_BYTES
-    }
 }
 
 /// The due time of a message on the air: never, until it lands.
@@ -95,7 +86,9 @@ struct Inner {
 /// are *in flight*: [`MessageStore::hand_out`] picks only the messages due
 /// and marks them on the air, [`MessageStore::landed`] starts their ack
 /// timeout, and [`MessageStore::resend_all`] (a new session) makes every
-/// one due again.
+/// one due again. After a purge it also owes the peer its low-water mark
+/// ([`MessageStore::mark`]) until [`MessageStore::ack_run`] shows the
+/// peer has it.
 #[derive(Debug, Clone, Default)]
 pub struct MessageStore {
     inner: Rc<RefCell<Inner>>,
@@ -203,24 +196,11 @@ impl MessageStore {
         Some(inner.queue.front().map_or(inner.next_seq, |m| m.seq))
     }
 
-    /// Removes messages acknowledged end-to-end; returns how many were
-    /// still queued (unknown and repeated sequence numbers count nothing).
+    /// Removes messages acknowledged end-to-end, each as a run of one;
+    /// returns how many were still queued (unknown and repeated sequence
+    /// numbers count nothing).
     pub fn ack(&self, seqs: &[u64]) -> usize {
-        let mut inner = self.inner.borrow_mut();
-        let mut acked = 0;
-        for seq in seqs {
-            // Acks mostly name the head. The rest of the queue is in
-            // sequence order too: `enqueue` numbers upwards and nothing
-            // reorders.
-            let popped = if inner.queue.front().is_some_and(|m| m.seq == *seq) {
-                inner.queue.pop_front()
-            } else {
-                let found = inner.queue.binary_search_by_key(seq, |m| m.seq);
-                found.ok().and_then(|i| inner.queue.remove(i))
-            };
-            acked += usize::from(popped.is_some());
-        }
-        acked
+        seqs.iter().map(|&seq| self.ack_run(seq, 1)).sum()
     }
 
     /// Removes the run of `len` seqs from `first`, acknowledged

@@ -115,9 +115,9 @@ fn run(script: &str, schedule: u32, fates: &[Fate], k: u32) -> BTreeSet<SimTime>
     }));
     let log: Rc<RefCell<Vec<Seen>>> = Rc::default();
     let sink = log.clone();
-    // When the device last handed each seq to its session (the fates
-    // never drop the session), the instants it handed data over, and
-    // every hand-over that came too soon.
+    // When the device last handed each seq to a session (a kicked phone
+    // redials after 5 s, past the ack timeout), the instants it handed
+    // data over, and every hand-over that came too soon.
     let handed: RefCell<BTreeMap<u64, SimTime>> = RefCell::default();
     let flights: Rc<RefCell<BTreeSet<SimTime>>> = Rc::default();
     let too_soon: Rc<RefCell<Vec<(u64, SimTime, SimTime)>>> = Rc::default();
